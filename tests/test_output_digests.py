@@ -1,0 +1,46 @@
+"""Byte-identity of the statistic and oracle reports.
+
+The digests below are sha256 sums of ``StatReport.to_csv()`` for fixed
+instances, seeds and flags.  They pin the README's determinism promise
+across refactors: a change that alters any of these reports must say why
+and update the digest in the same change.
+"""
+
+import hashlib
+
+import pytest
+
+from htsp.pipeline import SamplerParams
+from htsp.stats import ExperimentConfig, load_instance, oracle_check, run_suite
+
+SUITE_ALL_ZOO = {
+    "mi": "4d3badfd3562aeda091ab6a28487eb0ebc2784e3e3365ae517fc98af9b142ed8",
+    "maxent": "fbc7229bb045bdf41615e705c50aa7f982972400f01538c92a8333874c361c66",
+    "mix": "0f358d3080b8cdebee88b59c159348f8265615aa863fdc0c65b49f4e23ace177",
+}
+REDUCTION_FLOOR_ZOO_MIX = "9f4bda7054e1fe6ab31a38bba5a59d308bf3a8b54990b2d10bc39c1da26a9188"
+ORACLE_ZOO_MIX = "4f520cb512f66e35ea7291cdf6d25376b84dd55a8d356010db8e22f26d839da8"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("sampler", sorted(SUITE_ALL_ZOO))
+def test_suite_all_csv_digest(sampler):
+    cfg = ExperimentConfig(family="zoo", gen_seed=3, sampler=sampler,
+                           trials=20_000, seed=5, suite="all")
+    assert _sha(run_suite(cfg).to_csv()) == SUITE_ALL_ZOO[sampler]
+
+
+def test_suite_reduction_delta_floor_csv_digest():
+    cfg = ExperimentConfig(family="zoo", gen_seed=3, sampler="mix",
+                           trials=20_000, seed=6, suite="reduction",
+                           delta_floor=0.0008475)
+    assert _sha(run_suite(cfg).to_csv()) == REDUCTION_FLOOR_ZOO_MIX
+
+
+def test_oracle_csv_digest():
+    inst = load_instance(ExperimentConfig(family="zoo", gen_seed=3))
+    report = oracle_check(inst, SamplerParams(sampler="mix"))
+    assert _sha(report.to_csv()) == ORACLE_ZOO_MIX
