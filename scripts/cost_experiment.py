@@ -19,12 +19,11 @@ sys.path.insert(0, "src")
 
 from htsp.generators import generate
 from htsp.join import ReductionParams
-from htsp.params import optimize
+from htsp.params import EPSILON, TOUR_RATIO_BOUND, optimize
 from htsp.pipeline import SamplerParams
 from htsp.stats import BatchEngine, mean_and_sigma
 
 FAMILIES = ("double-cycle", "k5-gadget", "nested", "random-4reg", "zoo")
-EPSILON = 0.001695
 
 
 def main() -> int:
@@ -53,7 +52,7 @@ def main() -> int:
         tot_mean, _ = mean_and_sigma(st.total_sum, st.total_sumsq, st.trials,
                                      1.0 / st.cost_denom)
         frac_bound = (0.5 - EPSILON) * cx
-        tot_bound = 1.4983 * cx
+        tot_bound = TOUR_RATIO_BOUND * cx
         lines.append(
             f"{family},{st.trials},{cx:.10g},{zc_mean:.10g},{frac_bound:.10g},"
             f"{(frac_bound - zc_mean) / cx:.6g},{tot_mean:.10g},"

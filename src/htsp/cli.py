@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import generators
+from .errors import HtspError
 from .graph import parse_instance, normalize_to_special_triple, serialize_instance
 from .hierarchy import build_cactus, build_hierarchy, min_cuts_via_hierarchy
 from .join import (
@@ -29,6 +30,7 @@ from .join import (
     shortest_path_metric,
     verify_join,
 )
+from .params import DEFAULT_MIX_LAMBDA
 from .pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
 from .stats import ExperimentConfig, oracle_check, run_suite
 
@@ -57,7 +59,7 @@ def _add_common(p: argparse.ArgumentParser, trials_default: int = 1) -> None:
     p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     p.add_argument("--trials", type=int, default=trials_default)
     p.add_argument("--sampler", choices=("mi", "maxent", "mix"), default="mix")
-    p.add_argument("--mix-lambda", type=float, default=0.4715)
+    p.add_argument("--mix-lambda", type=float, default=float(DEFAULT_MIX_LAMBDA))
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -366,8 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Exit code 0 is success, 1 a failed bound in
+    ``stats`` or ``oracle``, and 2 bad input, reported on one line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (HtspError, OSError) as exc:
+        msg = " ".join(str(exc).split())
+        print(f"htsp {args.cmd}: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .graph import bits
+
 
 def exact_convex_decomposition(
     candidates: Sequence[int],
@@ -60,8 +62,8 @@ def exact_convex_decomposition(
                 supp |= 1 << e
             if r[e] == sigma:
                 forced |= 1 << e
-        up_sum = [sum(r[e] for e in _bits(mask)) for mask, _ in upper]
-        lo_sum = [sum(r[e] for e in _bits(mask)) for mask, _ in lower]
+        up_sum = [sum(r[e] for e in bits(mask)) for mask, _ in upper]
+        lo_sum = [sum(r[e] for e in bits(mask)) for mask, _ in lower]
 
         best_t = Fraction(0)
         best_i = -1
@@ -90,7 +92,7 @@ def exact_convex_decomposition(
                     t = min(t, slack / (k - bound))
             if not ok:
                 continue
-            for e in _bits(c):
+            for e in bits(c):
                 if r[e] < t:
                     t = r[e]
             if t > best_t:
@@ -100,16 +102,9 @@ def exact_convex_decomposition(
             raise ValueError("decomposition stuck; target outside the polytope")
         c = cands[best_i]
         weights[c] = weights.get(c, Fraction(0)) + best_t
-        for e in _bits(c):
+        for e in bits(c):
             r[e] -= best_t
         sigma -= best_t
     if sigma != 0 or any(x != 0 for x in r):
         raise ValueError("decomposition did not exhaust the target")
     return weights
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

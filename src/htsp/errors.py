@@ -87,6 +87,19 @@ class OddSetTooLarge(HtspError):
     """Too many odd vertices for exact minimum-cost join computation."""
 
 
+class ScaleOverflow(HtspError):
+    """Charge quanta need a common denominator too large for exact int64 sums."""
+
+
+class LpFailure(HtspError):
+    """The reduction-parameter program has no certified exact optimum."""
+
+
+class ConfigError(HtspError, ValueError):
+    """An experiment lacks an instance source, names an unknown suite, or
+    hands a suite a run made without the flags it needs."""
+
+
 # --- generators ---
 
 class GenerationFailure(HtspError):

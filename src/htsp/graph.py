@@ -24,6 +24,14 @@ from .errors import (
 )
 
 
+def bits(mask: int):
+    """Positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class CutView:
     """Edges of a cut, its shore, and its size (x-value is half the size)."""
@@ -31,10 +39,6 @@ class CutView:
     shore: frozenset[int]
     edge_ids: tuple[int, ...]
     value: int
-
-    @property
-    def x_value(self) -> Fraction:
-        return Fraction(self.value, 2)
 
 
 class MultiGraph:
@@ -96,9 +100,6 @@ class MultiGraph:
     def other_end(self, pos: int, v: int) -> int:
         u, w = self.endpoints[pos]
         return w if u == v else u
-
-    def neighbors(self, v: int) -> set[int]:
-        return {self.other_end(i, v) for i in self._adj[v]}
 
     def label(self, v: int) -> frozenset[int]:
         return self.vertex_sets[v]
@@ -247,7 +248,7 @@ class MultiGraph:
 # Half-integral instances
 # ---------------------------------------------------------------------------
 
-SPECIAL_ROOT, SPECIAL_U, SPECIAL_V = 0, 1, 2
+SPECIAL_ROOT = 0
 
 
 @dataclass(frozen=True)
@@ -263,15 +264,8 @@ class HalfIntegralInstance:
     strict: bool = True
 
     @property
-    def special_triple(self) -> tuple[int, int, int] | None:
-        return (SPECIAL_ROOT, SPECIAL_U, SPECIAL_V) if self.strict else None
-
-    @property
     def root(self) -> int:
         return SPECIAL_ROOT
-
-    def cost_of(self, eid: int) -> Fraction:
-        return self.costs[eid]
 
     def lp_cost(self) -> Fraction:
         """Cost of the fractional solution: half the total edge cost."""

@@ -199,12 +199,6 @@ class CutHierarchy:
     def non_leaves(self) -> list[HierarchyNode]:
         return [nd for nd in self.nodes if nd.kind != "leaf"]
 
-    def node_by_label(self, label: frozenset[int]) -> HierarchyNode:
-        for nd in self.nodes:
-            if nd.label == label:
-                return nd
-        raise KeyError(label)
-
 
 # ---------------------------------------------------------------------------
 # hierarchy construction

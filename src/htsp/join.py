@@ -28,22 +28,19 @@ from .errors import (
 )
 from .graph import HalfIntegralInstance
 from .hierarchy import CutHierarchy, CutView, min_cuts_via_hierarchy
+from .params import BETA_CAP, DEFAULT_MIX_LAMBDA, mixed_rates
 from .pipeline import PieceSampler
 
 QUARTER = Fraction(1, 4)
 FLOOR = Fraction(1, 6)
 
-#: guaranteed even-at-last lower bounds per sampler route
-EAL_BOUND_MI = {
-    "special": Fraction(1, 36),
-    "half-special": Fraction(1, 21),
-    "other": Fraction(1, 18),
-}
-EAL_BOUND_MAXENT = {
-    "special": Fraction(128, 6561),
-    "half-special": Fraction(4, 27),
-    "other": Fraction(1, 12),
-}
+#: reduction classes an edge can be settled in
+EDGE_KINDS = ("special", "half-special", "other-degree", "k5-degree", "cycle")
+
+
+def coin_kind(kind: str) -> str:
+    """The row of the even-at-last table that bounds an edge class."""
+    return kind if kind in ("special", "half-special") else "other"
 
 
 @dataclass(frozen=True)
@@ -56,37 +53,33 @@ class ReductionParams:
     mix_lambda: Fraction
 
     def __post_init__(self):
-        if not (0 <= self.tau <= self.gamma <= self.beta <= Fraction(1, 12)):
-            raise ValueError("need 0 <= tau <= gamma <= beta <= 1/12")
+        if not (0 <= self.tau <= self.gamma <= self.beta <= BETA_CAP):
+            raise ValueError(f"need 0 <= tau <= gamma <= beta <= {BETA_CAP}")
         if self.beta < 2 * self.tau or self.beta < 2 * self.gamma:
             raise ValueError("need beta >= 2*tau and beta >= 2*gamma")
         if not 0 <= self.mix_lambda <= 1:
             raise ValueError("mix_lambda must be in [0, 1]")
 
     @classmethod
-    def default(cls, mix_lambda: Fraction = Fraction(4715, 10000)) -> "ReductionParams":
+    def default(cls, mix_lambda: Fraction = DEFAULT_MIX_LAMBDA) -> "ReductionParams":
         return cls(
             tau=Fraction(23, 648),
             gamma=Fraction(13, 324),
-            beta=Fraction(1, 12),
+            beta=BETA_CAP,  # the optimum sits at the cap
             mix_lambda=Fraction(mix_lambda),
         )
 
     @property
+    def p_other(self) -> Fraction:
+        return mixed_rates(self.mix_lambda)[0]
+
+    @property
     def p_special(self) -> Fraction:
-        lam = self.mix_lambda
-        return lam * EAL_BOUND_MAXENT["special"] + (1 - lam) * EAL_BOUND_MI["special"]
+        return mixed_rates(self.mix_lambda)[1]
 
     @property
     def p_half_special(self) -> Fraction:
-        # the max-entropy route does not need a separate half-special bound
-        lam = self.mix_lambda
-        return lam * EAL_BOUND_MAXENT["other"] + (1 - lam) * EAL_BOUND_MI["half-special"]
-
-    @property
-    def p_other(self) -> Fraction:
-        lam = self.mix_lambda
-        return lam * EAL_BOUND_MAXENT["other"] + (1 - lam) * EAL_BOUND_MI["other"]
+        return mixed_rates(self.mix_lambda)[2]
 
     def coin_bound(self, kind: str) -> Fraction:
         if kind == "special":
@@ -117,9 +110,7 @@ class EdgeClass:
 
     @property
     def coin_kind(self) -> str:
-        if self.kind in ("special", "half-special"):
-            return self.kind
-        return "other"
+        return coin_kind(self.kind)
 
 
 def classify(h: CutHierarchy) -> dict[int, EdgeClass]:
@@ -676,7 +667,8 @@ def verify_join(z: dict[int, Fraction], tree_edges: frozenset[int],
 # integral join and tour extraction
 # ---------------------------------------------------------------------------
 
-ODD_SET_LIMIT = 16
+#: most odd vertices the exact pairing DP accepts
+ODD_SET_LIMIT = 18
 
 
 def shortest_path_metric(inst: HalfIntegralInstance) -> tuple[list[list[Fraction]], dict]:
@@ -721,8 +713,8 @@ def min_cost_perfect_matching(odd: list[int], dist,
     assert k % 2 == 0
     if k == 0:
         return Fraction(0), []
-    if k > ODD_SET_LIMIT + 2:
-        raise OddSetTooLarge(f"{k} odd vertices exceeds the exact limit")
+    if k > ODD_SET_LIMIT:
+        raise OddSetTooLarge(f"{k} odd vertices exceeds the exact limit {ODD_SET_LIMIT}")
     if memo is None:
         memo = {}
     if 0 not in memo:
@@ -783,8 +775,7 @@ class TourResult:
 
 
 def integral_join_and_tour(inst: HalfIntegralInstance, tree_edges: frozenset[int],
-                           metric=None, shortcut: bool = True,
-                           limit: int = ODD_SET_LIMIT) -> TourResult:
+                           metric=None, shortcut: bool = True) -> TourResult:
     """Cheapest parity fix for the tree, then a closed tour.
 
     The join pairs odd-degree vertices along shortest paths; the tour is
@@ -796,10 +787,7 @@ def integral_join_and_tour(inst: HalfIntegralInstance, tree_edges: frozenset[int
     if metric is None:
         metric = shortest_path_metric(inst)
     d, nxt = metric
-    odd = odd_vertices(inst, tree_edges)
-    if len(odd) > limit:
-        raise OddSetTooLarge(f"{len(odd)} odd vertices exceeds limit {limit}")
-    join_cost, pairs = min_cost_perfect_matching(odd, d)
+    join_cost, pairs = min_cost_perfect_matching(odd_vertices(inst, tree_edges), d)
     legs: list[tuple[int, int]] = [g.endpoints[eid] for eid in tree_edges]
     for a, b in pairs:
         node = a

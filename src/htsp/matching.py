@@ -18,7 +18,7 @@ import numpy as np
 
 from .decomp import exact_convex_decomposition
 from .errors import ColoringOverflow, NoPerfectMatching
-from .graph import MultiGraph
+from .graph import MultiGraph, bits
 from .hierarchy import LocalMultigraph
 
 THIRD = Fraction(1, 3)
@@ -250,8 +250,8 @@ def shift(piece: LocalMultigraph, matching_mask: int,
         parts=parts,
         forced=forced,
         provenance={
-            "matching": tuple(sorted(g.edge_ids[i] for i in _bits(matching_mask))),
-            "submatching": tuple(sorted(g.edge_ids[i] for i in _bits(submatching_mask))),
+            "matching": tuple(sorted(g.edge_ids[i] for i in bits(matching_mask))),
+            "submatching": tuple(sorted(g.edge_ids[i] for i in bits(submatching_mask))),
             "surgery": None,
         },
     )
@@ -346,7 +346,7 @@ def surgery_options(split: SplitPiece, matching_mask: int) -> list[tuple]:
     exact probabilities conditioned on the matching.
     """
     g = split.graph
-    matched_ids = {g.edge_ids[i] for i in _bits(matching_mask)}
+    matched_ids = {g.edge_ids[i] for i in bits(matching_mask)}
     cut_in_m = sorted(set(split.interior_cut_ids) & matched_ids)
     branches = []
     if not cut_in_m:
@@ -407,8 +407,8 @@ def apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
         parts=tuple(sorted(parts)),
         forced=forced,
         provenance={
-            "matching": tuple(sorted(g.edge_ids[i] for i in _bits(matching_mask))),
-            "submatching": tuple(sorted(g.edge_ids[i] for i in _bits(submatching_mask))),
+            "matching": tuple(sorted(g.edge_ids[i] for i in bits(matching_mask))),
+            "submatching": tuple(sorted(g.edge_ids[i] for i in bits(submatching_mask))),
             "surgery": (kind, trigger, adjusted, dropped),
             "pairing": split.pairing,
         },
@@ -426,7 +426,7 @@ def odd_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
         trigger = sorted(split.interior_cut_ids)[int(rng.integers(0, 4))]
     else:
         g = split.graph
-        matched_ids = {g.edge_ids[i] for i in _bits(matching_mask)}
+        matched_ids = {g.edge_ids[i] for i in bits(matching_mask)}
         pool = sorted(set(split.interior_cut_ids) & matched_ids)
         trigger = pool[int(rng.integers(0, 2))]
     g = split.graph
@@ -443,10 +443,3 @@ def odd_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
             dropped = others[int(rng.integers(0, 2))]
     return apply_surgery(split, matching_mask, submatching_mask, kind,
                          trigger, adjusted, dropped)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -22,6 +22,7 @@ from .join import (
     exact_eal_probabilities,
     joint_indicator,
 )
+from .params import EAL_BOUNDS
 from .pipeline import CyclePieceSampler, PieceSampler
 
 
@@ -291,14 +292,15 @@ def correlation_event_probability(sampler, piece, row: str, tup) -> tuple[object
     return total, pred
 
 
-#: guaranteed lower bounds for the correlation rows, by sampler route
+#: guaranteed lower bounds for the correlation rows, by sampler route; the
+#: both-degree-two row is the special edges' even-at-last bound
 CORRELATION_BOUNDS = {
     "mi": {
         "adjacent-pair-both": Fraction(1, 9),
         "adjacent-pair-exactly-first": Fraction(1, 9),
         "full-star-two-of-four": Fraction(2, 21),
         "full-star-split-pairs": Fraction(4, 63),
-        "interior-edge-both-degree-two": Fraction(1, 36),
+        "interior-edge-both-degree-two": EAL_BOUNDS["mi"]["special"],
         "boundary-edge-one-odd": Fraction(1, 9),
     },
     "maxent": {
@@ -306,7 +308,7 @@ CORRELATION_BOUNDS = {
         "adjacent-pair-exactly-first": Fraction(12, 72),
         "full-star-two-of-four": Fraction(8, 27),
         "full-star-split-pairs": Fraction(16, 81),
-        "interior-edge-both-degree-two": Fraction(128, 6561),
+        "interior-edge-both-degree-two": EAL_BOUNDS["maxent"]["special"],
         "boundary-edge-one-odd": Fraction(5, 18),
     },
 }

@@ -1,4 +1,7 @@
-"""Reduction-parameter optimization.
+"""The guarantee constants, and the reduction-parameter optimization.
+
+The constants live here only; this module imports no other htsp module
+but the errors, so every module can read them.
 
 The expected net decrease of every edge class, after charging, is a linear
 form in the reduction amounts (tau, gamma, beta) with coefficients built
@@ -12,6 +15,7 @@ vertices in rational arithmetic; no LP library involved.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,21 +23,41 @@ from typing import Optional
 
 import numpy as np
 
-P_MI = Fraction(1, 18)
-P_ME = Fraction(1, 12)
-P_SP_MI = Fraction(1, 36)
-P_SP_ME = Fraction(128, 6561)
-P_HS_MI = Fraction(1, 21)
+from .errors import LpFailure
 
+#: guaranteed even-at-last lower bounds per sampler route, by coin kind
+EAL_BOUNDS = {
+    "mi": {
+        "special": Fraction(1, 36),
+        "half-special": Fraction(1, 21),
+        "other": Fraction(1, 18),
+    },
+    "maxent": {
+        "special": Fraction(128, 6561),
+        "half-special": Fraction(4, 27),
+        "other": Fraction(1, 12),
+    },
+}
+#: optimized share of max-entropy draws in the mixed sampler
+DEFAULT_MIX_LAMBDA = Fraction(4715, 10000)
+#: largest reduction amount any edge class may take
 BETA_CAP = Fraction(1, 12)
+#: guaranteed gap below one half of the expected fractional join cost / c(x)
+EPSILON = 0.001695
+#: guaranteed bound on the expected tree-plus-join cost / c(x)
+TOUR_RATIO_BOUND = 1.4983
 
 
 def mixed_rates(lam: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Flattened reduction rates (p, p_special, p_half_special) at mix lam."""
+    """Flattened reduction rates (p, p_special, p_half_special) at mix lam.
+
+    The max-entropy route does not need a separate half-special bound.
+    """
     lam = Fraction(lam)
-    p = lam * P_ME + (1 - lam) * P_MI
-    p_sp = lam * P_SP_ME + (1 - lam) * P_SP_MI
-    p_hs = lam * P_ME + (1 - lam) * P_HS_MI
+    mi, me = EAL_BOUNDS["mi"], EAL_BOUNDS["maxent"]
+    p = lam * me["other"] + (1 - lam) * mi["other"]
+    p_sp = lam * me["special"] + (1 - lam) * mi["special"]
+    p_hs = lam * me["other"] + (1 - lam) * mi["half-special"]
     return p, p_sp, p_hs
 
 
@@ -103,6 +127,14 @@ def _constraints(lam: Fraction) -> list[tuple[str, tuple[Fraction, ...], Fractio
     return cons
 
 
+@functools.cache
+def _bases(n_constraints: int) -> np.ndarray:
+    """Every choice of four constraints, one row per candidate vertex."""
+    combos = np.array(list(itertools.combinations(range(n_constraints), 4)))
+    combos.setflags(write=False)
+    return combos
+
+
 def solve_amounts(lam: Fraction) -> LpSolution:
     """Exact maximizer of the minimum decrease form at a fixed mix.
 
@@ -115,23 +147,18 @@ def solve_amounts(lam: Fraction) -> LpSolution:
     amat = np.array([[float(c) for c in coefs] for _, coefs, _ in cons])
     bvec = np.array([float(b) for _, _, b in cons])
 
-    combos = np.array(list(itertools.combinations(range(len(cons)), 4)))
+    combos = _bases(len(cons))
     stacks = amat[combos]  # (k, 4, 4)
     rhs = bvec[combos]  # (k, 4)
-    dets = np.linalg.det(stacks)
-    good = np.abs(dets) > 1e-12
+    good = np.abs(np.linalg.det(stacks)) > 1e-12
     xs = np.linalg.solve(stacks[good], rhs[good][..., None])[..., 0]
     feas = np.all(xs @ amat.T <= bvec[None, :] + 1e-9, axis=1)
-    candidates = [
-        (float(x[3]), tuple(int(i) for i in combo))
-        for x, combo in zip(xs[feas], combos[good][feas])
-    ]
-    assert candidates, "feasible region is empty"
-    top = max(d for d, _ in candidates)
+    if not feas.any():
+        raise LpFailure(f"feasible region is empty at lambda {lam}")
+    deltas = xs[feas, 3]
+    near = combos[good][feas][deltas >= deltas.max() - 1e-9]
     best: Optional[tuple[Fraction, list[Fraction]]] = None
-    for d, combo in candidates:
-        if d < top - 1e-9:
-            continue
+    for combo in near.tolist():
         rows = [cons[i][1] for i in combo]
         rhs = [cons[i][2] for i in combo]
         x = _solve4(rows, rhs)
@@ -140,7 +167,8 @@ def solve_amounts(lam: Fraction) -> LpSolution:
         if all(sum(c * v for c, v in zip(coefs, x)) <= b for _, coefs, b in cons):
             if best is None or x[3] > best[0]:
                 best = (x[3], x)
-    assert best is not None, "float screening lost the optimum"
+    if best is None:
+        raise LpFailure(f"float screening lost the optimum at lambda {lam}")
     delta, x = best
     binding = tuple(
         name

@@ -34,6 +34,7 @@ from .matching import (
     split_external,
     surgery_options,
 )
+from .params import DEFAULT_MIX_LAMBDA
 from .trees import (
     ConstrainedTreeDistribution,
     constrained_tree_distribution,
@@ -43,17 +44,14 @@ from .trees import (
 )
 
 DECOMPOSITION_INTERIOR_LIMIT = 12
-DEFAULT_MIX_LAMBDA = Fraction(4715, 10000)
 
 
 @dataclass(frozen=True)
 class SamplerParams:
-    """Which tree sampler degree pieces use, and its knobs."""
+    """Which tree sampler degree pieces use, and its mix."""
 
     sampler: str = "mix"  # 'mi' | 'maxent' | 'mix'
     mix_lambda: Fraction = DEFAULT_MIX_LAMBDA
-    maxent_tolerance: float = 1e-6
-    interior_limit: int = DECOMPOSITION_INTERIOR_LIMIT
 
     def __post_init__(self):
         if self.sampler not in ("mi", "maxent", "mix"):
@@ -149,10 +147,6 @@ class EnumeratedPieceSampler:
         i = int(np.searchsorted(self._cdf, rng.random(), side="right"))
         return self.trees[min(i, len(self.trees) - 1)], {"mode": self.kind}
 
-    def sample_compiled(self, rng: np.random.Generator) -> frozenset[int]:
-        i = int(np.searchsorted(self._cdf, rng.random(), side="right"))
-        return self.trees[min(i, len(self.trees) - 1)]
-
     def indicator_distribution(self, eids: list[int]) -> list[tuple[int, object]]:
         use_exact = self.exact_probs is not None
         merged: dict[int, object] = {}
@@ -190,13 +184,18 @@ def _submask_of_class(classes: list[list[int]], cls: int) -> int:
     return mask
 
 
-def _mi_states(piece: LocalMultigraph, limit: int):
+def _check_interior(piece: LocalMultigraph) -> None:
+    if piece.graph.n - 1 > DECOMPOSITION_INTERIOR_LIMIT:
+        raise SizeLimitExceeded(
+            f"piece interior {piece.graph.n - 1} exceeds enumeration limit "
+            f"{DECOMPOSITION_INTERIOR_LIMIT}"
+        )
+
+
+def _mi_states(piece: LocalMultigraph):
     """Yield (probability, ShiftedSolution) over the matroid route."""
     g = piece.graph
-    if g.n - 1 > limit:
-        raise SizeLimitExceeded(
-            f"piece interior {g.n - 1} exceeds exact decomposition limit {limit}"
-        )
+    _check_interior(piece)
     seventh = Fraction(1, 7)
     if g.n % 2 == 0:
         dist = decompose_matchings(piece)
@@ -237,13 +236,10 @@ def _parts_of(sp, submask):
     )
 
 
-def _maxent_states(piece: LocalMultigraph, limit: int):
+def _maxent_states(piece: LocalMultigraph):
     """Yield (probability, ShiftedSolution) over the max-entropy route."""
     g = piece.graph
-    if g.n - 1 > limit:
-        raise SizeLimitExceeded(
-            f"piece interior {g.n - 1} exceeds enumeration limit {limit}"
-        )
+    _check_interior(piece)
     if g.n % 2 == 0:
         dist = decompose_matchings(piece)
         for mk, w in zip(dist.masks, dist.weights):
@@ -299,9 +295,7 @@ class DegreePieceSampler:
         key = tuple(sorted(shifted.interior_values().items()))
         if key not in self._me_cache:
             self._me_cache[key] = maxent_fit(
-                shifted.interior_graph,
-                shifted.interior_values(),
-                tolerance=self.params.maxent_tolerance,
+                shifted.interior_graph, shifted.interior_values()
             )
         return self._me_cache[key]
 
@@ -320,7 +314,7 @@ class DegreePieceSampler:
     def mi_mixture(self) -> dict[frozenset[int], Fraction]:
         if self._mi_mixture is None:
             acc: dict[frozenset[int], Fraction] = {}
-            for pr, shifted in _mi_states(self.piece, self.params.interior_limit):
+            for pr, shifted in _mi_states(self.piece):
                 dist = self._mi_dist(shifted)
                 for t, w in zip(dist.trees, dist.weights):
                     acc[t] = acc.get(t, Fraction(0)) + pr * w
@@ -331,7 +325,7 @@ class DegreePieceSampler:
     def maxent_mixture(self) -> dict[frozenset[int], float]:
         if self._me_mixture is None:
             acc: dict[frozenset[int], float] = {}
-            for pr, shifted in _maxent_states(self.piece, self.params.interior_limit):
+            for pr, shifted in _maxent_states(self.piece):
                 fit = self._me_fit(shifted)
                 trees, probs = maxent_tree_distribution(fit)
                 fpr = float(pr)
@@ -423,7 +417,6 @@ class TreeSample:
     """A sampled rooted tree plus per-piece provenance."""
 
     edges: frozenset[int]
-    per_node: dict[int, frozenset[int]]
     provenance: dict[int, dict]
 
 
@@ -451,7 +444,7 @@ def sample_r0_tree(
         sub, p = samplers[nd.node_id].sample(r)
         edges |= sub
         prov[nd.node_id] = p
-    ts = TreeSample(frozenset(edges), {}, prov)
+    ts = TreeSample(frozenset(edges), prov)
     validate_r0_tree(h, ts.edges)
     return ts
 

@@ -19,24 +19,26 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .errors import AssemblyError, ConfigError, ScaleOverflow
 from .graph import HalfIntegralInstance
 from .hierarchy import build_hierarchy, min_cuts_via_hierarchy
 from .join import (
+    EDGE_KINDS,
     ReductionParams,
     build_charge_sites,
     classify,
     coin_groups,
+    coin_kind,
     coin_rates,
     exact_eal_probabilities,
     min_cost_perfect_matching,
 )
+from .params import DEFAULT_MIX_LAMBDA, EAL_BOUNDS, EPSILON, TOUR_RATIO_BOUND
 from .pipeline import (
     CyclePieceSampler,
     SamplerParams,
     build_piece_samplers,
 )
-
-DELTA_STAR = Fraction(6866, 100000) / 81  # decrease floor at the default mix
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +146,6 @@ def _lcm_denominator(values: Iterable[Fraction]) -> int:
 @dataclass
 class BatchStats:
     trials: int = 0
-    aborted: int = 0
     incl: Optional[np.ndarray] = None
     eal: Optional[np.ndarray] = None
     reduced: Optional[np.ndarray] = None
@@ -286,7 +287,8 @@ class BatchEngine:
             for grp in site.groups:
                 quanta.append(grp.amount / 2)
         self.z_denom = _lcm_denominator(quanta)
-        assert self.z_denom < 2 ** 40, "charge denominators blew up"
+        if self.z_denom >= 2 ** 40:
+            raise ScaleOverflow(f"charge denominator {self.z_denom} exceeds 2**40")
         D = self.z_denom
         self.amount_int = np.zeros(self.m, dtype=np.int64)
         for e, cl in self.classes.items():
@@ -399,18 +401,16 @@ class BatchEngine:
             rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(idx,))
             )
-            self._run_chunk(n, rng, st, join, verify, integral, symmetry_pairs,
-                            first=(idx == 0))
+            self._run_chunk(n, rng, st, join, verify, integral, symmetry_pairs)
             done += n
             idx += 1
         st.trials = trials
         return st
 
-    def _run_chunk(self, n, rng, st, join, verify, integral, symmetry_pairs, first):
+    def _run_chunk(self, n, rng, st, join, verify, integral, symmetry_pairs):
         T = self._draw_trees(n, rng)
-        if first:
-            counts = T.sum(1)
-            assert np.all(counts == self.n), "assembled samples are not trees"
+        if not np.all(T.sum(1) == self.n):
+            raise AssemblyError(f"assembled samples without {self.n} edges")
         st.incl += T.sum(0)
         for a, b in symmetry_pairs:
             ta, tb = T[:, a], T[:, b]
@@ -593,40 +593,28 @@ def suite_correlations(piece, sampler: str, trials: int, seed: int,
 # instance-level suites
 # ---------------------------------------------------------------------------
 
-EAL_TABLE = {
-    "mi": {
-        "special": Fraction(1, 36),
-        "half-special": Fraction(1, 21),
-        "other-degree": Fraction(1, 18),
-        "k5-degree": Fraction(1, 18),
-        "cycle": Fraction(1, 18),
-    },
-    "maxent": {
-        "special": Fraction(128, 6561),
-        "half-special": Fraction(4, 27),
-        "other-degree": Fraction(1, 12),
-        "k5-degree": Fraction(1, 12),
-        "cycle": Fraction(1, 12),
-    },
-}
-
-
 def eal_bounds_for(sp: SamplerParams, rp: ReductionParams) -> dict[str, Fraction]:
-    if sp.sampler in ("mi", "maxent"):
-        return EAL_TABLE[sp.sampler]
-    return {
-        "special": rp.p_special,
-        "half-special": rp.p_half_special,
-        "other-degree": rp.p_other,
-        "k5-degree": rp.p_other,
-        "cycle": rp.p_other,
-    }
+    """Guaranteed even-at-last bound per edge class: the route's own table
+    on a pure route, the flattened coin bound on the mix."""
+    table = EAL_BOUNDS.get(sp.sampler)
+    bound = table.__getitem__ if table else rp.coin_bound
+    return {kind: bound(coin_kind(kind)) for kind in EDGE_KINDS}
 
 
-def suite_marginals(engine: BatchEngine, trials: int, seed: int,
-                    stats: Optional[BatchStats] = None) -> StatReport:
+def symmetry_pairs(m: int, n_pairs: int = 20, pair_seed: int = 20_24
+                   ) -> list[tuple[int, int]]:
+    """Random distinct edge pairs for the swap-symmetry suite."""
+    rng = np.random.default_rng(pair_seed)
+    pairs = set()
+    while len(pairs) < min(n_pairs, m * (m - 1) // 2):
+        a, b = sorted(map(int, rng.choice(m, size=2, replace=False)))
+        pairs.add((a, b))
+    return sorted(pairs)
+
+
+def suite_marginals(engine: BatchEngine, st: BatchStats) -> StatReport:
     """Every edge's inclusion frequency against one half (plus exact rows)."""
-    st = stats or engine.run(trials, seed, join=False)
+    trials = st.trials
     report = StatReport(meta={"suite": "marginals", "trials": trials})
     for e in range(engine.m):
         report.rows.append(
@@ -647,13 +635,11 @@ def suite_marginals(engine: BatchEngine, trials: int, seed: int,
     return report
 
 
-def suite_eal(engine: BatchEngine, trials: int, seed: int,
-              stats: Optional[BatchStats] = None) -> StatReport:
+def suite_eal(engine: BatchEngine, st: BatchStats) -> StatReport:
     """Even-at-last frequencies per class against the guaranteed table."""
-    st = stats or engine.run(trials, seed, join=True)
     bounds = eal_bounds_for(engine.sp, engine.rp)
     report = StatReport(meta={"suite": "eal", "sampler": engine.sp.sampler,
-                              "trials": trials})
+                              "trials": st.trials})
     by_class: dict[str, list[int]] = {}
     for e, cl in engine.classes.items():
         by_class.setdefault(cl.kind, []).append(e)
@@ -662,31 +648,22 @@ def suite_eal(engine: BatchEngine, trials: int, seed: int,
         report.rows.append(
             lower_row("eal", f"even-at-last/{kind}", engine.sp.sampler,
                       f"worst-edge:{worst}(n={len(edges)})",
-                      bounds[kind], int(st.eal[worst]), trials)
+                      bounds[kind], int(st.eal[worst]), st.trials)
         )
     return report
 
 
-def suite_reduction(engine: BatchEngine, trials: int, seed: int,
-                    delta_floor: Optional[float] = None,
-                    stats: Optional[BatchStats] = None) -> StatReport:
+def suite_reduction(engine: BatchEngine, st: BatchStats,
+                    delta_floor: Optional[float] = None) -> StatReport:
     """Reduction-rate flattening and per-edge mean net decrease."""
-    st = stats or engine.run(trials, seed, join=True)
-    rp = engine.rp
-    targets = {
-        "special": rp.p_special,
-        "half-special": rp.p_half_special,
-        "other-degree": rp.p_other,
-        "k5-degree": rp.p_other,
-        "cycle": rp.p_other,
-    }
+    trials = st.trials
     report = StatReport(meta={"suite": "reduction", "trials": trials})
     for e in range(engine.m):
-        kind = engine.classes[e].kind
+        cl = engine.classes[e]
         report.rows.append(
-            twosided_row("reduction", f"reduction-rate/{kind}", engine.sp.sampler,
-                         f"edge:{e}", float(targets[kind]), int(st.reduced[e]),
-                         trials)
+            twosided_row("reduction", f"reduction-rate/{cl.kind}", engine.sp.sampler,
+                         f"edge:{e}", float(engine.rp.coin_bound(cl.coin_kind)),
+                         int(st.reduced[e]), trials)
         )
     if delta_floor is not None:
         D = st.z_denom
@@ -703,17 +680,17 @@ def suite_reduction(engine: BatchEngine, trials: int, seed: int,
     return report
 
 
-def suite_cost(engine: BatchEngine, trials: int, seed: int,
-               epsilon: float = 0.001695,
-               stats: Optional[BatchStats] = None) -> StatReport:
+def suite_cost(engine: BatchEngine, st: BatchStats) -> StatReport:
     """Fractional and integral cost bounds plus join feasibility."""
-    st = stats or engine.run(trials, seed, join=True, verify=True, integral=True)
+    if not (st.verified and st.integral):
+        raise ConfigError("the cost suite needs a run with verify and integral")
+    trials = st.trials
     cx = float(engine.lp_cost)
     report = StatReport(meta={"suite": "cost", "trials": trials, "lp_cost": cx})
     zc_mean, zc_sig = mean_and_sigma(
         st.zc_sum, st.zc_sumsq, trials, 1.0 / (st.z_denom * st.cost_denom)
     )
-    bound = (0.5 - epsilon) * cx
+    bound = (0.5 - EPSILON) * cx
     report.rows.append(
         StatRow("cost", "fractional-join-cost", engine.sp.sampler, "mean",
                 "upper", bound, zc_mean, zc_sig, trials,
@@ -722,7 +699,7 @@ def suite_cost(engine: BatchEngine, trials: int, seed: int,
     tot_mean, tot_sig = mean_and_sigma(
         st.total_sum, st.total_sumsq, trials, 1.0 / st.cost_denom
     )
-    bound2 = 1.4983 * cx
+    bound2 = TOUR_RATIO_BOUND * cx
     report.rows.append(
         StatRow("cost", "tree-plus-join-cost", engine.sp.sampler, "mean",
                 "upper", bound2, tot_mean, tot_sig, trials,
@@ -745,16 +722,9 @@ def suite_cost(engine: BatchEngine, trials: int, seed: int,
     return report
 
 
-def suite_symmetry(engine: BatchEngine, trials: int, seed: int,
-                   n_pairs: int = 20, pair_seed: int = 20_24) -> StatReport:
-    """Swap symmetry of half-marginal indicators for random edge pairs."""
-    rng = np.random.default_rng(pair_seed)
-    pairs = set()
-    while len(pairs) < min(n_pairs, engine.m * (engine.m - 1) // 2):
-        a, b = sorted(map(int, rng.choice(engine.m, size=2, replace=False)))
-        pairs.add((a, b))
-    pairs = sorted(pairs)
-    st = engine.run(trials, seed, join=False, symmetry_pairs=pairs)
+def suite_symmetry(engine: BatchEngine, st: BatchStats) -> StatReport:
+    """Swap symmetry of half-marginal indicators for the run's edge pairs."""
+    trials = st.trials
     report = StatReport(meta={"suite": "symmetry", "trials": trials})
     for (a, b), c in st.sym_counts.items():
         n00, n01, n10, n11 = (int(x) for x in c)
@@ -839,14 +809,12 @@ class ExperimentConfig:
     gen_seed: int = 1
     piece: Optional[str] = None  # named piece for the correlation suite
     sampler: str = "mix"
-    mix_lambda: float = 0.4715
+    mix_lambda: float = float(DEFAULT_MIX_LAMBDA)
     trials: int = 100_000
     seed: int = 0
     suite: str = "all"
     calibration: str = "exact"
     delta_floor: Optional[float] = None
-    out: Optional[str] = None
-    fmt: str = "csv"
 
     def sampler_params(self) -> SamplerParams:
         return SamplerParams(
@@ -868,13 +836,31 @@ def load_instance(cfg: ExperimentConfig) -> HalfIntegralInstance:
             cfg.family, rng, k=cfg.k, n=cfg.n, depth=cfg.depth,
             unit_costs=cfg.unit_costs,
         )
-    raise ValueError("config needs an instance path or a generator family")
+    raise ConfigError("config needs an instance path or a generator family")
+
+
+#: engine flags each instance-level suite needs from the shared run
+SUITE_FLAGS = {
+    "marginals": (),
+    "eal": ("join",),
+    "reduction": ("join",),
+    "cost": ("join", "verify", "integral"),
+    "symmetry": (),
+}
 
 
 def run_suite(cfg: ExperimentConfig) -> StatReport:
-    """Run the configured statistic suite and return its report."""
+    """Run the configured statistic suite and return its report.
+
+    The instance-level suites read one engine run, made with the union of
+    the flags they need: every chunk draws its trees first from the RNG of
+    (seed, chunk index), and verification and integral joins draw nothing,
+    so each suite sees the counts a run of its own would give.
+    """
     from . import generators
 
+    if cfg.suite not in ("all", "correlations", *SUITE_FLAGS):
+        raise ConfigError(f"unknown suite {cfg.suite!r}")
     report = StatReport(meta={
         "suite": cfg.suite, "sampler": cfg.sampler, "trials": cfg.trials,
         "seed": cfg.seed,
@@ -891,33 +877,31 @@ def run_suite(cfg: ExperimentConfig) -> StatReport:
     inst = load_instance(cfg)
     sp = cfg.sampler_params()
     engine = BatchEngine(inst, sp, calibration=cfg.calibration)
-    suites = (
-        ("marginals", "eal", "reduction", "cost", "symmetry")
-        if cfg.suite == "all"
-        else (cfg.suite,)
-    )
+    if cfg.suite == "correlations":
+        for nd in engine.h.non_leaves():
+            if nd.kind != "cycle" and nd.piece.graph.n > 5:
+                for route in routes:
+                    sub = suite_correlations(nd.piece, route, cfg.trials,
+                                             cfg.seed,
+                                             piece_label=f"node{nd.node_id}")
+                    report.extend(sub.rows)
+        return report
+
+    suites = tuple(SUITE_FLAGS) if cfg.suite == "all" else (cfg.suite,)
+    flags = {f for name in suites for f in SUITE_FLAGS[name]}
+    pairs = symmetry_pairs(engine.m) if "symmetry" in suites else ()
+    st = engine.run(cfg.trials, cfg.seed, join="join" in flags,
+                    verify="verify" in flags, integral="integral" in flags,
+                    symmetry_pairs=pairs)
     for name in suites:
         if name == "marginals":
-            report.extend(suite_marginals(engine, cfg.trials, cfg.seed).rows)
+            report.extend(suite_marginals(engine, st).rows)
         elif name == "eal":
-            report.extend(suite_eal(engine, cfg.trials, cfg.seed).rows)
+            report.extend(suite_eal(engine, st).rows)
         elif name == "reduction":
-            report.extend(
-                suite_reduction(engine, cfg.trials, cfg.seed,
-                                delta_floor=cfg.delta_floor).rows
-            )
+            report.extend(suite_reduction(engine, st, cfg.delta_floor).rows)
         elif name == "cost":
-            report.extend(suite_cost(engine, cfg.trials, cfg.seed).rows)
-        elif name == "symmetry":
-            report.extend(suite_symmetry(engine, cfg.trials, cfg.seed).rows)
-        elif name == "correlations":
-            for nd in engine.h.non_leaves():
-                if nd.kind != "cycle" and nd.piece.graph.n > 5:
-                    for route in routes:
-                        sub = suite_correlations(nd.piece, route, cfg.trials,
-                                                 cfg.seed,
-                                                 piece_label=f"node{nd.node_id}")
-                        report.extend(sub.rows)
+            report.extend(suite_cost(engine, st).rows)
         else:
-            raise ValueError(f"unknown suite {name!r}")
+            report.extend(suite_symmetry(engine, st).rows)
     return report

@@ -30,7 +30,7 @@ from .errors import (
     NonConvergence,
     NumericalBreakdown,
 )
-from .graph import MultiGraph
+from .graph import MultiGraph, bits
 from .hierarchy import LocalMultigraph
 from .matching import ShiftedSolution
 
@@ -229,7 +229,7 @@ def constrained_tree_distribution(shifted: ShiftedSolution) -> ConstrainedTreeDi
     trees = []
     weights = []
     for mask in sorted(w):
-        ids = frozenset(mg.edge_ids[i] for i in _bits(mask)) | forced
+        ids = frozenset(mg.edge_ids[i] for i in bits(mask)) | forced
         trees.append(ids)
         weights.append(w[mask])
     dist = ConstrainedTreeDistribution(tuple(trees), tuple(weights))
@@ -270,12 +270,6 @@ class MaxEntWeights:
     @property
     def fit_error(self) -> float:
         return max((c.fit_error for c in self.components), default=0.0)
-
-    def edge_weights(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for c in self.components:
-            out.update(c.weights)
-        return out
 
 
 def _laplacian_minor_inverse(g: MultiGraph, w: Sequence[float]) -> np.ndarray:
@@ -456,7 +450,7 @@ def maxent_tree_distribution(fit: MaxEntWeights) -> tuple[tuple[frozenset[int], 
         cw = []
         for mask in masks:
             p = 1.0
-            for i in _bits(mask):
+            for i in bits(mask):
                 p *= wvec[i]
             cw.append(p)
         cw = np.array(cw)
@@ -466,7 +460,7 @@ def maxent_tree_distribution(fit: MaxEntWeights) -> tuple[tuple[frozenset[int], 
         k = 0
         for t, tp in zip(trees, probs):
             for mask, mp in zip(masks, cw):
-                ids = frozenset(c.graph.edge_ids[i] for i in _bits(mask))
+                ids = frozenset(c.graph.edge_ids[i] for i in bits(mask))
                 new_trees.append(t | ids)
                 new_probs[k] = tp * mp
                 k += 1
@@ -506,10 +500,3 @@ def sample_k5_path(piece: LocalMultigraph, rng: np.random.Generator) -> frozense
     """Uniformly random Hamiltonian path on the four interior vertices."""
     paths = k5_paths(piece)
     return paths[int(rng.integers(0, len(paths)))]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

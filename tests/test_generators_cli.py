@@ -241,3 +241,19 @@ def test_cli_normalize(tmp_path):
     assert r.returncode == 0
     fixed = parse_instance(r.stdout)
     assert fixed.strict
+
+
+@pytest.mark.parametrize("case", ["bad-instance", "missing-file", "no-source"])
+def test_cli_bad_input_is_one_line_with_exit_code_2(case, tmp_path):
+    bad = tmp_path / "bad.htsp"
+    bad.write_text("htsp 3 2\n0 1 1\n")
+    args = {
+        "bad-instance": ("validate", str(bad)),
+        "missing-file": ("oracle", str(tmp_path / "absent.htsp")),
+        "no-source": ("stats", "--suite", "marginals", "--trials", "10"),
+    }[case]
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert r.stderr.startswith(f"htsp {args[0]}: ")

@@ -362,3 +362,43 @@ def test_odd_set_limit():
     d = [[Fraction(1)] * 24 for _ in range(24)]
     with pytest.raises(OddSetTooLarge):
         min_cost_perfect_matching(list(range(20)), d)
+
+
+def _ring_edges_with_odd(inst, k):
+    """A connected edge multiset on a double cycle with exactly k odd vertices:
+    a Hamiltonian path, plus parallel copies that each make two more odd."""
+    links = list(inst.graph.parallel_classes().values())
+    edges = [link[0] for link in links[:-1]]
+    for link in links[:-1]:
+        odd = odd_vertices(inst, frozenset(edges))
+        if len(odd) >= k:
+            break
+        u, v = inst.graph.endpoints[link[1]]
+        if u not in odd and v not in odd:
+            edges.append(link[1])
+    assert len(odd_vertices(inst, frozenset(edges))) == k
+    return edges
+
+
+def test_tour_and_batch_paths_share_the_odd_set_limit():
+    from htsp.errors import OddSetTooLarge
+    from htsp.generators import generate_double_cycle
+    from htsp.join import ODD_SET_LIMIT
+    from htsp.stats import BatchEngine
+
+    inst = generate_double_cycle(20, np.random.default_rng(0))
+    engine = BatchEngine(inst, SamplerParams(sampler="mi"))
+    metric = shortest_path_metric(inst)
+    for k, accepted in ((ODD_SET_LIMIT, True), (ODD_SET_LIMIT + 2, False)):
+        edges = _ring_edges_with_odd(inst, k)
+        row = np.zeros((1, inst.graph.m), dtype=bool)
+        row[0, edges] = True
+        tour = lambda: integral_join_and_tour(inst, frozenset(edges), metric=metric)
+        batch = lambda: engine._integral_costs(row)
+        if accepted:
+            assert tour().join_cost == Fraction(int(batch()[0]), engine.cost_denom)
+        else:
+            with pytest.raises(OddSetTooLarge):
+                tour()
+            with pytest.raises(OddSetTooLarge):
+                batch()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from htsp.errors import AssemblyError, ConfigError
 from htsp.pipeline import SamplerParams
 from htsp.stats import (
     BatchEngine,
@@ -13,6 +14,7 @@ from htsp.stats import (
     suite_marginals,
     suite_reduction,
     suite_symmetry,
+    symmetry_pairs,
 )
 from htsp.generators import standalone_piece
 from tests.conftest import family_instance
@@ -55,26 +57,27 @@ def test_engine_mc_calibration_close_to_exact():
 
 
 def test_suite_marginals_rows(zoo_engine):
-    report = suite_marginals(zoo_engine, 20_000, seed=2)
+    report = suite_marginals(zoo_engine, zoo_engine.run(20_000, seed=2, join=False))
     m = family_instance("zoo").graph.m
     assert len(report.rows) == 2 * m
     assert report.all_passed()
 
 
 def test_suite_eal_rows(zoo_engine):
-    report = suite_eal(zoo_engine, 50_000, seed=4)
+    report = suite_eal(zoo_engine, zoo_engine.run(50_000, seed=4))
     kinds = {r.name for r in report.rows}
     assert {"even-at-last/cycle", "even-at-last/special"} <= kinds
     assert report.all_passed()
 
 
 def test_suite_reduction_rows(zoo_engine):
-    report = suite_reduction(zoo_engine, 50_000, seed=5, delta_floor=None)
+    report = suite_reduction(zoo_engine, zoo_engine.run(50_000, seed=5))
     assert report.all_passed()
 
 
 def test_suite_cost_rows(zoo_engine):
-    report = suite_cost(zoo_engine, 30_000, seed=6)
+    st = zoo_engine.run(30_000, seed=6, verify=True, integral=True)
+    report = suite_cost(zoo_engine, st)
     names = {r.name for r in report.rows}
     assert names == {
         "fractional-join-cost", "tree-plus-join-cost", "join-feasibility",
@@ -84,13 +87,16 @@ def test_suite_cost_rows(zoo_engine):
 
 
 def test_suite_symmetry(zoo_engine):
-    report = suite_symmetry(zoo_engine, 40_000, seed=7, n_pairs=10)
+    pairs = symmetry_pairs(zoo_engine.m, n_pairs=10)
+    st = zoo_engine.run(40_000, seed=7, join=False, symmetry_pairs=pairs)
+    report = suite_symmetry(zoo_engine, st)
     assert len(report.rows) == 20
     assert report.all_passed()
 
 
 def test_report_csv_shape(zoo_engine):
-    report = suite_cost(zoo_engine, 5_000, seed=8)
+    st = zoo_engine.run(5_000, seed=8, verify=True, integral=True)
+    report = suite_cost(zoo_engine, st)
     text = report.to_csv()
     lines = text.strip().splitlines()
     assert lines[0].startswith("suite,name")
@@ -133,6 +139,50 @@ def test_run_suite_dispatcher(tmp_path):
     assert report2.all_passed()
 
 
-def test_no_aborted_trials_with_exact_calibration(zoo_engine):
-    st = zoo_engine.run(20_000, seed=11, join=True)
-    assert st.aborted == 0
+def test_tree_check_runs_on_every_chunk():
+    """A plan that goes bad after the first chunk still stops the run."""
+    engine = BatchEngine(family_instance("nested"), SamplerParams(sampler="mi"))
+    draw = engine._draw_trees
+
+    def draw_then_corrupt(n, rng):
+        trees = draw(n, rng)
+        # every tree of the first enumerated piece loses one edge
+        nid, cols, mat, cdf = engine.enum_plan[0]
+        short = mat.copy()
+        short[np.arange(len(mat)), mat.argmax(1)] = False
+        engine.enum_plan[0] = (nid, cols, short, cdf)
+        return trees
+
+    engine._draw_trees = draw_then_corrupt
+    with pytest.raises(AssemblyError):
+        engine.run(3_000, seed=1, chunk=1_000, join=False)
+
+
+def test_one_run_serves_every_suite(zoo_engine):
+    """The union-flag run gives each suite the counts of its own run."""
+    pairs = symmetry_pairs(zoo_engine.m)
+    full = zoo_engine.run(4_000, seed=12, verify=True, integral=True,
+                          symmetry_pairs=pairs)
+    own = {
+        "marginals": zoo_engine.run(4_000, seed=12, join=False),
+        "eal": zoo_engine.run(4_000, seed=12),
+        "cost": zoo_engine.run(4_000, seed=12, verify=True, integral=True),
+        "symmetry": zoo_engine.run(4_000, seed=12, join=False,
+                                   symmetry_pairs=pairs),
+    }
+    assert np.array_equal(full.incl, own["marginals"].incl)
+    assert np.array_equal(full.eal, own["eal"].eal)
+    assert np.array_equal(full.reduced, own["eal"].reduced)
+    assert full.z_sum == own["eal"].z_sum
+    assert full.total_sum == own["cost"].total_sum
+    assert all(np.array_equal(full.sym_counts[p], own["symmetry"].sym_counts[p])
+               for p in pairs)
+
+
+def test_suites_reject_incomplete_configs(zoo_engine):
+    with pytest.raises(ConfigError):
+        run_suite(ExperimentConfig(trials=10, suite="marginals"))
+    with pytest.raises(ConfigError):
+        run_suite(ExperimentConfig(family="nested", trials=10, suite="nope"))
+    with pytest.raises(ConfigError):
+        suite_cost(zoo_engine, zoo_engine.run(1_000, seed=8, integral=True))
