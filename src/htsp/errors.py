@@ -96,8 +96,9 @@ class LpFailure(HtspError):
 
 
 class ConfigError(HtspError, ValueError):
-    """An experiment lacks an instance source, names an unknown suite, or
-    hands a suite a run made without the flags it needs."""
+    """An experiment lacks an instance source, names an unknown suite or
+    sampler, asks for a mix outside [0, 1], or hands a suite a run made
+    without the flags it needs."""
 
 
 # --- generators ---

@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    AssemblyError,
     EstimateBelowBound,
     FeasibilityViolation,
     FlowInfeasible,
@@ -823,7 +824,8 @@ def integral_join_and_tour(inst: HalfIntegralInstance, tree_edges: frozenset[int
             break
         if not advanced:
             circuit.append(stack.pop())
-    assert all(used), "leg multiset is not connected"
+    if not all(used):
+        raise AssemblyError("leg multiset is not connected")
     circuit.reverse()
 
     if shortcut:

@@ -85,14 +85,17 @@ class MatchingDistribution:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        assert all(w > 0 for w in self.weights)
-        assert sum(self.weights, Fraction(0)) == 1
+        if not all(w > 0 for w in self.weights):
+            raise NoPerfectMatching("matching weights must be positive")
+        if sum(self.weights, Fraction(0)) != 1:
+            raise NoPerfectMatching("matching weights do not sum to 1")
         if all(d == 4 for d in self.graph.degrees()):
             for pos in range(self.graph.m):
                 mass = sum(
                     w for mk, w in zip(self.masks, self.weights) if (mk >> pos) & 1
                 )
-                assert mass == QUARTER, f"edge position {pos} has mass {mass}"
+                if mass != QUARTER:
+                    raise NoPerfectMatching(f"edge position {pos} has mass {mass}")
 
     def edge_ids_of(self, mask: int) -> frozenset[int]:
         return frozenset(

@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import AssemblyError, SizeLimitExceeded
+from .errors import AssemblyError, ConfigError, SizeLimitExceeded
 from .hierarchy import CutHierarchy, HierarchyNode, LocalMultigraph
 from .matching import (
     ShiftedSolution,
@@ -55,9 +55,9 @@ class SamplerParams:
 
     def __post_init__(self):
         if self.sampler not in ("mi", "maxent", "mix"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
+            raise ConfigError(f"unknown sampler {self.sampler!r}")
         if not 0 <= self.mix_lambda <= 1:
-            raise ValueError("mix_lambda must be in [0, 1]")
+            raise ConfigError(f"mix_lambda {self.mix_lambda} is outside [0, 1]")
 
     @property
     def effective_lambda(self) -> Fraction:
@@ -137,9 +137,8 @@ class EnumeratedPieceSampler:
         self.probs = self.probs / self.probs.sum()
         self._cdf = np.cumsum(self.probs)
         self._generative = generative
-        total = sum(raw, Fraction(0)) if exact else float(np.sum(self.probs))
-        if exact:
-            assert total == 1
+        if exact and sum(raw, Fraction(0)) != 1:
+            raise AssemblyError(f"{kind} piece tree probabilities do not sum to 1")
 
     def sample(self, rng: np.random.Generator) -> tuple[frozenset[int], dict]:
         if self._generative is not None:
@@ -318,7 +317,8 @@ class DegreePieceSampler:
                 dist = self._mi_dist(shifted)
                 for t, w in zip(dist.trees, dist.weights):
                     acc[t] = acc.get(t, Fraction(0)) + pr * w
-            assert sum(acc.values()) == 1
+            if sum(acc.values()) != 1:
+                raise AssemblyError("matroid-route tree mixture does not sum to 1")
             self._mi_mixture = acc
         return self._mi_mixture
 

@@ -165,7 +165,8 @@ class ConstrainedTreeDistribution:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        assert sum(self.weights, Fraction(0)) == 1
+        if sum(self.weights, Fraction(0)) != 1:
+            raise InfeasibleShift("tree weights do not sum to 1")
 
     def marginals(self) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
@@ -233,9 +234,10 @@ def constrained_tree_distribution(shifted: ShiftedSolution) -> ConstrainedTreeDi
         trees.append(ids)
         weights.append(w[mask])
     dist = ConstrainedTreeDistribution(tuple(trees), tuple(weights))
-    assert dist.marginals() | {e: Fraction(0) for e in minor.zeros} == {
+    if dist.marginals() | {e: Fraction(0) for e in minor.zeros} != {
         eid: v for eid, v in values.items() if v > 0 or eid in minor.zeros
-    }
+    }:
+        raise InfeasibleShift("tree marginals do not reproduce the shifted vector")
     return dist
 
 

@@ -1,0 +1,179 @@
+"""The integer greedy in ``htsp.decomp`` against the Fraction greedy it replaced.
+
+Both must return equal weights in equal key order, and raise the same
+``ValueError`` when the target is outside the polytope.
+"""
+
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import htsp.decomp as decomp
+from htsp.generators import generate_random_4reg
+from htsp.graph import MultiGraph
+from htsp.matching import _odd_set_lower_constraints, enumerate_perfect_matchings
+from htsp.pipeline import SamplerParams
+from htsp.stats import BatchEngine
+from htsp.trees import enumerate_spanning_trees
+from tests.conftest import ALL_FAMILIES, family_instance
+from tests.fraction_decomp import fraction_convex_decomposition
+
+
+def outcome(fn, *args, **kwargs):
+    """Weights as an ordered item list, or the error's type and message."""
+    try:
+        return list(fn(*args, **kwargs).items())
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+def assert_same(*args) -> bool:
+    """Compare both greedies on one input; True when both raised."""
+    want = outcome(fraction_convex_decomposition, *args)
+    got = outcome(decomp.exact_convex_decomposition, *args)
+    assert got == want
+    return isinstance(want, tuple)
+
+
+def random_multigraph(rng, n: int) -> MultiGraph:
+    """A connected multigraph on n vertices: a random tree plus extra edges,
+    parallel ones allowed."""
+    pairs = [(int(rng.integers(v)), v) for v in range(1, n)]
+    for _ in range(int(rng.integers(1, n + 3))):
+        u, v = rng.choice(n, size=2, replace=False)
+        pairs.append((int(u), int(v)))
+    return MultiGraph(n, [(i, u, v) for i, (u, v) in enumerate(pairs)])
+
+
+def subset_constraints(g: MultiGraph) -> list[tuple[int, int]]:
+    """x(E[S]) <= |S| - 1 for every vertex set S of two or more vertices."""
+    out = []
+    for s in range(1, 1 << g.n):
+        size = s.bit_count()
+        if size < 2:
+            continue
+        mask = 0
+        for i, (u, v) in enumerate(g.endpoints):
+            if (s >> u) & 1 and (s >> v) & 1:
+                mask |= 1 << i
+        if mask:
+            out.append((mask, size - 1))
+    return out
+
+
+def random_parts(rng, m: int) -> list[int]:
+    """Disjoint edge masks of two or three edges covering part of [0, m)."""
+    order = [int(e) for e in rng.permutation(m)]
+    parts = []
+    while len(order) >= 2 and rng.random() < 0.7:
+        size = min(len(order), int(rng.integers(2, 4)))
+        mask = 0
+        for e in order[:size]:
+            mask |= 1 << e
+        parts.append(mask)
+        order = order[size:]
+    return parts
+
+
+def convex_point(rng, cands: list[int], m: int) -> list[Fraction]:
+    """A combination of a few candidates with denominators of at most 12."""
+    k = int(rng.integers(1, min(4, len(cands)) + 1))
+    chosen = rng.choice(len(cands), size=k, replace=False)
+    shares = [int(a) for a in rng.integers(1, 4, size=k)]
+    total = sum(shares)
+    x = [Fraction(0)] * m
+    for i, a in zip(chosen, shares):
+        for e in range(m):
+            if (cands[int(i)] >> e) & 1:
+                x[e] += Fraction(a, total)
+    return x
+
+
+def outside(rng, x: list[Fraction]) -> list[Fraction]:
+    """Move all of one positive edge's mass onto another edge."""
+    y = list(x)
+    pos = [e for e, v in enumerate(y) if v > 0]
+    a = int(rng.choice(pos))
+    b = int(rng.integers(len(y)))
+    if a != b:
+        y[b] += y[a]
+        y[a] = Fraction(0)
+    return y
+
+
+def test_random_constrained_trees_match_the_fraction_greedy():
+    rng = np.random.default_rng(11)
+    raised = done = 0
+    while done < 60:
+        g = random_multigraph(rng, int(rng.integers(3, 7)))
+        parts = random_parts(rng, g.m)
+        cands = [t for t in enumerate_spanning_trees(g)
+                 if all((t & p).bit_count() <= 1 for p in parts)]
+        if not cands:
+            continue
+        done += 1
+        upper = [(p, 1) for p in parts] + subset_constraints(g)
+        x = convex_point(rng, cands, g.m)
+        assert not assert_same(cands, x, upper)
+        raised += assert_same(cands, outside(rng, x), upper)
+    assert raised > 0
+
+
+def test_random_perfect_matchings_match_the_fraction_greedy():
+    rng = np.random.default_rng(12)
+    raised = done = 0
+    while done < 40:
+        g = random_multigraph(rng, int(rng.choice([2, 4, 6])))
+        cands = enumerate_perfect_matchings(g)
+        if not cands:
+            continue
+        done += 1
+        lower = _odd_set_lower_constraints(g)
+        x = convex_point(rng, cands, g.m)
+        assert not assert_same(cands, x, (), lower)
+        raised += assert_same(cands, outside(rng, x), (), lower)
+    assert raised > 0
+
+
+def test_large_prime_denominators_take_the_exact_int_path():
+    k4 = MultiGraph(4, [(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 1, 2), (4, 1, 3), (5, 2, 3)])
+    cands = enumerate_spanning_trees(k4)
+    p, q = 2 ** 61 - 1, 2 ** 31 - 1
+    shares = {cands[0]: Fraction(1, p), cands[5]: Fraction(1, q)}
+    shares[cands[9]] = 1 - sum(shares.values())
+    x = [sum((w for c, w in shares.items() if (c >> e) & 1), Fraction(0))
+         for e in range(k4.m)]
+    # the first round's numerators live over p * q > 2**62, so int64 is refused
+    assert p * q > decomp.INT64_SAFE
+    assert not assert_same(cands, x, subset_constraints(k4))
+    assert sum(decomp.exact_convex_decomposition(
+        cands, x, subset_constraints(k4)).values()) == 1
+
+
+def test_conftest_random_4reg_is_the_slow_structure():
+    """The engine check below covers random-4reg n=12 generator seed 3, the
+    structure whose 9-vertex piece dominates compile time."""
+    slow = generate_random_4reg(12, np.random.default_rng(3))
+    assert family_instance("random-4reg").graph.endpoints == slow.graph.endpoints
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_every_engine_decomposition_matches_the_fraction_greedy(family, monkeypatch):
+    original = decomp.exact_convex_decomposition
+    calls = []
+
+    def both(*args, **kwargs):
+        want = outcome(fraction_convex_decomposition, *args, **kwargs)
+        assert outcome(original, *args, **kwargs) == want
+        calls.append(want)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("htsp") and getattr(mod, "exact_convex_decomposition",
+                                               None) is original:
+            monkeypatch.setattr(mod, "exact_convex_decomposition", both)
+    BatchEngine(family_instance(family), SamplerParams(sampler="mix"))
+    if family in ("random-4reg", "zoo"):
+        assert calls

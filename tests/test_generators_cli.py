@@ -243,17 +243,23 @@ def test_cli_normalize(tmp_path):
     assert fixed.strict
 
 
-@pytest.mark.parametrize("case", ["bad-instance", "missing-file", "no-source"])
-def test_cli_bad_input_is_one_line_with_exit_code_2(case, tmp_path):
+@pytest.mark.parametrize("case", ["bad-instance", "missing-file", "no-source",
+                                  "stats-mix", "oracle-mix", "join-mix"])
+def test_cli_bad_input_is_one_line_with_exit_code_2(case, tmp_path, instance_file):
     bad = tmp_path / "bad.htsp"
     bad.write_text("htsp 3 2\n0 1 1\n")
     args = {
         "bad-instance": ("validate", str(bad)),
         "missing-file": ("oracle", str(tmp_path / "absent.htsp")),
         "no-source": ("stats", "--suite", "marginals", "--trials", "10"),
+        "stats-mix": ("stats", "--family", "nested", "--mix-lambda", "2"),
+        "oracle-mix": ("oracle", instance_file, "--mix-lambda", "2"),
+        "join-mix": ("join", instance_file, "--mix-lambda", "2"),
     }[case]
     r = run_cli(*args)
     assert r.returncode == 2
     assert r.stdout == ""
     assert len(r.stderr.strip().splitlines()) == 1
     assert r.stderr.startswith(f"htsp {args[0]}: ")
+    if case.endswith("-mix"):
+        assert "ConfigError" in r.stderr

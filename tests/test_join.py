@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from htsp.errors import FeasibilityViolation
+from htsp.errors import AssemblyError, FeasibilityViolation
 from htsp.hierarchy import build_hierarchy, min_cuts_via_hierarchy
 from htsp.join import (
     ReductionParams,
@@ -402,3 +402,19 @@ def test_tour_and_batch_paths_share_the_odd_set_limit():
                 tour()
             with pytest.raises(OddSetTooLarge):
                 batch()
+
+
+def test_disconnected_legs_raise_assembly_error():
+    # two parallel edges away from the root: even degrees, so no join legs,
+    # and the Euler walk from the root cannot reach them
+    inst = family_instance("double-cycle")
+    g = inst.graph
+    seen: dict = {}
+    for eid, (u, v) in zip(g.edge_ids, g.endpoints):
+        key = (min(u, v), max(u, v))
+        if inst.root not in key and key in seen:
+            pair = frozenset({seen[key], eid})
+            break
+        seen[key] = eid
+    with pytest.raises(AssemblyError, match="not connected"):
+        integral_join_and_tour(inst, pair)

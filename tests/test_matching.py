@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from htsp.errors import NoPerfectMatching
 from htsp.generators import standalone_piece
 from htsp.graph import MultiGraph
 from htsp.matching import (
@@ -243,3 +245,15 @@ def test_odd_surgery_part_invariant():
             assert total <= 1
         surgery = sh.provenance["surgery"]
         assert surgery[0] in ("decrease", "increase")
+
+
+@pytest.mark.parametrize("weights, match", [
+    ((Fraction(5, 4), Fraction(-1, 4), QUARTER, QUARTER), "positive"),
+    ((QUARTER, QUARTER, QUARTER, Fraction(1, 8)), "sum to 1"),
+    ((Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)), "mass"),
+])
+def test_corrupted_matching_distribution_raises(weights, match):
+    piece = four_parallel_piece()
+    masks = tuple(1 << i for i in range(4))
+    with pytest.raises(NoPerfectMatching, match=match):
+        MatchingDistribution(piece.graph, masks, weights)

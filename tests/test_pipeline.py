@@ -3,8 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import htsp.pipeline as pipeline
+from htsp.errors import AssemblyError
 from htsp.hierarchy import build_hierarchy
 from htsp.pipeline import (
+    DegreePieceSampler,
+    EnumeratedPieceSampler,
     SamplerParams,
     build_piece_samplers,
     restrict,
@@ -131,3 +135,24 @@ def test_marginal_monte_carlo_loose(any_instance):
             counts[e] += 1
     sd = (0.25 / n) ** 0.5
     assert np.all(np.abs(counts / n - 0.5) <= 5 * sd)
+
+
+def test_enumerated_probabilities_off_one_raise_assembly_error():
+    piece = build_hierarchy(family_instance("k5-gadget")).non_leaves()[0].piece
+    trees = [frozenset({0}), frozenset({1})]
+    with pytest.raises(AssemblyError, match="sum to 1"):
+        EnumeratedPieceSampler(piece, "k5", trees, [Fraction(1, 2), Fraction(1, 3)],
+                               exact=True, generative=None)
+
+
+def test_mi_mixture_off_one_raises_assembly_error(monkeypatch):
+    h = build_hierarchy(family_instance("zoo"))
+    piece = min((nd.piece for nd in h.non_leaves()
+                 if nd.kind != "cycle" and nd.piece.graph.n != 5),
+                key=lambda p: p.graph.n)
+    real_states = pipeline._mi_states
+    # the first state alone, at half its probability
+    monkeypatch.setattr(pipeline, "_mi_states", lambda p: [
+        (Fraction(1, 2), next(iter(real_states(p)))[1])])
+    with pytest.raises(AssemblyError, match="sum to 1"):
+        DegreePieceSampler(piece, SamplerParams(sampler="mi")).mi_mixture()

@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from htsp.errors import BoundaryTarget
+import htsp.trees as trees
+from htsp.errors import BoundaryTarget, InfeasibleShift
 from htsp.generators import standalone_piece
 from htsp.graph import MultiGraph
 from htsp.matching import ShiftedSolution, decompose_matchings, select_submatching, shift
 from htsp.trees import (
+    ConstrainedTreeDistribution,
     constrained_tree_distribution,
     enumerate_spanning_trees,
     in_spanning_tree_polytope,
@@ -282,3 +284,19 @@ def test_maxent_nonconvergence_and_breakdown():
     disconnected = MultiGraph(4, [(0, 0, 1), (1, 0, 1), (2, 2, 3), (3, 2, 3)])
     with pytest.raises(NumericalBreakdown):
         _matrix_tree_marginals(disconnected, [1.0, 1.0, 1.0, 1.0])
+
+
+def test_tree_weights_off_one_raise_infeasible_shift():
+    with pytest.raises(InfeasibleShift, match="sum to 1"):
+        ConstrainedTreeDistribution((frozenset({0}), frozenset({1})),
+                                    (Fraction(1, 2), Fraction(1, 3)))
+
+
+def test_tree_marginals_off_target_raise_infeasible_shift(monkeypatch):
+    # a decomposition that sums to 1 but puts all mass on one tree
+    tri = MultiGraph(3, [(0, 0, 1), (1, 1, 2), (2, 0, 2)])
+    sh = shifted_on(tri, {0: Fraction(2, 3), 1: Fraction(2, 3), 2: Fraction(2, 3)})
+    monkeypatch.setattr(trees, "exact_convex_decomposition",
+                        lambda cands, *a, **k: {min(cands): Fraction(1)})
+    with pytest.raises(InfeasibleShift, match="marginals"):
+        constrained_tree_distribution(sh)
