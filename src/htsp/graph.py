@@ -32,6 +32,14 @@ def bits(mask: int):
         mask ^= low
 
 
+def find_root(parent: list[int], x: int) -> int:
+    """Root of x in a union-find parent list, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 @dataclass(frozen=True)
 class CutView:
     """Edges of a cut, its shore, and its size (x-value is half the size)."""

@@ -13,46 +13,121 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .errors import AssemblyError, SizeLimitExceeded
-from .graph import CutView, HalfIntegralInstance, MultiGraph
-
-BRUTE_FORCE_VERTEX_LIMIT = 24
+from .errors import AssemblyError, ConnectivityError
+from .graph import CutView, HalfIntegralInstance, MultiGraph, bits
 
 
 # ---------------------------------------------------------------------------
-# exhaustive min-cut enumeration (the trusted oracle)
+# min-cut enumeration by unit max flows and residual closures
 # ---------------------------------------------------------------------------
 
-def enumerate_min_cuts(g: MultiGraph, limit: int = BRUTE_FORCE_VERTEX_LIMIT) -> list[CutView]:
+def enumerate_min_cuts(g: MultiGraph) -> list[CutView]:
     """All cuts of value 4, one per shore/complement pair.
 
     The canonical shore is the side not containing vertex 0.  Includes the
-    singleton cuts.  Exhaustive over 2^(n-1) shores, so refuses graphs with
-    more than ``limit`` vertices.
+    singleton cuts.  Each cut is found once, at the smallest vertex t of
+    its shore: with {0, ..., t-1} merged into the source, the cuts of value
+    4 between source and t are the residual-closed sets of a unit max flow
+    of value 4 (Picard and Queyranne, 1980).  Raises ConnectivityError when
+    some flow is below 4, since the graph is then not 4-edge-connected.
     """
     n = g.n
-    if n > limit:
-        raise SizeLimitExceeded(f"{n} vertices exceeds brute-force limit {limit}")
     if n < 2:
         return []
-    total = 1 << (n - 1)
-    counts = np.zeros(total, dtype=np.int16)
-    masks = np.arange(total, dtype=np.int64)
-    for u, v in g.endpoints:
-        bu = (masks >> (u - 1)) & 1 if u > 0 else np.zeros(total, dtype=np.int64)
-        bv = (masks >> (v - 1)) & 1 if v > 0 else np.zeros(total, dtype=np.int64)
-        counts += (bu != bv).astype(np.int16)
-    hits = np.nonzero(counts == 4)[0]
-    out = []
-    for mask in hits:
-        if mask == 0:
-            continue
-        shore = frozenset(v for v in range(1, n) if (int(mask) >> (v - 1)) & 1)
-        out.append(g.cut(shore))
+    # arcs[u]: (edge position, other end, +1 if u is the edge's first end)
+    arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for pos, (u, v) in enumerate(g.endpoints):
+        arcs[u].append((pos, v, 1))
+        arcs[v].append((pos, u, -1))
+    shores: list[int] = []
+    for t in range(1, n):
+        flow = [0] * g.m  # net flow along each edge, first end to second
+        value = 0
+        while value < 5:
+            reached = _augment(arcs, flow, (1 << t) - 1, t)
+            if not (reached >> t) & 1:
+                break
+            value += 1
+        if value < 4:
+            raise ConnectivityError(
+                f"flow {value} between vertex {t} and vertices 0..{t - 1}, expected 4"
+            )
+        if value == 4:
+            shores += _closed_shores(arcs, flow, reached, t)
+    out = [g.cut(frozenset(bits(mask))) for mask in shores]
     out.sort(key=lambda c: (len(c.shore), sorted(c.shore)))
     return out
+
+
+def _augment(arcs: list[list[tuple[int, int, int]]], flow: list[int],
+             source: int, t: int) -> int:
+    """Push one unit along a shortest residual path from the ``source``
+    vertex mask to t, if there is one.
+
+    Returns the mask of the vertices seen: it holds t after a push, and is
+    everything the source reaches otherwise.
+    """
+    seen = source
+    via: dict[int, tuple[int, int, int]] = {}
+    queue = list(bits(source))
+    for u in queue:
+        for pos, w, sign in arcs[u]:
+            if not (seen >> w) & 1 and flow[pos] * sign < 1:
+                seen |= 1 << w
+                via[w] = (pos, u, sign)
+                if w == t:
+                    while w in via:
+                        pos, w, sign = via[w]
+                        flow[pos] += sign
+                    return seen
+                queue.append(w)
+    return seen
+
+
+def _closed_shores(arcs: list[list[tuple[int, int, int]]], flow: list[int],
+                   reached: int, t: int) -> list[int]:
+    """Shores, as vertex masks, of all minimum cuts between source and t.
+
+    A source side is a minimum cut exactly when it holds what the source
+    reaches, misses t, and no residual arc leaves it.  Branch on the free
+    vertices in index order: "in" adds the vertex's forward residual
+    closure to the source side, "out" adds its backward closure to the
+    shore.  Neither closure can meet the other side, so every leaf is one
+    cut.
+    """
+    n = len(arcs)
+    succ = [0] * n
+    pred = [0] * n
+    for u in range(n):
+        for pos, w, sign in arcs[u]:
+            if flow[pos] * sign < 1:
+                succ[u] |= 1 << w
+                pred[w] |= 1 << u
+    full = (1 << n) - 1
+    out = []
+    stack = [(reached, _closure(pred, 0, 1 << t))]
+    while stack:
+        side, shore = stack.pop()
+        free = full & ~(side | shore)
+        if not free:
+            out.append(shore)
+            continue
+        v = free & -free
+        stack.append((side, _closure(pred, shore, v)))
+        stack.append((_closure(succ, side, v), shore))
+    return out
+
+
+def _closure(nbrs: list[int], closed: int, start: int) -> int:
+    """``closed`` plus every vertex that ``start`` reaches along the ``nbrs``
+    masks; ``closed`` must already be closed under them."""
+    seen = closed | start
+    todo = list(bits(start))
+    while todo:
+        new = nbrs[todo.pop()] & ~seen
+        seen |= new
+        todo.extend(bits(new))
+    return seen
 
 
 def crossing(a: frozenset[int], b: frozenset[int], n: int) -> bool:
@@ -62,10 +137,10 @@ def crossing(a: frozenset[int], b: frozenset[int], n: int) -> bool:
     return len(a | b) < n
 
 
-def proper_tight_shores(g: MultiGraph, limit: int = BRUTE_FORCE_VERTEX_LIMIT) -> list[frozenset[int]]:
+def proper_tight_shores(g: MultiGraph) -> list[frozenset[int]]:
     """Shores of proper cuts with value 4, without complement duplicates."""
     out = []
-    for cut in enumerate_min_cuts(g, limit):
+    for cut in enumerate_min_cuts(g):
         if 1 < len(cut.shore) < g.n - 1:
             out.append(cut.shore)
     return out
@@ -213,7 +288,8 @@ def _root_external_pairs(inst: HalfIntegralInstance, piece_graph: MultiGraph,
     triple's original endpoints, then to edge order.
     """
     ids = sorted(piece_graph.incident_ids(ext))
-    assert len(ids) == 4
+    if len(ids) != 4:
+        raise AssemblyError(f"root piece's external vertex has degree {len(ids)}, expected 4")
     by_other: dict[int, list[int]] = {}
     root_orig = min(piece_graph.vertex_sets[ext])
     for eid in ids:

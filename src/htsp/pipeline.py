@@ -23,6 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import AssemblyError, ConfigError, SizeLimitExceeded
+from .graph import find_root
 from .hierarchy import CutHierarchy, HierarchyNode, LocalMultigraph
 from .matching import (
     ShiftedSolution,
@@ -460,22 +461,15 @@ def validate_r0_tree(h: CutHierarchy, edges: frozenset[int]) -> None:
     if deg_root != 2:
         raise AssemblyError(f"root degree {deg_root}, expected 2")
     parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for eid in edges:
         u, v = g.endpoints[eid]
         if root in (u, v):
             continue
-        ru, rv = find(u), find(v)
+        ru, rv = find_root(parent, u), find_root(parent, v)
         if ru == rv:
             raise AssemblyError("cycle among non-root edges")
         parent[ru] = rv
-    comps = {find(v) for v in range(g.n) if v != root}
+    comps = {find_root(parent, v) for v in range(g.n) if v != root}
     if len(comps) != 1:
         raise AssemblyError("non-root edges do not span the other vertices")
 

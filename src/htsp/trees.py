@@ -16,6 +16,7 @@ independently.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .errors import (
     NonConvergence,
     NumericalBreakdown,
 )
-from .graph import MultiGraph, bits
+from .graph import MultiGraph, bits, find_root
 from .hierarchy import LocalMultigraph
 from .matching import ShiftedSolution
 
@@ -43,25 +44,24 @@ MARGINAL_GUARD = 1e-9
 # small-graph utilities
 # ---------------------------------------------------------------------------
 
-def enumerate_spanning_trees(g: MultiGraph) -> list[int]:
+def enumerate_spanning_trees(g: MultiGraph) -> tuple[int, ...]:
     """All spanning trees as bitmasks over edge positions."""
-    n, m = g.n, g.m
+    return _spanning_tree_masks(g.n, g.endpoints)
+
+
+@functools.lru_cache(maxsize=1024)
+def _spanning_tree_masks(n: int, endpoints: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Cached per graph shape: piece compiles meet the same small minors
+    many times."""
     if n == 1:
-        return [0]
+        return (0,)
     out = []
-    for combo in itertools.combinations(range(m), n - 1):
+    for combo in itertools.combinations(range(len(endpoints)), n - 1):
         parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         ok = True
         for i in combo:
-            u, v = g.endpoints[i]
-            ru, rv = find(u), find(v)
+            u, v = endpoints[i]
+            ru, rv = find_root(parent, u), find_root(parent, v)
             if ru == rv:
                 ok = False
                 break
@@ -71,7 +71,7 @@ def enumerate_spanning_trees(g: MultiGraph) -> list[int]:
             for i in combo:
                 mask |= 1 << i
             out.append(mask)
-    return out
+    return tuple(out)
 
 
 def spanning_tree_count(g: MultiGraph) -> int:
@@ -125,28 +125,21 @@ def contract_forced(g: MultiGraph, values: dict[int, Fraction]) -> _Minor:
     forced = sorted(eid for eid in g.edge_ids if values[eid] == 1)
     zeros = sorted(eid for eid in g.edge_ids if values[eid] == 0)
     parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     fset = set(forced)
     for eid, (u, v) in zip(g.edge_ids, g.endpoints):
         if eid in fset:
-            ru, rv = find(u), find(v)
+            ru, rv = find_root(parent, u), find_root(parent, v)
             if ru == rv:
                 raise InfeasibleShift("forced edges contain a cycle")
             parent[ru] = rv
-    roots = sorted({find(v) for v in range(g.n)})
+    roots = sorted({find_root(parent, v) for v in range(g.n)})
     renum = {r: i for i, r in enumerate(roots)}
     zset = set(zeros)
     edges = []
     for eid, (u, v) in zip(g.edge_ids, g.endpoints):
         if eid in fset or eid in zset:
             continue
-        a, b = renum[find(u)], renum[find(v)]
+        a, b = renum[find_root(parent, u)], renum[find_root(parent, v)]
         if a == b:
             raise InfeasibleShift("positive edge inside a forced component")
         edges.append((eid, a, b))

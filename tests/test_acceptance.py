@@ -18,7 +18,6 @@ from htsp.hierarchy import (
     build_cactus,
     build_hierarchy,
     cactus_min_cut_shores,
-    enumerate_min_cuts,
     min_cuts_via_hierarchy,
 )
 from htsp.join import ReductionParams
@@ -32,6 +31,7 @@ from htsp.stats import (
     mean_and_sigma,
     suite_correlations,
 )
+from tests.brute_min_cuts import brute_min_cuts
 from tests.conftest import ALL_FAMILIES, family_instance
 
 T_MARGINALS = 100_000
@@ -236,7 +236,7 @@ def test_criterion_6_join_feasibility():
         total_trials += st.trials
         inst = family_instance(family)
         h = engine(family, "mix").h
-        brute = {frozenset(c.edge_ids) for c in enumerate_min_cuts(inst.graph)}
+        brute = {frozenset(c.edge_ids) for c in brute_min_cuts(inst.graph)}
         via = {frozenset(c.edge_ids) for c in min_cuts_via_hierarchy(h)}
         cuts_ok = cuts_ok and via == brute
     report(
@@ -289,11 +289,11 @@ def test_criterion_8_structure_oracle():
         n = int(rng.integers(8, 15))
         inst = generate_random_4reg(n, rng)
         h = build_hierarchy(inst)
-        brute_cuts = {frozenset(c.edge_ids) for c in enumerate_min_cuts(inst.graph)}
+        brute_cuts = {frozenset(c.edge_ids) for c in brute_min_cuts(inst.graph)}
         via = {frozenset(c.edge_ids) for c in min_cuts_via_hierarchy(h)}
         cactus = build_cactus(h)
         shores = cactus_min_cut_shores(cactus, inst.graph.n)
-        brute_shores = {c.shore for c in enumerate_min_cuts(inst.graph)}
+        brute_shores = {c.shore for c in brute_min_cuts(inst.graph)}
         if via != brute_cuts or shores != brute_shores:
             bad += 1
     report(

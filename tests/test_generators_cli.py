@@ -14,7 +14,8 @@ from htsp.generators import (
     standalone_piece,
 )
 from htsp.graph import MultiGraph, parse_instance
-from htsp.hierarchy import build_hierarchy, enumerate_min_cuts
+from htsp.hierarchy import build_hierarchy
+from tests.brute_min_cuts import brute_min_cuts
 from tests.conftest import ALL_FAMILIES, family_instance
 
 
@@ -23,7 +24,7 @@ def test_catalog_graphs_are_valid_pieces():
         g = MultiGraph(n, [(i, u, v) for i, (u, v) in enumerate(edges)])
         assert all(d == 4 for d in g.degrees()), name
         assert g.edge_connectivity() == 4, name
-        proper = [c for c in enumerate_min_cuts(g) if 1 < len(c.shore) < n - 1]
+        proper = [c for c in brute_min_cuts(g) if 1 < len(c.shore) < n - 1]
         assert proper == [], name
 
 
@@ -162,6 +163,16 @@ def test_cli_hierarchy_and_cactus(instance_file):
     assert r2.returncode == 0
     cactus = json.loads(r2.stdout)
     assert cactus["cycles"] and cactus["phi"]
+
+
+def test_cli_hierarchy_past_the_old_cap(tmp_path):
+    path = tmp_path / "dc30.htsp"
+    r = run_cli("generate", "--family", "double-cycle", "--k", "30", "--seed", "1",
+                "--out", str(path))
+    assert r.returncode == 0, r.stderr
+    r = run_cli("hierarchy", str(path))
+    assert r.returncode == 0, r.stderr
+    assert len(json.loads(r.stdout)["min_cuts"]) == 30 * 29 // 2
 
 
 def test_cli_sample_reproducible(instance_file):

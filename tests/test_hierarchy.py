@@ -1,11 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from htsp.errors import SizeLimitExceeded
-from htsp.generators import generate_random_4reg
+import htsp.hierarchy as hierarchy
+from htsp.errors import AssemblyError, ConnectivityError, SizeLimitExceeded
+from htsp.generators import generate_double_cycle, generate_k5_gadget, generate_random_4reg
 from htsp.graph import MultiGraph
 from htsp.hierarchy import (
+    _root_external_pairs,
     build_cactus,
     build_hierarchy,
     cactus_min_cut_shores,
@@ -14,7 +18,10 @@ from htsp.hierarchy import (
     find_critical_set,
     min_cuts_via_hierarchy,
 )
-from tests.conftest import family_instance
+from htsp.pipeline import SamplerParams
+from htsp.stats import BatchEngine
+from tests.brute_min_cuts import brute_min_cuts
+from tests.conftest import ALL_FAMILIES, family_instance
 
 
 def k5_graph():
@@ -61,7 +68,96 @@ def test_enumerate_min_cuts_two_vertices():
 
 def test_size_limit():
     with pytest.raises(SizeLimitExceeded):
-        enumerate_min_cuts(double_cycle_graph(30))
+        brute_min_cuts(double_cycle_graph(30))
+
+
+def cut_list(cuts):
+    return [(c.shore, c.edge_ids, c.value) for c in cuts]
+
+
+def assert_same_cuts(g: MultiGraph) -> None:
+    """The flow enumeration returns the brute-force list, in the same order."""
+    assert cut_list(enumerate_min_cuts(g)) == cut_list(brute_min_cuts(g))
+
+
+@pytest.mark.parametrize("k", range(2, 21))
+def test_min_cuts_match_brute_force_on_double_cycles(k):
+    g = double_cycle_graph(k)
+    assert_same_cuts(g)
+    assert len(enumerate_min_cuts(g)) == k * (k - 1) // 2
+
+
+@pytest.mark.parametrize("k", range(4, 22))
+def test_min_cuts_match_brute_force_on_k5_gadgets(k):
+    assert_same_cuts(generate_k5_gadget(k, np.random.default_rng(k)).graph)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=8, max_value=16), st.integers(min_value=0, max_value=10 ** 6))
+def test_min_cuts_match_brute_force_property(n, seed):
+    assert_same_cuts(generate_random_4reg(n, np.random.default_rng(seed)).graph)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_every_engine_min_cut_call_matches_brute_force(family, monkeypatch):
+    original = hierarchy.enumerate_min_cuts
+    graphs = []
+
+    def both(g):
+        got = original(g)
+        assert cut_list(got) == cut_list(brute_min_cuts(g))
+        graphs.append(g)
+        return got
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("htsp") and getattr(mod, "enumerate_min_cuts", None) is original:
+            monkeypatch.setattr(mod, "enumerate_min_cuts", both)
+    inst = family_instance(family)
+    BatchEngine(inst, SamplerParams(sampler="mix"))
+    assert graphs[0] is inst.graph  # the family graph itself, then each contraction
+
+
+def test_min_cuts_reject_graphs_below_four_edge_connectivity():
+    with pytest.raises(ConnectivityError):
+        enumerate_min_cuts(MultiGraph(2, [(i, 0, 1) for i in range(3)]))
+    # two double cycles joined by one edge pair: a cut of value 2
+    edges = [(0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0),
+             (3, 4), (3, 4), (4, 5), (4, 5), (5, 3), (5, 3), (0, 3), (0, 3)]
+    with pytest.raises(ConnectivityError):
+        enumerate_min_cuts(MultiGraph(6, [(i, u, v) for i, (u, v) in enumerate(edges)]))
+
+
+def test_double_cycle_past_the_old_cap():
+    inst = generate_double_cycle(30, np.random.default_rng(5))
+    h = build_hierarchy(inst)
+    cuts = min_cuts_via_hierarchy(h)
+    assert len(cuts) == 30 * 29 // 2
+    assert cut_list(cuts) == cut_list(enumerate_min_cuts(inst.graph))
+
+
+def test_k5_gadget_cactus_past_the_old_cap():
+    inst = generate_k5_gadget(30, np.random.default_rng(5))
+    assert inst.graph.n > 24
+    h = build_hierarchy(inst)
+    shores = cactus_min_cut_shores(build_cactus(h), inst.graph.n)
+    assert shores == {c.shore for c in min_cuts_via_hierarchy(h)}
+
+
+def test_double_cycle_past_the_old_cap_runs_feasibly():
+    inst = generate_double_cycle(30, np.random.default_rng(5))
+    st = BatchEngine(inst, SamplerParams(sampler="mix")).run(
+        2_000, seed=4, join=True, verify=True, integral=True)
+    assert st.trials == 2_000
+    assert st.feasibility_failures == 0
+
+
+def test_root_pairs_need_a_degree_four_external_vertex():
+    inst = family_instance("double-cycle")
+    # 0-1 and 1-2 doubled, 0-2 single: the external vertex 2 has degree 3
+    piece = MultiGraph(3, [(0, 0, 1), (1, 0, 1), (2, 1, 2), (3, 1, 2), (4, 0, 2)],
+                       [frozenset({1}), frozenset({2}), frozenset({0})])
+    with pytest.raises(AssemblyError, match="degree 3"):
+        _root_external_pairs(inst, piece, 2)
 
 
 def test_crossing():
@@ -127,7 +223,7 @@ def test_piece_invariants(any_instance):
         if nd.kind == "degree":
             assert g.n >= 5
             proper = [
-                c for c in enumerate_min_cuts(g) if 1 < len(c.shore) < g.n - 1
+                c for c in brute_min_cuts(g) if 1 < len(c.shore) < g.n - 1
             ]
             assert proper == []
         else:
@@ -136,7 +232,7 @@ def test_piece_invariants(any_instance):
 
 def test_min_cuts_via_hierarchy_matches_brute_force(any_instance):
     h = build_hierarchy(any_instance)
-    brute = {frozenset(c.edge_ids) for c in enumerate_min_cuts(any_instance.graph)}
+    brute = {frozenset(c.edge_ids) for c in brute_min_cuts(any_instance.graph)}
     via = {frozenset(c.edge_ids) for c in min_cuts_via_hierarchy(h)}
     assert via == brute
 
@@ -146,7 +242,7 @@ def test_min_cuts_random_instances():
     for _ in range(10):
         inst = generate_random_4reg(int(rng.integers(8, 15)), rng)
         h = build_hierarchy(inst)
-        brute = {frozenset(c.edge_ids) for c in enumerate_min_cuts(inst.graph)}
+        brute = {frozenset(c.edge_ids) for c in brute_min_cuts(inst.graph)}
         via = {frozenset(c.edge_ids) for c in min_cuts_via_hierarchy(h)}
         assert via == brute
 
@@ -179,7 +275,7 @@ def test_cactus_pullback_matches_min_cuts(any_instance):
     h = build_hierarchy(any_instance)
     cac = build_cactus(h)
     shores = cactus_min_cut_shores(cac, any_instance.graph.n)
-    brute = {c.shore for c in enumerate_min_cuts(any_instance.graph)}
+    brute = {c.shore for c in brute_min_cuts(any_instance.graph)}
     assert shores == brute
 
 
@@ -189,7 +285,7 @@ def test_min_cuts_equivalence_property(n, seed):
     """Hierarchy-implied min-cuts equal brute force on random instances."""
     inst = generate_random_4reg(n, np.random.default_rng(seed))
     h = build_hierarchy(inst)
-    brute = {frozenset(c.edge_ids) for c in enumerate_min_cuts(inst.graph)}
+    brute = {frozenset(c.edge_ids) for c in brute_min_cuts(inst.graph)}
     via = {frozenset(c.edge_ids) for c in min_cuts_via_hierarchy(h)}
     assert via == brute
 

@@ -255,6 +255,18 @@ def test_spanning_tree_enumeration_against_kirchhoff():
         assert len(enumerate_spanning_trees(g)) == spanning_tree_count(g)
 
 
+def test_cached_spanning_trees_cannot_be_mutated():
+    edges = [(0, 0, 1), (1, 1, 2), (2, 0, 2), (3, 0, 2)]
+    first = enumerate_spanning_trees(MultiGraph(3, edges))
+    with pytest.raises((TypeError, AttributeError)):
+        first.append(0)
+    with pytest.raises(TypeError):
+        first[0] = 0
+    # a graph with other edge ids but the same shape shares the cached trees
+    again = enumerate_spanning_trees(MultiGraph(3, [(7 + e, u, v) for e, u, v in edges]))
+    assert again is first and len(first) == spanning_tree_count(MultiGraph(3, edges)) == 5
+
+
 def test_mi_sample_draws_constrained_trees():
     piece = standalone_piece("octahedron")
     dist = decompose_matchings(piece)
