@@ -364,7 +364,8 @@ def bipartization_flow(piece, demands: dict[int, Fraction],
             load[f] = load.get(f, Fraction(0)) + val
     for s in demands:
         total = sum((x for (ss, _), x in fractions.items() if ss == s), Fraction(0))
-        assert total == 1
+        if total != 1:
+            raise FlowInfeasible(f"charge fractions of edge {s} sum to {total}, not 1")
     return FlowAssignment(fractions, load, cap)
 
 
@@ -535,8 +536,13 @@ def coin_rates(classes: dict[int, EdgeClass], params: ReductionParams,
     rates: dict[tuple, float] = {}
     for grp, members in coin_groups(classes).items():
         ests = {eal_probability[e] for e in members}
+        if len(ests) != 1:
+            # one coin flattens every member to the bound only if they share
+            # one even-at-last rate
+            raise EstimateBelowBound(
+                f"coin group {members} has {len(ests)} even-at-last estimates, not one"
+            )
         est = ests.pop()
-        assert not ests, "coin group members must share one estimate"
         bound = params.coin_bound(classes[members[0]].coin_kind)
         if est <= 0 or float(bound) > float(est) * (1 + 1e-9):
             raise EstimateBelowBound(

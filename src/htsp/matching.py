@@ -132,11 +132,6 @@ def decompose_matchings(piece: Union[LocalMultigraph, MultiGraph]) -> MatchingDi
     return MatchingDistribution(g, masks, tuple(w[mk] for mk in masks))
 
 
-def sample_matching(dist: MatchingDistribution, rng: np.random.Generator) -> int:
-    """Draw a matching bitmask with the distribution's listed weights."""
-    return dist.sample(rng)
-
-
 # ---------------------------------------------------------------------------
 # induced sub-matching via 7-coloring
 # ---------------------------------------------------------------------------
@@ -174,18 +169,6 @@ def seven_coloring(g: MultiGraph, matching_mask: int) -> list[list[int]]:
     for i in matched:
         classes[color[i]].append(i)
     return classes
-
-
-def select_submatching(piece: Union[LocalMultigraph, MultiGraph], matching_mask: int,
-                       rng: np.random.Generator) -> int:
-    """Uniformly chosen color class of the matching, as a bitmask."""
-    g = _graph_of(piece)
-    classes = seven_coloring(g, matching_mask)
-    chosen = classes[int(rng.integers(0, 7))]
-    mask = 0
-    for i in chosen:
-        mask |= 1 << i
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +315,6 @@ def split_external(piece: LocalMultigraph,
         pairing=pairing,
         interior_cut_ids=tuple(sorted(ext_ids)),
     )
-
-
-def odd_split(piece: LocalMultigraph, rng: np.random.Generator) -> SplitPiece:
-    """Split with one of the three pairings of the external edges, uniformly."""
-    options = pairings_of(piece.external_edge_ids)
-    return split_external(piece, options[int(rng.integers(0, 3))])
 
 
 def surgery_options(split: SplitPiece, matching_mask: int) -> list[tuple]:

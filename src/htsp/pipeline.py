@@ -472,17 +472,3 @@ def validate_r0_tree(h: CutHierarchy, edges: frozenset[int]) -> None:
     comps = {find_root(parent, v) for v in range(g.n) if v != root}
     if len(comps) != 1:
         raise AssemblyError("non-root edges do not span the other vertices")
-
-
-def restrict(h: CutHierarchy, sample_edges: frozenset[int], node_id: int
-             ) -> tuple[frozenset[int], dict[int, int]]:
-    """Edges of the sample inside a node's piece, and piece-vertex parities."""
-    nd = h.nodes[node_id]
-    if nd.piece is None:
-        return frozenset(), {}
-    g = nd.piece.graph
-    local = frozenset(eid for eid in g.edge_ids if eid in sample_edges)
-    parity = {}
-    for v in range(g.n):
-        parity[v] = sum(1 for eid in g.incident_ids(v) if eid in local) % 2
-    return local, parity

@@ -2,9 +2,10 @@
 
 Trials are embarrassingly parallel, so the engine draws whole chunks of
 piece choices at once: each compiled piece distribution is a categorical
-lookup, even-at-last flags and cut parities are boolean matrix work, and
-the join arithmetic runs in integers after scaling every charge quantum
-by a common denominator (so feasibility checks are exact, not float).
+lookup, even-at-last flags and cut parities are XORs of whole edge rows
+(a chunk holds one row of trials per edge), and the join arithmetic runs
+in integers after scaling every charge quantum by a common denominator
+(so feasibility checks are exact, not float).
 Chunk randomness derives from (seed, chunk index), which makes any
 (instance, seed, config) run byte-reproducible regardless of chunking.
 """
@@ -204,11 +205,13 @@ class BatchEngine:
         self._build_join_plan()
         self._metric_int: Optional[np.ndarray] = None
         self._join_cache: dict[bytes, int] = {}
+        self._dp_memo: dict = {}
         g = inst.graph
-        self._inc_full = np.zeros((self.m, self.n), dtype=np.uint8)
+        self._incident: list[list[int]] = [[] for _ in range(self.n)]
         for eid, (u, v) in zip(g.edge_ids, g.endpoints):
-            self._inc_full[eid, u] = 1
-            self._inc_full[eid, v] = 1
+            for w in {u, v}:
+                self._incident[w].append(eid)
+        self.root_edges = self._incident[inst.root]
 
     # -- plans ------------------------------------------------------------
 
@@ -333,40 +336,47 @@ class BatchEngine:
                 np.random.SeedSequence(seed, spawn_key=(idx,))
             )
             T = self._draw_trees(n, rng)
-            counts += self._eal_flags(T).sum(0)
+            counts += self._eal_flags(T).sum(1)
             done += n
             idx += 1
         return {e: counts[e] / trials for e in range(self.m)}
 
     # -- chunk primitives ----------------------------------------------------
+    #
+    # A chunk is edge-major: row e of a tree block says, per trial, whether
+    # the tree holds edge e.  A cut's parity is then the XOR of its edge
+    # rows and its cover the sum of its charge rows, both whole-row work.
 
     def _draw_trees(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        T = np.zeros((n, self.m), dtype=bool)
+        T = np.zeros((self.m, n), dtype=bool)
         for nid, cols, mat, cdf in self.enum_plan:
             idx = np.searchsorted(cdf, rng.random(n), side="right")
             idx = np.minimum(idx, len(cdf) - 1)
-            T[:, cols] = mat[idx]
+            T[cols] = mat.T[:, idx]
         for nid, pairs in self.cycle_plan:
             if len(pairs) == 0:
                 continue
-            pick = rng.random((n, len(pairs))) < 0.5
-            T[np.arange(n)[:, None], pairs[:, 0][None, :]] = pick
-            T[np.arange(n)[:, None], pairs[:, 1][None, :]] = ~pick
+            # drawn (trials, pairs) and transposed: the order the stream is
+            # read in fixes which trees a seed gives
+            pick = (rng.random((n, len(pairs))) < 0.5).T
+            T[pairs[:, 0]] = pick
+            T[pairs[:, 1]] = ~pick
         return T
 
     def _eal_flags(self, T: np.ndarray) -> np.ndarray:
-        n = T.shape[0]
-        eal = np.zeros((n, self.m), dtype=bool)
+        eal = np.zeros_like(T)
         for cols, inc, settled in self.eal_degree:
-            par = (T[:, cols].astype(np.uint8) @ inc) % 2
+            odd = {}
             for e, u, v in settled:
-                eal[:, e] = (par[:, u] == 0) & (par[:, v] == 0)
+                for w in (u, v):
+                    if w not in odd:
+                        odd[w] = _odd_rows(T, cols[inc[:, w] == 1])
+                eal[e] = ~(odd[u] | odd[v])
         for ext_pairs, settled in self.eal_cycle:
-            flag = np.ones(n, dtype=bool)
+            flag = np.ones(T.shape[1], dtype=bool)
             for a, b in ext_pairs:
-                cnt = T[:, a].astype(np.int8) + T[:, b].astype(np.int8)
-                flag &= cnt == 1
-            eal[:, settled] = flag[:, None]
+                flag &= T[a] ^ T[b]
+            eal[settled] = flag
         return eal
 
     # -- main loop ------------------------------------------------------------
@@ -409,11 +419,15 @@ class BatchEngine:
 
     def _run_chunk(self, n, rng, st, join, verify, integral, symmetry_pairs):
         T = self._draw_trees(n, rng)
-        if not np.all(T.sum(1) == self.n):
+        if not np.all(T.sum(0) == self.n):
             raise AssemblyError(f"assembled samples without {self.n} edges")
-        st.incl += T.sum(0)
+        if not np.all(T[self.root_edges].sum(0) == 2):
+            raise AssemblyError(
+                f"assembled samples without degree 2 at root {self.inst.root}"
+            )
+        st.incl += T.sum(1)
         for a, b in symmetry_pairs:
-            ta, tb = T[:, a], T[:, b]
+            ta, tb = T[a], T[b]
             c = st.sym_counts[(a, b)]
             c[0] += int(np.sum(~ta & ~tb))
             c[1] += int(np.sum(~ta & tb))
@@ -422,51 +436,50 @@ class BatchEngine:
         if not join:
             return
         eal = self._eal_flags(T)
-        st.eal += eal.sum(0)
-        reduced = np.zeros((n, self.m), dtype=bool)
+        st.eal += eal.sum(1)
+        reduced = np.zeros_like(T)
         for members, rate in self.groups:
             coin = rng.random(n) < rate
-            reduced[:, members] = eal[:, members] & coin[:, None]
-        st.reduced += reduced.sum(0)
+            reduced[members] = eal[members] & coin
+        st.reduced += reduced.sum(1)
         D = self.z_denom
-        z = np.full((n, self.m), D // 4, dtype=np.int64)
-        z -= reduced * self.amount_int[None, :]
+        z = np.full((self.m, n), D // 4, dtype=np.int64)
+        np.subtract(z, self.amount_int[:, None], out=z, where=reduced)
         for src, cut_cols, targets in self.degree_site_plan:
-            oddc = (T[:, cut_cols].sum(1) % 2).astype(bool)
-            active = reduced[:, src] & oddc
+            active = reduced[src] & _odd_rows(T, cut_cols)
             for f, amt in targets:
-                z[:, f] += active * amt
-        for targets, groups in self.pair_site_plan:
+                z[f] += active * amt
+        for (t0, t1), groups in self.pair_site_plan:
             for half_amt, members in groups:
                 act = np.zeros(n, dtype=bool)
                 for s, cut_cols in members:
-                    act |= reduced[:, s] & (T[:, cut_cols].sum(1) % 2).astype(bool)
-                t0, t1 = targets
-                z[:, t0] += act * half_amt
-                z[:, t1] += act * half_amt
-        st.z_sum = [a + int(b) for a, b in zip(st.z_sum, z.sum(0, dtype=np.int64))]
+                    act |= reduced[s] & _odd_rows(T, cut_cols)
+                z[t0] += act * half_amt
+                z[t1] += act * half_amt
+        st.z_sum = [a + int(b) for a, b in zip(st.z_sum, z.sum(1, dtype=np.int64))]
         # squares can overflow int64 when the charge denominator is large;
-        # they only feed sigma estimates, so float accumulation suffices
+        # they only feed sigma estimates, so float accumulation suffices.
+        # A running sum adds each edge's trials in trial order, which keeps
+        # the float bits of a report; a pairwise ``sum(1)`` would move them.
         zf = z / D
-        st.z_sumsq = [
-            a + float(b) for a, b in zip(st.z_sumsq, (zf * zf).sum(0))
-        ]
-        zc = z @ self.cost_int
+        zf *= zf
+        sq = np.cumsum(zf, axis=1, out=zf)[:, -1]
+        st.z_sumsq = [a + float(b) for a, b in zip(st.z_sumsq, sq)]
+        # einsum adds integer rows without the int64 copy of a bool block
+        # that matmul makes, which would set the chunk's peak memory
+        zc = np.einsum("e,et->t", self.cost_int, z)
         st.zc_sum += int(zc.sum())
         st.zc_sumsq += float((zc.astype(float) ** 2).sum())
-        tree_cost = T.astype(np.int64) @ self.cost_int
+        tree_cost = np.einsum("e,et->t", self.cost_int, T)
         st.tree_sum += int(tree_cost.sum())
         st.tree_sumsq += float((tree_cost.astype(float) ** 2).sum())
         if verify:
-            bad = np.zeros(n, dtype=bool)
-            bad |= (z < D // 6).any(axis=1)
+            bad = (z < D // 6).any(axis=0)
             for cut_cols in self.cut_cols:
-                oddc = (T[:, cut_cols].sum(1) % 2).astype(bool)
-                short = z[:, cut_cols].sum(1) < D
-                bad |= oddc & short
+                bad |= _odd_rows(T, cut_cols) & (_sum_rows(z, cut_cols) < D)
             st.feasibility_failures += int(bad.sum())
         if integral:
-            ij = self._integral_costs(T)
+            ij = self._integral_costs(T.T)
             total = tree_cost + ij
             st.total_sum += int(total.sum())
             st.total_sumsq += float((total.astype(float) ** 2).sum())
@@ -490,22 +503,44 @@ class BatchEngine:
         return self._metric_int
 
     def _integral_costs(self, T: np.ndarray) -> np.ndarray:
-        par = (T.astype(np.uint8) @ self._inc_full) % 2
-        packed = np.packbits(par, axis=1)
+        """Integral join cost per trial of a ``(trials, m)`` tree block; the
+        chunk hands over a transposed view of its edge-major block."""
+        rows = T.T
+        par = np.empty((self.n, T.shape[0]), dtype=bool)
+        for v, ids in enumerate(self._incident):
+            par[v] = _odd_rows(rows, ids)
+        packed = np.ascontiguousarray(np.packbits(par, axis=0).T)
         keys = [row.tobytes() for row in packed]
         d = self._metric()
-        if not hasattr(self, "_dp_memo"):
-            self._dp_memo = {}
         out = np.empty(T.shape[0], dtype=np.int64)
         for i, key in enumerate(keys):
             cost = self._join_cache.get(key)
             if cost is None:
-                odd = [v for v in range(self.n) if par[i, v]]
+                odd = [v for v in range(self.n) if par[v, i]]
                 c, _ = min_cost_perfect_matching(odd, d, memo=self._dp_memo)
                 cost = int(c)
                 self._join_cache[key] = cost
             out[i] = cost
         return out
+
+
+def _odd_rows(rows: np.ndarray, ids) -> np.ndarray:
+    """Per trial, whether an odd number of the edges ``ids`` is drawn: the
+    XOR of their rows of an edge-major bool block."""
+    first, *rest = ids
+    out = rows[first].copy()
+    for e in rest:
+        out ^= rows[e]
+    return out
+
+
+def _sum_rows(rows: np.ndarray, ids) -> np.ndarray:
+    """Per trial, the sum of the rows ``ids`` of an edge-major block."""
+    first, *rest = ids
+    out = rows[first].copy()
+    for e in rest:
+        out += rows[e]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .matching import ShiftedSolution
 
 FIT_TOLERANCE = 1e-6
 FIT_MAX_ROUNDS = 10_000
-MARGINAL_GUARD = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +233,6 @@ def constrained_tree_distribution(shifted: ShiftedSolution) -> ConstrainedTreeDi
     return dist
 
 
-def mi_sample(shifted: ShiftedSolution, rng: np.random.Generator) -> frozenset[int]:
-    """One tree from the exact constrained decomposition."""
-    return constrained_tree_distribution(shifted).sample(rng)
-
-
 # ---------------------------------------------------------------------------
 # max-entropy route
 # ---------------------------------------------------------------------------
@@ -388,49 +382,6 @@ def maxent_marginals(fit: MaxEntWeights) -> dict[int, float]:
     return out
 
 
-def _sample_component(c: MaxEntComponent, rng: np.random.Generator) -> set[int]:
-    """Sequential conditioning: decide each edge from its conditional marginal."""
-    g = c.graph
-    chosen: set[int] = set()
-    cur = g
-    for eid in sorted(c.weights):
-        if eid not in cur.edge_ids:
-            continue
-        if cur.n == 1:
-            break
-        w = [c.weights[e] for e in cur.edge_ids]
-        pos = cur.edge_index(eid)
-        p = float(_matrix_tree_marginals(cur, w)[pos])
-        if p < -MARGINAL_GUARD or p > 1 + MARGINAL_GUARD:
-            raise NumericalBreakdown(f"conditional marginal {p} for edge {eid}")
-        take = True if p >= 1 - 1e-12 else (False if p <= 1e-12 else rng.random() < p)
-        u, v = cur.endpoints[pos]
-        if take:
-            chosen.add(eid)
-            merged, _ = cur.contract({u, v})
-            # the contracted edge disappears; parallels to it survive
-            cur = merged
-        else:
-            cur = MultiGraph(
-                cur.n,
-                [
-                    (e, a, b)
-                    for e, (a, b) in zip(cur.edge_ids, cur.endpoints)
-                    if e != eid
-                ],
-                cur.vertex_sets,
-            )
-    return chosen
-
-
-def maxent_sample(fit: MaxEntWeights, rng: np.random.Generator) -> frozenset[int]:
-    """One tree: forced edges plus independent component samples."""
-    out: set[int] = set(fit.forced)
-    for c in fit.components:
-        out |= _sample_component(c, rng)
-    return frozenset(out)
-
-
 def maxent_tree_distribution(fit: MaxEntWeights) -> tuple[tuple[frozenset[int], ...], np.ndarray]:
     """Enumerated support and probabilities of the fitted distribution.
 
@@ -468,13 +419,6 @@ def maxent_tree_distribution(fit: MaxEntWeights) -> tuple[tuple[frozenset[int], 
 # elementary piece samplers
 # ---------------------------------------------------------------------------
 
-def sample_double_cycle(piece: LocalMultigraph, rng: np.random.Generator) -> frozenset[int]:
-    """One edge from each partner pair of the chain, independently."""
-    pairs = piece.internal_pairs()
-    picks = rng.integers(0, 2, size=len(pairs))
-    return frozenset(pair[int(k)] for pair, k in zip(pairs, picks))
-
-
 def k5_paths(piece: LocalMultigraph) -> list[frozenset[int]]:
     """The twelve Hamiltonian paths of the K4 interior, as edge-id sets."""
     interior, mapping = piece.internal_graph()
@@ -489,9 +433,3 @@ def k5_paths(piece: LocalMultigraph) -> list[frozenset[int]]:
             continue
         out.append(frozenset(edge_of[(a, b)] for a, b in zip(perm, perm[1:])))
     return sorted(out, key=sorted)
-
-
-def sample_k5_path(piece: LocalMultigraph, rng: np.random.Generator) -> frozenset[int]:
-    """Uniformly random Hamiltonian path on the four interior vertices."""
-    paths = k5_paths(piece)
-    return paths[int(rng.integers(0, len(paths)))]

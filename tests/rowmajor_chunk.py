@@ -1,0 +1,168 @@
+"""The trial-major batch chunk that ``htsp.stats.BatchEngine`` replaced.
+
+Kept as a test oracle: trees, even-at-last flags, reductions and charges are
+``(trials, m)`` arrays, and every cut is read by fancy-indexing its edge
+columns, exactly as the package did before the chunk went edge-major.  The
+methods below, with the old integral-join lookup, are the old ones verbatim;
+``rowmajor(engine)`` gives a twin of a built engine that runs them, so the
+two layouts can be compared on one engine, field for field.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import numpy as np
+
+from htsp.errors import AssemblyError
+from htsp.join import min_cost_perfect_matching
+from htsp.stats import BatchEngine
+
+
+class RowMajorEngine(BatchEngine):
+    """A ``BatchEngine`` whose chunk runs on ``(trials, m)`` arrays."""
+
+    def _mc_calibration(self, trials: int, seed: int) -> dict[int, float]:
+        counts = np.zeros(self.m, dtype=np.int64)
+        done = 0
+        chunk = 1 << 14
+        idx = 0
+        while done < trials:
+            n = min(chunk, trials - done)
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(idx,))
+            )
+            T = self._draw_trees(n, rng)
+            counts += self._eal_flags(T).sum(0)
+            done += n
+            idx += 1
+        return {e: counts[e] / trials for e in range(self.m)}
+
+    def _draw_trees(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        T = np.zeros((n, self.m), dtype=bool)
+        for nid, cols, mat, cdf in self.enum_plan:
+            idx = np.searchsorted(cdf, rng.random(n), side="right")
+            idx = np.minimum(idx, len(cdf) - 1)
+            T[:, cols] = mat[idx]
+        for nid, pairs in self.cycle_plan:
+            if len(pairs) == 0:
+                continue
+            pick = rng.random((n, len(pairs))) < 0.5
+            T[np.arange(n)[:, None], pairs[:, 0][None, :]] = pick
+            T[np.arange(n)[:, None], pairs[:, 1][None, :]] = ~pick
+        return T
+
+    def _eal_flags(self, T: np.ndarray) -> np.ndarray:
+        n = T.shape[0]
+        eal = np.zeros((n, self.m), dtype=bool)
+        for cols, inc, settled in self.eal_degree:
+            par = (T[:, cols].astype(np.uint8) @ inc) % 2
+            for e, u, v in settled:
+                eal[:, e] = (par[:, u] == 0) & (par[:, v] == 0)
+        for ext_pairs, settled in self.eal_cycle:
+            flag = np.ones(n, dtype=bool)
+            for a, b in ext_pairs:
+                cnt = T[:, a].astype(np.int8) + T[:, b].astype(np.int8)
+                flag &= cnt == 1
+            eal[:, settled] = flag[:, None]
+        return eal
+
+    def _run_chunk(self, n, rng, st, join, verify, integral, symmetry_pairs):
+        T = self._draw_trees(n, rng)
+        if not np.all(T.sum(1) == self.n):
+            raise AssemblyError(f"assembled samples without {self.n} edges")
+        st.incl += T.sum(0)
+        for a, b in symmetry_pairs:
+            ta, tb = T[:, a], T[:, b]
+            c = st.sym_counts[(a, b)]
+            c[0] += int(np.sum(~ta & ~tb))
+            c[1] += int(np.sum(~ta & tb))
+            c[2] += int(np.sum(ta & ~tb))
+            c[3] += int(np.sum(ta & tb))
+        if not join:
+            return
+        eal = self._eal_flags(T)
+        st.eal += eal.sum(0)
+        reduced = np.zeros((n, self.m), dtype=bool)
+        for members, rate in self.groups:
+            coin = rng.random(n) < rate
+            reduced[:, members] = eal[:, members] & coin[:, None]
+        st.reduced += reduced.sum(0)
+        D = self.z_denom
+        z = np.full((n, self.m), D // 4, dtype=np.int64)
+        z -= reduced * self.amount_int[None, :]
+        for src, cut_cols, targets in self.degree_site_plan:
+            oddc = (T[:, cut_cols].sum(1) % 2).astype(bool)
+            active = reduced[:, src] & oddc
+            for f, amt in targets:
+                z[:, f] += active * amt
+        for targets, groups in self.pair_site_plan:
+            for half_amt, members in groups:
+                act = np.zeros(n, dtype=bool)
+                for s, cut_cols in members:
+                    act |= reduced[:, s] & (T[:, cut_cols].sum(1) % 2).astype(bool)
+                t0, t1 = targets
+                z[:, t0] += act * half_amt
+                z[:, t1] += act * half_amt
+        st.z_sum = [a + int(b) for a, b in zip(st.z_sum, z.sum(0, dtype=np.int64))]
+        # squares can overflow int64 when the charge denominator is large;
+        # they only feed sigma estimates, so float accumulation suffices
+        zf = z / D
+        st.z_sumsq = [
+            a + float(b) for a, b in zip(st.z_sumsq, (zf * zf).sum(0))
+        ]
+        zc = z @ self.cost_int
+        st.zc_sum += int(zc.sum())
+        st.zc_sumsq += float((zc.astype(float) ** 2).sum())
+        tree_cost = T.astype(np.int64) @ self.cost_int
+        st.tree_sum += int(tree_cost.sum())
+        st.tree_sumsq += float((tree_cost.astype(float) ** 2).sum())
+        if verify:
+            bad = np.zeros(n, dtype=bool)
+            bad |= (z < D // 6).any(axis=1)
+            for cut_cols in self.cut_cols:
+                oddc = (T[:, cut_cols].sum(1) % 2).astype(bool)
+                short = z[:, cut_cols].sum(1) < D
+                bad |= oddc & short
+            st.feasibility_failures += int(bad.sum())
+        if integral:
+            ij = self._integral_costs(T)
+            total = tree_cost + ij
+            st.total_sum += int(total.sum())
+            st.total_sumsq += float((total.astype(float) ** 2).sum())
+
+    def _integral_costs(self, T: np.ndarray) -> np.ndarray:
+        par = (T.astype(np.uint8) @ self._inc_full) % 2
+        packed = np.packbits(par, axis=1)
+        keys = [row.tobytes() for row in packed]
+        d = self._metric()
+        if not hasattr(self, "_dp_memo"):
+            self._dp_memo = {}
+        out = np.empty(T.shape[0], dtype=np.int64)
+        for i, key in enumerate(keys):
+            cost = self._join_cache.get(key)
+            if cost is None:
+                odd = [v for v in range(self.n) if par[i, v]]
+                c, _ = min_cost_perfect_matching(odd, d, memo=self._dp_memo)
+                cost = int(c)
+                self._join_cache[key] = cost
+            out[i] = cost
+        return out
+
+
+def rowmajor(engine: BatchEngine) -> RowMajorEngine:
+    """A twin of ``engine`` sharing its plans, running the trial-major chunk.
+
+    The twin gets its own join caches and the edge-vertex incidence matrix
+    the old engine built, so no integral join cost is shared between the two.
+    """
+    twin = copy.copy(engine)
+    twin.__class__ = RowMajorEngine
+    g = engine.inst.graph
+    twin._inc_full = np.zeros((engine.m, engine.n), dtype=np.uint8)
+    for eid, (u, v) in zip(g.edge_ids, g.endpoints):
+        twin._inc_full[eid, u] = 1
+        twin._inc_full[eid, v] = 1
+    twin._join_cache = {}
+    twin._dp_memo = {}
+    return twin

@@ -1,0 +1,145 @@
+"""Single-draw samplers and the per-node restriction that only tests use.
+
+The package samples from compiled piece distributions; these walk the
+generative steps one draw at a time (a matching, a color class, a pairing,
+a tree by sequential conditioning) so the tests can check each step's law
+against the compiled one.
+"""
+
+from __future__ import annotations
+
+from typing import Union
+
+import numpy as np
+
+from htsp.errors import NumericalBreakdown
+from htsp.graph import MultiGraph
+from htsp.hierarchy import CutHierarchy, LocalMultigraph
+from htsp.matching import (
+    MatchingDistribution,
+    ShiftedSolution,
+    SplitPiece,
+    _graph_of,
+    pairings_of,
+    seven_coloring,
+    split_external,
+)
+from htsp.trees import (
+    MaxEntComponent,
+    MaxEntWeights,
+    _matrix_tree_marginals,
+    constrained_tree_distribution,
+    k5_paths,
+)
+
+MARGINAL_GUARD = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# matchings
+# ---------------------------------------------------------------------------
+
+def sample_matching(dist: MatchingDistribution, rng: np.random.Generator) -> int:
+    """Draw a matching bitmask with the distribution's listed weights."""
+    return dist.sample(rng)
+
+
+def select_submatching(piece: Union[LocalMultigraph, MultiGraph], matching_mask: int,
+                       rng: np.random.Generator) -> int:
+    """Uniformly chosen color class of the matching, as a bitmask."""
+    g = _graph_of(piece)
+    classes = seven_coloring(g, matching_mask)
+    chosen = classes[int(rng.integers(0, 7))]
+    mask = 0
+    for i in chosen:
+        mask |= 1 << i
+    return mask
+
+
+def odd_split(piece: LocalMultigraph, rng: np.random.Generator) -> SplitPiece:
+    """Split with one of the three pairings of the external edges, uniformly."""
+    options = pairings_of(piece.external_edge_ids)
+    return split_external(piece, options[int(rng.integers(0, 3))])
+
+
+# ---------------------------------------------------------------------------
+# trees
+# ---------------------------------------------------------------------------
+
+def mi_sample(shifted: ShiftedSolution, rng: np.random.Generator) -> frozenset[int]:
+    """One tree from the exact constrained decomposition."""
+    return constrained_tree_distribution(shifted).sample(rng)
+
+
+def _sample_component(c: MaxEntComponent, rng: np.random.Generator) -> set[int]:
+    """Sequential conditioning: decide each edge from its conditional marginal."""
+    g = c.graph
+    chosen: set[int] = set()
+    cur = g
+    for eid in sorted(c.weights):
+        if eid not in cur.edge_ids:
+            continue
+        if cur.n == 1:
+            break
+        w = [c.weights[e] for e in cur.edge_ids]
+        pos = cur.edge_index(eid)
+        p = float(_matrix_tree_marginals(cur, w)[pos])
+        if p < -MARGINAL_GUARD or p > 1 + MARGINAL_GUARD:
+            raise NumericalBreakdown(f"conditional marginal {p} for edge {eid}")
+        take = True if p >= 1 - 1e-12 else (False if p <= 1e-12 else rng.random() < p)
+        u, v = cur.endpoints[pos]
+        if take:
+            chosen.add(eid)
+            merged, _ = cur.contract({u, v})
+            # the contracted edge disappears; parallels to it survive
+            cur = merged
+        else:
+            cur = MultiGraph(
+                cur.n,
+                [
+                    (e, a, b)
+                    for e, (a, b) in zip(cur.edge_ids, cur.endpoints)
+                    if e != eid
+                ],
+                cur.vertex_sets,
+            )
+    return chosen
+
+
+def maxent_sample(fit: MaxEntWeights, rng: np.random.Generator) -> frozenset[int]:
+    """One tree: forced edges plus independent component samples."""
+    out: set[int] = set(fit.forced)
+    for c in fit.components:
+        out |= _sample_component(c, rng)
+    return frozenset(out)
+
+
+def sample_double_cycle(piece: LocalMultigraph, rng: np.random.Generator) -> frozenset[int]:
+    """One edge from each partner pair of the chain, independently."""
+    pairs = piece.internal_pairs()
+    picks = rng.integers(0, 2, size=len(pairs))
+    return frozenset(pair[int(k)] for pair, k in zip(pairs, picks))
+
+
+def sample_k5_path(piece: LocalMultigraph, rng: np.random.Generator) -> frozenset[int]:
+    """Uniformly random Hamiltonian path on the four interior vertices."""
+    paths = k5_paths(piece)
+    return paths[int(rng.integers(0, len(paths)))]
+
+
+# ---------------------------------------------------------------------------
+# hierarchy nodes
+# ---------------------------------------------------------------------------
+
+def restrict(h: CutHierarchy, sample_edges: frozenset[int], node_id: int
+             ) -> tuple[frozenset[int], dict[int, int]]:
+    """Edges of the sample inside a node's piece, and piece-vertex parities."""
+    nd = h.nodes[node_id]
+    if nd.piece is None:
+        return frozenset(), {}
+    g = nd.piece.graph
+    local = frozenset(eid for eid in g.edge_ids if eid in sample_edges)
+    parity = {}
+    for v in range(g.n):
+        parity[v] = sum(1 for eid in g.incident_ids(v) if eid in local) % 2
+    return local, parity

@@ -418,3 +418,42 @@ def test_disconnected_legs_raise_assembly_error():
         seen[key] = eid
     with pytest.raises(AssemblyError, match="not connected"):
         integral_join_and_tour(inst, pair)
+
+
+def test_flow_rows_off_one_raise_flow_infeasible(monkeypatch):
+    """A flow whose split of one edge's demand does not sum to the demand
+    is refused with a typed error, not a bare assert."""
+    import htsp.join as join_mod
+    from htsp.errors import FlowInfeasible
+
+    h = build_hierarchy(family_instance("zoo"))
+    piece = next(
+        nd.piece for nd in h.non_leaves() if nd.kind == "degree" and nd.piece.graph.n > 5
+    )
+    demands = {e: Fraction(1) for e in piece.external_edge_ids}
+    real = join_mod._max_flow
+
+    def short_flow(rows, demands, cap):
+        flow = real(rows, demands, cap)
+        first = min(rows)
+        return {(s, f): (x / 2 if s == first else x) for (s, f), x in flow.items()}
+
+    monkeypatch.setattr(join_mod, "_max_flow", short_flow)
+    with pytest.raises(FlowInfeasible, match="sum to 1/2"):
+        bipartization_flow(piece, demands)
+
+
+def test_coin_group_with_two_estimates_raises(zoo_instance):
+    """Partner edges share one coin, so they must share one even-at-last
+    estimate; a split estimate is refused with a typed error."""
+    from htsp.errors import EstimateBelowBound
+    from htsp.join import coin_groups
+
+    h = build_hierarchy(zoo_instance)
+    classes = classify(h)
+    rp = ReductionParams.default()
+    members = next(m for m in coin_groups(classes).values() if len(m) > 1)
+    probs = {e: 0.9 for e in classes}
+    probs[members[0]] = 0.95
+    with pytest.raises(EstimateBelowBound, match="2 even-at-last estimates"):
+        coin_rates(classes, rp, probs)

@@ -11,17 +11,15 @@ from htsp.matching import (
     apply_surgery,
     decompose_matchings,
     enumerate_perfect_matchings,
-    odd_split,
     odd_surgery,
     pairings_of,
-    sample_matching,
-    select_submatching,
     seven_coloring,
     shift,
     split_external,
     surgery_options,
 )
 from htsp.trees import in_spanning_tree_polytope
+from tests.single_draws import odd_split, sample_matching, select_submatching
 
 QUARTER = Fraction(1, 4)
 THIRD = Fraction(1, 3)

@@ -11,11 +11,11 @@ from htsp.pipeline import (
     EnumeratedPieceSampler,
     SamplerParams,
     build_piece_samplers,
-    restrict,
     sample_r0_tree,
     validate_r0_tree,
 )
 from tests.conftest import family_instance
+from tests.single_draws import restrict
 
 
 @pytest.fixture(params=("mi", "mix"))

@@ -186,3 +186,80 @@ def test_suites_reject_incomplete_configs(zoo_engine):
         run_suite(ExperimentConfig(family="nested", trials=10, suite="nope"))
     with pytest.raises(ConfigError):
         suite_cost(zoo_engine, zoo_engine.run(1_000, seed=8, integral=True))
+
+
+def _move_root_edge(engine):
+    """Swap a root edge with an edge of another partner pair of its cycle
+    piece: every tree keeps its edge count, but about half the trees now
+    hold one or three root edges."""
+    root = set(engine.root_edges)
+    k, (nid, pairs) = next(
+        (k, p) for k, p in enumerate(engine.cycle_plan)
+        if root & set(p[1].ravel().tolist())
+    )
+    pairs = pairs.copy()
+    i = next(r for r, pr in enumerate(pairs.tolist()) if root & set(pr))
+    j = next(r for r, pr in enumerate(pairs.tolist()) if not root & set(pr))
+    pairs[[i, j], 1] = pairs[[j, i], 1]
+    engine.cycle_plan[k] = (nid, pairs)
+
+
+def test_root_degree_check_runs_on_every_chunk():
+    """A plan that goes bad after the first chunk, keeping every tree's edge
+    count, is stopped by the root-degree check."""
+    engine = BatchEngine(family_instance("nested"), SamplerParams(sampler="mi"))
+    draw = engine._draw_trees
+    calls = []
+
+    def draw_then_corrupt(n, rng):
+        trees = draw(n, rng)
+        if not calls:
+            _move_root_edge(engine)
+        calls.append(n)
+        return trees
+
+    engine._draw_trees = draw_then_corrupt
+    with pytest.raises(AssemblyError, match="degree 2 at root"):
+        engine.run(3_000, seed=1, chunk=1_000, join=False)
+    assert len(calls) == 2
+
+
+def test_tree_checks_survive_python_O():
+    """Under ``python -O`` a corrupted plan still raises ``AssemblyError``,
+    both for a lost edge and for a moved root edge."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    script = """
+import numpy as np
+from htsp.errors import AssemblyError
+from htsp.pipeline import SamplerParams
+from htsp.stats import BatchEngine
+from tests.conftest import family_instance
+from tests.test_stats import _move_root_edge
+
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assertions are on")
+for corrupt in ("lost-edge", "root-edge"):
+    engine = BatchEngine(family_instance("nested"), SamplerParams(sampler="mi"))
+    if corrupt == "lost-edge":
+        nid, pairs = engine.cycle_plan[0]
+        engine.cycle_plan[0] = (nid, pairs[1:])
+    else:
+        _move_root_edge(engine)
+    try:
+        engine.run(1_000, seed=1, join=False)
+    except AssemblyError as exc:
+        print(corrupt, exc)
+"""
+    env = {"PATH": "", "PYTHONPATH": f"{root / 'src'}:{root}"}
+    out = subprocess.run([sys.executable, "-O", "-c", script], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["lost-edge", "root-edge"]
+    assert "edges" in lines[0] and "degree 2 at root" in lines[1]

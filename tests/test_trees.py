@@ -8,7 +8,7 @@ import htsp.trees as trees
 from htsp.errors import BoundaryTarget, InfeasibleShift
 from htsp.generators import standalone_piece
 from htsp.graph import MultiGraph
-from htsp.matching import ShiftedSolution, decompose_matchings, select_submatching, shift
+from htsp.matching import ShiftedSolution, decompose_matchings, shift
 from htsp.trees import (
     ConstrainedTreeDistribution,
     constrained_tree_distribution,
@@ -17,12 +17,15 @@ from htsp.trees import (
     k5_paths,
     maxent_fit,
     maxent_marginals,
-    maxent_sample,
     maxent_tree_distribution,
+    spanning_tree_count,
+)
+from tests.single_draws import (
+    maxent_sample,
     mi_sample,
     sample_double_cycle,
     sample_k5_path,
-    spanning_tree_count,
+    select_submatching,
 )
 
 THIRD = Fraction(1, 3)
