@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .decomp import exact_convex_decomposition
-from .errors import ColoringOverflow, NoPerfectMatching
+from .errors import ColoringOverflow, InfeasibleShift, NoPerfectMatching
 from .graph import MultiGraph, bits
 from .hierarchy import LocalMultigraph
 
@@ -96,11 +96,6 @@ class MatchingDistribution:
                 )
                 if mass != QUARTER:
                     raise NoPerfectMatching(f"edge position {pos} has mass {mass}")
-
-    def edge_ids_of(self, mask: int) -> frozenset[int]:
-        return frozenset(
-            self.graph.edge_ids[i] for i in range(self.graph.m) if (mask >> i) & 1
-        )
 
     def cdf(self) -> np.ndarray:
         cached = getattr(self, "_cdf", None)
@@ -194,9 +189,6 @@ class ShiftedSolution:
 
     def interior_values(self) -> dict[int, Fraction]:
         return {eid: self.values[eid] for eid in self.interior_edge_ids}
-
-    def part_sums(self) -> list[Fraction]:
-        return [sum((self.values[e] for e in p), Fraction(0)) for p in self.parts]
 
 
 def _parts_from_submatching(g: MultiGraph, internal_ids: set[int],
@@ -334,7 +326,10 @@ def surgery_options(split: SplitPiece, matching_mask: int) -> list[tuple]:
         p_e = Fraction(1, 4)
         kind = "decrease"
     else:
-        assert len(cut_in_m) == 2
+        if len(cut_in_m) != 2:
+            raise InfeasibleShift(
+                f"matching crosses the interior cut {len(cut_in_m)} times, not 0 or 2"
+            )
         pool = cut_in_m
         p_e = Fraction(1, 2)
         kind = "increase"
@@ -344,7 +339,10 @@ def surgery_options(split: SplitPiece, matching_mask: int) -> list[tuple]:
         adj = sorted(
             g.edge_ids[j] for j in g.incident(u) if g.edge_ids[j] in internal
         )
-        assert len(adj) == 3
+        if len(adj) != 3:
+            raise InfeasibleShift(
+                f"boundary vertex {u} has {len(adj)} internal edges, not 3"
+            )
         for f in adj:
             branches.append((kind, eid, f, p_e * THIRD))
     return branches
@@ -373,10 +371,15 @@ def apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
         if home:
             (p,) = home
             if len(p) == 3:
-                assert dropped in p and dropped != adjusted
+                if dropped not in p or dropped == adjusted:
+                    raise InfeasibleShift(
+                        f"dropped edge {dropped} is not another member of part {p}"
+                    )
                 parts[parts.index(p)] = tuple(e for e in p if e != dropped)
-            else:
-                assert dropped is None
+            elif dropped is not None:
+                raise InfeasibleShift(
+                    f"dropped edge {dropped} given for the {len(p)}-edge part {p}"
+                )
     else:
         raise ValueError(kind)
     forced = frozenset(eid for eid in internal if values[eid] == 1)
@@ -400,7 +403,8 @@ def odd_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
     """Random surgery branch followed by the part adjustment."""
     branches = surgery_options(split, matching_mask)
     kinds = {b[0] for b in branches}
-    assert len(kinds) == 1
+    if len(kinds) != 1:
+        raise InfeasibleShift(f"surgery branches of kinds {sorted(kinds)}, not one")
     kind = kinds.pop()
     if kind == "decrease":
         trigger = sorted(split.interior_cut_ids)[int(rng.integers(0, 4))]

@@ -19,7 +19,6 @@ from .join import (
     ReductionParams,
     build_charge_sites,
     coin_groups,
-    exact_eal_probabilities,
     joint_indicator,
 )
 from .params import EAL_BOUNDS
@@ -145,11 +144,12 @@ def exact_expected_net_decrease(
     classes: dict[int, EdgeClass],
     params: ReductionParams,
     samplers: dict[int, PieceSampler],
+    eal_probability: dict[int, object],
 ) -> dict[int, object]:
-    """E[quarter - z_e] per edge: reductions in, expected charges out."""
-    probs = exact_eal_probabilities(h, classes, samplers)
-    rates = exact_rates(classes, params, probs)
-    red = exact_reduction_probability(classes, params, probs)
+    """E[quarter - z_e] per edge: reductions in, expected charges out, given
+    the exact even-at-last probabilities of ``exact_eal_probabilities``."""
+    rates = exact_rates(classes, params, eal_probability)
+    red = exact_reduction_probability(classes, params, eal_probability)
     net: dict[int, object] = {
         e: red[e] * params.amount(cl.kind) for e, cl in classes.items()
     }
@@ -195,16 +195,6 @@ def exact_expected_net_decrease(
             net[t0] = net[t0] - half * rate * p
             net[t1] = net[t1] - half * rate * p
     return net
-
-
-def exact_expected_join_cost(h, classes, params, samplers) -> object:
-    """Expected fractional join cost: quarter cost minus the net decreases."""
-    net = exact_expected_net_decrease(h, classes, params, samplers)
-    inst = h.instance
-    total = 0
-    for e in range(inst.graph.m):
-        total = total + inst.costs[e] * (Fraction(1, 4) - net[e])
-    return total
 
 
 # ---------------------------------------------------------------------------

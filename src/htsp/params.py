@@ -232,45 +232,3 @@ def optimize(grid_step: float = 0.02, refine_tol: float = 1e-5) -> OptimizationR
     lam = _quantize((a + b) / 2, 10 ** 5)
     sol = solve_amounts(lam)
     return OptimizationResult(lam, sol.tau, sol.gamma, sol.beta, sol.delta, sol.binding)
-
-
-def grid_oracle(lam: Fraction, coarse: float = 1e-3,
-                fine: float = 1e-4, window: float = 2e-3) -> float:
-    """Best minimum form on a dense grid; independent check of the LP.
-
-    A full coarse sweep brackets the optimum, then a fine local sweep
-    around the bracket sharpens it.
-    """
-    forms = [tuple(map(float, c)) for _, c in decrease_forms(Fraction(lam))]
-    cap = float(BETA_CAP)
-
-    def sweep(t_lo, t_hi, g_lo, g_hi, b_lo, b_hi, step):
-        taus = np.arange(t_lo, t_hi + step / 2, step)
-        gammas = np.arange(g_lo, g_hi + step / 2, step)
-        best = -np.inf
-        best_at = (0.0, 0.0, 0.0)
-        for beta in np.arange(b_lo, b_hi + step / 2, step):
-            t = taus[taus <= min(beta / 2, cap) + 1e-15]
-            g = gammas[gammas <= beta / 2 + 1e-15]
-            if len(t) == 0 or len(g) == 0:
-                continue
-            tt, gg = np.meshgrid(t, g, indexing="ij")
-            ok = tt <= gg + 1e-15
-            val = np.full(tt.shape, np.inf)
-            for ct, cg, cb in forms:
-                val = np.minimum(val, ct * tt + cg * gg + cb * beta)
-            val = np.where(ok, val, -np.inf)
-            i = int(np.argmax(val))
-            if val.flat[i] > best:
-                best = float(val.flat[i])
-                best_at = (float(tt.flat[i]), float(gg.flat[i]), beta)
-        return best, best_at
-
-    best, (t0, g0, b0) = sweep(0.0, cap, 0.0, cap, 0.0, cap, coarse)
-    fine_best, _ = sweep(
-        max(0.0, t0 - window), min(cap, t0 + window),
-        max(0.0, g0 - window), min(cap, g0 + window),
-        max(0.0, b0 - window), min(cap, b0 + window),
-        fine,
-    )
-    return max(best, fine_best)

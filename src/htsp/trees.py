@@ -73,20 +73,6 @@ def _spanning_tree_masks(n: int, endpoints: tuple[tuple[int, int], ...]) -> tupl
     return tuple(out)
 
 
-def spanning_tree_count(g: MultiGraph) -> int:
-    """Kirchhoff count, for cross-checks."""
-    if g.n == 1:
-        return 1
-    lap = np.zeros((g.n, g.n))
-    for u, v in g.endpoints:
-        lap[u, u] += 1
-        lap[v, v] += 1
-        lap[u, v] -= 1
-        lap[v, u] -= 1
-    minor = lap[:-1, :-1]
-    return round(float(np.linalg.det(minor))) if minor.size else 1
-
-
 def in_spanning_tree_polytope(g: MultiGraph, values: dict[int, Fraction]) -> bool:
     """Exact membership check by enumerating all vertex-subset constraints."""
     total = sum((values[eid] for eid in g.edge_ids), Fraction(0))
@@ -370,16 +356,6 @@ def maxent_fit(interior_graph: MultiGraph, targets: dict[int, Fraction],
 
     rec(minor.graph, {eid: targets[eid] for eid in minor.graph.edge_ids})
     return MaxEntWeights(tuple(components), minor.forced, minor.zeros)
-
-
-def maxent_marginals(fit: MaxEntWeights) -> dict[int, float]:
-    out = {eid: 1.0 for eid in fit.forced}
-    out.update({eid: 0.0 for eid in fit.zeros})
-    for c in fit.components:
-        w = [c.weights[eid] for eid in c.graph.edge_ids]
-        for eid, p in zip(c.graph.edge_ids, _matrix_tree_marginals(c.graph, w)):
-            out[eid] = float(p)
-    return out
 
 
 def maxent_tree_distribution(fit: MaxEntWeights) -> tuple[tuple[frozenset[int], ...], np.ndarray]:

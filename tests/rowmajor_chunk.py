@@ -3,7 +3,9 @@
 Kept as a test oracle: trees, even-at-last flags, reductions and charges are
 ``(trials, m)`` arrays, and every cut is read by fancy-indexing its edge
 columns, exactly as the package did before the chunk went edge-major.  The
-methods below, with the old integral-join lookup, are the old ones verbatim;
+methods below, with the old per-trial integral-join lookup, are the old ones
+verbatim, except that a charge site names its cut by an index into the
+engine's ``site_cut_cols``;
 ``rowmajor(engine)`` gives a twin of a built engine that runs them, so the
 two layouts can be compared on one engine, field for field.
 """
@@ -91,7 +93,8 @@ class RowMajorEngine(BatchEngine):
         D = self.z_denom
         z = np.full((n, self.m), D // 4, dtype=np.int64)
         z -= reduced * self.amount_int[None, :]
-        for src, cut_cols, targets in self.degree_site_plan:
+        for src, k, targets in self.degree_site_plan:
+            cut_cols = self.site_cut_cols[k]
             oddc = (T[:, cut_cols].sum(1) % 2).astype(bool)
             active = reduced[:, src] & oddc
             for f, amt in targets:
@@ -99,7 +102,8 @@ class RowMajorEngine(BatchEngine):
         for targets, groups in self.pair_site_plan:
             for half_amt, members in groups:
                 act = np.zeros(n, dtype=bool)
-                for s, cut_cols in members:
+                for s, k in members:
+                    cut_cols = self.site_cut_cols[k]
                     act |= reduced[:, s] & (T[:, cut_cols].sum(1) % 2).astype(bool)
                 t0, t1 = targets
                 z[:, t0] += act * half_amt

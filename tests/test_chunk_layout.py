@@ -1,20 +1,26 @@
 """The edge-major batch chunk against the trial-major one it replaced.
 
 Both layouts run on one built engine (see ``tests/rowmajor_chunk.py``), so
-every ``BatchStats`` field must agree exactly, floats bit for bit.
+every ``BatchStats`` field must agree exactly, floats bit for bit, and the
+integral join must fill the same cache with the same costs.
 """
 
 import copy
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from htsp.errors import OddSetTooLarge
+from htsp.generators import generate_double_cycle
+from htsp.join import ODD_SET_LIMIT
 from htsp.pipeline import SamplerParams
 from htsp.stats import BatchEngine, BatchStats, symmetry_pairs
-from tests.conftest import ALL_FAMILIES, family_instance
+from tests.conftest import ALL_FAMILIES, FAMILY_SEED, family_instance
 from tests.rowmajor_chunk import rowmajor
+from tests.test_join import _ring_edges_with_odd
 
 TRIALS = 2_500
 CHUNK = 1_000  # the last chunk holds 500 trials
@@ -30,6 +36,12 @@ FLAG_SETS = {
 @functools.cache
 def engine_for(family: str) -> BatchEngine:
     return BatchEngine(family_instance(family), SamplerParams(sampler="mix"))
+
+
+@functools.cache
+def double_cycle_engine(k: int) -> BatchEngine:
+    inst = generate_double_cycle(k, np.random.default_rng(FAMILY_SEED))
+    return BatchEngine(inst, SamplerParams(sampler="mix"))
 
 
 def _exact(value):
@@ -102,3 +114,89 @@ def test_corrupted_charges_fail_alike_in_both_layouts(corrupt):
     new, old = run_both(bad, 23, FLAG_SETS["join+verify"])
     assert new.feasibility_failures > 0
     assert_same_stats(new, old)
+
+
+# ---------------------------------------------------------------------------
+# integral join: distinct-key lookup against the per-trial loop
+# ---------------------------------------------------------------------------
+
+def _join_rows(engine: BatchEngine, trials: int, seed: int) -> np.ndarray:
+    """A ``(trials, m)`` view of drawn trees, with up to three edges flipped
+    in about half of the trials: many distinct odd sets, a few odd vertices
+    each, spread over every word of a parity key."""
+    rng = np.random.default_rng(seed)
+    T = engine._draw_trees(trials, rng)
+    cols = np.arange(trials)
+    for _ in range(3):
+        flip = rng.integers(0, engine.m, size=trials)
+        on = rng.random(trials) < 0.5
+        T[flip[on], cols[on]] ^= True
+    return T.T
+
+
+def _cold(engine: BatchEngine) -> BatchEngine:
+    twin = copy.copy(engine)
+    twin._join_cache = {}
+    twin._dp_memo = {}
+    return twin
+
+
+def _assert_same_cache(new: BatchEngine, old: BatchEngine) -> None:
+    items = list(new._join_cache.items())
+    assert items == list(old._join_cache.items())
+    assert all(type(k) is bytes and type(v) is int for k, v in items)
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES + ("double-cycle-72",))
+def test_integral_join_matches_per_trial_lookup(name):
+    """Double cycle k = 72 has 72 vertices: its keys fill two words."""
+    engine = _cold(double_cycle_engine(72) if name == "double-cycle-72"
+                   else engine_for(name))
+    old = rowmajor(engine)
+    # a cold pass, a fully warm one, and one that mixes hits and misses
+    for seed in (31, 31, 32):
+        rows = _join_rows(engine, 3_000, seed)
+        new_costs = engine._integral_costs(rows)
+        old_costs = old._integral_costs(np.ascontiguousarray(rows))
+        assert new_costs.dtype == old_costs.dtype
+        assert new_costs.tolist() == old_costs.tolist()
+        _assert_same_cache(engine, old)
+    assert len(engine._join_cache) > 1
+
+
+def test_integral_join_past_odd_set_limit_raises_alike():
+    """A trial past the DP limit midway through a chunk raises in both
+    lookups, after both cached the same earlier odd sets."""
+    inst = generate_double_cycle(20, np.random.default_rng(0))
+    engine = BatchEngine(inst, SamplerParams(sampler="mi"))
+    old = rowmajor(engine)
+    rows = np.array(_join_rows(engine, 400, 41))
+    rows[200] = False
+    rows[200, _ring_edges_with_odd(inst, ODD_SET_LIMIT + 2)] = True
+    for e in (engine, old):
+        with pytest.raises(OddSetTooLarge):
+            e._integral_costs(rows)
+    assert len(engine._join_cache) > 1
+    _assert_same_cache(engine, old)
+
+
+# ---------------------------------------------------------------------------
+# chunk memory
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["zoo", "double-cycle-40"])
+def test_full_flag_chunk_peak_memory(name):
+    """A warm one-chunk full-flag run stays under 2.25 int64 charge blocks
+    of traced peak: a float copy of the block, or a parity row kept for
+    every min-cut, would push it past."""
+    engine = double_cycle_engine(40) if name == "double-cycle-40" else engine_for(name)
+    trials = 1 << 14
+    flags = {"join": True, "verify": True, "integral": True}
+    engine.run(trials, 1, **flags)
+    tracemalloc.start()
+    try:
+        engine.run(trials, 2, **flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * engine.m * trials * 8

@@ -321,7 +321,8 @@ def test_exact_net_decrease_meets_delta_floor():
         rp = ReductionParams.default(sp.effective_lambda)
         samplers = build_piece_samplers(h, sp)
         classes = classify(h)
-        net = exact_expected_net_decrease(h, classes, rp, samplers)
+        probs = exact_eal_probabilities(h, classes, samplers)
+        net = exact_expected_net_decrease(h, classes, rp, samplers, probs)
         worst = min(float(v) for v in net.values())
         assert worst >= floor - 1e-9, (family, worst, floor)
 
@@ -329,8 +330,8 @@ def test_exact_net_decrease_meets_delta_floor():
 def test_exact_expected_join_cost_beats_bound():
     """The strongest cost check: the exact expectation of the fractional
     join cost sits below the guaranteed fraction of the LP value."""
-    from htsp.oracle import exact_expected_join_cost
     from htsp.params import optimize
+    from tests.reference import exact_expected_join_cost
 
     res = optimize()
     for family in ("double-cycle", "k5-gadget", "nested", "zoo", "random-4reg"):

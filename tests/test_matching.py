@@ -3,11 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from htsp.errors import NoPerfectMatching
+from htsp.errors import InfeasibleShift, NoPerfectMatching
 from htsp.generators import standalone_piece
 from htsp.graph import MultiGraph
+import htsp.matching as matching
 from htsp.matching import (
     MatchingDistribution,
+    SplitPiece,
+    _parts_from_submatching,
     apply_surgery,
     decompose_matchings,
     enumerate_perfect_matchings,
@@ -19,6 +22,7 @@ from htsp.matching import (
     surgery_options,
 )
 from htsp.trees import in_spanning_tree_polytope
+from tests.reference import edge_ids_of, part_sums
 from tests.single_draws import odd_split, sample_matching, select_submatching
 
 QUARTER = Fraction(1, 4)
@@ -52,7 +56,7 @@ def test_split_piece_matchings_cross_zero_or_two():
         sp = split_external(piece, pairing)
         dist = decompose_matchings(sp)
         for mk in dist.masks:
-            ids = dist.edge_ids_of(mk)
+            ids = edge_ids_of(dist, mk)
             assert len(ids & set(sp.interior_cut_ids)) in (0, 2)
 
 
@@ -162,7 +166,7 @@ def test_shift_values_and_parts():
                 if (u in s) != (v in s)
             )
             assert tot >= 2
-    for part, total in zip(sh.parts, sh.part_sums()):
+    for part, total in zip(sh.parts, part_sums(sh)):
         assert len(part) <= 3 and total <= 1
     assert in_spanning_tree_polytope(sh.interior_graph, sh.interior_values())
 
@@ -238,7 +242,7 @@ def test_odd_surgery_part_invariant():
         mk = sample_matching(dist, rng)
         sub = select_submatching(sp, mk, rng)
         sh = odd_surgery(sp, mk, sub, rng)
-        for part, total in zip(sh.parts, sh.part_sums()):
+        for part, total in zip(sh.parts, part_sums(sh)):
             assert len(part) <= 3
             assert total <= 1
         surgery = sh.provenance["surgery"]
@@ -255,3 +259,109 @@ def test_corrupted_matching_distribution_raises(weights, match):
     masks = tuple(1 << i for i in range(4))
     with pytest.raises(NoPerfectMatching, match=match):
         MatchingDistribution(piece.graph, masks, weights)
+
+
+# ---------------------------------------------------------------------------
+# surgery invariants: each broken one raises InfeasibleShift, also under -O
+# ---------------------------------------------------------------------------
+
+def _c7bar_case(kind: str, part_len: int):
+    """(split, matching, submatching, trigger, adjusted, home part) of a
+    c7bar surgery branch of ``kind`` whose adjusted edge lies in a part of
+    ``part_len`` edges (``()`` as the part for 0)."""
+    piece = standalone_piece("c7bar")
+    for pairing in pairings_of(piece.external_edge_ids):
+        sp = split_external(piece, pairing)
+        internal = set(sp.internal_edge_ids())
+        for mk in decompose_matchings(sp).masks:
+            for cls in seven_coloring(sp.graph, mk):
+                sub = sum(1 << i for i in cls)
+                parts = _parts_from_submatching(sp.graph, internal, sub)
+                for k, e, f, _ in surgery_options(sp, mk):
+                    home = next((p for p in parts if f in p), ())
+                    if k == kind and len(home) == part_len:
+                        return sp, mk, sub, e, f, home
+    raise LookupError((kind, part_len))
+
+
+class _NoInternalEdges(SplitPiece):
+    def internal_edge_ids(self) -> list[int]:
+        return []
+
+
+def _one_cut_crossing():
+    sp, mk, *_ = _c7bar_case("increase", 0)
+    matched_cut = [i for i in range(sp.graph.m) if (mk >> i) & 1
+                   and sp.graph.edge_ids[i] in sp.interior_cut_ids]
+    surgery_options(sp, mk & ~(1 << matched_cut[0]))
+
+
+def _boundary_without_internal_edges():
+    sp, mk, *_ = _c7bar_case("decrease", 0)
+    bare = _NoInternalEdges(sp.base, sp.graph, sp.pairing, sp.interior_cut_ids)
+    surgery_options(bare, mk)
+
+
+def _drop_the_adjusted_edge():
+    sp, mk, sub, e, f, _ = _c7bar_case("increase", 3)
+    apply_surgery(sp, mk, sub, "increase", e, f, dropped=f)
+
+
+def _drop_from_a_two_edge_part():
+    sp, mk, sub, e, f, home = _c7bar_case("increase", 2)
+    apply_surgery(sp, mk, sub, "increase", e, f, dropped=home[0])
+
+
+def _mixed_branch_kinds():
+    sp, mk, *_ = _c7bar_case("decrease", 0)
+    options = matching.surgery_options
+    matching.surgery_options = lambda split, mask: (
+        options(split, mask) + [("increase", 0, 0, Fraction(0))]
+    )
+    try:
+        odd_surgery(sp, mk, 0, np.random.default_rng(0))
+    finally:
+        matching.surgery_options = options
+
+
+SURGERY_FAULTS = {
+    "one-cut-crossing": _one_cut_crossing,
+    "boundary-without-internal-edges": _boundary_without_internal_edges,
+    "drop-the-adjusted-edge": _drop_the_adjusted_edge,
+    "drop-from-a-two-edge-part": _drop_from_a_two_edge_part,
+    "mixed-branch-kinds": _mixed_branch_kinds,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SURGERY_FAULTS))
+def test_broken_surgery_invariant_raises(fault):
+    with pytest.raises(InfeasibleShift):
+        SURGERY_FAULTS[fault]()
+
+
+def test_surgery_checks_survive_python_O():
+    """Under ``python -O`` every broken surgery invariant still raises."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    script = """
+from htsp.errors import InfeasibleShift
+from tests.test_matching import SURGERY_FAULTS
+
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assertions are on")
+for name, fault in SURGERY_FAULTS.items():
+    try:
+        fault()
+    except InfeasibleShift:
+        print(name)
+"""
+    env = {"PATH": "", "PYTHONPATH": f"{root / 'src'}:{root}"}
+    out = subprocess.run([sys.executable, "-O", "-c", script], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == list(SURGERY_FAULTS)

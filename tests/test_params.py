@@ -2,11 +2,11 @@ from fractions import Fraction
 
 from htsp.params import (
     decrease_forms,
-    grid_oracle,
     mixed_rates,
     optimize,
     solve_amounts,
 )
+from tests.reference import grid_oracle
 
 PUBLISHED = {
     "lambda": 0.4715,

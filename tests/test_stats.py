@@ -263,3 +263,27 @@ for corrupt in ("lost-edge", "root-edge"):
     lines = out.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["lost-edge", "root-edge"]
     assert "edges" in lines[0] and "degree 2 at root" in lines[1]
+
+
+def test_oracle_check_computes_eal_probabilities_once(monkeypatch):
+    """The oracle hands its even-at-last probabilities to the net-decrease
+    rows instead of computing them a second time."""
+    import htsp.join
+    import htsp.oracle
+    import htsp.stats
+
+    exact = htsp.join.exact_eal_probabilities
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    for module in (htsp.join, htsp.oracle, htsp.stats):
+        if hasattr(module, "exact_eal_probabilities"):
+            monkeypatch.setattr(module, "exact_eal_probabilities", counted)
+    for family in ("zoo", "random-4reg"):
+        calls.clear()
+        report = oracle_check(family_instance(family), SamplerParams(sampler="mix"))
+        assert report.all_passed()
+        assert len(calls) == 1, family

@@ -16,10 +16,9 @@ from htsp.trees import (
     in_spanning_tree_polytope,
     k5_paths,
     maxent_fit,
-    maxent_marginals,
     maxent_tree_distribution,
-    spanning_tree_count,
 )
+from tests.reference import maxent_marginals, spanning_tree_count
 from tests.single_draws import (
     maxent_sample,
     mi_sample,
