@@ -23,6 +23,7 @@ from .join import (
     ReductionParams,
     build_charge_sites,
     build_join,
+    check_eal_bounds,
     classify,
     coin_rates,
     exact_eal_probabilities,
@@ -175,6 +176,7 @@ def cmd_join(args) -> int:
     classes = classify(h)
     probs = exact_eal_probabilities(h, classes, samplers)
     rates = coin_rates(classes, rp, probs)
+    check_eal_bounds(classes, rp, probs)
     sites = build_charge_sites(h, classes, rp)
     metric = shortest_path_metric(inst)
     cuts = min_cuts_via_hierarchy(h)
@@ -244,7 +246,6 @@ def cmd_stats(args) -> int:
         trials=args.trials,
         seed=args.seed,
         suite=args.suite,
-        calibration=args.calibration,
         delta_floor=args.delta_floor,
     )
     report = run_suite(cfg)
@@ -350,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "symmetry", "all"),
         default="all",
     )
-    p.add_argument("--calibration", choices=("exact", "mc"), default="exact")
     p.add_argument("--delta-floor", type=float, default=None)
     _add_common(p, trials_default=100_000)
     p.set_defaults(func=cmd_stats)

@@ -95,7 +95,10 @@ def _cluster_from_piece(name: str, removed: int = 0) -> Cluster:
     )
     stubs = tuple(renum[w] for u, v in edges if removed in (u, v)
                   for w in (u, v) if w != removed)
-    assert len(stubs) == 4
+    if len(stubs) != 4:
+        raise GenerationFailure(
+            f"{name} vertex {removed} leaves {len(stubs)} stubs, not 4"
+        )
     return Cluster(name, n - 1, inner, tuple(sorted(stubs)))
 
 

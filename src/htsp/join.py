@@ -25,6 +25,7 @@ from .errors import (
     EstimateBelowBound,
     FeasibilityViolation,
     FlowInfeasible,
+    NoPerfectMatching,
     OddSetTooLarge,
 )
 from .graph import HalfIntegralInstance
@@ -166,7 +167,8 @@ def classify(h: CutHierarchy) -> dict[int, EdgeClass]:
                     kind = "other-degree"
                 out[eid] = EdgeClass(eid, nd.node_id, kind, None, (eid,))
     m = h.instance.graph.m
-    assert len(out) == m and set(out) == set(range(m))
+    if len(out) != m or set(out) != set(range(m)):
+        raise AssemblyError(f"{len(out)} of {m} edges settled at a piece")
     return out
 
 
@@ -182,122 +184,82 @@ def _root_pair_ends(piece) -> list[frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
-# even-at-last detection
+# even at last
 # ---------------------------------------------------------------------------
+
+def eal_conditions(h: CutHierarchy, classes: dict[int, EdgeClass],
+                   eid: int) -> tuple[tuple[frozenset[int], int], ...]:
+    """The even-at-last event of one edge, as ``(edge ids, parity)`` pairs.
+
+    The edge is even at last when, for every pair, the tree holds a number
+    of those edges with that parity (0 even, 1 odd): a degree-piece edge uv
+    needs both endpoints even in its piece, an edge settled at a cycle piece
+    (root pairs included) one edge of each external pair.
+    """
+    nd = h.nodes[classes[eid].settled]
+    g = nd.piece.graph
+    if nd.kind == "cycle":
+        return tuple((frozenset(pair), 1) for pair in nd.piece.external_pairs())
+    u, v = g.endpoints[g.edge_index(eid)]
+    return (frozenset(g.incident_ids(u)), 0), (frozenset(g.incident_ids(v)), 0)
+
 
 def detect_eal(h: CutHierarchy, classes: dict[int, EdgeClass],
                tree_edges: frozenset[int]) -> dict[int, bool]:
-    """Per-edge flag: both endpoints even (degree) or piece pairs split (cycle)."""
-    out: dict[int, bool] = {}
-    for nd in h.non_leaves():
-        piece = nd.piece
-        g = piece.graph
-        if nd.kind == "cycle":
-            flag = True
-            for pair in piece.external_pairs():
-                if sum(1 for e in pair if e in tree_edges) != 1:
-                    flag = False
-                    break
-            for eid in g.edge_ids:
-                if classes[eid].settled == nd.node_id:
-                    out[eid] = flag
-        else:
-            parity = [
-                sum(1 for eid in g.incident_ids(v) if eid in tree_edges) % 2
-                for v in range(g.n)
-            ]
-            for eid in piece.internal_edge_ids:
-                u, v = g.endpoints[g.edge_index(eid)]
-                out[eid] = parity[u] == 0 and parity[v] == 0
-    return out
+    """Per-edge flag: every even-at-last condition holds on the tree."""
+    return {
+        eid: all(len(ids & tree_edges) % 2 == parity
+                 for ids, parity in eal_conditions(h, classes, eid))
+        for eid in sorted(classes)
+    }
 
 
-# ---------------------------------------------------------------------------
-# exact even-at-last probabilities
-# ---------------------------------------------------------------------------
+def parity_law(samplers: dict[int, PieceSampler], classes: dict[int, EdgeClass],
+               sets: Sequence[Iterable[int]]) -> dict[int, object]:
+    """Joint law of the tree's parities on a few edge sets.
 
-def joint_indicator(samplers: dict[int, PieceSampler],
-                    classes: dict[int, EdgeClass],
-                    eids: Sequence[int]) -> list[tuple[int, object]]:
-    """Joint inclusion distribution of edges, grouped by settled piece.
-
-    Pieces sample independently, so the joint law is the product over the
-    per-piece projections.  Exact rationals survive when every projection
-    is exact.
+    Bit i of a state is the parity of the tree's edges in ``sets[i]``.
+    Pieces sample independently, so the law is the XOR convolution of the
+    pieces' own laws; it is exact when every piece law is.
     """
-    eids = list(eids)
-    groups: dict[int, list[int]] = {}
-    for j, e in enumerate(eids):
-        groups.setdefault(classes[e].settled, []).append(j)
-    patterns: list[tuple[int, object]] = [(0, Fraction(1))]
-    for nid in sorted(groups):
-        idxs = groups[nid]
-        sub = samplers[nid].indicator_distribution([eids[j] for j in idxs])
-        new: dict[int, object] = {}
-        for pat, pr in patterns:
-            for spat, spr in sub:
-                full = pat
-                for bitpos, j in enumerate(idxs):
-                    if (spat >> bitpos) & 1:
-                        full |= 1 << j
-                key = full
-                add = pr * spr
-                new[key] = new.get(key, 0 * add) + add
-        patterns = sorted(new.items())
-    return patterns
+    by_piece: dict[int, list[set[int]]] = {}
+    for i, ids in enumerate(sets):
+        for e in ids:
+            by_piece.setdefault(classes[e].settled, [set() for _ in sets])[i].add(e)
+    law: dict[int, object] = {0: Fraction(1)}
+    for nid in sorted(by_piece):
+        piece_law = samplers[nid].parity_law(by_piece[nid])
+        acc: dict[int, object] = {}
+        for a, pa in law.items():
+            for b, pb in piece_law.items():
+                acc[a ^ b] = acc.get(a ^ b, 0) + pa * pb
+        law = acc
+    return law
+
+
+def event_probability(samplers: dict[int, PieceSampler],
+                      classes: dict[int, EdgeClass],
+                      conditions: Sequence[tuple[frozenset[int], int]],
+                      odd_cuts: Sequence[Iterable[int]] = ()) -> object:
+    """Probability that every parity condition holds and, when ``odd_cuts``
+    are given, the tree crosses at least one of them oddly."""
+    k = len(conditions)
+    want = sum(parity << i for i, (_, parity) in enumerate(conditions))
+    law = parity_law(samplers, classes, [ids for ids, _ in conditions] + list(odd_cuts))
+    return sum(pr for state, pr in law.items()
+               if state & ((1 << k) - 1) == want and (state >> k or not odd_cuts))
 
 
 def exact_eal_probabilities(h: CutHierarchy, classes: dict[int, EdgeClass],
                             samplers: dict[int, PieceSampler]) -> dict[int, object]:
     """Even-at-last probability per edge, exact where the samplers are exact."""
+    by_conditions: dict[tuple, object] = {}
     out: dict[int, object] = {}
-    for nd in h.non_leaves():
-        piece = nd.piece
-        g = piece.graph
-        if nd.kind == "cycle":
-            ext = [e for pair in piece.external_pairs() for e in pair]
-            joint = joint_indicator(samplers, classes, ext)
-            p = 0
-            for pat, pr in joint:
-                c1 = (pat & 0b0011).bit_count()
-                c2 = ((pat >> 2) & 0b0011).bit_count()
-                if c1 == 1 and c2 == 1:
-                    p = p + pr
-            for eid in g.edge_ids:
-                if classes[eid].settled == nd.node_id:
-                    out[eid] = p
-        else:
-            sampler = samplers[nd.node_id]
-            ext_ids = set(piece.external_edge_ids)
-            ext_at = {
-                v: [e for e in g.incident_ids(v) if e in ext_ids]
-                for v in range(g.n)
-            }
-            for eid in piece.internal_edge_ids:
-                u, v = g.endpoints[g.edge_index(eid)]
-                int_u = [e for e in g.incident_ids(u) if e not in ext_ids]
-                int_v = [e for e in g.incident_ids(v) if e not in ext_ids]
-                parity_pr: dict[tuple[int, int], object] = {}
-                probs = (
-                    sampler.exact_probs
-                    if sampler.exact_probs is not None
-                    else sampler.probs
-                )
-                for t, pr in zip(sampler.trees, probs):
-                    a = sum(1 for e in int_u if e in t) % 2
-                    b = sum(1 for e in int_v if e in t) % 2
-                    parity_pr[(a, b)] = parity_pr.get((a, b), 0) + pr
-                ext_edges = ext_at[u] + ext_at[v]
-                joint = joint_indicator(samplers, classes, ext_edges)
-                nu = len(ext_at[u])
-                p = 0
-                for (a, b), qpr in parity_pr.items():
-                    for pat, jpr in joint:
-                        eu = (pat & ((1 << nu) - 1)).bit_count() % 2
-                        ev = (pat >> nu).bit_count() % 2
-                        if (a + eu) % 2 == 0 and (b + ev) % 2 == 0:
-                            p = p + qpr * jpr
-                out[eid] = p
+    for eid in sorted(classes):
+        conds = eal_conditions(h, classes, eid)
+        if conds not in by_conditions:
+            by_conditions[conds] = event_probability(samplers, classes, conds)
+        out[eid] = by_conditions[conds]
     return out
 
 
@@ -319,8 +281,7 @@ class FlowAssignment:
         ]
 
 
-def bipartization_flow(piece, demands: dict[int, Fraction],
-                       k5: Optional[bool] = None) -> FlowAssignment:
+def bipartization_flow(piece, demands: dict[int, Fraction]) -> FlowAssignment:
     """Route each external edge's demand to the internal edges at its
     boundary vertex, keeping every internal edge's load under the cap.
 
@@ -329,8 +290,6 @@ def bipartization_flow(piece, demands: dict[int, Fraction],
     """
     g = piece.graph
     ext_ids = set(piece.external_edge_ids)
-    if k5 is None:
-        k5 = g.n == 5
     rows: dict[int, list[int]] = {}
     for s in demands:
         pos = g.edge_index(s)
@@ -340,11 +299,14 @@ def bipartization_flow(piece, demands: dict[int, Fraction],
             e for e in g.incident_ids(bv) if e not in ext_ids
         )
     maxd = max(demands.values())
-    if k5:
+    if g.n == 5:
         fractions = {}
         load: dict[int, Fraction] = {}
         for s, targets in rows.items():
-            assert len(targets) == 3
+            if len(targets) != 3:
+                raise FlowInfeasible(
+                    f"K5 boundary vertex of edge {s} has {len(targets)} internal edges, not 3"
+                )
             for f in targets:
                 fractions[(s, f)] = Fraction(1, 3)
                 load[f] = load.get(f, Fraction(0)) + demands[s] / 3
@@ -497,7 +459,12 @@ def build_charge_sites(h: CutHierarchy, classes: dict[int, EdgeClass],
                 groups = []
                 for _, members in sorted(entries.items()):
                     amounts = {params.amount(classes[s].kind) for s, _ in members}
-                    assert len(amounts) == 1
+                    if len(amounts) != 1:
+                        # one repayment serves the whole coin group
+                        raise FlowInfeasible(
+                            f"coin group of edges {[s for s, _ in members]} has "
+                            f"{len(amounts)} reduction amounts, not one"
+                        )
                     groups.append(PairChargeGroup(amounts.pop(), tuple(members)))
                 pair_sites.append(PairChargeSite(tuple(pair), tuple(groups)))
     return degree_sites, pair_sites
@@ -531,9 +498,10 @@ def coin_groups(classes: dict[int, EdgeClass]) -> dict[tuple, tuple[int, ...]]:
 
 
 def coin_rates(classes: dict[int, EdgeClass], params: ReductionParams,
-               eal_probability: dict[int, object]) -> dict[tuple, float]:
-    """Bernoulli rate per coin group: class bound over even-at-last rate."""
-    rates: dict[tuple, float] = {}
+               eal_probability: dict[int, object]) -> dict[tuple, object]:
+    """Bernoulli rate per coin group: ``min(1, bound / estimate)``, a
+    ``Fraction`` when the even-at-last estimate is one, a float otherwise."""
+    rates: dict[tuple, object] = {}
     for grp, members in coin_groups(classes).items():
         ests = {eal_probability[e] for e in members}
         if len(ests) != 1:
@@ -544,13 +512,24 @@ def coin_rates(classes: dict[int, EdgeClass], params: ReductionParams,
             )
         est = ests.pop()
         bound = params.coin_bound(classes[members[0]].coin_kind)
-        if est <= 0 or float(bound) > float(est) * (1 + 1e-9):
+        one = Fraction(1) if isinstance(est, Fraction) else 1.0
+        rates[grp] = bound / est if est > bound else one
+    return rates
+
+
+def check_eal_bounds(classes: dict[int, EdgeClass], params: ReductionParams,
+                     eal_probability: dict[int, object]) -> None:
+    """Refuse an even-at-last estimate below its coin bound: exactly for a
+    ``Fraction``, within a relative 1e-9 for a float."""
+    for members in coin_groups(classes).values():
+        est = eal_probability[members[0]]
+        bound = params.coin_bound(classes[members[0]].coin_kind)
+        below = est < bound if isinstance(est, Fraction) else float(bound) > est * (1 + 1e-9)
+        if est <= 0 or below:
             raise EstimateBelowBound(
                 f"even-at-last estimate {float(est):.6g} below bound "
                 f"{float(bound):.6g} for edges {members}"
             )
-        rates[grp] = min(1.0, float(bound) / float(est))
-    return rates
 
 
 @dataclass(frozen=True)
@@ -717,7 +696,8 @@ def min_cost_perfect_matching(odd: list[int], dist,
     can be shared across calls with different odd sets of one instance.
     """
     k = len(odd)
-    assert k % 2 == 0
+    if k % 2:
+        raise NoPerfectMatching(f"{k} odd vertices cannot be paired")
     if k == 0:
         return Fraction(0), []
     if k > ODD_SET_LIMIT:

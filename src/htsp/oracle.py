@@ -1,8 +1,9 @@
 """Exact verification layer: no sampling, just the compiled distributions.
 
 Piece samplers expose their full tree mixtures, pieces are independent,
-and every relevant event (inclusion patterns, endpoint parities, cut
-crossings) is a function of finitely many edge indicators.  So marginals,
+and every relevant event (endpoint parities, split partner pairs, cut
+crossings) is a condition on the tree's parities on a few edge sets, read
+off one joint law (``join.parity_law``).  So marginals,
 even-at-last rates, reduction rates, and the expected net decrease of
 every edge can be computed exactly (rationally on the matroid route) and
 compared against the guaranteed bounds without Monte Carlo error.
@@ -11,15 +12,16 @@ compared against the guaranteed bounds without Monte Carlo error.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .hierarchy import CutHierarchy
 from .join import (
     EdgeClass,
     ReductionParams,
     build_charge_sites,
-    coin_groups,
-    joint_indicator,
+    coin_rates,
+    eal_conditions,
+    event_probability,
 )
 from .params import EAL_BOUNDS
 from .pipeline import CyclePieceSampler, PieceSampler
@@ -39,101 +41,13 @@ def exact_marginals(h: CutHierarchy, samplers: dict[int, PieceSampler],
 
 
 # ---------------------------------------------------------------------------
-# events as (edge list, pattern predicate)
-# ---------------------------------------------------------------------------
-
-Event = tuple[list[int], Callable[[int], bool]]
-
-
-def eal_event(h: CutHierarchy, classes: dict[int, EdgeClass], eid: int) -> Event:
-    """The even-at-last condition of one edge as an indicator-pattern event."""
-    nd = h.nodes[classes[eid].settled]
-    piece = nd.piece
-    g = piece.graph
-    if nd.kind == "cycle":
-        pairs = [tuple(p) for p in piece.external_pairs()]
-        edges = [e for p in pairs for e in p]
-
-        def pred(pat: int) -> bool:
-            return all(
-                ((pat >> (2 * i)) & 3).bit_count() == 1 for i in range(len(pairs))
-            )
-
-        return edges, pred
-    u, v = g.endpoints[g.edge_index(eid)]
-    at_u = sorted(g.incident_ids(u))
-    at_v = sorted(g.incident_ids(v))
-    edges = sorted(set(at_u) | set(at_v))
-    idx = {e: j for j, e in enumerate(edges)}
-    mask_u = sum(1 << idx[e] for e in at_u)
-    mask_v = sum(1 << idx[e] for e in at_v)
-
-    def pred(pat: int) -> bool:
-        return (pat & mask_u).bit_count() % 2 == 0 and (pat & mask_v).bit_count() % 2 == 0
-
-    return edges, pred
-
-
-def conjoin(base: Event, extra_edges: Sequence[int],
-            extra_pred: Callable[[int], bool]) -> Event:
-    """Event on the union edge set requiring both component predicates."""
-    edges = list(base[0])
-    idx = {e: j for j, e in enumerate(edges)}
-    for e in extra_edges:
-        if e not in idx:
-            idx[e] = len(edges)
-            edges.append(e)
-    sub = [idx[e] for e in extra_edges]
-    base_pred = base[1]
-    k = len(base[0])
-    base_mask = (1 << k) - 1
-
-    def pred(pat: int) -> bool:
-        sub_pat = 0
-        for j, pos in enumerate(sub):
-            if (pat >> pos) & 1:
-                sub_pat |= 1 << j
-        return base_pred(pat & base_mask) and extra_pred(sub_pat)
-
-    return edges, pred
-
-
-def event_probability(samplers: dict[int, PieceSampler],
-                      classes: dict[int, EdgeClass], event: Event):
-    edges, pred = event
-    total = Fraction(0)
-    for pat, pr in joint_indicator(samplers, classes, edges):
-        if pred(pat):
-            total = total + pr
-    return total
-
-
-def odd_pred(k: int) -> Callable[[int], bool]:
-    return lambda pat: pat.bit_count() % 2 == 1
-
-
-# ---------------------------------------------------------------------------
 # exact reduction and net-decrease accounting
 # ---------------------------------------------------------------------------
-
-def exact_rates(classes: dict[int, EdgeClass], params: ReductionParams,
-                eal_probability: dict[int, object]) -> dict[tuple, object]:
-    """Coin rates kept rational when the estimates are rational."""
-    rates: dict[tuple, object] = {}
-    for grp, members in coin_groups(classes).items():
-        est = eal_probability[members[0]]
-        bound = params.coin_bound(classes[members[0]].coin_kind)
-        if isinstance(est, Fraction):
-            rates[grp] = min(Fraction(1), bound / est)
-        else:
-            rates[grp] = min(1.0, float(bound) / est)
-    return rates
-
 
 def exact_reduction_probability(classes, params, eal_probability) -> dict[int, object]:
     """Per-edge reduction rate; equals the class bound whenever the
     even-at-last estimate clears it."""
-    rates = exact_rates(classes, params, eal_probability)
+    rates = coin_rates(classes, params, eal_probability)
     return {
         e: rates[cl.coin_group] * eal_probability[e] for e, cl in classes.items()
     }
@@ -147,8 +61,13 @@ def exact_expected_net_decrease(
     eal_probability: dict[int, object],
 ) -> dict[int, object]:
     """E[quarter - z_e] per edge: reductions in, expected charges out, given
-    the exact even-at-last probabilities of ``exact_eal_probabilities``."""
-    rates = exact_rates(classes, params, eal_probability)
+    the exact even-at-last probabilities of ``exact_eal_probabilities``.
+
+    A site charges when its source is even at last, its coin comes up, and
+    one of its cuts is crossed oddly; a pair site's coin group repays once
+    for all of its members' cuts.
+    """
+    rates = coin_rates(classes, params, eal_probability)
     red = exact_reduction_probability(classes, params, eal_probability)
     net: dict[int, object] = {
         e: red[e] * params.amount(cl.kind) for e, cl in classes.items()
@@ -156,40 +75,17 @@ def exact_expected_net_decrease(
     degree_sites, pair_sites = build_charge_sites(h, classes, params)
     for site in degree_sites:
         s = site.source
-        base = eal_event(h, classes, s)
-        ev = conjoin(base, list(site.cut_ids), odd_pred(len(site.cut_ids)))
-        p = event_probability(samplers, classes, ev)
+        p = event_probability(samplers, classes, eal_conditions(h, classes, s),
+                              [site.cut_ids])
         rate = rates[classes[s].coin_group]
         for f, frac in site.targets:
             net[f] = net[f] - site.amount * frac * rate * p
     for site in pair_sites:
         t0, t1 = site.targets
         for grp in site.groups:
-            members = grp.members
-            s0 = members[0][0]
-            base = eal_event(h, classes, s0)
-            cuts = [cut for _, cut in members]
-            # union event: even-at-last of the shared piece AND any listed
-            # cut crossed oddly
-            edges = list(base[0])
-            idx = {e: j for j, e in enumerate(edges)}
-            for cut in cuts:
-                for e in cut:
-                    if e not in idx:
-                        idx[e] = len(edges)
-                        edges.append(e)
-            base_mask = (1 << len(base[0])) - 1
-            cut_masks = [
-                sum(1 << idx[e] for e in cut) for cut in cuts
-            ]
-            base_pred = base[1]
-
-            def pred(pat: int) -> bool:
-                if not base_pred(pat & base_mask):
-                    return False
-                return any((pat & cm).bit_count() % 2 == 1 for cm in cut_masks)
-
-            p = event_probability(samplers, classes, (edges, pred))
+            s0 = grp.members[0][0]
+            p = event_probability(samplers, classes, eal_conditions(h, classes, s0),
+                                  [cut for _, cut in grp.members])
             rate = rates[classes[s0].coin_group]
             half = grp.amount / 2
             net[t0] = net[t0] - half * rate * p

@@ -91,31 +91,20 @@ class CyclePieceSampler:
         edges = frozenset(p[int(k)] for p, k in zip(self.pairs, picks))
         return edges, {"mode": "cycle"}
 
-    def indicator_distribution(self, eids: list[int]) -> list[tuple[int, object]]:
-        pair_of = {}
-        for idx, (a, b) in enumerate(self.pairs):
-            pair_of[a] = (idx, 0)
-            pair_of[b] = (idx, 1)
-        patterns = [(0, Fraction(1))]
-        by_pair: dict[int, list[int]] = {}
-        for j, e in enumerate(eids):
-            idx, _ = pair_of[e]
-            by_pair.setdefault(idx, []).append(j)
-        for idx, members in sorted(by_pair.items()):
-            new = []
-            a, b = self.pairs[idx]
-            for chosen in (a, b):
-                bit = 0
-                for j in members:
-                    if eids[j] == chosen:
-                        bit |= 1 << j
-                for pat, pr in patterns:
-                    new.append((pat | bit, pr * Fraction(1, 2)))
-            patterns = new
-        merged: dict[int, Fraction] = {}
-        for pat, pr in patterns:
-            merged[pat] = merged.get(pat, Fraction(0)) + pr
-        return sorted(merged.items())
+    def parity_law(self, sets: list[set[int]]) -> dict[int, Fraction]:
+        """Law of the drawn edges' parities on ``sets``, as in ``join.parity_law``:
+        each pair flips the sets holding the edge it picks, with chance 1/2."""
+        law = {0: Fraction(1)}
+        for a, b in self.pairs:
+            flip_a = sum(1 << i for i, ids in enumerate(sets) if a in ids)
+            flip_b = sum(1 << i for i, ids in enumerate(sets) if b in ids)
+            if flip_a or flip_b:
+                acc: dict[int, Fraction] = {}
+                for state, pr in law.items():
+                    for flip in (flip_a, flip_b):
+                        acc[state ^ flip] = acc.get(state ^ flip, 0) + pr / 2
+                law = acc
+        return law
 
     def exact_marginal(self, eid: int) -> Fraction:
         return Fraction(1, 2)
@@ -140,6 +129,12 @@ class EnumeratedPieceSampler:
         self._generative = generative
         if exact and sum(raw, Fraction(0)) != 1:
             raise AssemblyError(f"{kind} piece tree probabilities do not sum to 1")
+        #: the edges the trees use, and per tree which of them it holds
+        self.cols = sorted({e for t in self.trees for e in t})
+        self._col_of = {e: i for i, e in enumerate(self.cols)}
+        self.matrix = np.zeros((len(self.trees), len(self.cols)), dtype=bool)
+        for i, t in enumerate(self.trees):
+            self.matrix[i, [self._col_of[e] for e in t]] = True
 
     def sample(self, rng: np.random.Generator) -> tuple[frozenset[int], dict]:
         if self._generative is not None:
@@ -147,17 +142,18 @@ class EnumeratedPieceSampler:
         i = int(np.searchsorted(self._cdf, rng.random(), side="right"))
         return self.trees[min(i, len(self.trees) - 1)], {"mode": self.kind}
 
-    def indicator_distribution(self, eids: list[int]) -> list[tuple[int, object]]:
-        use_exact = self.exact_probs is not None
-        merged: dict[int, object] = {}
-        probs = self.exact_probs if use_exact else self.probs
-        for t, pr in zip(self.trees, probs):
-            pat = 0
-            for j, e in enumerate(eids):
-                if e in t:
-                    pat |= 1 << j
-            merged[pat] = merged.get(pat, Fraction(0) if use_exact else 0.0) + pr
-        return sorted(merged.items())
+    def parity_law(self, sets: list[set[int]]) -> dict[int, object]:
+        """Law of the tree's parities on ``sets``, as in ``join.parity_law``;
+        exact when the tree probabilities are."""
+        probs = self.exact_probs if self.exact_probs is not None else self.probs
+        states = np.zeros(len(self.trees), dtype=np.int64)
+        for i, ids in enumerate(sets):
+            cols = [self._col_of[e] for e in ids if e in self._col_of]
+            states |= (np.count_nonzero(self.matrix[:, cols], axis=1) & 1) << i
+        law: dict[int, object] = {}
+        for state, pr in zip(states.tolist(), probs):
+            law[state] = law.get(state, 0) + pr
+        return law
 
     def exact_marginal(self, eid: int):
         if self.exact_probs is not None:

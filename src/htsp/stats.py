@@ -7,7 +7,8 @@ lookup, even-at-last flags and cut parities are XORs of whole edge rows
 in integers after scaling every charge quantum by a common denominator
 (so feasibility checks are exact, not float).
 Chunk randomness derives from (seed, chunk index), which makes any
-(instance, seed, config) run byte-reproducible regardless of chunking.
+(instance, seed, config) run byte-reproducible for a given chunk size; a
+different chunk size draws different trials.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from .join import (
     EDGE_KINDS,
     ReductionParams,
     build_charge_sites,
+    check_eal_bounds,
     classify,
     coin_groups,
     coin_kind,
     coin_rates,
+    eal_conditions,
     exact_eal_probabilities,
     min_cost_perfect_matching,
 )
@@ -174,10 +177,6 @@ class BatchEngine:
         inst: HalfIntegralInstance,
         sampler_params: Optional[SamplerParams] = None,
         reduction_params: Optional[ReductionParams] = None,
-        *,
-        calibration: str = "exact",
-        calibration_trials: int = 100_000,
-        calibration_seed: int = 987_654_321,
     ):
         self.inst = inst
         self.sp = sampler_params or SamplerParams()
@@ -191,17 +190,11 @@ class BatchEngine:
         self._build_eal_plan()
         self._build_cut_masks()
         self._build_costs()
-        if calibration == "exact":
-            self.eal_probability = exact_eal_probabilities(
-                self.h, self.classes, self.samplers
-            )
-        elif calibration == "mc":
-            self.eal_probability = self._mc_calibration(
-                calibration_trials, calibration_seed
-            )
-        else:
-            raise ValueError(f"unknown calibration {calibration!r}")
+        self.eal_probability = exact_eal_probabilities(
+            self.h, self.classes, self.samplers
+        )
         self.rates = coin_rates(self.classes, self.rp, self.eal_probability)
+        check_eal_bounds(self.classes, self.rp, self.eal_probability)
         self._build_join_plan()
         self._metric_int: Optional[np.ndarray] = None
         self._join_cache: dict[bytes, int] = {}
@@ -224,46 +217,28 @@ class BatchEngine:
                 pairs = np.array(s.pairs, dtype=np.int64)
                 self.cycle_plan.append((nid, pairs))
             else:
-                cols = sorted({e for t in s.trees for e in t})
-                col_of = {e: i for i, e in enumerate(cols)}
-                mat = np.zeros((len(s.trees), len(cols)), dtype=bool)
-                for i, t in enumerate(s.trees):
-                    for e in t:
-                        mat[i, col_of[e]] = True
                 self.enum_plan.append(
-                    (nid, np.array(cols, dtype=np.int64), mat, np.cumsum(s.probs))
+                    (nid, np.array(s.cols, dtype=np.int64), s.matrix,
+                     np.cumsum(s.probs))
                 )
 
     def _build_eal_plan(self) -> None:
-        self.eal_degree = []
-        self.eal_cycle = []
-        for nd in self.h.non_leaves():
-            piece = nd.piece
-            g = piece.graph
-            if nd.kind == "cycle":
-                ext_pairs = [tuple(p) for p in piece.external_pairs()]
-                settled = [
-                    e for e in g.edge_ids
-                    if self.classes[e].settled == nd.node_id
-                ]
-                self.eal_cycle.append(
-                    (np.array(ext_pairs, dtype=np.int64),
-                     np.array(settled, dtype=np.int64))
-                )
-            else:
-                cols = sorted(g.edge_ids)
-                col_of = {e: i for i, e in enumerate(cols)}
-                inc = np.zeros((len(cols), g.n), dtype=np.uint8)
-                for e, (u, v) in zip(g.edge_ids, g.endpoints):
-                    inc[col_of[e], u] = 1
-                    inc[col_of[e], v] = 1
-                settled = [
-                    (e, *g.endpoints[g.edge_index(e)])
-                    for e in piece.internal_edge_ids
-                ]
-                self.eal_degree.append(
-                    (np.array(cols, dtype=np.int64), inc, settled)
-                )
+        """Each edge's even-at-last conditions, read by index into
+        ``eal_condition_cols`` (edge columns, parity); edges with equal
+        conditions share one entry, and so one flag."""
+        conditions: dict[tuple[frozenset[int], int], int] = {}
+        by_key: dict[tuple[int, ...], list[int]] = {}
+        for e in range(self.m):
+            key = tuple(
+                conditions.setdefault(c, len(conditions))
+                for c in eal_conditions(self.h, self.classes, e)
+            )
+            by_key.setdefault(key, []).append(e)
+        self.eal_condition_cols = [
+            (np.array(sorted(ids), dtype=np.int64), parity)
+            for ids, parity in conditions
+        ]
+        self.eal_plan = [(key, edges[0], edges[1:]) for key, edges in by_key.items()]
 
     def _build_cut_masks(self) -> None:
         self.min_cuts = min_cuts_via_hierarchy(self.h)
@@ -299,7 +274,7 @@ class BatchEngine:
         self.groups = []
         for grp, members in sorted(coin_groups(self.classes).items()):
             self.groups.append(
-                (np.array(members, dtype=np.int64), self.rates[grp])
+                (np.array(members, dtype=np.int64), float(self.rates[grp]))
             )
         # the sites read their cuts by index into ``site_cut_cols``, so a
         # chunk computes each distinct cut's parity once
@@ -335,24 +310,6 @@ class BatchEngine:
             site_cuts.get(tuple(cols.tolist()), -1) for cols in self.cut_cols
         ]
 
-    # -- calibration --------------------------------------------------------
-
-    def _mc_calibration(self, trials: int, seed: int) -> dict[int, float]:
-        counts = np.zeros(self.m, dtype=np.int64)
-        done = 0
-        chunk = 1 << 14
-        idx = 0
-        while done < trials:
-            n = min(chunk, trials - done)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(idx,))
-            )
-            T = self._draw_trees(n, rng)
-            counts += self._eal_flags(T).sum(1)
-            done += n
-            idx += 1
-        return {e: counts[e] / trials for e in range(self.m)}
-
     # -- chunk primitives ----------------------------------------------------
     #
     # A chunk is edge-major: row e of a tree block says, per trial, whether
@@ -376,19 +333,16 @@ class BatchEngine:
         return T
 
     def _eal_flags(self, T: np.ndarray) -> np.ndarray:
-        eal = np.zeros_like(T)
-        for cols, inc, settled in self.eal_degree:
-            odd = {}
-            for e, u, v in settled:
-                for w in (u, v):
-                    if w not in odd:
-                        odd[w] = _odd_rows(T, cols[inc[:, w] == 1])
-                eal[e] = ~(odd[u] | odd[v])
-        for ext_pairs, settled in self.eal_cycle:
-            flag = np.ones(T.shape[1], dtype=bool)
-            for a, b in ext_pairs:
-                flag &= T[a] ^ T[b]
-            eal[settled] = flag
+        met = []
+        for cols, parity in self.eal_condition_cols:
+            odd = _odd_rows(T, cols)
+            met.append(odd if parity else np.logical_not(odd, out=odd))
+        eal = np.ones_like(T)
+        for key, first, rest in self.eal_plan:
+            for k in key:
+                eal[first] &= met[k]
+            if rest:
+                eal[rest] = eal[first]
         return eal
 
     # -- main loop ------------------------------------------------------------
@@ -684,6 +638,14 @@ def eal_bounds_for(sp: SamplerParams, rp: ReductionParams) -> dict[str, Fraction
     return {kind: bound(coin_kind(kind)) for kind in EDGE_KINDS}
 
 
+def is_half(marginal) -> bool:
+    """An exact marginal of one half: equal as a ``Fraction``, within 1e-5
+    as a float."""
+    if isinstance(marginal, Fraction):
+        return marginal == Fraction(1, 2)
+    return bool(abs(marginal - 0.5) <= 1e-5)
+
+
 def symmetry_pairs(m: int, n_pairs: int = 20, pair_seed: int = 20_24
                    ) -> list[tuple[int, int]]:
     """Random distinct edge pairs for the swap-symmetry suite."""
@@ -708,12 +670,10 @@ def suite_marginals(engine: BatchEngine, st: BatchStats) -> StatReport:
 
     exact = exact_marginals(engine.h, engine.samplers, engine.classes)
     for e in range(engine.m):
-        val = exact[e]
-        is_exact = isinstance(val, Fraction)
-        ok = (val == Fraction(1, 2)) if is_exact else abs(val - 0.5) <= 1e-5
         report.rows.append(
             StatRow("marginals", "edge-in-tree/exact", engine.sp.sampler,
-                    f"edge:{e}", "exact", 0.5, float(val), 0.0, 0, bool(ok))
+                    f"edge:{e}", "exact", 0.5, float(exact[e]), 0.0, 0,
+                    is_half(exact[e]))
         )
     return report
 
@@ -840,12 +800,11 @@ def oracle_check(inst: HalfIntegralInstance,
     exact = orc.exact_marginals(h, samplers, classes)
     for e in range(inst.graph.m):
         val = exact[e]
-        is_exact = isinstance(val, Fraction)
-        ok = (val == Fraction(1, 2)) if is_exact else abs(val - 0.5) <= 1e-5
         report.rows.append(
-            StatRow("oracle", "marginal" + ("/rational" if is_exact else ""),
+            StatRow("oracle",
+                    "marginal" + ("/rational" if isinstance(val, Fraction) else ""),
                     sp.sampler, f"edge:{e}", "exact", 0.5, float(val), 0.0, 0,
-                    bool(ok))
+                    is_half(val))
         )
     probs = exact_eal_probabilities(h, classes, samplers)
     bounds = eal_bounds_for(sp, rp)
@@ -896,7 +855,6 @@ class ExperimentConfig:
     trials: int = 100_000
     seed: int = 0
     suite: str = "all"
-    calibration: str = "exact"
     delta_floor: Optional[float] = None
 
     def sampler_params(self) -> SamplerParams:
@@ -959,7 +917,7 @@ def run_suite(cfg: ExperimentConfig) -> StatReport:
 
     inst = load_instance(cfg)
     sp = cfg.sampler_params()
-    engine = BatchEngine(inst, sp, calibration=cfg.calibration)
+    engine = BatchEngine(inst, sp)
     if cfg.suite == "correlations":
         for nd in engine.h.non_leaves():
             if nd.kind != "cycle" and nd.piece.graph.n > 5:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .decomp import exact_convex_decomposition
 from .errors import (
+    AssemblyError,
     BoundaryTarget,
     InfeasibleShift,
     NonConvergence,
@@ -398,7 +399,10 @@ def maxent_tree_distribution(fit: MaxEntWeights) -> tuple[tuple[frozenset[int], 
 def k5_paths(piece: LocalMultigraph) -> list[frozenset[int]]:
     """The twelve Hamiltonian paths of the K4 interior, as edge-id sets."""
     interior, mapping = piece.internal_graph()
-    assert interior.n == 4 and interior.m == 6
+    if interior.n != 4 or interior.m != 6:
+        raise AssemblyError(
+            f"K5 piece interior has {interior.n} vertices and {interior.m} edges, not K4"
+        )
     edge_of = {}
     for eid, (u, v) in zip(interior.edge_ids, interior.endpoints):
         edge_of[(u, v)] = eid

@@ -2,8 +2,9 @@
 
 None of these has a caller in the package: each recomputes a quantity the
 package derives another way (a Kirchhoff count, closed-form marginals, a
-grid search over the parameter LP, an exact expected join cost), or reads
-a structure the package builds.
+grid search over the parameter LP, an exact expected join cost, the
+even-at-last probabilities by indicator patterns), or reads a structure the
+package builds.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from htsp.join import exact_eal_probabilities
 from htsp.matching import MatchingDistribution, ShiftedSolution
 from htsp.oracle import exact_expected_net_decrease
 from htsp.params import BETA_CAP, decrease_forms
+from htsp.pipeline import CyclePieceSampler
 from htsp.trees import MaxEntWeights, _matrix_tree_marginals
 
 
@@ -107,3 +109,124 @@ def grid_oracle(lam: Fraction, coarse: float = 1e-3,
         fine,
     )
     return max(best, fine_best)
+
+
+# ---------------------------------------------------------------------------
+# even-at-last probabilities by indicator patterns: the package's code before
+# the even-at-last event became parity conditions on one law
+# ---------------------------------------------------------------------------
+
+def indicator_distribution(sampler, eids: list[int]) -> list[tuple[int, object]]:
+    """Joint inclusion law of a piece's edges ``eids``, as (pattern, probability)."""
+    if isinstance(sampler, CyclePieceSampler):
+        pair_of = {}
+        for idx, (a, b) in enumerate(sampler.pairs):
+            pair_of[a] = (idx, 0)
+            pair_of[b] = (idx, 1)
+        patterns = [(0, Fraction(1))]
+        by_pair: dict[int, list[int]] = {}
+        for j, e in enumerate(eids):
+            idx, _ = pair_of[e]
+            by_pair.setdefault(idx, []).append(j)
+        for idx, members in sorted(by_pair.items()):
+            new = []
+            a, b = sampler.pairs[idx]
+            for chosen in (a, b):
+                bit = 0
+                for j in members:
+                    if eids[j] == chosen:
+                        bit |= 1 << j
+                for pat, pr in patterns:
+                    new.append((pat | bit, pr * Fraction(1, 2)))
+            patterns = new
+        merged: dict[int, Fraction] = {}
+        for pat, pr in patterns:
+            merged[pat] = merged.get(pat, Fraction(0)) + pr
+        return sorted(merged.items())
+    use_exact = sampler.exact_probs is not None
+    merged: dict[int, object] = {}
+    probs = sampler.exact_probs if use_exact else sampler.probs
+    for t, pr in zip(sampler.trees, probs):
+        pat = 0
+        for j, e in enumerate(eids):
+            if e in t:
+                pat |= 1 << j
+        merged[pat] = merged.get(pat, Fraction(0) if use_exact else 0.0) + pr
+    return sorted(merged.items())
+
+
+def joint_indicator(samplers, classes, eids) -> list[tuple[int, object]]:
+    """Joint inclusion distribution of edges, grouped by settled piece."""
+    eids = list(eids)
+    groups: dict[int, list[int]] = {}
+    for j, e in enumerate(eids):
+        groups.setdefault(classes[e].settled, []).append(j)
+    patterns: list[tuple[int, object]] = [(0, Fraction(1))]
+    for nid in sorted(groups):
+        idxs = groups[nid]
+        sub = indicator_distribution(samplers[nid], [eids[j] for j in idxs])
+        new: dict[int, object] = {}
+        for pat, pr in patterns:
+            for spat, spr in sub:
+                full = pat
+                for bitpos, j in enumerate(idxs):
+                    if (spat >> bitpos) & 1:
+                        full |= 1 << j
+                key = full
+                add = pr * spr
+                new[key] = new.get(key, 0 * add) + add
+        patterns = sorted(new.items())
+    return patterns
+
+
+def pattern_eal_probabilities(h, classes, samplers) -> dict[int, object]:
+    """Even-at-last probability per edge, exact where the samplers are exact."""
+    out: dict[int, object] = {}
+    for nd in h.non_leaves():
+        piece = nd.piece
+        g = piece.graph
+        if nd.kind == "cycle":
+            ext = [e for pair in piece.external_pairs() for e in pair]
+            joint = joint_indicator(samplers, classes, ext)
+            p = 0
+            for pat, pr in joint:
+                c1 = (pat & 0b0011).bit_count()
+                c2 = ((pat >> 2) & 0b0011).bit_count()
+                if c1 == 1 and c2 == 1:
+                    p = p + pr
+            for eid in g.edge_ids:
+                if classes[eid].settled == nd.node_id:
+                    out[eid] = p
+        else:
+            sampler = samplers[nd.node_id]
+            ext_ids = set(piece.external_edge_ids)
+            ext_at = {
+                v: [e for e in g.incident_ids(v) if e in ext_ids]
+                for v in range(g.n)
+            }
+            for eid in piece.internal_edge_ids:
+                u, v = g.endpoints[g.edge_index(eid)]
+                int_u = [e for e in g.incident_ids(u) if e not in ext_ids]
+                int_v = [e for e in g.incident_ids(v) if e not in ext_ids]
+                parity_pr: dict[tuple[int, int], object] = {}
+                probs = (
+                    sampler.exact_probs
+                    if sampler.exact_probs is not None
+                    else sampler.probs
+                )
+                for t, pr in zip(sampler.trees, probs):
+                    a = sum(1 for e in int_u if e in t) % 2
+                    b = sum(1 for e in int_v if e in t) % 2
+                    parity_pr[(a, b)] = parity_pr.get((a, b), 0) + pr
+                ext_edges = ext_at[u] + ext_at[v]
+                joint = joint_indicator(samplers, classes, ext_edges)
+                nu = len(ext_at[u])
+                p = 0
+                for (a, b), qpr in parity_pr.items():
+                    for pat, jpr in joint:
+                        eu = (pat & ((1 << nu) - 1)).bit_count() % 2
+                        ev = (pat >> nu).bit_count() % 2
+                        if (a + eu) % 2 == 0 and (b + ev) % 2 == 0:
+                            p = p + qpr * jpr
+                out[eid] = p
+    return out

@@ -3,9 +3,11 @@
 Kept as a test oracle: trees, even-at-last flags, reductions and charges are
 ``(trials, m)`` arrays, and every cut is read by fancy-indexing its edge
 columns, exactly as the package did before the chunk went edge-major.  The
-methods below, with the old per-trial integral-join lookup, are the old ones
-verbatim, except that a charge site names its cut by an index into the
-engine's ``site_cut_cols``;
+methods below, with the old per-trial integral-join lookup and the old
+per-piece even-at-last plans (an edge-vertex incidence matrix per degree
+piece, the external pairs per cycle piece), are the old ones verbatim,
+except that a charge site names its cut by an index into the engine's
+``site_cut_cols``;
 ``rowmajor(engine)`` gives a twin of a built engine that runs them, so the
 two layouts can be compared on one engine, field for field.
 """
@@ -24,21 +26,36 @@ from htsp.stats import BatchEngine
 class RowMajorEngine(BatchEngine):
     """A ``BatchEngine`` whose chunk runs on ``(trials, m)`` arrays."""
 
-    def _mc_calibration(self, trials: int, seed: int) -> dict[int, float]:
-        counts = np.zeros(self.m, dtype=np.int64)
-        done = 0
-        chunk = 1 << 14
-        idx = 0
-        while done < trials:
-            n = min(chunk, trials - done)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(idx,))
-            )
-            T = self._draw_trees(n, rng)
-            counts += self._eal_flags(T).sum(0)
-            done += n
-            idx += 1
-        return {e: counts[e] / trials for e in range(self.m)}
+    def _build_eal_plan(self) -> None:
+        self.eal_degree = []
+        self.eal_cycle = []
+        for nd in self.h.non_leaves():
+            piece = nd.piece
+            g = piece.graph
+            if nd.kind == "cycle":
+                ext_pairs = [tuple(p) for p in piece.external_pairs()]
+                settled = [
+                    e for e in g.edge_ids
+                    if self.classes[e].settled == nd.node_id
+                ]
+                self.eal_cycle.append(
+                    (np.array(ext_pairs, dtype=np.int64),
+                     np.array(settled, dtype=np.int64))
+                )
+            else:
+                cols = sorted(g.edge_ids)
+                col_of = {e: i for i, e in enumerate(cols)}
+                inc = np.zeros((len(cols), g.n), dtype=np.uint8)
+                for e, (u, v) in zip(g.edge_ids, g.endpoints):
+                    inc[col_of[e], u] = 1
+                    inc[col_of[e], v] = 1
+                settled = [
+                    (e, *g.endpoints[g.edge_index(e)])
+                    for e in piece.internal_edge_ids
+                ]
+                self.eal_degree.append(
+                    (np.array(cols, dtype=np.int64), inc, settled)
+                )
 
     def _draw_trees(self, n: int, rng: np.random.Generator) -> np.ndarray:
         T = np.zeros((n, self.m), dtype=bool)
@@ -157,11 +174,13 @@ class RowMajorEngine(BatchEngine):
 def rowmajor(engine: BatchEngine) -> RowMajorEngine:
     """A twin of ``engine`` sharing its plans, running the trial-major chunk.
 
-    The twin gets its own join caches and the edge-vertex incidence matrix
-    the old engine built, so no integral join cost is shared between the two.
+    The twin gets its own join caches, its own even-at-last plans and the
+    edge-vertex incidence matrix the old engine built, so no integral join
+    cost or even-at-last flag is shared between the two.
     """
     twin = copy.copy(engine)
     twin.__class__ = RowMajorEngine
+    twin._build_eal_plan()
     g = engine.inst.graph
     twin._inc_full = np.zeros((engine.m, engine.n), dtype=np.uint8)
     for eid, (u, v) in zip(g.edge_ids, g.endpoints):

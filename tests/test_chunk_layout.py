@@ -80,13 +80,13 @@ def test_edge_major_chunk_matches_row_major(family, flag_set):
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
-def test_mc_calibration_matches_row_major(family):
+def test_eal_flags_match_row_major(family):
+    """Flags read from the even-at-last conditions equal, bit for bit, the
+    flags of the old per-piece plans on one drawn chunk."""
     engine = engine_for(family)
-    # 20,000 trials: one full calibration chunk of 16,384 and a partial one
-    new = engine._mc_calibration(20_000, 5)
-    old = rowmajor(engine)._mc_calibration(20_000, 5)
-    assert list(new) == list(old)
-    assert [v.hex() for v in new.values()] == [v.hex() for v in old.values()]
+    T = engine._draw_trees(CHUNK, np.random.default_rng(5))
+    old = rowmajor(engine)._eal_flags(np.ascontiguousarray(T.T))
+    assert np.array_equal(engine._eal_flags(T), old.T)
 
 
 def _zero_repayments(engine):

@@ -3,13 +3,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from htsp.errors import AssemblyError, FeasibilityViolation
+from htsp.errors import (
+    AssemblyError,
+    FeasibilityViolation,
+    FlowInfeasible,
+    GenerationFailure,
+    NoPerfectMatching,
+)
 from htsp.hierarchy import build_hierarchy, min_cuts_via_hierarchy
 from htsp.join import (
     ReductionParams,
     bipartization_flow,
     build_charge_sites,
     build_join,
+    check_eal_bounds,
     classify,
     coin_rates,
     detect_eal,
@@ -354,7 +361,66 @@ def test_estimate_below_bound_raises(zoo_instance):
     rp = ReductionParams.default()
     bogus = {e: 1e-6 for e in classes}
     with pytest.raises(EstimateBelowBound):
-        coin_rates(classes, rp, bogus)
+        check_eal_bounds(classes, rp, bogus)
+
+
+def test_bound_check_is_exact_on_fractions_and_tolerant_on_floats(zoo_instance):
+    """A ``Fraction`` one part in 10**12 below its bound is refused; a float
+    that close passes, as the 1e-9 tolerance allows."""
+    from htsp.errors import EstimateBelowBound
+
+    classes = classify(build_hierarchy(zoo_instance))
+    rp = ReductionParams.default()
+    bound = {e: rp.coin_bound(cl.coin_kind) for e, cl in classes.items()}
+    check_eal_bounds(classes, rp, bound)
+    rates = coin_rates(classes, rp, bound)
+    assert all(r == 1 and isinstance(r, Fraction) for r in rates.values())
+    below = {e: b * (1 - Fraction(1, 10 ** 12)) for e, b in bound.items()}
+    with pytest.raises(EstimateBelowBound):
+        check_eal_bounds(classes, rp, below)
+    check_eal_bounds(classes, rp, {e: float(b) for e, b in below.items()})
+    above = {e: 2 * b for e, b in bound.items()}
+    assert set(coin_rates(classes, rp, above).values()) == {Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("sampler", ["mi", "maxent", "mix"])
+def test_exact_eal_probabilities_match_indicator_patterns(any_instance, sampler):
+    """The parity-law probabilities against the indicator-pattern code they
+    replaced: equal ``Fraction``s on the matroid route, floats within 1e-12."""
+    from tests.reference import pattern_eal_probabilities
+
+    h = build_hierarchy(any_instance)
+    samplers = build_piece_samplers(h, SamplerParams(sampler=sampler))
+    classes = classify(h)
+    new = exact_eal_probabilities(h, classes, samplers)
+    old = pattern_eal_probabilities(h, classes, samplers)
+    assert sorted(new) == sorted(old)
+    for e in old:
+        if sampler == "mi":
+            assert isinstance(new[e], Fraction) and new[e] == old[e], e
+        else:
+            assert abs(new[e] - old[e]) <= 1e-12, e
+
+
+def test_detect_eal_matches_chunk_flags():
+    """Per-tree detection and the batch chunk read one set of conditions;
+    on sampled trees they flag the same edges."""
+    from htsp.stats import BatchEngine
+
+    for family in ("zoo", "k5-gadget", "nested"):
+        engine = BatchEngine(family_instance(family), SamplerParams(sampler="mix"))
+        trees = [
+            sample_r0_tree(engine.h, engine.sp, seed=4, trial=t,
+                           samplers=engine.samplers).edges
+            for t in range(40)
+        ]
+        T = np.zeros((engine.m, len(trees)), dtype=bool)
+        for j, t in enumerate(trees):
+            T[sorted(t), j] = True
+        flags = engine._eal_flags(T)
+        for j, t in enumerate(trees):
+            eal = detect_eal(engine.h, engine.classes, t)
+            assert [eal[e] for e in range(engine.m)] == flags[:, j].tolist()
 
 
 def test_odd_set_limit():
@@ -458,3 +524,107 @@ def test_coin_group_with_two_estimates_raises(zoo_instance):
     probs[members[0]] = 0.95
     with pytest.raises(EstimateBelowBound, match="2 even-at-last estimates"):
         coin_rates(classes, rp, probs)
+
+
+# -- certifying checks that are raises, not asserts ----------------------------
+
+def _classify_without_pieces():
+    from types import SimpleNamespace
+
+    h = build_hierarchy(family_instance("nested"))
+    classify(SimpleNamespace(non_leaves=lambda: [], instance=h.instance))
+
+
+def _k5_vertex_with_two_internal_edges():
+    from types import SimpleNamespace
+
+    h = build_hierarchy(family_instance("k5-gadget"))
+    piece = next(nd.piece for nd in h.non_leaves()
+                 if nd.kind == "degree" and nd.piece.graph.n == 5)
+    g = piece.graph
+    s = piece.external_edge_ids[0]
+    u, v = g.endpoints[g.edge_index(s)]
+    bv = u if v == piece.external_vertex else v
+    stolen = next(e for e in g.incident_ids(bv) if e not in piece.external_edge_ids)
+    fake = SimpleNamespace(graph=g, external_vertex=piece.external_vertex,
+                           external_edge_ids=piece.external_edge_ids + [stolen])
+    bipartization_flow(fake, {s: Fraction(1)})
+
+
+def _coin_group_with_two_amounts():
+    import dataclasses
+
+    h = build_hierarchy(family_instance("double-cycle"))
+    classes = classify(h)
+    nd = next(nd for nd in h.non_leaves()
+              if nd.piece.internal_pairs() and len(nd.piece.external_pairs()) == 2)
+    e = nd.piece.external_pairs()[0][0]
+    classes[e] = dataclasses.replace(classes[e], kind="k5-degree")
+    build_charge_sites(h, classes, ReductionParams.default())
+
+
+def _odd_count_of_odd_vertices():
+    min_cost_perfect_matching([0, 1, 2], [[Fraction(1)] * 3 for _ in range(3)])
+
+
+def _k5_paths_of_a_larger_piece():
+    from htsp.trees import k5_paths
+
+    h = build_hierarchy(family_instance("zoo"))
+    k5_paths(next(nd.piece for nd in h.non_leaves()
+                  if nd.kind == "degree" and nd.piece.graph.n > 5))
+
+
+def _cluster_at_a_degree_three_vertex():
+    from htsp import generators
+
+    generators.PIECE_CATALOG["degree-three"] = (4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
+    try:
+        generators._cluster_from_piece("degree-three")
+    finally:
+        del generators.PIECE_CATALOG["degree-three"]
+
+
+#: name -> (fault, the typed error it raises)
+CHECK_FAULTS = {
+    "classify-cover": (_classify_without_pieces, AssemblyError),
+    "k5-three-targets": (_k5_vertex_with_two_internal_edges, FlowInfeasible),
+    "one-amount-per-group": (_coin_group_with_two_amounts, FlowInfeasible),
+    "even-odd-set": (_odd_count_of_odd_vertices, NoPerfectMatching),
+    "k5-paths-interior": (_k5_paths_of_a_larger_piece, AssemblyError),
+    "four-stubs": (_cluster_at_a_degree_three_vertex, GenerationFailure),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CHECK_FAULTS))
+def test_broken_check_raises_typed_error(fault):
+    run, error = CHECK_FAULTS[fault]
+    with pytest.raises(error):
+        run()
+
+
+def test_join_checks_survive_python_O():
+    """Under ``python -O`` every check of ``CHECK_FAULTS`` still raises."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    script = """
+from tests.test_join import CHECK_FAULTS
+
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assertions are on")
+for name, (run, error) in CHECK_FAULTS.items():
+    try:
+        run()
+    except error:
+        print(name)
+"""
+    env = {"PATH": "", "PYTHONPATH": f"{root / 'src'}:{root}"}
+    out = subprocess.run([sys.executable, "-O", "-c", script], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == list(CHECK_FAULTS)

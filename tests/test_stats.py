@@ -25,7 +25,7 @@ def zoo_engine():
     return BatchEngine(family_instance("zoo"), SamplerParams(sampler="mix"))
 
 
-def test_engine_chunking_is_invisible(zoo_engine):
+def test_engine_run_is_reproducible_for_one_chunk_size(zoo_engine):
     a = zoo_engine.run(5_000, seed=3, chunk=512, join=True)
     b = zoo_engine.run(5_000, seed=3, chunk=2048, join=True)
     # different chunking changes draws, but determinism holds per chunking
@@ -40,20 +40,6 @@ def test_engine_first_chunk_sanity(zoo_engine):
     assert st.feasibility_failures == 0
     n = family_instance("zoo").graph.n
     assert st.incl.sum() == 1_000 * n  # every trial contributes n edges
-
-
-def test_engine_mc_calibration_close_to_exact():
-    inst = family_instance("k5-gadget")
-    exact = BatchEngine(inst, SamplerParams(sampler="mix"))
-    mc = BatchEngine(
-        inst, SamplerParams(sampler="mix"), calibration="mc",
-        calibration_trials=40_000,
-    )
-    for e in range(inst.graph.m):
-        ex = float(exact.eal_probability[e])
-        est = float(mc.eal_probability[e])
-        sd = max((ex * (1 - ex) / 40_000) ** 0.5, 1e-9)
-        assert abs(ex - est) <= 5 * sd
 
 
 def test_suite_marginals_rows(zoo_engine):
@@ -287,3 +273,46 @@ def test_oracle_check_computes_eal_probabilities_once(monkeypatch):
         report = oracle_check(family_instance(family), SamplerParams(sampler="mix"))
         assert report.all_passed()
         assert len(calls) == 1, family
+
+
+def test_oracle_csv_digest_mi_random_4reg():
+    """The matroid route's oracle report, pinned like the zoo digests of
+    ``test_output_digests.py``: its rows are exact rationals printed."""
+    import hashlib
+
+    report = oracle_check(family_instance("random-4reg"), SamplerParams(sampler="mi"))
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == (
+        "0bbefebd9ee0cdff1758990d2fa818f9c3e2311800b877fc88fee8f4c4f05f1e"
+    )
+
+
+def _shrunk_eal_probabilities(monkeypatch):
+    """Make every even-at-last probability a hundredth of its exact value."""
+    import htsp.stats
+
+    exact = htsp.stats.exact_eal_probabilities
+    monkeypatch.setattr(
+        htsp.stats, "exact_eal_probabilities",
+        lambda *args: {e: p / 100 for e, p in exact(*args).items()},
+    )
+
+
+def test_probabilities_below_bound_stop_the_engine_not_the_oracle(monkeypatch, tmp_path):
+    """Below their bounds, even-at-last probabilities make ``BatchEngine``
+    raise, while ``oracle_check`` reports failing rows and ``htsp oracle``
+    exits with code 1."""
+    from htsp.cli import main
+    from htsp.errors import EstimateBelowBound
+    from htsp.graph import serialize_instance
+
+    inst = family_instance("nested")
+    _shrunk_eal_probabilities(monkeypatch)
+    with pytest.raises(EstimateBelowBound):
+        BatchEngine(inst, SamplerParams(sampler="mi"))
+    report = oracle_check(inst, SamplerParams(sampler="mi"))
+    failing = {r.name.split("/")[0] for r in report.rows if not r.passed}
+    assert {"even-at-last", "reduction-rate-flattened"} <= failing
+    path = tmp_path / "nested.htsp"
+    path.write_text(serialize_instance(inst))
+    assert main(["oracle", str(path), "--sampler", "mi", "--out",
+                 str(tmp_path / "oracle.csv")]) == 1
