@@ -33,7 +33,7 @@ from .join import (
 )
 from .params import DEFAULT_MIX_LAMBDA
 from .pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
-from .stats import ExperimentConfig, oracle_check, run_suite
+from .stats import ExperimentConfig, check_positive, oracle_check, run_suite
 
 
 def _read_instance(path: str, strict: bool = True):
@@ -372,6 +372,8 @@ def main(argv=None) -> int:
     ``stats`` or ``oracle``, and 2 bad input, reported on one line."""
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "trials"):
+            check_positive(trials=args.trials)
         return args.func(args)
     except (HtspError, OSError) as exc:
         msg = " ".join(str(exc).split())

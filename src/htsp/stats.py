@@ -5,7 +5,11 @@ piece choices at once: each compiled piece distribution is a categorical
 lookup, even-at-last flags and cut parities are XORs of whole edge rows
 (a chunk holds one row of trials per edge), and the join arithmetic runs
 in integers after scaling every charge quantum by a common denominator
-(so feasibility checks are exact, not float).
+(so feasibility checks are exact, not float).  Verification reads the
+min-cuts through the hierarchy and never lists them: one running
+two-minimum over the k + 1 partner pairs of a cycle piece with a k-vertex
+chain covers its k(k+1)/2 segment cuts, and the label cut of each degree
+piece's child is checked directly.
 Chunk randomness derives from (seed, chunk index), which makes any
 (instance, seed, config) run byte-reproducible for a given chunk size; a
 different chunk size draws different trials.
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import AssemblyError, ConfigError, ScaleOverflow
 from .graph import HalfIntegralInstance
-from .hierarchy import build_hierarchy, min_cuts_via_hierarchy
+from .hierarchy import build_hierarchy
 from .join import (
     EDGE_KINDS,
     ReductionParams,
@@ -140,6 +144,13 @@ def twosided_row(suite, name, sampler, context, target, count, n) -> StatRow:
 # the batch engine
 # ---------------------------------------------------------------------------
 
+def check_positive(**counts: int) -> None:
+    """Raise ``ConfigError`` unless every named count is at least 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
+
+
 def _lcm_denominator(values: Iterable[Fraction]) -> int:
     d = 1
     for v in values:
@@ -188,7 +199,6 @@ class BatchEngine:
         self.n = inst.graph.n
         self._build_sampling_plan()
         self._build_eal_plan()
-        self._build_cut_masks()
         self._build_costs()
         self.eal_probability = exact_eal_probabilities(
             self.h, self.classes, self.samplers
@@ -196,6 +206,7 @@ class BatchEngine:
         self.rates = coin_rates(self.classes, self.rp, self.eal_probability)
         check_eal_bounds(self.classes, self.rp, self.eal_probability)
         self._build_join_plan()
+        self._build_verify_plan()
         self._metric_int: Optional[np.ndarray] = None
         self._join_cache: dict[bytes, int] = {}
         self._dp_memo: dict = {}
@@ -239,12 +250,6 @@ class BatchEngine:
             for ids, parity in conditions
         ]
         self.eal_plan = [(key, edges[0], edges[1:]) for key, edges in by_key.items()]
-
-    def _build_cut_masks(self) -> None:
-        self.min_cuts = min_cuts_via_hierarchy(self.h)
-        self.cut_cols = [
-            np.array(sorted(c.edge_ids), dtype=np.int64) for c in self.min_cuts
-        ]
 
     def _build_costs(self) -> None:
         self.cost_denom = _lcm_denominator(self.inst.costs)
@@ -305,9 +310,40 @@ class BatchEngine:
             for site in pair_sites
         ]
         self.site_cut_cols = [np.array(c, dtype=np.int64) for c in site_cuts]
-        # per min-cut, the index of the same site cut, or -1
-        self.cut_site = [
-            site_cuts.get(tuple(cols.tolist()), -1) for cols in self.cut_cols
+
+    def _build_verify_plan(self) -> None:
+        """The min-cuts as the hierarchy holds them (see ``_infeasible``).
+
+        A cycle piece's gaps are its partner pairs, external and internal,
+        one between each two neighbours on its cycle, so its segment cuts
+        are exactly the unions of two distinct gaps.  The label cut of a
+        degree piece's child is checked directly, reusing a charge site's
+        parity where the site reads the same cut; a cycle child's label cut
+        is two of its own gaps.
+        """
+        sites = {tuple(c.tolist()): k for k, c in enumerate(self.site_cut_cols)}
+        direct: dict[tuple[int, ...], int] = {}
+        self.cycle_gaps = []
+        for nd in self.h.non_leaves():
+            piece = nd.piece
+            if nd.kind == "cycle":
+                gaps = piece.external_pairs() + piece.internal_pairs()
+                ids = [e for gap in gaps for e in gap]
+                if (len(gaps) != len(piece.chain) + 1
+                        or any(len(gap) != 2 for gap in gaps)
+                        or sorted(ids) != sorted(piece.graph.edge_ids)):
+                    raise AssemblyError(
+                        f"cycle piece of node {nd.node_id} is not split into "
+                        f"one partner pair per gap"
+                    )
+                self.cycle_gaps.append(gaps)
+                continue
+            for v, child in zip(piece.internal_vertices, nd.children):
+                if self.h.nodes[child].kind != "cycle":
+                    cut = tuple(sorted(piece.graph.incident_ids(v)))
+                    direct.setdefault(cut, sites.get(cut, -1))
+        self.direct_cuts = [
+            (np.array(cut, dtype=np.int64), k) for cut, k in direct.items()
         ]
 
     # -- chunk primitives ----------------------------------------------------
@@ -358,6 +394,7 @@ class BatchEngine:
         integral: bool = False,
         symmetry_pairs: Sequence[tuple[int, int]] = (),
     ) -> BatchStats:
+        check_positive(trials=trials, chunk=chunk)
         st = BatchStats()
         st.incl = np.zeros(self.m, dtype=np.int64)
         st.eal = np.zeros(self.m, dtype=np.int64)
@@ -409,23 +446,8 @@ class BatchEngine:
             reduced[members] = eal[members] & coin
         st.reduced += reduced.sum(1)
         D = self.z_denom
-        # a multiply into ``z`` casts the bool block in small buffers, with
-        # no block-sized temporary; a masked subtract was 7x slower
-        z = np.empty((self.m, n), dtype=np.int64)
-        np.multiply(reduced, -self.amount_int[:, None], out=z)
-        z += D // 4
         site_odd = [_odd_rows(T, cols) for cols in self.site_cut_cols]
-        for src, k, targets in self.degree_site_plan:
-            active = reduced[src] & site_odd[k]
-            for f, amt in targets:
-                z[f] += active * amt
-        for (t0, t1), groups in self.pair_site_plan:
-            for half_amt, members in groups:
-                act = np.zeros(n, dtype=bool)
-                for s, k in members:
-                    act |= reduced[s] & site_odd[k]
-                z[t0] += act * half_amt
-                z[t1] += act * half_amt
+        z = self._charges(reduced, site_odd)
         st.z_sum = [a + int(b) for a, b in zip(st.z_sum, z.sum(1, dtype=np.int64))]
         # squares can overflow int64 when the charge denominator is large;
         # they only feed sigma estimates, so float accumulation suffices.
@@ -447,18 +469,87 @@ class BatchEngine:
         st.tree_sum += int(tree_cost.sum())
         st.tree_sumsq += float((tree_cost.astype(float) ** 2).sum())
         if verify:
-            bad = (z < D // 6).any(axis=0)
-            for cut_cols, k in zip(self.cut_cols, self.cut_site):
-                # a parity no site holds is dropped after use: keeping all
-                # of them would set the chunk's peak memory
-                odd = site_odd[k] if k >= 0 else _odd_rows(T, cut_cols)
-                bad |= odd & (_sum_rows(z, cut_cols) < D)
-            st.feasibility_failures += int(bad.sum())
+            st.feasibility_failures += int(self._infeasible(T, z, site_odd).sum())
         if integral:
             ij = self._integral_costs(T.T)
             total = tree_cost + ij
             st.total_sum += int(total.sum())
             st.total_sumsq += float((total.astype(float) ** 2).sum())
+
+    def _charges(self, reduced: np.ndarray,
+                 site_odd: Sequence[np.ndarray]) -> np.ndarray:
+        """Per edge and trial, the fractional join in units of 1/z_denom:
+        a quarter, less the reduced edges' amounts, plus the repayments
+        of the charge sites whose cut is odd.  ``site_odd`` holds the
+        parity rows of ``site_cut_cols``."""
+        n = reduced.shape[1]
+        # a multiply into ``z`` casts the bool block in small buffers, with
+        # no block-sized temporary; a masked subtract was 7x slower
+        z = np.empty((self.m, n), dtype=np.int64)
+        np.multiply(reduced, -self.amount_int[:, None], out=z)
+        z += self.z_denom // 4
+        for src, k, targets in self.degree_site_plan:
+            active = reduced[src] & site_odd[k]
+            for f, amt in targets:
+                z[f] += active * amt
+        for (t0, t1), groups in self.pair_site_plan:
+            for half_amt, members in groups:
+                act = np.zeros(n, dtype=bool)
+                for s, k in members:
+                    act |= reduced[s] & site_odd[k]
+                z[t0] += act * half_amt
+                z[t1] += act * half_amt
+        return z
+
+    def _infeasible(self, T: np.ndarray, z: np.ndarray,
+                    site_odd: Sequence[np.ndarray]) -> np.ndarray:
+        """Per trial, whether the charges ``z`` (in units of 1/z_denom) break
+        the join on the trees ``T``: an edge under its floor of 1/6, or an
+        odd min-cut covered below 1.  ``site_odd`` holds the parity rows of
+        ``site_cut_cols``.
+
+        An odd segment cut of a cycle piece is an odd gap and an even one,
+        so some segment fails exactly when (least cover of an odd gap) +
+        (least cover of an even gap) < 1.  With D = z_denom, the running
+        row minima ``least_even`` of cover + D * parity and ``least_odd``
+        of cover - D * parity sum below 0 exactly then, wherever every
+        charge is non-negative; a trial with a charge under the floor
+        fails anyway.
+        """
+        D = self.z_denom
+        bad = (z < D // 6).any(axis=0)
+        # row buffers only, with unmasked arithmetic: a (gaps, trials)
+        # block would set the chunk's peak memory, and a masked minimum
+        # was 8x slower than the adds
+        n = T.shape[1]
+        parity = np.empty(n, dtype=bool)
+        cover, lift, shifted, least_even, least_odd = np.empty((5, n), dtype=np.int64)
+        for cols, k in self.direct_cuts:
+            # a parity no site holds is dropped after use: keeping all of
+            # them would set the chunk's peak memory
+            odd = site_odd[k] if k >= 0 else _odd_rows(T, cols)
+            np.less(_sum_rows(z, cols, out=cover), D, out=parity)
+            parity &= odd
+            bad |= parity
+
+        def lift_gap(a: int, b: int) -> None:
+            np.add(z[a], z[b], out=cover)
+            np.not_equal(T[a], T[b], out=parity)
+            np.multiply(parity, D, out=lift)
+
+        for (a, b), *rest in self.cycle_gaps:
+            lift_gap(a, b)
+            np.add(cover, lift, out=least_even)
+            np.subtract(cover, lift, out=least_odd)
+            for a, b in rest:
+                lift_gap(a, b)
+                np.add(cover, lift, out=shifted)
+                np.minimum(least_even, shifted, out=least_even)
+                np.subtract(cover, lift, out=shifted)
+                np.minimum(least_odd, shifted, out=least_odd)
+            np.add(least_even, least_odd, out=cover)
+            bad |= cover < 0
+        return bad
 
     # -- integral joins --------------------------------------------------------
 
@@ -536,10 +627,11 @@ def _odd_rows(rows: np.ndarray, ids) -> np.ndarray:
     return out
 
 
-def _sum_rows(rows: np.ndarray, ids) -> np.ndarray:
-    """Per trial, the sum of the rows ``ids`` of an edge-major block."""
-    first, *rest = ids
-    out = rows[first].copy()
+def _sum_rows(rows: np.ndarray, ids, out: np.ndarray) -> np.ndarray:
+    """Per trial, the sum of the rows ``ids`` (two or more) of an
+    edge-major block, written to ``out``."""
+    first, second, *rest = ids
+    np.add(rows[first], rows[second], out=out)
     for e in rest:
         out += rows[e]
     return out
@@ -573,6 +665,7 @@ class PieceBatch:
 
     def event_counts(self, events: Sequence, trials: int, seed: int,
                      chunk: int = 1 << 16) -> np.ndarray:
+        check_positive(trials=trials, chunk=chunk)
         mat = np.zeros((len(self.sampler.trees), len(events)), dtype=bool)
         for i, t in enumerate(self.sampler.trees):
             for j, pred in enumerate(events):
@@ -902,6 +995,7 @@ def run_suite(cfg: ExperimentConfig) -> StatReport:
 
     if cfg.suite not in ("all", "correlations", *SUITE_FLAGS):
         raise ConfigError(f"unknown suite {cfg.suite!r}")
+    check_positive(trials=cfg.trials)
     report = StatReport(meta={
         "suite": cfg.suite, "sampler": cfg.sampler, "trials": cfg.trials,
         "seed": cfg.seed,

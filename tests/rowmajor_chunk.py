@@ -7,7 +7,9 @@ methods below, with the old per-trial integral-join lookup and the old
 per-piece even-at-last plans (an edge-vertex incidence matrix per degree
 piece, the external pairs per cycle piece), are the old ones verbatim,
 except that a charge site names its cut by an index into the engine's
-``site_cut_cols``;
+``site_cut_cols`` and that verification, still one check per listed min-cut,
+is its own method, ``_infeasible``: it is the oracle for the engine's check
+through the hierarchy.
 ``rowmajor(engine)`` gives a twin of a built engine that runs them, so the
 two layouts can be compared on one engine, field for field.
 """
@@ -19,6 +21,7 @@ import copy
 import numpy as np
 
 from htsp.errors import AssemblyError
+from htsp.hierarchy import min_cuts_via_hierarchy
 from htsp.join import min_cost_perfect_matching
 from htsp.stats import BatchEngine
 
@@ -139,18 +142,22 @@ class RowMajorEngine(BatchEngine):
         st.tree_sum += int(tree_cost.sum())
         st.tree_sumsq += float((tree_cost.astype(float) ** 2).sum())
         if verify:
-            bad = np.zeros(n, dtype=bool)
-            bad |= (z < D // 6).any(axis=1)
-            for cut_cols in self.cut_cols:
-                oddc = (T[:, cut_cols].sum(1) % 2).astype(bool)
-                short = z[:, cut_cols].sum(1) < D
-                bad |= oddc & short
-            st.feasibility_failures += int(bad.sum())
+            st.feasibility_failures += int(self._infeasible(T, z).sum())
         if integral:
             ij = self._integral_costs(T)
             total = tree_cost + ij
             st.total_sum += int(total.sum())
             st.total_sumsq += float((total.astype(float) ** 2).sum())
+
+    def _infeasible(self, T: np.ndarray, z: np.ndarray) -> np.ndarray:
+        D = self.z_denom
+        bad = np.zeros(T.shape[0], dtype=bool)
+        bad |= (z < D // 6).any(axis=1)
+        for cut_cols in self.cut_cols:
+            oddc = (T[:, cut_cols].sum(1) % 2).astype(bool)
+            short = z[:, cut_cols].sum(1) < D
+            bad |= oddc & short
+        return bad
 
     def _integral_costs(self, T: np.ndarray) -> np.ndarray:
         par = (T.astype(np.uint8) @ self._inc_full) % 2
@@ -174,13 +181,18 @@ class RowMajorEngine(BatchEngine):
 def rowmajor(engine: BatchEngine) -> RowMajorEngine:
     """A twin of ``engine`` sharing its plans, running the trial-major chunk.
 
-    The twin gets its own join caches, its own even-at-last plans and the
-    edge-vertex incidence matrix the old engine built, so no integral join
-    cost or even-at-last flag is shared between the two.
+    The twin gets its own join caches, its own even-at-last plans, the
+    edge-vertex incidence matrix the old engine built and the full min-cut
+    list, so no integral join cost, even-at-last flag or verified cut is
+    shared between the two.
     """
     twin = copy.copy(engine)
     twin.__class__ = RowMajorEngine
     twin._build_eal_plan()
+    twin.cut_cols = [
+        np.array(sorted(c.edge_ids), dtype=np.int64)
+        for c in min_cuts_via_hierarchy(engine.h)
+    ]
     g = engine.inst.graph
     twin._inc_full = np.zeros((engine.m, engine.n), dtype=np.uint8)
     for eid, (u, v) in zip(g.edge_ids, g.endpoints):

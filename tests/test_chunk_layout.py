@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from htsp.errors import OddSetTooLarge
-from htsp.generators import generate_double_cycle
+from htsp.generators import generate, generate_double_cycle
 from htsp.join import ODD_SET_LIMIT
 from htsp.pipeline import SamplerParams
-from htsp.stats import BatchEngine, BatchStats, symmetry_pairs
+from htsp.stats import BatchEngine, BatchStats, _odd_rows, symmetry_pairs
 from tests.conftest import ALL_FAMILIES, FAMILY_SEED, family_instance
 from tests.rowmajor_chunk import rowmajor
 from tests.test_join import _ring_edges_with_odd
@@ -117,6 +117,99 @@ def test_corrupted_charges_fail_alike_in_both_layouts(corrupt):
 
 
 # ---------------------------------------------------------------------------
+# verification through the hierarchy against the per-cut loop
+# ---------------------------------------------------------------------------
+
+# nested-3 has a degree piece inside a degree piece, so a direct check
+# reads a label cut that is neither a leaf's nor a charge site's
+VERIFY_CASES = ALL_FAMILIES + ("double-cycle-24", "double-cycle-100",
+                               "k5-gadget-30", "nested-3")
+# "one-short-edge": every charge a quarter, so each min-cut is covered to
+# exactly 1, except one edge per trial at the floor of 1/6: the trial fails
+# exactly the odd min-cuts through that edge, so every listed cut counts
+CHARGES = ("engine", "cut-cover", "edge-floor", "one-short-edge")
+
+
+def verify_engine(name: str) -> BatchEngine:
+    """A conftest family, or ``<family>-<k or depth>``."""
+    if name in ALL_FAMILIES:
+        return engine_for(name)
+    family, size = name.rsplit("-", 1)
+    if family == "double-cycle":
+        return double_cycle_engine(int(size))
+    return sized_engine(family, int(size))
+
+
+@functools.cache
+def sized_engine(family: str, size: int) -> BatchEngine:
+    inst = generate(family, np.random.default_rng(FAMILY_SEED), k=size, depth=size)
+    return BatchEngine(inst, SamplerParams(sampler="mix"))
+
+
+def _verify_inputs(engine: BatchEngine, charges: str, flip: bool, seed: int):
+    """A chunk's trees, charges and charge-site parities.  Apart from
+    ``one-short-edge``, the charges are the engine's own reductions and
+    repayments, as corrupted by ``_zero_repayments`` or
+    ``_triple_reductions``.  ``flip`` toggles up to three edges in about
+    half the trials, so a partner pair can hold none or both of its edges
+    and the trees break the sampler's invariants."""
+    rng = np.random.default_rng(seed)
+    T = engine._draw_trees(CHUNK, rng)
+    cols = np.arange(CHUNK)
+    if flip:
+        for _ in range(3):
+            edge = rng.integers(0, engine.m, size=CHUNK)
+            on = rng.random(CHUNK) < 0.5
+            T[edge[on], cols[on]] ^= True
+    site_odd = [_odd_rows(T, ids) for ids in engine.site_cut_cols]
+    D = engine.z_denom
+    if charges == "one-short-edge":
+        z = np.full((engine.m, CHUNK), D // 4, dtype=np.int64)
+        z[rng.integers(0, engine.m, size=CHUNK), cols] = D // 6
+        return T, z, site_odd
+    engine = copy.copy(engine)
+    if charges == "cut-cover":
+        _zero_repayments(engine)
+    elif charges == "edge-floor":
+        _triple_reductions(engine)
+    eal = engine._eal_flags(T)
+    reduced = np.zeros_like(T)
+    for members, rate in engine.groups:
+        reduced[members] = eal[members] & (rng.random(CHUNK) < rate)
+    return T, engine._charges(reduced, site_odd), site_odd
+
+
+@pytest.mark.parametrize("trees", ["drawn", "flipped"])
+@pytest.mark.parametrize("charges", CHARGES)
+@pytest.mark.parametrize("name", VERIFY_CASES)
+def test_verify_through_hierarchy_matches_per_cut_loop(name, charges, trees):
+    """The two-minimum check per cycle piece plus the direct checks fail
+    exactly the trials that one check per listed min-cut fails, bit for
+    bit, on the sampler's trees and on trees that no sampler draws."""
+    engine = verify_engine(name)
+    T, z, site_odd = _verify_inputs(engine, charges, trees == "flipped", 43)
+    new = engine._infeasible(T, z, site_odd)
+    old = rowmajor(engine)._infeasible(np.ascontiguousarray(T.T),
+                                       np.ascontiguousarray(z.T))
+    assert new.dtype == old.dtype and np.array_equal(new, old)
+    if trees == "flipped":
+        assert 0 < new.sum() < CHUNK
+    elif charges == "engine":
+        assert not new.any()
+
+
+def test_verify_plan_lists_no_min_cuts():
+    """The engine keeps the hierarchy's pieces, not the quadratic cut list:
+    a double cycle on 100 vertices has 4,950 min-cuts and one cycle piece
+    of 100 gaps."""
+    engine = verify_engine("double-cycle-100")
+    assert not hasattr(engine, "cut_cols") and not hasattr(engine, "min_cuts")
+    assert [len(gaps) for gaps in engine.cycle_gaps] == [100]
+    assert engine.direct_cuts == []
+    assert len(rowmajor(engine).cut_cols) == 100 * 99 // 2
+
+
+# ---------------------------------------------------------------------------
 # integral join: distinct-key lookup against the per-trial loop
 # ---------------------------------------------------------------------------
 
@@ -184,12 +277,12 @@ def test_integral_join_past_odd_set_limit_raises_alike():
 # chunk memory
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["zoo", "double-cycle-40"])
+@pytest.mark.parametrize("name", ["zoo", "double-cycle-40", "double-cycle-100"])
 def test_full_flag_chunk_peak_memory(name):
     """A warm one-chunk full-flag run stays under 2.25 int64 charge blocks
-    of traced peak: a float copy of the block, or a parity row kept for
-    every min-cut, would push it past."""
-    engine = double_cycle_engine(40) if name == "double-cycle-40" else engine_for(name)
+    of traced peak: a float copy of the block, a parity row kept for every
+    min-cut, or a (gaps, trials) block per cycle piece would push it past."""
+    engine = verify_engine(name)
     trials = 1 << 14
     flags = {"join": True, "verify": True, "integral": True}
     engine.run(trials, 1, **flags)

@@ -255,7 +255,10 @@ def test_cli_normalize(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["bad-instance", "missing-file", "no-source",
-                                  "stats-mix", "oracle-mix", "join-mix"])
+                                  "stats-mix", "oracle-mix", "join-mix",
+                                  "stats-trials-0", "stats-trials-neg",
+                                  "tour-trials-0", "join-trials-neg",
+                                  "sample-trials-0"])
 def test_cli_bad_input_is_one_line_with_exit_code_2(case, tmp_path, instance_file):
     bad = tmp_path / "bad.htsp"
     bad.write_text("htsp 3 2\n0 1 1\n")
@@ -266,11 +269,16 @@ def test_cli_bad_input_is_one_line_with_exit_code_2(case, tmp_path, instance_fil
         "stats-mix": ("stats", "--family", "nested", "--mix-lambda", "2"),
         "oracle-mix": ("oracle", instance_file, "--mix-lambda", "2"),
         "join-mix": ("join", instance_file, "--mix-lambda", "2"),
+        "stats-trials-0": ("stats", "--family", "zoo", "--trials", "0"),
+        "stats-trials-neg": ("stats", "--family", "zoo", "--trials", "-5"),
+        "tour-trials-0": ("tour", instance_file, "--trials", "0"),
+        "join-trials-neg": ("join", instance_file, "--trials", "-1"),
+        "sample-trials-0": ("sample", instance_file, "--trials", "0"),
     }[case]
     r = run_cli(*args)
     assert r.returncode == 2
     assert r.stdout == ""
     assert len(r.stderr.strip().splitlines()) == 1
     assert r.stderr.startswith(f"htsp {args[0]}: ")
-    if case.endswith("-mix"):
+    if case.endswith("-mix") or "-trials-" in case:
         assert "ConfigError" in r.stderr

@@ -1,0 +1,49 @@
+"""Property tests over random 4-regular instances.
+
+Hypothesis draws the vertex count (n <= 12: at n = 16 one degree piece can
+take 10 s to build) and the generator seed.  On the matroid-intersection
+route every exact marginal is one half as a ``Fraction``, no trial of a
+full-flag run is infeasible, and the batch even-at-last and reduction
+counts agree with the exact oracle's probabilities.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from htsp.generators import generate_random_4reg
+from htsp.oracle import exact_marginals
+from htsp.pipeline import SamplerParams
+from htsp.stats import BatchEngine, binom_sigma, oracle_check
+
+TRIALS = 2_000
+# at 3 sigma a row fails about once in 370 on correct code, and an example
+# checks about fifty rows
+SIGMAS = 6
+ORACLE_ROWS = {"even-at-last": "eal", "reduction-rate-flattened": "reduced"}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=6, max_value=12), st.integers(min_value=0, max_value=10 ** 6))
+def test_matroid_route_on_random_4reg(n, gen_seed):
+    inst = generate_random_4reg(n, np.random.default_rng(gen_seed))
+    sp = SamplerParams(sampler="mi")
+    engine = BatchEngine(inst, sp)
+    marginals = exact_marginals(engine.h, engine.samplers, engine.classes)
+    assert all(type(p) is Fraction and p == Fraction(1, 2) for p in marginals.values())
+
+    stats = engine.run(TRIALS, gen_seed, join=True, verify=True, integral=True)
+    assert stats.feasibility_failures == 0
+
+    checked = 0
+    for row in oracle_check(inst, sp).rows:
+        field = ORACLE_ROWS.get(row.name.split("/")[0])
+        if field is None:
+            continue
+        e = int(row.context.removeprefix("edge:"))
+        estimate = getattr(stats, field)[e] / TRIALS
+        sigma = binom_sigma(row.estimate, TRIALS)
+        assert abs(estimate - row.estimate) <= SIGMAS * sigma, (row.name, e)
+        checked += 1
+    assert checked == 2 * engine.m

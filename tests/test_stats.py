@@ -6,6 +6,7 @@ from htsp.pipeline import SamplerParams
 from htsp.stats import (
     BatchEngine,
     ExperimentConfig,
+    PieceBatch,
     oracle_check,
     run_suite,
     suite_correlations,
@@ -172,6 +173,23 @@ def test_suites_reject_incomplete_configs(zoo_engine):
         run_suite(ExperimentConfig(family="nested", trials=10, suite="nope"))
     with pytest.raises(ConfigError):
         suite_cost(zoo_engine, zoo_engine.run(1_000, seed=8, integral=True))
+
+
+@pytest.mark.parametrize("trials,chunk", [(0, 1 << 14), (-5, 1 << 14), (10, 0), (10, -1)])
+@pytest.mark.parametrize("join", [False, True])
+def test_engine_rejects_counts_below_one(zoo_engine, trials, chunk, join):
+    """A chunk of 0 once looped forever without a join and raised
+    IndexError with one; a trial count below 1 gave empty stats."""
+    with pytest.raises(ConfigError, match="must be at least 1"):
+        zoo_engine.run(trials, 1, chunk=chunk, join=join)
+
+
+def test_piece_batch_and_suite_reject_counts_below_one():
+    batch = PieceBatch(standalone_piece("c7bar"), SamplerParams(sampler="mi"))
+    with pytest.raises(ConfigError):
+        batch.event_counts([lambda t: True], 100, 1, chunk=0)
+    with pytest.raises(ConfigError):
+        run_suite(ExperimentConfig(family="zoo", trials=0))
 
 
 def _move_root_edge(engine):
