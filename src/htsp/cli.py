@@ -59,6 +59,10 @@ def _sampler_params(args) -> SamplerParams:
 def _add_common(p: argparse.ArgumentParser, trials_default: int = 1) -> None:
     p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     p.add_argument("--trials", type=int, default=trials_default)
+    _add_sampler_and_output(p)
+
+
+def _add_sampler_and_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sampler", choices=("mi", "maxent", "mix"), default="mix")
     p.add_argument("--mix-lambda", type=float, default=float(DEFAULT_MIX_LAMBDA))
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -361,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact no-sampling verification report")
     p.add_argument("instance")
-    _add_common(p)
+    # exact: no seed and no trials
+    _add_sampler_and_output(p)
     p.set_defaults(func=cmd_oracle)
 
     return ap

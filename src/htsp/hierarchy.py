@@ -10,6 +10,7 @@ contiguous-segment cuts of the cycle pieces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -212,6 +213,12 @@ class LocalMultigraph:
 
     def internal_graph(self) -> tuple[MultiGraph, dict[int, int]]:
         """The piece without its external vertex, plus vertex renumbering."""
+        graph, mapping = self._internal
+        return graph, dict(mapping)
+
+    @functools.cached_property
+    def _internal(self) -> tuple[MultiGraph, dict[int, int]]:
+        # built once: every shifted state of a degree piece shares it
         keep = self.internal_vertices
         mapping = {old: new for new, old in enumerate(keep)}
         edges = [

@@ -10,6 +10,7 @@ decrease so it lands back in the spanning-tree polytope.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -21,6 +22,7 @@ from .errors import ColoringOverflow, InfeasibleShift, NoPerfectMatching
 from .graph import MultiGraph, bits
 from .hierarchy import LocalMultigraph
 
+ONE = Fraction(1)
 THIRD = Fraction(1, 3)
 QUARTER = Fraction(1, 4)
 
@@ -216,7 +218,7 @@ def shift(piece: LocalMultigraph, matching_mask: int,
     g = piece.graph
     internal = set(piece.internal_edge_ids)
     values = {
-        g.edge_ids[i]: (Fraction(1) if (matching_mask >> i) & 1 else THIRD)
+        g.edge_ids[i]: (ONE if (matching_mask >> i) & 1 else THIRD)
         for i in range(g.m)
     }
     parts = _parts_from_submatching(g, internal, submatching_mask)
@@ -258,12 +260,21 @@ class SplitPiece:
         return self.graph.n - 2
 
     def internal_edge_ids(self) -> list[int]:
-        ext = set(self.interior_cut_ids) | {SPLIT_EDGE_A, SPLIT_EDGE_B}
-        return sorted(e for e in self.graph.edge_ids if e not in ext)
+        return list(self._internal_ids)
 
     def interior_graph(self) -> MultiGraph:
+        return self._interior_graph
+
+    # built once per split piece: every surgery state shares them
+    @functools.cached_property
+    def _internal_ids(self) -> tuple[int, ...]:
+        ext = set(self.interior_cut_ids) | {SPLIT_EDGE_A, SPLIT_EDGE_B}
+        return tuple(sorted(e for e in self.graph.edge_ids if e not in ext))
+
+    @functools.cached_property
+    def _interior_graph(self) -> MultiGraph:
         k = self.interior_vertex_count
-        internal = set(self.internal_edge_ids())
+        internal = set(self._internal_ids)
         edges = [
             (eid, u, v)
             for eid, (u, v) in zip(self.graph.edge_ids, self.graph.endpoints)
@@ -359,7 +370,7 @@ def apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
     g = split.graph
     internal = set(split.internal_edge_ids())
     values = {
-        g.edge_ids[i]: (Fraction(1) if (matching_mask >> i) & 1 else THIRD)
+        g.edge_ids[i]: (ONE if (matching_mask >> i) & 1 else THIRD)
         for i in range(g.m)
     }
     parts = list(_parts_from_submatching(g, internal, submatching_mask))

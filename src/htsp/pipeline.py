@@ -16,6 +16,7 @@ generative path and keeps the full provenance ledger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -180,6 +181,24 @@ def _submask_of_class(classes: list[list[int]], cls: int) -> int:
     return mask
 
 
+def _class_submasks(classes: list[list[int]]) -> list[tuple[int, int]]:
+    """Each distinct class submask with the number of classes giving it,
+    in class order: empty classes all give the same shifted state."""
+    counts: dict[int, int] = {}
+    for cls in range(len(classes)):
+        sub = _submask_of_class(classes, cls)
+        counts[sub] = counts.get(sub, 0) + 1
+    return list(counts.items())
+
+
+def _values_key(values: dict[int, Fraction]) -> tuple[tuple[int, ...], ...]:
+    """Exact values as an integer key (edge ids, numerators, denominators);
+    hashing ``Fraction``s is slow."""
+    ids = sorted(values)
+    return (tuple(ids), tuple([values[e].numerator for e in ids]),
+            tuple([values[e].denominator for e in ids]))
+
+
 def _check_interior(piece: LocalMultigraph) -> None:
     if piece.graph.n - 1 > DECOMPOSITION_INTERIOR_LIMIT:
         raise SizeLimitExceeded(
@@ -189,28 +208,26 @@ def _check_interior(piece: LocalMultigraph) -> None:
 
 
 def _mi_states(piece: LocalMultigraph):
-    """Yield (probability, ShiftedSolution) over the matroid route."""
+    """Yield (probability, ShiftedSolution) over the matroid route, each
+    distinct state of a matching once, at the summed probability of the
+    color classes that give it."""
     g = piece.graph
     _check_interior(piece)
-    seventh = Fraction(1, 7)
     if g.n % 2 == 0:
         dist = decompose_matchings(piece)
         for mk, w in zip(dist.masks, dist.weights):
-            classes = seven_coloring(g, mk)
-            for cls in range(7):
-                sub = _submask_of_class(classes, cls)
-                yield w * seventh, shift(piece, mk, sub)
+            for sub, k in _class_submasks(seven_coloring(g, mk)):
+                yield w * Fraction(k, 7), shift(piece, mk, sub)
         return
     third = Fraction(1, 3)
     for pairing in pairings_of(piece.external_edge_ids):
         sp = split_external(piece, pairing)
         dist = decompose_matchings(sp)
         for mk, w in zip(dist.masks, dist.weights):
-            classes = seven_coloring(sp.graph, mk)
-            for cls in range(7):
-                sub = _submask_of_class(classes, cls)
-                base = third * w * seventh
-                for kind, e, f, pb in surgery_options(sp, mk):
+            options = surgery_options(sp, mk)
+            for sub, k in _class_submasks(seven_coloring(sp.graph, mk)):
+                base = third * w * Fraction(k, 7)
+                for kind, e, f, pb in options:
                     if kind == "decrease":
                         yield base * pb, apply_surgery(sp, mk, sub, kind, e, f)
                         continue
@@ -282,17 +299,16 @@ class DegreePieceSampler:
     # -- cached per-state distributions -----------------------------------
 
     def _mi_dist(self, shifted: ShiftedSolution) -> ConstrainedTreeDistribution:
-        key = (tuple(sorted(shifted.values.items())), shifted.parts)
+        key = (_values_key(shifted.values), shifted.parts)
         if key not in self._mi_cache:
             self._mi_cache[key] = constrained_tree_distribution(shifted)
         return self._mi_cache[key]
 
     def _me_fit(self, shifted: ShiftedSolution):
-        key = tuple(sorted(shifted.interior_values().items()))
+        values = shifted.interior_values()
+        key = _values_key(values)
         if key not in self._me_cache:
-            self._me_cache[key] = maxent_fit(
-                shifted.interior_graph, shifted.interior_values()
-            )
+            self._me_cache[key] = maxent_fit(shifted.interior_graph, values)
         return self._me_cache[key]
 
     def _me_tree_draw(self, fit, rng: np.random.Generator) -> frozenset[int]:
@@ -309,22 +325,34 @@ class DegreePieceSampler:
 
     def mi_mixture(self) -> dict[frozenset[int], Fraction]:
         if self._mi_mixture is None:
-            acc: dict[frozenset[int], Fraction] = {}
+            # per denominator of (state probability x tree weight), each
+            # tree's integer numerator; one Fraction per tree at the end
+            acc: dict[int, dict[frozenset[int], int]] = {}
             for pr, shifted in _mi_states(self.piece):
                 dist = self._mi_dist(shifted)
-                for t, w in zip(dist.trees, dist.weights):
-                    acc[t] = acc.get(t, Fraction(0)) + pr * w
-            if sum(acc.values()) != 1:
+                row = acc.setdefault(pr.denominator * dist.denominator, {})
+                for t, k in zip(dist.trees, dist.numerators):
+                    row[t] = row.get(t, 0) + pr.numerator * k
+            den = math.lcm(*acc)
+            total: dict[frozenset[int], int] = {}
+            for d, row in acc.items():
+                for t, k in row.items():
+                    total[t] = total.get(t, 0) + k * (den // d)
+            if sum(total.values()) != den:
                 raise AssemblyError("matroid-route tree mixture does not sum to 1")
-            self._mi_mixture = acc
+            self._mi_mixture = {t: Fraction(k, den) for t, k in total.items()}
         return self._mi_mixture
 
     def maxent_mixture(self) -> dict[frozenset[int], float]:
         if self._me_mixture is None:
             acc: dict[frozenset[int], float] = {}
+            # each distinct fit's tree law once; not kept, as it is large
+            laws: dict = {}
             for pr, shifted in _maxent_states(self.piece):
                 fit = self._me_fit(shifted)
-                trees, probs = maxent_tree_distribution(fit)
+                if id(fit) not in laws:
+                    laws[id(fit)] = maxent_tree_distribution(fit)
+                trees, probs = laws[id(fit)]
                 fpr = float(pr)
                 for t, w in zip(trees, probs):
                     acc[t] = acc.get(t, 0.0) + fpr * float(w)

@@ -48,6 +48,14 @@ from .pipeline import (
     build_piece_samplers,
 )
 
+#: most parity keys the integral-join cache of an engine holds; above it the
+#: cache is emptied before the next miss.  A 14-vertex instance has at most
+#: 2**13 keys, so it never empties there
+JOIN_CACHE_LIMIT = 1 << 16
+#: most subset entries the pairing DP's shared memo holds between solves; one
+#: solve at ``join.ODD_SET_LIMIT`` odd vertices fills up to 2**17
+DP_MEMO_LIMIT = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # report model
@@ -608,6 +616,11 @@ class BatchEngine:
         d = self._metric()
         for j, cost in enumerate(found):
             if cost is None:
+                # the caps are kept between lookups, never inside a solve
+                if len(self._join_cache) >= JOIN_CACHE_LIMIT:
+                    self._join_cache.clear()
+                if len(self._dp_memo) >= DP_MEMO_LIMIT:
+                    self._dp_memo.clear()
                 odd = np.flatnonzero(np.unpackbits(keys[firsts[j]])[:self.n])
                 c, _ = min_cost_perfect_matching(odd.tolist(), d, memo=self._dp_memo)
                 key = blob[j * nbytes:(j + 1) * nbytes]

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,6 +32,7 @@ from .errors import (
     InfeasibleShift,
     NonConvergence,
     NumericalBreakdown,
+    SizeLimitExceeded,
 )
 from .graph import MultiGraph, bits, find_root
 from .hierarchy import LocalMultigraph
@@ -108,28 +110,36 @@ class _Minor:
 
 
 def contract_forced(g: MultiGraph, values: dict[int, Fraction]) -> _Minor:
-    forced = sorted(eid for eid in g.edge_ids if values[eid] == 1)
-    zeros = sorted(eid for eid in g.edge_ids if values[eid] == 0)
-    parent = list(range(g.n))
+    forced = tuple(sorted(eid for eid in g.edge_ids if values[eid] == 1))
+    zeros = tuple(sorted(eid for eid in g.edge_ids if values[eid] == 0))
+    return _contract(g.n, g.edge_ids, g.endpoints, forced, zeros)
+
+
+@functools.lru_cache(maxsize=1024)
+def _contract(n: int, edge_ids: tuple[int, ...], endpoints: tuple[tuple[int, int], ...],
+              forced: tuple[int, ...], zeros: tuple[int, ...]) -> _Minor:
+    """Cached per graph and (forced, zero) pattern: the states of one piece
+    share a few patterns."""
+    parent = list(range(n))
     fset = set(forced)
-    for eid, (u, v) in zip(g.edge_ids, g.endpoints):
+    for eid, (u, v) in zip(edge_ids, endpoints):
         if eid in fset:
             ru, rv = find_root(parent, u), find_root(parent, v)
             if ru == rv:
                 raise InfeasibleShift("forced edges contain a cycle")
             parent[ru] = rv
-    roots = sorted({find_root(parent, v) for v in range(g.n)})
+    roots = sorted({find_root(parent, v) for v in range(n)})
     renum = {r: i for i, r in enumerate(roots)}
     zset = set(zeros)
     edges = []
-    for eid, (u, v) in zip(g.edge_ids, g.endpoints):
+    for eid, (u, v) in zip(edge_ids, endpoints):
         if eid in fset or eid in zset:
             continue
         a, b = renum[find_root(parent, u)], renum[find_root(parent, v)]
         if a == b:
             raise InfeasibleShift("positive edge inside a forced component")
         edges.append((eid, a, b))
-    return _Minor(MultiGraph(len(roots), edges), tuple(forced), tuple(zeros))
+    return _Minor(MultiGraph(len(roots), edges), forced, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +148,23 @@ def contract_forced(g: MultiGraph, values: dict[int, Fraction]) -> _Minor:
 
 @dataclass(frozen=True)
 class ConstrainedTreeDistribution:
-    """Exact distribution over interior spanning trees honoring the parts."""
+    """Exact distribution over interior spanning trees honoring the parts.
+
+    ``numerators`` are the weights over their least common ``denominator``.
+    """
 
     trees: tuple[frozenset[int], ...]
     weights: tuple[Fraction, ...]
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if sum(self.weights, Fraction(0)) != 1:
+        den = math.lcm(*(w.denominator for w in self.weights))
+        nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
+        if sum(nums) != den:
             raise InfeasibleShift("tree weights do not sum to 1")
-
-    def marginals(self) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for t, w in zip(self.trees, self.weights):
-            for eid in t:
-                out[eid] = out.get(eid, Fraction(0)) + w
-        return out
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
 
     def cdf(self) -> np.ndarray:
         cached = getattr(self, "_cdf", None)
@@ -166,12 +178,42 @@ class ConstrainedTreeDistribution:
         return self.trees[min(i, len(self.trees) - 1)]
 
 
+@dataclass(frozen=True)
+class _ShapeTables:
+    """What every constrained decomposition on one minor shape shares."""
+
+    #: the spanning trees as edge-position masks, ascending
+    trees: np.ndarray
+    #: (mask of the edges inside S, |S| - 1) per vertex subset S holding an edge
+    subsets: tuple[tuple[int, int], ...]
+
+
+@functools.lru_cache(maxsize=1024)
+def _shape_tables(n: int, endpoints: tuple[tuple[int, int], ...]) -> _ShapeTables:
+    if len(endpoints) > 64:
+        raise SizeLimitExceeded(f"minor with {len(endpoints)} edges exceeds 64")
+    trees = np.array(sorted(_spanning_tree_masks(n, endpoints)), dtype=np.uint64)
+    trees.flags.writeable = False  # shared by every caller of the cache
+    subsets = []
+    for size in range(2, n + 1):
+        for sub in itertools.combinations(range(n), size):
+            s = set(sub)
+            mask = 0
+            for i, (u, v) in enumerate(endpoints):
+                if u in s and v in s:
+                    mask |= 1 << i
+            if mask:
+                subsets.append((mask, size - 1))
+    return _ShapeTables(trees, tuple(subsets))
+
+
 def constrained_tree_distribution(shifted: ShiftedSolution) -> ConstrainedTreeDistribution:
     """Decompose the shifted interior vector over part-respecting trees."""
     g = shifted.interior_graph
     values = shifted.interior_values()
     minor = contract_forced(g, values)
     mg = minor.graph
+    tables = _shape_tables(mg.n, mg.endpoints)
     pos_of = {eid: i for i, eid in enumerate(mg.edge_ids)}
     part_masks = []
     for part in shifted.parts:
@@ -182,42 +224,42 @@ def constrained_tree_distribution(shifted: ShiftedSolution) -> ConstrainedTreeDi
         if mask:
             part_masks.append(mask)
 
-    candidates = []
-    for t in enumerate_spanning_trees(mg):
-        if all((t & pm).bit_count() <= 1 for pm in part_masks):
-            candidates.append(t)
+    keep = np.ones(len(tables.trees), dtype=bool)
+    for pm in part_masks:
+        keep &= np.bitwise_count(tables.trees & np.uint64(pm)) <= 1
+    candidates = tables.trees[keep].tolist()
     if not candidates:
         raise InfeasibleShift("no constrained spanning tree in the support")
 
-    upper: list[tuple[int, int]] = [(pm, 1) for pm in part_masks]
-    for size in range(2, mg.n + 1):
-        for sub in itertools.combinations(range(mg.n), size):
-            s = set(sub)
-            mask = 0
-            for i, (u, v) in enumerate(mg.endpoints):
-                if u in s and v in s:
-                    mask |= 1 << i
-            if mask:
-                upper.append((mask, size - 1))
-
+    upper = [(pm, 1) for pm in part_masks] + list(tables.subsets)
     target = [values[eid] for eid in mg.edge_ids]
     try:
         w = exact_convex_decomposition(candidates, target, upper=upper)
     except ValueError as exc:
         raise InfeasibleShift(str(exc)) from exc
     forced = frozenset(minor.forced)
-    trees = []
-    weights = []
-    for mask in sorted(w):
-        ids = frozenset(mg.edge_ids[i] for i in bits(mask)) | forced
-        trees.append(ids)
-        weights.append(w[mask])
-    dist = ConstrainedTreeDistribution(tuple(trees), tuple(weights))
-    if dist.marginals() | {e: Fraction(0) for e in minor.zeros} != {
-        eid: v for eid, v in values.items() if v > 0 or eid in minor.zeros
-    }:
+    masks = sorted(w)
+    dist = ConstrainedTreeDistribution(
+        tuple(frozenset(mg.edge_ids[i] for i in bits(mask)) | forced for mask in masks),
+        tuple(w[mask] for mask in masks),
+    )
+    if not _marginals_reproduce(dist, values):
         raise InfeasibleShift("tree marginals do not reproduce the shifted vector")
     return dist
+
+
+def _marginals_reproduce(dist: ConstrainedTreeDistribution,
+                         values: dict[int, Fraction]) -> bool:
+    """Whether every edge's tree marginal is its value, on numerators over
+    the weights' denominator."""
+    marg = dict.fromkeys(values, 0)
+    for t, k in zip(dist.trees, dist.numerators):
+        for eid in t:
+            if eid not in marg:
+                return False
+            marg[eid] += k
+    return all(marg[eid] * v.denominator == v.numerator * dist.denominator
+               for eid, v in values.items())
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +291,13 @@ class MaxEntWeights:
 
 
 def _laplacian_minor_inverse(g: MultiGraph, w: Sequence[float]) -> np.ndarray:
-    lap = np.zeros((g.n, g.n))
-    for i, (u, v) in enumerate(g.endpoints):
-        lap[u, u] += w[i]
-        lap[v, v] += w[i]
-        lap[u, v] -= w[i]
-        lap[v, u] -= w[i]
-    minor = lap[:-1, :-1]
+    lap = [[0.0] * g.n for _ in range(g.n)]
+    for x, (u, v) in zip(w, g.endpoints):
+        lap[u][u] += x
+        lap[v][v] += x
+        lap[u][v] -= x
+        lap[v][u] -= x
+    minor = np.array(lap)[:-1, :-1]
     try:
         return np.linalg.inv(minor)
     except np.linalg.LinAlgError as exc:
@@ -264,18 +306,21 @@ def _laplacian_minor_inverse(g: MultiGraph, w: Sequence[float]) -> np.ndarray:
 
 def _matrix_tree_marginals(g: MultiGraph, w: Sequence[float]) -> np.ndarray:
     """Inclusion probability of each edge under the weighted-uniform law."""
-    inv = _laplacian_minor_inverse(g, w)
+    # on Python floats: the same double arithmetic as numpy's, at a fraction
+    # of the cost of indexing numpy scalars
+    w = np.asarray(w, dtype=float).tolist()
+    inv = _laplacian_minor_inverse(g, w).tolist()
     ground = g.n - 1
-    out = np.empty(g.m)
-    for i, (u, v) in enumerate(g.endpoints):
+    out = []
+    for x, (u, v) in zip(w, g.endpoints):
         if v == ground:
             u, v = v, u
         if u == ground:
-            reff = inv[v, v]
+            reff = inv[v][v]
         else:
-            reff = inv[u, u] + inv[v, v] - 2 * inv[u, v]
-        out[i] = w[i] * reff
-    return out
+            reff = inv[u][u] + inv[v][v] - 2 * inv[u][v]
+        out.append(x * reff)
+    return np.array(out)
 
 
 def _fit_component(g: MultiGraph, targets: Sequence[float], tol: float,
@@ -298,17 +343,16 @@ def _fit_component(g: MultiGraph, targets: Sequence[float], tol: float,
 
 
 def _find_tight_subset(g: MultiGraph, values: dict[int, Fraction]) -> Optional[tuple[int, ...]]:
+    # the values as numerators over their least common denominator
+    den = math.lcm(*(values[eid].denominator for eid in g.edge_ids))
+    nums = [values[eid].numerator * (den // values[eid].denominator) for eid in g.edge_ids]
     for size in range(2, g.n):
         for sub in itertools.combinations(range(g.n), size):
             s = set(sub)
-            inside = sum(
-                (values[eid] for eid, (u, v) in zip(g.edge_ids, g.endpoints)
-                 if u in s and v in s),
-                Fraction(0),
-            )
-            if inside == size - 1:
+            inside = sum(x for x, (u, v) in zip(nums, g.endpoints) if u in s and v in s)
+            if inside == (size - 1) * den:
                 return sub
-            if inside > size - 1:
+            if inside > (size - 1) * den:
                 raise BoundaryTarget("targets outside the spanning-tree polytope")
     return None
 
@@ -378,13 +422,13 @@ def maxent_tree_distribution(fit: MaxEntWeights) -> tuple[tuple[frozenset[int], 
             cw.append(p)
         cw = np.array(cw)
         cw = cw / cw.sum()
+        ids = [frozenset(c.graph.edge_ids[i] for i in bits(mask)) for mask in masks]
         new_trees = []
         new_probs = np.empty(len(trees) * len(masks))
         k = 0
         for t, tp in zip(trees, probs):
-            for mask, mp in zip(masks, cw):
-                ids = frozenset(c.graph.edge_ids[i] for i in bits(mask))
-                new_trees.append(t | ids)
+            for tree, mp in zip(ids, cw):
+                new_trees.append(t | tree)
                 new_probs[k] = tp * mp
                 k += 1
         trees = new_trees

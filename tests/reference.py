@@ -3,7 +3,8 @@
 None of these has a caller in the package: each recomputes a quantity the
 package derives another way (a Kirchhoff count, closed-form marginals, a
 grid search over the parameter LP, an exact expected join cost, the
-even-at-last probabilities by indicator patterns), or reads a structure the
+even-at-last probabilities by indicator patterns, the matroid-route mixture
+by per-class states and ``Fraction`` sums), or reads a structure the
 package builds.
 """
 
@@ -13,13 +14,35 @@ from fractions import Fraction
 
 import numpy as np
 
+from htsp.errors import AssemblyError, InfeasibleShift
 from htsp.graph import MultiGraph
 from htsp.join import exact_eal_probabilities
-from htsp.matching import MatchingDistribution, ShiftedSolution
+from htsp.matching import (
+    MatchingDistribution,
+    ShiftedSolution,
+    apply_surgery,
+    decompose_matchings,
+    pairings_of,
+    seven_coloring,
+    shift,
+    split_external,
+    surgery_options,
+)
 from htsp.oracle import exact_expected_net_decrease
 from htsp.params import BETA_CAP, decrease_forms
-from htsp.pipeline import CyclePieceSampler
-from htsp.trees import MaxEntWeights, _matrix_tree_marginals
+from htsp.pipeline import (
+    CyclePieceSampler,
+    _check_interior,
+    _parts_of,
+    _submask_of_class,
+)
+from htsp.trees import (
+    ConstrainedTreeDistribution,
+    MaxEntWeights,
+    _matrix_tree_marginals,
+    constrained_tree_distribution,
+    contract_forced,
+)
 
 
 def edge_ids_of(dist: MatchingDistribution, mask: int) -> frozenset[int]:
@@ -230,3 +253,83 @@ def pattern_eal_probabilities(h, classes, samplers) -> dict[int, object]:
                             p = p + qpr * jpr
                 out[eid] = p
     return out
+
+
+# ---------------------------------------------------------------------------
+# the matroid-route mixture by per-class states and Fraction sums: the
+# package's code before equal states were merged and the sums went to
+# integer numerators
+# ---------------------------------------------------------------------------
+
+def per_class_mi_states(piece):
+    """Yield (probability, ShiftedSolution) over the matroid route."""
+    g = piece.graph
+    _check_interior(piece)
+    seventh = Fraction(1, 7)
+    if g.n % 2 == 0:
+        dist = decompose_matchings(piece)
+        for mk, w in zip(dist.masks, dist.weights):
+            classes = seven_coloring(g, mk)
+            for cls in range(7):
+                sub = _submask_of_class(classes, cls)
+                yield w * seventh, shift(piece, mk, sub)
+        return
+    third = Fraction(1, 3)
+    for pairing in pairings_of(piece.external_edge_ids):
+        sp = split_external(piece, pairing)
+        dist = decompose_matchings(sp)
+        for mk, w in zip(dist.masks, dist.weights):
+            classes = seven_coloring(sp.graph, mk)
+            for cls in range(7):
+                sub = _submask_of_class(classes, cls)
+                base = third * w * seventh
+                for kind, e, f, pb in surgery_options(sp, mk):
+                    if kind == "decrease":
+                        yield base * pb, apply_surgery(sp, mk, sub, kind, e, f)
+                        continue
+                    home = [p for p in _parts_of(sp, sub) if f in p]
+                    if home and len(home[0]) == 3:
+                        for dropped in (x for x in home[0] if x != f):
+                            yield base * pb / 2, apply_surgery(
+                                sp, mk, sub, kind, e, f, dropped
+                            )
+                    else:
+                        yield base * pb, apply_surgery(sp, mk, sub, kind, e, f)
+
+
+def fraction_mi_mixture(piece) -> dict[frozenset[int], Fraction]:
+    """The matroid-route tree mixture of a degree piece, one state per
+    color class and every sum a ``Fraction``."""
+    cache: dict = {}
+    acc: dict[frozenset[int], Fraction] = {}
+    for pr, shifted in per_class_mi_states(piece):
+        key = (tuple(sorted(shifted.values.items())), shifted.parts)
+        if key not in cache:
+            cache[key] = constrained_tree_distribution(shifted)
+        dist = cache[key]
+        for t, w in zip(dist.trees, dist.weights):
+            acc[t] = acc.get(t, Fraction(0)) + pr * w
+    if sum(acc.values()) != 1:
+        raise AssemblyError("matroid-route tree mixture does not sum to 1")
+    return acc
+
+
+def tree_marginals(dist: ConstrainedTreeDistribution) -> dict[int, Fraction]:
+    """Each edge's inclusion probability, summed in ``Fraction``s."""
+    out: dict[int, Fraction] = {}
+    for t, w in zip(dist.trees, dist.weights):
+        for eid in t:
+            out[eid] = out.get(eid, Fraction(0)) + w
+    return out
+
+
+def fraction_marginal_check(shifted: ShiftedSolution,
+                            dist: ConstrainedTreeDistribution) -> None:
+    """Raise unless the tree marginals reproduce the shifted vector, on
+    ``Fraction`` dicts."""
+    values = shifted.interior_values()
+    minor = contract_forced(shifted.interior_graph, values)
+    if tree_marginals(dist) | {e: Fraction(0) for e in minor.zeros} != {
+        eid: v for eid, v in values.items() if v > 0 or eid in minor.zeros
+    }:
+        raise InfeasibleShift("tree marginals do not reproduce the shifted vector")

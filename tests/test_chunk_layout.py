@@ -16,6 +16,7 @@ import pytest
 from htsp.errors import OddSetTooLarge
 from htsp.generators import generate, generate_double_cycle
 from htsp.join import ODD_SET_LIMIT
+from htsp import stats
 from htsp.pipeline import SamplerParams
 from htsp.stats import BatchEngine, BatchStats, _odd_rows, symmetry_pairs
 from tests.conftest import ALL_FAMILIES, FAMILY_SEED, family_instance
@@ -271,6 +272,28 @@ def test_integral_join_past_odd_set_limit_raises_alike():
             e._integral_costs(rows)
     assert len(engine._join_cache) > 1
     _assert_same_cache(engine, old)
+
+
+@pytest.mark.parametrize("name", ["zoo", "double-cycle-24"])
+def test_capped_join_caches_give_the_same_stats(name, monkeypatch):
+    """Caches of one entry empty before nearly every miss; the statistics
+    must not notice."""
+    engine = double_cycle_engine(24) if name == "double-cycle-24" else engine_for(name)
+    flags = {"join": True, "verify": True, "integral": True}
+    want = _cold(engine).run(TRIALS, 51, chunk=CHUNK, **flags)
+    monkeypatch.setattr(stats, "JOIN_CACHE_LIMIT", 1)
+    monkeypatch.setattr(stats, "DP_MEMO_LIMIT", 1)
+    capped = _cold(engine)
+    for _ in range(2):
+        assert_same_stats(capped.run(TRIALS, 51, chunk=CHUNK, **flags), want)
+        assert len(capped._join_cache) == 1
+
+
+def test_join_cache_never_empties_on_zoo():
+    # a 14-vertex instance has at most 2**13 parity keys (mc-zoo meets 512)
+    assert family_instance("zoo").graph.n == 14
+    assert 2 ** 13 < stats.JOIN_CACHE_LIMIT
+    assert 2 ** (ODD_SET_LIMIT - 1) < stats.DP_MEMO_LIMIT
 
 
 # ---------------------------------------------------------------------------

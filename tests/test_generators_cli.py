@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -230,6 +231,21 @@ def test_cli_oracle(instance_file):
     assert r.returncode == 0, r.stdout[-2000:]
     payload = json.loads(r.stdout)
     assert all(row["passed"] for row in payload["rows"])
+
+
+def test_cli_oracle_takes_no_seed_or_trials(instance_file):
+    # the oracle is exact: it neither samples nor seeds, so it takes
+    # neither flag, and its plain report stays the pinned one
+    from tests.test_output_digests import ORACLE_ZOO_MIX
+
+    for flag in ("--trials", "--seed"):
+        r = run_cli("oracle", instance_file, flag, "3")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "unrecognized arguments" in r.stderr
+    r = run_cli("oracle", instance_file)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == ORACLE_ZOO_MIX
 
 
 def test_cli_normalize(tmp_path):

@@ -18,6 +18,13 @@ SUITE_ALL_ZOO = {
     "maxent": "fbc7229bb045bdf41615e705c50aa7f982972400f01538c92a8333874c361c66",
     "mix": "0f358d3080b8cdebee88b59c159348f8265615aa863fdc0c65b49f4e23ace177",
 }
+# the conftest random-4reg instance (n = 12, generator seed 3): its degree
+# pieces are the largest of the pinned instances, the slow compile
+SUITE_ALL_4REG_MIX = "e9e501f74aa324d2343ff97b77f7d949bdbbfff64053fe2361259d33380cce75"
+ORACLE_4REG = {
+    "mi": "0bbefebd9ee0cdff1758990d2fa818f9c3e2311800b877fc88fee8f4c4f05f1e",
+    "mix": "5de66c0ce113b86839b113b16cc152058f8ee9e0280977c427bff59ddc5cdbe6",
+}
 REDUCTION_FLOOR_ZOO_MIX = "9f4bda7054e1fe6ab31a38bba5a59d308bf3a8b54990b2d10bc39c1da26a9188"
 ORACLE_ZOO_MIX = "4f520cb512f66e35ea7291cdf6d25376b84dd55a8d356010db8e22f26d839da8"
 
@@ -44,3 +51,16 @@ def test_oracle_csv_digest():
     inst = load_instance(ExperimentConfig(family="zoo", gen_seed=3))
     report = oracle_check(inst, SamplerParams(sampler="mix"))
     assert _sha(report.to_csv()) == ORACLE_ZOO_MIX
+
+
+def test_suite_all_csv_digest_random_4reg():
+    cfg = ExperimentConfig(family="random-4reg", n=12, gen_seed=3, sampler="mix",
+                           trials=20_000, seed=5, suite="all")
+    assert _sha(run_suite(cfg).to_csv()) == SUITE_ALL_4REG_MIX
+
+
+@pytest.mark.parametrize("sampler", sorted(ORACLE_4REG))
+def test_oracle_csv_digest_random_4reg(sampler):
+    inst = load_instance(ExperimentConfig(family="random-4reg", n=12, gen_seed=3))
+    report = oracle_check(inst, SamplerParams(sampler=sampler))
+    assert _sha(report.to_csv()) == ORACLE_4REG[sampler]

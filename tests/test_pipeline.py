@@ -14,8 +14,17 @@ from htsp.pipeline import (
     sample_r0_tree,
     validate_r0_tree,
 )
-from tests.conftest import family_instance
+from htsp.generators import generate_random_4reg
+from htsp.matching import decompose_matchings, seven_coloring, shift
+from tests.conftest import ALL_FAMILIES, family_instance
+from tests.reference import fraction_mi_mixture, per_class_mi_states
 from tests.single_draws import restrict
+
+
+def degree_pieces(inst):
+    """The pieces that compile through the matching and tree routes."""
+    return [nd.piece for nd in build_hierarchy(inst).non_leaves()
+            if nd.kind != "cycle" and nd.piece.graph.n != 5]
 
 
 @pytest.fixture(params=("mi", "mix"))
@@ -156,3 +165,52 @@ def test_mi_mixture_off_one_raises_assembly_error(monkeypatch):
         (Fraction(1, 2), next(iter(real_states(p)))[1])])
     with pytest.raises(AssemblyError, match="sum to 1"):
         DegreePieceSampler(piece, SamplerParams(sampler="mi")).mi_mixture()
+
+
+@pytest.mark.parametrize("name", [*ALL_FAMILIES, *(f"random-4reg-12-{s}" for s in range(4))])
+def test_mi_mixture_equals_the_fraction_reference(name):
+    if name in ALL_FAMILIES:
+        inst = family_instance(name)
+    else:
+        inst = generate_random_4reg(12, np.random.default_rng(int(name.rsplit("-", 1)[1])))
+    for piece in degree_pieces(inst):
+        mix = DegreePieceSampler(piece, SamplerParams(sampler="mi")).mi_mixture()
+        assert all(type(p) is Fraction for p in mix.values())
+        assert mix == fraction_mi_mixture(piece)
+
+
+def _provenance_key(shifted):
+    return tuple(sorted(shifted.provenance.items()))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_a_state_of_several_color_classes_is_visited_and_decomposed_once(n, monkeypatch):
+    (piece,) = [p for p in degree_pieces(family_instance("zoo")) if p.graph.n == n]
+    # each state once, at the summed probability of its color classes
+    want: dict[tuple, Fraction] = {}
+    for pr, sh in per_class_mi_states(piece):
+        key = _provenance_key(sh)
+        want[key] = want.get(key, 0) + pr
+    got = [(_provenance_key(sh), pr) for pr, sh in pipeline._mi_states(piece)]
+    assert len(got) < sum(1 for _ in per_class_mi_states(piece))
+    assert len({key for key, _ in got}) == len(got)
+    assert dict(got) == want
+    if n % 2 == 0:
+        # the empty classes of a matching all give its unrestricted state
+        dist = decompose_matchings(piece)
+        mk, w = dist.masks[0], dist.weights[0]
+        empty = sum(1 for c in seven_coloring(piece.graph, mk) if not c)
+        assert empty >= 2
+        assert dict(got)[_provenance_key(shift(piece, mk, 0))] == w * Fraction(empty, 7)
+    # one decomposition per distinct state
+    calls: dict = {}
+    real = pipeline.constrained_tree_distribution
+
+    def counting(shifted):
+        key = (pipeline._values_key(shifted.values), shifted.parts)
+        calls[key] = calls.get(key, 0) + 1
+        return real(shifted)
+
+    monkeypatch.setattr(pipeline, "constrained_tree_distribution", counting)
+    DegreePieceSampler(piece, SamplerParams(sampler="mi")).mi_mixture()
+    assert calls and set(calls.values()) == {1}

@@ -3,8 +3,9 @@
 Hypothesis draws the vertex count (n <= 12: at n = 16 one degree piece can
 take 10 s to build) and the generator seed.  On the matroid-intersection
 route every exact marginal is one half as a ``Fraction``, no trial of a
-full-flag run is infeasible, and the batch even-at-last and reduction
-counts agree with the exact oracle's probabilities.
+full-flag run is infeasible, the batch even-at-last and reduction counts
+agree with the exact oracle's probabilities, and every degree piece's tree
+mixture equals the per-class ``Fraction`` reference.
 """
 
 from fractions import Fraction
@@ -14,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from htsp.generators import generate_random_4reg
 from htsp.oracle import exact_marginals
-from htsp.pipeline import SamplerParams
+from htsp.hierarchy import build_hierarchy
+from htsp.pipeline import DegreePieceSampler, SamplerParams
 from htsp.stats import BatchEngine, binom_sigma, oracle_check
+from tests.reference import fraction_mi_mixture
 
 TRIALS = 2_000
 # at 3 sigma a row fails about once in 370 on correct code, and an example
@@ -47,3 +50,14 @@ def test_matroid_route_on_random_4reg(n, gen_seed):
         assert abs(estimate - row.estimate) <= SIGMAS * sigma, (row.name, e)
         checked += 1
     assert checked == 2 * engine.m
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=6, max_value=12), st.integers(min_value=0, max_value=10 ** 6))
+def test_mi_mixture_equals_the_fraction_reference_on_random_4reg(n, gen_seed):
+    inst = generate_random_4reg(n, np.random.default_rng(gen_seed))
+    for nd in build_hierarchy(inst).non_leaves():
+        if nd.kind == "cycle" or nd.piece.graph.n == 5:
+            continue
+        mix = DegreePieceSampler(nd.piece, SamplerParams(sampler="mi")).mi_mixture()
+        assert mix == fraction_mi_mixture(nd.piece)

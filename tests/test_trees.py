@@ -8,6 +8,7 @@ import htsp.trees as trees
 from htsp.errors import BoundaryTarget, InfeasibleShift
 from htsp.generators import standalone_piece
 from htsp.graph import MultiGraph
+from htsp.hierarchy import build_hierarchy
 from htsp.matching import ShiftedSolution, decompose_matchings, shift
 from htsp.trees import (
     ConstrainedTreeDistribution,
@@ -18,7 +19,14 @@ from htsp.trees import (
     maxent_fit,
     maxent_tree_distribution,
 )
-from tests.reference import maxent_marginals, spanning_tree_count
+from tests.conftest import family_instance
+from tests.reference import (
+    fraction_marginal_check,
+    maxent_marginals,
+    per_class_mi_states,
+    spanning_tree_count,
+    tree_marginals,
+)
 from tests.single_draws import (
     maxent_sample,
     mi_sample,
@@ -58,7 +66,7 @@ def test_tight_part_forces_exactly_one():
     for t in dist.trees:
         assert len({0, 1} & t) == 1
         assert {2, 3} <= t
-    marg = dist.marginals()
+    marg = tree_marginals(dist)
     assert marg[0] == Fraction(2, 3) and marg[1] == Fraction(1, 3)
 
 
@@ -70,7 +78,7 @@ def test_mi_distribution_matches_shift_exactly():
     sub = select_submatching(piece, mk, rng)
     sh = shift(piece, mk, sub)
     ctd = constrained_tree_distribution(sh)
-    marg = ctd.marginals()
+    marg = tree_marginals(ctd)
     for eid, val in sh.interior_values().items():
         assert marg.get(eid, Fraction(0)) == val
     for part in sh.parts:
@@ -314,3 +322,40 @@ def test_tree_marginals_off_target_raise_infeasible_shift(monkeypatch):
                         lambda cands, *a, **k: {min(cands): Fraction(1)})
     with pytest.raises(InfeasibleShift, match="marginals"):
         constrained_tree_distribution(sh)
+
+
+def _fraction_check_passes(shifted, dist) -> bool:
+    try:
+        fraction_marginal_check(shifted, dist)
+    except InfeasibleShift:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("family", ["zoo", "random-4reg"])
+def test_integer_marginal_check_agrees_with_the_fraction_check(family):
+    checked = rejected = 0
+    for nd in build_hierarchy(family_instance(family)).non_leaves():
+        if nd.kind == "cycle" or nd.piece.graph.n == 5:
+            continue
+        for _, sh in itertools.islice(per_class_mi_states(nd.piece), 0, None, 5):
+            dist = constrained_tree_distribution(sh)
+            values = sh.interior_values()
+            assert trees._marginals_reproduce(dist, values)
+            assert _fraction_check_passes(sh, dist)
+            # mass moved between two trees, the forced edges dropped from a
+            # tree, and an edge that is not in the piece added to one
+            variants = []
+            if len(dist.trees) > 1:
+                d = min(dist.weights) / 2
+                variants.append(ConstrainedTreeDistribution(
+                    dist.trees, (dist.weights[0] + d, dist.weights[1] - d) + dist.weights[2:]))
+            for last in (dist.trees[-1] - sh.forced, dist.trees[-1] | {-99}):
+                variants.append(ConstrainedTreeDistribution(dist.trees[:-1] + (last,),
+                                                            dist.weights))
+            for bad in variants:
+                verdict = _fraction_check_passes(sh, bad)
+                assert trees._marginals_reproduce(bad, values) == verdict
+                rejected += not verdict
+            checked += 1
+    assert checked and rejected
