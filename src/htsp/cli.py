@@ -50,10 +50,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _sampler_params(args) -> SamplerParams:
-    return SamplerParams(
-        sampler=args.sampler,
-        mix_lambda=Fraction(args.mix_lambda).limit_denominator(10 ** 9),
-    )
+    return SamplerParams.from_float(args.sampler, args.mix_lambda)
 
 
 def _add_common(p: argparse.ArgumentParser, trials_default: int = 1) -> None:

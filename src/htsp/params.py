@@ -10,13 +10,23 @@ amounts solve a tiny linear program: maximize the minimum form subject to
 the ordering and cap constraints.  The mix itself is then line-searched.
 
 The program is solved exactly by enumerating constraint-intersection
-vertices in rational arithmetic; no LP library involved.
+vertices; no LP library involved.  Every coefficient is affine in the mix,
+so at lam = n/d all constraint rows are integers over one common factor.
+A float screen solves all C(17, 4) bases at once in closed form: each 4x4
+determinant and Cramer numerator is a bilinear form in the 2x2 minors of
+the basis's first and last two rows.  Floats only pick the near-optimal
+bases; each of those is re-solved on the integer rows and certified by
+integer inequalities, and the largest exact delta wins, the first basis in
+``itertools.combinations`` order on a tie.  The optimal face is an edge,
+not a vertex, at every mix checked, so that tie-break fixes the reported
+amounts.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -85,23 +95,6 @@ def decrease_forms(lam: Fraction) -> list[tuple[str, tuple[Fraction, Fraction, F
     ]
 
 
-def _solve4(rows: list[tuple[Fraction, ...]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    n = 4
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 @dataclass(frozen=True)
 class LpSolution:
     lam: Fraction
@@ -135,47 +128,132 @@ def _bases(n_constraints: int) -> np.ndarray:
     return combos
 
 
+#: the ten column pairs of an augmented row (tau, gamma, beta, delta | b)
+_PAIRS = list(itertools.combinations(range(5), 2))
+_C0, _C1 = np.array(_PAIRS).T
+
+
+def _laplace_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices and signs that expand the five 4x4 minors of a basis's
+    augmented rows [A | b] by the 2x2 minors of rows (0, 1) and (2, 3).
+
+    Output j < 4 is the Cramer numerator of x_j, output 4 is det A.
+    """
+    top, bot, sign = [], [], []
+    for j in range(5):
+        cols = [c for c in range(5) if c != j]
+        # b sits last among ``cols``; Cramer's matrix has it in column j
+        flip = 1 if j == 4 else (-1) ** (3 - j)
+        for p, q in itertools.combinations(range(4), 2):
+            r, s = (c for c in range(4) if c not in (p, q))
+            top.append(_PAIRS.index((cols[p], cols[q])))
+            bot.append(_PAIRS.index((cols[r], cols[s])))
+            sign.append(flip * (-1) ** (p + q + 1))
+    return tuple(np.array(t).reshape(5, 6) for t in (top, bot, sign))
+
+
+_TOP, _BOT, _SIGN = _laplace_table()
+#: the same expansion as bilinear forms: output j = top . _LAPLACE[j] . bot
+_LAPLACE = np.zeros((5, len(_PAIRS), len(_PAIRS)))
+_LAPLACE[np.arange(5)[:, None], _TOP, _BOT] = _SIGN
+
+
+def _minors(ri: np.ndarray, rk: np.ndarray) -> np.ndarray:
+    """2x2 minors of augmented row pairs over the ten column pairs."""
+    return ri[..., _C0] * rk[..., _C1] - ri[..., _C1] * rk[..., _C0]
+
+
+def _cramer(top: np.ndarray, bot: np.ndarray) -> np.ndarray:
+    """Per basis the Cramer numerators of x and det A, from the minors of
+    its first and its last two rows (used on Python-int arrays)."""
+    return (top[..., _TOP] * bot[..., _BOT] * _SIGN).sum(axis=-1)
+
+
+@functools.cache
+def _basis_pairs(n_constraints: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row pairs that open and that close a basis, and each basis's
+    flat position in the (opening x closing) grid."""
+    combos = _bases(n_constraints)
+    top, ti = np.unique(combos[:, :2], axis=0, return_inverse=True)
+    bot, bi = np.unique(combos[:, 2:], axis=0, return_inverse=True)
+    flat = ti.reshape(-1) * len(bot) + bi.reshape(-1)
+    for t in (top, bot, flat):
+        t.setflags(write=False)
+    return top, bot, flat
+
+
+@functools.cache
+def _affine_rows() -> tuple[tuple[str, ...], np.ndarray, np.ndarray, int]:
+    """Constraint names, and the augmented rows as u + lam*v over one
+    common denominator q, with u and v integer (object) arrays.
+
+    Every coefficient is affine in the mix, so at lam = n/d the rows are
+    the integers u*d + v*n over the positive factor q*d.
+    """
+    at0, at1 = _constraints(Fraction(0)), _constraints(Fraction(1))
+    u = [[*coefs, b] for _, coefs, b in at0]
+    v = [[y - x for x, y in zip(r0, [*coefs, b])] for r0, (_, coefs, b) in zip(u, at1)]
+    q = math.lcm(*(f.denominator for row in u + v for f in row))
+    ints = [np.array([[int(f * q) for f in row] for row in t], dtype=object) for t in (u, v)]
+    for t in ints:
+        t.setflags(write=False)
+    return tuple(name for name, _, _ in at0), ints[0], ints[1], q
+
+
 def solve_amounts(lam: Fraction) -> LpSolution:
     """Exact maximizer of the minimum decrease form at a fixed mix.
 
-    Vertex enumeration with a float pre-pass: candidate bases are screened
-    in floating point and only the near-optimal ones are re-solved and
-    verified in exact rationals.
+    Vertex enumeration with a float screen and an integer certificate.
+    The screen solves every basis of four constraints by Cramer's rule,
+    each 4x4 determinant expanded from the 2x2 minors of its row pairs,
+    and keeps the feasible bases within 1e-9 of the best float delta.
+    Each of those is re-solved on the integer-scaled rows (numerators N
+    over the determinant D), certified by A N <= b D on every row, and
+    its binding rows are the equalities.  Among the certified bases the
+    one with the largest exact delta wins, the first in
+    ``itertools.combinations`` order on a tie: at every mix checked the
+    optimal face is an edge, whose two vertices can differ in gamma, so
+    the tie-break fixes the reported amounts.  ``Fraction``s are built
+    for the returned solution only.
     """
     lam = Fraction(lam)
-    cons = _constraints(lam)
-    amat = np.array([[float(c) for c in coefs] for _, coefs, _ in cons])
-    bvec = np.array([float(b) for _, _, b in cons])
+    names, u, v, q = _affine_rows()
+    m = len(names)
+    rows = u * lam.denominator + v * lam.numerator
+    # int / int divides correctly rounded: the floats of the Fraction rows
+    aug = (rows / (q * lam.denominator)).astype(float)
 
-    combos = _bases(len(cons))
-    stacks = amat[combos]  # (k, 4, 4)
-    rhs = bvec[combos]  # (k, 4)
-    good = np.abs(np.linalg.det(stacks)) > 1e-12
-    xs = np.linalg.solve(stacks[good], rhs[good][..., None])[..., 0]
-    feas = np.all(xs @ amat.T <= bvec[None, :] + 1e-9, axis=1)
+    # every basis's Cramer numerators and det A, read off one grid of
+    # bilinear forms between the minors of opening and closing row pairs
+    top, bot, flat = _basis_pairs(m)
+    grid = (_minors(aug[top[:, 0]], aug[top[:, 1]]) @ _LAPLACE) @ \
+        _minors(aug[bot[:, 0]], aug[bot[:, 1]]).T
+    grid = grid.reshape(5, -1)[:, flat]
+    good = np.flatnonzero(np.abs(grid[4]) > 1e-12)
+    xs = grid[:4, good] / grid[4, good]
+    feas = (aug[:, :4] @ xs - aug[:, 4:]).max(axis=0) <= 1e-9
     if not feas.any():
         raise LpFailure(f"feasible region is empty at lambda {lam}")
-    deltas = xs[feas, 3]
-    near = combos[good][feas][deltas >= deltas.max() - 1e-9]
-    best: Optional[tuple[Fraction, list[Fraction]]] = None
-    for combo in near.tolist():
-        rows = [cons[i][1] for i in combo]
-        rhs = [cons[i][2] for i in combo]
-        x = _solve4(rows, rhs)
-        if x is None:
+    deltas = xs[3, feas]
+    near = _bases(m)[good[feas][deltas >= deltas.max() - 1e-9]]
+
+    exact = _cramer(_minors(rows[near[:, 0]], rows[near[:, 1]]),
+                    _minors(rows[near[:, 2]], rows[near[:, 3]]))
+    best: Optional[tuple[list[int], int, np.ndarray]] = None
+    for *num, den in exact.tolist():
+        if den == 0:
             continue
-        if all(sum(c * v for c, v in zip(coefs, x)) <= b for _, coefs, b in cons):
-            if best is None or x[3] > best[0]:
-                best = (x[3], x)
+        if den < 0:
+            num, den = [-k for k in num], -den
+        slack = rows[:, :4] @ num - rows[:, 4] * den
+        if (slack <= 0).all() and (best is None or num[3] * best[1] > best[0][3] * den):
+            best = (num, den, slack)
     if best is None:
         raise LpFailure(f"float screening lost the optimum at lambda {lam}")
-    delta, x = best
-    binding = tuple(
-        name
-        for name, coefs, b in cons
-        if sum(c * v for c, v in zip(coefs, x)) == b
-    )
-    return LpSolution(lam, x[0], x[1], x[2], delta, binding)
+    num, den, slack = best
+    tau, gamma, beta, delta = (Fraction(k, den) for k in num)
+    binding = tuple(name for name, s in zip(names, slack) if s == 0)
+    return LpSolution(lam, tau, gamma, beta, delta, binding)
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,8 @@ from .hierarchy import CutHierarchy, HierarchyNode, LocalMultigraph
 from .matching import (
     ShiftedSolution,
     apply_surgery,
-    decompose_matchings,
-    pairings_of,
     seven_coloring,
     shift,
-    split_external,
     surgery_options,
 )
 from .params import DEFAULT_MIX_LAMBDA
@@ -60,6 +57,13 @@ class SamplerParams:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if not 0 <= self.mix_lambda <= 1:
             raise ConfigError(f"mix_lambda {self.mix_lambda} is outside [0, 1]")
+
+    @classmethod
+    def from_float(cls, sampler: str, mix_lambda: float) -> "SamplerParams":
+        """Parameters from a float mix, as the CLI and configs give it."""
+        if not math.isfinite(mix_lambda):
+            raise ConfigError(f"mix_lambda {mix_lambda} is not a finite number")
+        return cls(sampler, Fraction(mix_lambda).limit_denominator(10 ** 9))
 
     @property
     def effective_lambda(self) -> Fraction:
@@ -214,15 +218,13 @@ def _mi_states(piece: LocalMultigraph):
     g = piece.graph
     _check_interior(piece)
     if g.n % 2 == 0:
-        dist = decompose_matchings(piece)
+        ((_, dist),) = piece.split_matchings
         for mk, w in zip(dist.masks, dist.weights):
             for sub, k in _class_submasks(seven_coloring(g, mk)):
                 yield w * Fraction(k, 7), shift(piece, mk, sub)
         return
     third = Fraction(1, 3)
-    for pairing in pairings_of(piece.external_edge_ids):
-        sp = split_external(piece, pairing)
-        dist = decompose_matchings(sp)
+    for sp, dist in piece.split_matchings:
         for mk, w in zip(dist.masks, dist.weights):
             options = surgery_options(sp, mk)
             for sub, k in _class_submasks(seven_coloring(sp.graph, mk)):
@@ -254,14 +256,12 @@ def _maxent_states(piece: LocalMultigraph):
     g = piece.graph
     _check_interior(piece)
     if g.n % 2 == 0:
-        dist = decompose_matchings(piece)
+        ((_, dist),) = piece.split_matchings
         for mk, w in zip(dist.masks, dist.weights):
             yield w, shift(piece, mk, 0)
         return
     third = Fraction(1, 3)
-    for pairing in pairings_of(piece.external_edge_ids):
-        sp = split_external(piece, pairing)
-        dist = decompose_matchings(sp)
+    for sp, dist in piece.split_matchings:
         for mk, w in zip(dist.masks, dist.weights):
             for kind, e, f, pb in surgery_options(sp, mk):
                 yield third * w * pb, apply_surgery(sp, mk, 0, kind, e, f)
@@ -281,20 +281,6 @@ class DegreePieceSampler:
         self._me_cache: dict = {}
         self._mi_mixture = None
         self._me_mixture = None
-        self._matching_cache: dict = {}
-
-    def _matching_setup(self, pairing_index: Optional[int]):
-        """Cached (split piece, matching distribution) per split pairing."""
-        if pairing_index not in self._matching_cache:
-            if pairing_index is None:
-                self._matching_cache[None] = (None, decompose_matchings(self.piece))
-            else:
-                sp = split_external(
-                    self.piece,
-                    pairings_of(self.piece.external_edge_ids)[pairing_index],
-                )
-                self._matching_cache[pairing_index] = (sp, decompose_matchings(sp))
-        return self._matching_cache[pairing_index]
 
     # -- cached per-state distributions -----------------------------------
 
@@ -387,8 +373,7 @@ class DegreePieceSampler:
         piece = self.piece
         g = piece.graph
         odd = g.n % 2 == 1
-        pairing_index = int(rng.integers(0, 3)) if odd else None
-        sp, dist = self._matching_setup(pairing_index)
+        sp, dist = piece.split_matchings[int(rng.integers(0, 3)) if odd else 0]
         mk = dist.sample(rng)
         if use_maxent:
             if odd:

@@ -964,10 +964,7 @@ class ExperimentConfig:
     delta_floor: Optional[float] = None
 
     def sampler_params(self) -> SamplerParams:
-        return SamplerParams(
-            sampler=self.sampler,
-            mix_lambda=Fraction(self.mix_lambda).limit_denominator(10 ** 9),
-        )
+        return SamplerParams.from_float(self.sampler, self.mix_lambda)
 
 
 def load_instance(cfg: ExperimentConfig) -> HalfIntegralInstance:

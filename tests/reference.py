@@ -2,7 +2,8 @@
 
 None of these has a caller in the package: each recomputes a quantity the
 package derives another way (a Kirchhoff count, closed-form marginals, a
-grid search over the parameter LP, an exact expected join cost, the
+grid search over the parameter LP, the parameter LP by LAPACK and
+``Fraction`` Gauss-Jordan, an exact expected join cost, the
 even-at-last probabilities by indicator patterns, the matroid-route mixture
 by per-class states and ``Fraction`` sums), or reads a structure the
 package builds.
@@ -11,10 +12,11 @@ package builds.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
-from htsp.errors import AssemblyError, InfeasibleShift
+from htsp.errors import AssemblyError, InfeasibleShift, LpFailure
 from htsp.graph import MultiGraph
 from htsp.join import exact_eal_probabilities
 from htsp.matching import (
@@ -29,7 +31,7 @@ from htsp.matching import (
     surgery_options,
 )
 from htsp.oracle import exact_expected_net_decrease
-from htsp.params import BETA_CAP, decrease_forms
+from htsp.params import BETA_CAP, LpSolution, _bases, _constraints, decrease_forms
 from htsp.pipeline import (
     CyclePieceSampler,
     _check_interior,
@@ -132,6 +134,72 @@ def grid_oracle(lam: Fraction, coarse: float = 1e-3,
         fine,
     )
     return max(best, fine_best)
+
+
+# ---------------------------------------------------------------------------
+# the parameter LP by LAPACK screen and Fraction Gauss-Jordan: the package's
+# code before the screen went to closed-form minors and the re-solve to
+# integers
+# ---------------------------------------------------------------------------
+
+def _solve4(rows: list[tuple[Fraction, ...]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
+    n = 4
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col]
+        a[col] = [x / inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def solve_amounts(lam: Fraction) -> LpSolution:
+    """Exact maximizer of the minimum decrease form at a fixed mix.
+
+    Vertex enumeration with a float pre-pass: candidate bases are screened
+    in floating point and only the near-optimal ones are re-solved and
+    verified in exact rationals.
+    """
+    lam = Fraction(lam)
+    cons = _constraints(lam)
+    amat = np.array([[float(c) for c in coefs] for _, coefs, _ in cons])
+    bvec = np.array([float(b) for _, _, b in cons])
+
+    combos = _bases(len(cons))
+    stacks = amat[combos]  # (k, 4, 4)
+    rhs = bvec[combos]  # (k, 4)
+    good = np.abs(np.linalg.det(stacks)) > 1e-12
+    xs = np.linalg.solve(stacks[good], rhs[good][..., None])[..., 0]
+    feas = np.all(xs @ amat.T <= bvec[None, :] + 1e-9, axis=1)
+    if not feas.any():
+        raise LpFailure(f"feasible region is empty at lambda {lam}")
+    deltas = xs[feas, 3]
+    near = combos[good][feas][deltas >= deltas.max() - 1e-9]
+    best: Optional[tuple[Fraction, list[Fraction]]] = None
+    for combo in near.tolist():
+        rows = [cons[i][1] for i in combo]
+        rhs = [cons[i][2] for i in combo]
+        x = _solve4(rows, rhs)
+        if x is None:
+            continue
+        if all(sum(c * v for c, v in zip(coefs, x)) <= b for _, coefs, b in cons):
+            if best is None or x[3] > best[0]:
+                best = (x[3], x)
+    if best is None:
+        raise LpFailure(f"float screening lost the optimum at lambda {lam}")
+    delta, x = best
+    binding = tuple(
+        name
+        for name, coefs, b in cons
+        if sum(c * v for c, v in zip(coefs, x)) == b
+    )
+    return LpSolution(lam, x[0], x[1], x[2], delta, binding)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,8 @@ def test_cli_normalize(tmp_path):
 
 @pytest.mark.parametrize("case", ["bad-instance", "missing-file", "no-source",
                                   "stats-mix", "oracle-mix", "join-mix",
+                                  "stats-nan-mix", "stats-inf-mix",
+                                  "oracle-nan-mix", "oracle-inf-mix",
                                   "stats-trials-0", "stats-trials-neg",
                                   "tour-trials-0", "join-trials-neg",
                                   "sample-trials-0"])
@@ -285,6 +287,12 @@ def test_cli_bad_input_is_one_line_with_exit_code_2(case, tmp_path, instance_fil
         "stats-mix": ("stats", "--family", "nested", "--mix-lambda", "2"),
         "oracle-mix": ("oracle", instance_file, "--mix-lambda", "2"),
         "join-mix": ("join", instance_file, "--mix-lambda", "2"),
+        "stats-nan-mix": ("stats", "--family", "zoo", "--mix-lambda", "nan",
+                          "--trials", "10"),
+        "stats-inf-mix": ("stats", "--family", "zoo", "--mix-lambda", "inf",
+                          "--trials", "10"),
+        "oracle-nan-mix": ("oracle", instance_file, "--mix-lambda", "nan"),
+        "oracle-inf-mix": ("oracle", instance_file, "--mix-lambda", "inf"),
         "stats-trials-0": ("stats", "--family", "zoo", "--trials", "0"),
         "stats-trials-neg": ("stats", "--family", "zoo", "--trials", "-5"),
         "tour-trials-0": ("tour", instance_file, "--trials", "0"),

@@ -1,15 +1,17 @@
 """Byte-identity of the statistic and oracle reports.
 
 The digests below are sha256 sums of ``StatReport.to_csv()`` for fixed
-instances, seeds and flags.  They pin the README's determinism promise
-across refactors: a change that alters any of these reports must say why
-and update the digest in the same change.
+instances, seeds and flags, and of the ``htsp optimize-params`` output.
+They pin the README's determinism promise across refactors: a change that
+alters any of these reports must say why and update the digest in the
+same change.
 """
 
 import hashlib
 
 import pytest
 
+from htsp.cli import main
 from htsp.pipeline import SamplerParams
 from htsp.stats import ExperimentConfig, load_instance, oracle_check, run_suite
 
@@ -27,6 +29,8 @@ ORACLE_4REG = {
 }
 REDUCTION_FLOOR_ZOO_MIX = "9f4bda7054e1fe6ab31a38bba5a59d308bf3a8b54990b2d10bc39c1da26a9188"
 ORACLE_ZOO_MIX = "4f520cb512f66e35ea7291cdf6d25376b84dd55a8d356010db8e22f26d839da8"
+# the optimized mix, amounts (floats and exact) and binding constraints
+OPTIMIZE_PARAMS = "7dc901fbf651bf28b55f16f9b8420a6fc0afd981e7cf9cff929b83395fdb3ad4"
 
 
 def _sha(text: str) -> str:
@@ -64,3 +68,8 @@ def test_oracle_csv_digest_random_4reg(sampler):
     inst = load_instance(ExperimentConfig(family="random-4reg", n=12, gen_seed=3))
     report = oracle_check(inst, SamplerParams(sampler=sampler))
     assert _sha(report.to_csv()) == ORACLE_4REG[sampler]
+
+
+def test_optimize_params_stdout_digest(capsys):
+    assert main(["optimize-params"]) == 0
+    assert _sha(capsys.readouterr().out) == OPTIMIZE_PARAMS

@@ -1,11 +1,18 @@
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
+from htsp import params
+from htsp.errors import LpFailure
 from htsp.params import (
+    _quantize,
     decrease_forms,
     mixed_rates,
     optimize,
     solve_amounts,
 )
+from tests import reference
 from tests.reference import grid_oracle
 
 PUBLISHED = {
@@ -101,3 +108,62 @@ def test_solve_amounts_respects_constraints():
             for _, (ct, cg, cb) in decrease_forms(lam)
         ]
         assert min(vals) == sol.delta
+
+
+def _visited_mixes(monkeypatch) -> list[Fraction]:
+    """Every mix ``optimize()`` solves at, in call order."""
+    seen: list[Fraction] = []
+    real = params.solve_amounts
+
+    def record(lam):
+        seen.append(Fraction(lam))
+        return real(lam)
+
+    monkeypatch.setattr(params, "solve_amounts", record)
+    optimize()
+    monkeypatch.undo()
+    return seen
+
+
+def test_solve_amounts_equals_the_reference_where_optimize_looks(monkeypatch):
+    # the closed-form screen and integer certificate give the LAPACK and
+    # Fraction Gauss-Jordan solver's answer, tie-break and binding included
+    grid = [_quantize(x) for x in np.arange(0.0, 1.0 + 1e-12, 0.02)]
+    visited = _visited_mixes(monkeypatch)
+    assert len(grid) == 51 and len(visited) == 72
+    for lam in [*grid, *visited, Fraction(0), Fraction(1), Fraction(4715, 10000)]:
+        assert solve_amounts(lam) == reference.solve_amounts(lam)
+
+
+def test_tie_break_is_the_first_optimal_basis():
+    # at the default mix the optimal face is an edge whose two vertices
+    # differ in gamma; the first basis in combinations order is reported
+    lam = Fraction(4715, 10000)
+    cons = params._constraints(lam)
+    feasible = []
+    for combo in params._bases(len(cons)).tolist():
+        x = reference._solve4([cons[i][1] for i in combo], [cons[i][2] for i in combo])
+        if x is not None and all(
+                sum(c * v for c, v in zip(coefs, x)) <= b for _, coefs, b in cons):
+            feasible.append(x)
+    best = max(x[3] for x in feasible)
+    optima = [x for x in feasible if x[3] == best]
+    assert len({tuple(x) for x in optima}) == len({x[1] for x in optima}) == 2
+    sol = solve_amounts(lam)
+    assert [sol.tau, sol.gamma, sol.beta, sol.delta] == optima[0]
+
+
+def test_empty_feasible_region_raises(monkeypatch):
+    real = params._constraints
+    zero, one = Fraction(0), Fraction(1)
+    # tau >= 1 against beta <= 1/12 and tau <= gamma <= beta
+    monkeypatch.setattr(params, "_constraints", lambda lam: [
+        *real(lam), ("tau>=1", (-one, zero, zero, zero), -one)])
+    params._affine_rows.cache_clear()
+    try:
+        with pytest.raises(LpFailure, match="feasible region is empty"):
+            solve_amounts(Fraction(1, 2))
+    finally:
+        monkeypatch.undo()
+        params._affine_rows.cache_clear()
+    assert solve_amounts(Fraction(1, 2)) == reference.solve_amounts(Fraction(1, 2))

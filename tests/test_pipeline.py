@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import htsp.matching as matching
 import htsp.pipeline as pipeline
 from htsp.errors import AssemblyError
 from htsp.hierarchy import build_hierarchy
@@ -214,3 +215,20 @@ def test_a_state_of_several_color_classes_is_visited_and_decomposed_once(n, monk
     monkeypatch.setattr(pipeline, "constrained_tree_distribution", counting)
     DegreePieceSampler(piece, SamplerParams(sampler="mi")).mi_mixture()
     assert calls and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_each_split_piece_is_decomposed_once(n, monkeypatch):
+    # both routes and the single draws share one decomposition per
+    # pairing of an odd piece, and one of an even piece
+    (piece,) = [p for p in degree_pieces(family_instance("zoo")) if p.graph.n == n]
+    calls = []
+    real = matching.decompose_matchings
+    monkeypatch.setattr(matching, "decompose_matchings",
+                        lambda g: calls.append(g) or real(g))
+    sampler = DegreePieceSampler(piece, SamplerParams(sampler="mix"))
+    compiled = sampler.compiled()
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        compiled.sample(rng)
+    assert len(calls) == (3 if n % 2 else 1)

@@ -5,7 +5,9 @@ take 10 s to build) and the generator seed.  On the matroid-intersection
 route every exact marginal is one half as a ``Fraction``, no trial of a
 full-flag run is infeasible, the batch even-at-last and reduction counts
 agree with the exact oracle's probabilities, and every degree piece's tree
-mixture equals the per-class ``Fraction`` reference.
+mixture equals the per-class ``Fraction`` reference.  Apart from these, a
+mix k/10^7 is drawn and the parameter LP's solution held to the reference
+solver's.
 """
 
 from fractions import Fraction
@@ -15,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from htsp.generators import generate_random_4reg
 from htsp.oracle import exact_marginals
+from htsp.params import solve_amounts
 from htsp.hierarchy import build_hierarchy
 from htsp.pipeline import DegreePieceSampler, SamplerParams
 from htsp.stats import BatchEngine, binom_sigma, oracle_check
-from tests.reference import fraction_mi_mixture
+from tests.reference import fraction_mi_mixture, solve_amounts as reference_solve_amounts
 
 TRIALS = 2_000
 # at 3 sigma a row fails about once in 370 on correct code, and an example
@@ -61,3 +64,10 @@ def test_mi_mixture_equals_the_fraction_reference_on_random_4reg(n, gen_seed):
             continue
         mix = DegreePieceSampler(nd.piece, SamplerParams(sampler="mi")).mi_mixture()
         assert mix == fraction_mi_mixture(nd.piece)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 7))
+def test_solve_amounts_equals_the_reference(k):
+    lam = Fraction(k, 10 ** 7)
+    assert solve_amounts(lam) == reference_solve_amounts(lam)
