@@ -18,10 +18,11 @@ from .hierarchy import CutHierarchy, build_cactus, build_hierarchy, min_cuts_via
 from .join import ReductionParams, build_join, classify, verify_join
 from .pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
 from .params import optimize
-from .stats import BatchEngine, ExperimentConfig, run_suite
+from .stats import BatchEngine, CompiledInstance, ExperimentConfig, run_suite
 
 __all__ = [
     "BatchEngine",
+    "CompiledInstance",
     "CutHierarchy",
     "ExperimentConfig",
     "HalfIntegralInstance",

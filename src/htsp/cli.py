@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -19,21 +20,11 @@ from . import generators
 from .errors import HtspError
 from .graph import parse_instance, normalize_to_special_triple, serialize_instance
 from .hierarchy import build_cactus, build_hierarchy, min_cuts_via_hierarchy
-from .join import (
-    ReductionParams,
-    build_charge_sites,
-    build_join,
-    check_eal_bounds,
-    classify,
-    coin_rates,
-    exact_eal_probabilities,
-    integral_join_and_tour,
-    shortest_path_metric,
-    verify_join,
-)
+from .join import build_join, integral_join_and_tour
 from .params import DEFAULT_MIX_LAMBDA
-from .pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
-from .stats import ExperimentConfig, check_positive, oracle_check, run_suite
+from .pipeline import SamplerParams, sample_r0_tree
+from .stats import (BatchEngine, CompiledInstance, ExperimentConfig, check_positive,
+                    oracle_check, run_suite)
 
 
 def _read_instance(path: str, strict: bool = True):
@@ -53,17 +44,22 @@ def _sampler_params(args) -> SamplerParams:
     return SamplerParams.from_float(args.sampler, args.mix_lambda)
 
 
-def _add_common(p: argparse.ArgumentParser, trials_default: int = 1) -> None:
-    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    p.add_argument("--trials", type=int, default=trials_default)
-    _add_sampler_and_output(p)
-
-
-def _add_sampler_and_output(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, trials_default: Optional[int] = 1,
+                report: bool = False) -> None:
+    """The sampler and output flags; seed and trials unless the command is
+    exact (``trials_default=None``); a format where it prints a report."""
+    if trials_default is not None:
+        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+        p.add_argument("--trials", type=int, default=trials_default)
     p.add_argument("--sampler", choices=("mi", "maxent", "mix"), default="mix")
     p.add_argument("--mix-lambda", type=float, default=float(DEFAULT_MIX_LAMBDA))
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if report:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _compile(args, cls=CompiledInstance):
+    return cls(_read_instance(args.instance), _sampler_params(args))
 
 
 def cmd_generate(args) -> int:
@@ -139,13 +135,11 @@ def cmd_cactus(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    inst = _read_instance(args.instance)
-    h = build_hierarchy(inst)
-    sp = _sampler_params(args)
-    samplers = build_piece_samplers(h, sp)
+    ci = _compile(args)
     lines = []
     for trial in range(args.trials):
-        ts = sample_r0_tree(h, sp, seed=args.seed, trial=trial, samplers=samplers)
+        ts = sample_r0_tree(ci.h, ci.sp, seed=args.seed, trial=trial,
+                            samplers=ci.samplers)
         entry = {"trial": trial, "edges": sorted(ts.edges)}
         if args.dump_shift:
             entry["provenance"] = {
@@ -169,34 +163,20 @@ def _json_safe(obj):
 
 
 def cmd_join(args) -> int:
-    inst = _read_instance(args.instance)
-    h = build_hierarchy(inst)
-    sp = _sampler_params(args)
-    rp = ReductionParams.default(sp.effective_lambda)
-    samplers = build_piece_samplers(h, sp)
-    classes = classify(h)
-    probs = exact_eal_probabilities(h, classes, samplers)
-    rates = coin_rates(classes, rp, probs)
-    check_eal_bounds(classes, rp, probs)
-    sites = build_charge_sites(h, classes, rp)
-    metric = shortest_path_metric(inst)
-    cuts = min_cuts_via_hierarchy(h)
-    cx = inst.lp_cost()
+    engine = _compile(args, BatchEngine)
     rows = ["trial,seed,tree_cost,fractional_join_cost,integral_join_cost,tour_cost,ratio_to_cx"]
     for trial in range(args.trials):
-        ts = sample_r0_tree(h, sp, seed=args.seed, trial=trial, samplers=samplers)
+        ts = sample_r0_tree(engine.h, engine.sp, seed=args.seed, trial=trial,
+                            samplers=engine.samplers)
         rng = np.random.default_rng(
             np.random.SeedSequence(args.seed, spawn_key=(trial, 1 << 20))
         )
-        js = build_join(h, classes, rp, ts.edges, rates, rng, sites)
-        verify_join(js.z, ts.edges, h, cuts)
-        frac_cost = sum(
-            (inst.costs[e] * z for e, z in js.z.items()), Fraction(0)
-        )
-        res = integral_join_and_tour(
-            inst, ts.edges, metric=metric, shortcut=not args.no_shortcut
-        )
-        ratio = float((res.tree_cost + res.join_cost) / cx)
+        js = build_join(engine.h, engine.classes, engine.rp, ts.edges,
+                        engine.rates, rng, engine.sites)
+        z = engine.verify_trial(js.z, ts.edges)
+        frac_cost = Fraction(int(engine.cost_int @ z), engine.cost_denom * engine.z_denom)
+        res = integral_join_and_tour(engine, ts.edges, shortcut=not args.no_shortcut)
+        ratio = float((res.tree_cost + res.join_cost) / engine.lp_cost)
         rows.append(
             f"{trial},{args.seed},{float(res.tree_cost):.10g},"
             f"{float(frac_cost):.10g},{float(res.join_cost):.10g},"
@@ -207,17 +187,12 @@ def cmd_join(args) -> int:
 
 
 def cmd_tour(args) -> int:
-    inst = _read_instance(args.instance)
-    h = build_hierarchy(inst)
-    sp = _sampler_params(args)
-    samplers = build_piece_samplers(h, sp)
-    metric = shortest_path_metric(inst)
+    ci = _compile(args)
     best = None
     for trial in range(args.trials):
-        ts = sample_r0_tree(h, sp, seed=args.seed, trial=trial, samplers=samplers)
-        res = integral_join_and_tour(
-            inst, ts.edges, metric=metric, shortcut=not args.no_shortcut
-        )
+        ts = sample_r0_tree(ci.h, ci.sp, seed=args.seed, trial=trial,
+                            samplers=ci.samplers)
+        res = integral_join_and_tour(ci, ts.edges, shortcut=not args.no_shortcut)
         if best is None or res.tour_cost < best.tour_cost:
             best = res
     payload = {
@@ -225,7 +200,7 @@ def cmd_tour(args) -> int:
         "tour_cost": float(best.tour_cost),
         "tree_cost": float(best.tree_cost),
         "join_cost": float(best.join_cost),
-        "ratio_to_cx": float((best.tree_cost + best.join_cost) / inst.lp_cost()),
+        "ratio_to_cx": float((best.tree_cost + best.join_cost) / ci.lp_cost),
         "trials": args.trials,
     }
     _write(json.dumps(payload, indent=2) + "\n", args.out)
@@ -353,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--delta-floor", type=float, default=None)
-    _add_common(p, trials_default=100_000)
+    _add_common(p, trials_default=100_000, report=True)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("optimize-params", help="reproduce the parameter optimization")
@@ -362,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact no-sampling verification report")
     p.add_argument("instance")
-    # exact: no seed and no trials
-    _add_sampler_and_output(p)
+    _add_common(p, trials_default=None, report=True)
     p.set_defaults(func=cmd_oracle)
 
     return ap
@@ -372,7 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand.  Exit code 0 is success, 1 a failed bound in
     ``stats`` or ``oracle``, and 2 bad input, reported on one line."""
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        print(f"htsp {args.cmd}: unrecognized arguments: {' '.join(extra)}",
+              file=sys.stderr)
+        return 2
     try:
         if hasattr(args, "trials"):
             check_positive(trials=args.trials)

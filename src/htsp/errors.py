@@ -88,7 +88,7 @@ class OddSetTooLarge(HtspError):
 
 
 class ScaleOverflow(HtspError):
-    """Charge quanta need a common denominator too large for exact int64 sums."""
+    """Costs or charge quanta scale past what exact int64 sums hold."""
 
 
 class LpFailure(HtspError):

@@ -542,9 +542,6 @@ class JoinSolution:
     reductions: dict[int, Fraction]
     charges: dict[int, tuple[tuple[tuple[int, ...], Fraction], ...]]
 
-    def net_decrease(self, eid: int) -> Fraction:
-        return QUARTER - self.z[eid]
-
 
 def build_join(
     h: CutHierarchy,
@@ -553,11 +550,10 @@ def build_join(
     tree_edges: frozenset[int],
     rates: dict[tuple, float],
     rng: np.random.Generator,
-    sites: Optional[tuple[list[DegreeChargeSite], list[PairChargeSite]]] = None,
+    sites: tuple[list[DegreeChargeSite], list[PairChargeSite]],
 ) -> JoinSolution:
-    """One trial of the reduction-and-charge scheme for a sampled tree."""
-    if sites is None:
-        sites = build_charge_sites(h, classes, params)
+    """One trial of the reduction-and-charge scheme for a sampled tree, with
+    the charge sites of ``build_charge_sites``."""
     degree_sites, pair_sites = sites
     eal = detect_eal(h, classes, tree_edges)
     groups = coin_groups(classes)
@@ -613,7 +609,6 @@ class JoinReport:
     ok: bool
     floor_violations: tuple[int, ...]
     cut_violations: tuple[tuple[frozenset[int], Fraction], ...]
-    checked_cuts: int
 
 
 def verify_join(z: dict[int, Fraction], tree_edges: frozenset[int],
@@ -639,7 +634,6 @@ def verify_join(z: dict[int, Fraction], tree_edges: frozenset[int],
         ok=not floor_bad and not cut_bad,
         floor_violations=floor_bad,
         cut_violations=tuple(cut_bad),
-        checked_cuts=len(min_cuts),
     )
     if raise_on_violation and not report.ok:
         raise FeasibilityViolation(
@@ -657,55 +651,26 @@ def verify_join(z: dict[int, Fraction], tree_edges: frozenset[int],
 ODD_SET_LIMIT = 18
 
 
-def shortest_path_metric(inst: HalfIntegralInstance) -> tuple[list[list[Fraction]], dict]:
-    """All-pairs shortest paths over the support graph, with successors."""
-    g = inst.graph
-    n = g.n
-    INF = Fraction(10 ** 12)
-    d = [[INF] * n for _ in range(n)]
-    nxt: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        d[v][v] = Fraction(0)
-    for eid, (u, v) in zip(g.edge_ids, g.endpoints):
-        c = inst.costs[eid]
-        if c < d[u][v]:
-            d[u][v] = d[v][u] = c
-            nxt[(u, v)] = v
-            nxt[(v, u)] = u
-    for k in range(n):
-        for i in range(n):
-            dik = d[i][k]
-            if dik == INF:
-                continue
-            row_k = d[k]
-            for j in range(n):
-                alt = dik + row_k[j]
-                if alt < d[i][j]:
-                    d[i][j] = d[j][i] = alt
-                    nxt[(i, j)] = nxt[(i, k)]
-                    nxt[(j, i)] = nxt[(j, k)]
-    return d, nxt
-
-
 def min_cost_perfect_matching(odd: list[int], dist,
                               memo: Optional[dict] = None
-                              ) -> tuple[Fraction, list[tuple[int, int]]]:
+                              ) -> tuple[object, list[tuple[int, int]]]:
     """Exact pairing by dynamic programming over vertex-id bitmasks.
 
     The memo is keyed by subsets of the full vertex set, so one dictionary
     can be shared across calls with different odd sets of one instance.
+    The cost is in the metric's own numbers: integers on an integer metric.
     """
     k = len(odd)
     if k % 2:
         raise NoPerfectMatching(f"{k} odd vertices cannot be paired")
     if k == 0:
-        return Fraction(0), []
+        return 0, []
     if k > ODD_SET_LIMIT:
         raise OddSetTooLarge(f"{k} odd vertices exceeds the exact limit {ODD_SET_LIMIT}")
     if memo is None:
         memo = {}
     if 0 not in memo:
-        memo[0] = (Fraction(0), None)
+        memo[0] = (0, None)
 
     def solve(mask: int):
         hit = memo.get(mask)
@@ -761,28 +726,29 @@ class TourResult:
     tree_cost: Fraction
 
 
-def integral_join_and_tour(inst: HalfIntegralInstance, tree_edges: frozenset[int],
-                           metric=None, shortcut: bool = True) -> TourResult:
-    """Cheapest parity fix for the tree, then a closed tour.
+def integral_join_and_tour(ci, tree_edges: frozenset[int],
+                           shortcut: bool = True) -> TourResult:
+    """Cheapest parity fix for the tree, then a closed tour, on the integer
+    costs and metric of a ``stats.CompiledInstance``; only the costs of
+    the result are ``Fraction``s.
 
     The join pairs odd-degree vertices along shortest paths; the tour is
     the Euler circuit of the combined multigraph, shortcut to first visits
     and priced in the shortest-path metric (always a metric, so the
     shortcut never costs more than the walk).
     """
+    inst = ci.inst
     g = inst.graph
-    if metric is None:
-        metric = shortest_path_metric(inst)
-    d, nxt = metric
+    d, nxt = ci.metric
     join_cost, pairs = min_cost_perfect_matching(odd_vertices(inst, tree_edges), d)
     legs: list[tuple[int, int]] = [g.endpoints[eid] for eid in tree_edges]
     for a, b in pairs:
         node = a
         while node != b:
-            step = nxt[(node, b)]
+            step = int(nxt[node, b])
             legs.append((node, step))
             node = step
-    tree_cost = sum((inst.costs[eid] for eid in tree_edges), Fraction(0))
+    tree_cost = sum(int(ci.cost_int[eid]) for eid in tree_edges)
 
     # Euler circuit over the leg multiset
     adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
@@ -790,8 +756,7 @@ def integral_join_and_tour(inst: HalfIntegralInstance, tree_edges: frozenset[int
         adj[u].append(i)
         adj[v].append(i)
     used = [False] * len(legs)
-    start = inst.root
-    stack = [start]
+    stack = [inst.root]
     circuit: list[int] = []
     ptr = {v: 0 for v in adj}
     while stack:
@@ -821,18 +786,16 @@ def integral_join_and_tour(inst: HalfIntegralInstance, tree_edges: frozenset[int
             if v not in seen:
                 seen.add(v)
                 tour.append(v)
-        tour_cost = sum(
-            (d[a][b] for a, b in zip(tour, tour[1:] + tour[:1])), Fraction(0)
-        )
+        steps = zip(tour, tour[1:] + tour[:1])
     else:
         tour = circuit[:-1]
-        tour_cost = sum(
-            (d[a][b] for a, b in zip(circuit, circuit[1:])), Fraction(0)
-        )
+        steps = zip(circuit, circuit[1:])
+    tour_cost = sum(int(d[a, b]) for a, b in steps)
+    denom = ci.cost_denom
     return TourResult(
-        join_cost=join_cost,
+        join_cost=Fraction(int(join_cost), denom),
         join_legs=tuple(pairs),
         tour=tuple(tour),
-        tour_cost=tour_cost,
-        tree_cost=tree_cost,
+        tour_cost=Fraction(tour_cost, denom),
+        tree_cost=Fraction(tree_cost, denom),
     )

@@ -15,14 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .hierarchy import CutHierarchy
-from .join import (
-    EdgeClass,
-    ReductionParams,
-    build_charge_sites,
-    coin_rates,
-    eal_conditions,
-    event_probability,
-)
+from .join import EdgeClass, eal_conditions, event_probability
 from .params import EAL_BOUNDS
 from .pipeline import CyclePieceSampler, PieceSampler
 
@@ -44,35 +37,22 @@ def exact_marginals(h: CutHierarchy, samplers: dict[int, PieceSampler],
 # exact reduction and net-decrease accounting
 # ---------------------------------------------------------------------------
 
-def exact_reduction_probability(classes, params, eal_probability) -> dict[int, object]:
-    """Per-edge reduction rate; equals the class bound whenever the
-    even-at-last estimate clears it."""
-    rates = coin_rates(classes, params, eal_probability)
-    return {
-        e: rates[cl.coin_group] * eal_probability[e] for e, cl in classes.items()
-    }
-
-
-def exact_expected_net_decrease(
-    h: CutHierarchy,
-    classes: dict[int, EdgeClass],
-    params: ReductionParams,
-    samplers: dict[int, PieceSampler],
-    eal_probability: dict[int, object],
-) -> dict[int, object]:
-    """E[quarter - z_e] per edge: reductions in, expected charges out, given
-    the exact even-at-last probabilities of ``exact_eal_probabilities``.
+def exact_expected_net_decrease(ci) -> dict[int, object]:
+    """E[quarter - z_e] per edge of a ``stats.CompiledInstance``:
+    reductions in, expected charges out, read off its exact even-at-last
+    probabilities, coin rates and charge sites.
 
     A site charges when its source is even at last, its coin comes up, and
     one of its cuts is crossed oddly; a pair site's coin group repays once
     for all of its members' cuts.
     """
-    rates = coin_rates(classes, params, eal_probability)
-    red = exact_reduction_probability(classes, params, eal_probability)
+    h, classes, samplers, rates = ci.h, ci.classes, ci.samplers, ci.rates
+    # an edge is reduced when it is even at last and its coin comes up
     net: dict[int, object] = {
-        e: red[e] * params.amount(cl.kind) for e, cl in classes.items()
+        e: rates[cl.coin_group] * ci.eal_probability[e] * ci.rp.amount(cl.kind)
+        for e, cl in classes.items()
     }
-    degree_sites, pair_sites = build_charge_sites(h, classes, params)
+    degree_sites, pair_sites = ci.sites
     for site in degree_sites:
         s = site.source
         p = event_probability(samplers, classes, eal_conditions(h, classes, s),

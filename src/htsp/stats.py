@@ -1,11 +1,14 @@
-"""Vectorized Monte Carlo harness and the statistic suites.
+"""The compiled instance, the vectorized Monte Carlo harness and the
+statistic suites.
 
-Trials are embarrassingly parallel, so the engine draws whole chunks of
-piece choices at once: each compiled piece distribution is a categorical
-lookup, even-at-last flags and cut parities are XORs of whole edge rows
-(a chunk holds one row of trials per edge), and the join arithmetic runs
-in integers after scaling every charge quantum by a common denominator
-(so feasibility checks are exact, not float).  Verification reads the
+``CompiledInstance`` builds each per-instance structure once for every
+command, and ``BatchEngine`` adds the chunk plans.  Trials are
+embarrassingly parallel, so the engine draws whole chunks of piece choices
+at once: each compiled piece distribution is a categorical lookup,
+even-at-last flags and cut parities are XORs of whole edge rows (a chunk
+holds one row of trials per edge), and the join arithmetic runs in
+integers after scaling every charge quantum by a common denominator (so
+feasibility checks are exact, not float).  Verification reads the
 min-cuts through the hierarchy and never lists them: one running
 two-minimum over the k + 1 partner pairs of a cycle piece with a k-vertex
 chain covers its k(k+1)/2 segment cuts, and the label cut of each degree
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -40,6 +44,7 @@ from .join import (
     eal_conditions,
     exact_eal_probabilities,
     min_cost_perfect_matching,
+    verify_join,
 )
 from .params import DEFAULT_MIX_LAMBDA, EAL_BOUNDS, EPSILON, TOUR_RATIO_BOUND
 from .pipeline import (
@@ -55,6 +60,10 @@ JOIN_CACHE_LIMIT = 1 << 16
 #: most subset entries the pairing DP's shared memo holds between solves; one
 #: solve at ``join.ODD_SET_LIMIT`` odd vertices fills up to 2**17
 DP_MEMO_LIMIT = 1 << 18
+#: most trials a chunk holds; the cost scaling keeps a chunk's int64 cost
+#: sums exact for that many
+MAX_CHUNK = 1 << 14
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +197,16 @@ class BatchStats:
     cost_denom: int = 1
 
 
-class BatchEngine:
-    """Reusable vectorized trial runner for one instance and one config."""
+class CompiledInstance:
+    """One instance compiled once for every command: the hierarchy, the
+    piece samplers and the edge classes, built eagerly; the even-at-last
+    probabilities, coin rates, charge sites, integer costs and integer
+    metric, each built on first use.  It checks no even-at-last bound, and
+    only a command that reads costs can meet their ``ScaleOverflow``."""
 
-    def __init__(
-        self,
-        inst: HalfIntegralInstance,
-        sampler_params: Optional[SamplerParams] = None,
-        reduction_params: Optional[ReductionParams] = None,
-    ):
+    def __init__(self, inst: HalfIntegralInstance,
+                 sampler_params: Optional[SamplerParams] = None,
+                 reduction_params: Optional[ReductionParams] = None):
         self.inst = inst
         self.sp = sampler_params or SamplerParams()
         self.rp = reduction_params or ReductionParams.default(self.sp.effective_lambda)
@@ -205,25 +215,86 @@ class BatchEngine:
         self.classes = classify(self.h)
         self.m = inst.graph.m
         self.n = inst.graph.n
+        self.lp_cost = inst.lp_cost()
+
+    @cached_property
+    def eal_probability(self) -> dict[int, object]:
+        return exact_eal_probabilities(self.h, self.classes, self.samplers)
+
+    @cached_property
+    def rates(self) -> dict[tuple, object]:
+        return coin_rates(self.classes, self.rp, self.eal_probability)
+
+    @cached_property
+    def sites(self) -> tuple[list, list]:
+        """The degree and the pair charge sites."""
+        return build_charge_sites(self.h, self.classes, self.rp)
+
+    @cached_property
+    def cost_denom(self) -> int:
+        """The costs' common denominator.  Raises ``ScaleOverflow`` unless
+        the int64 sums stay exact: a tree, an integral join and a metric
+        entry each cost at most the sum S of all scaled costs, a trial's
+        tree plus join at most 2S, and a chunk adds ``MAX_CHUNK`` trials."""
+        denom = _lcm_denominator(self.inst.costs)
+        total = sum(c * denom for c in self.inst.costs)
+        if 2 * MAX_CHUNK * total > INT64_MAX:
+            raise ScaleOverflow(
+                f"costs over their common denominator {denom} sum to {total}; "
+                f"{MAX_CHUNK} trials of tree plus join could overflow int64"
+            )
+        return denom
+
+    @cached_property
+    def cost_int(self) -> np.ndarray:
+        """Each edge's cost in units of 1/cost_denom."""
+        return np.array([int(c * self.cost_denom) for c in self.inst.costs],
+                        dtype=np.int64)
+
+    @cached_property
+    def metric(self) -> tuple[np.ndarray, np.ndarray]:
+        """All-pairs shortest-path costs over the support graph, in units of
+        1/cost_denom, and ``nxt[u, v]``, the vertex after u on a shortest
+        path to v.  Floyd-Warshall: the first cheapest parallel edge seeds
+        a pair, and only a strictly shorter path through k replaces it."""
+        n = self.n
+        # unconnected: two such add up without overflow, above any real path
+        d = np.full((n, n), INT64_MAX // 4, dtype=np.int64)
+        np.fill_diagonal(d, 0)
+        # a direct edge steps straight to its far end
+        nxt = np.tile(np.arange(n), (n, 1))
+        g = self.inst.graph
+        for eid, (u, v) in zip(g.edge_ids, g.endpoints):
+            c = self.cost_int[eid]
+            if c < d[u, v]:
+                d[u, v] = d[v, u] = c
+        for k in range(n):
+            alt = d[:, k][:, None] + d[k, :][None, :]
+            better = alt < d
+            d = np.where(better, alt, d)
+            nxt = np.where(better, nxt[:, k][:, None], nxt)
+        return d, nxt
+
+
+class BatchEngine(CompiledInstance):
+    """Reusable vectorized trial runner for one instance and one config;
+    it takes the arguments of ``CompiledInstance``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        check_eal_bounds(self.classes, self.rp, self.eal_probability)
         self._build_sampling_plan()
         self._build_eal_plan()
-        self._build_costs()
-        self.eal_probability = exact_eal_probabilities(
-            self.h, self.classes, self.samplers
-        )
-        self.rates = coin_rates(self.classes, self.rp, self.eal_probability)
-        check_eal_bounds(self.classes, self.rp, self.eal_probability)
         self._build_join_plan()
         self._build_verify_plan()
-        self._metric_int: Optional[np.ndarray] = None
         self._join_cache: dict[bytes, int] = {}
         self._dp_memo: dict = {}
-        g = inst.graph
+        g = self.inst.graph
         self._incident: list[list[int]] = [[] for _ in range(self.n)]
         for eid, (u, v) in zip(g.edge_ids, g.endpoints):
             for w in {u, v}:
                 self._incident[w].append(eid)
-        self.root_edges = self._incident[inst.root]
+        self.root_edges = self._incident[self.inst.root]
 
     # -- plans ------------------------------------------------------------
 
@@ -259,15 +330,8 @@ class BatchEngine:
         ]
         self.eal_plan = [(key, edges[0], edges[1:]) for key, edges in by_key.items()]
 
-    def _build_costs(self) -> None:
-        self.cost_denom = _lcm_denominator(self.inst.costs)
-        self.cost_int = np.array(
-            [int(c * self.cost_denom) for c in self.inst.costs], dtype=np.int64
-        )
-        self.lp_cost = self.inst.lp_cost()
-
     def _build_join_plan(self) -> None:
-        degree_sites, pair_sites = build_charge_sites(self.h, self.classes, self.rp)
+        degree_sites, pair_sites = self.sites
         quanta = [Fraction(1, 4), Fraction(1, 6)]
         for e, cl in self.classes.items():
             quanta.append(self.rp.amount(cl.kind))
@@ -318,6 +382,16 @@ class BatchEngine:
             for site in pair_sites
         ]
         self.site_cut_cols = [np.array(c, dtype=np.int64) for c in site_cuts]
+        # the most charge |z_e| an edge can carry, so that a chunk's sums
+        # of cost * charge stay exact
+        most = [D // 4 + int(a) for a in self.amount_int]
+        for f, amt in (t for _, _, targets in self.degree_site_plan for t in targets):
+            most[f] += amt
+        for (t0, t1), groups in self.pair_site_plan:
+            most[t0] += sum(half for half, _ in groups)
+            most[t1] += sum(half for half, _ in groups)
+        if MAX_CHUNK * sum(int(c) * z for c, z in zip(self.cost_int, most)) > INT64_MAX:
+            raise ScaleOverflow(f"{MAX_CHUNK} trials of cost times charge could overflow int64")
 
     def _build_verify_plan(self) -> None:
         """The min-cuts as the hierarchy holds them (see ``_infeasible``).
@@ -396,13 +470,15 @@ class BatchEngine:
         trials: int,
         seed: int,
         *,
-        chunk: int = 1 << 14,
+        chunk: int = MAX_CHUNK,
         join: bool = True,
         verify: bool = False,
         integral: bool = False,
         symmetry_pairs: Sequence[tuple[int, int]] = (),
     ) -> BatchStats:
         check_positive(trials=trials, chunk=chunk)
+        if chunk > MAX_CHUNK:
+            raise ConfigError(f"chunk must be at most {MAX_CHUNK}, got {chunk}")
         st = BatchStats()
         st.incl = np.zeros(self.m, dtype=np.int64)
         st.eal = np.zeros(self.m, dtype=np.int64)
@@ -559,23 +635,28 @@ class BatchEngine:
             bad |= cover < 0
         return bad
 
-    # -- integral joins --------------------------------------------------------
+    def verify_trial(self, z: dict[int, Fraction], tree_edges: frozenset[int]) -> np.ndarray:
+        """Check one trial's join ``z`` as a chunk checks its trials and
+        return it in units of 1/z_denom; on a failure raise ``verify_join``'s
+        ``FeasibilityViolation``, which lists the violated cuts by shore."""
+        T = np.zeros((self.m, 1), dtype=bool)
+        T[sorted(tree_edges)] = True
+        D = self.z_denom
+        if any(D % z[e].denominator for e in range(self.m)):
+            raise AssemblyError(f"a charge is off the 1/{D} grid")
+        col = np.array([[z[e].numerator * (D // z[e].denominator)] for e in range(self.m)],
+                       dtype=np.int64)
+        # one XOR reduction over every site cut: per cut, a chunk's row
+        # XORs cost more than the whole check on one trial
+        cuts = self.site_cut_cols
+        starts = np.cumsum([0] + [len(c) for c in cuts[:-1]])
+        site_odd = list(np.logical_xor.reduceat(T[np.concatenate(cuts)], starts)) if cuts else []
+        if self._infeasible(T, col, site_odd)[0]:
+            verify_join(z, tree_edges, self.h)
+            raise AssemblyError("a join verify_join passes failed the check through the hierarchy")
+        return col[:, 0]
 
-    def _metric(self) -> np.ndarray:
-        if self._metric_int is None:
-            n = self.n
-            INF = np.iinfo(np.int64).max // 4
-            d = np.full((n, n), INF, dtype=np.int64)
-            np.fill_diagonal(d, 0)
-            g = self.inst.graph
-            for eid, (u, v) in zip(g.edge_ids, g.endpoints):
-                c = self.cost_int[eid]
-                if c < d[u, v]:
-                    d[u, v] = d[v, u] = c
-            for k in range(n):
-                d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
-            self._metric_int = d
-        return self._metric_int
+    # -- integral joins --------------------------------------------------------
 
     def _integral_costs(self, T: np.ndarray) -> np.ndarray:
         """Integral join cost per trial of a ``(trials, m)`` tree block; the
@@ -613,7 +694,7 @@ class BatchEngine:
         blob = keys[firsts, :nbytes].tobytes()
         found = [self._join_cache.get(blob[k:k + nbytes])
                  for k in range(0, len(blob), nbytes)]
-        d = self._metric()
+        d, _ = self.metric
         for j, cost in enumerate(found):
             if cost is None:
                 # the caps are kept between lookups, never inside a solve
@@ -897,14 +978,11 @@ def oracle_check(inst: HalfIntegralInstance,
     rates, and per-edge expected net decrease, all without sampling."""
     from . import oracle as orc
 
-    sp = sampler_params or SamplerParams()
-    h = build_hierarchy(inst)
-    rp = reduction_params or ReductionParams.default(sp.effective_lambda)
-    samplers = build_piece_samplers(h, sp)
-    classes = classify(h)
+    ci = CompiledInstance(inst, sampler_params, reduction_params)
+    sp, rp, classes = ci.sp, ci.rp, ci.classes
     report = StatReport(meta={"suite": "oracle", "sampler": sp.sampler})
-    exact = orc.exact_marginals(h, samplers, classes)
-    for e in range(inst.graph.m):
+    exact = orc.exact_marginals(ci.h, ci.samplers, classes)
+    for e in range(ci.m):
         val = exact[e]
         report.rows.append(
             StatRow("oracle",
@@ -912,27 +990,26 @@ def oracle_check(inst: HalfIntegralInstance,
                     sp.sampler, f"edge:{e}", "exact", 0.5, float(val), 0.0, 0,
                     is_half(val))
         )
-    probs = exact_eal_probabilities(h, classes, samplers)
+    probs = ci.eal_probability
     bounds = eal_bounds_for(sp, rp)
-    for e in range(inst.graph.m):
+    for e in range(ci.m):
         kind = classes[e].kind
         report.rows.append(
             StatRow("oracle", f"even-at-last/{kind}", sp.sampler, f"edge:{e}",
                     "exact", float(bounds[kind]), float(probs[e]), 0.0, 0,
                     float(probs[e]) >= float(bounds[kind]) - 1e-12)
         )
-    red = orc.exact_reduction_probability(classes, rp, probs)
-    for e in range(inst.graph.m):
+    for e in range(ci.m):
         target = rp.coin_bound(classes[e].coin_kind)
-        val = red[e]
+        val = ci.rates[classes[e].coin_group] * probs[e]
         ok = (val == target) if isinstance(val, Fraction) else abs(val - float(target)) <= 1e-9
         report.rows.append(
             StatRow("oracle", "reduction-rate-flattened", sp.sampler,
                     f"edge:{e}", "exact", float(target), float(val), 0.0, 0,
                     bool(ok))
         )
-    net = orc.exact_expected_net_decrease(h, classes, rp, samplers, probs)
-    for e in range(inst.graph.m):
+    net = orc.exact_expected_net_decrease(ci)
+    for e in range(ci.m):
         report.rows.append(
             StatRow("oracle", "expected-net-decrease", sp.sampler, f"edge:{e}",
                     "exact", 0.0, float(net[e]), 0.0, 0, float(net[e]) > 0)

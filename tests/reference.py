@@ -3,7 +3,8 @@
 None of these has a caller in the package: each recomputes a quantity the
 package derives another way (a Kirchhoff count, closed-form marginals, a
 grid search over the parameter LP, the parameter LP by LAPACK and
-``Fraction`` Gauss-Jordan, an exact expected join cost, the
+``Fraction`` Gauss-Jordan, an exact expected join cost, the ``Fraction``
+shortest-path metric with successors, the
 even-at-last probabilities by indicator patterns, the matroid-route mixture
 by per-class states and ``Fraction`` sums), or reads a structure the
 package builds.
@@ -18,7 +19,6 @@ import numpy as np
 
 from htsp.errors import AssemblyError, InfeasibleShift, LpFailure
 from htsp.graph import MultiGraph
-from htsp.join import exact_eal_probabilities
 from htsp.matching import (
     MatchingDistribution,
     ShiftedSolution,
@@ -83,15 +83,49 @@ def maxent_marginals(fit: MaxEntWeights) -> dict[int, float]:
     return out
 
 
-def exact_expected_join_cost(h, classes, params, samplers) -> object:
-    """Expected fractional join cost: quarter cost minus the net decreases."""
-    probs = exact_eal_probabilities(h, classes, samplers)
-    net = exact_expected_net_decrease(h, classes, params, samplers, probs)
-    inst = h.instance
+def exact_expected_join_cost(ci) -> object:
+    """Expected fractional join cost of a ``CompiledInstance``: quarter
+    cost minus the net decreases."""
+    net = exact_expected_net_decrease(ci)
+    inst = ci.inst
     total = 0
     for e in range(inst.graph.m):
         total = total + inst.costs[e] * (Fraction(1, 4) - net[e])
     return total
+
+
+def shortest_path_metric(inst) -> tuple[list[list[Fraction]], dict]:
+    """All-pairs shortest paths over the support graph in ``Fraction``s,
+    with successors: ``nxt[(u, v)]`` is the vertex after u on a shortest
+    path to v.  The oracle for ``CompiledInstance.metric``."""
+    g = inst.graph
+    n = g.n
+    INF = None
+    d = [[INF] * n for _ in range(n)]
+    nxt: dict[tuple[int, int], int] = {}
+    for v in range(n):
+        d[v][v] = Fraction(0)
+    for eid, (u, v) in zip(g.edge_ids, g.endpoints):
+        c = inst.costs[eid]
+        if d[u][v] is INF or c < d[u][v]:
+            d[u][v] = d[v][u] = c
+            nxt[(u, v)] = v
+            nxt[(v, u)] = u
+    for k in range(n):
+        for i in range(n):
+            dik = d[i][k]
+            if dik is INF:
+                continue
+            row_k = d[k]
+            for j in range(n):
+                if row_k[j] is INF:
+                    continue
+                alt = dik + row_k[j]
+                if d[i][j] is INF or alt < d[i][j]:
+                    d[i][j] = d[j][i] = alt
+                    nxt[(i, j)] = nxt[(i, k)]
+                    nxt[(j, i)] = nxt[(j, k)]
+    return d, nxt
 
 
 def grid_oracle(lam: Fraction, coarse: float = 1e-3,

@@ -163,7 +163,7 @@ class RowMajorEngine(BatchEngine):
         par = (T.astype(np.uint8) @ self._inc_full) % 2
         packed = np.packbits(par, axis=1)
         keys = [row.tobytes() for row in packed]
-        d = self._metric()
+        d, _ = self.metric
         if not hasattr(self, "_dp_memo"):
             self._dp_memo = {}
         out = np.empty(T.shape[0], dtype=np.int64)

@@ -65,18 +65,15 @@ def test_every_family_generates_valid_instances():
 
 
 def test_metric_costs_satisfy_triangle_inequality():
-    inst = family_instance("zoo")
-    from htsp.join import shortest_path_metric
+    from htsp.stats import CompiledInstance
 
-    d, _ = shortest_path_metric(inst)
-    g = inst.graph
+    ci = CompiledInstance(family_instance("zoo"))
+    d, _ = ci.metric
+    g = ci.inst.graph
     for eid, (u, v) in zip(g.edge_ids, g.endpoints):
-        assert d[u][v] <= inst.costs[eid]
-    n = g.n
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                assert d[a][b] <= d[a][c] + d[c][b]
+        assert d[u, v] <= ci.cost_int[eid]
+    # every d[a, b] <= d[a, c] + d[c, b], for all c at once
+    assert (d[:, None, :] <= d[:, :, None] + d[None, :, :]).all()
 
 
 def test_unit_costs_flag():
@@ -276,7 +273,8 @@ def test_cli_normalize(tmp_path):
                                   "oracle-nan-mix", "oracle-inf-mix",
                                   "stats-trials-0", "stats-trials-neg",
                                   "tour-trials-0", "join-trials-neg",
-                                  "sample-trials-0"])
+                                  "sample-trials-0", "sample-format",
+                                  "join-format", "tour-format"])
 def test_cli_bad_input_is_one_line_with_exit_code_2(case, tmp_path, instance_file):
     bad = tmp_path / "bad.htsp"
     bad.write_text("htsp 3 2\n0 1 1\n")
@@ -298,6 +296,10 @@ def test_cli_bad_input_is_one_line_with_exit_code_2(case, tmp_path, instance_fil
         "tour-trials-0": ("tour", instance_file, "--trials", "0"),
         "join-trials-neg": ("join", instance_file, "--trials", "-1"),
         "sample-trials-0": ("sample", instance_file, "--trials", "0"),
+        # only stats and oracle print a report, so only they take a format
+        "sample-format": ("sample", instance_file, "--format", "json"),
+        "join-format": ("join", instance_file, "--format", "json"),
+        "tour-format": ("tour", instance_file, "--format", "csv"),
     }[case]
     r = run_cli(*args)
     assert r.returncode == 2
@@ -306,3 +308,122 @@ def test_cli_bad_input_is_one_line_with_exit_code_2(case, tmp_path, instance_fil
     assert r.stderr.startswith(f"htsp {args[0]}: ")
     if case.endswith("-mix") or "-trials-" in case:
         assert "ConfigError" in r.stderr
+    if case.endswith("-format"):
+        assert "unrecognized arguments: --format" in r.stderr
+
+
+def _primes(k: int) -> list[int]:
+    out: list[int] = []
+    p = 3
+    while len(out) < k:
+        if all(p % q for q in out):
+            out.append(p)
+        p += 2
+    return out
+
+
+def _scaled_zoo(kind: str):
+    """The zoo (generator seed 0): its costs times 10**15 ("huge") or
+    10**10 ("charge"), each edge pair's costs over a distinct odd prime
+    ("prime"), and unit costs ("unit") and unit costs times 10**12
+    ("large")."""
+    from htsp.graph import HalfIntegralInstance
+
+    unit = kind in ("unit", "large")
+    zoo = generate("zoo", np.random.default_rng(0), unit_costs=unit)
+    if kind == "prime":
+        costs = [c / p for c, p in zip(zoo.costs, np.repeat(_primes(zoo.graph.m // 2), 2))]
+    else:
+        scale = {"huge": 15, "charge": 10, "large": 12, "unit": 0}[kind]
+        costs = [c * 10 ** scale for c in zoo.costs]
+    return HalfIntegralInstance(zoo.graph, tuple(costs))
+
+
+@pytest.fixture(scope="module")
+def scaled_files(tmp_path_factory):
+    from htsp.graph import serialize_instance
+
+    root = tmp_path_factory.mktemp("scaled")
+    paths = {}
+    for kind in ("huge", "prime", "charge", "large", "unit"):
+        paths[kind] = str(root / f"{kind}.htsp")
+        with open(paths[kind], "w", encoding="utf-8") as fh:
+            fh.write(serialize_instance(_scaled_zoo(kind)))
+    return paths
+
+
+STATS_COST = ("stats", "--suite", "cost", "--trials", "100", "--instance")
+
+
+@pytest.mark.parametrize("kind,cmd", [
+    *((kind, cmd) for kind in ("huge", "prime")
+      for cmd in (STATS_COST, ("join",), ("tour",))),
+    # tree and join costs fit; a chunk's sums of cost times charge do not
+    ("charge", STATS_COST), ("charge", ("join",)),
+])
+def test_costs_past_the_int64_scale_are_refused(kind, cmd, scaled_files, capsys):
+    """Costs whose int64 sums could wrap, as a chunk adds them up, stop
+    every command that reads them with a one-line ``ScaleOverflow``."""
+    from htsp.cli import main
+
+    assert main([*cmd, scaled_files[kind]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"htsp {cmd[0]}: ScaleOverflow: ")
+    assert len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["huge", "prime", "charge"])
+def test_commands_without_costs_accept_any_scale(kind, scaled_files, capsys):
+    from htsp.cli import main
+
+    assert main(["oracle", scaled_files[kind]]) == 0
+    assert main(["sample", scaled_files[kind], "--trials", "2"]) == 0
+    if kind == "charge":
+        # the tour sums no charges
+        assert main(["tour", scaled_files[kind], "--trials", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_costs_past_the_old_metric_sentinel_give_the_scaled_tour(scaled_files, capsys):
+    """Costs of 10**12 and more, which the ``Fraction`` metric took for
+    unreachable, give the unit-cost tour at 10**12 times its cost."""
+    from htsp.cli import main
+
+    reports = {}
+    for kind in ("unit", "large"):
+        assert main(["tour", scaled_files[kind], "--seed", "4"]) == 0
+        reports[kind] = json.loads(capsys.readouterr().out)
+    assert reports["large"]["tour"] == reports["unit"]["tour"]
+    for key in ("tour_cost", "tree_cost", "join_cost"):
+        assert reports["large"][key] == reports["unit"][key] * 10 ** 12
+    assert reports["large"]["ratio_to_cx"] == reports["unit"]["ratio_to_cx"]
+
+
+@pytest.mark.parametrize("cmd", [("sample", "--trials", "3"), ("join", "--trials", "3"),
+                                 ("tour", "--trials", "3"), ("oracle",)])
+def test_each_command_compiles_the_instance_once(cmd, instance_file, monkeypatch, capsys):
+    """The hierarchy and the piece samplers are built once per command,
+    under every name htsp looks them up by."""
+    import htsp
+    import htsp.cli
+    import htsp.hierarchy
+    import htsp.pipeline
+    import htsp.stats
+    from htsp.cli import main
+
+    calls = {"build_hierarchy": 0, "build_piece_samplers": 0}
+    for name in calls:
+        original = getattr(htsp.pipeline if name == "build_piece_samplers"
+                           else htsp.hierarchy, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (htsp, htsp.cli, htsp.hierarchy, htsp.pipeline, htsp.stats):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert main([cmd[0], instance_file, *cmd[1:]]) == 0
+    capsys.readouterr()
+    assert calls == {"build_hierarchy": 1, "build_piece_samplers": 1}

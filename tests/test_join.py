@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htsp.errors import (
     AssemblyError,
@@ -24,11 +25,12 @@ from htsp.join import (
     integral_join_and_tour,
     min_cost_perfect_matching,
     odd_vertices,
-    shortest_path_metric,
     verify_join,
 )
 from htsp.pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
+from htsp.stats import CompiledInstance
 from tests.conftest import family_instance
+from tests.reference import shortest_path_metric
 
 QUARTER = Fraction(1, 4)
 
@@ -262,14 +264,11 @@ def test_verify_join_catches_deficient_cut(zoo_instance):
 
 def test_integral_join_empty_and_pair(zoo_instance):
     inst = zoo_instance
-    metric = shortest_path_metric(inst)
-    h = build_hierarchy(inst)
-    sp = SamplerParams(sampler="mi")
-    samplers = build_piece_samplers(h, sp)
-    d, _ = metric
+    ci = CompiledInstance(inst, SamplerParams(sampler="mi"))
+    d, _ = shortest_path_metric(inst)
     for trial in range(30):
-        ts = sample_r0_tree(h, sp, seed=6, trial=trial, samplers=samplers)
-        res = integral_join_and_tour(inst, ts.edges, metric=metric)
+        ts = sample_r0_tree(ci.h, ci.sp, seed=6, trial=trial, samplers=ci.samplers)
+        res = integral_join_and_tour(ci, ts.edges)
         odd = odd_vertices(inst, ts.edges)
         if not odd:
             assert res.join_cost == 0
@@ -323,13 +322,9 @@ def test_exact_net_decrease_meets_delta_floor():
     floor = float(sol.delta)
     for family in ("double-cycle", "k5-gadget", "nested", "zoo", "random-4reg"):
         inst = family_instance(family)
-        h = build_hierarchy(inst)
-        sp = SamplerParams(sampler="mix")
-        rp = ReductionParams.default(sp.effective_lambda)
-        samplers = build_piece_samplers(h, sp)
-        classes = classify(h)
-        probs = exact_eal_probabilities(h, classes, samplers)
-        net = exact_expected_net_decrease(h, classes, rp, samplers, probs)
+        net = exact_expected_net_decrease(
+            CompiledInstance(inst, SamplerParams(sampler="mix"))
+        )
         worst = min(float(v) for v in net.values())
         assert worst >= floor - 1e-9, (family, worst, floor)
 
@@ -343,12 +338,9 @@ def test_exact_expected_join_cost_beats_bound():
     res = optimize()
     for family in ("double-cycle", "k5-gadget", "nested", "zoo", "random-4reg"):
         inst = family_instance(family)
-        h = build_hierarchy(inst)
         sp = SamplerParams(sampler="mix", mix_lambda=res.lam)
         rp = ReductionParams(res.tau, res.gamma, res.beta, sp.effective_lambda)
-        samplers = build_piece_samplers(h, sp)
-        classes = classify(h)
-        expected = float(exact_expected_join_cost(h, classes, rp, samplers))
+        expected = float(exact_expected_join_cost(CompiledInstance(inst, sp, rp)))
         bound = (0.5 - 0.001695) * float(inst.lp_cost())
         assert expected <= bound + 1e-9, (family, expected, bound)
 
@@ -455,12 +447,11 @@ def test_tour_and_batch_paths_share_the_odd_set_limit():
 
     inst = generate_double_cycle(20, np.random.default_rng(0))
     engine = BatchEngine(inst, SamplerParams(sampler="mi"))
-    metric = shortest_path_metric(inst)
     for k, accepted in ((ODD_SET_LIMIT, True), (ODD_SET_LIMIT + 2, False)):
         edges = _ring_edges_with_odd(inst, k)
         row = np.zeros((1, inst.graph.m), dtype=bool)
         row[0, edges] = True
-        tour = lambda: integral_join_and_tour(inst, frozenset(edges), metric=metric)
+        tour = lambda: integral_join_and_tour(engine, frozenset(edges))
         batch = lambda: engine._integral_costs(row)
         if accepted:
             assert tour().join_cost == Fraction(int(batch()[0]), engine.cost_denom)
@@ -484,7 +475,7 @@ def test_disconnected_legs_raise_assembly_error():
             break
         seen[key] = eid
     with pytest.raises(AssemblyError, match="not connected"):
-        integral_join_and_tour(inst, pair)
+        integral_join_and_tour(CompiledInstance(inst), pair)
 
 
 def test_flow_rows_off_one_raise_flow_infeasible(monkeypatch):
@@ -628,3 +619,90 @@ for name, (run, error) in CHECK_FAULTS.items():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == list(CHECK_FAULTS)
+
+
+def _assert_metric_equals_reference(inst, ci=None):
+    """The integer metric, over its cost denominator, and its successors
+    equal the ``Fraction`` Floyd-Warshall's entry for entry."""
+    ci = ci or CompiledInstance(inst)
+    d, nxt = ci.metric
+    ref_d, ref_nxt = shortest_path_metric(inst)
+    n = inst.graph.n
+    assert [[Fraction(int(x), ci.cost_denom) for x in row] for row in d] == ref_d
+    assert {(u, v): int(nxt[u, v]) for u in range(n) for v in range(n) if u != v} == ref_nxt
+
+
+@pytest.mark.parametrize("family", ["double-cycle", "k5-gadget", "nested",
+                                    "random-4reg", "zoo"])
+def test_integer_metric_equals_the_fraction_reference(family):
+    _assert_metric_equals_reference(family_instance(family))
+
+
+def test_integer_metric_equals_the_fraction_reference_on_a_long_double_cycle():
+    from htsp.generators import generate_double_cycle
+
+    _assert_metric_equals_reference(generate_double_cycle(100, np.random.default_rng(0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["double-cycle", "k5-gadget", "nested"]), st.data())
+def test_integer_metric_equals_the_fraction_reference_on_random_costs(family, data):
+    """Small integer and fractional costs, parallel edges of unequal cost
+    and ties among paths included."""
+    from htsp.graph import HalfIntegralInstance
+
+    inst = family_instance(family)
+    cost = st.builds(Fraction, st.integers(1, 12), st.sampled_from([1, 1, 2, 3, 7]))
+    costs = data.draw(st.lists(cost, min_size=inst.graph.m, max_size=inst.graph.m))
+    _assert_metric_equals_reference(HalfIntegralInstance(inst.graph, tuple(costs)))
+
+
+@pytest.mark.parametrize("family", ["double-cycle", "k5-gadget", "nested",
+                                    "random-4reg", "zoo"])
+def test_engine_trial_check_agrees_with_verify_join(family):
+    """``BatchEngine.verify_trial`` against ``verify_join`` on 200
+    ``build_join`` trials, each also with one edge's charge lowered by a
+    twelfth: the two pass and fail together."""
+    from htsp.stats import BatchEngine
+
+    inst = family_instance(family)
+    engine = BatchEngine(inst, SamplerParams(sampler="mix"))
+    cuts = min_cuts_via_hierarchy(engine.h)
+    pick = np.random.default_rng(11)
+    failed = 0
+    for trial in range(200):
+        ts = sample_r0_tree(engine.h, engine.sp, seed=12, trial=trial,
+                            samplers=engine.samplers)
+        js = build_join(engine.h, engine.classes, engine.rp, ts.edges, engine.rates,
+                        np.random.default_rng(trial), engine.sites)
+        lowered = dict(js.z)
+        lowered[int(pick.integers(engine.m))] -= Fraction(1, 12)
+        for z in (js.z, lowered):
+            if verify_join(z, ts.edges, engine.h, cuts, raise_on_violation=False).ok:
+                engine.verify_trial(z, ts.edges)
+            else:
+                failed += 1
+                with pytest.raises(FeasibilityViolation):
+                    engine.verify_trial(z, ts.edges)
+    assert failed > 0
+
+
+def test_engine_trial_check_catches_deficient_cut(zoo_instance):
+    """The deficient cut of ``test_verify_join_catches_deficient_cut``:
+    every charge a quarter except one edge of an odd min-cut at a sixth."""
+    from htsp.stats import BatchEngine
+
+    engine = BatchEngine(zoo_instance, SamplerParams(sampler="mi"))
+    cuts = min_cuts_via_hierarchy(engine.h)
+    for trial in range(50):
+        ts = sample_r0_tree(engine.h, engine.sp, seed=4, trial=trial,
+                            samplers=engine.samplers)
+        odd_cut = next((c for c in cuts
+                        if sum(1 for e in c.edge_ids if e in ts.edges) % 2 == 1), None)
+        if odd_cut is not None:
+            break
+    z = {e: QUARTER for e in range(engine.m)}
+    engine.verify_trial(z, ts.edges)
+    z[odd_cut.edge_ids[0]] = Fraction(1, 6)
+    with pytest.raises(FeasibilityViolation, match="cut violations"):
+        engine.verify_trial(z, ts.edges)

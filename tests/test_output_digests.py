@@ -1,7 +1,8 @@
-"""Byte-identity of the statistic and oracle reports.
+"""Byte-identity of the statistic and oracle reports and of the CLI output.
 
 The digests below are sha256 sums of ``StatReport.to_csv()`` for fixed
-instances, seeds and flags, and of the ``htsp optimize-params`` output.
+instances, seeds and flags, and of the stdout of ``htsp optimize-params``,
+``htsp sample``, ``htsp join`` and ``htsp tour``.
 They pin the README's determinism promise across refactors: a change that
 alters any of these reports must say why and update the digest in the
 same change.
@@ -31,6 +32,20 @@ REDUCTION_FLOOR_ZOO_MIX = "9f4bda7054e1fe6ab31a38bba5a59d308bf3a8b54990b2d10bc39
 ORACLE_ZOO_MIX = "4f520cb512f66e35ea7291cdf6d25376b84dd55a8d356010db8e22f26d839da8"
 # the optimized mix, amounts (floats and exact) and binding constraints
 OPTIMIZE_PARAMS = "7dc901fbf651bf28b55f16f9b8420a6fc0afd981e7cf9cff929b83395fdb3ad4"
+# stdout of one command on a generated instance: (family, generator flags,
+# command arguments after the instance path) -> digest
+CLI_STDOUT = {
+    ("zoo", ("--seed", "3"), ("sample", "--trials", "5", "--seed", "9",
+                              "--dump-shift")):
+        "00b179e238117d9f241b4e98ccf6f3755fba63d38b4b399f4a2471ff3f36db58",
+    ("zoo", ("--seed", "3"), ("join", "--trials", "20", "--seed", "2")):
+        "ab3a6d1375a417ea3c4e733a429d9250c5b9efda225e55fa56e14d980eb3bfc6",
+    ("zoo", ("--seed", "3"), ("tour", "--seed", "2")):
+        "95e88a2c64ff5e93aa6d51266c3e7ee71fd97d0756fad6ed1516ef3c06fc3dbb",
+    # 100 vertices and 4,950 min-cuts: the metric and the join check at size
+    ("double-cycle", ("--k", "100", "--seed", "0"), ("join", "--trials", "20")):
+        "0544951adb7abec70334daff47f9697c9c29f49982c50236738a7a8a1f245a23",
+}
 
 
 def _sha(text: str) -> str:
@@ -73,3 +88,11 @@ def test_oracle_csv_digest_random_4reg(sampler):
 def test_optimize_params_stdout_digest(capsys):
     assert main(["optimize-params"]) == 0
     assert _sha(capsys.readouterr().out) == OPTIMIZE_PARAMS
+
+
+@pytest.mark.parametrize("family,gen,cmd", sorted(CLI_STDOUT))
+def test_cli_stdout_digest(family, gen, cmd, tmp_path, capsys):
+    path = str(tmp_path / f"{family}.htsp")
+    assert main(["generate", "--family", family, *gen, "--out", path]) == 0
+    assert main([cmd[0], path, *cmd[1:]]) == 0
+    assert _sha(capsys.readouterr().out) == CLI_STDOUT[(family, gen, cmd)]

@@ -184,6 +184,15 @@ def test_engine_rejects_counts_below_one(zoo_engine, trials, chunk, join):
         zoo_engine.run(trials, 1, chunk=chunk, join=join)
 
 
+def test_engine_rejects_chunks_past_the_checked_scale(zoo_engine):
+    """The cost scaling keeps int64 sums exact for chunks of at most
+    ``MAX_CHUNK`` trials, so a larger chunk is refused."""
+    from htsp.stats import MAX_CHUNK
+
+    with pytest.raises(ConfigError, match=f"at most {MAX_CHUNK}"):
+        zoo_engine.run(10, 1, chunk=MAX_CHUNK + 1)
+
+
 def test_piece_batch_and_suite_reject_counts_below_one():
     batch = PieceBatch(standalone_piece("c7bar"), SamplerParams(sampler="mi"))
     with pytest.raises(ConfigError):
@@ -270,27 +279,30 @@ for corrupt in ("lost-edge", "root-edge"):
 
 
 def test_oracle_check_computes_eal_probabilities_once(monkeypatch):
-    """The oracle hands its even-at-last probabilities to the net-decrease
-    rows instead of computing them a second time."""
+    """The oracle compiles the instance once and hands its even-at-last
+    probabilities, coin rates and charge sites to every row instead of
+    computing them again."""
     import htsp.join
     import htsp.oracle
     import htsp.stats
 
-    exact = htsp.join.exact_eal_probabilities
-    calls = []
+    names = ("exact_eal_probabilities", "coin_rates", "build_charge_sites")
+    calls = {name: 0 for name in names}
+    for name in names:
+        original = getattr(htsp.join, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return exact(*args, **kwargs)
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
 
-    for module in (htsp.join, htsp.oracle, htsp.stats):
-        if hasattr(module, "exact_eal_probabilities"):
-            monkeypatch.setattr(module, "exact_eal_probabilities", counted)
+        for module in (htsp.join, htsp.oracle, htsp.stats):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     for family in ("zoo", "random-4reg"):
-        calls.clear()
+        calls = dict.fromkeys(names, 0)
         report = oracle_check(family_instance(family), SamplerParams(sampler="mix"))
         assert report.all_passed()
-        assert len(calls) == 1, family
+        assert calls == dict.fromkeys(names, 1), family
 
 
 def test_oracle_csv_digest_mi_random_4reg():
