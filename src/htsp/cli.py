@@ -172,7 +172,7 @@ def cmd_join(args) -> int:
             np.random.SeedSequence(args.seed, spawn_key=(trial, 1 << 20))
         )
         js = build_join(engine.h, engine.classes, engine.rp, ts.edges,
-                        engine.rates, rng, engine.sites)
+                        engine.rates, rng, engine.sites, engine.eal_conditions)
         z = engine.verify_trial(js.z, ts.edges)
         frac_cost = Fraction(int(engine.cost_int @ z), engine.cost_denom * engine.z_denom)
         res = integral_join_and_tour(engine, ts.edges, shortcut=not args.no_shortcut)
@@ -254,8 +254,16 @@ def cmd_oracle(args) -> int:
     return 0 if report.all_passed() else 1
 
 
+class _OneLineParser(argparse.ArgumentParser):
+    """Reports a usage error as one line, ``htsp <cmd>: <message>``, with
+    exit code 2, like every other bad input."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _OneLineParser(
         prog="htsp",
         description="Round half-integral subtour-elimination solutions to tours "
         "and verify the pipeline's probabilistic guarantees.",

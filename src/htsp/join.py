@@ -187,30 +187,36 @@ def _root_pair_ends(piece) -> list[frozenset[int]]:
 # even at last
 # ---------------------------------------------------------------------------
 
-def eal_conditions(h: CutHierarchy, classes: dict[int, EdgeClass],
-                   eid: int) -> tuple[tuple[frozenset[int], int], ...]:
-    """The even-at-last event of one edge, as ``(edge ids, parity)`` pairs.
+#: per edge id, its even-at-last event as ``(edge ids, parity)`` pairs
+EalConditions = dict[int, tuple[tuple[frozenset[int], int], ...]]
 
-    The edge is even at last when, for every pair, the tree holds a number
+
+def eal_conditions(h: CutHierarchy, classes: dict[int, EdgeClass]) -> EalConditions:
+    """Each edge's even-at-last event, as ``(edge ids, parity)`` pairs.
+
+    An edge is even at last when, for every pair, the tree holds a number
     of those edges with that parity (0 even, 1 odd): a degree-piece edge uv
     needs both endpoints even in its piece, an edge settled at a cycle piece
     (root pairs included) one edge of each external pair.
     """
-    nd = h.nodes[classes[eid].settled]
-    g = nd.piece.graph
-    if nd.kind == "cycle":
-        return tuple((frozenset(pair), 1) for pair in nd.piece.external_pairs())
-    u, v = g.endpoints[g.edge_index(eid)]
-    return (frozenset(g.incident_ids(u)), 0), (frozenset(g.incident_ids(v)), 0)
+    out: EalConditions = {}
+    for eid in sorted(classes):
+        nd = h.nodes[classes[eid].settled]
+        g = nd.piece.graph
+        if nd.kind == "cycle":
+            out[eid] = tuple((frozenset(pair), 1) for pair in nd.piece.external_pairs())
+        else:
+            u, v = g.endpoints[g.edge_index(eid)]
+            out[eid] = (frozenset(g.incident_ids(u)), 0), (frozenset(g.incident_ids(v)), 0)
+    return out
 
 
-def detect_eal(h: CutHierarchy, classes: dict[int, EdgeClass],
-               tree_edges: frozenset[int]) -> dict[int, bool]:
-    """Per-edge flag: every even-at-last condition holds on the tree."""
+def detect_eal(conditions: EalConditions, tree_edges: frozenset[int]) -> dict[int, bool]:
+    """Per-edge flag: every even-at-last condition of ``eal_conditions``
+    holds on the tree."""
     return {
-        eid: all(len(ids & tree_edges) % 2 == parity
-                 for ids, parity in eal_conditions(h, classes, eid))
-        for eid in sorted(classes)
+        eid: all(len(ids & tree_edges) % 2 == parity for ids, parity in conds)
+        for eid, conds in conditions.items()
     }
 
 
@@ -250,13 +256,13 @@ def event_probability(samplers: dict[int, PieceSampler],
                if state & ((1 << k) - 1) == want and (state >> k or not odd_cuts))
 
 
-def exact_eal_probabilities(h: CutHierarchy, classes: dict[int, EdgeClass],
+def exact_eal_probabilities(conditions: EalConditions, classes: dict[int, EdgeClass],
                             samplers: dict[int, PieceSampler]) -> dict[int, object]:
-    """Even-at-last probability per edge, exact where the samplers are exact."""
+    """Even-at-last probability per edge of ``eal_conditions``, exact where
+    the samplers are exact."""
     by_conditions: dict[tuple, object] = {}
     out: dict[int, object] = {}
-    for eid in sorted(classes):
-        conds = eal_conditions(h, classes, eid)
+    for eid, conds in conditions.items():
         if conds not in by_conditions:
             by_conditions[conds] = event_probability(samplers, classes, conds)
         out[eid] = by_conditions[conds]
@@ -551,11 +557,13 @@ def build_join(
     rates: dict[tuple, float],
     rng: np.random.Generator,
     sites: tuple[list[DegreeChargeSite], list[PairChargeSite]],
+    conditions: EalConditions,
 ) -> JoinSolution:
     """One trial of the reduction-and-charge scheme for a sampled tree, with
-    the charge sites of ``build_charge_sites``."""
+    the charge sites of ``build_charge_sites`` and the even-at-last
+    conditions of ``eal_conditions``."""
     degree_sites, pair_sites = sites
-    eal = detect_eal(h, classes, tree_edges)
+    eal = detect_eal(conditions, tree_edges)
     groups = coin_groups(classes)
     coins = {grp: bool(rng.random() < rates[grp]) for grp in sorted(groups)}
     coin_of: dict[int, bool] = {}

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .hierarchy import CutHierarchy
-from .join import EdgeClass, eal_conditions, event_probability
+from .join import EdgeClass, event_probability
 from .params import EAL_BOUNDS
 from .pipeline import CyclePieceSampler, PieceSampler
 
@@ -46,7 +46,7 @@ def exact_expected_net_decrease(ci) -> dict[int, object]:
     one of its cuts is crossed oddly; a pair site's coin group repays once
     for all of its members' cuts.
     """
-    h, classes, samplers, rates = ci.h, ci.classes, ci.samplers, ci.rates
+    classes, samplers, rates = ci.classes, ci.samplers, ci.rates
     # an edge is reduced when it is even at last and its coin comes up
     net: dict[int, object] = {
         e: rates[cl.coin_group] * ci.eal_probability[e] * ci.rp.amount(cl.kind)
@@ -55,7 +55,7 @@ def exact_expected_net_decrease(ci) -> dict[int, object]:
     degree_sites, pair_sites = ci.sites
     for site in degree_sites:
         s = site.source
-        p = event_probability(samplers, classes, eal_conditions(h, classes, s),
+        p = event_probability(samplers, classes, ci.eal_conditions[s],
                               [site.cut_ids])
         rate = rates[classes[s].coin_group]
         for f, frac in site.targets:
@@ -64,7 +64,7 @@ def exact_expected_net_decrease(ci) -> dict[int, object]:
         t0, t1 = site.targets
         for grp in site.groups:
             s0 = grp.members[0][0]
-            p = event_probability(samplers, classes, eal_conditions(h, classes, s0),
+            p = event_probability(samplers, classes, ci.eal_conditions[s0],
                                   [cut for _, cut in grp.members])
             rate = rates[classes[s0].coin_group]
             half = grp.amount / 2

@@ -23,8 +23,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import AssemblyError, ConfigError, SizeLimitExceeded
-from .graph import find_root
+from .errors import AssemblyError, ConfigError, InfeasibleShift, SizeLimitExceeded
+from .graph import bits, find_root
 from .hierarchy import CutHierarchy, HierarchyNode, LocalMultigraph
 from .matching import (
     ShiftedSolution,
@@ -37,6 +37,7 @@ from .params import DEFAULT_MIX_LAMBDA
 from .trees import (
     ConstrainedTreeDistribution,
     constrained_tree_distribution,
+    constrained_tree_weights,
     k5_paths,
     maxent_fit,
     maxent_tree_distribution,
@@ -311,22 +312,37 @@ class DegreePieceSampler:
 
     def mi_mixture(self) -> dict[frozenset[int], Fraction]:
         if self._mi_mixture is None:
+            # each distinct state decomposed once, all of them in one batch;
+            # a state that fails raises at its first visit
+            index: dict = {}
+            states: list[ShiftedSolution] = []
+            visits: list[tuple[Fraction, int]] = []
+            for pr, shifted in _mi_states(self.piece):
+                key = (_values_key(shifted.values), shifted.parts)
+                if key not in index:
+                    index[key] = len(states)
+                    states.append(shifted)
+                visits.append((pr, index[key]))
+            weights = constrained_tree_weights(states)
             # per denominator of (state probability x tree weight), each
             # tree's integer numerator; one Fraction per tree at the end
-            acc: dict[int, dict[frozenset[int], int]] = {}
-            for pr, shifted in _mi_states(self.piece):
-                dist = self._mi_dist(shifted)
-                row = acc.setdefault(pr.denominator * dist.denominator, {})
-                for t, k in zip(dist.trees, dist.numerators):
+            acc: dict[int, dict[int, int]] = {}
+            for pr, i in visits:
+                w = weights[i]
+                if isinstance(w, InfeasibleShift):
+                    raise w
+                row = acc.setdefault(pr.denominator * w.denominator, {})
+                for t, k in zip(w.trees, w.numerators):
                     row[t] = row.get(t, 0) + pr.numerator * k
             den = math.lcm(*acc)
-            total: dict[frozenset[int], int] = {}
+            total: dict[int, int] = {}
             for d, row in acc.items():
                 for t, k in row.items():
                     total[t] = total.get(t, 0) + k * (den // d)
             if sum(total.values()) != den:
                 raise AssemblyError("matroid-route tree mixture does not sum to 1")
-            self._mi_mixture = {t: Fraction(k, den) for t, k in total.items()}
+            self._mi_mixture = {frozenset(bits(t)): Fraction(k, den)
+                                for t, k in total.items()}
         return self._mi_mixture
 
     def maxent_mixture(self) -> dict[frozenset[int], float]:

@@ -199,10 +199,11 @@ class BatchStats:
 
 class CompiledInstance:
     """One instance compiled once for every command: the hierarchy, the
-    piece samplers and the edge classes, built eagerly; the even-at-last
-    probabilities, coin rates, charge sites, integer costs and integer
-    metric, each built on first use.  It checks no even-at-last bound, and
-    only a command that reads costs can meet their ``ScaleOverflow``."""
+    piece samplers, the edge classes and their even-at-last conditions,
+    built eagerly; the even-at-last probabilities, coin rates, charge
+    sites, integer costs and integer metric, each built on first use.  It
+    checks no even-at-last bound, and only a command that reads costs can
+    meet their ``ScaleOverflow``."""
 
     def __init__(self, inst: HalfIntegralInstance,
                  sampler_params: Optional[SamplerParams] = None,
@@ -213,13 +214,14 @@ class CompiledInstance:
         self.h = build_hierarchy(inst)
         self.samplers = build_piece_samplers(self.h, self.sp)
         self.classes = classify(self.h)
+        self.eal_conditions = eal_conditions(self.h, self.classes)
         self.m = inst.graph.m
         self.n = inst.graph.n
         self.lp_cost = inst.lp_cost()
 
     @cached_property
     def eal_probability(self) -> dict[int, object]:
-        return exact_eal_probabilities(self.h, self.classes, self.samplers)
+        return exact_eal_probabilities(self.eal_conditions, self.classes, self.samplers)
 
     @cached_property
     def rates(self) -> dict[tuple, object]:
@@ -319,10 +321,8 @@ class BatchEngine(CompiledInstance):
         conditions: dict[tuple[frozenset[int], int], int] = {}
         by_key: dict[tuple[int, ...], list[int]] = {}
         for e in range(self.m):
-            key = tuple(
-                conditions.setdefault(c, len(conditions))
-                for c in eal_conditions(self.h, self.classes, e)
-            )
+            key = tuple(conditions.setdefault(c, len(conditions))
+                        for c in self.eal_conditions[e])
             by_key.setdefault(key, []).append(e)
         self.eal_condition_cols = [
             (np.array(sorted(ids), dtype=np.int64), parity)

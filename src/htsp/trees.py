@@ -21,11 +21,16 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .decomp import exact_convex_decomposition
+from .decomp import (
+    Decomposition,
+    DecompositionShape,
+    DecompositionState,
+    decompose,
+)
 from .errors import (
     AssemblyError,
     BoundaryTarget,
@@ -184,8 +189,9 @@ class _ShapeTables:
 
     #: the spanning trees as edge-position masks, ascending
     trees: np.ndarray
-    #: (mask of the edges inside S, |S| - 1) per vertex subset S holding an edge
-    subsets: tuple[tuple[int, int], ...]
+    #: the trees as candidates under x(E[S]) <= |S| - 1 for every vertex
+    #: subset S holding an edge
+    decomposition: DecompositionShape
 
 
 @functools.lru_cache(maxsize=1024)
@@ -204,11 +210,22 @@ def _shape_tables(n: int, endpoints: tuple[tuple[int, int], ...]) -> _ShapeTable
                     mask |= 1 << i
             if mask:
                 subsets.append((mask, size - 1))
-    return _ShapeTables(trees, tuple(subsets))
+    return _ShapeTables(trees, DecompositionShape(trees.tolist(), len(endpoints), subsets))
 
 
-def constrained_tree_distribution(shifted: ShiftedSolution) -> ConstrainedTreeDistribution:
-    """Decompose the shifted interior vector over part-respecting trees."""
+class TreeWeights(NamedTuple):
+    """A shifted state's exact tree distribution: each tree as a mask with
+    bit ``eid`` set for each of its edge ids, the weights as numerators over
+    their least common ``denominator``, trees in ascending order of their
+    masks over the minor's edge positions."""
+
+    trees: tuple[int, ...]
+    numerators: tuple[int, ...]
+    denominator: int
+
+
+def _tree_state(shifted: ShiftedSolution) -> tuple[_Minor, _ShapeTables, DecompositionState]:
+    """The minor of a shifted state, its shape and its own part rows."""
     g = shifted.interior_graph
     values = shifted.interior_values()
     minor = contract_forced(g, values)
@@ -227,23 +244,91 @@ def constrained_tree_distribution(shifted: ShiftedSolution) -> ConstrainedTreeDi
     keep = np.ones(len(tables.trees), dtype=bool)
     for pm in part_masks:
         keep &= np.bitwise_count(tables.trees & np.uint64(pm)) <= 1
-    candidates = tables.trees[keep].tolist()
-    if not candidates:
+    if not keep.any():
         raise InfeasibleShift("no constrained spanning tree in the support")
+    state = DecompositionState(tuple(values[eid] for eid in mg.edge_ids),
+                               tuple((pm, 1) for pm in part_masks), keep)
+    return minor, tables, state
 
-    upper = [(pm, 1) for pm in part_masks] + list(tables.subsets)
-    target = [values[eid] for eid in mg.edge_ids]
-    try:
-        w = exact_convex_decomposition(candidates, target, upper=upper)
-    except ValueError as exc:
-        raise InfeasibleShift(str(exc)) from exc
-    forced = frozenset(minor.forced)
-    masks = sorted(w)
+
+def constrained_tree_weights(states: Sequence[ShiftedSolution]
+                             ) -> list[Union[TreeWeights, InfeasibleShift]]:
+    """Decompose each shifted interior vector over part-respecting trees,
+    the states of one minor shape together; a state the decomposition or
+    its marginal check rejects gets its ``InfeasibleShift``."""
+    out: list = [None] * len(states)
+    groups: dict[tuple, tuple[_ShapeTables, list]] = {}
+    for i, shifted in enumerate(states):
+        try:
+            minor, tables, state = _tree_state(shifted)
+        except InfeasibleShift as exc:
+            out[i] = exc
+            continue
+        key = (minor.graph.n, minor.graph.endpoints)
+        groups.setdefault(key, (tables, []))[1].append((i, minor, state))
+    for tables, members in groups.values():
+        shape = tables.decomposition
+        group = [state for _, _, state in members]
+        results = decompose(shape, group)
+        for (i, minor, _), r, exc in zip(members, results,
+                                         _rejections(shape, group, results)):
+            if exc is not None:
+                out[i] = exc
+                continue
+            bit = [1 << eid for eid in minor.edge_ids]
+            forced = sum(1 << eid for eid in minor.forced)
+            pairs = sorted(zip(r.order, r.numerators))
+            out[i] = TreeWeights(
+                tuple(forced + sum(bit[p] for p in bits(shape.cands[c])) for c, _ in pairs),
+                tuple(k for _, k in pairs), r.denominator)
+    return out
+
+
+def _rejections(shape: DecompositionShape, states: Sequence[DecompositionState],
+                results: Sequence[Union[Decomposition, ValueError]]
+                ) -> list[Optional[InfeasibleShift]]:
+    """Per state, the ``InfeasibleShift`` for a failed decomposition or for
+    weights that do not sum to one or do not reproduce the target as tree
+    marginals; None for a decomposition that passes.  The check runs on
+    the integer numerators of all the shape's decompositions at once."""
+    out: list[Optional[InfeasibleShift]] = []
+    for r in results:
+        out.append(None)
+        if isinstance(r, ValueError):
+            out[-1] = InfeasibleShift(str(r))
+            out[-1].__cause__ = r
+    done = [j for j, r in enumerate(results) if isinstance(r, Decomposition)]
+    if not done:
+        return out
+    w = np.array([k for j in done for k in results[j].numerators], dtype=object)
+    starts = np.cumsum([0] + [len(results[j].order) for j in done[:-1]])
+    chosen = shape.member[[c for j in done for c in results[j].order]]
+    marg = np.add.reduceat(chosen * w[:, None], starts, axis=0)
+    sums = np.add.reduceat(w, starts).tolist()
+    den = np.array([results[j].denominator for j in done], dtype=object)
+    tden = np.array([math.lcm(*(x.denominator for x in states[j].target)) for j in done],
+                    dtype=object)
+    tnum = np.array([[x.numerator * (q // x.denominator) for x in states[j].target]
+                     for j, q in zip(done, tden)], dtype=object).reshape(marg.shape)
+    ok = (marg * tden[:, None] == tnum * den[:, None]).all(axis=1).tolist()
+    for j, good, total, q in zip(done, ok, sums, den.tolist()):
+        if total != q:
+            out[j] = InfeasibleShift("tree weights do not sum to 1")
+        elif not good:
+            out[j] = InfeasibleShift("tree marginals do not reproduce the shifted vector")
+    return out
+
+
+def constrained_tree_distribution(shifted: ShiftedSolution) -> ConstrainedTreeDistribution:
+    """Decompose the shifted interior vector over part-respecting trees."""
+    (w,) = constrained_tree_weights([shifted])
+    if isinstance(w, InfeasibleShift):
+        raise w
     dist = ConstrainedTreeDistribution(
-        tuple(frozenset(mg.edge_ids[i] for i in bits(mask)) | forced for mask in masks),
-        tuple(w[mask] for mask in masks),
+        tuple(frozenset(bits(t)) for t in w.trees),
+        tuple(Fraction(k, w.denominator) for k in w.numerators),
     )
-    if not _marginals_reproduce(dist, values):
+    if not _marginals_reproduce(dist, shifted.interior_values()):
         raise InfeasibleShift("tree marginals do not reproduce the shifted vector")
     return dist
 

@@ -1,7 +1,9 @@
 """The integer greedy in ``htsp.decomp`` against the Fraction greedy it replaced.
 
 Both must return equal weights in equal key order, and raise the same
-``ValueError`` when the target is outside the polytope.
+``ValueError`` when the target is outside the polytope: the one-state
+``exact_convex_decomposition`` as a call, and the batched ``decompose``
+state by state.
 """
 
 import sys
@@ -27,6 +29,33 @@ def outcome(fn, *args, **kwargs):
         return list(fn(*args, **kwargs).items())
     except ValueError as exc:
         return (type(exc), str(exc))
+
+
+def per_state_args(shape: decomp.DecompositionShape, state: decomp.DecompositionState):
+    """A batched state as the arguments of one per-call decomposition."""
+    cands = list(shape.cands)
+    if state.alive is not None:
+        cands = [cands[i] for i in np.flatnonzero(state.alive)]
+    return cands, list(state.target), list(state.upper) + list(shape.upper), list(shape.lower)
+
+
+def kernel_outcome(shape: decomp.DecompositionShape, res) -> object:
+    """A batched result in the form of ``outcome``."""
+    if isinstance(res, ValueError):
+        return (type(res), str(res))
+    return [(shape.cands[i], Fraction(k, res.denominator))
+            for i, k in zip(res.order, res.numerators)]
+
+
+def assert_block_same(shape: decomp.DecompositionShape, states) -> int:
+    """Compare the batched kernel with the Fraction greedy state by state;
+    the number of states both rejected."""
+    raised = 0
+    for state, res in zip(states, decomp.decompose(shape, states)):
+        want = outcome(fraction_convex_decomposition, *per_state_args(shape, state))
+        assert kernel_outcome(shape, res) == want
+        raised += isinstance(want, tuple)
+    return raised
 
 
 def assert_same(*args) -> bool:
@@ -152,6 +181,29 @@ def test_large_prime_denominators_take_the_exact_int_path():
         cands, x, subset_constraints(k4)).values()) == 1
 
 
+def test_a_wide_state_keeps_its_exact_weights_in_an_int64_block(monkeypatch):
+    """The prime-denominator state above, in one block between states whose
+    rounds all fit int64: the block runs on Python ints, and every state
+    still gets its own exact weights."""
+    k4 = MultiGraph(4, [(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 1, 2), (4, 1, 3), (5, 2, 3)])
+    cands = enumerate_spanning_trees(k4)
+    p, q = 2 ** 61 - 1, 2 ** 31 - 1
+    shares = {cands[0]: Fraction(1, p), cands[5]: Fraction(1, q)}
+    shares[cands[9]] = 1 - sum(shares.values())
+    wide = [sum((w for c, w in shares.items() if (c >> e) & 1), Fraction(0))
+            for e in range(k4.m)]
+    shape = decomp.DecompositionShape(cands, k4.m, subset_constraints(k4))
+    rng = np.random.default_rng(5)
+    narrow = [convex_point(rng, list(shape.cands), k4.m) for _ in range(4)]
+    states = [decomp.DecompositionState(tuple(x)) for x in narrow[:2] + [wide] + narrow[2:]]
+    blocks = []
+    real = decomp._decompose_block
+    monkeypatch.setattr(decomp, "_decompose_block",
+                        lambda *a: blocks.append(len(a[-1])) or real(*a))
+    assert assert_block_same(shape, states) == 0
+    assert blocks == [len(states)]
+
+
 def test_conftest_random_4reg_is_the_slow_structure():
     """The engine check below covers random-4reg n=12 generator seed 3, the
     structure whose 9-vertex piece dominates compile time."""
@@ -161,19 +213,20 @@ def test_conftest_random_4reg_is_the_slow_structure():
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_every_engine_decomposition_matches_the_fraction_greedy(family, monkeypatch):
-    original = decomp.exact_convex_decomposition
+    original = decomp.decompose
     calls = []
 
-    def both(*args, **kwargs):
-        want = outcome(fraction_convex_decomposition, *args, **kwargs)
-        assert outcome(original, *args, **kwargs) == want
-        calls.append(want)
-        return original(*args, **kwargs)
+    def both(shape, states):
+        got = original(shape, states)
+        for state, res in zip(states, got):
+            want = outcome(fraction_convex_decomposition, *per_state_args(shape, state))
+            assert kernel_outcome(shape, res) == want
+            calls.append(want)
+        return got
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("htsp") and getattr(mod, "exact_convex_decomposition",
-                                               None) is original:
-            monkeypatch.setattr(mod, "exact_convex_decomposition", both)
+        if name.startswith("htsp") and getattr(mod, "decompose", None) is original:
+            monkeypatch.setattr(mod, "decompose", both)
     BatchEngine(family_instance(family), SamplerParams(sampler="mix"))
     if family in ("random-4reg", "zoo"):
         assert calls

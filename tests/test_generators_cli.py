@@ -274,7 +274,8 @@ def test_cli_normalize(tmp_path):
                                   "stats-trials-0", "stats-trials-neg",
                                   "tour-trials-0", "join-trials-neg",
                                   "sample-trials-0", "sample-format",
-                                  "join-format", "tour-format"])
+                                  "join-format", "tour-format", "join-sampler",
+                                  "join-text-trials", "generate-no-family"])
 def test_cli_bad_input_is_one_line_with_exit_code_2(case, tmp_path, instance_file):
     bad = tmp_path / "bad.htsp"
     bad.write_text("htsp 3 2\n0 1 1\n")
@@ -300,6 +301,10 @@ def test_cli_bad_input_is_one_line_with_exit_code_2(case, tmp_path, instance_fil
         "sample-format": ("sample", instance_file, "--format", "json"),
         "join-format": ("join", instance_file, "--format", "json"),
         "tour-format": ("tour", instance_file, "--format", "csv"),
+        # argparse's own errors: a bad choice, a bad type, a missing option
+        "join-sampler": ("join", instance_file, "--sampler", "foo"),
+        "join-text-trials": ("join", instance_file, "--trials", "x"),
+        "generate-no-family": ("generate",),
     }[case]
     r = run_cli(*args)
     assert r.returncode == 2

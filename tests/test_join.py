@@ -21,6 +21,7 @@ from htsp.join import (
     classify,
     coin_rates,
     detect_eal,
+    eal_conditions,
     exact_eal_probabilities,
     integral_join_and_tour,
     min_cost_perfect_matching,
@@ -41,7 +42,7 @@ def prepared(inst, sampler="mix"):
     rp = ReductionParams.default(sp.effective_lambda)
     samplers = build_piece_samplers(h, sp)
     classes = classify(h)
-    probs = exact_eal_probabilities(h, classes, samplers)
+    probs = exact_eal_probabilities(eal_conditions(h, classes), classes, samplers)
     rates = coin_rates(classes, rp, probs)
     sites = build_charge_sites(h, classes, rp)
     return h, sp, rp, samplers, classes, rates, sites
@@ -83,7 +84,7 @@ def test_detect_eal_double_cycle_flags_everything():
     samplers = build_piece_samplers(h, sp)
     for trial in range(20):
         ts = sample_r0_tree(h, sp, seed=1, trial=trial, samplers=samplers)
-        eal = detect_eal(h, classes, ts.edges)
+        eal = detect_eal(eal_conditions(h, classes), ts.edges)
         assert all(eal.values())
 
 
@@ -94,7 +95,7 @@ def test_detect_eal_degree_matches_parity_definition(zoo_instance):
     samplers = build_piece_samplers(h, sp)
     for trial in range(30):
         ts = sample_r0_tree(h, sp, seed=3, trial=trial, samplers=samplers)
-        eal = detect_eal(h, classes, ts.edges)
+        eal = detect_eal(eal_conditions(h, classes), ts.edges)
         for nd in h.non_leaves():
             g = nd.piece.graph
             deg = {
@@ -121,7 +122,7 @@ def test_exact_eal_probabilities_clear_bounds(any_instance):
         rp = ReductionParams.default(sp.effective_lambda)
         samplers = build_piece_samplers(h, sp)
         classes = classify(h)
-        probs = exact_eal_probabilities(h, classes, samplers)
+        probs = exact_eal_probabilities(eal_conditions(h, classes), classes, samplers)
         from htsp.stats import eal_bounds_for
 
         bounds = eal_bounds_for(sp, rp)
@@ -134,7 +135,8 @@ def test_no_reduction_keeps_quarter(zoo_instance):
     ts = sample_r0_tree(h, sp, seed=7, trial=0, samplers=samplers)
     zero_rates = {g: 0.0 for g in rates}
     rng = np.random.default_rng(0)
-    js = build_join(h, classes, rp, ts.edges, zero_rates, rng, sites)
+    js = build_join(h, classes, rp, ts.edges, zero_rates, rng, sites,
+                    eal_conditions(h, classes))
     assert all(z == QUARTER for z in js.z.values())
     assert not js.reductions and not js.charges
 
@@ -146,7 +148,8 @@ def test_join_ledger_conservation(zoo_instance):
     for trial in range(60):
         ts = sample_r0_tree(h, sp, seed=13, trial=trial, samplers=samplers)
         rng = np.random.default_rng((13, trial))
-        js = build_join(h, classes, rp, ts.edges, rates, rng, sites)
+        js = build_join(h, classes, rp, ts.edges, rates, rng, sites,
+                        eal_conditions(h, classes))
         # z equals quarter minus reduction plus received charges
         for e in range(zoo_instance.graph.m):
             expect = QUARTER - js.reductions.get(e, Fraction(0))
@@ -172,7 +175,8 @@ def test_partner_coins_correlated(k5_instance):
     for trial in range(40):
         ts = sample_r0_tree(h, sp, seed=3, trial=trial, samplers=samplers)
         rng = np.random.default_rng((5, trial))
-        js = build_join(h, classes, rp, ts.edges, rates, rng, sites)
+        js = build_join(h, classes, rp, ts.edges, rates, rng, sites,
+                        eal_conditions(h, classes))
         for e, cl in classes.items():
             if cl.kind != "cycle":
                 continue
@@ -384,7 +388,7 @@ def test_exact_eal_probabilities_match_indicator_patterns(any_instance, sampler)
     h = build_hierarchy(any_instance)
     samplers = build_piece_samplers(h, SamplerParams(sampler=sampler))
     classes = classify(h)
-    new = exact_eal_probabilities(h, classes, samplers)
+    new = exact_eal_probabilities(eal_conditions(h, classes), classes, samplers)
     old = pattern_eal_probabilities(h, classes, samplers)
     assert sorted(new) == sorted(old)
     for e in old:
@@ -411,7 +415,7 @@ def test_detect_eal_matches_chunk_flags():
             T[sorted(t), j] = True
         flags = engine._eal_flags(T)
         for j, t in enumerate(trees):
-            eal = detect_eal(engine.h, engine.classes, t)
+            eal = detect_eal(engine.eal_conditions, t)
             assert [eal[e] for e in range(engine.m)] == flags[:, j].tolist()
 
 
@@ -674,7 +678,7 @@ def test_engine_trial_check_agrees_with_verify_join(family):
         ts = sample_r0_tree(engine.h, engine.sp, seed=12, trial=trial,
                             samplers=engine.samplers)
         js = build_join(engine.h, engine.classes, engine.rp, ts.edges, engine.rates,
-                        np.random.default_rng(trial), engine.sites)
+                        np.random.default_rng(trial), engine.sites, engine.eal_conditions)
         lowered = dict(js.z)
         lowered[int(pick.integers(engine.m))] -= Fraction(1, 12)
         for z in (js.z, lowered):

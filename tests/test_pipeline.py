@@ -5,7 +5,9 @@ import pytest
 
 import htsp.matching as matching
 import htsp.pipeline as pipeline
-from htsp.errors import AssemblyError
+import htsp.trees as trees
+from htsp.decomp import Decomposition
+from htsp.errors import AssemblyError, InfeasibleShift
 from htsp.hierarchy import build_hierarchy
 from htsp.pipeline import (
     DegreePieceSampler,
@@ -168,6 +170,25 @@ def test_mi_mixture_off_one_raises_assembly_error(monkeypatch):
         DegreePieceSampler(piece, SamplerParams(sampler="mi")).mi_mixture()
 
 
+@pytest.mark.parametrize("weights, message", [
+    ((1,), "marginals"),      # every state's mass on its first tree
+    ((1, 1), "sum to 1"),     # two trees at one each
+])
+def test_mi_mixture_checks_each_state_s_tree_weights(weights, message, monkeypatch):
+    # the batched compile checks the weights it mixes, not only the greedy
+    piece = min(degree_pieces(family_instance("zoo")), key=lambda p: p.graph.n)
+    def fake(shape, states):
+        out = []
+        for s in states:
+            order = tuple(int(i) for i in np.flatnonzero(s.alive)[:len(weights)])
+            out.append(Decomposition(order, weights[:len(order)], 1))
+        return out
+
+    monkeypatch.setattr(trees, "decompose", fake)
+    with pytest.raises(InfeasibleShift, match=message):
+        DegreePieceSampler(piece, SamplerParams(sampler="mi")).mi_mixture()
+
+
 @pytest.mark.parametrize("name", [*ALL_FAMILIES, *(f"random-4reg-12-{s}" for s in range(4))])
 def test_mi_mixture_equals_the_fraction_reference(name):
     if name in ALL_FAMILIES:
@@ -203,18 +224,21 @@ def test_a_state_of_several_color_classes_is_visited_and_decomposed_once(n, monk
         empty = sum(1 for c in seven_coloring(piece.graph, mk) if not c)
         assert empty >= 2
         assert dict(got)[_provenance_key(shift(piece, mk, 0))] == w * Fraction(empty, 7)
-    # one decomposition per distinct state
+    # one decomposition per distinct state, every distinct state decomposed
     calls: dict = {}
-    real = pipeline.constrained_tree_distribution
+    real = pipeline.constrained_tree_weights
 
-    def counting(shifted):
-        key = (pipeline._values_key(shifted.values), shifted.parts)
-        calls[key] = calls.get(key, 0) + 1
-        return real(shifted)
+    def counting(states):
+        for shifted in states:
+            key = (pipeline._values_key(shifted.values), shifted.parts)
+            calls[key] = calls.get(key, 0) + 1
+        return real(states)
 
-    monkeypatch.setattr(pipeline, "constrained_tree_distribution", counting)
+    monkeypatch.setattr(pipeline, "constrained_tree_weights", counting)
     DegreePieceSampler(piece, SamplerParams(sampler="mi")).mi_mixture()
     assert calls and set(calls.values()) == {1}
+    assert set(calls) == {(pipeline._values_key(sh.values), sh.parts)
+                          for _, sh in pipeline._mi_states(piece)}
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -7,7 +7,8 @@ full-flag run is infeasible, the batch even-at-last and reduction counts
 agree with the exact oracle's probabilities, and every degree piece's tree
 mixture equals the per-class ``Fraction`` reference.  Apart from these, a
 mix k/10^7 is drawn and the parameter LP's solution held to the reference
-solver's.
+solver's, and blocks of random tree and matching states are decomposed by
+the batched kernel and held to the Fraction greedy state by state.
 """
 
 from fractions import Fraction
@@ -15,13 +16,24 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from htsp.decomp import DecompositionShape, DecompositionState
 from htsp.generators import generate_random_4reg
+from htsp.matching import _odd_set_lower_constraints, enumerate_perfect_matchings
 from htsp.oracle import exact_marginals
 from htsp.params import solve_amounts
 from htsp.hierarchy import build_hierarchy
 from htsp.pipeline import DegreePieceSampler, SamplerParams
 from htsp.stats import BatchEngine, binom_sigma, oracle_check
+from htsp.trees import enumerate_spanning_trees
 from tests.reference import fraction_mi_mixture, solve_amounts as reference_solve_amounts
+from tests.test_decomp import (
+    assert_block_same,
+    convex_point,
+    outside,
+    random_multigraph,
+    random_parts,
+    subset_constraints,
+)
 
 TRIALS = 2_000
 # at 3 sigma a row fails about once in 370 on correct code, and an example
@@ -71,3 +83,37 @@ def test_mi_mixture_equals_the_fraction_reference_on_random_4reg(n, gen_seed):
 def test_solve_amounts_equals_the_reference(k):
     lam = Fraction(k, 10 ** 7)
     assert solve_amounts(lam) == reference_solve_amounts(lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=8),
+       st.booleans())
+def test_batched_kernel_equals_the_fraction_greedy_per_state(seed, size, trees):
+    """A block of random states of one shape, some pushed outside the
+    polytope: each state gets the Fraction greedy's weights, or fails where
+    it fails.  Tree states bring their own part rows and candidates;
+    matching states share the shape's odd-set rows."""
+    rng = np.random.default_rng(seed)
+    while True:
+        if trees:
+            g = random_multigraph(rng, int(rng.integers(3, 7)))
+            shape = DecompositionShape(enumerate_spanning_trees(g), g.m, subset_constraints(g))
+        else:
+            g = random_multigraph(rng, int(rng.choice([2, 4, 6])))
+            cands = enumerate_perfect_matchings(g)
+            if not cands:
+                continue
+            shape = DecompositionShape(cands, g.m, (), _odd_set_lower_constraints(g))
+        break
+    states = []
+    for _ in range(size):
+        # each part may hold up to 1, 2 or 3 of its edges: a bound above
+        # one brings a step divisor the shape's own scale may lack
+        rows = [(p, int(rng.integers(1, 4))) for p in random_parts(rng, g.m)] if trees else []
+        alive = np.array([all((c & p).bit_count() <= b for p, b in rows) for c in shape.cands])
+        usable = [c for c, a in zip(shape.cands, alive) if a] or list(shape.cands)
+        x = convex_point(rng, usable, g.m)
+        if rng.random() < 0.3:
+            x = outside(rng, x)
+        states.append(DecompositionState(tuple(x), tuple(rows), alive))
+    assert_block_same(shape, states)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import htsp.trees as trees
+from htsp.decomp import Decomposition
 from htsp.errors import BoundaryTarget, InfeasibleShift
 from htsp.generators import standalone_piece
 from htsp.graph import MultiGraph
@@ -318,8 +319,8 @@ def test_tree_marginals_off_target_raise_infeasible_shift(monkeypatch):
     # a decomposition that sums to 1 but puts all mass on one tree
     tri = MultiGraph(3, [(0, 0, 1), (1, 1, 2), (2, 0, 2)])
     sh = shifted_on(tri, {0: Fraction(2, 3), 1: Fraction(2, 3), 2: Fraction(2, 3)})
-    monkeypatch.setattr(trees, "exact_convex_decomposition",
-                        lambda cands, *a, **k: {min(cands): Fraction(1)})
+    monkeypatch.setattr(trees, "decompose", lambda shape, states: [
+        Decomposition((int(np.flatnonzero(s.alive)[0]),), (1,), 1) for s in states])
     with pytest.raises(InfeasibleShift, match="marginals"):
         constrained_tree_distribution(sh)
 
