@@ -172,7 +172,7 @@ def cmd_join(args) -> int:
             np.random.SeedSequence(args.seed, spawn_key=(trial, 1 << 20))
         )
         js = build_join(engine.h, engine.classes, engine.rp, ts.edges,
-                        engine.rates, rng, engine.sites, engine.eal_conditions)
+                        engine.coin_thresholds, rng, engine.sites, engine.eal_conditions)
         z = engine.verify_trial(js.z, ts.edges)
         frac_cost = Fraction(int(engine.cost_int @ z), engine.cost_denom * engine.z_denom)
         res = integral_join_and_tour(engine, ts.edges, shortcut=not args.no_shortcut)

@@ -63,6 +63,12 @@ INT64_SAFE = 2 ** 62
 BLOCK_CELLS = 2 ** 15
 
 
+class DecompositionFailure(ValueError):
+    """The greedy's own failure: no candidates, candidates of different
+    cardinalities, a stuck greedy, or a target it did not exhaust.  The
+    last two say that the target is outside the candidates' polytope."""
+
+
 def _bit_rows(masks: Sequence[int], m: int) -> np.ndarray:
     """Bool matrix with one row per mask and one column per edge position."""
     width = max(1, (m + 7) // 8)
@@ -95,10 +101,10 @@ class DecompositionShape:
                  lower: Sequence[tuple[int, int]] = ()):
         cands = sorted(set(candidates))
         if not cands:
-            raise ValueError("no candidates")
+            raise DecompositionFailure("no candidates")
         size = cands[0].bit_count()
         if any(c.bit_count() != size for c in cands):
-            raise ValueError("candidates differ in cardinality")
+            raise DecompositionFailure("candidates differ in cardinality")
         self.m = m
         self.cands = tuple(cands)
         self.upper = tuple(upper)
@@ -142,9 +148,9 @@ class Decomposition(NamedTuple):
 
 
 def decompose(shape: DecompositionShape, states: Sequence[DecompositionState]
-              ) -> list[Union[Decomposition, ValueError]]:
-    """Each state's decomposition, or the ``ValueError`` that says its
-    target is outside the polytope its candidates span."""
+              ) -> list[Union[Decomposition, DecompositionFailure]]:
+    """Each state's decomposition, or the ``DecompositionFailure`` that says
+    its target is outside the polytope its candidates span."""
     # a row caps a candidate's step at slack * quota; a row that does not
     # cap it adds one whole step instead.  The shape's rows come with a row
     # x_e >= 0 per edge, whose caps are the greedy's edge caps r_e.
@@ -173,12 +179,12 @@ def exact_convex_decomposition(
     """Weights over candidates reproducing ``target`` exactly, keyed in the
     order the greedy took them.
 
-    Raises ValueError when the greedy gets stuck, which signals that the
-    target is outside the polytope spanned by the candidates.
+    Raises DecompositionFailure when the greedy gets stuck, which signals
+    that the target is outside the polytope spanned by the candidates.
     """
     shape = DecompositionShape(candidates, len(target), upper, lower)
     (res,) = decompose(shape, [DecompositionState(tuple(Fraction(x) for x in target))])
-    if isinstance(res, ValueError):
+    if isinstance(res, DecompositionFailure):
         raise res
     return {shape.cands[i]: Fraction(k, res.denominator)
             for i, k in zip(res.order, res.numerators)}
@@ -186,7 +192,7 @@ def exact_convex_decomposition(
 
 def _decompose_block(shape: DecompositionShape, row_caps: tuple[np.ndarray, np.ndarray],
                      states: Sequence[DecompositionState]
-                     ) -> list[Union[Decomposition, ValueError]]:
+                     ) -> list[Union[Decomposition, DecompositionFailure]]:
     m, n_cands = shape.m, len(shape.cands)
     out: list = [None] * len(states)
 
@@ -242,12 +248,13 @@ def _decompose_block(shape: DecompositionShape, row_caps: tuple[np.ndarray, np.n
             exhausted = (sig == 0) & ~(res != 0).any(axis=1)
             for j in np.flatnonzero(done).tolist():
                 if stuck[j]:
-                    out[ids[j]] = ValueError("no candidates" if rounds == 0 else
-                                             "decomposition stuck; target outside the polytope")
+                    out[ids[j]] = DecompositionFailure(
+                        "no candidates" if rounds == 0 else
+                        "decomposition stuck; target outside the polytope")
                 elif exhausted[j]:
                     out[ids[j]] = _weights(taken[ids[j]])
                 else:
-                    out[ids[j]] = ValueError("decomposition did not exhaust the target")
+                    out[ids[j]] = DecompositionFailure("decomposition did not exhaust the target")
             keep = np.flatnonzero(~done)
             ids, res, sig, limit = ids[keep], res[keep], sig[keep], limit[keep]
             den = [den[j] for j in keep.tolist()]

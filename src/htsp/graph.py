@@ -217,39 +217,57 @@ class MultiGraph:
     # -- connectivity ----------------------------------------------------
 
     def edge_connectivity(self) -> int:
-        """Global edge connectivity (Stoer-Wagner on edge multiplicities)."""
+        """Global edge connectivity: the least unit max flow from vertex 0
+        to another vertex.  No flow needs to pass the least value found so
+        far, which starts at the minimum degree."""
         if self.n < 2:
             return 0
-        if not self.is_connected():
-            return 0
-        w = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.endpoints:
-            w[u][v] += 1
-            w[v][u] += 1
-        active = list(range(self.n))
-        best = None
-        while len(active) > 1:
-            # maximum adjacency order
-            a = [active[0]]
-            rest = active[1:]
-            weights = {v: w[active[0]][v] for v in rest}
-            while rest:
-                nxt = max(rest, key=lambda v: (weights[v], -v))
-                a.append(nxt)
-                rest.remove(nxt)
-                for v in rest:
-                    weights[v] += w[nxt][v]
-            s, t = a[-2], a[-1]
-            cut_of_phase = sum(w[t][v] for v in active if v != t)
-            if best is None or cut_of_phase < best:
-                best = cut_of_phase
-            # merge t into s
-            for v in active:
-                if v not in (s, t):
-                    w[s][v] += w[t][v]
-                    w[v][s] = w[s][v]
-            active.remove(t)
-        return best if best is not None else 0
+        arcs = unit_arcs(self)
+        best = min(self.degrees())
+        for t in range(1, self.n):
+            flow = [0] * self.m
+            value = 0
+            while value < best and (augment(arcs, flow, 1, t) >> t) & 1:
+                value += 1
+            best = value
+        return best
+
+
+def unit_arcs(g: MultiGraph) -> list[list[tuple[int, int, int]]]:
+    """Per vertex u, its arcs (edge position, other end, +1 if u is the
+    edge's first end), for unit flows along the edges of ``g``."""
+    arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    for pos, (u, v) in enumerate(g.endpoints):
+        arcs[u].append((pos, v, 1))
+        arcs[v].append((pos, u, -1))
+    return arcs
+
+
+def augment(arcs: list[list[tuple[int, int, int]]], flow: list[int],
+            source: int, t: int) -> int:
+    """Push one unit along a shortest residual path from the ``source``
+    vertex mask to t, if there is one.
+
+    ``flow`` holds the net flow along each edge, first end to second, and
+    every edge carries at most one unit either way.  Returns the mask of
+    the vertices seen: it holds t after a push, and is everything the
+    source reaches otherwise.
+    """
+    seen = source
+    via: dict[int, tuple[int, int, int]] = {}
+    queue = list(bits(source))
+    for u in queue:
+        for pos, w, sign in arcs[u]:
+            if not (seen >> w) & 1 and flow[pos] * sign < 1:
+                seen |= 1 << w
+                via[w] = (pos, u, sign)
+                if w == t:
+                    while w in via:
+                        pos, w, sign = via[w]
+                        flow[pos] += sign
+                    return seen
+                queue.append(w)
+    return seen
 
 
 # ---------------------------------------------------------------------------

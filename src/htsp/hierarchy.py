@@ -6,6 +6,18 @@ proper tight set).  Contracting a node's children and its complement yields
 its local multigraph, which is either a double cycle or has no proper
 min-cuts.  The hierarchy encodes every min-cut of the graph: node cuts plus
 contiguous-segment cuts of the cycle pieces.
+
+A build lists the min-cuts of its input at most once, as vertex-mask
+shores, and answers every later question from that list:
+- the min-cuts of G/S are exactly the listed cuts that do not split S:
+  contraction keeps those cuts at value 4 and makes no new one, since it
+  cannot bring the connectivity below 4;
+- a degree piece has no proper min-cut exactly when no listed cut has a
+  side inside the critical set S with 2 to |S| - 1 vertices;
+- the loop stops at the first double cycle without listing its cuts: on
+  four or more vertices every proper tight set (a segment) is crossed by
+  a shifted segment, and on three or fewer there is none, so no critical
+  set is left.  A double-cycle input is never enumerated.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import AssemblyError, ConnectivityError
-from .graph import CutView, HalfIntegralInstance, MultiGraph, bits
+from .graph import CutView, HalfIntegralInstance, MultiGraph, augment, bits, unit_arcs
 
 
 # ---------------------------------------------------------------------------
@@ -23,29 +35,38 @@ from .graph import CutView, HalfIntegralInstance, MultiGraph, bits
 # ---------------------------------------------------------------------------
 
 def enumerate_min_cuts(g: MultiGraph) -> list[CutView]:
-    """All cuts of value 4, one per shore/complement pair.
+    """All cuts of value 4, one per shore/complement pair, ordered by shore
+    size, then by the sorted shore.
 
     The canonical shore is the side not containing vertex 0.  Includes the
-    singleton cuts.  Each cut is found once, at the smallest vertex t of
-    its shore: with {0, ..., t-1} merged into the source, the cuts of value
-    4 between source and t are the residual-closed sets of a unit max flow
-    of value 4 (Picard and Queyranne, 1980).  Raises ConnectivityError when
-    some flow is below 4, since the graph is then not 4-edge-connected.
+    singleton cuts.  Raises ConnectivityError when the graph is not
+    4-edge-connected.
+    """
+    out = [g.cut(frozenset(bits(mask))) for mask in _min_cut_shores(g)]
+    out.sort(key=lambda c: (len(c.shore), sorted(c.shore)))
+    return out
+
+
+def _min_cut_shores(g: MultiGraph) -> list[int]:
+    """The shores of ``enumerate_min_cuts`` as vertex masks, in the order
+    found.
+
+    Each cut is found once, at the smallest vertex t of its shore: with
+    {0, ..., t-1} merged into the source, the cuts of value 4 between
+    source and t are the residual-closed sets of a unit max flow of value 4
+    (Picard and Queyranne, 1980).  Raises ConnectivityError when some flow
+    is below 4.
     """
     n = g.n
     if n < 2:
         return []
-    # arcs[u]: (edge position, other end, +1 if u is the edge's first end)
-    arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for pos, (u, v) in enumerate(g.endpoints):
-        arcs[u].append((pos, v, 1))
-        arcs[v].append((pos, u, -1))
+    arcs = unit_arcs(g)
     shores: list[int] = []
     for t in range(1, n):
-        flow = [0] * g.m  # net flow along each edge, first end to second
+        flow = [0] * g.m
         value = 0
         while value < 5:
-            reached = _augment(arcs, flow, (1 << t) - 1, t)
+            reached = augment(arcs, flow, (1 << t) - 1, t)
             if not (reached >> t) & 1:
                 break
             value += 1
@@ -55,34 +76,7 @@ def enumerate_min_cuts(g: MultiGraph) -> list[CutView]:
             )
         if value == 4:
             shores += _closed_shores(arcs, flow, reached, t)
-    out = [g.cut(frozenset(bits(mask))) for mask in shores]
-    out.sort(key=lambda c: (len(c.shore), sorted(c.shore)))
-    return out
-
-
-def _augment(arcs: list[list[tuple[int, int, int]]], flow: list[int],
-             source: int, t: int) -> int:
-    """Push one unit along a shortest residual path from the ``source``
-    vertex mask to t, if there is one.
-
-    Returns the mask of the vertices seen: it holds t after a push, and is
-    everything the source reaches otherwise.
-    """
-    seen = source
-    via: dict[int, tuple[int, int, int]] = {}
-    queue = list(bits(source))
-    for u in queue:
-        for pos, w, sign in arcs[u]:
-            if not (seen >> w) & 1 and flow[pos] * sign < 1:
-                seen |= 1 << w
-                via[w] = (pos, u, sign)
-                if w == t:
-                    while w in via:
-                        pos, w, sign = via[w]
-                        flow[pos] += sign
-                    return seen
-                queue.append(w)
-    return seen
+    return shores
 
 
 def _closed_shores(arcs: list[list[tuple[int, int, int]]], flow: list[int],
@@ -131,20 +125,10 @@ def _closure(nbrs: list[int], closed: int, start: int) -> int:
     return seen
 
 
-def crossing(a: frozenset[int], b: frozenset[int], n: int) -> bool:
-    """True when both differences, the intersection, and the outside are nonempty."""
-    if not (a & b) or not (a - b) or not (b - a):
-        return False
-    return len(a | b) < n
-
-
-def proper_tight_shores(g: MultiGraph) -> list[frozenset[int]]:
-    """Shores of proper cuts with value 4, without complement duplicates."""
-    out = []
-    for cut in enumerate_min_cuts(g):
-        if 1 < len(cut.shore) < g.n - 1:
-            out.append(cut.shore)
-    return out
+def crossing(a: int, b: int, full: int) -> bool:
+    """True when the vertex masks ``a`` and ``b`` cross inside ``full``:
+    both differences, the intersection, and the outside are nonempty."""
+    return bool(a & b and a & ~b and b & ~a and a | b != full)
 
 
 def find_critical_set(g: MultiGraph, root_vertex: int) -> Optional[frozenset[int]]:
@@ -154,23 +138,59 @@ def find_critical_set(g: MultiGraph, root_vertex: int) -> Optional[frozenset[int
     original vertex ids.  Returns None when every proper tight set is
     crossed (the graph is then a double cycle) or none exists.
     """
-    shores = proper_tight_shores(g)
-    pool: list[frozenset[int]] = []
-    for s in shores:
-        comp = frozenset(range(g.n)) - s
-        for side in (s, comp):
-            if any(crossing(side, t, g.n) for t in shores):
-                continue
-            pool.append(side)
-    candidates = [s for s in pool if root_vertex not in s]
+    shore = _critical_shore(g, _min_cut_shores(g), root_vertex)
+    return None if shore is None else frozenset(bits(shore))
+
+
+def _critical_shore(g: MultiGraph, shores: list[int], root_vertex: int) -> Optional[int]:
+    """``find_critical_set`` on the listed min-cut shores of ``g``, as a
+    vertex mask."""
+    n = g.n
+    full = (1 << n) - 1
+    proper = [s for s in shores if 1 < s.bit_count() < n - 1]
+    candidates = []
+    for s in proper:
+        # crossing is blind to complements, so test the side avoiding the root
+        side = full ^ s if (s >> root_vertex) & 1 else s
+        if not any(crossing(side, t, full) for t in proper):
+            candidates.append(side)
     if not candidates:
         return None
-    minimal = [s for s in candidates if not any(t < s for t in candidates)]
+    # a strict subset of s is s & c == c with c != s
+    minimal = [s for s in candidates if not any(c != s and s & c == c for c in candidates)]
 
-    def orig_key(s: frozenset[int]) -> list[int]:
-        return sorted(v for idx in s for v in g.vertex_sets[idx])
+    def orig_key(s: int) -> list[int]:
+        return sorted(v for idx in bits(s) for v in g.vertex_sets[idx])
 
     return min(minimal, key=orig_key)
+
+
+def _contract(g: MultiGraph, shores: list[int], shore: int) -> tuple[MultiGraph, list[int]]:
+    """G/S for S = ``shore``, and its min-cut shores: the listed cuts of G
+    that do not split S, renumbered as ``MultiGraph.contract`` renumbers
+    the vertices.  S avoids vertex 0, as every canonical shore does, so
+    vertex 0 keeps its index and every kept shore stays canonical."""
+    contracted, _ = g.contract(bits(shore))
+    merged = 1 << (contracted.n - 1)
+    removed = sorted(bits(shore), reverse=True)
+    out = []
+    for x in shores:
+        inside = x & shore
+        if inside and inside != shore:
+            continue
+        y = x & ~shore
+        for p in removed:
+            y = (y & ((1 << p) - 1)) | ((y >> (p + 1)) << p)
+        out.append(y | merged if inside else y)
+    return contracted, out
+
+
+def _sides_inside(shores: list[int], shore: int) -> list[int]:
+    """The min-cuts of the piece that contracts the complement of S =
+    ``shore``, as their sides inside S: the listed cuts that do not split
+    the complement.  S avoids vertex 0, so those are the canonical shores
+    inside S."""
+    return [x for x in shores if not x & ~shore]
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +343,17 @@ def _root_external_pairs(inst: HalfIntegralInstance, piece_graph: MultiGraph,
     return ((ids[0], ids[1]), (ids[2], ids[3]))
 
 
-def _piece_from(inst: HalfIntegralInstance, current: MultiGraph,
-                shore: frozenset[int], node_ids: dict[frozenset[int], int],
+def _piece_from(inst: HalfIntegralInstance, current: MultiGraph, shore: int,
+                node_ids: dict[frozenset[int], int], shores: Optional[list[int]],
                 is_root: bool) -> tuple[LocalMultigraph, str]:
-    """Contract the complement of ``shore`` and classify the piece."""
-    comp = frozenset(range(current.n)) - shore
-    if comp:
-        contracted, mapping = current.contract(comp)
-        ext = contracted.n - 1
-    else:
+    """Contract the complement of ``shore`` and classify the piece; a piece
+    that is not a double cycle is checked against ``shores``, the listed
+    min-cuts of ``current``."""
+    comp = ((1 << current.n) - 1) & ~shore
+    if not comp:
         raise AssemblyError("piece must have an external side")
+    contracted, _ = current.contract(bits(comp))
+    ext = contracted.n - 1
     # reorder so internal vertices come first in a deterministic order
     internal_old = sorted(
         (v for v in range(contracted.n) if v != ext),
@@ -348,7 +369,6 @@ def _piece_from(inst: HalfIntegralInstance, current: MultiGraph,
         ],
         [contracted.vertex_sets[old] for old in order],
     )
-    ext = contracted.n - 1
     child_map = tuple(
         node_ids[graph.vertex_sets[v]] if v != ext else None
         for v in range(graph.n)
@@ -363,8 +383,8 @@ def _piece_from(inst: HalfIntegralInstance, current: MultiGraph,
         piece = LocalMultigraph(graph, ext, child_map, chain=chain, root_pairs=root_pairs)
         return piece, "cycle"
 
-    proper = [c for c in enumerate_min_cuts(graph) if 1 < len(c.shore) < graph.n - 1]
-    if proper:
+    size = shore.bit_count()
+    if any(1 < side.bit_count() < size for side in _sides_inside(shores, shore)):
         raise AssemblyError(
             "piece is neither a double cycle nor free of proper min-cuts"
         )
@@ -387,8 +407,10 @@ def build_hierarchy(inst: HalfIntegralInstance) -> CutHierarchy:
 
     Repeatedly contracts the minimal uncrossed proper tight set avoiding the
     root vertex; each such set becomes a node whose piece is the local
-    multigraph at the moment of contraction.  The terminal graph must be a
-    double cycle and becomes the root piece.
+    multigraph at the moment of contraction.  The loop ends at the first
+    double cycle, which becomes the root piece.  The min-cuts are listed
+    once, on the first graph that is not a double cycle, and filtered after
+    each contraction.
     """
     g0 = inst.graph
     if inst.strict:
@@ -407,29 +429,27 @@ def build_hierarchy(inst: HalfIntegralInstance) -> CutHierarchy:
         node_ids[label] = len(nodes)
         nodes.append(HierarchyNode(len(nodes), label, "leaf", (), None))
 
+    # the root stays vertex 0: no contracted shore holds it
     current = g0
-    while True:
-        root_vertex = next(
-            v for v in range(current.n) if root_orig in current.vertex_sets[v]
-        )
-        shore = find_critical_set(current, root_vertex)
+    shores: Optional[list[int]] = None
+    while current.double_cycle_order() is None:
+        if shores is None:
+            shores = _min_cut_shores(current)
+        shore = _critical_shore(current, shores, 0)
         if shore is None:
             break
-        piece, kind = _piece_from(inst, current, shore, node_ids, is_root=False)
-        label = frozenset().union(*(current.vertex_sets[v] for v in shore))
+        piece, kind = _piece_from(inst, current, shore, node_ids, shores, is_root=False)
+        label = frozenset().union(*(current.vertex_sets[v] for v in bits(shore)))
         children = tuple(
             piece.child_map[v] for v in piece.internal_vertices
         )
         node_ids[label] = len(nodes)
         nodes.append(HierarchyNode(len(nodes), label, kind, children, piece))
-        current, _ = current.contract(shore)
+        current, shores = _contract(current, shores, shore)
 
-    # terminal double cycle becomes the root piece
-    root_vertex = next(
-        v for v in range(current.n) if root_orig in current.vertex_sets[v]
-    )
-    shore = frozenset(range(current.n)) - {root_vertex}
-    piece, kind = _piece_from(inst, current, shore, node_ids, is_root=True)
+    # the terminal graph must be a double cycle; it becomes the root piece
+    shore = ((1 << current.n) - 1) & ~1
+    piece, kind = _piece_from(inst, current, shore, node_ids, shores, is_root=True)
     if kind != "cycle":
         raise AssemblyError("terminal graph is not a double cycle")
     label = frozenset(range(g0.n)) - {root_orig}

@@ -14,6 +14,8 @@ single repayment covers both of their canonical cuts at once.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -71,17 +73,22 @@ class ReductionParams:
             mix_lambda=Fraction(mix_lambda),
         )
 
+    @functools.cached_property
+    def _rates(self) -> tuple[Fraction, Fraction, Fraction]:
+        # every coin group reads one of these: evaluate the mix once
+        return mixed_rates(self.mix_lambda)
+
     @property
     def p_other(self) -> Fraction:
-        return mixed_rates(self.mix_lambda)[0]
+        return self._rates[0]
 
     @property
     def p_special(self) -> Fraction:
-        return mixed_rates(self.mix_lambda)[1]
+        return self._rates[1]
 
     @property
     def p_half_special(self) -> Fraction:
-        return mixed_rates(self.mix_lambda)[2]
+        return self._rates[2]
 
     def coin_bound(self, kind: str) -> Fraction:
         if kind == "special":
@@ -538,6 +545,18 @@ def check_eal_bounds(classes: dict[int, EdgeClass], params: ReductionParams,
             )
 
 
+def coin_thresholds(rates: dict[tuple, object]) -> dict[tuple, float]:
+    """Per coin group, the double t with ``x < t`` exactly when x is below
+    the group's rate, for every x that ``Generator.random()`` returns.
+
+    Those x are multiples k / 2**53, and k < r * 2**53 holds exactly when
+    k < ceil(r * 2**53); a rate is at most one, so that ceiling over 2**53
+    is a double.  A coin then costs one float comparison, not a
+    ``Fraction`` one, and falls the same way.
+    """
+    return {grp: math.ceil(Fraction(r) * 2 ** 53) / 2 ** 53 for grp, r in rates.items()}
+
+
 @dataclass(frozen=True)
 class JoinSolution:
     """Join vector with the full per-edge accounting ledger."""
@@ -554,14 +573,16 @@ def build_join(
     classes: dict[int, EdgeClass],
     params: ReductionParams,
     tree_edges: frozenset[int],
-    rates: dict[tuple, float],
+    rates: dict[tuple, object],
     rng: np.random.Generator,
     sites: tuple[list[DegreeChargeSite], list[PairChargeSite]],
     conditions: EalConditions,
 ) -> JoinSolution:
     """One trial of the reduction-and-charge scheme for a sampled tree, with
     the charge sites of ``build_charge_sites`` and the even-at-last
-    conditions of ``eal_conditions``."""
+    conditions of ``eal_conditions``.  A group's coin falls heads when
+    ``rng.random() < rates[grp]``; the ``coin_thresholds`` of the rates
+    give the same coins."""
     degree_sites, pair_sites = sites
     eal = detect_eal(conditions, tree_edges)
     groups = coin_groups(classes)

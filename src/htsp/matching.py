@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .decomp import exact_convex_decomposition
+from .decomp import DecompositionFailure, exact_convex_decomposition
 from .errors import ColoringOverflow, InfeasibleShift, NoPerfectMatching
 from .graph import MultiGraph, bits
 from .hierarchy import LocalMultigraph
@@ -123,7 +123,7 @@ def decompose_matchings(piece: Union[LocalMultigraph, MultiGraph]) -> MatchingDi
     lower = _odd_set_lower_constraints(g)
     try:
         w = exact_convex_decomposition(matchings, target, upper=(), lower=lower)
-    except ValueError as exc:
+    except DecompositionFailure as exc:
         raise NoPerfectMatching(f"quarter-mass decomposition failed: {exc}") from exc
     masks = tuple(sorted(w))
     return MatchingDistribution(g, masks, tuple(w[mk] for mk in masks))

@@ -41,6 +41,7 @@ from .join import (
     coin_groups,
     coin_kind,
     coin_rates,
+    coin_thresholds,
     eal_conditions,
     exact_eal_probabilities,
     min_cost_perfect_matching,
@@ -200,10 +201,10 @@ class BatchStats:
 class CompiledInstance:
     """One instance compiled once for every command: the hierarchy, the
     piece samplers, the edge classes and their even-at-last conditions,
-    built eagerly; the even-at-last probabilities, coin rates, charge
-    sites, integer costs and integer metric, each built on first use.  It
-    checks no even-at-last bound, and only a command that reads costs can
-    meet their ``ScaleOverflow``."""
+    built eagerly; the even-at-last probabilities, coin rates and their
+    thresholds, charge sites, integer costs and integer metric, each built
+    on first use.  It checks no even-at-last bound, and only a command that
+    reads costs can meet their ``ScaleOverflow``."""
 
     def __init__(self, inst: HalfIntegralInstance,
                  sampler_params: Optional[SamplerParams] = None,
@@ -226,6 +227,11 @@ class CompiledInstance:
     @cached_property
     def rates(self) -> dict[tuple, object]:
         return coin_rates(self.classes, self.rp, self.eal_probability)
+
+    @cached_property
+    def coin_thresholds(self) -> dict[tuple, float]:
+        """The rates as exact double thresholds for ``build_join``."""
+        return coin_thresholds(self.rates)
 
     @cached_property
     def sites(self) -> tuple[list, list]:
@@ -348,10 +354,12 @@ class BatchEngine(CompiledInstance):
         self.amount_int = np.zeros(self.m, dtype=np.int64)
         for e, cl in self.classes.items():
             self.amount_int[e] = int(self.rp.amount(cl.kind) * D)
+        # a draw below the exact threshold is a draw below the rate; the
+        # nearest double to a Fraction rate can sit one draw quantum off
         self.groups = []
         for grp, members in sorted(coin_groups(self.classes).items()):
             self.groups.append(
-                (np.array(members, dtype=np.int64), float(self.rates[grp]))
+                (np.array(members, dtype=np.int64), self.coin_thresholds[grp])
             )
         # the sites read their cuts by index into ``site_cut_cols``, so a
         # chunk computes each distinct cut's parity once

@@ -27,6 +27,7 @@ import numpy as np
 
 from .decomp import (
     Decomposition,
+    DecompositionFailure,
     DecompositionShape,
     DecompositionState,
     decompose,
@@ -285,7 +286,7 @@ def constrained_tree_weights(states: Sequence[ShiftedSolution]
 
 
 def _rejections(shape: DecompositionShape, states: Sequence[DecompositionState],
-                results: Sequence[Union[Decomposition, ValueError]]
+                results: Sequence[Union[Decomposition, DecompositionFailure]]
                 ) -> list[Optional[InfeasibleShift]]:
     """Per state, the ``InfeasibleShift`` for a failed decomposition or for
     weights that do not sum to one or do not reproduce the target as tree
@@ -294,7 +295,7 @@ def _rejections(shape: DecompositionShape, states: Sequence[DecompositionState],
     out: list[Optional[InfeasibleShift]] = []
     for r in results:
         out.append(None)
-        if isinstance(r, ValueError):
+        if isinstance(r, DecompositionFailure):
             out[-1] = InfeasibleShift(str(r))
             out[-1].__cause__ = r
     done = [j for j, r in enumerate(results) if isinstance(r, Decomposition)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from htsp.decomp import DecompositionFailure
 from htsp.graph import bits
 
 
@@ -21,16 +22,16 @@ def fraction_convex_decomposition(
 ) -> dict[int, Fraction]:
     """Weights over candidates reproducing ``target`` exactly.
 
-    Raises ValueError when the greedy gets stuck, which signals that the
-    target is outside the polytope spanned by the candidates.
+    Raises DecompositionFailure when the greedy gets stuck, which signals
+    that the target is outside the polytope spanned by the candidates.
     """
     m = len(target)
     cands = sorted(set(candidates))
     if not cands:
-        raise ValueError("no candidates")
+        raise DecompositionFailure("no candidates")
     size = cands[0].bit_count()
     if any(c.bit_count() != size for c in cands):
-        raise ValueError("candidates differ in cardinality")
+        raise DecompositionFailure("candidates differ in cardinality")
 
     # precompute intersection sizes per candidate and constraint
     upper = list(upper)
@@ -90,12 +91,12 @@ def fraction_convex_decomposition(
                 best_t = t
                 best_i = i
         if best_i < 0:
-            raise ValueError("decomposition stuck; target outside the polytope")
+            raise DecompositionFailure("decomposition stuck; target outside the polytope")
         c = cands[best_i]
         weights[c] = weights.get(c, Fraction(0)) + best_t
         for e in bits(c):
             r[e] -= best_t
         sigma -= best_t
     if sigma != 0 or any(x != 0 for x in r):
-        raise ValueError("decomposition did not exhaust the target")
+        raise DecompositionFailure("decomposition did not exhaust the target")
     return weights

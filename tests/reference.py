@@ -1,7 +1,8 @@
 """Independent checks the tests hold the package against.
 
 None of these has a caller in the package: each recomputes a quantity the
-package derives another way (a Kirchhoff count, closed-form marginals, a
+package derives another way (a Stoer-Wagner edge connectivity, a
+Kirchhoff count, closed-form marginals, a
 grid search over the parameter LP, the parameter LP by LAPACK and
 ``Fraction`` Gauss-Jordan, an exact expected join cost, the ``Fraction``
 shortest-path metric with successors, the
@@ -56,6 +57,41 @@ def edge_ids_of(dist: MatchingDistribution, mask: int) -> frozenset[int]:
 def part_sums(sh: ShiftedSolution) -> list[Fraction]:
     """The value each part of a shifted solution carries."""
     return [sum((sh.values[e] for e in p), Fraction(0)) for p in sh.parts]
+
+
+def stoer_wagner_connectivity(g: MultiGraph) -> int:
+    """Global edge connectivity by Stoer-Wagner on edge multiplicities,
+    the check ``MultiGraph.edge_connectivity`` replaced."""
+    if g.n < 2 or not g.is_connected():
+        return 0
+    w = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.endpoints:
+        w[u][v] += 1
+        w[v][u] += 1
+    active = list(range(g.n))
+    best = None
+    while len(active) > 1:
+        # maximum adjacency order
+        a = [active[0]]
+        rest = active[1:]
+        weights = {v: w[active[0]][v] for v in rest}
+        while rest:
+            nxt = max(rest, key=lambda v: (weights[v], -v))
+            a.append(nxt)
+            rest.remove(nxt)
+            for v in rest:
+                weights[v] += w[nxt][v]
+        s, t = a[-2], a[-1]
+        cut_of_phase = sum(w[t][v] for v in active if v != t)
+        if best is None or cut_of_phase < best:
+            best = cut_of_phase
+        # merge t into s
+        for v in active:
+            if v not in (s, t):
+                w[s][v] += w[t][v]
+                w[v][s] = w[s][v]
+        active.remove(t)
+    return best
 
 
 def spanning_tree_count(g: MultiGraph) -> int:

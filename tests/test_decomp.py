@@ -1,7 +1,7 @@
 """The integer greedy in ``htsp.decomp`` against the Fraction greedy it replaced.
 
 Both must return equal weights in equal key order, and raise the same
-``ValueError`` when the target is outside the polytope: the one-state
+``DecompositionFailure`` when the target is outside the polytope: the one-state
 ``exact_convex_decomposition`` as a call, and the batched ``decompose``
 state by state.
 """
@@ -15,19 +15,22 @@ import pytest
 import htsp.decomp as decomp
 from htsp.generators import generate_random_4reg
 from htsp.graph import MultiGraph
-from htsp.matching import _odd_set_lower_constraints, enumerate_perfect_matchings
+from htsp.errors import InfeasibleShift, NoPerfectMatching
+from htsp.matching import (_odd_set_lower_constraints, decompose_matchings,
+                           enumerate_perfect_matchings)
 from htsp.pipeline import SamplerParams
 from htsp.stats import BatchEngine
-from htsp.trees import enumerate_spanning_trees
+from htsp.trees import constrained_tree_distribution, enumerate_spanning_trees
 from tests.conftest import ALL_FAMILIES, family_instance
 from tests.fraction_decomp import fraction_convex_decomposition
+from tests.test_trees import shifted_on
 
 
 def outcome(fn, *args, **kwargs):
     """Weights as an ordered item list, or the error's type and message."""
     try:
         return list(fn(*args, **kwargs).items())
-    except ValueError as exc:
+    except decomp.DecompositionFailure as exc:
         return (type(exc), str(exc))
 
 
@@ -41,7 +44,7 @@ def per_state_args(shape: decomp.DecompositionShape, state: decomp.Decomposition
 
 def kernel_outcome(shape: decomp.DecompositionShape, res) -> object:
     """A batched result in the form of ``outcome``."""
-    if isinstance(res, ValueError):
+    if isinstance(res, decomp.DecompositionFailure):
         return (type(res), str(res))
     return [(shape.cands[i], Fraction(k, res.denominator))
             for i, k in zip(res.order, res.numerators)]
@@ -230,3 +233,34 @@ def test_every_engine_decomposition_matches_the_fraction_greedy(family, monkeypa
     BatchEngine(family_instance(family), SamplerParams(sampler="mix"))
     if family in ("random-4reg", "zoo"):
         assert calls
+
+
+def test_only_the_greedys_own_failures_become_typed_errors(monkeypatch):
+    """A failed greedy is a ``NoPerfectMatching`` or an ``InfeasibleShift``
+    with the greedy's message; any other ``ValueError`` inside the kernel
+    propagates unchanged."""
+    ring = MultiGraph(4, [(2 * i + j, i, (i + 1) % 4) for i in range(4) for j in range(2)])
+    tri = MultiGraph(3, [(0, 0, 1), (1, 1, 2), (2, 0, 2)])
+    shifted = shifted_on(tri, {e: Fraction(2, 3) for e in range(3)})
+
+    def failing(shape, row_caps, states):
+        return [decomp.DecompositionFailure("decomposition did not exhaust the target")
+                for _ in states]
+
+    monkeypatch.setattr(decomp, "_decompose_block", failing)
+    with pytest.raises(NoPerfectMatching, match="did not exhaust") as caught:
+        decompose_matchings(ring)
+    assert type(caught.value.__cause__) is decomp.DecompositionFailure
+    with pytest.raises(InfeasibleShift, match="did not exhaust"):
+        constrained_tree_distribution(shifted)
+
+    bug = ValueError("operands could not be broadcast together")
+
+    def broken(shape, row_caps, states):
+        raise bug
+
+    monkeypatch.setattr(decomp, "_decompose_block", broken)
+    for call, arg in ((decompose_matchings, ring), (constrained_tree_distribution, shifted)):
+        with pytest.raises(ValueError) as caught:
+            call(arg)
+        assert caught.value is bug

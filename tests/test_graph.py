@@ -20,6 +20,7 @@ from htsp.graph import (
     parse_instance,
     serialize_instance,
 )
+from tests.reference import stoer_wagner_connectivity
 
 
 def k5_graph():
@@ -156,3 +157,37 @@ def test_normalize_relabels_triple():
 def test_lp_cost_is_half_total():
     inst = generate_random_4reg(10, np.random.default_rng(0))
     assert inst.lp_cost() == sum(inst.costs, Fraction(0)) / 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10 ** 6))
+def test_edge_connectivity_equals_stoer_wagner(n, m, cross, seed):
+    """Random multigraphs, disconnected and with low-degree vertices too:
+    the edges fall inside two halves but for about ``cross`` of them, so
+    the connectivity is often below the minimum degree."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    edges = []
+    for _ in range(20 * m if n > 1 else 0):
+        u, v = map(int, rng.integers(0, n, size=2))
+        if u != v and ((u < half) == (v < half) or rng.random() < cross / max(m, 1)):
+            edges.append((len(edges), u, v))
+        if len(edges) == m:
+            break
+    g = MultiGraph(n, edges)
+    assert g.edge_connectivity() == stoer_wagner_connectivity(g)
+
+
+def test_edge_connectivity_below_the_minimum_degree():
+    # two double triangles joined by one edge pair: degree 4 or 6, connectivity 2
+    edges = [(0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0),
+             (3, 4), (3, 4), (4, 5), (4, 5), (5, 3), (5, 3), (0, 3), (0, 3)]
+    g = MultiGraph(6, [(i, u, v) for i, (u, v) in enumerate(edges)])
+    assert min(g.degrees()) == 4
+    assert g.edge_connectivity() == stoer_wagner_connectivity(g) == 2
+
+
+def test_edge_connectivity_of_the_families(any_instance):
+    g = any_instance.graph
+    assert g.edge_connectivity() == stoer_wagner_connectivity(g) == 4

@@ -1,12 +1,11 @@
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import htsp.hierarchy as hierarchy
 from htsp.errors import AssemblyError, ConnectivityError, SizeLimitExceeded
-from htsp.generators import generate_double_cycle, generate_k5_gadget, generate_random_4reg
+from htsp.generators import (generate, generate_double_cycle, generate_k5_gadget,
+                             generate_random_4reg)
 from htsp.graph import MultiGraph
 from htsp.hierarchy import (
     _root_external_pairs,
@@ -98,23 +97,83 @@ def test_min_cuts_match_brute_force_property(n, seed):
     assert_same_cuts(generate_random_4reg(n, np.random.default_rng(seed)).graph)
 
 
-@pytest.mark.parametrize("family", ALL_FAMILIES)
-def test_every_engine_min_cut_call_matches_brute_force(family, monkeypatch):
-    original = hierarchy.enumerate_min_cuts
-    graphs = []
+def shore_masks(cuts) -> list[int]:
+    return sorted(sum(1 << v for v in c.shore) for c in cuts)
 
-    def both(g):
-        got = original(g)
-        assert cut_list(got) == cut_list(brute_min_cuts(g))
-        graphs.append(g)
+
+def checked_build_lists(monkeypatch):
+    """Hold every cut list a hierarchy build uses to brute force: its one
+    enumeration, the filtered list of each contracted graph, and each
+    degree-piece check's list.  Returns the graphs each was taken on."""
+    seen = {"enumerated": [], "contracted": [], "pieces": [], "current": None}
+    enum, contract, piece_from, sides = (hierarchy._min_cut_shores, hierarchy._contract,
+                                         hierarchy._piece_from, hierarchy._sides_inside)
+
+    def enum_checked(g):
+        got = enum(g)
+        assert sorted(got) == shore_masks(brute_min_cuts(g))
+        seen["enumerated"].append(g)
         return got
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("htsp") and getattr(mod, "enumerate_min_cuts", None) is original:
-            monkeypatch.setattr(mod, "enumerate_min_cuts", both)
+    def contract_checked(g, shores, shore):
+        gc, got = contract(g, shores, shore)
+        assert sorted(got) == shore_masks(brute_min_cuts(gc))
+        seen["contracted"].append(gc)
+        return gc, got
+
+    def piece_from_seen(inst, current, *args, **kwargs):
+        seen["current"] = current
+        return piece_from(inst, current, *args, **kwargs)
+
+    def sides_checked(shores, shore):
+        got = sides(shores, shore)
+        g = seen["current"]
+        piece, mapping = g.contract(v for v in range(g.n) if not (shore >> v) & 1)
+        back = {new: old for old, new in mapping.items() if (shore >> old) & 1}
+        ext = piece.n - 1
+        want = []
+        for c in brute_min_cuts(piece):
+            side = c.shore if ext not in c.shore else frozenset(range(piece.n)) - c.shore
+            want.append(sum(1 << back[v] for v in side))
+        assert sorted(got) == sorted(want)
+        seen["pieces"].append(piece)
+        return got
+
+    monkeypatch.setattr(hierarchy, "_min_cut_shores", enum_checked)
+    monkeypatch.setattr(hierarchy, "_contract", contract_checked)
+    monkeypatch.setattr(hierarchy, "_piece_from", piece_from_seen)
+    monkeypatch.setattr(hierarchy, "_sides_inside", sides_checked)
+    return seen
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_every_engine_min_cut_call_matches_brute_force(family, monkeypatch):
+    seen = checked_build_lists(monkeypatch)
     inst = family_instance(family)
-    BatchEngine(inst, SamplerParams(sampler="mix"))
-    assert graphs[0] is inst.graph  # the family graph itself, then each contraction
+    engine = BatchEngine(inst, SamplerParams(sampler="mix"))
+    below_root = [nd for nd in engine.h.non_leaves() if not nd.is_root]
+    if family == "double-cycle":
+        assert seen["enumerated"] == [] and below_root == []
+    else:
+        # the family graph itself, once, then filtered lists only
+        assert len(seen["enumerated"]) == 1 and seen["enumerated"][0] is inst.graph
+    assert len(seen["contracted"]) == len(below_root)
+    assert len(seen["pieces"]) == sum(nd.kind == "degree" for nd in below_root)
+
+
+@pytest.mark.parametrize("family,k,calls", [("double-cycle", 200, 0), ("k5-gadget", 100, 1)])
+def test_hierarchy_build_enumerates_at_most_once(family, k, calls, monkeypatch):
+    enum = hierarchy._min_cut_shores
+    graphs = []
+
+    def counted(g):
+        graphs.append(g)
+        return enum(g)
+
+    monkeypatch.setattr(hierarchy, "_min_cut_shores", counted)
+    inst = generate(family, np.random.default_rng(0), k=k)
+    build_hierarchy(inst)
+    assert len(graphs) == calls
 
 
 def test_min_cuts_reject_graphs_below_four_edge_connectivity():
@@ -161,11 +220,11 @@ def test_root_pairs_need_a_degree_four_external_vertex():
 
 
 def test_crossing():
-    n = 6
-    assert crossing(frozenset({0, 1, 2}), frozenset({2, 3}), n)
-    assert not crossing(frozenset({0, 1}), frozenset({0, 1, 2}), n)  # nested
-    assert not crossing(frozenset({0, 1}), frozenset({2, 3}), n)  # disjoint
-    assert not crossing(frozenset({0, 1, 2}), frozenset({2, 3, 4, 5}), n)  # covers
+    full = 0b111111
+    assert crossing(0b000111, 0b001100, full)
+    assert not crossing(0b000011, 0b000111, full)  # nested
+    assert not crossing(0b000011, 0b001100, full)  # disjoint
+    assert not crossing(0b000111, 0b111100, full)  # covers
 
 
 def test_find_critical_set():

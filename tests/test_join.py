@@ -19,7 +19,9 @@ from htsp.join import (
     build_join,
     check_eal_bounds,
     classify,
+    coin_groups,
     coin_rates,
+    coin_thresholds,
     detect_eal,
     eal_conditions,
     exact_eal_probabilities,
@@ -29,7 +31,7 @@ from htsp.join import (
     verify_join,
 )
 from htsp.pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
-from htsp.stats import CompiledInstance
+from htsp.stats import BatchEngine, CompiledInstance
 from tests.conftest import family_instance
 from tests.reference import shortest_path_metric
 
@@ -139,6 +141,37 @@ def test_no_reduction_keeps_quarter(zoo_instance):
                     eal_conditions(h, classes))
     assert all(z == QUARTER for z in js.z.values())
     assert not js.reductions and not js.charges
+
+
+@pytest.mark.parametrize("sampler", ["mi", "maxent", "mix"])
+def test_coin_thresholds_fall_as_the_rates_do(sampler):
+    """At the quanta next to each threshold and on random draws, comparing
+    with the double threshold gives the exact comparison with the rate."""
+    h, sp, rp, samplers, classes, rates, sites = prepared(family_instance("zoo"), sampler)
+    edge_cases = {("one",): Fraction(1), ("zero",): 0.0, ("tiny",): 1e-300,
+                  ("quantum",): Fraction(3, 2 ** 53), ("third",): Fraction(1, 3)}
+    rates = {**rates, **edge_cases}
+    thresholds = coin_thresholds(rates)
+    draws = np.random.default_rng(1).random(2_000)
+    for grp, r in rates.items():
+        t = thresholds[grp]
+        assert type(t) is float and 0 <= t <= 1
+        k = int(t * 2 ** 53)
+        for x in [k / 2 ** 53, (k - 1) / 2 ** 53, *draws]:
+            if 0 <= x < 1:
+                assert (x < t) == (x < r), (grp, r, x)
+    conditions = eal_conditions(h, classes)
+    for trial in range(20):
+        ts = sample_r0_tree(h, sp, seed=3, trial=trial, samplers=samplers)
+        by_rate = build_join(h, classes, rp, ts.edges, rates, np.random.default_rng(trial),
+                             sites, conditions)
+        by_threshold = build_join(h, classes, rp, ts.edges, thresholds,
+                                  np.random.default_rng(trial), sites, conditions)
+        assert by_rate == by_threshold
+    # the Monte Carlo chunk flips its coins against the same thresholds
+    engine = BatchEngine(family_instance("zoo"), sp)
+    want = [engine.coin_thresholds[grp] for grp in sorted(coin_groups(engine.classes))]
+    assert [rate for _, rate in engine.groups] == want
 
 
 def test_join_ledger_conservation(zoo_instance):

@@ -2,7 +2,8 @@
 
 The digests below are sha256 sums of ``StatReport.to_csv()`` for fixed
 instances, seeds and flags, and of the stdout of ``htsp optimize-params``,
-``htsp sample``, ``htsp join`` and ``htsp tour``.
+``htsp sample``, ``htsp join``, ``htsp tour``, ``htsp hierarchy`` and
+``htsp cactus``.
 They pin the README's determinism promise across refactors: a change that
 alters any of these reports must say why and update the digest in the
 same change.
@@ -45,6 +46,36 @@ CLI_STDOUT = {
     # 100 vertices and 4,950 min-cuts: the metric and the join check at size
     ("double-cycle", ("--k", "100", "--seed", "0"), ("join", "--trials", "20")):
         "0544951adb7abec70334daff47f9697c9c29f49982c50236738a7a8a1f245a23",
+    # the hierarchy and cactus JSON of the five conftest instances and of
+    # the two families at 100 host positions
+    ("double-cycle", ("--seed", "3"), ("hierarchy",)):
+        "6faa70e357a188f32145dd4ff1a7ddc1c19659c03ac2028468b450e40695ab07",
+    ("double-cycle", ("--seed", "3"), ("cactus",)):
+        "919b7418ee6f29e32a7755dfa6b7619017532e0035833d7c21a71365c125ced7",
+    ("k5-gadget", ("--k", "6", "--seed", "3"), ("hierarchy",)):
+        "0fc80086a7ca205bfe39c4a66081b057ef38fd163b208fde216b04fc80a3ee53",
+    ("k5-gadget", ("--k", "6", "--seed", "3"), ("cactus",)):
+        "830cec27294fcbe18c368baee8c01b794829c50793079ba9b66de7a1a5457b67",
+    ("nested", ("--seed", "3"), ("hierarchy",)):
+        "19015c68ed04c9cacbea4f78025ae5631fe19741cb13553ebf316547dcd312ef",
+    ("nested", ("--seed", "3"), ("cactus",)):
+        "243f11bb0734eb1db878a60649e1cbc9280bcd2e6d821ee4f8f3f637222e4be7",
+    ("random-4reg", ("--seed", "3"), ("hierarchy",)):
+        "cc7a6e42575471b4db6ae802c649b03494a348a1b6c1409ed0e0e811193c59e7",
+    ("random-4reg", ("--seed", "3"), ("cactus",)):
+        "bbbe6950820c47bd994af986548d2101a0d278600029646038c50a756ba8a769",
+    ("zoo", ("--seed", "3"), ("hierarchy",)):
+        "45ed38541037f37b61071605a59215a64bcf5106aae2d8e65cd5bcb45a7fd962",
+    ("zoo", ("--seed", "3"), ("cactus",)):
+        "bead2cbf2a3e8861b65f25182f95db4cc4fa484787a9f96d77efda6784c930a5",
+    ("double-cycle", ("--k", "100", "--seed", "0"), ("hierarchy",)):
+        "0e9ae506b45f01f5796da586bef27f3d3db7e527788e5a39f4eda119f1e0837d",
+    ("double-cycle", ("--k", "100", "--seed", "0"), ("cactus",)):
+        "1ef98e93b61f863a511caf8844572c505957aecb3ae1e8b386baf1a6414b19f3",
+    ("k5-gadget", ("--k", "100", "--seed", "0"), ("hierarchy",)):
+        "99d7b148d780b2590167b6db0b6a04bbec72ab3c3881ea0f73a340a952048f82",
+    ("k5-gadget", ("--k", "100", "--seed", "0"), ("cactus",)):
+        "b9a7cf185b216123e2411e28e76c8e02e4ef19f416f11f909aab160fb1105a66",
 }
 
 

@@ -8,7 +8,9 @@ agree with the exact oracle's probabilities, and every degree piece's tree
 mixture equals the per-class ``Fraction`` reference.  Apart from these, a
 mix k/10^7 is drawn and the parameter LP's solution held to the reference
 solver's, and blocks of random tree and matching states are decomposed by
-the batched kernel and held to the Fraction greedy state by state.
+the batched kernel and held to the Fraction greedy state by state, and
+the min-cuts the hierarchy build keeps after contracting a listed shore
+are held to brute force on the contracted graph.
 """
 
 from fractions import Fraction
@@ -21,10 +23,11 @@ from htsp.generators import generate_random_4reg
 from htsp.matching import _odd_set_lower_constraints, enumerate_perfect_matchings
 from htsp.oracle import exact_marginals
 from htsp.params import solve_amounts
-from htsp.hierarchy import build_hierarchy
+from htsp.hierarchy import _contract, _min_cut_shores, build_hierarchy
 from htsp.pipeline import DegreePieceSampler, SamplerParams
 from htsp.stats import BatchEngine, binom_sigma, oracle_check
 from htsp.trees import enumerate_spanning_trees
+from tests.brute_min_cuts import brute_min_cuts
 from tests.reference import fraction_mi_mixture, solve_amounts as reference_solve_amounts
 from tests.test_decomp import (
     assert_block_same,
@@ -117,3 +120,15 @@ def test_batched_kernel_equals_the_fraction_greedy_per_state(seed, size, trees):
             x = outside(rng, x)
         states.append(DecompositionState(tuple(x), tuple(rows), alive))
     assert_block_same(shape, states)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=6, max_value=14), st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_filtered_shores_are_the_min_cuts_of_the_contraction(n, gen_seed, pick):
+    g = generate_random_4reg(n, np.random.default_rng(gen_seed)).graph
+    shores = _min_cut_shores(g)
+    # a proper shore where there is one: a singleton contracts to a relabelling
+    proper = [s for s in shores if 1 < s.bit_count() < n - 1] or shores
+    gc, kept = _contract(g, shores, proper[pick % len(proper)])
+    assert sorted(kept) == sorted(sum(1 << v for v in c.shore) for c in brute_min_cuts(gc))
