@@ -28,7 +28,7 @@ One kernel decomposes many points of one polytope at once.
 
 ``decompose`` runs the states of one shape in blocks of at most
 ``BLOCK_CELLS`` states x candidates x rows.  Every round of a block prunes
-the candidates (support, forced edges, tight rows), takes each state's
+the candidates (support, tight rows), takes each state's
 largest step and first best candidate, updates and divides out the gcd,
 for all of its states at once and over the candidates still alive in any
 of them.  Finished states leave the block; the rest go on in lockstep.
@@ -47,6 +47,18 @@ bound shows that no product can reach 2**62, and exact Python ints
 (``dtype=object``) after.  Each state's weights come back as integer
 numerators over one denominator; ``exact_convex_decomposition`` is the
 one-state call that returns ``Fraction``s.
+
+The greedy has no rule of its own for a forced edge (r_e = sigma) that a
+candidate misses: in every polytope the package decomposes, the support
+and tight-row rules already drop such a candidate.
+
+- Tree shapes carry the pair row x(E({u, v})) <= sigma of each edge
+  e = uv.  At r_e = sigma that row is tight, so a candidate with no edge
+  between u and v moves it, and one with a parallel edge uses an edge at
+  r = 0.
+- In the matching shape every vertex has r(delta(u)) = sigma, so
+  r_e = sigma leaves every other edge at u at r = 0, and a perfect
+  matching that misses e uses one of them.
 """
 
 from __future__ import annotations
@@ -120,9 +132,9 @@ class DecompositionShape:
         d = (self.sign[:, None] * (self.rows.astype(np.int64) @ self.member.T.astype(np.int64))
              - self.bound[:, None])
         self.deficit = d.astype(np.int8) if d.size and -128 <= d.min() and d.max() < 128 else d
-        # a candidate is ruled out by a support edge at r_e <= 0, by a forced
-        # edge at r_e = sigma that it misses, or by a tight row it moves
-        self.rule_words = _pack(np.concatenate([self.member, ~self.member, (d != 0).T], axis=1))
+        # a candidate is ruled out by a support edge at r_e <= 0 or by a
+        # tight row it moves
+        self.rule_words = _pack(np.concatenate([self.member, (d != 0).T], axis=1))
         self.scale = _lcm_of_positive(d)
         self.headroom = int(np.abs(self.bound).max(initial=0)) + m + 2
 
@@ -270,13 +282,12 @@ def _decompose_block(shape: DecompositionShape, row_caps: tuple[np.ndarray, np.n
         slack = sign * (res @ rows_t) - sig[:, None] * bound
         own_slack = sig[:, None] * own_b[ids] - (own_r[ids] @ res[:, :, None])[:, :, 0]
 
-        # leaving the support, missing a forced edge or moving a tight
-        # constraint rules a candidate out for good: r only falls where the
-        # chosen candidate sits, and the chosen one keeps every tight
-        # constraint tight and every forced edge forced
+        # leaving the support or moving a tight constraint rules a candidate
+        # out for good: r only falls where the chosen candidate sits, and
+        # the chosen one keeps every tight constraint tight
         live = alive[ids]
         cols = np.flatnonzero(live.any(axis=0))
-        keys = _pack(np.concatenate([res <= 0, res == sig[:, None], slack == 0], axis=1))
+        keys = _pack(np.concatenate([res <= 0, slack == 0], axis=1))
         own_keys = _pack(own_slack == 0)
         live[:, cols] &= ~(
             ((shape.rule_words[cols][None] & keys[:, None, :]) != 0).any(axis=2)

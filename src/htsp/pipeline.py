@@ -97,6 +97,19 @@ class CyclePieceSampler:
         edges = frozenset(p[int(k)] for p, k in zip(self.pairs, picks))
         return edges, {"mode": "cycle"}
 
+    def draw_block(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """``n`` draws at once: the edge ids, first edges of the pairs then
+        second edges, and per id a row of trials saying whether it is drawn."""
+        pairs = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
+        p = len(pairs)
+        block = np.empty((2 * p, n), dtype=bool)
+        if p:
+            # drawn (trials, pairs) and transposed: the order the stream is
+            # read in fixes which trees a seed gives
+            np.less(rng.random((n, p)).T, 0.5, out=block[:p])
+            np.logical_not(block[:p], out=block[p:])
+        return pairs.T.ravel(), block
+
     def parity_law(self, sets: list[set[int]]) -> dict[int, Fraction]:
         """Law of the drawn edges' parities on ``sets``, as in ``join.parity_law``:
         each pair flips the sets holding the edge it picks, with chance 1/2."""
@@ -116,6 +129,42 @@ class CyclePieceSampler:
         return Fraction(1, 2)
 
 
+class GuideTable:
+    """Index lookup into a cumulative distribution by a guide table (Chen
+    and Asau, 1974).  A draw u gets ``min(searchsorted(cdf, u, "right"),
+    K - 1)`` for K entries: the first index whose entry is above u, the
+    last index for a draw at or past the total (which floats may leave just
+    below 1)."""
+
+    #: stepping passes before the remaining draws fall back to a search
+    PASSES = 2
+
+    def __init__(self, cdf: np.ndarray):
+        # the last entry raised to infinity: a search then stops at K - 1
+        self.cdf = np.array(cdf, dtype=float)
+        self.cdf[-1] = np.inf
+        # 2K buckets; bucket j holds the first index whose entry is above j / 2K
+        buckets = 2 * len(self.cdf)
+        self.guide = np.searchsorted(self.cdf, np.arange(buckets) / buckets, side="right")
+
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        """The index of each draw of ``u``, an array of floats in [0, 1)."""
+        cdf = self.cdf
+        # one bucket below floor(u * 2K), so that the bucket's edge is never
+        # above u even where the product rounds up to the next integer; from
+        # there, step forward while the entry is not above u
+        start = (u * len(self.guide)).astype(np.intp)
+        start -= 1
+        np.maximum(start, 0, out=start)
+        idx = self.guide[start]
+        for _ in range(self.PASSES):
+            idx += cdf[idx] <= u
+        late = np.flatnonzero(cdf[idx] <= u)
+        if late.size:
+            idx[late] = np.searchsorted(cdf, u[late], side="right")
+        return idx
+
+
 class EnumeratedPieceSampler:
     """Degree or K5 piece with a fully enumerated interior-tree mixture."""
 
@@ -131,22 +180,31 @@ class EnumeratedPieceSampler:
         self.exact_probs: Optional[tuple[Fraction, ...]] = tuple(raw) if exact else None
         self.probs = np.array([float(p) for p in raw])
         self.probs = self.probs / self.probs.sum()
-        self._cdf = np.cumsum(self.probs)
+        self.table = GuideTable(np.cumsum(self.probs))
         self._generative = generative
         if exact and sum(raw, Fraction(0)) != 1:
             raise AssemblyError(f"{kind} piece tree probabilities do not sum to 1")
-        #: the edges the trees use, and per tree which of them it holds
-        self.cols = sorted({e for t in self.trees for e in t})
-        self._col_of = {e: i for i, e in enumerate(self.cols)}
-        self.matrix = np.zeros((len(self.trees), len(self.cols)), dtype=bool)
+        #: the edges the trees use, and per edge which trees hold it: one
+        #: contiguous row of trees per edge, so a block of draws is a take
+        #: along each row
+        self.cols = np.array(sorted({e for t in self.trees for e in t}), dtype=np.intp)
+        self._col_of = {int(e): i for i, e in enumerate(self.cols)}
+        self.holds = np.zeros((len(self.cols), len(self.trees)), dtype=bool)
         for i, t in enumerate(self.trees):
-            self.matrix[i, [self._col_of[e] for e in t]] = True
+            self.holds[[self._col_of[e] for e in t], i] = True
 
     def sample(self, rng: np.random.Generator) -> tuple[frozenset[int], dict]:
         if self._generative is not None:
             return self._generative(rng)
-        i = int(np.searchsorted(self._cdf, rng.random(), side="right"))
-        return self.trees[min(i, len(self.trees) - 1)], {"mode": self.kind}
+        i = int(self.table.lookup(np.array([rng.random()]))[0])
+        return self.trees[i], {"mode": self.kind}
+
+    def draw_block(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """``n`` draws from the compiled mixture at once, by the lookup of
+        ``sample``: the edge ids ``cols`` and per id a row of trials saying
+        whether the drawn tree holds it."""
+        idx = self.table.lookup(rng.random(n))
+        return self.cols, np.take(self.holds, idx, axis=1)
 
     def parity_law(self, sets: list[set[int]]) -> dict[int, object]:
         """Law of the tree's parities on ``sets``, as in ``join.parity_law``;
@@ -155,7 +213,7 @@ class EnumeratedPieceSampler:
         states = np.zeros(len(self.trees), dtype=np.int64)
         for i, ids in enumerate(sets):
             cols = [self._col_of[e] for e in ids if e in self._col_of]
-            states |= (np.count_nonzero(self.matrix[:, cols], axis=1) & 1) << i
+            states |= (np.count_nonzero(self.holds[cols], axis=0) & 1) << i
         law: dict[int, object] = {}
         for state, pr in zip(states.tolist(), probs):
             law[state] = law.get(state, 0) + pr
@@ -302,11 +360,10 @@ class DegreePieceSampler:
         table = getattr(fit, "_draw_table", None)
         if table is None:
             trees, probs = maxent_tree_distribution(fit)
-            table = (trees, np.cumsum(probs))
+            table = (trees, GuideTable(np.cumsum(probs)))
             object.__setattr__(fit, "_draw_table", table)
-        trees, cdf = table
-        i = int(np.searchsorted(cdf, rng.random(), side="right"))
-        return trees[min(i, len(trees) - 1)]
+        trees, guide = table
+        return trees[int(guide.lookup(np.array([rng.random()]))[0])]
 
     # -- full mixtures ------------------------------------------------------
 

@@ -4,15 +4,21 @@ statistic suites.
 ``CompiledInstance`` builds each per-instance structure once for every
 command, and ``BatchEngine`` adds the chunk plans.  Trials are
 embarrassingly parallel, so the engine draws whole chunks of piece choices
-at once: each compiled piece distribution is a categorical lookup,
-even-at-last flags and cut parities are XORs of whole edge rows (a chunk
-holds one row of trials per edge), and the join arithmetic runs in
+at once: each piece draws its own block of trials (``draw_block``; a
+tree-table piece by a guide-table lookup into its cdf), even-at-last
+flags and cut parities are XORs of whole edge rows (a chunk holds one row
+of trials per edge), and the join arithmetic runs in
 integers after scaling every charge quantum by a common denominator (so
 feasibility checks are exact, not float).  Verification reads the
 min-cuts through the hierarchy and never lists them: one running
 two-minimum over the k + 1 partner pairs of a cycle piece with a k-vertex
 chain covers its k(k+1)/2 segment cuts, and the label cut of each degree
 piece's child is checked directly.
+The per-edge sums of squared charges (``BatchStats.z_sumsq``), which only
+the delta-floor rows of the reduction suite read, keep one invariant: per
+chunk, each edge's squares are added one after the other in trial order,
+so the float bits are those of a single running sum, however the work is
+split into blocks.
 Chunk randomness derives from (seed, chunk index), which makes any
 (instance, seed, config) run byte-reproducible for a given chunk size; a
 different chunk size draws different trials.
@@ -64,6 +70,8 @@ DP_MEMO_LIMIT = 1 << 18
 #: most trials a chunk holds; the cost scaling keeps a chunk's int64 cost
 #: sums exact for that many
 MAX_CHUNK = 1 << 14
+#: trials per block of the per-edge sums of squared charges
+SUMSQ_BLOCK = 1 << 10
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -291,7 +299,12 @@ class BatchEngine(CompiledInstance):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         check_eal_bounds(self.classes, self.rp, self.eal_probability)
-        self._build_sampling_plan()
+        # tree-table pieces read the chunk's stream first, then cycle pieces,
+        # each group by node id: the order fixes which trees a seed gives
+        self.draw_order = sorted(
+            self.samplers,
+            key=lambda nid: (isinstance(self.samplers[nid], CyclePieceSampler), nid),
+        )
         self._build_eal_plan()
         self._build_join_plan()
         self._build_verify_plan()
@@ -305,20 +318,6 @@ class BatchEngine(CompiledInstance):
         self.root_edges = self._incident[self.inst.root]
 
     # -- plans ------------------------------------------------------------
-
-    def _build_sampling_plan(self) -> None:
-        self.enum_plan = []
-        self.cycle_plan = []
-        for nid in sorted(self.samplers):
-            s = self.samplers[nid]
-            if isinstance(s, CyclePieceSampler):
-                pairs = np.array(s.pairs, dtype=np.int64)
-                self.cycle_plan.append((nid, pairs))
-            else:
-                self.enum_plan.append(
-                    (nid, np.array(s.cols, dtype=np.int64), s.matrix,
-                     np.cumsum(s.probs))
-                )
 
     def _build_eal_plan(self) -> None:
         """Each edge's even-at-last conditions, read by index into
@@ -444,18 +443,9 @@ class BatchEngine(CompiledInstance):
 
     def _draw_trees(self, n: int, rng: np.random.Generator) -> np.ndarray:
         T = np.zeros((self.m, n), dtype=bool)
-        for nid, cols, mat, cdf in self.enum_plan:
-            idx = np.searchsorted(cdf, rng.random(n), side="right")
-            idx = np.minimum(idx, len(cdf) - 1)
-            T[cols] = mat.T[:, idx]
-        for nid, pairs in self.cycle_plan:
-            if len(pairs) == 0:
-                continue
-            # drawn (trials, pairs) and transposed: the order the stream is
-            # read in fixes which trees a seed gives
-            pick = (rng.random((n, len(pairs))) < 0.5).T
-            T[pairs[:, 0]] = pick
-            T[pairs[:, 1]] = ~pick
+        for nid in self.draw_order:
+            cols, block = self.samplers[nid].draw_block(n, rng)
+            T[cols] = block
         return T
 
     def _eal_flags(self, T: np.ndarray) -> np.ndarray:
@@ -514,44 +504,37 @@ class BatchEngine(CompiledInstance):
 
     def _run_chunk(self, n, rng, st, join, verify, integral, symmetry_pairs):
         T = self._draw_trees(n, rng)
-        if not np.all(T.sum(0) == self.n):
+        bits = T.view(np.uint8)
+        # per trial, its edge count: the rows added in place as small ints
+        count = np.add.reduce(bits, axis=0, dtype=np.uint16 if self.m < 1 << 16 else np.intp)
+        if not np.all(count == self.n):
             raise AssemblyError(f"assembled samples without {self.n} edges")
-        if not np.all(T[self.root_edges].sum(0) == 2):
+        if not np.all(_sum_rows(bits, self.root_edges, out=count) == 2):
             raise AssemblyError(
                 f"assembled samples without degree 2 at root {self.inst.root}"
             )
-        st.incl += T.sum(1)
+        held = _row_counts(T)
+        st.incl += held
+        # each pair's four cells from the trials holding both edges and each
+        # edge's own count
+        both = np.empty(n, dtype=bool)
         for a, b in symmetry_pairs:
-            ta, tb = T[a], T[b]
-            c = st.sym_counts[(a, b)]
-            c[0] += int(np.sum(~ta & ~tb))
-            c[1] += int(np.sum(~ta & tb))
-            c[2] += int(np.sum(ta & ~tb))
-            c[3] += int(np.sum(ta & tb))
+            n11 = np.count_nonzero(np.logical_and(T[a], T[b], out=both))
+            na, nb = int(held[a]), int(held[b])
+            st.sym_counts[(a, b)] += (n - na - nb + n11, nb - n11, na - n11, n11)
         if not join:
             return
         eal = self._eal_flags(T)
-        st.eal += eal.sum(1)
+        st.eal += _row_counts(eal)
         reduced = np.zeros_like(T)
         for members, rate in self.groups:
             coin = rng.random(n) < rate
             reduced[members] = eal[members] & coin
-        st.reduced += reduced.sum(1)
-        D = self.z_denom
+        st.reduced += _row_counts(reduced)
         site_odd = [_odd_rows(T, cols) for cols in self.site_cut_cols]
         z = self._charges(reduced, site_odd)
         st.z_sum = [a + int(b) for a, b in zip(st.z_sum, z.sum(1, dtype=np.int64))]
-        # squares can overflow int64 when the charge denominator is large;
-        # they only feed sigma estimates, so float accumulation suffices.
-        # A running sum adds each edge's trials in trial order, which keeps
-        # the float bits of a report; a pairwise ``sum()`` would move them.
-        # One row buffer serves every edge: a float copy of the whole block
-        # would grow and trim the heap on every chunk.
-        row = np.empty(n)
-        for e in range(self.m):
-            np.divide(z[e], D, out=row)
-            row *= row
-            st.z_sumsq[e] += float(np.cumsum(row, out=row)[-1])
+        st.z_sumsq = [a + b for a, b in zip(st.z_sumsq, self._square_sums(z).tolist())]
         # einsum adds integer rows without the int64 copy of a bool block
         # that matmul makes, which would set the chunk's peak memory
         zc = np.einsum("e,et->t", self.cost_int, z)
@@ -568,6 +551,32 @@ class BatchEngine(CompiledInstance):
             st.total_sum += int(total.sum())
             st.total_sumsq += float((total.astype(float) ** 2).sum())
 
+    def _square_sums(self, z: np.ndarray) -> np.ndarray:
+        """Per edge, the sum over the chunk's trials of its squared charge
+        (z / z_denom)**2, added in trial order.
+
+        The squares can overflow int64 when the charge denominator is large,
+        and they only feed the sigma of the delta-floor rows, so they are
+        summed in floats; the order of the adds fixes the bits of a report,
+        so it must stay trial order (a pairwise sum would move them).  Each
+        block of ``SUMSQ_BLOCK`` trials is divided into a ``(trials, m)``
+        buffer, squared, the running sums folded into its first row, and its
+        rows added by one reduction over axis 0, which adds the rows one
+        after the other for every edge at once.  That holds for two or more
+        columns (every instance has m = 2n >= 6 edges); with one column
+        numpy switches to pairwise summation.
+        """
+        m, n = z.shape
+        buf = np.empty((min(SUMSQ_BLOCK, n), m))
+        acc = np.zeros(m)
+        for lo in range(0, n, SUMSQ_BLOCK):
+            rows = buf[:min(SUMSQ_BLOCK, n - lo)]
+            np.divide(z[:, lo:lo + len(rows)].T, self.z_denom, out=rows)
+            rows *= rows
+            rows[0] += acc
+            np.add.reduce(rows, axis=0, out=acc)
+        return acc
+
     def _charges(self, reduced: np.ndarray,
                  site_odd: Sequence[np.ndarray]) -> np.ndarray:
         """Per edge and trial, the fractional join in units of 1/z_denom:
@@ -576,21 +585,28 @@ class BatchEngine(CompiledInstance):
         parity rows of ``site_cut_cols``."""
         n = reduced.shape[1]
         # a multiply into ``z`` casts the bool block in small buffers, with
-        # no block-sized temporary; a masked subtract was 7x slower
-        z = np.empty((self.m, n), dtype=np.int64)
+        # no block-sized temporary; a masked subtract was 7x slower.  Each
+        # row is one cache line longer than the chunk: at 2**14 trials a
+        # row spans 128 KiB, so the rows would meet in one cache set and
+        # the trial-major reads of ``_square_sums`` would miss on every edge
+        z = np.empty((self.m, n + 8), dtype=np.int64)[:, :n]
         np.multiply(reduced, -self.amount_int[:, None], out=z)
         z += self.z_denom // 4
+        # two bool rows and one int64 row serve every site
+        active, hit = np.empty((2, n), dtype=bool)
+        paid = np.empty(n, dtype=np.int64)
         for src, k, targets in self.degree_site_plan:
-            active = reduced[src] & site_odd[k]
+            np.logical_and(reduced[src], site_odd[k], out=active)
             for f, amt in targets:
-                z[f] += active * amt
+                z[f] += np.multiply(active, amt, out=paid)
         for (t0, t1), groups in self.pair_site_plan:
             for half_amt, members in groups:
-                act = np.zeros(n, dtype=bool)
+                active.fill(False)
                 for s, k in members:
-                    act |= reduced[s] & site_odd[k]
-                z[t0] += act * half_amt
-                z[t1] += act * half_amt
+                    active |= np.logical_and(reduced[s], site_odd[k], out=hit)
+                np.multiply(active, half_amt, out=paid)
+                z[t0] += paid
+                z[t1] += paid
         return z
 
     def _infeasible(self, T: np.ndarray, z: np.ndarray,
@@ -729,6 +745,12 @@ def _odd_rows(rows: np.ndarray, ids) -> np.ndarray:
     return out
 
 
+def _row_counts(rows: np.ndarray) -> np.ndarray:
+    """Per row of a bool block, how many of its entries are set; row by row,
+    which is several times faster than a reduction over axis 1."""
+    return np.fromiter((np.count_nonzero(r) for r in rows), dtype=np.int64, count=len(rows))
+
+
 def _sum_rows(rows: np.ndarray, ids, out: np.ndarray) -> np.ndarray:
     """Per trial, the sum of the rows ``ids`` (two or more) of an
     edge-major block, written to ``out``."""
@@ -772,16 +794,13 @@ class PieceBatch:
         for i, t in enumerate(self.sampler.trees):
             for j, pred in enumerate(events):
                 mat[i, j] = pred(t)
-        cdf = np.cumsum(self.sampler.probs)
         counts = np.zeros(len(events), dtype=np.int64)
         done = 0
         idx = 0
         while done < trials:
             k = min(chunk, trials - done)
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-            draws = np.minimum(
-                np.searchsorted(cdf, rng.random(k), side="right"), len(cdf) - 1
-            )
+            draws = self.sampler.table.lookup(rng.random(k))
             counts += mat[draws].sum(0)
             done += k
             idx += 1

@@ -9,7 +9,11 @@ piece, the external pairs per cycle piece), are the old ones verbatim,
 except that a charge site names its cut by an index into the engine's
 ``site_cut_cols`` and that verification, still one check per listed min-cut,
 is its own method, ``_infeasible``: it is the oracle for the engine's check
-through the hierarchy.
+through the hierarchy.  The twin also keeps the old sampling plan, a
+(cols, tree matrix, cdf) table per tree-table piece read by
+``np.searchsorted`` and the pairs of each cycle piece, built from the
+engine's samplers, so it is an independent oracle for the pieces' own
+block draws.
 ``rowmajor(engine)`` gives a twin of a built engine that runs them, so the
 two layouts can be compared on one engine, field for field.
 """
@@ -23,6 +27,7 @@ import numpy as np
 from htsp.errors import AssemblyError
 from htsp.hierarchy import min_cuts_via_hierarchy
 from htsp.join import min_cost_perfect_matching
+from htsp.pipeline import CyclePieceSampler
 from htsp.stats import BatchEngine
 
 
@@ -181,14 +186,23 @@ class RowMajorEngine(BatchEngine):
 def rowmajor(engine: BatchEngine) -> RowMajorEngine:
     """A twin of ``engine`` sharing its plans, running the trial-major chunk.
 
-    The twin gets its own join caches, its own even-at-last plans, the
-    edge-vertex incidence matrix the old engine built and the full min-cut
-    list, so no integral join cost, even-at-last flag or verified cut is
-    shared between the two.
+    The twin gets its own join caches, its own sampling and even-at-last
+    plans, the edge-vertex incidence matrix the old engine built and the
+    full min-cut list, so no drawn tree, integral join cost, even-at-last
+    flag or verified cut is shared between the two.
     """
     twin = copy.copy(engine)
     twin.__class__ = RowMajorEngine
     twin._build_eal_plan()
+    twin.enum_plan = []
+    twin.cycle_plan = []
+    for nid in sorted(engine.samplers):
+        s = engine.samplers[nid]
+        if isinstance(s, CyclePieceSampler):
+            twin.cycle_plan.append((nid, np.array(s.pairs, dtype=np.int64)))
+        else:
+            twin.enum_plan.append((nid, np.array(s.cols, dtype=np.int64),
+                                   np.ascontiguousarray(s.holds.T), np.cumsum(s.probs)))
     twin.cut_cols = [
         np.array(sorted(c.edge_ids), dtype=np.int64)
         for c in min_cuts_via_hierarchy(engine.h)

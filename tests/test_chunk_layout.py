@@ -80,6 +80,20 @@ def test_edge_major_chunk_matches_row_major(family, flag_set):
     assert_same_stats(new, old)
 
 
+@pytest.mark.parametrize("trials", [stats.MAX_CHUNK, 40_000])
+@pytest.mark.parametrize("name", ALL_FAMILIES + ("double-cycle-24",))
+def test_default_chunk_matches_row_major(name, trials):
+    """At the default chunk size a chunk holds many blocks of the second
+    moment; 40,000 trials end in a ragged chunk of 7,232 whose last block
+    holds 64 trials."""
+    engine = double_cycle_engine(24) if name == "double-cycle-24" else engine_for(name)
+    pairs = symmetry_pairs(engine.m)
+    flags = {"join": True, "verify": True, "integral": True, "symmetry_pairs": pairs}
+    new, old = (e.run(trials, 29, **flags) for e in (engine, rowmajor(engine)))
+    assert trials > stats.SUMSQ_BLOCK and trials % stats.MAX_CHUNK % stats.SUMSQ_BLOCK in (0, 64)
+    assert_same_stats(new, old)
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_eal_flags_match_row_major(family):
     """Flags read from the even-at-last conditions equal, bit for bit, the

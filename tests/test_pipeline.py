@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import htsp.matching as matching
 import htsp.pipeline as pipeline
@@ -12,6 +13,7 @@ from htsp.hierarchy import build_hierarchy
 from htsp.pipeline import (
     DegreePieceSampler,
     EnumeratedPieceSampler,
+    GuideTable,
     SamplerParams,
     build_piece_samplers,
     sample_r0_tree,
@@ -256,3 +258,78 @@ def test_each_split_piece_is_decomposed_once(n, monkeypatch):
     for _ in range(30):
         compiled.sample(rng)
     assert len(calls) == (3 if n % 2 else 1)
+
+
+# ---------------------------------------------------------------------------
+# guide-table lookup
+# ---------------------------------------------------------------------------
+
+def _search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+@st.composite
+def cdfs_and_draws(draw):
+    """A cdf of K entries and draws in [0, 1) that sit on its entries, next
+    to them, at 0, at 1 - 2**-53 and anywhere.  A skewed cdf packs many
+    tiny masses after one large one, into one bucket of the guide table,
+    so the draws between them outrun the stepping passes; its total is
+    moved just below or just above 1."""
+    k = draw(st.integers(1, 40))
+    masses = np.array(draw(st.lists(st.floats(0, 1), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        tiny = draw(st.integers(1, 3 * k))
+        masses = np.concatenate([masses, np.full(tiny, 1e-9)])
+        masses[draw(st.integers(0, k - 1))] = float(len(masses))
+    if masses.sum() == 0:
+        masses[-1] = 1.0
+    cdf = np.cumsum(masses / masses.sum())
+    end = draw(st.sampled_from(["as-summed", "one", "ulp-below", "below", "ulp-above", "above"]))
+    cdf[-1] = {"as-summed": cdf[-1], "one": 1.0, "ulp-below": np.nextafter(1.0, 0.0),
+               "below": 1 - 1e-7, "ulp-above": np.nextafter(1.0, 2.0), "above": 1 + 1e-7}[end]
+    cdf[:-1] = np.minimum(cdf[:-1], cdf[-1])
+    near = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
+    u = np.concatenate([near, [0.0, 1 - 2.0 ** -53],
+                        draw(st.lists(st.floats(0, 1, exclude_max=True), max_size=20))])
+    return cdf, u[(u >= 0) & (u < 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cdfs_and_draws())
+def test_guide_lookup_matches_searchsorted(case):
+    cdf, u = case
+    idx = GuideTable(cdf).lookup(u)
+    assert idx.tolist() == _search(cdf, u).tolist()
+
+
+def test_guide_lookup_edge_cases_and_fallback():
+    one = GuideTable(np.array([1.0]))
+    assert one.lookup(np.array([0.0, 0.5, 1 - 2.0 ** -53])).tolist() == [0, 0, 0]
+    # 30 tiny masses after a large one share one bucket: a draw among them
+    # needs more steps than the passes take, so it falls back to the search
+    cdf = np.cumsum(np.concatenate([[0.3], np.full(30, 1e-9), np.full(10, 0.07 - 3e-9)]))
+    table = GuideTable(cdf)
+    u = cdf[:-1].copy()
+    start = table.guide[np.maximum((u * len(table.guide)).astype(np.intp) - 1, 0)]
+    assert (_search(cdf, u) - start > GuideTable.PASSES).any()
+    assert table.lookup(u).tolist() == _search(cdf, u).tolist()
+    # equal masses put entries on bucket edges j / 2K; just below one, u * 2K
+    # can round up to j, which is why a draw starts one bucket lower
+    for k in range(1, 100):
+        cdf = np.cumsum(np.full(k, 1.0 / k))
+        u = np.nextafter(cdf, 0.0)
+        assert GuideTable(cdf).lookup(u).tolist() == _search(cdf, u).tolist()
+
+
+def test_single_draws_and_block_draws_read_one_stream_alike():
+    """``sample`` draws one uniform per call, ``draw_block`` a row of them:
+    from one seed they pick the same trees."""
+    inst = family_instance("k5-gadget")
+    h = build_hierarchy(inst)
+    sampler = next(s for s in build_piece_samplers(h, SamplerParams()).values()
+                   if isinstance(s, EnumeratedPieceSampler) and s.kind == "k5")
+    rng = np.random.default_rng(4)
+    singles = [sampler.sample(rng)[0] for _ in range(300)]
+    cols, block = sampler.draw_block(300, np.random.default_rng(4))
+    assert block.shape == (len(cols), 300)
+    assert [frozenset(cols[block[:, t]].tolist()) for t in range(300)] == singles

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from htsp.errors import AssemblyError, ConfigError
-from htsp.pipeline import SamplerParams
+from htsp.pipeline import CyclePieceSampler, SamplerParams
 from htsp.stats import (
     BatchEngine,
     ExperimentConfig,
@@ -127,17 +127,17 @@ def test_run_suite_dispatcher(tmp_path):
 
 
 def test_tree_check_runs_on_every_chunk():
-    """A plan that goes bad after the first chunk still stops the run."""
+    """A tree table that goes bad after the first chunk still stops the run."""
     engine = BatchEngine(family_instance("nested"), SamplerParams(sampler="mi"))
     draw = engine._draw_trees
 
     def draw_then_corrupt(n, rng):
         trees = draw(n, rng)
-        # every tree of the first enumerated piece loses one edge
-        nid, cols, mat, cdf = engine.enum_plan[0]
-        short = mat.copy()
-        short[np.arange(len(mat)), mat.argmax(1)] = False
-        engine.enum_plan[0] = (nid, cols, short, cdf)
+        # every tree of the first tree-table piece loses one edge
+        sampler = engine.samplers[engine.draw_order[0]]
+        short = sampler.holds.copy()
+        short[short.argmax(0), np.arange(short.shape[1])] = False
+        sampler.holds = short
         return trees
 
     engine._draw_trees = draw_then_corrupt
@@ -201,25 +201,28 @@ def test_piece_batch_and_suite_reject_counts_below_one():
         run_suite(ExperimentConfig(family="zoo", trials=0))
 
 
+def _cycle_samplers(engine):
+    return [engine.samplers[nid] for nid in engine.draw_order
+            if isinstance(engine.samplers[nid], CyclePieceSampler)]
+
+
 def _move_root_edge(engine):
     """Swap a root edge with an edge of another partner pair of its cycle
     piece: every tree keeps its edge count, but about half the trees now
     hold one or three root edges."""
     root = set(engine.root_edges)
-    k, (nid, pairs) = next(
-        (k, p) for k, p in enumerate(engine.cycle_plan)
-        if root & set(p[1].ravel().tolist())
-    )
-    pairs = pairs.copy()
-    i = next(r for r, pr in enumerate(pairs.tolist()) if root & set(pr))
-    j = next(r for r, pr in enumerate(pairs.tolist()) if not root & set(pr))
-    pairs[[i, j], 1] = pairs[[j, i], 1]
-    engine.cycle_plan[k] = (nid, pairs)
+    sampler = next(s for s in _cycle_samplers(engine)
+                   if root & {e for pair in s.pairs for e in pair})
+    pairs = [list(pair) for pair in sampler.pairs]
+    i = next(r for r, pr in enumerate(pairs) if root & set(pr))
+    j = next(r for r, pr in enumerate(pairs) if not root & set(pr))
+    pairs[i][1], pairs[j][1] = pairs[j][1], pairs[i][1]
+    sampler.pairs = [tuple(pair) for pair in pairs]
 
 
 def test_root_degree_check_runs_on_every_chunk():
-    """A plan that goes bad after the first chunk, keeping every tree's edge
-    count, is stopped by the root-degree check."""
+    """Cycle pairs that go bad after the first chunk, keeping every tree's
+    edge count, are stopped by the root-degree check."""
     engine = BatchEngine(family_instance("nested"), SamplerParams(sampler="mi"))
     draw = engine._draw_trees
     calls = []
@@ -238,8 +241,8 @@ def test_root_degree_check_runs_on_every_chunk():
 
 
 def test_tree_checks_survive_python_O():
-    """Under ``python -O`` a corrupted plan still raises ``AssemblyError``,
-    both for a lost edge and for a moved root edge."""
+    """Under ``python -O`` corrupted cycle pairs still raise
+    ``AssemblyError``, both for a lost edge and for a moved root edge."""
     import subprocess
     import sys
     from pathlib import Path
@@ -251,7 +254,7 @@ from htsp.errors import AssemblyError
 from htsp.pipeline import SamplerParams
 from htsp.stats import BatchEngine
 from tests.conftest import family_instance
-from tests.test_stats import _move_root_edge
+from tests.test_stats import _cycle_samplers, _move_root_edge
 
 try:
     assert False
@@ -260,8 +263,8 @@ except AssertionError:
 for corrupt in ("lost-edge", "root-edge"):
     engine = BatchEngine(family_instance("nested"), SamplerParams(sampler="mi"))
     if corrupt == "lost-edge":
-        nid, pairs = engine.cycle_plan[0]
-        engine.cycle_plan[0] = (nid, pairs[1:])
+        sampler = _cycle_samplers(engine)[0]
+        sampler.pairs = sampler.pairs[1:]
     else:
         _move_root_edge(engine)
     try:
