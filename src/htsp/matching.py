@@ -99,17 +99,6 @@ class MatchingDistribution:
                 if mass != QUARTER:
                     raise NoPerfectMatching(f"edge position {pos} has mass {mass}")
 
-    def cdf(self) -> np.ndarray:
-        cached = getattr(self, "_cdf", None)
-        if cached is None:
-            cached = np.cumsum(np.array([float(w) for w in self.weights]))
-            object.__setattr__(self, "_cdf", cached)
-        return cached
-
-    def sample(self, rng: np.random.Generator) -> int:
-        i = int(np.searchsorted(self.cdf(), rng.random(), side="right"))
-        return self.masks[min(i, len(self.masks) - 1)]
-
 
 def decompose_matchings(piece: Union[LocalMultigraph, MultiGraph]) -> MatchingDistribution:
     """Exact quarter-mass decomposition over all perfect matchings."""
@@ -282,6 +271,18 @@ class SplitPiece:
         ]
         return MultiGraph(k, edges, self.graph.vertex_sets[:k])
 
+    def parts(self, submatching_mask: int) -> tuple[tuple[int, ...], ...]:
+        """The parts of a sub-matching, as ``shift`` builds them; built once
+        per sub-matching, as every surgery branch of a state reads them."""
+        if submatching_mask not in self._parts:
+            self._parts[submatching_mask] = _parts_from_submatching(
+                self.graph, set(self.internal_edge_ids()), submatching_mask)
+        return self._parts[submatching_mask]
+
+    @functools.cached_property
+    def _parts(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {}
+
     def boundary_vertex_of(self, eid: int) -> int:
         pos = self.graph.edge_index(eid)
         u, v = self.graph.endpoints[pos]
@@ -359,13 +360,29 @@ def surgery_options(split: SplitPiece, matching_mask: int) -> list[tuple]:
     return branches
 
 
+def surgery_drops(split: SplitPiece, submatching_mask: int, kind: str,
+                  adjusted: int) -> tuple[Optional[int], ...]:
+    """The part member a surgery branch drops, one choice per equal share
+    of the branch's weight.  An increase on an edge of a three-edge part
+    drops either other member, so the surviving pair is tight at one; any
+    other branch drops nothing (``None``).  Only an increase reads the
+    parts."""
+    if kind != "increase":
+        return (None,)
+    home = [p for p in split.parts(submatching_mask) if adjusted in p]
+    if home and len(home[0]) == 3:
+        return tuple(e for e in home[0] if e != adjusted)
+    return (None,)
+
+
 def apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
                   kind: str, trigger: int, adjusted: int,
                   dropped: Optional[int] = None) -> ShiftedSolution:
     """Shift on the split graph, then move one third of value on ``adjusted``.
 
-    For an increase hitting a three-edge part, ``dropped`` names the part
-    member removed so the surviving pair is tight at one.
+    ``dropped`` is one of the branch's ``surgery_drops``: for an increase
+    hitting a three-edge part, the part member removed so the surviving
+    pair is tight at one.
     """
     g = split.graph
     internal = set(split.internal_edge_ids())
@@ -373,26 +390,22 @@ def apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
         g.edge_ids[i]: (ONE if (matching_mask >> i) & 1 else THIRD)
         for i in range(g.m)
     }
-    parts = list(_parts_from_submatching(g, internal, submatching_mask))
+    parts = split.parts(submatching_mask)
     if kind == "decrease":
         values[adjusted] -= THIRD
     elif kind == "increase":
         values[adjusted] += THIRD
-        home = [p for p in parts if adjusted in p]
-        if home:
-            (p,) = home
-            if len(p) == 3:
-                if dropped not in p or dropped == adjusted:
-                    raise InfeasibleShift(
-                        f"dropped edge {dropped} is not another member of part {p}"
-                    )
-                parts[parts.index(p)] = tuple(e for e in p if e != dropped)
-            elif dropped is not None:
-                raise InfeasibleShift(
-                    f"dropped edge {dropped} given for the {len(p)}-edge part {p}"
-                )
     else:
         raise ValueError(kind)
+    drops = surgery_drops(split, submatching_mask, kind, adjusted)
+    if dropped not in drops:
+        raise InfeasibleShift(
+            f"dropped edge {dropped} is not one of {drops}, the drops of the "
+            f"{kind} on edge {adjusted}"
+        )
+    if dropped is not None:
+        parts = tuple(tuple(e for e in p if e != dropped) if adjusted in p else p
+                      for p in parts)
     forced = frozenset(eid for eid in internal if values[eid] == 1)
     return ShiftedSolution(
         values=values,
@@ -411,30 +424,17 @@ def apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
 
 def odd_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
                 rng: np.random.Generator) -> ShiftedSolution:
-    """Random surgery branch followed by the part adjustment."""
+    """Random surgery branch followed by the part adjustment: a trigger
+    edge, then one of the three adjusted edges at its boundary vertex,
+    then one of the branch's drops, each uniformly."""
     branches = surgery_options(split, matching_mask)
     kinds = {b[0] for b in branches}
     if len(kinds) != 1:
         raise InfeasibleShift(f"surgery branches of kinds {sorted(kinds)}, not one")
-    kind = kinds.pop()
-    if kind == "decrease":
-        trigger = sorted(split.interior_cut_ids)[int(rng.integers(0, 4))]
-    else:
-        g = split.graph
-        matched_ids = {g.edge_ids[i] for i in bits(matching_mask)}
-        pool = sorted(set(split.interior_cut_ids) & matched_ids)
-        trigger = pool[int(rng.integers(0, 2))]
-    g = split.graph
-    internal = set(split.internal_edge_ids())
-    u = split.boundary_vertex_of(trigger)
-    adj = sorted(g.edge_ids[j] for j in g.incident(u) if g.edge_ids[j] in internal)
-    adjusted = adj[int(rng.integers(0, 3))]
-    dropped = None
-    if kind == "increase":
-        parts = _parts_from_submatching(g, internal, submatching_mask)
-        home = [p for p in parts if adjusted in p]
-        if home and len(home[0]) == 3:
-            others = [e for e in home[0] if e != adjusted]
-            dropped = others[int(rng.integers(0, 2))]
+    # three branches per trigger, in trigger order
+    i = int(rng.integers(0, len(branches) // 3))
+    kind, trigger, adjusted, _ = branches[3 * i + int(rng.integers(0, 3))]
+    drops = surgery_drops(split, submatching_mask, kind, adjusted)
+    dropped = drops[int(rng.integers(0, 2))] if len(drops) == 2 else None
     return apply_surgery(split, matching_mask, submatching_mask, kind,
                          trigger, adjusted, dropped)

@@ -16,21 +16,13 @@ from typing import Callable
 
 from .hierarchy import CutHierarchy
 from .join import EdgeClass, event_probability
-from .params import EAL_BOUNDS
-from .pipeline import CyclePieceSampler, PieceSampler
+from .pipeline import PieceSampler
 
 
 def exact_marginals(h: CutHierarchy, samplers: dict[int, PieceSampler],
                     classes: dict[int, EdgeClass]) -> dict[int, object]:
     """Inclusion probability of every edge, from its settled piece."""
-    out: dict[int, object] = {}
-    for eid, cl in classes.items():
-        s = samplers[cl.settled]
-        if isinstance(s, CyclePieceSampler):
-            out[eid] = Fraction(1, 2)
-        else:
-            out[eid] = s.exact_marginal(eid)
-    return out
+    return {eid: samplers[cl.settled].exact_marginal(eid) for eid, cl in classes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +149,3 @@ def correlation_event_probability(sampler, piece, row: str, tup) -> tuple[object
             total = total + pr
     return total, pred
 
-
-#: guaranteed lower bounds for the correlation rows, by sampler route; the
-#: both-degree-two row is the special edges' even-at-last bound
-CORRELATION_BOUNDS = {
-    "mi": {
-        "adjacent-pair-both": Fraction(1, 9),
-        "adjacent-pair-exactly-first": Fraction(1, 9),
-        "full-star-two-of-four": Fraction(2, 21),
-        "full-star-split-pairs": Fraction(4, 63),
-        "interior-edge-both-degree-two": EAL_BOUNDS["mi"]["special"],
-        "boundary-edge-one-odd": Fraction(1, 9),
-    },
-    "maxent": {
-        "adjacent-pair-both": Fraction(1, 9),
-        "adjacent-pair-exactly-first": Fraction(12, 72),
-        "full-star-two-of-four": Fraction(8, 27),
-        "full-star-split-pairs": Fraction(16, 81),
-        "interior-edge-both-degree-two": EAL_BOUNDS["maxent"]["special"],
-        "boundary-edge-one-odd": Fraction(5, 18),
-    },
-}

@@ -48,6 +48,26 @@ EAL_BOUNDS = {
         "other": Fraction(1, 12),
     },
 }
+#: guaranteed lower bounds for the correlation rows, by sampler route; the
+#: both-degree-two row is the special edges' even-at-last bound
+CORRELATION_BOUNDS = {
+    "mi": {
+        "adjacent-pair-both": Fraction(1, 9),
+        "adjacent-pair-exactly-first": Fraction(1, 9),
+        "full-star-two-of-four": Fraction(2, 21),
+        "full-star-split-pairs": Fraction(4, 63),
+        "interior-edge-both-degree-two": EAL_BOUNDS["mi"]["special"],
+        "boundary-edge-one-odd": Fraction(1, 9),
+    },
+    "maxent": {
+        "adjacent-pair-both": Fraction(1, 9),
+        "adjacent-pair-exactly-first": Fraction(12, 72),
+        "full-star-two-of-four": Fraction(8, 27),
+        "full-star-split-pairs": Fraction(16, 81),
+        "interior-edge-both-degree-two": EAL_BOUNDS["maxent"]["special"],
+        "boundary-edge-one-odd": Fraction(5, 18),
+    },
+}
 #: optimized share of max-entropy draws in the mixed sampler
 DEFAULT_MIX_LAMBDA = Fraction(4715, 10000)
 #: largest reduction amount any edge class may take

@@ -10,8 +10,9 @@ spanned exactly once.
 Degree-piece sampling states (matching, color class, surgery branch) form
 a finite mixture, so every piece also exposes its full tree distribution;
 the matroid route's probabilities are exact rationals.  Batch experiments
-draw from these compiled distributions; single-trial sampling walks the
-generative path and keeps the full provenance ledger.
+draw from these compiled distributions; single-trial sampling takes the
+same states one random step at a time, draws the state's tree from its
+own table, and keeps the full provenance ledger.
 """
 
 from __future__ import annotations
@@ -25,18 +26,19 @@ import numpy as np
 
 from .errors import AssemblyError, ConfigError, InfeasibleShift, SizeLimitExceeded
 from .graph import bits, find_root
-from .hierarchy import CutHierarchy, HierarchyNode, LocalMultigraph
+from .hierarchy import CutHierarchy, LocalMultigraph
 from .matching import (
+    THIRD,
     ShiftedSolution,
     apply_surgery,
+    odd_surgery,
     seven_coloring,
     shift,
+    surgery_drops,
     surgery_options,
 )
 from .params import DEFAULT_MIX_LAMBDA
 from .trees import (
-    ConstrainedTreeDistribution,
-    constrained_tree_distribution,
     constrained_tree_weights,
     k5_paths,
     maxent_fit,
@@ -164,6 +166,10 @@ class GuideTable:
             idx[late] = np.searchsorted(cdf, u[late], side="right")
         return idx
 
+    def draw(self, rng: np.random.Generator) -> int:
+        """The index of one draw: one uniform of ``rng``, looked up."""
+        return int(self.lookup(np.array([rng.random()]))[0])
+
 
 class EnumeratedPieceSampler:
     """Degree or K5 piece with a fully enumerated interior-tree mixture."""
@@ -196,8 +202,7 @@ class EnumeratedPieceSampler:
     def sample(self, rng: np.random.Generator) -> tuple[frozenset[int], dict]:
         if self._generative is not None:
             return self._generative(rng)
-        i = int(self.table.lookup(np.array([rng.random()]))[0])
-        return self.trees[i], {"mode": self.kind}
+        return self.trees[self.table.draw(rng)], {"mode": self.kind}
 
     def draw_block(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """``n`` draws from the compiled mixture at once, by the lookup of
@@ -270,60 +275,31 @@ def _check_interior(piece: LocalMultigraph) -> None:
         )
 
 
-def _mi_states(piece: LocalMultigraph):
-    """Yield (probability, ShiftedSolution) over the matroid route, each
-    distinct state of a matching once, at the summed probability of the
-    color classes that give it."""
-    g = piece.graph
+def _piece_states(piece: LocalMultigraph, classes: bool):
+    """Yield (probability, ShiftedSolution) over a degree piece's sampling
+    states: a matching of each split piece, then a color class (with
+    ``classes``, the matroid route) or the empty sub-matching (without,
+    the max-entropy route), then on an odd piece a surgery branch and its
+    drop.  Each distinct state of a matching comes once, at the summed
+    probability of the color classes that give it."""
     _check_interior(piece)
-    if g.n % 2 == 0:
-        ((_, dist),) = piece.split_matchings
-        for mk, w in zip(dist.masks, dist.weights):
-            for sub, k in _class_submasks(seven_coloring(g, mk)):
-                yield w * Fraction(k, 7), shift(piece, mk, sub)
-        return
-    third = Fraction(1, 3)
+    odd = piece.graph.n % 2 == 1
     for sp, dist in piece.split_matchings:
+        g = sp.graph if odd else piece.graph
         for mk, w in zip(dist.masks, dist.weights):
+            subs = _class_submasks(seven_coloring(g, mk)) if classes else [(0, 7)]
+            if not odd:
+                for sub, k in subs:
+                    yield w * Fraction(k, 7), shift(piece, mk, sub)
+                continue
             options = surgery_options(sp, mk)
-            for sub, k in _class_submasks(seven_coloring(sp.graph, mk)):
-                base = third * w * Fraction(k, 7)
+            for sub, k in subs:
+                base = THIRD * w * Fraction(k, 7)
                 for kind, e, f, pb in options:
-                    if kind == "decrease":
-                        yield base * pb, apply_surgery(sp, mk, sub, kind, e, f)
-                        continue
-                    home = [p for p in _parts_of(sp, sub) if f in p]
-                    if home and len(home[0]) == 3:
-                        for dropped in (x for x in home[0] if x != f):
-                            yield base * pb / 2, apply_surgery(
-                                sp, mk, sub, kind, e, f, dropped
-                            )
-                    else:
-                        yield base * pb, apply_surgery(sp, mk, sub, kind, e, f)
-
-
-def _parts_of(sp, submask):
-    from .matching import _parts_from_submatching
-
-    return _parts_from_submatching(
-        sp.graph, set(sp.internal_edge_ids()), submask
-    )
-
-
-def _maxent_states(piece: LocalMultigraph):
-    """Yield (probability, ShiftedSolution) over the max-entropy route."""
-    g = piece.graph
-    _check_interior(piece)
-    if g.n % 2 == 0:
-        ((_, dist),) = piece.split_matchings
-        for mk, w in zip(dist.masks, dist.weights):
-            yield w, shift(piece, mk, 0)
-        return
-    third = Fraction(1, 3)
-    for sp, dist in piece.split_matchings:
-        for mk, w in zip(dist.masks, dist.weights):
-            for kind, e, f, pb in surgery_options(sp, mk):
-                yield third * w * pb, apply_surgery(sp, mk, 0, kind, e, f)
+                    drops = surgery_drops(sp, sub, kind, f)
+                    for dropped in drops:
+                        yield base * pb / len(drops), apply_surgery(
+                            sp, mk, sub, kind, e, f, dropped)
 
 
 class DegreePieceSampler:
@@ -336,18 +312,14 @@ class DegreePieceSampler:
         self.node_id = node_id
         self.params = params
         self.piece = piece
-        self._mi_cache: dict = {}
         self._me_cache: dict = {}
+        # what single draws look up: per split piece its matchings, per
+        # state its trees
+        self._tables: dict = {}
         self._mi_mixture = None
         self._me_mixture = None
 
     # -- cached per-state distributions -----------------------------------
-
-    def _mi_dist(self, shifted: ShiftedSolution) -> ConstrainedTreeDistribution:
-        key = (_values_key(shifted.values), shifted.parts)
-        if key not in self._mi_cache:
-            self._mi_cache[key] = constrained_tree_distribution(shifted)
-        return self._mi_cache[key]
 
     def _me_fit(self, shifted: ShiftedSolution):
         values = shifted.interior_values()
@@ -356,14 +328,32 @@ class DegreePieceSampler:
             self._me_cache[key] = maxent_fit(shifted.interior_graph, values)
         return self._me_cache[key]
 
-    def _me_tree_draw(self, fit, rng: np.random.Generator) -> frozenset[int]:
-        table = getattr(fit, "_draw_table", None)
-        if table is None:
-            trees, probs = maxent_tree_distribution(fit)
-            table = (trees, GuideTable(np.cumsum(probs)))
-            object.__setattr__(fit, "_draw_table", table)
-        trees, guide = table
-        return trees[int(guide.lookup(np.array([rng.random()]))[0])]
+    def _table(self, key, build) -> tuple:
+        """(outcomes, their ``GuideTable``) under ``key``, by ``build()``
+        on first use: a pair of the outcomes and their probabilities."""
+        if key not in self._tables:
+            outcomes, probs = build()
+            self._tables[key] = (outcomes, GuideTable(np.cumsum(probs)))
+        return self._tables[key]
+
+    def _matching_table(self, split: int) -> tuple:
+        dist = self.piece.split_matchings[split][1]
+        return self._table(("matching", split),
+                           lambda: (dist.masks, [float(w) for w in dist.weights]))
+
+    def _mi_table(self, shifted: ShiftedSolution) -> tuple:
+        def build():
+            (w,) = constrained_tree_weights([shifted])
+            if isinstance(w, InfeasibleShift):
+                raise w
+            return (tuple(frozenset(bits(t)) for t in w.trees),
+                    [k / w.denominator for k in w.numerators])
+
+        return self._table(("mi", _values_key(shifted.values), shifted.parts), build)
+
+    def _me_table(self, shifted: ShiftedSolution) -> tuple:
+        return self._table(("maxent", _values_key(shifted.interior_values())),
+                           lambda: maxent_tree_distribution(self._me_fit(shifted)))
 
     # -- full mixtures ------------------------------------------------------
 
@@ -374,7 +364,7 @@ class DegreePieceSampler:
             index: dict = {}
             states: list[ShiftedSolution] = []
             visits: list[tuple[Fraction, int]] = []
-            for pr, shifted in _mi_states(self.piece):
+            for pr, shifted in _piece_states(self.piece, classes=True):
                 key = (_values_key(shifted.values), shifted.parts)
                 if key not in index:
                     index[key] = len(states)
@@ -407,7 +397,7 @@ class DegreePieceSampler:
             acc: dict[frozenset[int], float] = {}
             # each distinct fit's tree law once; not kept, as it is large
             laws: dict = {}
-            for pr, shifted in _maxent_states(self.piece):
+            for pr, shifted in _piece_states(self.piece, classes=False):
                 fit = self._me_fit(shifted)
                 if id(fit) not in laws:
                     laws[id(fit)] = maxent_tree_distribution(fit)
@@ -441,38 +431,26 @@ class DegreePieceSampler:
     # -- generative path ----------------------------------------------------
 
     def _generative(self, rng: np.random.Generator) -> tuple[frozenset[int], dict]:
-        lam = float(self.params.effective_lambda)
-        use_maxent = bool(rng.random() < lam)
+        """One walk through the states of ``_piece_states``: the route, the
+        split piece, its matching, the color class on the matroid route,
+        the surgery branch, then the state's tree."""
+        use_maxent = bool(rng.random() < float(self.params.effective_lambda))
         piece = self.piece
-        g = piece.graph
-        odd = g.n % 2 == 1
-        sp, dist = piece.split_matchings[int(rng.integers(0, 3)) if odd else 0]
-        mk = dist.sample(rng)
-        if use_maxent:
-            if odd:
-                from .matching import odd_surgery
-
-                shifted = odd_surgery(sp, mk, 0, rng)
-            else:
-                shifted = shift(piece, mk, 0)
-            fit = self._me_fit(shifted)
-            # drawing from the cached enumerated mixture is equal in law to
-            # sequential conditioning and much cheaper per trial
-            tree = self._me_tree_draw(fit, rng)
-            prov = dict(shifted.provenance, mode="maxent")
-            return tree, prov
-        target = sp.graph if odd else g
-        classes = seven_coloring(target, mk)
-        sub = _submask_of_class(classes, int(rng.integers(0, 7)))
-        if odd:
-            from .matching import odd_surgery
-
-            shifted = odd_surgery(sp, mk, sub, rng)
-        else:
-            shifted = shift(piece, mk, sub)
-        tree = self._mi_dist(shifted).sample(rng)
-        prov = dict(shifted.provenance, mode="mi")
-        return tree, prov
+        odd = piece.graph.n % 2 == 1
+        split = int(rng.integers(0, 3)) if odd else 0
+        sp = piece.split_matchings[split][0]
+        masks, table = self._matching_table(split)
+        mk = masks[table.draw(rng)]
+        sub = 0
+        if not use_maxent:
+            classes = seven_coloring(sp.graph if odd else piece.graph, mk)
+            sub = _submask_of_class(classes, int(rng.integers(0, 7)))
+        shifted = odd_surgery(sp, mk, sub, rng) if odd else shift(piece, mk, sub)
+        # drawing from the enumerated max-entropy law is equal in law to
+        # sequential conditioning and much cheaper per trial
+        trees, table = (self._me_table if use_maxent else self._mi_table)(shifted)
+        return (trees[table.draw(rng)],
+                dict(shifted.provenance, mode="maxent" if use_maxent else "mi"))
 
 
 PieceSampler = Union[CyclePieceSampler, EnumeratedPieceSampler]

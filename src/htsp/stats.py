@@ -40,6 +40,8 @@ from .graph import HalfIntegralInstance
 from .hierarchy import build_hierarchy
 from .join import (
     EDGE_KINDS,
+    FLOOR,
+    QUARTER,
     ReductionParams,
     build_charge_sites,
     check_eal_bounds,
@@ -53,7 +55,8 @@ from .join import (
     min_cost_perfect_matching,
     verify_join,
 )
-from .params import DEFAULT_MIX_LAMBDA, EAL_BOUNDS, EPSILON, TOUR_RATIO_BOUND
+from .params import (CORRELATION_BOUNDS, DEFAULT_MIX_LAMBDA, EAL_BOUNDS, EPSILON,
+                     TOUR_RATIO_BOUND)
 from .pipeline import (
     CyclePieceSampler,
     SamplerParams,
@@ -337,7 +340,7 @@ class BatchEngine(CompiledInstance):
 
     def _build_join_plan(self) -> None:
         degree_sites, pair_sites = self.sites
-        quanta = [Fraction(1, 4), Fraction(1, 6)]
+        quanta = [QUARTER, FLOOR]
         for e, cl in self.classes.items():
             quanta.append(self.rp.amount(cl.kind))
         for site in degree_sites:
@@ -810,7 +813,7 @@ class PieceBatch:
 def suite_correlations(piece, sampler: str, trials: int, seed: int,
                        piece_label: str = "piece") -> StatReport:
     """Joint-inclusion lower bounds for every qualifying edge tuple."""
-    from .oracle import CORRELATION_BOUNDS, correlation_event_probability, correlation_tuples
+    from .oracle import correlation_event_probability, correlation_tuples
 
     sp = SamplerParams(sampler=sampler)
     batch = PieceBatch(piece, sp)
@@ -1124,10 +1127,9 @@ def run_suite(cfg: ExperimentConfig) -> StatReport:
         return report
 
     inst = load_instance(cfg)
-    sp = cfg.sampler_params()
-    engine = BatchEngine(inst, sp)
     if cfg.suite == "correlations":
-        for nd in engine.h.non_leaves():
+        # each piece runs on its own: the suite reads no cost
+        for nd in build_hierarchy(inst).non_leaves():
             if nd.kind != "cycle" and nd.piece.graph.n > 5:
                 for route in routes:
                     sub = suite_correlations(nd.piece, route, cfg.trials,
@@ -1136,6 +1138,7 @@ def run_suite(cfg: ExperimentConfig) -> StatReport:
                     report.extend(sub.rows)
         return report
 
+    engine = BatchEngine(inst, cfg.sampler_params())
     suites = tuple(SUITE_FLAGS) if cfg.suite == "all" else (cfg.suite,)
     flags = {f for name in suites for f in SUITE_FLAGS[name]}
     pairs = symmetry_pairs(engine.m) if "symmetry" in suites else ()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -153,38 +153,6 @@ def _contract(n: int, edge_ids: tuple[int, ...], endpoints: tuple[tuple[int, int
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConstrainedTreeDistribution:
-    """Exact distribution over interior spanning trees honoring the parts.
-
-    ``numerators`` are the weights over their least common ``denominator``.
-    """
-
-    trees: tuple[frozenset[int], ...]
-    weights: tuple[Fraction, ...]
-    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    denominator: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        den = math.lcm(*(w.denominator for w in self.weights))
-        nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
-        if sum(nums) != den:
-            raise InfeasibleShift("tree weights do not sum to 1")
-        object.__setattr__(self, "numerators", nums)
-        object.__setattr__(self, "denominator", den)
-
-    def cdf(self) -> np.ndarray:
-        cached = getattr(self, "_cdf", None)
-        if cached is None:
-            cached = np.cumsum(np.array([float(w) for w in self.weights]))
-            object.__setattr__(self, "_cdf", cached)
-        return cached
-
-    def sample(self, rng: np.random.Generator) -> frozenset[int]:
-        i = int(np.searchsorted(self.cdf(), rng.random(), side="right"))
-        return self.trees[min(i, len(self.trees) - 1)]
-
-
-@dataclass(frozen=True)
 class _ShapeTables:
     """What every constrained decomposition on one minor shape shares."""
 
@@ -256,7 +224,11 @@ def constrained_tree_weights(states: Sequence[ShiftedSolution]
                              ) -> list[Union[TreeWeights, InfeasibleShift]]:
     """Decompose each shifted interior vector over part-respecting trees,
     the states of one minor shape together; a state the decomposition or
-    its marginal check rejects gets its ``InfeasibleShift``."""
+    its marginal check rejects gets its ``InfeasibleShift``.  The one entry
+    point of the matroid route: a piece's compile passes all its states, a
+    single draw one.  Every tree holds the forced edges and no zero edge,
+    and ``_rejections`` checks the minor's edges, so the trees of a state
+    that passes reproduce its whole interior vector."""
     out: list = [None] * len(states)
     groups: dict[tuple, tuple[_ShapeTables, list]] = {}
     for i, shifted in enumerate(states):
@@ -318,34 +290,6 @@ def _rejections(shape: DecompositionShape, states: Sequence[DecompositionState],
         elif not good:
             out[j] = InfeasibleShift("tree marginals do not reproduce the shifted vector")
     return out
-
-
-def constrained_tree_distribution(shifted: ShiftedSolution) -> ConstrainedTreeDistribution:
-    """Decompose the shifted interior vector over part-respecting trees."""
-    (w,) = constrained_tree_weights([shifted])
-    if isinstance(w, InfeasibleShift):
-        raise w
-    dist = ConstrainedTreeDistribution(
-        tuple(frozenset(bits(t)) for t in w.trees),
-        tuple(Fraction(k, w.denominator) for k in w.numerators),
-    )
-    if not _marginals_reproduce(dist, shifted.interior_values()):
-        raise InfeasibleShift("tree marginals do not reproduce the shifted vector")
-    return dist
-
-
-def _marginals_reproduce(dist: ConstrainedTreeDistribution,
-                         values: dict[int, Fraction]) -> bool:
-    """Whether every edge's tree marginal is its value, on numerators over
-    the weights' denominator."""
-    marg = dict.fromkeys(values, 0)
-    for t, k in zip(dist.trees, dist.numerators):
-        for eid in t:
-            if eid not in marg:
-                return False
-            marg[eid] += k
-    return all(marg[eid] * v.denominator == v.numerator * dist.denominator
-               for eid, v in values.items())
 
 
 # ---------------------------------------------------------------------------

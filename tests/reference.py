@@ -7,22 +7,25 @@ grid search over the parameter LP, the parameter LP by LAPACK and
 ``Fraction`` Gauss-Jordan, an exact expected join cost, the ``Fraction``
 shortest-path metric with successors, the
 even-at-last probabilities by indicator patterns, the matroid-route mixture
-by per-class states and ``Fraction`` sums), or reads a structure the
-package builds.
+by per-class states and ``Fraction`` sums, a state's tree marginals over
+every interior edge), or reads a structure the package builds.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from htsp.errors import AssemblyError, InfeasibleShift, LpFailure
-from htsp.graph import MultiGraph
+from htsp.graph import MultiGraph, bits
 from htsp.matching import (
     MatchingDistribution,
     ShiftedSolution,
+    _parts_from_submatching,
     apply_surgery,
     decompose_matchings,
     pairings_of,
@@ -33,17 +36,11 @@ from htsp.matching import (
 )
 from htsp.oracle import exact_expected_net_decrease
 from htsp.params import BETA_CAP, LpSolution, _bases, _constraints, decrease_forms
-from htsp.pipeline import (
-    CyclePieceSampler,
-    _check_interior,
-    _parts_of,
-    _submask_of_class,
-)
+from htsp.pipeline import CyclePieceSampler, _check_interior, _submask_of_class
 from htsp.trees import (
-    ConstrainedTreeDistribution,
     MaxEntWeights,
     _matrix_tree_marginals,
-    constrained_tree_distribution,
+    constrained_tree_weights,
     contract_forced,
 )
 
@@ -425,7 +422,8 @@ def per_class_mi_states(piece):
                     if kind == "decrease":
                         yield base * pb, apply_surgery(sp, mk, sub, kind, e, f)
                         continue
-                    home = [p for p in _parts_of(sp, sub) if f in p]
+                    parts = _parts_from_submatching(sp.graph, set(sp.internal_edge_ids()), sub)
+                    home = [p for p in parts if f in p]
                     if home and len(home[0]) == 3:
                         for dropped in (x for x in home[0] if x != f):
                             yield base * pb / 2, apply_surgery(
@@ -433,6 +431,62 @@ def per_class_mi_states(piece):
                             )
                     else:
                         yield base * pb, apply_surgery(sp, mk, sub, kind, e, f)
+
+
+@dataclass(frozen=True)
+class ConstrainedTreeDistribution:
+    """A shifted state's tree distribution as edge-id sets and ``Fraction``
+    weights; ``numerators`` are the weights over their least common
+    ``denominator``."""
+
+    trees: tuple[frozenset[int], ...]
+    weights: tuple[Fraction, ...]
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        den = math.lcm(*(w.denominator for w in self.weights))
+        nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
+        if sum(nums) != den:
+            raise InfeasibleShift("tree weights do not sum to 1")
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
+
+    def cdf(self) -> np.ndarray:
+        return np.cumsum(np.array([float(w) for w in self.weights]))
+
+    def sample(self, rng: np.random.Generator) -> frozenset[int]:
+        i = int(np.searchsorted(self.cdf(), rng.random(), side="right"))
+        return self.trees[min(i, len(self.trees) - 1)]
+
+
+def constrained_tree_distribution(shifted: ShiftedSolution) -> ConstrainedTreeDistribution:
+    """The package's decomposition of one state, re-checked over every
+    interior edge by ``_marginals_reproduce``."""
+    (w,) = constrained_tree_weights([shifted])
+    if isinstance(w, InfeasibleShift):
+        raise w
+    dist = ConstrainedTreeDistribution(
+        tuple(frozenset(bits(t)) for t in w.trees),
+        tuple(Fraction(k, w.denominator) for k in w.numerators),
+    )
+    if not _marginals_reproduce(dist, shifted.interior_values()):
+        raise InfeasibleShift("tree marginals do not reproduce the shifted vector")
+    return dist
+
+
+def _marginals_reproduce(dist: ConstrainedTreeDistribution,
+                         values: dict[int, Fraction]) -> bool:
+    """Whether every edge's tree marginal is its value, on numerators over
+    the weights' denominator."""
+    marg = dict.fromkeys(values, 0)
+    for t, k in zip(dist.trees, dist.numerators):
+        for eid in t:
+            if eid not in marg:
+                return False
+            marg[eid] += k
+    return all(marg[eid] * v.denominator == v.numerator * dist.denominator
+               for eid, v in values.items())
 
 
 def fraction_mi_mixture(piece) -> dict[frozenset[int], Fraction]:

@@ -13,24 +13,30 @@ from typing import Union
 import numpy as np
 
 from htsp.errors import NumericalBreakdown
-from htsp.graph import MultiGraph
+from htsp.graph import MultiGraph, bits
 from htsp.hierarchy import CutHierarchy, LocalMultigraph
 from htsp.matching import (
     MatchingDistribution,
     ShiftedSolution,
     SplitPiece,
     _graph_of,
+    _parts_from_submatching,
+    apply_surgery,
+    decompose_matchings,
     pairings_of,
     seven_coloring,
+    shift,
     split_external,
 )
 from htsp.trees import (
     MaxEntComponent,
     MaxEntWeights,
     _matrix_tree_marginals,
-    constrained_tree_distribution,
     k5_paths,
+    maxent_fit,
+    maxent_tree_distribution,
 )
+from tests.reference import constrained_tree_distribution
 
 MARGINAL_GUARD = 1e-9
 
@@ -40,8 +46,11 @@ MARGINAL_GUARD = 1e-9
 # ---------------------------------------------------------------------------
 
 def sample_matching(dist: MatchingDistribution, rng: np.random.Generator) -> int:
-    """Draw a matching bitmask with the distribution's listed weights."""
-    return dist.sample(rng)
+    """Draw a matching bitmask with the distribution's listed weights, by
+    the search a guide-table lookup matches."""
+    cdf = np.cumsum(np.array([float(w) for w in dist.weights]))
+    i = int(np.searchsorted(cdf, rng.random(), side="right"))
+    return dist.masks[min(i, len(dist.masks) - 1)]
 
 
 def select_submatching(piece: Union[LocalMultigraph, MultiGraph], matching_mask: int,
@@ -60,6 +69,55 @@ def odd_split(piece: LocalMultigraph, rng: np.random.Generator) -> SplitPiece:
     """Split with one of the three pairings of the external edges, uniformly."""
     options = pairings_of(piece.external_edge_ids)
     return split_external(piece, options[int(rng.integers(0, 3))])
+
+
+def surgery_draw(split: SplitPiece, matching_mask: int, submatching_mask: int,
+                 rng: np.random.Generator) -> ShiftedSolution:
+    """A surgery branch drawn step by step: a trigger among the interior-cut
+    edges (the two matched ones for an increase, all four for a decrease),
+    an adjusted edge at its boundary vertex, and for an increase into a
+    three-edge part the member it drops, each uniformly."""
+    g = split.graph
+    internal = set(split.internal_edge_ids())
+    matched = {g.edge_ids[i] for i in bits(matching_mask)}
+    pool = sorted(set(split.interior_cut_ids) & matched)
+    kind = "increase" if pool else "decrease"
+    pool = pool or sorted(split.interior_cut_ids)
+    trigger = pool[int(rng.integers(0, len(pool)))]
+    u = split.boundary_vertex_of(trigger)
+    adj = sorted(g.edge_ids[j] for j in g.incident(u) if g.edge_ids[j] in internal)
+    adjusted = adj[int(rng.integers(0, 3))]
+    dropped = None
+    if kind == "increase":
+        parts = _parts_from_submatching(g, internal, submatching_mask)
+        home = [p for p in parts if adjusted in p]
+        if home and len(home[0]) == 3:
+            others = [e for e in home[0] if e != adjusted]
+            dropped = others[int(rng.integers(0, 2))]
+    return apply_surgery(split, matching_mask, submatching_mask, kind,
+                         trigger, adjusted, dropped)
+
+
+def degree_piece_draw(piece: LocalMultigraph, maxent_share: float,
+                      rng: np.random.Generator) -> tuple[frozenset[int], dict]:
+    """One degree-piece tree and its provenance, every step drawn here: the
+    route, the pairing of an odd piece, a matching, the color class on the
+    matroid route, the surgery branch, and the tree by a search of the
+    state's cdf."""
+    use_maxent = bool(rng.random() < maxent_share)
+    odd = piece.graph.n % 2 == 1
+    split = odd_split(piece, rng) if odd else None
+    mk = sample_matching(decompose_matchings(split or piece), rng)
+    sub = 0 if use_maxent else select_submatching(split or piece, mk, rng)
+    shifted = surgery_draw(split, mk, sub, rng) if odd else shift(piece, mk, sub)
+    if use_maxent:
+        fit = maxent_fit(shifted.interior_graph, shifted.interior_values())
+        trees, probs = maxent_tree_distribution(fit)
+        i = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        tree = trees[min(i, len(trees) - 1)]
+    else:
+        tree = mi_sample(shifted, rng)
+    return tree, dict(shifted.provenance, mode="maxent" if use_maxent else "mi")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from htsp.stats import (
 )
 from tests.brute_min_cuts import brute_min_cuts
 from tests.conftest import ALL_FAMILIES, family_instance
+from tests.single_draws import sample_matching
 
 T_MARGINALS = 100_000
 T_CORRELATIONS = 100_000
@@ -328,7 +329,7 @@ def test_criterion_9_odd_surgery():
     for _ in range(T_SURGERY):
         idx = int(rng.integers(0, 3))
         sp, dist = dists[idx]
-        mk = dist.sample(rng)
+        mk = sample_matching(dist, rng)
         sh = odd_surgery(sp, mk, 0, rng)
         for e, v in sh.interior_values().items():
             x = float(v)

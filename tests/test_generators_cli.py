@@ -390,6 +390,21 @@ def test_commands_without_costs_accept_any_scale(kind, scaled_files, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("kind", ["huge", "prime", "charge"])
+def test_correlations_suite_reads_no_costs(kind, scaled_files, capsys):
+    """The correlations suite lists the pieces and reads no cost: on any
+    cost scale it gives the report it gives on unit costs."""
+    from htsp.cli import main
+
+    runs = {}
+    for k in (kind, "unit"):
+        code = main(["stats", "--suite", "correlations", "--sampler", "mi",
+                     "--trials", "500", "--instance", scaled_files[k]])
+        runs[k] = (code, *capsys.readouterr())
+    assert runs[kind] == runs["unit"]
+    assert runs[kind][1] and runs[kind][2] == ""
+
+
 def test_costs_past_the_old_metric_sentinel_give_the_scaled_tour(scaled_files, capsys):
     """Costs of 10**12 and more, which the ``Fraction`` metric took for
     unreachable, give the unit-cost tour at 10**12 times its cost."""

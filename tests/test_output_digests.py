@@ -43,6 +43,37 @@ CLI_STDOUT = {
         "ab3a6d1375a417ea3c4e733a429d9250c5b9efda225e55fa56e14d980eb3bfc6",
     ("zoo", ("--seed", "3"), ("tour", "--seed", "2")):
         "95e88a2c64ff5e93aa6d51266c3e7ee71fd97d0756fad6ed1516ef3c06fc3dbb",
+    ("zoo", ("--seed", "3"), ("tour", "--seed", "2", "--sampler", "mi")):
+        "8bb8861dd2e865e48b40b53b71c6207cfa41abd5fdead9c41463a0fb81f29547",
+    # single draws of each sampler on the families with odd degree pieces:
+    # matching, colour class, surgery branch and tree, provenance included
+    ("zoo", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
+                              "--sampler", "mi", "--dump-shift")):
+        "19eb4e9e94e28b712d74073ee11f5916ed2bab24330d2e9f80b2f9049440e0a3",
+    ("zoo", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
+                              "--sampler", "maxent", "--dump-shift")):
+        "12c6d4dd59756397aa6e5e0d39290947d532ea8575c7bdf1bacbcb5ae584f00b",
+    ("zoo", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
+                              "--sampler", "mix", "--dump-shift")):
+        "ccc3171459d9321d9b5b9f4813da694233e8197e3f08af8dd40bde01668fb86e",
+    ("nested", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
+                                 "--sampler", "mi", "--dump-shift")):
+        "63813c6f348400b3b3f4767980ae05e4e043083797f555a61e13d3f694d91c33",
+    ("nested", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
+                                 "--sampler", "maxent", "--dump-shift")):
+        "56e6d92e15b2e3ee0ed418592e794358ac173bc23c76caf4d57ed316236f7a4c",
+    ("nested", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
+                                 "--sampler", "mix", "--dump-shift")):
+        "580800017df53b1757aef1251df0209b72f2241213f27cc306f74a06490a2d25",
+    ("random-4reg", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
+                                      "--sampler", "mi", "--dump-shift")):
+        "b43b0225a7aace6acdcabff87196250e421a706ecfcc24957da085aaf246f393",
+    ("random-4reg", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
+                                      "--sampler", "maxent", "--dump-shift")):
+        "b4b43cbb6a99b43d088c7bee68fc607465a07fb9799530a4739b6fdb1f86464b",
+    ("random-4reg", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
+                                      "--sampler", "mix", "--dump-shift")):
+        "06be8e67605734185d4cf7411a747c1bb1fbe88dc03afe97f348a17dd9f6551b",
     # 100 vertices and 4,950 min-cuts: the metric and the join check at size
     ("double-cycle", ("--k", "100", "--seed", "0"), ("join", "--trials", "20")):
         "0544951adb7abec70334daff47f9697c9c29f49982c50236738a7a8a1f245a23",

@@ -23,7 +23,7 @@ from htsp.generators import generate_random_4reg
 from htsp.matching import decompose_matchings, seven_coloring, shift
 from tests.conftest import ALL_FAMILIES, family_instance
 from tests.reference import fraction_mi_mixture, per_class_mi_states
-from tests.single_draws import restrict
+from tests.single_draws import degree_piece_draw, restrict
 
 
 def degree_pieces(inst):
@@ -164,10 +164,10 @@ def test_mi_mixture_off_one_raises_assembly_error(monkeypatch):
     piece = min((nd.piece for nd in h.non_leaves()
                  if nd.kind != "cycle" and nd.piece.graph.n != 5),
                 key=lambda p: p.graph.n)
-    real_states = pipeline._mi_states
+    real_states = pipeline._piece_states
     # the first state alone, at half its probability
-    monkeypatch.setattr(pipeline, "_mi_states", lambda p: [
-        (Fraction(1, 2), next(iter(real_states(p)))[1])])
+    monkeypatch.setattr(pipeline, "_piece_states", lambda p, classes: [
+        (Fraction(1, 2), next(iter(real_states(p, classes)))[1])])
     with pytest.raises(AssemblyError, match="sum to 1"):
         DegreePieceSampler(piece, SamplerParams(sampler="mi")).mi_mixture()
 
@@ -215,7 +215,8 @@ def test_a_state_of_several_color_classes_is_visited_and_decomposed_once(n, monk
     for pr, sh in per_class_mi_states(piece):
         key = _provenance_key(sh)
         want[key] = want.get(key, 0) + pr
-    got = [(_provenance_key(sh), pr) for pr, sh in pipeline._mi_states(piece)]
+    got = [(_provenance_key(sh), pr)
+           for pr, sh in pipeline._piece_states(piece, classes=True)]
     assert len(got) < sum(1 for _ in per_class_mi_states(piece))
     assert len({key for key, _ in got}) == len(got)
     assert dict(got) == want
@@ -240,7 +241,7 @@ def test_a_state_of_several_color_classes_is_visited_and_decomposed_once(n, monk
     DegreePieceSampler(piece, SamplerParams(sampler="mi")).mi_mixture()
     assert calls and set(calls.values()) == {1}
     assert set(calls) == {(pipeline._values_key(sh.values), sh.parts)
-                          for _, sh in pipeline._mi_states(piece)}
+                          for _, sh in pipeline._piece_states(piece, classes=True)}
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -258,6 +259,22 @@ def test_each_split_piece_is_decomposed_once(n, monkeypatch):
     for _ in range(30):
         compiled.sample(rng)
     assert len(calls) == (3 if n % 2 else 1)
+
+
+@pytest.mark.parametrize("family", ["nested", "random-4reg", "zoo"])
+def test_single_draws_walk_the_states_step_by_step(family):
+    """A degree piece's single draw, read off the sampler's tables, is the
+    draw made step by step from a fresh decomposition of each step, and
+    leaves the stream at the same place."""
+    for piece in degree_pieces(family_instance(family)):
+        for sampler in ("mi", "maxent", "mix"):
+            params = SamplerParams(sampler=sampler)
+            degree = DegreePieceSampler(piece, params)
+            share = float(params.effective_lambda)
+            a, b = np.random.default_rng(8), np.random.default_rng(8)
+            for _ in range(40):
+                assert degree._generative(a) == degree_piece_draw(piece, share, b)
+            assert a.random() == b.random()
 
 
 # ---------------------------------------------------------------------------

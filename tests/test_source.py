@@ -18,3 +18,25 @@ def test_no_bare_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_guide_table_is_the_only_cdf_search():
+    """Every draw from a cumulative distribution goes through
+    ``pipeline.GuideTable``: no other code of the package searches a cdf."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "GuideTable"
+            for node in ast.walk(cls)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "searchsorted"
+                or isinstance(node, ast.Name) and node.id == "searchsorted")
+            and id(node) not in inside
+        ]
+    assert found == []

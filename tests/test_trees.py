@@ -8,20 +8,23 @@ import htsp.trees as trees
 from htsp.decomp import Decomposition
 from htsp.errors import BoundaryTarget, InfeasibleShift
 from htsp.generators import standalone_piece
-from htsp.graph import MultiGraph
+from htsp.graph import MultiGraph, bits
 from htsp.hierarchy import build_hierarchy
 from htsp.matching import ShiftedSolution, decompose_matchings, shift
+from htsp.pipeline import _piece_states
 from htsp.trees import (
-    ConstrainedTreeDistribution,
-    constrained_tree_distribution,
+    constrained_tree_weights,
     enumerate_spanning_trees,
     in_spanning_tree_polytope,
     k5_paths,
     maxent_fit,
     maxent_tree_distribution,
 )
-from tests.conftest import family_instance
+from tests.conftest import ALL_FAMILIES, family_instance
 from tests.reference import (
+    ConstrainedTreeDistribution,
+    _marginals_reproduce,
+    constrained_tree_distribution,
     fraction_marginal_check,
     maxent_marginals,
     per_class_mi_states,
@@ -35,6 +38,7 @@ from tests.single_draws import (
     sample_k5_path,
     select_submatching,
 )
+from tests.test_pipeline import degree_pieces
 
 THIRD = Fraction(1, 3)
 
@@ -202,7 +206,7 @@ def test_maxent_negative_correlation_spot_check():
 
 
 def test_sample_double_cycle():
-    from tests.conftest import family_instance
+    from tests.conftest import ALL_FAMILIES, family_instance
     from htsp.hierarchy import build_hierarchy
 
     inst = family_instance("double-cycle")
@@ -224,7 +228,7 @@ def test_sample_double_cycle():
 
 
 def test_k5_paths():
-    from tests.conftest import family_instance
+    from tests.conftest import ALL_FAMILIES, family_instance
     from htsp.hierarchy import build_hierarchy
 
     inst = family_instance("k5-gadget")
@@ -325,38 +329,41 @@ def test_tree_marginals_off_target_raise_infeasible_shift(monkeypatch):
         constrained_tree_distribution(sh)
 
 
-def _fraction_check_passes(shifted, dist) -> bool:
-    try:
-        fraction_marginal_check(shifted, dist)
-    except InfeasibleShift:
-        return False
-    return True
-
-
 @pytest.mark.parametrize("family", ["zoo", "random-4reg"])
-def test_integer_marginal_check_agrees_with_the_fraction_check(family):
-    checked = rejected = 0
-    for nd in build_hierarchy(family_instance(family)).non_leaves():
-        if nd.kind == "cycle" or nd.piece.graph.n == 5:
-            continue
-        for _, sh in itertools.islice(per_class_mi_states(nd.piece), 0, None, 5):
-            dist = constrained_tree_distribution(sh)
-            values = sh.interior_values()
-            assert trees._marginals_reproduce(dist, values)
-            assert _fraction_check_passes(sh, dist)
-            # mass moved between two trees, the forced edges dropped from a
-            # tree, and an edge that is not in the piece added to one
-            variants = []
-            if len(dist.trees) > 1:
-                d = min(dist.weights) / 2
-                variants.append(ConstrainedTreeDistribution(
-                    dist.trees, (dist.weights[0] + d, dist.weights[1] - d) + dist.weights[2:]))
-            for last in (dist.trees[-1] - sh.forced, dist.trees[-1] | {-99}):
-                variants.append(ConstrainedTreeDistribution(dist.trees[:-1] + (last,),
-                                                            dist.weights))
-            for bad in variants:
-                verdict = _fraction_check_passes(sh, bad)
-                assert trees._marginals_reproduce(bad, values) == verdict
-                rejected += not verdict
+def test_rejections_catch_corrupted_decompositions(family):
+    """A decomposition with a tree swapped for another, its last tree
+    dropped or mass moved between two trees fails ``_rejections``."""
+    checked = 0
+    for piece in degree_pieces(family_instance(family)):
+        for _, sh in itertools.islice(per_class_mi_states(piece), 0, None, 5):
+            _, tables, state = trees._tree_state(sh)
+            shape = tables.decomposition
+            (r,) = trees.decompose(shape, [state])
+            assert trees._rejections(shape, [state], [r]) == [None]
+            if len(r.order) < 2:
+                continue
+            swapped = r.order[:-1] + ((r.order[-1] + 1) % len(shape.cands),)
+            moved = (r.numerators[0] + 1, r.numerators[1] - 1) + r.numerators[2:]
+            variants = [
+                r._replace(order=swapped),
+                r._replace(order=r.order[:-1], numerators=r.numerators[:-1]),
+                r._replace(numerators=moved),
+            ]
+            for verdict in trees._rejections(shape, [state] * len(variants), variants):
+                assert isinstance(verdict, InfeasibleShift)
             checked += 1
-    assert checked and rejected
+    assert checked
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_every_tree_weights_reproduces_its_state(family):
+    """The compile's decompositions pass the oracles that re-check every
+    interior edge: forced and zero edges as well as the minor's."""
+    for piece in degree_pieces(family_instance(family)):
+        states = [sh for _, sh in _piece_states(piece, classes=True)]
+        for sh, w in zip(states, constrained_tree_weights(states)):
+            dist = ConstrainedTreeDistribution(
+                tuple(frozenset(bits(t)) for t in w.trees),
+                tuple(Fraction(k, w.denominator) for k in w.numerators))
+            assert _marginals_reproduce(dist, sh.interior_values())
+            fraction_marginal_check(sh, dist)
