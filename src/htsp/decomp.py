@@ -13,7 +13,7 @@ residual, ``lower`` means x(mask) >= sigma * bound.  All candidates must
 contain the same number of edges (a basis cardinality), which makes the
 total-mass equality self-maintaining.
 
-One kernel decomposes many points of one polytope at once.
+One kernel decomposes many points of many polytopes at once.
 
 - Per shape (``DecompositionShape``, built once per candidate set): the
   candidates, the constraint rows, the row x candidate deficits ``d`` (int8
@@ -22,16 +22,23 @@ One kernel decomposes many points of one polytope at once.
   positive ``d``.  The spanning trees of a contracted minor under its
   vertex-subset rows are one shape, cached with the minor's trees and
   shared by every shifted state on that minor.  The step quotas ``L / d``
-  are made once per ``decompose`` call, so the cached arrays stay small.
+  are made once per ``decompose`` call and dropped after the shape's last
+  block, so the cached arrays stay small.
 - Per state (``DecompositionState``): the target, the candidates the state
   may use, and a few upper rows of its own (the partition parts).
 
-``decompose`` runs the states of one shape in blocks of at most
-``BLOCK_CELLS`` states x candidates x rows.  Every round of a block prunes
-the candidates (support, tight rows), takes each state's
+``decompose`` takes (shape, state) jobs of any number of shapes, as a
+degree piece's compile passes the states of all its minor shapes at once.
+A shape whose states are at most ``SHARED_CELLS`` candidates x rows each
+(the minors of pieces of up to eight vertices, on the generators'
+instances) shares blocks with other such shapes, smallest first: each
+state reads its own shape's tables, padded to the block's largest.  A
+larger shape runs alone, reading its tables as they are.  A block holds
+at most ``BLOCK_CELLS`` states x candidates x rows.  Every round of a
+block prunes the candidates (support, tight rows), takes each state's
 largest step and first best candidate, updates and divides out the gcd,
-for all of its states at once and over the candidates still alive in any
-of them.  Finished states leave the block; the rest go on in lockstep.
+for all of its states at once and over the live (state, candidate) pairs
+only.  Finished states leave the block; the rest go on in lockstep.
 
 The greedy runs on integers: the residual ``r`` and the scale ``sigma``
 of each state are kept as integer numerators over one running common
@@ -40,8 +47,8 @@ whose step is capped by a constraint it meets ``d`` times too few (or too
 many, for a lower bound) can move by ``slack / d``; with ``L`` a common
 multiple of every such ``d``, each candidate's step is ``T / (D * L)`` for
 the integer ``T = slack * (L / d)``.  A step is slack / d whatever ``L``
-is, so taking ``L`` over the whole shape (and the rows of a block's
-states) instead of over one state's candidates changes no weight and no
+is, so taking ``L`` over a block's shapes and its states' own rows
+instead of over one state's candidates changes no weight and no
 comparison between steps.  A block's arrays are int64 while a per-round
 bound shows that no product can reach 2**62, and exact Python ints
 (``dtype=object``) after.  Each state's weights come back as integer
@@ -63,6 +70,7 @@ and tight-row rules already drop such a candidate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,7 +80,10 @@ import numpy as np
 
 INT64_SAFE = 2 ** 62
 #: states x candidates x rows: the size of a block's largest temporary
-BLOCK_CELLS = 2 ** 15
+BLOCK_CELLS = 2 ** 16
+#: a shape whose states are at most this many cells each shares blocks
+#: with other such shapes
+SHARED_CELLS = 2 ** 12
 
 
 class DecompositionFailure(ValueError):
@@ -149,6 +160,13 @@ class DecompositionState:
     #: which of the shape's candidates this state may use; all when None
     alive: Optional[np.ndarray] = None
 
+    @functools.cached_property
+    def integer_target(self) -> tuple[list[int], int]:
+        """The target as numerators over its least common denominator."""
+        dens = [x.denominator for x in self.target]
+        dn = math.lcm(*dens)
+        return [x.numerator * (dn // d) for x, d in zip(self.target, dens)], dn
+
 
 class Decomposition(NamedTuple):
     """Candidate indices in the order the greedy took them, with their
@@ -159,27 +177,79 @@ class Decomposition(NamedTuple):
     denominator: int
 
 
-def decompose(shape: DecompositionShape, states: Sequence[DecompositionState]
+def decompose(jobs: Sequence[tuple[DecompositionShape, DecompositionState]]
               ) -> list[Union[Decomposition, DecompositionFailure]]:
-    """Each state's decomposition, or the ``DecompositionFailure`` that says
-    its target is outside the polytope its candidates span."""
-    # a row caps a candidate's step at slack * quota; a row that does not
-    # cap it adds one whole step instead.  The shape's rows come with a row
-    # x_e >= 0 per edge, whose caps are the greedy's edge caps r_e.
-    d = np.concatenate([shape.deficit, shape.member.T])
+    """Each (shape, state) job's decomposition, or the ``DecompositionFailure``
+    that says its target is outside the polytope its candidates span."""
+    own = max((len(state.upper) for _, state in jobs), default=0)
+    by_shape: dict[int, tuple[DecompositionShape, list[int]]] = {}
+    for j, (shape, _) in enumerate(jobs):
+        by_shape.setdefault(id(shape), (shape, []))[1].append(j)
+    blocks: list[list[int]] = []
+    small: list[tuple[int, int]] = []
+    for shape, idx in by_shape.values():
+        cells = len(shape.cands) * (len(shape.bound) + shape.m + own + 1)
+        if cells <= SHARED_CELLS:
+            small.extend((cells, j) for j in idx)
+            continue
+        per = max(1, BLOCK_CELLS // cells)
+        blocks.extend(idx[lo:lo + per] for lo in range(0, len(idx), per))
+    # small shapes share blocks, smallest first, each block as many states
+    # as fit at its largest shape's size
+    block: list[int] = []
+    for cells, j in sorted(small, key=lambda x: x[0]):
+        if block and (len(block) + 1) * cells > BLOCK_CELLS:
+            blocks.append(block)
+            block = []
+        block.append(j)
+    if block:
+        blocks.append(block)
+    out: list = [None] * len(jobs)
+    # a shape's step tables live from its first block to its last: a large
+    # shape's blocks come one after the other
+    last = {id(jobs[j][0]): k for k, block in enumerate(blocks) for j in block}
+    prepared: dict[int, _StepTables] = {}
+    for k, block in enumerate(blocks):
+        tables: list[_StepTables] = []
+        slot: dict[int, int] = {}
+        which = []
+        for j in block:
+            shape = jobs[j][0]
+            if id(shape) not in slot:
+                if id(shape) not in prepared:
+                    prepared[id(shape)] = _step_tables(shape)
+                slot[id(shape)] = len(tables)
+                tables.append(prepared[id(shape)])
+            which.append(slot[id(shape)])
+        for j, res in zip(block, _decompose_block(tables, which, [jobs[j][1] for j in block])):
+            out[j] = res
+        for t in tables:
+            if last[id(t.shape)] == k:
+                del prepared[id(t.shape)]
+    return out
+
+
+class _StepTables(NamedTuple):
+    """A shape's step quotas, made once per ``decompose`` call for all its
+    blocks (so the cached shapes stay small): per candidate and row, over
+    the shape's rows then one row x_e >= 0 per edge (whose caps are the
+    greedy's edge caps r_e), ``scale / d`` where the row caps the
+    candidate's step (d > 0), else 0 and ``uncapped``."""
+
+    shape: DecompositionShape
+    quota: np.ndarray
+    uncapped: np.ndarray
+
+
+def _step_tables(shape: DecompositionShape) -> _StepTables:
+    d = np.concatenate([shape.deficit.T, shape.member], axis=1)
     caps = d > 0
     quota = shape.scale // np.where(caps, d, 1).astype(
         object if shape.scale >= INT64_SAFE else np.int64)
     quota = np.where(caps, quota, 0)
     if shape.scale < 2 ** 31:
         quota = quota.astype(np.int32)
-    row_caps = (quota, ~caps)
-    rows = len(d) + max((len(s.upper) for s in states), default=0)
-    per = max(1, BLOCK_CELLS // (len(shape.cands) * (rows + 1)))
-    out: list = []
-    for lo in range(0, len(states), per):
-        out.extend(_decompose_block(shape, row_caps, states[lo:lo + per]))
-    return out
+    return _StepTables(shape, quota, ~caps)
 
 
 def exact_convex_decomposition(
@@ -195,59 +265,117 @@ def exact_convex_decomposition(
     that the target is outside the polytope spanned by the candidates.
     """
     shape = DecompositionShape(candidates, len(target), upper, lower)
-    (res,) = decompose(shape, [DecompositionState(tuple(Fraction(x) for x in target))])
+    (res,) = decompose([(shape, DecompositionState(tuple(Fraction(x) for x in target)))])
     if isinstance(res, DecompositionFailure):
         raise res
     return {shape.cands[i]: Fraction(k, res.denominator)
             for i, k in zip(res.order, res.numerators)}
 
 
-def _decompose_block(shape: DecompositionShape, row_caps: tuple[np.ndarray, np.ndarray],
+def _stack(arrays: Sequence[np.ndarray], shape: tuple[int, ...], fill=0) -> np.ndarray:
+    """The arrays padded by ``fill`` to ``shape`` and stacked on a new
+    first axis."""
+    out = np.full((len(arrays),) + shape, fill, dtype=np.result_type(*arrays))
+    for i, a in enumerate(arrays):
+        out[(i,) + tuple(slice(0, k) for k in a.shape)] = a
+    return out
+
+
+def _decompose_block(tables: Sequence[_StepTables], which: Sequence[int],
                      states: Sequence[DecompositionState]
                      ) -> list[Union[Decomposition, DecompositionFailure]]:
-    m, n_cands = shape.m, len(shape.cands)
+    """Decompose ``states`` in lockstep, state b over the shape of
+    ``tables[which[b]]``.
+
+    A one-shape block reads its shape's tables as they are, on a first
+    axis of length one.  A block of several shapes pads each shape's
+    tables to the block's largest (candidates that are never alive, empty
+    rows that never go tight or cap, edges at zero) and stacks them on
+    that axis.  Each round reads the tables for the live (state,
+    candidate) pairs only, at the state's shape."""
+    shapes = [t.shape for t in tables]
+    m = max(s.m for s in shapes)
+    n_cands = max(len(s.cands) for s in shapes)
+    n_rows = max(len(s.bound) for s in shapes)
+    one = len(shapes) == 1
+    which = np.zeros(len(states), dtype=np.intp) if one else np.asarray(which, dtype=np.intp)
     out: list = [None] * len(states)
+
+    # per shape the rows (an empty padding row reads x(mask) <= sigma), and
+    # the rule words: a candidate is ruled out by a support edge at
+    # r_e <= 0 or by a tight row it moves
+    if one:
+        (shape,) = shapes
+        member, rows_t = shape.member[None], shape.rows.T[None]
+        sign, bound, rule_words = shape.sign[None], shape.bound[None], shape.rule_words[None]
+    else:
+        member = _stack([s.member for s in shapes], (n_cands, m), False)
+        rows_t = _stack([s.rows.T for s in shapes], (m, n_rows), False)
+        sign = _stack([s.sign for s in shapes], (n_rows,), -1)
+        bound = _stack([s.bound for s in shapes], (n_rows,), -1)
+        moves = _stack([s.deficit.T != 0 for s in shapes], (n_cands, n_rows), False)
+        rule_words = _pack(np.concatenate([member, moves], axis=2))
 
     # the states' own upper rows, padded by empty rows of bound 1: their
     # slack is sigma, so they never go tight and never cap below sigma
     own_rows = np.zeros((len(states), max(len(s.upper) for s in states), m), dtype=bool)
     own_bound = np.ones(own_rows.shape[:2], dtype=np.int64)
-    for b, s in enumerate(states):
-        if s.upper:
-            own_rows[b, :len(s.upper)] = _bit_rows([mask for mask, _ in s.upper], m)
-            own_bound[b, :len(s.upper)] = [bd for _, bd in s.upper]
-    own_d = own_bound[:, :, None] - own_rows.astype(np.int64) @ shape.member.T.astype(np.int64)
-    own_words = _pack((own_d != 0).transpose(0, 2, 1))
-    scale = math.lcm(shape.scale, _lcm_of_positive(own_d))
-    headroom = max(shape.headroom, int(own_bound.max(initial=0)) + m + 2)
-    own_d = own_d.transpose(1, 0, 2)
-    tables: dict = {}
+    at = [(b, k) for b, s in enumerate(states) for k in range(len(s.upper))]
+    if at:
+        at = tuple(np.array(at).T)
+        own_rows[at] = _bit_rows([mask for s in states for mask, _ in s.upper], m)
+        own_bound[at] = [bd for s in states for _, bd in s.upper]
+    # counts fit int16: a row holds at most m edges
+    held = own_rows.astype(np.int16) @ (member[0].T if one else member[which].transpose(
+        0, 2, 1)).astype(np.int16)
+    own_d = (own_bound[:, :, None] - held).transpose(0, 2, 1)
+    own_words = _pack(own_d != 0)
+    scale = math.lcm(*(s.scale for s in shapes), _lcm_of_positive(own_d))
+    headroom = max(max(s.headroom for s in shapes), int(own_bound.max(initial=0)) + m + 2)
+
+    # the quotas at the block's scale
+    def at_scale(t: _StepTables) -> np.ndarray:
+        if scale == t.shape.scale:
+            return t.quota
+        return t.quota.astype(object if scale >= INT64_SAFE else np.int64) * (
+            scale // t.shape.scale)
+
+    if one:
+        quota, uncapped = at_scale(tables[0])[None], tables[0].uncapped[None]
+    else:
+        # a shape's edge rows start at the block's; the padding caps nothing
+        quotas = [at_scale(t) for t in tables]
+        quota = np.zeros((len(tables), n_cands, n_rows + m), dtype=np.result_type(*quotas))
+        uncapped = np.ones(quota.shape, dtype=bool)
+        for i, (t, q) in enumerate(zip(tables, quotas)):
+            c, r = len(t.shape.cands), len(t.shape.bound)
+            for dst, src in ((quota, q), (uncapped, t.uncapped)):
+                dst[i, :c, :r] = src[:, :r]
+                dst[i, :c, n_rows:n_rows + t.shape.m] = src[:, r:]
+    cache: dict = {}
 
     def tables_as(dtype) -> tuple[np.ndarray, ...]:
         # int64 rounds read the small int and bool tables as they are
-        if dtype not in tables:
-            quota, uncapped = row_caps
-            if scale != shape.scale:
-                quota = quota.astype(dtype) * (scale // shape.scale)
+        if dtype not in cache:
             own_div = np.where(own_d > 0, own_d, 1).astype(dtype)
             arrays = (quota, uncapped, np.where(own_d > 0, scale // own_div, 0), own_d <= 0,
-                      shape.rows.T, shape.sign, shape.bound, own_rows, own_bound)
-            tables[dtype] = tuple(x.astype(object) for x in arrays) if dtype is object else arrays
-        return tables[dtype]
+                      rows_t, sign, bound, own_rows, own_bound)
+            cache[dtype] = tuple(x.astype(object) for x in arrays) if dtype is object else arrays
+        return cache[dtype]
 
-    alive = np.ones((len(states), n_cands), dtype=bool)
-    nums, den, limit = [], [], []
+    alive = np.zeros((len(states), n_cands), dtype=bool)
+    res = np.zeros((len(states), m), dtype=object)
+    den, limit = [], []
     for b, s in enumerate(states):
-        if s.alive is not None:
-            alive[b] = s.alive
-        dn = math.lcm(*(x.denominator for x in s.target))
-        nums.append([x.numerator * (dn // x.denominator) for x in s.target])
-        den.append(dn)
-        limit.append(int(alive[b].sum()) + len(shape.bound) + len(s.upper) + m + 8)
+        shape = shapes[which[b]]
+        alive[b, :len(shape.cands)] = True if s.alive is None else s.alive
+        nums, dens = s.integer_target
+        res[b, :len(nums)] = nums
+        den.append(dens)
+        limit.append(len(shape.bound) + len(s.upper) + shape.m + 8)
     ids = np.arange(len(states))
-    res = np.array(nums, dtype=object).reshape(len(states), m)
     sig = np.array(den, dtype=object)
-    limit = np.array(limit)
+    limit = np.array(limit) + alive.sum(axis=1)
     taken: list[list[tuple[int, int, int]]] = [[] for _ in states]
     stuck = ~alive.any(axis=1)
     rounds = 0
@@ -277,47 +405,43 @@ def _decompose_block(shape: DecompositionShape, row_caps: tuple[np.ndarray, np.n
         top = max(int(np.abs(res).max(initial=0)), int(sig.max()))
         dtype = np.int64 if top * headroom * scale < INT64_SAFE else object
         res, sig = res.astype(dtype), sig.astype(dtype)
-        quota, uncapped, own_quota, own_uncapped, rows_t, sign, bound, own_r, own_b = \
+        quota_t, uncapped_t, own_quota, own_uncapped, rows_tt, sign_t, bound_t, own_r, own_b = \
             tables_as(dtype)
-        slack = sign * (res @ rows_t) - sig[:, None] * bound
+        on = slice(None) if one else which[ids]
+        slack = (sign_t[on] * np.matmul(res[:, None, :], rows_tt[on])[:, 0, :]
+                 - sig[:, None] * bound_t[on])
         own_slack = sig[:, None] * own_b[ids] - (own_r[ids] @ res[:, :, None])[:, :, 0]
 
         # leaving the support or moving a tight constraint rules a candidate
         # out for good: r only falls where the chosen candidate sits, and
         # the chosen one keeps every tight constraint tight
-        live = alive[ids]
-        cols = np.flatnonzero(live.any(axis=0))
+        at, cand = np.nonzero(alive[ids])
+        state, shape_at = ids[at], which[ids[at]]
         keys = _pack(np.concatenate([res <= 0, slack == 0], axis=1))
         own_keys = _pack(own_slack == 0)
-        live[:, cols] &= ~(
-            ((shape.rule_words[cols][None] & keys[:, None, :]) != 0).any(axis=2)
-            | ((own_words[ids[:, None], cols] & own_keys[:, None, :]) != 0).any(axis=2))
-        alive[ids] = live
-        cols = np.flatnonzero(live.any(axis=0))
-        if not cols.size:
-            stuck = np.ones(len(ids), dtype=bool)
-            continue
+        out_now = (((rule_words[shape_at, cand] & keys[at]) != 0).any(axis=1)
+                   | ((own_words[state, cand] & own_keys[at]) != 0).any(axis=1))
+        alive[state[out_now], cand[out_now]] = False
+        live = ~out_now
+        at, cand, state, shape_at = at[live], cand[live], state[live], shape_at[live]
 
         # every live candidate's largest step, the first largest per state
         top_t = sig * scale
         cap = int(top_t.max())
         slack = np.concatenate([slack, res], axis=1)
-        step = (slack.T[:, :, None] * quota[:, cols][:, None, :]
-                + (uncapped[:, cols] * cap)[:, None, :]).min(axis=0, initial=cap)
-        at = (slice(None), ids[:, None], cols)
-        step = np.minimum(step, (own_slack.T[:, :, None] * own_quota[at]
-                                 + own_uncapped[at] * cap).min(axis=0, initial=cap))
-        step = np.minimum(step, top_t[:, None])
-        step[~live[:, cols]] = -1
-        best = step.argmax(axis=1)
-        t = step[np.arange(len(ids)), best]
+        step = np.minimum(
+            _least_cap(slack[at], quota_t[shape_at, cand], uncapped_t[shape_at, cand], cap),
+            _least_cap(own_slack[at], own_quota[state, cand], own_uncapped[state, cand], cap))
+        steps = np.full((len(ids), n_cands), -1, dtype=dtype)
+        steps[at, cand] = np.minimum(step, top_t[at])
+        best = steps.argmax(axis=1)
+        t = steps[np.arange(len(ids)), best]
         stuck = t <= 0
         t[stuck] = 0
-        chosen = cols[best]
         for j in np.flatnonzero(~stuck).tolist():
-            taken[ids[j]].append((int(chosen[j]), int(t[j]), den[j] * scale))
+            taken[ids[j]].append((int(best[j]), int(t[j]), den[j] * scale))
 
-        res = res * scale - t[:, None] * shape.member[chosen].astype(dtype)
+        res = res * scale - t[:, None] * member[which[ids], best].astype(dtype)
         sig = sig * scale - t
         g = np.gcd.reduce(np.concatenate([res, sig[:, None]], axis=1), axis=1).tolist()
         div = [math.gcd(gj, dn * scale) if gj else 1 for gj, dn in zip(g, den)]
@@ -325,6 +449,15 @@ def _decompose_block(shape: DecompositionShape, row_caps: tuple[np.ndarray, np.n
         div = np.array(div, dtype=dtype)
         res //= div[:, None]
         sig //= div
+
+
+def _least_cap(slack: np.ndarray, quota: np.ndarray, uncapped: np.ndarray, cap) -> np.ndarray:
+    """Per pair, the smallest of its rows' caps: slack x quota on a row that
+    caps the candidate (``quota`` is 0 on the others), ``cap`` on one that
+    does not; computed in place in ``slack``."""
+    slack *= quota
+    np.putmask(slack, uncapped, cap)
+    return slack.min(axis=1, initial=cap)
 
 
 def _weights(taken: list[tuple[int, int, int]]) -> Decomposition:

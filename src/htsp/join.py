@@ -32,10 +32,9 @@ from .errors import (
 )
 from .graph import HalfIntegralInstance
 from .hierarchy import CutHierarchy, CutView, min_cuts_via_hierarchy
-from .params import BETA_CAP, DEFAULT_MIX_LAMBDA, mixed_rates
+from .params import BETA_CAP, DEFAULT_MIX_LAMBDA, QUARTER, mixed_rates
 from .pipeline import PieceSampler
 
-QUARTER = Fraction(1, 4)
 FLOOR = Fraction(1, 6)
 
 #: reduction classes an edge can be settled in

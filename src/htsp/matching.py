@@ -21,10 +21,10 @@ from .decomp import DecompositionFailure, exact_convex_decomposition
 from .errors import ColoringOverflow, InfeasibleShift, NoPerfectMatching
 from .graph import MultiGraph, bits
 from .hierarchy import LocalMultigraph
+from .params import HALF, QUARTER
 
 ONE = Fraction(1)
 THIRD = Fraction(1, 3)
-QUARTER = Fraction(1, 4)
 
 SPLIT_EDGE_A, SPLIT_EDGE_B = -1, -2  # synthetic ids for the added parallel pair
 
@@ -335,7 +335,7 @@ def surgery_options(split: SplitPiece, matching_mask: int) -> list[tuple]:
     branches = []
     if not cut_in_m:
         pool = sorted(split.interior_cut_ids)
-        p_e = Fraction(1, 4)
+        p_e = QUARTER
         kind = "decrease"
     else:
         if len(cut_in_m) != 2:
@@ -343,7 +343,7 @@ def surgery_options(split: SplitPiece, matching_mask: int) -> list[tuple]:
                 f"matching crosses the interior cut {len(cut_in_m)} times, not 0 or 2"
             )
         pool = cut_in_m
-        p_e = Fraction(1, 2)
+        p_e = HALF
         kind = "increase"
     internal = set(split.internal_edge_ids())
     for eid in pool:

@@ -1,4 +1,5 @@
-"""The guarantee constants, and the reduction-parameter optimization.
+"""The guarantee constants, one half and one quarter, and the reduction-parameter
+optimization.
 
 The constants live here only; this module imports no other htsp module
 but the errors, so every module can read them.
@@ -68,6 +69,13 @@ CORRELATION_BOUNDS = {
         "boundary-edge-one-odd": Fraction(5, 18),
     },
 }
+#: one half: the exact tree marginal of every edge (a cycle piece's pair
+#: draws each of its edges with it), and an increase branch's trigger share
+HALF = Fraction(1, 2)
+#: the quarter mass: each edge's share of the perfect-matching
+#: decomposition and its join value before reductions, and a decrease
+#: branch's trigger share
+QUARTER = Fraction(1, 4)
 #: optimized share of max-entropy draws in the mixed sampler
 DEFAULT_MIX_LAMBDA = Fraction(4715, 10000)
 #: largest reduction amount any edge class may take

@@ -17,6 +17,7 @@ own table, and keeps the full provenance ledger.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .hierarchy import CutHierarchy, LocalMultigraph
 from .matching import (
     THIRD,
     ShiftedSolution,
+    _parts_from_submatching,
     apply_surgery,
     odd_surgery,
     seven_coloring,
@@ -37,12 +39,12 @@ from .matching import (
     surgery_drops,
     surgery_options,
 )
-from .params import DEFAULT_MIX_LAMBDA
+from .params import DEFAULT_MIX_LAMBDA, HALF
 from .trees import (
     constrained_tree_weights,
     k5_paths,
-    maxent_fit,
-    maxent_tree_distribution,
+    maxent_fits,
+    maxent_tree_law,
 )
 
 DECOMPOSITION_INTERIOR_LIMIT = 12
@@ -99,18 +101,16 @@ class CyclePieceSampler:
         edges = frozenset(p[int(k)] for p, k in zip(self.pairs, picks))
         return edges, {"mode": "cycle"}
 
-    def draw_block(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """``n`` draws at once: the edge ids, first edges of the pairs then
-        second edges, and per id a row of trials saying whether it is drawn."""
-        pairs = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
-        p = len(pairs)
-        block = np.empty((2 * p, n), dtype=bool)
-        if p:
+    def draw_rows(self, T: np.ndarray, rng: np.random.Generator) -> None:
+        """Draw a block of trials into ``T``, which holds one row of trials
+        per edge id: each pair's first edge row, then its second."""
+        if self.pairs:
+            first, second = np.array(self.pairs, dtype=np.intp).T
             # drawn (trials, pairs) and transposed: the order the stream is
             # read in fixes which trees a seed gives
-            np.less(rng.random((n, p)).T, 0.5, out=block[:p])
-            np.logical_not(block[:p], out=block[p:])
-        return pairs.T.ravel(), block
+            pick = np.less(rng.random((T.shape[1], len(first))).T, 0.5)
+            T[first] = pick
+            T[second] = np.logical_not(pick, out=pick)
 
     def parity_law(self, sets: list[set[int]]) -> dict[int, Fraction]:
         """Law of the drawn edges' parities on ``sets``, as in ``join.parity_law``:
@@ -128,7 +128,7 @@ class CyclePieceSampler:
         return law
 
     def exact_marginal(self, eid: int) -> Fraction:
-        return Fraction(1, 2)
+        return HALF
 
 
 class GuideTable:
@@ -211,6 +211,12 @@ class EnumeratedPieceSampler:
         idx = self.table.lookup(rng.random(n))
         return self.cols, np.take(self.holds, idx, axis=1)
 
+    def draw_rows(self, T: np.ndarray, rng: np.random.Generator) -> None:
+        """Draw a block of trials into ``T``, which holds one row of trials
+        per edge id: the rows of ``cols``."""
+        cols, block = self.draw_block(T.shape[1], rng)
+        T[cols] = block
+
     def parity_law(self, sets: list[set[int]]) -> dict[int, object]:
         """Law of the tree's parities on ``sets``, as in ``join.parity_law``;
         exact when the tree probabilities are."""
@@ -275,31 +281,68 @@ def _check_interior(piece: LocalMultigraph) -> None:
         )
 
 
-def _piece_states(piece: LocalMultigraph, classes: bool):
-    """Yield (probability, ShiftedSolution) over a degree piece's sampling
-    states: a matching of each split piece, then a color class (with
-    ``classes``, the matroid route) or the empty sub-matching (without,
-    the max-entropy route), then on an odd piece a surgery branch and its
-    drop.  Each distinct state of a matching comes once, at the summed
-    probability of the color classes that give it."""
+def _piece_states(piece: LocalMultigraph, classes: bool, built: Optional[dict] = None
+                  ) -> tuple[list[ShiftedSolution], list[tuple[Fraction, int]]]:
+    """A degree piece's sampling states, each distinct state once, and the
+    walk's visits to them as (probability, state index), in walk order.
+
+    The walk takes a matching of each split piece, then a color class
+    (with ``classes``, the matroid route) or the empty sub-matching
+    (without, the max-entropy route), then on an odd piece a surgery
+    branch and its drop.  Color classes that give one submask are one
+    visit, at their summed probability.  A state is fixed by its matching,
+    surgery kind, adjusted edge and parts (the split pieces share their
+    edge positions); the trigger edge of a surgery branch only enters the
+    provenance, which is the first visit's, so two triggers at one
+    boundary vertex visit one state.  ``built`` keeps the states by key
+    across walks: the two routes share the max-entropy route's states."""
     _check_interior(piece)
     odd = piece.graph.n % 2 == 1
+    states: list[ShiftedSolution] = []
+    visits: list[tuple[Fraction, int]] = []
+    index: dict[tuple, int] = {}
+    built = {} if built is None else built
+
+    def visit(pr: Fraction, key: tuple, build) -> None:
+        if key not in index:
+            if key not in built:
+                built[key] = build()
+            index[key] = len(states)
+            states.append(built[key])
+        visits.append((pr, index[key]))
+
+    even_parts: dict[int, tuple] = {}
     for sp, dist in piece.split_matchings:
         g = sp.graph if odd else piece.graph
         for mk, w in zip(dist.masks, dist.weights):
             subs = _class_submasks(seven_coloring(g, mk)) if classes else [(0, 7)]
             if not odd:
                 for sub, k in subs:
-                    yield w * Fraction(k, 7), shift(piece, mk, sub)
+                    if sub not in even_parts:
+                        even_parts[sub] = _parts_from_submatching(
+                            g, set(piece.internal_edge_ids), sub)
+                    visit(w * Fraction(k, 7), (mk, None, None, even_parts[sub]),
+                          lambda: shift(piece, mk, sub))
                 continue
             options = surgery_options(sp, mk)
             for sub, k in subs:
                 base = THIRD * w * Fraction(k, 7)
+                parts = sp.parts(sub)
                 for kind, e, f, pb in options:
                     drops = surgery_drops(sp, sub, kind, f)
                     for dropped in drops:
-                        yield base * pb / len(drops), apply_surgery(
-                            sp, mk, sub, kind, e, f, dropped)
+                        kept = parts if dropped is None else tuple(sorted(
+                            tuple(x for x in p if x != dropped) if f in p else p
+                            for p in parts))
+                        visit(base * pb / len(drops), (mk, kind, f, kept),
+                              lambda: apply_surgery(sp, mk, sub, kind, e, f, dropped))
+    return states, visits
+
+
+def _interior_key(shifted: ShiftedSolution) -> tuple:
+    """The interior values of a state as an integer key: the max-entropy
+    fit reads nothing else."""
+    return _values_key(shifted.interior_values())
 
 
 class DegreePieceSampler:
@@ -312,21 +355,40 @@ class DegreePieceSampler:
         self.node_id = node_id
         self.params = params
         self.piece = piece
+        #: the max-entropy fits by interior values, kept for single draws
         self._me_cache: dict = {}
         # what single draws look up: per split piece its matchings, per
         # state its trees
         self._tables: dict = {}
         self._mi_mixture = None
         self._me_mixture = None
+        #: the states both walks build, by key, until the compile ends
+        self._built: dict = {}
+
+    @functools.cached_property
+    def _edge_ids(self) -> tuple[int, ...]:
+        """The interior edge ids every state's interior graph lists, in its
+        order: the positions of the max-entropy tree masks."""
+        return self.piece.internal_graph()[0].edge_ids
+
+    def _tree_sets(self, masks: np.ndarray) -> list[frozenset[int]]:
+        """Position masks as edge-id sets."""
+        ids = self._edge_ids
+        return [frozenset(ids[i] for i in bits(mask)) for mask in masks.tolist()]
 
     # -- cached per-state distributions -----------------------------------
 
-    def _me_fit(self, shifted: ShiftedSolution):
-        values = shifted.interior_values()
-        key = _values_key(values)
-        if key not in self._me_cache:
-            self._me_cache[key] = maxent_fit(shifted.interior_graph, values)
-        return self._me_cache[key]
+    def _me_fits(self, states: list[ShiftedSolution]) -> list:
+        """Each state's max-entropy fit; the fits not yet cached are made in
+        one ``maxent_fits`` call."""
+        keys = [_interior_key(sh) for sh in states]
+        todo: dict = {}
+        for key, sh in zip(keys, states):
+            if key not in self._me_cache and key not in todo:
+                todo[key] = sh
+        fits = maxent_fits([(sh.interior_graph, sh.interior_values()) for sh in todo.values()])
+        self._me_cache.update(zip(todo, fits))
+        return [self._me_cache[key] for key in keys]
 
     def _table(self, key, build) -> tuple:
         """(outcomes, their ``GuideTable``) under ``key``, by ``build()``
@@ -352,30 +414,29 @@ class DegreePieceSampler:
         return self._table(("mi", _values_key(shifted.values), shifted.parts), build)
 
     def _me_table(self, shifted: ShiftedSolution) -> tuple:
-        return self._table(("maxent", _values_key(shifted.interior_values())),
-                           lambda: maxent_tree_distribution(self._me_fit(shifted)))
+        def build():
+            (fit,) = self._me_fits([shifted])
+            masks, probs = maxent_tree_law(fit, self._edge_ids)
+            return tuple(self._tree_sets(masks)), probs
+
+        return self._table(("maxent", _interior_key(shifted)), build)
 
     # -- full mixtures ------------------------------------------------------
 
     def mi_mixture(self) -> dict[frozenset[int], Fraction]:
         if self._mi_mixture is None:
-            # each distinct state decomposed once, all of them in one batch;
-            # a state that fails raises at its first visit
-            index: dict = {}
-            states: list[ShiftedSolution] = []
-            visits: list[tuple[Fraction, int]] = []
-            for pr, shifted in _piece_states(self.piece, classes=True):
-                key = (_values_key(shifted.values), shifted.parts)
-                if key not in index:
-                    index[key] = len(states)
-                    states.append(shifted)
-                visits.append((pr, index[key]))
+            # each distinct state decomposed once, all of them in one batch,
+            # at the summed probability of its visits; a state that fails
+            # raises in the order of first visits
+            states, visits = _piece_states(self.piece, True, self._built)
+            prob: list = [0] * len(states)
+            for pr, i in visits:
+                prob[i] += pr
             weights = constrained_tree_weights(states)
             # per denominator of (state probability x tree weight), each
             # tree's integer numerator; one Fraction per tree at the end
             acc: dict[int, dict[int, int]] = {}
-            for pr, i in visits:
-                w = weights[i]
+            for pr, w in zip(prob, weights):
                 if isinstance(w, InfeasibleShift):
                     raise w
                 row = acc.setdefault(pr.denominator * w.denominator, {})
@@ -394,39 +455,52 @@ class DegreePieceSampler:
 
     def maxent_mixture(self) -> dict[frozenset[int], float]:
         if self._me_mixture is None:
-            acc: dict[frozenset[int], float] = {}
-            # each distinct fit's tree law once; not kept, as it is large
-            laws: dict = {}
-            for pr, shifted in _piece_states(self.piece, classes=False):
-                fit = self._me_fit(shifted)
-                if id(fit) not in laws:
-                    laws[id(fit)] = maxent_tree_distribution(fit)
-                trees, probs = laws[id(fit)]
-                fpr = float(pr)
-                for t, w in zip(trees, probs):
-                    acc[t] = acc.get(t, 0.0) + fpr * float(w)
-            self._me_mixture = acc
+            states, visits = _piece_states(self.piece, False, self._built)
+            fits = self._me_fits(states)
+            # each distinct fit's tree law once, as position masks; all the
+            # laws' trees indexed in one sorted array
+            law_of: dict[int, int] = {}
+            laws = []
+            for fit in fits:
+                if id(fit) not in law_of:
+                    law_of[id(fit)] = len(laws)
+                    laws.append(maxent_tree_law(fit, self._edge_ids))
+            masks, where = np.unique(np.concatenate([m for m, _ in laws]),
+                                     return_inverse=True)
+            starts = np.cumsum([0] + [len(m) for m, _ in laws])
+            # visit by visit, each tree's probability added in visit order
+            acc = np.zeros(len(masks))
+            for pr, i in visits:
+                j = law_of[id(fits[i])]
+                np.add.at(acc, where[starts[j]:starts[j + 1]], float(pr) * laws[j][1])
+            self._me_mixture = dict(zip(self._tree_sets(masks), acc.tolist()))
         return self._me_mixture
 
     def compiled(self) -> EnumeratedPieceSampler:
+        """The piece's tree mixture on its route mix.  Single draws read
+        only the tables and fits afterwards, so the mixtures are dropped."""
         lam = self.params.effective_lambda
         if lam == 0:
             mix = self.mi_mixture()
             trees = list(mix)
-            return EnumeratedPieceSampler(
+            out = EnumeratedPieceSampler(
                 self.piece, "degree", trees, [mix[t] for t in trees],
                 exact=True, generative=self._generative, node_id=self.node_id,
             )
-        me = self.maxent_mixture()
-        acc: dict[frozenset[int], float] = {t: float(lam) * p for t, p in me.items()}
-        if lam != 1:
-            for t, p in self.mi_mixture().items():
-                acc[t] = acc.get(t, 0.0) + float(1 - lam) * float(p)
-        trees = list(acc)
-        return EnumeratedPieceSampler(
-            self.piece, "degree", trees, [acc[t] for t in trees],
-            exact=False, generative=self._generative, node_id=self.node_id,
-        )
+        else:
+            me = self.maxent_mixture()
+            acc: dict[frozenset[int], float] = {t: float(lam) * p for t, p in me.items()}
+            if lam != 1:
+                for t, p in self.mi_mixture().items():
+                    acc[t] = acc.get(t, 0.0) + float(1 - lam) * float(p)
+            trees = list(acc)
+            out = EnumeratedPieceSampler(
+                self.piece, "degree", trees, [acc[t] for t in trees],
+                exact=False, generative=self._generative, node_id=self.node_id,
+            )
+        self._mi_mixture = self._me_mixture = None
+        self._built.clear()
+        return out
 
     # -- generative path ----------------------------------------------------
 

@@ -4,10 +4,10 @@ statistic suites.
 ``CompiledInstance`` builds each per-instance structure once for every
 command, and ``BatchEngine`` adds the chunk plans.  Trials are
 embarrassingly parallel, so the engine draws whole chunks of piece choices
-at once: each piece draws its own block of trials (``draw_block``; a
-tree-table piece by a guide-table lookup into its cdf), even-at-last
-flags and cut parities are XORs of whole edge rows (a chunk holds one row
-of trials per edge), and the join arithmetic runs in
+at once: each piece draws its own block of trials into the chunk's tree
+rows (``draw_rows``; a tree-table piece by a guide-table lookup into its
+cdf), even-at-last flags and cut parities are XORs of whole edge rows (a
+chunk holds one row of trials per edge), and the join arithmetic runs in
 integers after scaling every charge quantum by a common denominator (so
 feasibility checks are exact, not float).  Verification reads the
 min-cuts through the hierarchy and never lists them: one running
@@ -41,7 +41,6 @@ from .hierarchy import build_hierarchy
 from .join import (
     EDGE_KINDS,
     FLOOR,
-    QUARTER,
     ReductionParams,
     build_charge_sites,
     check_eal_bounds,
@@ -55,8 +54,8 @@ from .join import (
     min_cost_perfect_matching,
     verify_join,
 )
-from .params import (CORRELATION_BOUNDS, DEFAULT_MIX_LAMBDA, EAL_BOUNDS, EPSILON,
-                     TOUR_RATIO_BOUND)
+from .params import (CORRELATION_BOUNDS, DEFAULT_MIX_LAMBDA, EAL_BOUNDS, EPSILON, HALF,
+                     QUARTER, TOUR_RATIO_BOUND)
 from .pipeline import (
     CyclePieceSampler,
     SamplerParams,
@@ -447,8 +446,7 @@ class BatchEngine(CompiledInstance):
     def _draw_trees(self, n: int, rng: np.random.Generator) -> np.ndarray:
         T = np.zeros((self.m, n), dtype=bool)
         for nid in self.draw_order:
-            cols, block = self.samplers[nid].draw_block(n, rng)
-            T[cols] = block
+            self.samplers[nid].draw_rows(T, rng)
         return T
 
     def _eal_flags(self, T: np.ndarray) -> np.ndarray:
@@ -859,7 +857,7 @@ def is_half(marginal) -> bool:
     """An exact marginal of one half: equal as a ``Fraction``, within 1e-5
     as a float."""
     if isinstance(marginal, Fraction):
-        return marginal == Fraction(1, 2)
+        return marginal == HALF
     return bool(abs(marginal - 0.5) <= 1e-5)
 
 

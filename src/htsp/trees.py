@@ -6,12 +6,21 @@ a weighted-uniform distribution whose edge weights are fitted so marginals
 match the targets.  Cycle pieces and K5 pieces have their own elementary
 samplers (one edge per partner pair; a uniform Hamiltonian path).
 
+The matroid route has one entry point, ``constrained_tree_weights``: a
+piece's compile passes all its distinct states and a single draw one, and
+every state of every minor shape goes to ``decomp.decompose`` in one call.
+
 Fitting works on the minor obtained by contracting value-one edges and
 deleting value-zero edges.  Shifted vectors can sit on a face of the
 spanning-tree polytope (a vertex subset whose interior mass is already
 full), in which case the distribution factorizes: the fit recurses into
 the tight subset and its contraction, and sampling draws the components
-independently.
+independently.  ``maxent_fits`` plans every fit of a batch first, then
+fits all their components in one lockstep loop per vertex count, each
+component with its own float arithmetic and its own stopping round, so a
+batch gives every fit bit for bit as a fit on its own would.  A fit's
+tree law (``maxent_tree_law``) is a uint64 mask per tree over the piece's
+interior edge positions, with its probability.
 """
 
 from __future__ import annotations
@@ -196,7 +205,7 @@ class TreeWeights(NamedTuple):
 def _tree_state(shifted: ShiftedSolution) -> tuple[_Minor, _ShapeTables, DecompositionState]:
     """The minor of a shifted state, its shape and its own part rows."""
     g = shifted.interior_graph
-    values = shifted.interior_values()
+    values = shifted.values
     minor = contract_forced(g, values)
     mg = minor.graph
     tables = _shape_tables(mg.n, mg.endpoints)
@@ -210,9 +219,8 @@ def _tree_state(shifted: ShiftedSolution) -> tuple[_Minor, _ShapeTables, Decompo
         if mask:
             part_masks.append(mask)
 
-    keep = np.ones(len(tables.trees), dtype=bool)
-    for pm in part_masks:
-        keep &= np.bitwise_count(tables.trees & np.uint64(pm)) <= 1
+    keep = (np.bitwise_count(tables.trees[:, None] & np.array(part_masks, dtype=np.uint64))
+            <= 1).all(axis=1)
     if not keep.any():
         raise InfeasibleShift("no constrained spanning tree in the support")
     state = DecompositionState(tuple(values[eid] for eid in mg.edge_ids),
@@ -223,47 +231,49 @@ def _tree_state(shifted: ShiftedSolution) -> tuple[_Minor, _ShapeTables, Decompo
 def constrained_tree_weights(states: Sequence[ShiftedSolution]
                              ) -> list[Union[TreeWeights, InfeasibleShift]]:
     """Decompose each shifted interior vector over part-respecting trees,
-    the states of one minor shape together; a state the decomposition or
+    all the states in one ``decompose`` call; a state the decomposition or
     its marginal check rejects gets its ``InfeasibleShift``.  The one entry
     point of the matroid route: a piece's compile passes all its states, a
     single draw one.  Every tree holds the forced edges and no zero edge,
     and ``_rejections`` checks the minor's edges, so the trees of a state
     that passes reproduce its whole interior vector."""
     out: list = [None] * len(states)
-    groups: dict[tuple, tuple[_ShapeTables, list]] = {}
+    jobs: list[tuple[DecompositionShape, DecompositionState]] = []
+    minors: list[tuple[int, _Minor]] = []
     for i, shifted in enumerate(states):
         try:
             minor, tables, state = _tree_state(shifted)
         except InfeasibleShift as exc:
             out[i] = exc
             continue
-        key = (minor.graph.n, minor.graph.endpoints)
-        groups.setdefault(key, (tables, []))[1].append((i, minor, state))
-    for tables, members in groups.values():
-        shape = tables.decomposition
-        group = [state for _, _, state in members]
-        results = decompose(shape, group)
-        for (i, minor, _), r, exc in zip(members, results,
-                                         _rejections(shape, group, results)):
-            if exc is not None:
-                out[i] = exc
-                continue
-            bit = [1 << eid for eid in minor.edge_ids]
-            forced = sum(1 << eid for eid in minor.forced)
-            pairs = sorted(zip(r.order, r.numerators))
-            out[i] = TreeWeights(
-                tuple(forced + sum(bit[p] for p in bits(shape.cands[c])) for c, _ in pairs),
-                tuple(k for _, k in pairs), r.denominator)
+        jobs.append((tables.decomposition, state))
+        minors.append((i, minor))
+    results = decompose(jobs)
+    # a candidate of a minor as edge ids, once per call: states share minors
+    tree_of: dict[tuple[int, int], int] = {}
+    for (i, minor), (shape, _), r, exc in zip(minors, jobs, results,
+                                              _rejections(jobs, results)):
+        if exc is not None:
+            out[i] = exc
+            continue
+        pairs = sorted(zip(r.order, r.numerators))
+        for c, _ in pairs:
+            if (id(minor), c) not in tree_of:
+                tree_of[id(minor), c] = sum(1 << eid for eid in minor.forced) + sum(
+                    1 << minor.edge_ids[p] for p in bits(shape.cands[c]))
+        out[i] = TreeWeights(tuple(tree_of[id(minor), c] for c, _ in pairs),
+                             tuple(k for _, k in pairs), r.denominator)
     return out
 
 
-def _rejections(shape: DecompositionShape, states: Sequence[DecompositionState],
+def _rejections(jobs: Sequence[tuple[DecompositionShape, DecompositionState]],
                 results: Sequence[Union[Decomposition, DecompositionFailure]]
                 ) -> list[Optional[InfeasibleShift]]:
-    """Per state, the ``InfeasibleShift`` for a failed decomposition or for
-    weights that do not sum to one or do not reproduce the target as tree
-    marginals; None for a decomposition that passes.  The check runs on
-    the integer numerators of all the shape's decompositions at once."""
+    """Per (shape, state) job, the ``InfeasibleShift`` for a failed
+    decomposition or for weights that do not sum to one or do not
+    reproduce the target as tree marginals; None for a decomposition that
+    passes.  The check runs on the integer numerators of all the
+    decompositions at once, over the largest shape's edge positions."""
     out: list[Optional[InfeasibleShift]] = []
     for r in results:
         out.append(None)
@@ -273,16 +283,28 @@ def _rejections(shape: DecompositionShape, states: Sequence[DecompositionState],
     done = [j for j, r in enumerate(results) if isinstance(r, Decomposition)]
     if not done:
         return out
+    m = max(jobs[j][0].m for j in done)
+    sizes = [len(results[j].order) for j in done]
+    starts = np.cumsum([0] + sizes[:-1])
+    # the rows each decomposition took, gathered once per shape
+    rows: dict[int, tuple[DecompositionShape, list[int], list[int]]] = {}
+    for j, at, k in zip(done, starts.tolist(), sizes):
+        shape = jobs[j][0]
+        entry = rows.setdefault(id(shape), (shape, [], []))
+        entry[1].extend(results[j].order)
+        entry[2].extend(range(at, at + k))
+    chosen = np.zeros((sum(sizes), m), dtype=bool)
+    for shape, cands, where in rows.values():
+        chosen[where, :shape.m] = shape.member[cands]
     w = np.array([k for j in done for k in results[j].numerators], dtype=object)
-    starts = np.cumsum([0] + [len(results[j].order) for j in done[:-1]])
-    chosen = shape.member[[c for j in done for c in results[j].order]]
     marg = np.add.reduceat(chosen * w[:, None], starts, axis=0)
     sums = np.add.reduceat(w, starts).tolist()
     den = np.array([results[j].denominator for j in done], dtype=object)
-    tden = np.array([math.lcm(*(x.denominator for x in states[j].target)) for j in done],
-                    dtype=object)
-    tnum = np.array([[x.numerator * (q // x.denominator) for x in states[j].target]
-                     for j, q in zip(done, tden)], dtype=object).reshape(marg.shape)
+    targets = [jobs[j][1].integer_target for j in done]
+    tden = np.array([q for _, q in targets], dtype=object)
+    tnum = np.zeros(marg.shape, dtype=object)
+    for row, (nums, _) in zip(tnum, targets):
+        row[:len(nums)] = nums
     ok = (marg * tden[:, None] == tnum * den[:, None]).all(axis=1).tolist()
     for j, good, total, q in zip(done, ok, sums, den.tolist()):
         if total != q:
@@ -320,71 +342,159 @@ class MaxEntWeights:
         return max((c.fit_error for c in self.components), default=0.0)
 
 
-def _laplacian_minor_inverse(g: MultiGraph, w: Sequence[float]) -> np.ndarray:
-    lap = [[0.0] * g.n for _ in range(g.n)]
-    for x, (u, v) in zip(w, g.endpoints):
-        lap[u][u] += x
-        lap[v][v] += x
-        lap[u][v] -= x
-        lap[v][u] -= x
-    minor = np.array(lap)[:-1, :-1]
-    try:
-        return np.linalg.inv(minor)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown("singular weighted Laplacian minor") from exc
+class _FitPlan(NamedTuple):
+    """A fit before any weight is fitted: its components, each a graph
+    with its float targets in edge order, and the contracted and deleted
+    edges."""
+
+    components: tuple[tuple[MultiGraph, tuple[float, ...]], ...]
+    forced: tuple[int, ...]
+    zeros: tuple[int, ...]
 
 
-def _matrix_tree_marginals(g: MultiGraph, w: Sequence[float]) -> np.ndarray:
-    """Inclusion probability of each edge under the weighted-uniform law."""
-    # on Python floats: the same double arithmetic as numpy's, at a fraction
-    # of the cost of indexing numpy scalars
-    w = np.asarray(w, dtype=float).tolist()
-    inv = _laplacian_minor_inverse(g, w).tolist()
-    ground = g.n - 1
-    out = []
-    for x, (u, v) in zip(w, g.endpoints):
-        if v == ground:
-            u, v = v, u
-        if u == ground:
-            reff = inv[v][v]
-        else:
-            reff = inv[u][u] + inv[v][v] - 2 * inv[u][v]
-        out.append(x * reff)
-    return np.array(out)
-
-
-def _fit_component(g: MultiGraph, targets: Sequence[float], tol: float,
-                   max_rounds: int) -> MaxEntComponent:
-    t = np.asarray(targets, dtype=float)
-    w = np.ones(g.m)
-    err = np.inf
-    for _ in range(max_rounds):
-        marg = _matrix_tree_marginals(g, w)
-        if np.any(marg <= 0):
-            raise NumericalBreakdown("nonpositive marginal during fitting")
-        err = float(np.max(np.abs(marg / t - 1.0)))
-        if err <= tol:
-            break
-        w = w * (t / marg)
-        w = w / np.max(w)
-    else:
-        raise NonConvergence(f"fit error {err:.3e} after {max_rounds} rounds")
-    return MaxEntComponent(g, {eid: float(x) for eid, x in zip(g.edge_ids, w)}, err)
-
-
-def _find_tight_subset(g: MultiGraph, values: dict[int, Fraction]) -> Optional[tuple[int, ...]]:
-    # the values as numerators over their least common denominator
-    den = math.lcm(*(values[eid].denominator for eid in g.edge_ids))
-    nums = [values[eid].numerator * (den // values[eid].denominator) for eid in g.edge_ids]
+def _find_tight_subset(g: MultiGraph, nums: dict[int, int], den: int
+                       ) -> Optional[tuple[int, ...]]:
+    """The first vertex subset whose interior mass is full, on the values'
+    numerators over their common denominator ``den``."""
     for size in range(2, g.n):
         for sub in itertools.combinations(range(g.n), size):
             s = set(sub)
-            inside = sum(x for x, (u, v) in zip(nums, g.endpoints) if u in s and v in s)
+            inside = sum(nums[e] for e, (u, v) in zip(g.edge_ids, g.endpoints)
+                         if u in s and v in s)
             if inside == (size - 1) * den:
                 return sub
             if inside > (size - 1) * den:
                 raise BoundaryTarget("targets outside the spanning-tree polytope")
     return None
+
+
+def _plan_fit(interior_graph: MultiGraph, targets: dict[int, Fraction]) -> _FitPlan:
+    """Contract value-one edges, delete value-zero edges, then factor
+    across tight vertex subsets: each factor is a component to fit.  The
+    checks run on the targets' numerators over their least common
+    denominator."""
+    ids = interior_graph.edge_ids
+    dens = [targets[eid].denominator for eid in ids]
+    den = math.lcm(*dens)
+    nums = {eid: targets[eid].numerator * (den // d) for eid, d in zip(ids, dens)}
+    for eid in ids:
+        if not 0 <= nums[eid] <= den:
+            raise BoundaryTarget(f"target {targets[eid]} for edge {eid} outside [0,1]")
+    total = sum(nums.values())
+    if total != (interior_graph.n - 1) * den:
+        raise BoundaryTarget(
+            f"targets sum to {Fraction(total, den)}, need {interior_graph.n - 1}"
+        )
+    minor = _contract(interior_graph.n, ids, interior_graph.endpoints,
+                      tuple(sorted(eid for eid in ids if nums[eid] == den)),
+                      tuple(sorted(eid for eid in ids if nums[eid] == 0)))
+    components: list[tuple[MultiGraph, tuple[float, ...]]] = []
+
+    def rec(g: MultiGraph) -> None:
+        if g.n == 1 or g.m == 0:
+            return
+        sub = _find_tight_subset(g, nums, den)
+        if sub is None:
+            # a numerator over the common denominator gives the float of
+            # the target itself: int division rounds correctly
+            components.append((g, tuple(nums[eid] / den for eid in g.edge_ids)))
+            return
+        s = set(sub)
+        inner_edges = [
+            (eid, u, v) for eid, (u, v) in zip(g.edge_ids, g.endpoints)
+            if u in s and v in s
+        ]
+        renum = {old: i for i, old in enumerate(sorted(s))}
+        rec(MultiGraph(len(s), [(e, renum[u], renum[v]) for e, u, v in inner_edges]))
+        rec(g.contract(s)[0])
+
+    rec(minor.graph)
+    return _FitPlan(tuple(components), minor.forced, minor.zeros)
+
+
+def _fit_components(components: Sequence[tuple[MultiGraph, Sequence[float]]],
+                    tol: float, max_rounds: int) -> list[MaxEntComponent]:
+    """Fit every component by multiplicative updates with matrix-tree
+    marginals, the components of one vertex count in lockstep.
+
+    Per component and round, exactly the float operations of a fit on its
+    own: the weighted Laplacian summed cell by cell in edge order, its
+    minor inverted (one stacked call for the round), each edge's
+    effective resistance and marginal, the error, then the update and its
+    division by the largest weight.  A component stops at the first round
+    its error is within ``tol``.  Edges past a component's own are padded
+    as zero-weight loops at vertex 0, which add zero to the Laplacian."""
+    out: list = [None] * len(components)
+    groups: dict[int, list[int]] = {}
+    for i, (g, _) in enumerate(components):
+        groups.setdefault(g.n, []).append(i)
+    for n, idx in groups.items():
+        m = max(components[i][0].m for i in idx)
+        ends = np.zeros((len(idx), m, 2), dtype=np.intp)
+        valid = np.zeros((len(idx), m), dtype=bool)
+        t = np.ones((len(idx), m))
+        for b, i in enumerate(idx):
+            g, targets = components[i]
+            ends[b, :g.m] = g.endpoints
+            valid[b, :g.m] = True
+            t[b, :g.m] = targets
+        u, v = ends[:, :, 0], ends[:, :, 1]
+        # per edge the Laplacian cells uu, vv, uv, vu, in edge order
+        cells_r = np.stack([u, v, u, v], axis=2)
+        cells_c = np.stack([u, v, v, u], axis=2)
+        signs = np.array([1.0, 1.0, -1.0, -1.0])
+        w = np.where(valid, 1.0, 0.0)
+        err = np.full(len(idx), np.inf)
+        live = np.arange(len(idx))
+        for _ in range(max_rounds):
+            k = len(live)
+            lap = np.zeros((k, n, n))
+            at = np.broadcast_to(np.arange(k)[:, None, None], cells_r[live].shape)
+            np.add.at(lap, (at, cells_r[live], cells_c[live]),
+                      w[live][:, :, None] * signs)
+            inv = np.zeros((k, n, n))
+            try:
+                inv[:, :-1, :-1] = np.linalg.inv(lap[:, :-1, :-1])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalBreakdown("singular weighted Laplacian minor") from exc
+            # the ground row and column are zero: an edge at the ground
+            # reads its other end's diagonal entry alone
+            rows = np.arange(k)[:, None]
+            lu, lv = u[live], v[live]
+            reff = inv[rows, lu, lu] + inv[rows, lv, lv] - 2 * inv[rows, lu, lv]
+            marg = w[live] * reff
+            ok = valid[live]
+            if ((marg <= 0) & ok).any():
+                raise NumericalBreakdown("nonpositive marginal during fitting")
+            tl = t[live]
+            err[live] = np.where(ok, np.abs(marg / tl - 1.0), 0.0).max(axis=1)
+            going = err[live] > tol
+            live, marg, tl = live[going], marg[going], tl[going]
+            if not live.size:
+                break
+            nw = w[live] * (tl / np.where(valid[live], marg, 1.0))
+            w[live] = nw / nw.max(axis=1, keepdims=True)
+        else:
+            b = int(live[0])
+            raise NonConvergence(f"fit error {err[b]:.3e} after {max_rounds} rounds")
+        for b, i in enumerate(idx):
+            g = components[i][0]
+            out[i] = MaxEntComponent(g, dict(zip(g.edge_ids, w[b, :g.m].tolist())),
+                                     float(err[b]))
+    return out
+
+
+def maxent_fits(problems: Sequence[tuple[MultiGraph, dict[int, Fraction]]],
+                tolerance: float = FIT_TOLERANCE,
+                max_rounds: int = FIT_MAX_ROUNDS) -> list[MaxEntWeights]:
+    """Fit weighted-uniform tree weights matching each problem's target
+    marginals: every fit is planned first (contraction, tight-set
+    factoring), then all their components are fitted together."""
+    plans = [_plan_fit(g, targets) for g, targets in problems]
+    fitted = iter(_fit_components([c for p in plans for c in p.components],
+                                  tolerance, max_rounds))
+    return [MaxEntWeights(tuple(next(fitted) for _ in p.components), p.forced, p.zeros)
+            for p in plans]
 
 
 def maxent_fit(interior_graph: MultiGraph, targets: dict[int, Fraction],
@@ -396,74 +506,44 @@ def maxent_fit(interior_graph: MultiGraph, targets: dict[int, Fraction],
     factors across tight vertex subsets and fits each factor by
     multiplicative updates with matrix-tree marginals.
     """
-    for eid in interior_graph.edge_ids:
-        v = targets[eid]
-        if v < 0 or v > 1:
-            raise BoundaryTarget(f"target {v} for edge {eid} outside [0,1]")
-    total = sum((targets[eid] for eid in interior_graph.edge_ids), Fraction(0))
-    if total != interior_graph.n - 1:
-        raise BoundaryTarget(
-            f"targets sum to {total}, need {interior_graph.n - 1}"
-        )
-    minor = contract_forced(interior_graph, targets)
-    components: list[MaxEntComponent] = []
-
-    def rec(g: MultiGraph, vals: dict[int, Fraction]) -> None:
-        if g.n == 1 or g.m == 0:
-            return
-        sub = _find_tight_subset(g, vals)
-        if sub is None:
-            components.append(
-                _fit_component(g, [float(vals[eid]) for eid in g.edge_ids],
-                               tolerance, max_rounds)
-            )
-            return
-        s = set(sub)
-        inner_edges = [
-            (eid, u, v) for eid, (u, v) in zip(g.edge_ids, g.endpoints)
-            if u in s and v in s
-        ]
-        renum = {old: i for i, old in enumerate(sorted(s))}
-        inner = MultiGraph(len(s), [(e, renum[u], renum[v]) for e, u, v in inner_edges])
-        rec(inner, {e: vals[e] for e, _, _ in inner_edges})
-        contracted, _ = g.contract(s)
-        rec(contracted, {eid: vals[eid] for eid in contracted.edge_ids})
-
-    rec(minor.graph, {eid: targets[eid] for eid in minor.graph.edge_ids})
-    return MaxEntWeights(tuple(components), minor.forced, minor.zeros)
+    (fit,) = maxent_fits([(interior_graph, targets)], tolerance, max_rounds)
+    return fit
 
 
-def maxent_tree_distribution(fit: MaxEntWeights) -> tuple[tuple[frozenset[int], ...], np.ndarray]:
-    """Enumerated support and probabilities of the fitted distribution.
+@functools.lru_cache(maxsize=1024)
+def _tree_positions(n: int, endpoints: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The spanning trees of a graph shape, in enumeration order, each as
+    its ascending edge positions: one row per tree."""
+    masks = _spanning_tree_masks(n, endpoints)
+    pos = np.array([list(bits(mask)) for mask in masks], dtype=np.intp).reshape(len(masks), -1)
+    pos.flags.writeable = False  # shared by every caller of the cache
+    return pos
 
-    The product across components is exact up to float rounding; used by
-    the batch harness and by cross-validation against sequential sampling.
-    """
-    trees: list[frozenset[int]] = [frozenset(fit.forced)]
+
+def maxent_tree_law(fit: MaxEntWeights, edge_ids: Sequence[int]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Enumerated support and probabilities of the fitted distribution:
+    each tree as a uint64 mask over the positions of ``edge_ids``.
+
+    Trees run over the components' trees in enumeration order, the first
+    component outermost; a component tree's weight is the product of its
+    edge weights in ascending edge order, normalized over the component,
+    and a tree's probability the product of its components'."""
+    position = {eid: i for i, eid in enumerate(edge_ids)}
+    masks = np.array([sum(1 << position[e] for e in fit.forced)], dtype=np.uint64)
     probs = np.array([1.0])
     for c in fit.components:
-        masks = enumerate_spanning_trees(c.graph)
-        wvec = [c.weights[eid] for eid in c.graph.edge_ids]
-        cw = []
-        for mask in masks:
-            p = 1.0
-            for i in bits(mask):
-                p *= wvec[i]
-            cw.append(p)
-        cw = np.array(cw)
+        pos = _tree_positions(c.graph.n, c.graph.endpoints)
+        wvec = np.array([c.weights[eid] for eid in c.graph.edge_ids])
+        cw = np.ones(len(pos))
+        for j in range(pos.shape[1]):
+            cw *= wvec[pos[:, j]]
         cw = cw / cw.sum()
-        ids = [frozenset(c.graph.edge_ids[i] for i in bits(mask)) for mask in masks]
-        new_trees = []
-        new_probs = np.empty(len(trees) * len(masks))
-        k = 0
-        for t, tp in zip(trees, probs):
-            for tree, mp in zip(ids, cw):
-                new_trees.append(t | tree)
-                new_probs[k] = tp * mp
-                k += 1
-        trees = new_trees
-        probs = new_probs
-    return tuple(trees), probs
+        bit = np.array([1 << position[e] for e in c.graph.edge_ids], dtype=np.uint64)
+        cm = np.bitwise_or.reduce(bit[pos], axis=1)
+        masks = (masks[:, None] | cm[None, :]).ravel()
+        probs = (probs[:, None] * cw[None, :]).ravel()
+    return masks, probs
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ grid search over the parameter LP, the parameter LP by LAPACK and
 shortest-path metric with successors, the
 even-at-last probabilities by indicator patterns, the matroid-route mixture
 by per-class states and ``Fraction`` sums, a state's tree marginals over
-every interior edge), or reads a structure the package builds.
+every interior edge, the max-entropy fit one component at a time and its
+tree law as edge-id sets), or reads a structure the package builds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from htsp.errors import AssemblyError, InfeasibleShift, LpFailure
+from htsp.errors import (AssemblyError, InfeasibleShift, LpFailure, NonConvergence,
+                         NumericalBreakdown)
 from htsp.graph import MultiGraph, bits
 from htsp.matching import (
     MatchingDistribution,
@@ -38,10 +40,14 @@ from htsp.oracle import exact_expected_net_decrease
 from htsp.params import BETA_CAP, LpSolution, _bases, _constraints, decrease_forms
 from htsp.pipeline import CyclePieceSampler, _check_interior, _submask_of_class
 from htsp.trees import (
+    FIT_MAX_ROUNDS,
+    FIT_TOLERANCE,
+    MaxEntComponent,
     MaxEntWeights,
-    _matrix_tree_marginals,
+    _plan_fit,
     constrained_tree_weights,
     contract_forced,
+    enumerate_spanning_trees,
 )
 
 
@@ -111,9 +117,104 @@ def maxent_marginals(fit: MaxEntWeights) -> dict[int, float]:
     out.update({eid: 0.0 for eid in fit.zeros})
     for c in fit.components:
         w = [c.weights[eid] for eid in c.graph.edge_ids]
-        for eid, p in zip(c.graph.edge_ids, _matrix_tree_marginals(c.graph, w)):
+        for eid, p in zip(c.graph.edge_ids, matrix_tree_marginals(c.graph, w)):
             out[eid] = float(p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the max-entropy fit one component at a time and its tree law as frozensets:
+# the package's code before the fits of a piece went lockstep and the laws
+# to position masks
+# ---------------------------------------------------------------------------
+
+def _laplacian_minor_inverse(g: MultiGraph, w) -> np.ndarray:
+    lap = [[0.0] * g.n for _ in range(g.n)]
+    for x, (u, v) in zip(w, g.endpoints):
+        lap[u][u] += x
+        lap[v][v] += x
+        lap[u][v] -= x
+        lap[v][u] -= x
+    minor = np.array(lap)[:-1, :-1]
+    try:
+        return np.linalg.inv(minor)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown("singular weighted Laplacian minor") from exc
+
+
+def matrix_tree_marginals(g: MultiGraph, w) -> np.ndarray:
+    """Inclusion probability of each edge under the weighted-uniform law."""
+    w = np.asarray(w, dtype=float).tolist()
+    inv = _laplacian_minor_inverse(g, w).tolist()
+    ground = g.n - 1
+    out = []
+    for x, (u, v) in zip(w, g.endpoints):
+        if v == ground:
+            u, v = v, u
+        if u == ground:
+            reff = inv[v][v]
+        else:
+            reff = inv[u][u] + inv[v][v] - 2 * inv[u][v]
+        out.append(x * reff)
+    return np.array(out)
+
+
+def fit_component(g: MultiGraph, targets, tol: float = FIT_TOLERANCE,
+                  max_rounds: int = FIT_MAX_ROUNDS) -> MaxEntComponent:
+    """One component's fit by multiplicative updates, on its own."""
+    t = np.asarray(targets, dtype=float)
+    w = np.ones(g.m)
+    err = np.inf
+    for _ in range(max_rounds):
+        marg = matrix_tree_marginals(g, w)
+        if np.any(marg <= 0):
+            raise NumericalBreakdown("nonpositive marginal during fitting")
+        err = float(np.max(np.abs(marg / t - 1.0)))
+        if err <= tol:
+            break
+        w = w * (t / marg)
+        w = w / np.max(w)
+    else:
+        raise NonConvergence(f"fit error {err:.3e} after {max_rounds} rounds")
+    return MaxEntComponent(g, {eid: float(x) for eid, x in zip(g.edge_ids, w)}, err)
+
+
+def per_component_maxent_fit(interior_graph: MultiGraph, targets) -> MaxEntWeights:
+    """The package's plan of a fit (contraction, tight-set factoring), each
+    component fitted on its own."""
+    plan = _plan_fit(interior_graph, targets)
+    return MaxEntWeights(tuple(fit_component(g, t) for g, t in plan.components),
+                         plan.forced, plan.zeros)
+
+
+def maxent_tree_distribution(fit: MaxEntWeights) -> tuple[tuple[frozenset[int], ...], np.ndarray]:
+    """Enumerated support and probabilities of the fitted distribution, as
+    edge-id sets."""
+    trees: list[frozenset[int]] = [frozenset(fit.forced)]
+    probs = np.array([1.0])
+    for c in fit.components:
+        masks = enumerate_spanning_trees(c.graph)
+        wvec = [c.weights[eid] for eid in c.graph.edge_ids]
+        cw = []
+        for mask in masks:
+            p = 1.0
+            for i in bits(mask):
+                p *= wvec[i]
+            cw.append(p)
+        cw = np.array(cw)
+        cw = cw / cw.sum()
+        ids = [frozenset(c.graph.edge_ids[i] for i in bits(mask)) for mask in masks]
+        new_trees = []
+        new_probs = np.empty(len(trees) * len(masks))
+        k = 0
+        for t, tp in zip(trees, probs):
+            for tree, mp in zip(ids, cw):
+                new_trees.append(t | tree)
+                new_probs[k] = tp * mp
+                k += 1
+        trees = new_trees
+        probs = new_probs
+    return tuple(trees), probs
 
 
 def exact_expected_join_cost(ci) -> object:

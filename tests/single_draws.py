@@ -28,15 +28,13 @@ from htsp.matching import (
     shift,
     split_external,
 )
-from htsp.trees import (
-    MaxEntComponent,
-    MaxEntWeights,
-    _matrix_tree_marginals,
-    k5_paths,
-    maxent_fit,
+from htsp.trees import MaxEntComponent, MaxEntWeights, k5_paths
+from tests.reference import (
+    constrained_tree_distribution,
+    matrix_tree_marginals,
     maxent_tree_distribution,
+    per_component_maxent_fit,
 )
-from tests.reference import constrained_tree_distribution
 
 MARGINAL_GUARD = 1e-9
 
@@ -111,7 +109,7 @@ def degree_piece_draw(piece: LocalMultigraph, maxent_share: float,
     sub = 0 if use_maxent else select_submatching(split or piece, mk, rng)
     shifted = surgery_draw(split, mk, sub, rng) if odd else shift(piece, mk, sub)
     if use_maxent:
-        fit = maxent_fit(shifted.interior_graph, shifted.interior_values())
+        fit = per_component_maxent_fit(shifted.interior_graph, shifted.interior_values())
         trees, probs = maxent_tree_distribution(fit)
         i = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
         tree = trees[min(i, len(trees) - 1)]
@@ -141,7 +139,7 @@ def _sample_component(c: MaxEntComponent, rng: np.random.Generator) -> set[int]:
             break
         w = [c.weights[e] for e in cur.edge_ids]
         pos = cur.edge_index(eid)
-        p = float(_matrix_tree_marginals(cur, w)[pos])
+        p = float(matrix_tree_marginals(cur, w)[pos])
         if p < -MARGINAL_GUARD or p > 1 + MARGINAL_GUARD:
             raise NumericalBreakdown(f"conditional marginal {p} for edge {eid}")
         take = True if p >= 1 - 1e-12 else (False if p <= 1e-12 else rng.random() < p)

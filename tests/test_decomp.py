@@ -3,7 +3,7 @@
 Both must return equal weights in equal key order, and raise the same
 ``DecompositionFailure`` when the target is outside the polytope: the one-state
 ``exact_convex_decomposition`` as a call, and the batched ``decompose``
-state by state.
+(shape, state) job by job.
 """
 
 import sys
@@ -18,12 +18,13 @@ from htsp.graph import MultiGraph
 from htsp.errors import InfeasibleShift, NoPerfectMatching
 from htsp.matching import (_odd_set_lower_constraints, decompose_matchings,
                            enumerate_perfect_matchings)
-from htsp.pipeline import SamplerParams
+from htsp.pipeline import SamplerParams, _piece_states
 from htsp.stats import BatchEngine
 from htsp.trees import enumerate_spanning_trees
 from tests.conftest import ALL_FAMILIES, family_instance
 from tests.fraction_decomp import fraction_convex_decomposition
 from tests.reference import constrained_tree_distribution
+from tests.test_pipeline import degree_pieces
 from tests.test_trees import shifted_on
 
 
@@ -51,11 +52,11 @@ def kernel_outcome(shape: decomp.DecompositionShape, res) -> object:
             for i, k in zip(res.order, res.numerators)]
 
 
-def assert_block_same(shape: decomp.DecompositionShape, states) -> int:
-    """Compare the batched kernel with the Fraction greedy state by state;
-    the number of states both rejected."""
+def assert_jobs_same(jobs) -> int:
+    """Compare the batched kernel with the Fraction greedy on each (shape,
+    state) job; the number of states both rejected."""
     raised = 0
-    for state, res in zip(states, decomp.decompose(shape, states)):
+    for (shape, state), res in zip(jobs, decomp.decompose(jobs)):
         want = outcome(fraction_convex_decomposition, *per_state_args(shape, state))
         assert kernel_outcome(shape, res) == want
         raised += isinstance(want, tuple)
@@ -204,8 +205,36 @@ def test_a_wide_state_keeps_its_exact_weights_in_an_int64_block(monkeypatch):
     real = decomp._decompose_block
     monkeypatch.setattr(decomp, "_decompose_block",
                         lambda *a: blocks.append(len(a[-1])) or real(*a))
-    assert assert_block_same(shape, states) == 0
+    assert assert_jobs_same([(shape, state) for state in states]) == 0
     assert blocks == [len(states)]
+
+
+def test_a_mixed_shape_block_settles_each_state_on_its_own(monkeypatch):
+    """States of three small shapes share one block, padded to its largest
+    shape; the state pushed outside its polytope fails alone and every
+    other state gets the Fraction greedy's weights."""
+    rng = np.random.default_rng(21)
+    graphs = [MultiGraph(3, [(0, 0, 1), (1, 1, 2), (2, 0, 2), (3, 0, 1)]),
+              MultiGraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 0, 3), (4, 0, 2)]),
+              MultiGraph(4, [(i, u, v) for i, (u, v) in enumerate(
+                  [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])])]
+    jobs = []
+    for g in graphs:
+        shape = decomp.DecompositionShape(enumerate_spanning_trees(g), g.m,
+                                          subset_constraints(g))
+        for _ in range(3):
+            x = convex_point(rng, list(shape.cands), g.m)
+            jobs.append((shape, decomp.DecompositionState(tuple(x))))
+    bad = 4
+    shape, state = jobs[bad]
+    jobs[bad] = (shape, decomp.DecompositionState(tuple(outside(rng, list(state.target)))))
+    blocks = []
+    real = decomp._decompose_block
+    monkeypatch.setattr(decomp, "_decompose_block",
+                        lambda *a: blocks.append(len(a[0])) or real(*a))
+    assert assert_jobs_same(jobs) == 1
+    assert isinstance(decomp.decompose(jobs)[bad], decomp.DecompositionFailure)
+    assert blocks[0] == len(graphs)
 
 
 def test_conftest_random_4reg_is_the_slow_structure():
@@ -217,23 +246,30 @@ def test_conftest_random_4reg_is_the_slow_structure():
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_every_engine_decomposition_matches_the_fraction_greedy(family, monkeypatch):
+    """Every job of every ``decompose`` call an engine build makes gets the
+    Fraction greedy's outcome, and the tree jobs are the distinct
+    matroid-route states of the degree pieces, each once."""
     original = decomp.decompose
-    calls = []
+    tree_jobs = []
 
-    def both(shape, states):
-        got = original(shape, states)
-        for state, res in zip(states, got):
+    def both(jobs):
+        got = original(jobs)
+        for (shape, state), res in zip(jobs, got):
             want = outcome(fraction_convex_decomposition, *per_state_args(shape, state))
             assert kernel_outcome(shape, res) == want
-            calls.append(want)
+            if shape.upper:
+                tree_jobs.append(want)
         return got
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("htsp") and getattr(mod, "decompose", None) is original:
             monkeypatch.setattr(mod, "decompose", both)
-    BatchEngine(family_instance(family), SamplerParams(sampler="mix"))
+    inst = family_instance(family)
+    BatchEngine(inst, SamplerParams(sampler="mix"))
+    distinct = sum(len(_piece_states(piece, classes=True)[0]) for piece in degree_pieces(inst))
+    assert len(tree_jobs) == distinct
     if family in ("random-4reg", "zoo"):
-        assert calls
+        assert distinct
 
 
 def test_only_the_greedys_own_failures_become_typed_errors(monkeypatch):
@@ -244,7 +280,7 @@ def test_only_the_greedys_own_failures_become_typed_errors(monkeypatch):
     tri = MultiGraph(3, [(0, 0, 1), (1, 1, 2), (2, 0, 2)])
     shifted = shifted_on(tri, {e: Fraction(2, 3) for e in range(3)})
 
-    def failing(shape, row_caps, states):
+    def failing(shapes, which, states):
         return [decomp.DecompositionFailure("decomposition did not exhaust the target")
                 for _ in states]
 
@@ -257,7 +293,7 @@ def test_only_the_greedys_own_failures_become_typed_errors(monkeypatch):
 
     bug = ValueError("operands could not be broadcast together")
 
-    def broken(shape, row_caps, states):
+    def broken(shapes, which, states):
         raise bug
 
     monkeypatch.setattr(decomp, "_decompose_block", broken)

@@ -166,8 +166,8 @@ def test_mi_mixture_off_one_raises_assembly_error(monkeypatch):
                 key=lambda p: p.graph.n)
     real_states = pipeline._piece_states
     # the first state alone, at half its probability
-    monkeypatch.setattr(pipeline, "_piece_states", lambda p, classes: [
-        (Fraction(1, 2), next(iter(real_states(p, classes)))[1])])
+    monkeypatch.setattr(pipeline, "_piece_states", lambda p, classes, built: (
+        real_states(p, classes)[0][:1], [(Fraction(1, 2), 0)]))
     with pytest.raises(AssemblyError, match="sum to 1"):
         DegreePieceSampler(piece, SamplerParams(sampler="mi")).mi_mixture()
 
@@ -179,9 +179,9 @@ def test_mi_mixture_off_one_raises_assembly_error(monkeypatch):
 def test_mi_mixture_checks_each_state_s_tree_weights(weights, message, monkeypatch):
     # the batched compile checks the weights it mixes, not only the greedy
     piece = min(degree_pieces(family_instance("zoo")), key=lambda p: p.graph.n)
-    def fake(shape, states):
+    def fake(jobs):
         out = []
-        for s in states:
+        for _, s in jobs:
             order = tuple(int(i) for i in np.flatnonzero(s.alive)[:len(weights)])
             out.append(Decomposition(order, weights[:len(order)], 1))
         return out
@@ -203,45 +203,49 @@ def test_mi_mixture_equals_the_fraction_reference(name):
         assert mix == fraction_mi_mixture(piece)
 
 
-def _provenance_key(shifted):
-    return tuple(sorted(shifted.provenance.items()))
+def _state_key(shifted):
+    return pipeline._values_key(shifted.values), shifted.parts
 
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_a_state_of_several_color_classes_is_visited_and_decomposed_once(n, monkeypatch):
     (piece,) = [p for p in degree_pieces(family_instance("zoo")) if p.graph.n == n]
-    # each state once, at the summed probability of its color classes
+    # each state once, at the summed probability of its visits
     want: dict[tuple, Fraction] = {}
     for pr, sh in per_class_mi_states(piece):
-        key = _provenance_key(sh)
+        key = _state_key(sh)
         want[key] = want.get(key, 0) + pr
-    got = [(_provenance_key(sh), pr)
-           for pr, sh in pipeline._piece_states(piece, classes=True)]
-    assert len(got) < sum(1 for _ in per_class_mi_states(piece))
-    assert len({key for key, _ in got}) == len(got)
-    assert dict(got) == want
+    states, visits = pipeline._piece_states(piece, classes=True)
+    got: dict[tuple, Fraction] = {}
+    for pr, i in visits:
+        key = _state_key(states[i])
+        got[key] = got.get(key, 0) + pr
+    assert len(visits) < sum(1 for _ in per_class_mi_states(piece))
+    assert len({_state_key(sh) for sh in states}) == len(states)
+    assert got == want
     if n % 2 == 0:
         # the empty classes of a matching all give its unrestricted state
         dist = decompose_matchings(piece)
         mk, w = dist.masks[0], dist.weights[0]
         empty = sum(1 for c in seven_coloring(piece.graph, mk) if not c)
         assert empty >= 2
-        assert dict(got)[_provenance_key(shift(piece, mk, 0))] == w * Fraction(empty, 7)
+        assert got[_state_key(shift(piece, mk, 0))] == w * Fraction(empty, 7)
+    else:
+        # two surgery triggers at one boundary vertex visit one state
+        assert len(visits) > len(states)
     # one decomposition per distinct state, every distinct state decomposed
     calls: dict = {}
     real = pipeline.constrained_tree_weights
 
-    def counting(states):
-        for shifted in states:
-            key = (pipeline._values_key(shifted.values), shifted.parts)
-            calls[key] = calls.get(key, 0) + 1
-        return real(states)
+    def counting(batch):
+        for shifted in batch:
+            calls[_state_key(shifted)] = calls.get(_state_key(shifted), 0) + 1
+        return real(batch)
 
     monkeypatch.setattr(pipeline, "constrained_tree_weights", counting)
     DegreePieceSampler(piece, SamplerParams(sampler="mi")).mi_mixture()
     assert calls and set(calls.values()) == {1}
-    assert set(calls) == {(pipeline._values_key(sh.values), sh.parts)
-                          for _, sh in pipeline._piece_states(piece, classes=True)}
+    assert set(calls) == set(want)
 
 
 @pytest.mark.parametrize("n", [6, 7])

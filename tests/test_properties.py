@@ -7,8 +7,9 @@ full-flag run is infeasible, the batch even-at-last and reduction counts
 agree with the exact oracle's probabilities, and every degree piece's tree
 mixture equals the per-class ``Fraction`` reference.  Apart from these, a
 mix k/10^7 is drawn and the parameter LP's solution held to the reference
-solver's, and blocks of random tree and matching states are decomposed by
-the batched kernel and held to the Fraction greedy state by state, and
+solver's, and blocks of random tree and matching states over one to three
+shapes are decomposed by the batched kernel and held to the Fraction
+greedy state by state, and
 the min-cuts the hierarchy build keeps after contracting a listed shore
 are held to brute force on the contracted graph.
 """
@@ -30,7 +31,7 @@ from htsp.trees import enumerate_spanning_trees
 from tests.brute_min_cuts import brute_min_cuts
 from tests.reference import fraction_mi_mixture, solve_amounts as reference_solve_amounts
 from tests.test_decomp import (
-    assert_block_same,
+    assert_jobs_same,
     convex_point,
     outside,
     random_multigraph,
@@ -92,34 +93,37 @@ def test_solve_amounts_equals_the_reference(k):
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=8),
        st.booleans())
 def test_batched_kernel_equals_the_fraction_greedy_per_state(seed, size, trees):
-    """A block of random states of one shape, some pushed outside the
-    polytope: each state gets the Fraction greedy's weights, or fails where
-    it fails.  Tree states bring their own part rows and candidates;
-    matching states share the shape's odd-set rows."""
+    """A block of random states over one to three shapes, some pushed
+    outside the polytope: each state gets the Fraction greedy's weights, or
+    fails where it fails.  Tree states bring their own part rows and
+    candidates; matching states share their shape's odd-set rows."""
     rng = np.random.default_rng(seed)
-    while True:
-        if trees:
-            g = random_multigraph(rng, int(rng.integers(3, 7)))
-            shape = DecompositionShape(enumerate_spanning_trees(g), g.m, subset_constraints(g))
-        else:
-            g = random_multigraph(rng, int(rng.choice([2, 4, 6])))
-            cands = enumerate_perfect_matchings(g)
-            if not cands:
-                continue
-            shape = DecompositionShape(cands, g.m, (), _odd_set_lower_constraints(g))
-        break
-    states = []
-    for _ in range(size):
-        # each part may hold up to 1, 2 or 3 of its edges: a bound above
-        # one brings a step divisor the shape's own scale may lack
-        rows = [(p, int(rng.integers(1, 4))) for p in random_parts(rng, g.m)] if trees else []
-        alive = np.array([all((c & p).bit_count() <= b for p, b in rows) for c in shape.cands])
-        usable = [c for c, a in zip(shape.cands, alive) if a] or list(shape.cands)
-        x = convex_point(rng, usable, g.m)
-        if rng.random() < 0.3:
-            x = outside(rng, x)
-        states.append(DecompositionState(tuple(x), tuple(rows), alive))
-    assert_block_same(shape, states)
+    jobs = []
+    for _ in range(int(rng.integers(1, 4))):
+        while True:
+            if trees:
+                g = random_multigraph(rng, int(rng.integers(3, 7)))
+                shape = DecompositionShape(enumerate_spanning_trees(g), g.m,
+                                           subset_constraints(g))
+            else:
+                g = random_multigraph(rng, int(rng.choice([2, 4, 6])))
+                cands = enumerate_perfect_matchings(g)
+                if not cands:
+                    continue
+                shape = DecompositionShape(cands, g.m, (), _odd_set_lower_constraints(g))
+            break
+        for _ in range(size):
+            # each part may hold up to 1, 2 or 3 of its edges: a bound above
+            # one brings a step divisor the shape's own scale may lack
+            rows = [(p, int(rng.integers(1, 4))) for p in random_parts(rng, g.m)] if trees else []
+            alive = np.array([all((c & p).bit_count() <= b for p, b in rows)
+                              for c in shape.cands])
+            usable = [c for c, a in zip(shape.cands, alive) if a] or list(shape.cands)
+            x = convex_point(rng, usable, g.m)
+            if rng.random() < 0.3:
+                x = outside(rng, x)
+            jobs.append((shape, DecompositionState(tuple(x), tuple(rows), alive)))
+    assert_jobs_same(jobs)
 
 
 @settings(max_examples=40, deadline=None)

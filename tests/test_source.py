@@ -40,3 +40,17 @@ def test_guide_table_is_the_only_cdf_search():
             and id(node) not in inside
         ]
     assert found == []
+
+
+def test_one_matrix_inverse_site():
+    """The max-entropy fit inverts every round's Laplacian minors in one
+    stacked call: ``np.linalg.inv`` is written at exactly one place in the
+    package."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "inv"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+    ]
+    assert len(found) == 1, found

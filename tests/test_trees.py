@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import htsp.pipeline as pipeline
 import htsp.trees as trees
 from htsp.decomp import Decomposition
 from htsp.errors import BoundaryTarget, InfeasibleShift
@@ -18,7 +19,6 @@ from htsp.trees import (
     in_spanning_tree_polytope,
     k5_paths,
     maxent_fit,
-    maxent_tree_distribution,
 )
 from tests.conftest import ALL_FAMILIES, family_instance
 from tests.reference import (
@@ -27,7 +27,9 @@ from tests.reference import (
     constrained_tree_distribution,
     fraction_marginal_check,
     maxent_marginals,
+    maxent_tree_distribution,
     per_class_mi_states,
+    per_component_maxent_fit,
     spanning_tree_count,
     tree_marginals,
 )
@@ -38,6 +40,7 @@ from tests.single_draws import (
     sample_k5_path,
     select_submatching,
 )
+from tests.test_compiled_digests import instance
 from tests.test_pipeline import degree_pieces
 
 THIRD = Fraction(1, 3)
@@ -299,7 +302,6 @@ def test_mi_sample_draws_constrained_trees():
 
 def test_maxent_nonconvergence_and_breakdown():
     from htsp.errors import NonConvergence, NumericalBreakdown
-    from htsp.trees import _matrix_tree_marginals
 
     c4 = MultiGraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0)])
     targets = {0: Fraction(7, 10), 1: Fraction(7, 10), 2: Fraction(7, 10),
@@ -310,7 +312,7 @@ def test_maxent_nonconvergence_and_breakdown():
     # rejects it first), but the Laplacian guard still protects sampling
     disconnected = MultiGraph(4, [(0, 0, 1), (1, 0, 1), (2, 2, 3), (3, 2, 3)])
     with pytest.raises(NumericalBreakdown):
-        _matrix_tree_marginals(disconnected, [1.0, 1.0, 1.0, 1.0])
+        trees._fit_components([(disconnected, (0.5,) * 4)], 1e-6, 10)
 
 
 def test_tree_weights_off_one_raise_infeasible_shift():
@@ -323,8 +325,8 @@ def test_tree_marginals_off_target_raise_infeasible_shift(monkeypatch):
     # a decomposition that sums to 1 but puts all mass on one tree
     tri = MultiGraph(3, [(0, 0, 1), (1, 1, 2), (2, 0, 2)])
     sh = shifted_on(tri, {0: Fraction(2, 3), 1: Fraction(2, 3), 2: Fraction(2, 3)})
-    monkeypatch.setattr(trees, "decompose", lambda shape, states: [
-        Decomposition((int(np.flatnonzero(s.alive)[0]),), (1,), 1) for s in states])
+    monkeypatch.setattr(trees, "decompose", lambda jobs: [
+        Decomposition((int(np.flatnonzero(s.alive)[0]),), (1,), 1) for _, s in jobs])
     with pytest.raises(InfeasibleShift, match="marginals"):
         constrained_tree_distribution(sh)
 
@@ -338,8 +340,8 @@ def test_rejections_catch_corrupted_decompositions(family):
         for _, sh in itertools.islice(per_class_mi_states(piece), 0, None, 5):
             _, tables, state = trees._tree_state(sh)
             shape = tables.decomposition
-            (r,) = trees.decompose(shape, [state])
-            assert trees._rejections(shape, [state], [r]) == [None]
+            (r,) = trees.decompose([(shape, state)])
+            assert trees._rejections([(shape, state)], [r]) == [None]
             if len(r.order) < 2:
                 continue
             swapped = r.order[:-1] + ((r.order[-1] + 1) % len(shape.cands),)
@@ -349,7 +351,7 @@ def test_rejections_catch_corrupted_decompositions(family):
                 r._replace(order=r.order[:-1], numerators=r.numerators[:-1]),
                 r._replace(numerators=moved),
             ]
-            for verdict in trees._rejections(shape, [state] * len(variants), variants):
+            for verdict in trees._rejections([(shape, state)] * len(variants), variants):
                 assert isinstance(verdict, InfeasibleShift)
             checked += 1
     assert checked
@@ -360,10 +362,51 @@ def test_every_tree_weights_reproduces_its_state(family):
     """The compile's decompositions pass the oracles that re-check every
     interior edge: forced and zero edges as well as the minor's."""
     for piece in degree_pieces(family_instance(family)):
-        states = [sh for _, sh in _piece_states(piece, classes=True)]
+        states, _ = _piece_states(piece, classes=True)
         for sh, w in zip(states, constrained_tree_weights(states)):
             dist = ConstrainedTreeDistribution(
                 tuple(frozenset(bits(t)) for t in w.trees),
                 tuple(Fraction(k, w.denominator) for k in w.numerators))
             assert _marginals_reproduce(dist, sh.interior_values())
             fraction_marginal_check(sh, dist)
+
+
+@pytest.mark.parametrize("name", [*ALL_FAMILIES, *(f"random-4reg-12-{s}" for s in range(4))])
+def test_every_compiled_fit_and_tree_law_equals_the_per_component_reference(name, monkeypatch):
+    """Each fit a compile makes in lockstep, and each tree law it builds as
+    position masks, equals the one-component-at-a-time fit and the
+    edge-id-set law bit for bit: weights, fit errors, trees and
+    probabilities, in order."""
+    fits, laws = [], []
+    real_fits, real_law = pipeline.maxent_fits, pipeline.maxent_tree_law
+
+    def recording_fits(problems):
+        out = real_fits(problems)
+        fits.extend(zip(problems, out))
+        return out
+
+    def recording_law(fit, edge_ids):
+        masks, probs = real_law(fit, edge_ids)
+        laws.append((fit, edge_ids, masks, probs))
+        return masks, probs
+
+    monkeypatch.setattr(pipeline, "maxent_fits", recording_fits)
+    monkeypatch.setattr(pipeline, "maxent_tree_law", recording_law)
+    pipeline.build_piece_samplers(build_hierarchy(instance(name)),
+                                  pipeline.SamplerParams(sampler="maxent"))
+    assert bool(fits) == bool(degree_pieces(instance(name)))
+    for (graph, targets), fit in fits:
+        ref = per_component_maxent_fit(graph, targets)
+        assert (fit.forced, fit.zeros) == (ref.forced, ref.zeros)
+        assert len(fit.components) == len(ref.components)
+        for c, r in zip(fit.components, ref.components):
+            assert c.graph.edge_ids == r.graph.edge_ids
+            assert list(c.weights) == list(r.weights)
+            assert (np.array(list(c.weights.values())).tobytes()
+                    == np.array(list(r.weights.values())).tobytes())
+            assert np.float64(c.fit_error).tobytes() == np.float64(r.fit_error).tobytes()
+    assert bool(laws) == bool(fits)
+    for fit, edge_ids, masks, probs in laws:
+        want_trees, want_probs = maxent_tree_distribution(fit)
+        assert [frozenset(edge_ids[i] for i in bits(m)) for m in masks.tolist()] == list(want_trees)
+        assert probs.tobytes() == want_probs.tobytes()
