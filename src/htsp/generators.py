@@ -173,11 +173,19 @@ class _Builder:
         return inst
 
 
+#: side of the integer grid that the cost points are drawn from
+GRID = 200
+
+
 def _distinct_points(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """``n`` distinct points of the grid, drawn uniformly, repeats redrawn;
+    more than the grid holds fail before any draw."""
+    if n > GRID * GRID:
+        raise GenerationFailure(f"{n} distinct points do not fit a {GRID} x {GRID} grid")
     pts: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     while len(pts) < n:
-        p = (int(rng.integers(0, 200)), int(rng.integers(0, 200)))
+        p = (int(rng.integers(0, GRID)), int(rng.integers(0, GRID)))
         if p not in seen:
             seen.add(p)
             pts.append(p)
@@ -255,8 +263,9 @@ def generate_random_4reg(n: int, rng: np.random.Generator,
     Rejects draws with self-loops, triple-or-more parallel edges, or edge
     connectivity below 4.
     """
-    if n < 5:
-        raise GenerationFailure("random instances need at least 5 vertices")
+    if not 5 <= n <= GRID * GRID:
+        # checked before any draw: the cost points need n distinct grid points
+        raise GenerationFailure(f"random instances need 5 to {GRID * GRID} vertices, not {n}")
     for _ in range(max_tries):
         stubs: list[int] = [1, 1, 2, 2]  # u0/v0 each owe two more half-edges
         for v in range(3, n):

@@ -126,20 +126,6 @@ class MultiGraph:
         )
         return CutView(shore=s, edge_ids=ids, value=len(ids))
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for i in self._adj[v]:
-                w = self.other_end(i, v)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
-
     # -- contraction -----------------------------------------------------
 
     def contract(self, shore: Iterable[int]) -> tuple["MultiGraph", dict[int, int]]:

@@ -571,36 +571,3 @@ def build_cactus(h: CutHierarchy) -> Cactus:
             phi[min(nd.label)] = vert_of_node[nd.node_id]
     phi[root_orig] = vert_of_node[h.root_id]
     return Cactus(graph, phi, tuple(cycles))
-
-
-def cactus_min_cut_shores(cactus: Cactus, n_orig: int) -> set[frozenset[int]]:
-    """Pull every cactus min-cut back to a canonical original-vertex shore."""
-    g = cactus.graph
-    out: set[frozenset[int]] = set()
-    for cyc in cactus.cycles:
-        k = len(cyc)
-        for i in range(k):
-            for j in range(i + 1, k):
-                removed = {cyc[i], cyc[j]}
-                comp = _component_after_removal(g, removed)
-                shore = frozenset(
-                    v for v in range(n_orig) if cactus.phi[v] in comp
-                )
-                if 0 < len(shore) < n_orig:
-                    out.add(_canonical_shore(shore, n_orig))
-    return out
-
-
-def _component_after_removal(g: MultiGraph, removed_eids: set[int]) -> set[int]:
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for i in g.incident(v):
-            if g.edge_ids[i] in removed_eids:
-                continue
-            w = g.other_end(i, v)
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen

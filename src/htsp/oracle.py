@@ -11,8 +11,7 @@ compared against the guaranteed bounds without Monte Carlo error.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable
+import numpy as np
 
 from .hierarchy import CutHierarchy
 from .join import EdgeClass, event_probability
@@ -112,40 +111,23 @@ def correlation_tuples(piece) -> dict[str, list[tuple]]:
     return out
 
 
-def correlation_event_probability(sampler, piece, row: str, tup) -> tuple[object, Callable]:
-    """Exact probability of one correlation event plus its tree predicate."""
+def correlation_event_probability(sampler, piece, row: str, tup) -> tuple[object, np.ndarray]:
+    """Exact probability of one correlation event plus the event itself, a
+    bool row over the sampler's trees.  The trees hold interior edges
+    only, so a vertex's external edges count zero."""
     g = piece.graph
+    count = sampler.edge_counts
 
-    if row == "adjacent-pair-both":
-        f, gg = tup
-        pred = lambda t: f in t and gg in t
+    if row in ("adjacent-pair-both", "full-star-two-of-four"):
+        event = count(tup) == 2
     elif row == "adjacent-pair-exactly-first":
-        f, gg = tup
-        pred = lambda t: f in t and gg not in t
-    elif row == "full-star-two-of-four":
-        es = tup
-        pred = lambda t: sum(1 for e in es if e in t) == 2
+        event = (count(tup[:1]) == 1) & (count(tup[1:]) == 0)
     elif row == "full-star-split-pairs":
-        (a, b), (c, d) = tup
-        pred = lambda t: (int(a in t) + int(b in t) == 1) and (int(c in t) + int(d in t) == 1)
+        event = (count(tup[0]) == 1) & (count(tup[1]) == 1)
     elif row == "interior-edge-both-degree-two":
-        eid, u, v = tup
-        iu = [e for e in g.incident_ids(u)]
-        iv = [e for e in g.incident_ids(v)]
-        pred = lambda t: sum(1 for e in iu if e in t) == 2 and sum(1 for e in iv if e in t) == 2
+        event = (count(g.incident_ids(tup[1])) == 2) & (count(g.incident_ids(tup[2])) == 2)
     elif row == "boundary-edge-one-odd":
-        eid, u, v = tup
-        ext_ids = set(piece.external_edge_ids)
-        iu = [e for e in g.incident_ids(u) if e not in ext_ids]
-        iv = [e for e in g.incident_ids(v) if e not in ext_ids]
-        pred = lambda t: (sum(1 for e in iu if e in t) % 2) != (sum(1 for e in iv if e in t) % 2)
+        event = count(g.incident_ids(tup[1])) % 2 != count(g.incident_ids(tup[2])) % 2
     else:
         raise ValueError(row)
-
-    probs = sampler.exact_probs if sampler.exact_probs is not None else sampler.probs
-    total = Fraction(0)
-    for t, pr in zip(sampler.trees, probs):
-        if pred(t):
-            total = total + pr
-    return total, pred
-
+    return sampler.probability(event), event

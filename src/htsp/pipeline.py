@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -172,77 +172,93 @@ class GuideTable:
 
 
 class EnumeratedPieceSampler:
-    """Degree or K5 piece with a fully enumerated interior-tree mixture."""
+    """Degree or K5 piece with a fully enumerated interior-tree mixture.
 
-    def __init__(self, piece: LocalMultigraph, kind: str,
-                 trees: list[frozenset[int]], probs: list,
+    The trees are given as uint64 masks over the positions of ``edge_ids``
+    (ascending, as a piece's interior graph lists them) and kept only as
+    the table ``holds``: one row per edge id the trees use (``cols``), one
+    column per tree.  The trees run in the order of their ascending
+    edge-id lists; all have one size, so of two trees the one holding the
+    first edge where they differ comes first."""
+
+    def __init__(self, piece: LocalMultigraph, kind: str, edge_ids: Sequence[int],
+                 masks: np.ndarray, probs: Sequence,
                  exact: bool, generative, node_id: Optional[int] = None):
         self.piece = piece
         self.node_id = node_id
         self.kind = kind
-        order = sorted(range(len(trees)), key=lambda i: sorted(trees[i]))
-        self.trees = tuple(trees[i] for i in order)
-        raw = [probs[i] for i in order]
-        self.exact_probs: Optional[tuple[Fraction, ...]] = tuple(raw) if exact else None
-        self.probs = np.array([float(p) for p in raw])
-        self.probs = self.probs / self.probs.sum()
-        self.table = GuideTable(np.cumsum(self.probs))
-        self._generative = generative
-        if exact and sum(raw, Fraction(0)) != 1:
-            raise AssemblyError(f"{kind} piece tree probabilities do not sum to 1")
+        # one row per edge position, one column per tree
+        held = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8),
+                             axis=1, bitorder="little")[:, :len(edge_ids)].T.astype(bool)
+        order = np.lexsort(~held[::-1])
+        used = held.any(axis=1)
         #: the edges the trees use, and per edge which trees hold it: one
         #: contiguous row of trees per edge, so a block of draws is a take
         #: along each row
-        self.cols = np.array(sorted({e for t in self.trees for e in t}), dtype=np.intp)
-        self._col_of = {int(e): i for i, e in enumerate(self.cols)}
-        self.holds = np.zeros((len(self.cols), len(self.trees)), dtype=bool)
-        for i, t in enumerate(self.trees):
-            self.holds[[self._col_of[e] for e in t], i] = True
+        self.cols = np.asarray(edge_ids, dtype=np.intp)[used]
+        self._col_of = {e: i for i, e in enumerate(self.cols.tolist())}
+        self.holds = np.ascontiguousarray(held[used][:, order])
+        raw = np.asarray(probs)[order]
+        self.exact_probs: Optional[tuple[Fraction, ...]] = tuple(raw.tolist()) if exact else None
+        self.probs = raw.astype(float)
+        self.probs = self.probs / self.probs.sum()
+        self.table = GuideTable(np.cumsum(self.probs))
+        self._generative = generative
+        if exact and sum(self.exact_probs, Fraction(0)) != 1:
+            raise AssemblyError(f"{kind} piece tree probabilities do not sum to 1")
+
+    def tree(self, i: int) -> frozenset[int]:
+        """The edge ids of tree ``i``."""
+        return frozenset(self.cols[self.holds[:, i]].tolist())
+
+    @property
+    def trees(self) -> tuple[frozenset[int], ...]:
+        """Every tree as its edge ids, read off ``holds`` on each access."""
+        return tuple(map(self.tree, range(self.holds.shape[1])))
 
     def sample(self, rng: np.random.Generator) -> tuple[frozenset[int], dict]:
         if self._generative is not None:
             return self._generative(rng)
-        return self.trees[self.table.draw(rng)], {"mode": self.kind}
-
-    def draw_block(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """``n`` draws from the compiled mixture at once, by the lookup of
-        ``sample``: the edge ids ``cols`` and per id a row of trials saying
-        whether the drawn tree holds it."""
-        idx = self.table.lookup(rng.random(n))
-        return self.cols, np.take(self.holds, idx, axis=1)
+        return self.tree(self.table.draw(rng)), {"mode": self.kind}
 
     def draw_rows(self, T: np.ndarray, rng: np.random.Generator) -> None:
         """Draw a block of trials into ``T``, which holds one row of trials
-        per edge id: the rows of ``cols``."""
-        cols, block = self.draw_block(T.shape[1], rng)
-        T[cols] = block
+        per edge id, by the lookup of ``sample``: per edge of ``cols``,
+        whether each drawn tree holds it."""
+        T[self.cols] = np.take(self.holds, self.table.lookup(rng.random(T.shape[1])), axis=1)
+
+    def edge_counts(self, ids) -> np.ndarray:
+        """Per tree, how many of the edges ``ids`` it holds."""
+        return np.count_nonzero(self.holds[[self._col_of[e] for e in ids if e in self._col_of]],
+                                axis=0)
+
+    def probability(self, event: np.ndarray):
+        """The probability of the trees ``event`` marks, summed in tree
+        order; exact when the tree probabilities are."""
+        probs = self.exact_probs if self.exact_probs is not None else self.probs
+        return sum((probs[i] for i in np.flatnonzero(event).tolist()), Fraction(0))
 
     def parity_law(self, sets: list[set[int]]) -> dict[int, object]:
         """Law of the tree's parities on ``sets``, as in ``join.parity_law``;
         exact when the tree probabilities are."""
         probs = self.exact_probs if self.exact_probs is not None else self.probs
-        states = np.zeros(len(self.trees), dtype=np.int64)
+        states = np.zeros(len(self.probs), dtype=np.int64)
         for i, ids in enumerate(sets):
-            cols = [self._col_of[e] for e in ids if e in self._col_of]
-            states |= (np.count_nonzero(self.holds[cols], axis=0) & 1) << i
+            states |= (self.edge_counts(ids) & 1) << i
         law: dict[int, object] = {}
         for state, pr in zip(states.tolist(), probs):
             law[state] = law.get(state, 0) + pr
         return law
 
     def exact_marginal(self, eid: int):
-        if self.exact_probs is not None:
-            return sum(
-                (p for t, p in zip(self.trees, self.exact_probs) if eid in t),
-                Fraction(0),
-            )
-        return float(sum(p for t, p in zip(self.trees, self.probs) if eid in t))
+        p = self.probability(self.edge_counts([eid]))
+        return p if self.exact_probs is not None else float(p)
 
 
 def k5_sampler(piece: LocalMultigraph, node_id: Optional[int] = None) -> EnumeratedPieceSampler:
     paths = k5_paths(piece)
-    probs = [Fraction(1, len(paths))] * len(paths)
-    return EnumeratedPieceSampler(piece, "k5", paths, probs, exact=True,
+    return EnumeratedPieceSampler(piece, "k5", piece.internal_graph()[0].edge_ids, paths,
+                                  [Fraction(1, len(paths))] * len(paths), exact=True,
                                   generative=None, node_id=node_id)
 
 
@@ -360,21 +376,14 @@ class DegreePieceSampler:
         # what single draws look up: per split piece its matchings, per
         # state its trees
         self._tables: dict = {}
-        self._mi_mixture = None
-        self._me_mixture = None
         #: the states both walks build, by key, until the compile ends
         self._built: dict = {}
 
     @functools.cached_property
     def _edge_ids(self) -> tuple[int, ...]:
         """The interior edge ids every state's interior graph lists, in its
-        order: the positions of the max-entropy tree masks."""
+        order: the positions of every tree mask of the piece."""
         return self.piece.internal_graph()[0].edge_ids
-
-    def _tree_sets(self, masks: np.ndarray) -> list[frozenset[int]]:
-        """Position masks as edge-id sets."""
-        ids = self._edge_ids
-        return [frozenset(ids[i] for i in bits(mask)) for mask in masks.tolist()]
 
     # -- cached per-state distributions -----------------------------------
 
@@ -408,7 +417,7 @@ class DegreePieceSampler:
             (w,) = constrained_tree_weights([shifted])
             if isinstance(w, InfeasibleShift):
                 raise w
-            return (tuple(frozenset(bits(t)) for t in w.trees),
+            return (np.array(w.trees, dtype=np.uint64),
                     [k / w.denominator for k in w.numerators])
 
         return self._table(("mi", _values_key(shifted.values), shifted.parts), build)
@@ -416,89 +425,82 @@ class DegreePieceSampler:
     def _me_table(self, shifted: ShiftedSolution) -> tuple:
         def build():
             (fit,) = self._me_fits([shifted])
-            masks, probs = maxent_tree_law(fit, self._edge_ids)
-            return tuple(self._tree_sets(masks)), probs
+            return maxent_tree_law(fit, self._edge_ids)
 
         return self._table(("maxent", _interior_key(shifted)), build)
 
     # -- full mixtures ------------------------------------------------------
 
-    def mi_mixture(self) -> dict[frozenset[int], Fraction]:
-        if self._mi_mixture is None:
-            # each distinct state decomposed once, all of them in one batch,
-            # at the summed probability of its visits; a state that fails
-            # raises in the order of first visits
-            states, visits = _piece_states(self.piece, True, self._built)
-            prob: list = [0] * len(states)
-            for pr, i in visits:
-                prob[i] += pr
-            weights = constrained_tree_weights(states)
-            # per denominator of (state probability x tree weight), each
-            # tree's integer numerator; one Fraction per tree at the end
-            acc: dict[int, dict[int, int]] = {}
-            for pr, w in zip(prob, weights):
-                if isinstance(w, InfeasibleShift):
-                    raise w
-                row = acc.setdefault(pr.denominator * w.denominator, {})
-                for t, k in zip(w.trees, w.numerators):
-                    row[t] = row.get(t, 0) + pr.numerator * k
-            den = math.lcm(*acc)
-            total: dict[int, int] = {}
-            for d, row in acc.items():
-                for t, k in row.items():
-                    total[t] = total.get(t, 0) + k * (den // d)
-            if sum(total.values()) != den:
-                raise AssemblyError("matroid-route tree mixture does not sum to 1")
-            self._mi_mixture = {frozenset(bits(t)): Fraction(k, den)
-                                for t, k in total.items()}
-        return self._mi_mixture
+    def mi_mixture(self) -> tuple[np.ndarray, np.ndarray]:
+        """The matroid route's trees as position masks and their exact
+        probabilities, ``Fraction``s in an object array.  Each distinct
+        state is decomposed once, all of them in one batch, at the summed
+        probability of its visits; a state that fails raises in the order
+        of first visits.  The sums run on integer numerators over one
+        common denominator."""
+        states, visits = _piece_states(self.piece, True, self._built)
+        prob: list = [0] * len(states)
+        for pr, i in visits:
+            prob[i] += pr
+        weights = constrained_tree_weights(states)
+        for w in weights:
+            if isinstance(w, InfeasibleShift):
+                raise w
+        den = math.lcm(*(pr.denominator * w.denominator for pr, w in zip(prob, weights)))
+        total: dict[int, int] = {}
+        for pr, w in zip(prob, weights):
+            scale = pr.numerator * (den // (pr.denominator * w.denominator))
+            for t, k in zip(w.trees, w.numerators):
+                total[t] = total.get(t, 0) + scale * k
+        if sum(total.values()) != den:
+            raise AssemblyError("matroid-route tree mixture does not sum to 1")
+        return (np.array(list(total), dtype=np.uint64),
+                np.array([Fraction(k, den) for k in total.values()], dtype=object))
 
-    def maxent_mixture(self) -> dict[frozenset[int], float]:
-        if self._me_mixture is None:
-            states, visits = _piece_states(self.piece, False, self._built)
-            fits = self._me_fits(states)
-            # each distinct fit's tree law once, as position masks; all the
-            # laws' trees indexed in one sorted array
-            law_of: dict[int, int] = {}
-            laws = []
-            for fit in fits:
-                if id(fit) not in law_of:
-                    law_of[id(fit)] = len(laws)
-                    laws.append(maxent_tree_law(fit, self._edge_ids))
-            masks, where = np.unique(np.concatenate([m for m, _ in laws]),
-                                     return_inverse=True)
-            starts = np.cumsum([0] + [len(m) for m, _ in laws])
-            # visit by visit, each tree's probability added in visit order
-            acc = np.zeros(len(masks))
-            for pr, i in visits:
-                j = law_of[id(fits[i])]
-                np.add.at(acc, where[starts[j]:starts[j + 1]], float(pr) * laws[j][1])
-            self._me_mixture = dict(zip(self._tree_sets(masks), acc.tolist()))
-        return self._me_mixture
+    def maxent_mixture(self) -> tuple[np.ndarray, np.ndarray]:
+        """The max-entropy route's trees as ascending position masks and
+        their float probabilities, each added visit by visit."""
+        states, visits = _piece_states(self.piece, False, self._built)
+        fits = self._me_fits(states)
+        # each distinct fit's tree law once; all the laws' trees indexed in
+        # one sorted array
+        law_of: dict[int, int] = {}
+        laws = []
+        for fit in fits:
+            if id(fit) not in law_of:
+                law_of[id(fit)] = len(laws)
+                laws.append(maxent_tree_law(fit, self._edge_ids))
+        masks, where = np.unique(np.concatenate([m for m, _ in laws]), return_inverse=True)
+        starts = np.cumsum([0] + [len(m) for m, _ in laws])
+        acc = np.zeros(len(masks))
+        for pr, i in visits:
+            j = law_of[id(fits[i])]
+            np.add.at(acc, where[starts[j]:starts[j + 1]], float(pr) * laws[j][1])
+        return masks, acc
 
     def compiled(self) -> EnumeratedPieceSampler:
         """The piece's tree mixture on its route mix.  Single draws read
-        only the tables and fits afterwards, so the mixtures are dropped."""
+        only the tables and fits afterwards, so the walk's states are
+        dropped."""
         lam = self.params.effective_lambda
         if lam == 0:
-            mix = self.mi_mixture()
-            trees = list(mix)
-            out = EnumeratedPieceSampler(
-                self.piece, "degree", trees, [mix[t] for t in trees],
-                exact=True, generative=self._generative, node_id=self.node_id,
-            )
+            masks, probs = self.mi_mixture()
         else:
-            me = self.maxent_mixture()
-            acc: dict[frozenset[int], float] = {t: float(lam) * p for t, p in me.items()}
+            masks, probs = self.maxent_mixture()
+            probs = float(lam) * probs
             if lam != 1:
-                for t, p in self.mi_mixture().items():
-                    acc[t] = acc.get(t, 0.0) + float(1 - lam) * float(p)
-            trees = list(acc)
-            out = EnumeratedPieceSampler(
-                self.piece, "degree", trees, [acc[t] for t in trees],
-                exact=False, generative=self._generative, node_id=self.node_id,
-            )
-        self._mi_mixture = self._me_mixture = None
+                # the routes mixed tree by tree: the max-entropy share first
+                mi_masks, mi_probs = self.mi_mixture()
+                masks, where = np.unique(np.concatenate([masks, mi_masks]),
+                                         return_inverse=True)
+                acc = np.zeros(len(masks))
+                acc[where[:len(probs)]] = probs
+                acc[where[len(probs):]] += float(1 - lam) * mi_probs.astype(float)
+                probs = acc
+        out = EnumeratedPieceSampler(
+            self.piece, "degree", self._edge_ids, masks, probs, exact=lam == 0,
+            generative=self._generative, node_id=self.node_id,
+        )
         self._built.clear()
         return out
 
@@ -522,9 +524,9 @@ class DegreePieceSampler:
         shifted = odd_surgery(sp, mk, sub, rng) if odd else shift(piece, mk, sub)
         # drawing from the enumerated max-entropy law is equal in law to
         # sequential conditioning and much cheaper per trial
-        trees, table = (self._me_table if use_maxent else self._mi_table)(shifted)
-        return (trees[table.draw(rng)],
-                dict(shifted.provenance, mode="maxent" if use_maxent else "mi"))
+        masks, table = (self._me_table if use_maxent else self._mi_table)(shifted)
+        tree = frozenset(self._edge_ids[i] for i in bits(int(masks[table.draw(rng)])))
+        return tree, dict(shifted.provenance, mode="maxent" if use_maxent else "mi")
 
 
 PieceSampler = Union[CyclePieceSampler, EnumeratedPieceSampler]

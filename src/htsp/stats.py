@@ -788,24 +788,19 @@ class PieceBatch:
             self.sampler = DegreePieceSampler(piece, sampler_params).compiled()
         self.piece = piece
 
-    def event_counts(self, events: Sequence, trials: int, seed: int,
+    def event_counts(self, events: Sequence[np.ndarray], trials: int, seed: int,
                      chunk: int = 1 << 16) -> np.ndarray:
+        """Per event, a bool row over the sampler's trees, the number of
+        trials whose drawn tree it marks: the draws counted per tree, then
+        summed under each event."""
         check_positive(trials=trials, chunk=chunk)
-        mat = np.zeros((len(self.sampler.trees), len(events)), dtype=bool)
-        for i, t in enumerate(self.sampler.trees):
-            for j, pred in enumerate(events):
-                mat[i, j] = pred(t)
-        counts = np.zeros(len(events), dtype=np.int64)
-        done = 0
-        idx = 0
-        while done < trials:
-            k = min(chunk, trials - done)
+        k_trees = len(self.sampler.probs)
+        hits = np.zeros(k_trees, dtype=np.int64)
+        for idx, done in enumerate(range(0, trials, chunk)):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-            draws = self.sampler.table.lookup(rng.random(k))
-            counts += mat[draws].sum(0)
-            done += k
-            idx += 1
-        return counts
+            draws = self.sampler.table.lookup(rng.random(min(chunk, trials - done)))
+            hits += np.bincount(draws, minlength=k_trees)
+        return np.array(events, dtype=np.int64).reshape(len(events), k_trees) @ hits
 
 
 def suite_correlations(piece, sampler: str, trials: int, seed: int,
@@ -813,22 +808,13 @@ def suite_correlations(piece, sampler: str, trials: int, seed: int,
     """Joint-inclusion lower bounds for every qualifying edge tuple."""
     from .oracle import correlation_event_probability, correlation_tuples
 
-    sp = SamplerParams(sampler=sampler)
-    batch = PieceBatch(piece, sp)
+    batch = PieceBatch(piece, SamplerParams(sampler=sampler))
     bounds = CORRELATION_BOUNDS[sampler]
-    tuples = correlation_tuples(piece)
     report = StatReport(meta={"piece": piece_label, "sampler": sampler, "trials": trials})
-    events = []
-    labels = []
-    exacts = []
-    for row, tups in tuples.items():
-        for tup in tups:
-            exact, pred = correlation_event_probability(batch.sampler, piece, row, tup)
-            events.append(pred)
-            labels.append((row, tup))
-            exacts.append(exact)
-    counts = batch.event_counts(events, trials, seed)
-    for (row, tup), cnt, exact in zip(labels, counts, exacts):
+    rows = [(row, tup, *correlation_event_probability(batch.sampler, piece, row, tup))
+            for row, tups in correlation_tuples(piece).items() for tup in tups]
+    counts = batch.event_counts([event for *_, event in rows], trials, seed)
+    for (row, tup, exact, _), cnt in zip(rows, counts):
         report.rows.append(
             lower_row("correlations", row, sampler, f"{piece_label}:{tup}",
                       bounds[row], int(cnt), trials)
@@ -1111,6 +1097,13 @@ def run_suite(cfg: ExperimentConfig) -> StatReport:
     if cfg.suite not in ("all", "correlations", *SUITE_FLAGS):
         raise ConfigError(f"unknown suite {cfg.suite!r}")
     check_positive(trials=cfg.trials)
+    if cfg.piece and cfg.suite != "correlations":
+        raise ConfigError(f"piece {cfg.piece!r} runs only the correlations suite, "
+                          f"not {cfg.suite!r}")
+    sources = [name for name in ("instance", "family", "piece") if getattr(cfg, name)]
+    if len(sources) > 1:
+        raise ConfigError(f"config names more than one source ({', '.join(sources)}): "
+                          "give one")
     report = StatReport(meta={
         "suite": cfg.suite, "sampler": cfg.sampler, "trials": cfg.trials,
         "seed": cfg.seed,

@@ -20,7 +20,8 @@ fits all their components in one lockstep loop per vertex count, each
 component with its own float arithmetic and its own stopping round, so a
 batch gives every fit bit for bit as a fit on its own would.  A fit's
 tree law (``maxent_tree_law``) is a uint64 mask per tree over the piece's
-interior edge positions, with its probability.
+interior edge positions, with its probability; the matroid route's trees
+(``TreeWeights``) and the K5 paths are masks over the same positions.
 """
 
 from __future__ import annotations
@@ -89,26 +90,6 @@ def _spanning_tree_masks(n: int, endpoints: tuple[tuple[int, int], ...]) -> tupl
                 mask |= 1 << i
             out.append(mask)
     return tuple(out)
-
-
-def in_spanning_tree_polytope(g: MultiGraph, values: dict[int, Fraction]) -> bool:
-    """Exact membership check by enumerating all vertex-subset constraints."""
-    total = sum((values[eid] for eid in g.edge_ids), Fraction(0))
-    if total != g.n - 1:
-        return False
-    if any(values[eid] < 0 for eid in g.edge_ids):
-        return False
-    for size in range(2, g.n):
-        for sub in itertools.combinations(range(g.n), size):
-            s = set(sub)
-            inside = sum(
-                (values[eid] for eid, (u, v) in zip(g.edge_ids, g.endpoints)
-                 if u in s and v in s),
-                Fraction(0),
-            )
-            if inside > size - 1:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -192,10 +173,10 @@ def _shape_tables(n: int, endpoints: tuple[tuple[int, int], ...]) -> _ShapeTable
 
 
 class TreeWeights(NamedTuple):
-    """A shifted state's exact tree distribution: each tree as a mask with
-    bit ``eid`` set for each of its edge ids, the weights as numerators over
-    their least common ``denominator``, trees in ascending order of their
-    masks over the minor's edge positions."""
+    """A shifted state's exact tree distribution: each tree as a mask over
+    the positions of its interior graph's edge ids, the weights as
+    numerators over their least common ``denominator``, trees in ascending
+    order of their masks over the minor's edge positions."""
 
     trees: tuple[int, ...]
     numerators: tuple[int, ...]
@@ -249,18 +230,25 @@ def constrained_tree_weights(states: Sequence[ShiftedSolution]
         jobs.append((tables.decomposition, state))
         minors.append((i, minor))
     results = decompose(jobs)
-    # a candidate of a minor as edge ids, once per call: states share minors
+    # per minor, its forced edges and each edge as interior positions; a
+    # candidate of a minor as an interior mask, once per call: states share
+    # minors
+    lift: dict[int, tuple[int, list[int]]] = {}
     tree_of: dict[tuple[int, int], int] = {}
     for (i, minor), (shape, _), r, exc in zip(minors, jobs, results,
                                               _rejections(jobs, results)):
         if exc is not None:
             out[i] = exc
             continue
+        if id(minor) not in lift:
+            pos = {eid: p for p, eid in enumerate(states[i].interior_graph.edge_ids)}
+            lift[id(minor)] = (sum(1 << pos[eid] for eid in minor.forced),
+                               [1 << pos[eid] for eid in minor.edge_ids])
+        forced, bit = lift[id(minor)]
         pairs = sorted(zip(r.order, r.numerators))
         for c, _ in pairs:
             if (id(minor), c) not in tree_of:
-                tree_of[id(minor), c] = sum(1 << eid for eid in minor.forced) + sum(
-                    1 << minor.edge_ids[p] for p in bits(shape.cands[c]))
+                tree_of[id(minor), c] = forced + sum(bit[p] for p in bits(shape.cands[c]))
         out[i] = TreeWeights(tuple(tree_of[id(minor), c] for c, _ in pairs),
                              tuple(k for _, k in pairs), r.denominator)
     return out
@@ -550,20 +538,17 @@ def maxent_tree_law(fit: MaxEntWeights, edge_ids: Sequence[int]
 # elementary piece samplers
 # ---------------------------------------------------------------------------
 
-def k5_paths(piece: LocalMultigraph) -> list[frozenset[int]]:
-    """The twelve Hamiltonian paths of the K4 interior, as edge-id sets."""
-    interior, mapping = piece.internal_graph()
+def k5_paths(piece: LocalMultigraph) -> np.ndarray:
+    """The twelve Hamiltonian paths of the K4 interior, as uint64 masks over
+    its interior edge positions."""
+    interior, _ = piece.internal_graph()
     if interior.n != 4 or interior.m != 6:
         raise AssemblyError(
             f"K5 piece interior has {interior.n} vertices and {interior.m} edges, not K4"
         )
-    edge_of = {}
-    for eid, (u, v) in zip(interior.edge_ids, interior.endpoints):
-        edge_of[(u, v)] = eid
-        edge_of[(v, u)] = eid
-    out = []
-    for perm in itertools.permutations(range(4)):
-        if perm[0] > perm[-1]:
-            continue
-        out.append(frozenset(edge_of[(a, b)] for a, b in zip(perm, perm[1:])))
-    return sorted(out, key=sorted)
+    pos_of = {}
+    for i, (u, v) in enumerate(interior.endpoints):
+        pos_of[u, v] = pos_of[v, u] = i
+    return np.array([sum(1 << pos_of[a, b] for a, b in zip(perm, perm[1:]))
+                     for perm in itertools.permutations(range(4)) if perm[0] < perm[-1]],
+                    dtype=np.uint64)

@@ -9,11 +9,14 @@ shortest-path metric with successors, the
 even-at-last probabilities by indicator patterns, the matroid-route mixture
 by per-class states and ``Fraction`` sums, a state's tree marginals over
 every interior edge, the max-entropy fit one component at a time and its
-tree law as edge-id sets), or reads a structure the package builds.
+tree law as edge-id sets, connectivity by a graph search, the cactus
+min-cuts by removing cycle-edge pairs, spanning-tree polytope membership
+by every vertex subset), or reads a structure the package builds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +27,7 @@ import numpy as np
 from htsp.errors import (AssemblyError, InfeasibleShift, LpFailure, NonConvergence,
                          NumericalBreakdown)
 from htsp.graph import MultiGraph, bits
+from htsp.hierarchy import Cactus, _canonical_shore
 from htsp.matching import (
     MatchingDistribution,
     ShiftedSolution,
@@ -57,6 +61,78 @@ def edge_ids_of(dist: MatchingDistribution, mask: int) -> frozenset[int]:
     return frozenset(g.edge_ids[i] for i in range(g.m) if (mask >> i) & 1)
 
 
+def tree_sets(masks, edge_ids) -> list[frozenset[int]]:
+    """Trees given as masks over the positions of ``edge_ids``, as edge-id
+    sets."""
+    return [frozenset(edge_ids[i] for i in bits(int(m))) for m in masks]
+
+
+def is_connected(g: MultiGraph) -> bool:
+    """Whether every vertex is reached from vertex 0."""
+    seen = {0} if g.n else set()
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for i in g.incident(v):
+            w = g.other_end(i, v)
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
+def _component_after_removal(g: MultiGraph, removed_eids: set[int]) -> set[int]:
+    """The vertices vertex 0 reaches without the edges ``removed_eids``."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for i in g.incident(v):
+            if g.edge_ids[i] in removed_eids:
+                continue
+            w = g.other_end(i, v)
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def cactus_min_cut_shores(cactus: Cactus, n_orig: int) -> set[frozenset[int]]:
+    """Pull every cactus min-cut (two edges of one cycle) back to a
+    canonical original-vertex shore."""
+    g = cactus.graph
+    out: set[frozenset[int]] = set()
+    for cyc in cactus.cycles:
+        k = len(cyc)
+        for i in range(k):
+            for j in range(i + 1, k):
+                comp = _component_after_removal(g, {cyc[i], cyc[j]})
+                shore = frozenset(v for v in range(n_orig) if cactus.phi[v] in comp)
+                if 0 < len(shore) < n_orig:
+                    out.add(_canonical_shore(shore, n_orig))
+    return out
+
+
+def in_spanning_tree_polytope(g: MultiGraph, values: dict[int, Fraction]) -> bool:
+    """Exact membership check by enumerating all vertex-subset constraints."""
+    total = sum((values[eid] for eid in g.edge_ids), Fraction(0))
+    if total != g.n - 1:
+        return False
+    if any(values[eid] < 0 for eid in g.edge_ids):
+        return False
+    for size in range(2, g.n):
+        for sub in itertools.combinations(range(g.n), size):
+            s = set(sub)
+            inside = sum(
+                (values[eid] for eid, (u, v) in zip(g.edge_ids, g.endpoints)
+                 if u in s and v in s),
+                Fraction(0),
+            )
+            if inside > size - 1:
+                return False
+    return True
+
+
 def part_sums(sh: ShiftedSolution) -> list[Fraction]:
     """The value each part of a shifted solution carries."""
     return [sum((sh.values[e] for e in p), Fraction(0)) for p in sh.parts]
@@ -65,7 +141,7 @@ def part_sums(sh: ShiftedSolution) -> list[Fraction]:
 def stoer_wagner_connectivity(g: MultiGraph) -> int:
     """Global edge connectivity by Stoer-Wagner on edge multiplicities,
     the check ``MultiGraph.edge_connectivity`` replaced."""
-    if g.n < 2 or not g.is_connected():
+    if g.n < 2 or not is_connected(g):
         return 0
     w = [[0] * g.n for _ in range(g.n)]
     for u, v in g.endpoints:
@@ -458,6 +534,7 @@ def pattern_eal_probabilities(h, classes, samplers) -> dict[int, object]:
                     out[eid] = p
         else:
             sampler = samplers[nd.node_id]
+            trees = sampler.trees
             ext_ids = set(piece.external_edge_ids)
             ext_at = {
                 v: [e for e in g.incident_ids(v) if e in ext_ids]
@@ -473,7 +550,7 @@ def pattern_eal_probabilities(h, classes, samplers) -> dict[int, object]:
                     if sampler.exact_probs is not None
                     else sampler.probs
                 )
-                for t, pr in zip(sampler.trees, probs):
+                for t, pr in zip(trees, probs):
                     a = sum(1 for e in int_u if e in t) % 2
                     b = sum(1 for e in int_v if e in t) % 2
                     parity_pr[(a, b)] = parity_pr.get((a, b), 0) + pr
@@ -568,7 +645,7 @@ def constrained_tree_distribution(shifted: ShiftedSolution) -> ConstrainedTreeDi
     if isinstance(w, InfeasibleShift):
         raise w
     dist = ConstrainedTreeDistribution(
-        tuple(frozenset(bits(t)) for t in w.trees),
+        tuple(tree_sets(w.trees, shifted.interior_graph.edge_ids)),
         tuple(Fraction(k, w.denominator) for k in w.numerators),
     )
     if not _marginals_reproduce(dist, shifted.interior_values()):

@@ -180,7 +180,8 @@ def sample_double_cycle(piece: LocalMultigraph, rng: np.random.Generator) -> fro
 def sample_k5_path(piece: LocalMultigraph, rng: np.random.Generator) -> frozenset[int]:
     """Uniformly random Hamiltonian path on the four interior vertices."""
     paths = k5_paths(piece)
-    return paths[int(rng.integers(0, len(paths)))]
+    mask = int(paths[int(rng.integers(0, len(paths)))])
+    return frozenset(piece.internal_graph()[0].edge_ids[i] for i in bits(mask))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from htsp.generators import generate_random_4reg, standalone_piece
 from htsp.hierarchy import (
     build_cactus,
     build_hierarchy,
-    cactus_min_cut_shores,
     min_cuts_via_hierarchy,
 )
 from htsp.join import ReductionParams
@@ -33,6 +32,7 @@ from htsp.stats import (
 )
 from tests.brute_min_cuts import brute_min_cuts
 from tests.conftest import ALL_FAMILIES, family_instance
+from tests.reference import cactus_min_cut_shores, in_spanning_tree_polytope
 from tests.single_draws import sample_matching
 
 T_MARGINALS = 100_000
@@ -316,7 +316,6 @@ def test_criterion_9_odd_surgery():
         split_external,
         surgery_options,
     )
-    from htsp.trees import in_spanning_tree_polytope
 
     piece = standalone_piece("c7bar")
     rng = np.random.default_rng(SEED + 9)

@@ -7,8 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from htsp.errors import GenerationFailure
 from htsp.generators import (
+    GRID,
     PIECE_CATALOG,
+    _distinct_points,
     generate,
     generate_nested,
     generate_random_4reg,
@@ -213,6 +216,34 @@ def test_cli_stats_correlation_piece():
         "--sampler", "mi", "--trials", "3000", "--seed", "4",
     )
     assert r.returncode == 0, r.stdout + r.stderr
+
+
+@pytest.mark.parametrize("args, named", [
+    # a piece with a suite other than correlations, with and without a family
+    (("--family", "zoo", "--piece", "c8_12", "--suite", "marginals"), ("'c8_12'", "'marginals'")),
+    (("--piece", "c8_12", "--suite", "marginals"), ("'c8_12'", "'marginals'")),
+    # two sources, which one run could only read one of
+    (("--instance", "INSTANCE", "--family", "zoo"), ("instance, family",)),
+    (("--family", "zoo", "--piece", "c8_12", "--suite", "correlations"), ("family, piece",)),
+])
+def test_cli_stats_names_flags_it_cannot_honour(args, named, instance_file):
+    r = run_cli("stats", *(instance_file if a == "INSTANCE" else a for a in args),
+                "--trials", "10")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert r.stderr.startswith("htsp stats: ConfigError: ")
+    assert all(name in r.stderr for name in named), r.stderr
+
+
+def test_more_points_than_the_grid_holds_fail_before_any_draw():
+    rng = np.random.default_rng(0)
+    with pytest.raises(GenerationFailure, match=f"{GRID * GRID + 1} distinct points"):
+        _distinct_points(GRID * GRID + 1, rng)
+    assert rng.random() == np.random.default_rng(0).random()
+    # random-4reg checks its size before it draws a graph to give costs to
+    with pytest.raises(GenerationFailure, match=f"5 to {GRID * GRID} vertices"):
+        generate_random_4reg(GRID * GRID + 1, rng)
 
 
 def test_cli_optimize_params():

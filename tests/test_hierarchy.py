@@ -11,7 +11,6 @@ from htsp.hierarchy import (
     _root_external_pairs,
     build_cactus,
     build_hierarchy,
-    cactus_min_cut_shores,
     crossing,
     enumerate_min_cuts,
     find_critical_set,
@@ -21,6 +20,7 @@ from htsp.pipeline import SamplerParams
 from htsp.stats import BatchEngine
 from tests.brute_min_cuts import brute_min_cuts
 from tests.conftest import ALL_FAMILIES, family_instance
+from tests.reference import cactus_min_cut_shores
 
 
 def k5_graph():

@@ -21,8 +21,7 @@ from htsp.matching import (
     split_external,
     surgery_options,
 )
-from htsp.trees import in_spanning_tree_polytope
-from tests.reference import edge_ids_of, part_sums
+from tests.reference import edge_ids_of, in_spanning_tree_polytope, part_sums
 from tests.single_draws import odd_split, sample_matching, select_submatching
 
 QUARTER = Fraction(1, 4)

@@ -1,7 +1,7 @@
 """Byte-identity of the statistic and oracle reports and of the CLI output.
 
 The digests below are sha256 sums of ``StatReport.to_csv()`` for fixed
-instances, seeds and flags, and of the stdout of ``htsp optimize-params``,
+instances (or standalone pieces), seeds and flags, and of the stdout of ``htsp optimize-params``,
 ``htsp sample``, ``htsp join``, ``htsp tour``, ``htsp hierarchy`` and
 ``htsp cactus``.
 They pin the README's determinism promise across refactors: a change that
@@ -28,6 +28,17 @@ SUITE_ALL_4REG_MIX = "e9e501f74aa324d2343ff97b77f7d949bdbbfff64053fe2361259d3338
 ORACLE_4REG = {
     "mi": "0bbefebd9ee0cdff1758990d2fa818f9c3e2311800b877fc88fee8f4c4f05f1e",
     "mix": "5de66c0ce113b86839b113b16cc152058f8ee9e0280977c427bff59ddc5cdbe6",
+}
+# the correlation suite (its events over each piece's tree table, both
+# routes of the mix), 20,000 trials at seed 5: the zoo instance at
+# generator seed 3, and the two named standalone pieces
+CORRELATIONS = {
+    (("family", "zoo"), ("gen_seed", 3)):
+        "0960563ea04b800c97486932bb3ee88822cdc8273305dacce8c1f7802f81d00d",
+    (("piece", "c8_12"),):
+        "0c47d34eadb60131cc1f33204f59446381711ce61faa039572c13098a060dabe",
+    (("piece", "c7bar"),):
+        "94246d5c65c5a4b5fa0b1a290fbb7e2fea7a359488dddcfa39a03b3d66874ee4",
 }
 REDUCTION_FLOOR_ZOO_MIX = "9f4bda7054e1fe6ab31a38bba5a59d308bf3a8b54990b2d10bc39c1da26a9188"
 ORACLE_ZOO_MIX = "4f520cb512f66e35ea7291cdf6d25376b84dd55a8d356010db8e22f26d839da8"
@@ -126,6 +137,12 @@ def test_suite_reduction_delta_floor_csv_digest():
                            trials=20_000, seed=6, suite="reduction",
                            delta_floor=0.0008475)
     assert _sha(run_suite(cfg).to_csv()) == REDUCTION_FLOOR_ZOO_MIX
+
+
+@pytest.mark.parametrize("source", sorted(CORRELATIONS))
+def test_suite_correlations_csv_digest(source):
+    cfg = ExperimentConfig(**dict(source), trials=20_000, seed=5, suite="correlations")
+    assert _sha(run_suite(cfg).to_csv()) == CORRELATIONS[source]
 
 
 def test_oracle_csv_digest():

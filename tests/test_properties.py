@@ -25,7 +25,7 @@ from htsp.matching import _odd_set_lower_constraints, enumerate_perfect_matching
 from htsp.oracle import exact_marginals
 from htsp.params import solve_amounts
 from htsp.hierarchy import _contract, _min_cut_shores, build_hierarchy
-from htsp.pipeline import DegreePieceSampler, SamplerParams
+from htsp.pipeline import SamplerParams
 from htsp.stats import BatchEngine, binom_sigma, oracle_check
 from htsp.trees import enumerate_spanning_trees
 from tests.brute_min_cuts import brute_min_cuts
@@ -38,6 +38,7 @@ from tests.test_decomp import (
     random_parts,
     subset_constraints,
 )
+from tests.test_pipeline import mi_mixture_sets
 
 TRIALS = 2_000
 # at 3 sigma a row fails about once in 370 on correct code, and an example
@@ -78,8 +79,7 @@ def test_mi_mixture_equals_the_fraction_reference_on_random_4reg(n, gen_seed):
     for nd in build_hierarchy(inst).non_leaves():
         if nd.kind == "cycle" or nd.piece.graph.n == 5:
             continue
-        mix = DegreePieceSampler(nd.piece, SamplerParams(sampler="mi")).mi_mixture()
-        assert mix == fraction_mi_mixture(nd.piece)
+        assert mi_mixture_sets(nd.piece) == fraction_mi_mixture(nd.piece)
 
 
 @settings(max_examples=100, deadline=None)

@@ -196,7 +196,7 @@ def test_engine_rejects_chunks_past_the_checked_scale(zoo_engine):
 def test_piece_batch_and_suite_reject_counts_below_one():
     batch = PieceBatch(standalone_piece("c7bar"), SamplerParams(sampler="mi"))
     with pytest.raises(ConfigError):
-        batch.event_counts([lambda t: True], 100, 1, chunk=0)
+        batch.event_counts([np.ones(len(batch.sampler.probs), dtype=bool)], 100, 1, chunk=0)
     with pytest.raises(ConfigError):
         run_suite(ExperimentConfig(family="zoo", trials=0))
 
