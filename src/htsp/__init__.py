@@ -15,7 +15,7 @@ from .graph import (
     serialize_instance,
 )
 from .hierarchy import CutHierarchy, build_cactus, build_hierarchy, min_cuts_via_hierarchy
-from .join import ReductionParams, build_join, classify, verify_join
+from .join import ReductionParams, classify
 from .pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
 from .params import optimize
 from .stats import BatchEngine, CompiledInstance, ExperimentConfig, run_suite
@@ -31,7 +31,6 @@ __all__ = [
     "SamplerParams",
     "build_cactus",
     "build_hierarchy",
-    "build_join",
     "build_piece_samplers",
     "classify",
     "min_cuts_via_hierarchy",
@@ -40,5 +39,4 @@ __all__ = [
     "run_suite",
     "sample_r0_tree",
     "serialize_instance",
-    "verify_join",
 ]

@@ -14,17 +14,15 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from . import generators
 from .errors import HtspError
 from .graph import parse_instance, normalize_to_special_triple, serialize_instance
 from .hierarchy import build_cactus, build_hierarchy, min_cuts_via_hierarchy
-from .join import build_join, integral_join_and_tour
+from .join import integral_join_and_tour
 from .params import DEFAULT_MIX_LAMBDA
 from .pipeline import SamplerParams, sample_r0_tree
-from .stats import (BatchEngine, CompiledInstance, ExperimentConfig, check_positive,
-                    oracle_check, run_suite)
+from .stats import (MAX_CHUNK, BatchEngine, CompiledInstance, ExperimentConfig,
+                    check_positive, load_instance, oracle_check, run_suite)
 
 
 def _read_instance(path: str, strict: bool = True):
@@ -58,16 +56,22 @@ def _add_common(p: argparse.ArgumentParser, trials_default: Optional[int] = 1,
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+def _add_generator_flags(p: argparse.ArgumentParser) -> None:
+    """A family's settings; unset ones take ``generators.generate``'s defaults."""
+    p.add_argument("--k", type=int, default=None, help="host cycle positions")
+    p.add_argument("--n", type=int, default=None, help="vertex count (random family)")
+    p.add_argument("--depth", type=int, default=None, help="nesting depth")
+    p.add_argument("--unit-costs", action="store_true")
+
+
 def _compile(args, cls=CompiledInstance):
     return cls(_read_instance(args.instance), _sampler_params(args))
 
 
 def cmd_generate(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    inst = generators.generate(
-        args.family, rng, k=args.k, n=args.n, depth=args.depth,
-        unit_costs=args.unit_costs,
-    )
+    inst = load_instance(ExperimentConfig(family=args.family, k=args.k, n=args.n,
+                                          depth=args.depth, unit_costs=args.unit_costs,
+                                          gen_seed=args.seed))
     _write(serialize_instance(inst), args.out)
     return 0
 
@@ -165,23 +169,20 @@ def _json_safe(obj):
 def cmd_join(args) -> int:
     engine = _compile(args, BatchEngine)
     rows = ["trial,seed,tree_cost,fractional_join_cost,integral_join_cost,tour_cost,ratio_to_cx"]
-    for trial in range(args.trials):
-        ts = sample_r0_tree(engine.h, engine.sp, seed=args.seed, trial=trial,
-                            samplers=engine.samplers)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(args.seed, spawn_key=(trial, 1 << 20))
-        )
-        js = build_join(engine.h, engine.classes, engine.rp, ts.edges,
-                        engine.coin_thresholds, rng, engine.sites, engine.eal_conditions)
-        z = engine.verify_trial(js.z, ts.edges)
-        frac_cost = Fraction(int(engine.cost_int @ z), engine.cost_denom * engine.z_denom)
-        res = integral_join_and_tour(engine, ts.edges, shortcut=not args.no_shortcut)
-        ratio = float((res.tree_cost + res.join_cost) / engine.lp_cost)
-        rows.append(
-            f"{trial},{args.seed},{float(res.tree_cost):.10g},"
-            f"{float(frac_cost):.10g},{float(res.join_cost):.10g},"
-            f"{float(res.tour_cost):.10g},{ratio:.10g}"
-        )
+    for first in range(0, args.trials, MAX_CHUNK):
+        trials = range(first, min(first + MAX_CHUNK, args.trials))
+        trees = [sample_r0_tree(engine.h, engine.sp, seed=args.seed, trial=trial,
+                                samplers=engine.samplers).edges for trial in trials]
+        z = engine.trial_joins(trees, args.seed, first)
+        for trial, edges, zc in zip(trials, trees, (engine.cost_int @ z).tolist()):
+            frac_cost = Fraction(zc, engine.cost_denom * engine.z_denom)
+            res = integral_join_and_tour(engine, edges, shortcut=not args.no_shortcut)
+            ratio = float((res.tree_cost + res.join_cost) / engine.lp_cost)
+            rows.append(
+                f"{trial},{args.seed},{float(res.tree_cost):.10g},"
+                f"{float(frac_cost):.10g},{float(res.join_cost):.10g},"
+                f"{float(res.tour_cost):.10g},{ratio:.10g}"
+            )
     _write("\n".join(rows) + "\n", args.out)
     return 0
 
@@ -272,10 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a generated instance")
     p.add_argument("--family", choices=generators.FAMILIES, required=True)
-    p.add_argument("--k", type=int, default=7, help="host cycle positions")
-    p.add_argument("--n", type=int, default=12, help="vertex count (random family)")
-    p.add_argument("--depth", type=int, default=2, help="nesting depth")
-    p.add_argument("--unit-costs", action="store_true")
+    _add_generator_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
@@ -323,11 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="run a statistic suite")
     p.add_argument("--instance", default=None)
     p.add_argument("--family", choices=generators.FAMILIES, default=None)
-    p.add_argument("--k", type=int, default=7)
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--unit-costs", action="store_true")
-    p.add_argument("--gen-seed", type=int, default=1)
+    _add_generator_flags(p)
+    p.add_argument("--gen-seed", type=int, default=None)
     p.add_argument("--piece", choices=sorted(generators.PIECE_CATALOG), default=None)
     p.add_argument(
         "--suite",

@@ -256,17 +256,16 @@ def generate_zoo(rng: np.random.Generator,
 
 
 def generate_random_4reg(n: int, rng: np.random.Generator,
-                         unit_costs: bool = False,
-                         max_tries: int = 2000) -> HalfIntegralInstance:
+                         unit_costs: bool = False) -> HalfIntegralInstance:
     """Configuration-model multigraph around a pre-placed root triple.
 
     Rejects draws with self-loops, triple-or-more parallel edges, or edge
-    connectivity below 4.
+    connectivity below 4, up to 2,000 draws.
     """
     if not 5 <= n <= GRID * GRID:
         # checked before any draw: the cost points need n distinct grid points
         raise GenerationFailure(f"random instances need 5 to {GRID * GRID} vertices, not {n}")
-    for _ in range(max_tries):
+    for _ in range(2000):
         stubs: list[int] = [1, 1, 2, 2]  # u0/v0 each owe two more half-edges
         for v in range(3, n):
             stubs.extend([v] * 4)
@@ -297,7 +296,7 @@ def generate_random_4reg(n: int, rng: np.random.Generator,
         inst = HalfIntegralInstance(g, tuple(costs), strict=True)
         inst.validate()
         return inst
-    raise GenerationFailure(f"no valid random instance after {max_tries} tries")
+    raise GenerationFailure("no valid random instance after 2000 tries")
 
 
 FAMILIES = ("double-cycle", "k5-gadget", "nested", "random-4reg", "zoo")

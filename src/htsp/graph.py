@@ -109,9 +109,6 @@ class MultiGraph:
         u, w = self.endpoints[pos]
         return w if u == v else u
 
-    def label(self, v: int) -> frozenset[int]:
-        return self.vertex_sets[v]
-
     def cut(self, shore: Iterable[int]) -> CutView:
         """All edges with exactly one endpoint in the shore."""
         s = frozenset(shore)

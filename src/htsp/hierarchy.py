@@ -131,20 +131,11 @@ def crossing(a: int, b: int, full: int) -> bool:
     return bool(a & b and a & ~b and b & ~a and a | b != full)
 
 
-def find_critical_set(g: MultiGraph, root_vertex: int) -> Optional[frozenset[int]]:
-    """Minimal proper tight set not crossed by any proper tight set.
-
-    Ties are broken by the lexicographically smallest sorted sequence of
-    original vertex ids.  Returns None when every proper tight set is
-    crossed (the graph is then a double cycle) or none exists.
-    """
-    shore = _critical_shore(g, _min_cut_shores(g), root_vertex)
-    return None if shore is None else frozenset(bits(shore))
-
-
 def _critical_shore(g: MultiGraph, shores: list[int], root_vertex: int) -> Optional[int]:
-    """``find_critical_set`` on the listed min-cut shores of ``g``, as a
-    vertex mask."""
+    """Minimal proper tight set of the listed min-cut shores of ``g`` that
+    none of them crosses, as a vertex mask; ties go to the smallest sorted
+    original vertex ids.  None when every proper tight set is crossed (a
+    double cycle) or none exists."""
     n = g.n
     full = (1 << n) - 1
     proper = [s for s in shores if 1 < s.bit_count() < n - 1]

@@ -10,6 +10,9 @@ each deficient cut is repaid by charging the cut's internal edges: degree
 cuts split the repayment by a max-flow assignment, canonical cuts split it
 evenly between the two partner edges.  Partner edges share one coin, so a
 single repayment covers both of their canonical cuts at once.
+
+This module builds the tables of that scheme once per instance; the chunk
+kernels of ``stats.BatchEngine`` apply them to whole blocks of trees.
 """
 
 from __future__ import annotations
@@ -20,19 +23,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     AssemblyError,
     EstimateBelowBound,
-    FeasibilityViolation,
     FlowInfeasible,
     NoPerfectMatching,
     OddSetTooLarge,
 )
 from .graph import HalfIntegralInstance
-from .hierarchy import CutHierarchy, CutView, min_cuts_via_hierarchy
-from .params import BETA_CAP, DEFAULT_MIX_LAMBDA, QUARTER, mixed_rates
+from .hierarchy import CutHierarchy
+from .params import BETA_CAP, DEFAULT_MIX_LAMBDA, mixed_rates
 from .pipeline import PieceSampler
 
 FLOOR = Fraction(1, 6)
@@ -110,10 +110,8 @@ class ReductionParams:
 
 @dataclass(frozen=True)
 class EdgeClass:
-    eid: int
     settled: int  # node id
     kind: str  # 'special' | 'half-special' | 'other-degree' | 'k5-degree' | 'cycle'
-    canonical_cuts: Optional[tuple[frozenset[int], frozenset[int]]]
     coin_group: tuple
 
     @property
@@ -122,43 +120,24 @@ class EdgeClass:
 
 
 def classify(h: CutHierarchy) -> dict[int, EdgeClass]:
-    """Settled node, reduction class, canonical cuts, and coin group per edge.
+    """Settled node, reduction class, and coin group per edge: one coin per
+    degree-piece edge, one per partner pair of a cycle piece.
 
     The topmost piece samples its own root pairs, so those four edges are
-    settled at the root and behave like cycle edges whose canonical cuts
-    are never crossed oddly.
+    settled at the root and behave like cycle edges.
     """
     out: dict[int, EdgeClass] = {}
     for nd in h.non_leaves():
         piece = nd.piece
         if nd.kind == "cycle":
-            chain = piece.chain
-            labels = [piece.graph.vertex_sets[v] for v in chain]
-            prefix: list[frozenset[int]] = []
-            agg: set[int] = set()
-            for lab in labels:
-                agg |= lab
-                prefix.append(frozenset(agg))
-            whole = prefix[-1]
-            pairs = piece.internal_pairs()
-            for j, pair in enumerate(pairs):
-                c = prefix[j]
-                c_prime = frozenset(whole - prefix[j])
-                for eid in pair:
-                    out[eid] = EdgeClass(eid, nd.node_id, "cycle",
-                                         (c, c_prime), (nd.node_id, "pair", j))
-            if nd.is_root:
-                ext_pairs = piece.external_pairs()
-                ends = _root_pair_ends(piece)
-                for j, pair in enumerate(ext_pairs):
-                    near = ends[j]
+            ext = piece.external_pairs() if nd.is_root else []
+            for side, pairs in (("pair", piece.internal_pairs()), ("ext", ext)):
+                for j, pair in enumerate(pairs):
                     for eid in pair:
-                        out[eid] = EdgeClass(eid, nd.node_id, "cycle",
-                                             (whole, near), (nd.node_id, "ext", j))
+                        out[eid] = EdgeClass(nd.node_id, "cycle", (nd.node_id, side, j))
         else:
             k5 = piece.graph.n == 5
             boundary = set(piece.boundary_vertices)
-            ext_ids = set(piece.external_edge_ids)
             for eid in piece.internal_edge_ids:
                 pos = piece.graph.edge_index(eid)
                 u, v = piece.graph.endpoints[pos]
@@ -171,22 +150,11 @@ def classify(h: CutHierarchy) -> dict[int, EdgeClass]:
                     kind = "half-special"
                 else:
                     kind = "other-degree"
-                out[eid] = EdgeClass(eid, nd.node_id, kind, None, (eid,))
+                out[eid] = EdgeClass(nd.node_id, kind, (eid,))
     m = h.instance.graph.m
     if len(out) != m or set(out) != set(range(m)):
         raise AssemblyError(f"{len(out)} of {m} edges settled at a piece")
     return out
-
-
-def _root_pair_ends(piece) -> list[frozenset[int]]:
-    """Label of the chain end each root pair attaches to."""
-    ends = []
-    for pair in piece.external_pairs():
-        pos = piece.graph.edge_index(pair[0])
-        u, v = piece.graph.endpoints[pos]
-        inner = u if u != piece.external_vertex else v
-        ends.append(piece.graph.vertex_sets[inner])
-    return ends
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +183,6 @@ def eal_conditions(h: CutHierarchy, classes: dict[int, EdgeClass]) -> EalConditi
             u, v = g.endpoints[g.edge_index(eid)]
             out[eid] = (frozenset(g.incident_ids(u)), 0), (frozenset(g.incident_ids(v)), 0)
     return out
-
-
-def detect_eal(conditions: EalConditions, tree_edges: frozenset[int]) -> dict[int, bool]:
-    """Per-edge flag: every even-at-last condition of ``eal_conditions``
-    holds on the tree."""
-    return {
-        eid: all(len(ids & tree_edges) % 2 == parity for ids, parity in conds)
-        for eid, conds in conditions.items()
-    }
 
 
 def parity_law(samplers: dict[int, PieceSampler], classes: dict[int, EdgeClass],
@@ -499,7 +458,7 @@ def _orient_end_pairs(piece, ext_pairs) -> tuple[tuple[int, ...], tuple[int, ...
 
 
 # ---------------------------------------------------------------------------
-# coins and the join vector
+# coins
 # ---------------------------------------------------------------------------
 
 def coin_groups(classes: dict[int, EdgeClass]) -> dict[tuple, tuple[int, ...]]:
@@ -554,121 +513,6 @@ def coin_thresholds(rates: dict[tuple, object]) -> dict[tuple, float]:
     ``Fraction`` one, and falls the same way.
     """
     return {grp: math.ceil(Fraction(r) * 2 ** 53) / 2 ** 53 for grp, r in rates.items()}
-
-
-@dataclass(frozen=True)
-class JoinSolution:
-    """Join vector with the full per-edge accounting ledger."""
-
-    z: dict[int, Fraction]
-    eal: dict[int, bool]
-    coins: dict[tuple, bool]
-    reductions: dict[int, Fraction]
-    charges: dict[int, tuple[tuple[tuple[int, ...], Fraction], ...]]
-
-
-def build_join(
-    h: CutHierarchy,
-    classes: dict[int, EdgeClass],
-    params: ReductionParams,
-    tree_edges: frozenset[int],
-    rates: dict[tuple, object],
-    rng: np.random.Generator,
-    sites: tuple[list[DegreeChargeSite], list[PairChargeSite]],
-    conditions: EalConditions,
-) -> JoinSolution:
-    """One trial of the reduction-and-charge scheme for a sampled tree, with
-    the charge sites of ``build_charge_sites`` and the even-at-last
-    conditions of ``eal_conditions``.  A group's coin falls heads when
-    ``rng.random() < rates[grp]``; the ``coin_thresholds`` of the rates
-    give the same coins."""
-    degree_sites, pair_sites = sites
-    eal = detect_eal(conditions, tree_edges)
-    groups = coin_groups(classes)
-    coins = {grp: bool(rng.random() < rates[grp]) for grp in sorted(groups)}
-    coin_of: dict[int, bool] = {}
-    for grp, members in groups.items():
-        for e in members:
-            coin_of[e] = coins[grp]
-    m = h.instance.graph.m
-    z = {e: QUARTER for e in range(m)}
-    reductions: dict[int, Fraction] = {}
-    for e in range(m):
-        if eal[e] and coin_of[e]:
-            amt = params.amount(classes[e].kind)
-            z[e] -= amt
-            reductions[e] = amt
-    charges: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
-
-    def odd(cut_ids: Iterable[int]) -> bool:
-        return sum(1 for c in cut_ids if c in tree_edges) % 2 == 1
-
-    for site in degree_sites:
-        if site.source in reductions and odd(site.cut_ids):
-            for f, frac in site.targets:
-                amt = site.amount * frac
-                z[f] += amt
-                charges.setdefault(f, []).append(((site.source,), amt))
-    for site in pair_sites:
-        for grp in site.groups:
-            active = [
-                s for s, cut in grp.members if s in reductions and odd(cut)
-            ]
-            if active:
-                half = grp.amount / 2
-                for t in site.targets:
-                    z[t] += half
-                    charges.setdefault(t, []).append((tuple(active), half))
-    return JoinSolution(
-        z=z,
-        eal=eal,
-        coins=coins,
-        reductions=reductions,
-        charges={e: tuple(v) for e, v in charges.items()},
-    )
-
-
-# ---------------------------------------------------------------------------
-# verification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JoinReport:
-    ok: bool
-    floor_violations: tuple[int, ...]
-    cut_violations: tuple[tuple[frozenset[int], Fraction], ...]
-
-
-def verify_join(z: dict[int, Fraction], tree_edges: frozenset[int],
-                h: CutHierarchy,
-                min_cuts: Optional[list[CutView]] = None,
-                raise_on_violation: bool = True) -> JoinReport:
-    """Floor of one sixth everywhere; odd min-cuts covered to one.
-
-    Cuts with more than four edges are certified by the floor alone, so
-    only the hierarchy's min-cut list is enumerated.
-    """
-    if min_cuts is None:
-        min_cuts = min_cuts_via_hierarchy(h)
-    floor_bad = tuple(e for e, v in sorted(z.items()) if v < FLOOR)
-    cut_bad = []
-    for cut in min_cuts:
-        crossings = sum(1 for e in cut.edge_ids if e in tree_edges)
-        if crossings % 2 == 1:
-            total = sum((z[e] for e in cut.edge_ids), Fraction(0))
-            if total < 1:
-                cut_bad.append((cut.shore, total))
-    report = JoinReport(
-        ok=not floor_bad and not cut_bad,
-        floor_violations=floor_bad,
-        cut_violations=tuple(cut_bad),
-    )
-    if raise_on_violation and not report.ok:
-        raise FeasibilityViolation(
-            f"floor violations {report.floor_violations}, "
-            f"cut violations {[(sorted(s), str(v)) for s, v in report.cut_violations]}"
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +592,6 @@ def odd_vertices(inst: HalfIntegralInstance, tree_edges: frozenset[int]) -> list
 @dataclass(frozen=True)
 class TourResult:
     join_cost: Fraction
-    join_legs: tuple[tuple[int, int], ...]
     tour: tuple[int, ...]
     tour_cost: Fraction
     tree_cost: Fraction
@@ -822,7 +665,6 @@ def integral_join_and_tour(ci, tree_edges: frozenset[int],
     denom = ci.cost_denom
     return TourResult(
         join_cost=Fraction(int(join_cost), denom),
-        join_legs=tuple(pairs),
         tour=tuple(tour),
         tour_cost=Fraction(tour_cost, denom),
         tree_cost=Fraction(tree_cost, denom),

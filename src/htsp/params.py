@@ -312,9 +312,10 @@ def _quantize(x: float, denom: int = 10 ** 7) -> Fraction:
     return Fraction(round(x * denom), denom)
 
 
-def optimize(grid_step: float = 0.02, refine_tol: float = 1e-5) -> OptimizationResult:
-    """Grid the mix, bracket the best value, refine by golden section."""
-    lams = [_quantize(x) for x in np.arange(0.0, 1.0 + 1e-12, grid_step)]
+def optimize() -> OptimizationResult:
+    """Grid the mix in steps of 0.02, bracket the best value, refine by
+    golden section to a bracket of 1e-5."""
+    lams = [_quantize(x) for x in np.arange(0.0, 1.0 + 1e-12, 0.02)]
     vals = [solve_amounts(l).delta for l in lams]
     i = int(np.argmax([float(v) for v in vals]))
     lo = float(lams[max(0, i - 1)])
@@ -326,7 +327,7 @@ def optimize(grid_step: float = 0.02, refine_tol: float = 1e-5) -> OptimizationR
     d = a + phi * (b - a)
     fc = float(solve_amounts(_quantize(c)).delta)
     fd = float(solve_amounts(_quantize(d)).delta)
-    while b - a > refine_tol:
+    while b - a > 1e-5:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)

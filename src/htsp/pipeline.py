@@ -565,20 +565,19 @@ def piece_rng(seed: int, trial: int, node_id: int) -> np.random.Generator:
 def sample_r0_tree(
     h: CutHierarchy,
     params: SamplerParams,
-    rng: Optional[np.random.Generator] = None,
     *,
-    seed: Optional[int] = None,
+    seed: int = 0,
     trial: int = 0,
     samplers: Optional[dict[int, PieceSampler]] = None,
 ) -> TreeSample:
-    """Sample every piece (post-order) and validate the assembled tree."""
+    """Sample every piece (post-order, each from its ``piece_rng`` stream)
+    and validate the assembled tree."""
     if samplers is None:
         samplers = build_piece_samplers(h, params)
     edges: set[int] = set()
     prov: dict[int, dict] = {}
     for nd in sorted(h.non_leaves(), key=lambda nd: nd.node_id):
-        r = rng if rng is not None else piece_rng(seed or 0, trial, nd.node_id)
-        sub, p = samplers[nd.node_id].sample(r)
+        sub, p = samplers[nd.node_id].sample(piece_rng(seed, trial, nd.node_id))
         edges |= sub
         prov[nd.node_id] = p
     ts = TreeSample(frozenset(edges), prov)

@@ -35,9 +35,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AssemblyError, ConfigError, ScaleOverflow
+from .errors import AssemblyError, ConfigError, FeasibilityViolation, ScaleOverflow
 from .graph import HalfIntegralInstance
-from .hierarchy import build_hierarchy
+from .hierarchy import build_hierarchy, min_cuts_via_hierarchy
 from .join import (
     EDGE_KINDS,
     FLOOR,
@@ -52,7 +52,6 @@ from .join import (
     eal_conditions,
     exact_eal_probabilities,
     min_cost_perfect_matching,
-    verify_join,
 )
 from .params import (CORRELATION_BOUNDS, DEFAULT_MIX_LAMBDA, EAL_BOUNDS, EPSILON, HALF,
                      QUARTER, TOUR_RATIO_BOUND)
@@ -211,9 +210,8 @@ class BatchStats:
 class CompiledInstance:
     """One instance compiled once for every command: the hierarchy, the
     piece samplers, the edge classes and their even-at-last conditions,
-    built eagerly; the even-at-last probabilities, coin rates and their
-    thresholds, charge sites, integer costs and integer metric, each built
-    on first use.  It checks no even-at-last bound, and only a command that
+    built eagerly; the even-at-last probabilities, coin rates, charge
+    sites, integer costs and integer metric, each built on first use.  It checks no even-at-last bound, and only a command that
     reads costs can meet their ``ScaleOverflow``."""
 
     def __init__(self, inst: HalfIntegralInstance,
@@ -237,11 +235,6 @@ class CompiledInstance:
     @cached_property
     def rates(self) -> dict[tuple, object]:
         return coin_rates(self.classes, self.rp, self.eal_probability)
-
-    @cached_property
-    def coin_thresholds(self) -> dict[tuple, float]:
-        """The rates as exact double thresholds for ``build_join``."""
-        return coin_thresholds(self.rates)
 
     @cached_property
     def sites(self) -> tuple[list, list]:
@@ -357,11 +350,9 @@ class BatchEngine(CompiledInstance):
             self.amount_int[e] = int(self.rp.amount(cl.kind) * D)
         # a draw below the exact threshold is a draw below the rate; the
         # nearest double to a Fraction rate can sit one draw quantum off
-        self.groups = []
-        for grp, members in sorted(coin_groups(self.classes).items()):
-            self.groups.append(
-                (np.array(members, dtype=np.int64), self.coin_thresholds[grp])
-            )
+        thresholds = coin_thresholds(self.rates)
+        self.groups = [(np.array(members, dtype=np.int64), thresholds[grp])
+                       for grp, members in sorted(coin_groups(self.classes).items())]
         # the sites read their cuts by index into ``site_cut_cols``, so a
         # chunk computes each distinct cut's parity once
         site_cuts: dict[tuple[int, ...], int] = {}
@@ -525,15 +516,11 @@ class BatchEngine(CompiledInstance):
             st.sym_counts[(a, b)] += (n - na - nb + n11, nb - n11, na - n11, n11)
         if not join:
             return
-        eal = self._eal_flags(T)
+        # one coin row at a time: a (groups, trials) block of uniforms
+        # would set the chunk's peak memory
+        eal, reduced, site_odd, z = self._join(T, (rng.random(n) for _ in self.groups))
         st.eal += _row_counts(eal)
-        reduced = np.zeros_like(T)
-        for members, rate in self.groups:
-            coin = rng.random(n) < rate
-            reduced[members] = eal[members] & coin
         st.reduced += _row_counts(reduced)
-        site_odd = [_odd_rows(T, cols) for cols in self.site_cut_cols]
-        z = self._charges(reduced, site_odd)
         st.z_sum = [a + int(b) for a, b in zip(st.z_sum, z.sum(1, dtype=np.int64))]
         st.z_sumsq = [a + b for a, b in zip(st.z_sumsq, self._square_sums(z).tolist())]
         # einsum adds integer rows without the int64 copy of a bool block
@@ -551,6 +538,19 @@ class BatchEngine(CompiledInstance):
             total = tree_cost + ij
             st.total_sum += int(total.sum())
             st.total_sumsq += float((total.astype(float) ** 2).sum())
+
+    def _join(self, T: np.ndarray, uniforms: Iterable[np.ndarray]):
+        """The fractional joins of a tree block: the even-at-last flags, the
+        reduced edges, the parity rows of ``site_cut_cols`` and the charges
+        (see ``_charges``).  ``uniforms`` gives one row of draws in [0, 1)
+        per coin group, in the order of ``groups``; a group's coin falls
+        heads in a trial when its draw is below the group's threshold."""
+        eal = self._eal_flags(T)
+        reduced = np.zeros_like(T)
+        for (members, rate), u in zip(self.groups, uniforms):
+            reduced[members] = eal[members] & (u < rate)
+        site_odd = [_odd_rows(T, cols) for cols in self.site_cut_cols]
+        return eal, reduced, site_odd, self._charges(reduced, site_odd)
 
     def _square_sums(self, z: np.ndarray) -> np.ndarray:
         """Per edge, the sum over the chunk's trials of its squared charge
@@ -660,26 +660,38 @@ class BatchEngine(CompiledInstance):
             bad |= cover < 0
         return bad
 
-    def verify_trial(self, z: dict[int, Fraction], tree_edges: frozenset[int]) -> np.ndarray:
-        """Check one trial's join ``z`` as a chunk checks its trials and
-        return it in units of 1/z_denom; on a failure raise ``verify_join``'s
-        ``FeasibilityViolation``, which lists the violated cuts by shore."""
-        T = np.zeros((self.m, 1), dtype=bool)
-        T[sorted(tree_edges)] = True
-        D = self.z_denom
-        if any(D % z[e].denominator for e in range(self.m)):
-            raise AssemblyError(f"a charge is off the 1/{D} grid")
-        col = np.array([[z[e].numerator * (D // z[e].denominator)] for e in range(self.m)],
-                       dtype=np.int64)
-        # one XOR reduction over every site cut: per cut, a chunk's row
-        # XORs cost more than the whole check on one trial
-        cuts = self.site_cut_cols
-        starts = np.cumsum([0] + [len(c) for c in cuts[:-1]])
-        site_odd = list(np.logical_xor.reduceat(T[np.concatenate(cuts)], starts)) if cuts else []
-        if self._infeasible(T, col, site_odd)[0]:
-            verify_join(z, tree_edges, self.h)
-            raise AssemblyError("a join verify_join passes failed the check through the hierarchy")
-        return col[:, 0]
+    def trial_joins(self, trees: Sequence[frozenset[int]], seed: int,
+                    first: int) -> np.ndarray:
+        """The fractional joins of ``htsp join``, one column per tree in
+        units of 1/z_denom, checked as a chunk checks its trials.  Tree j
+        is trial ``first + j``, whose coins are the draws
+        ``rng.random(len(groups))`` of its own stream
+        ``SeedSequence(seed, spawn_key=(trial, 1 << 20))``.  A failing
+        trial raises ``FeasibilityViolation`` naming its edges under the
+        floor and its odd min-cuts covered below one."""
+        T = np.zeros((self.m, len(trees)), dtype=bool)
+        uniforms = np.empty((len(self.groups), len(trees)))
+        for j, edges in enumerate(trees):
+            T[list(edges), j] = True
+            key = np.random.SeedSequence(seed, spawn_key=(first + j, 1 << 20))
+            uniforms[:, j] = np.random.default_rng(key).random(len(self.groups))
+        _, _, site_odd, z = self._join(T, uniforms)
+        bad = np.flatnonzero(self._infeasible(T, z, site_odd))
+        if bad.size:
+            j, D = int(bad[0]), self.z_denom
+            under = np.flatnonzero(z[:, j] < D // 6).tolist()
+            cuts = []
+            for cut in min_cuts_via_hierarchy(self.h):
+                ids = list(cut.edge_ids)
+                cover = int(z[ids, j].sum())
+                if T[ids, j].sum() % 2 and cover < D:
+                    cuts.append((sorted(cut.shore), str(Fraction(cover, D))))
+            if not (under or cuts):
+                raise AssemblyError(f"trial {first + j} fails the hierarchy check, "
+                                    "but no floor and no min-cut of the list")
+            raise FeasibilityViolation(f"trial {first + j}: edges under the floor {under}, "
+                                       f"odd min-cuts covered below one {cuts}")
+        return z
 
     # -- integral joins --------------------------------------------------------
 
@@ -847,10 +859,10 @@ def is_half(marginal) -> bool:
     return bool(abs(marginal - 0.5) <= 1e-5)
 
 
-def symmetry_pairs(m: int, n_pairs: int = 20, pair_seed: int = 20_24
-                   ) -> list[tuple[int, int]]:
-    """Random distinct edge pairs for the swap-symmetry suite."""
-    rng = np.random.default_rng(pair_seed)
+def symmetry_pairs(m: int, n_pairs: int = 20) -> list[tuple[int, int]]:
+    """Random distinct edge pairs for the swap-symmetry suite, drawn at
+    seed 2024."""
+    rng = np.random.default_rng(20_24)
     pairs = set()
     while len(pairs) < min(n_pairs, m * (m - 1) // 2):
         a, b = sorted(map(int, rng.choice(m, size=2, replace=False)))
@@ -1041,11 +1053,13 @@ class ExperimentConfig:
 
     instance: Optional[str] = None  # instance file path
     family: Optional[str] = None  # or a generator family name
-    k: int = 7
-    n: int = 12
-    depth: int = 2
+    # a family's settings: unset ones take the defaults of
+    # ``generators.generate``, and the generator's seed is then 1
+    k: Optional[int] = None
+    n: Optional[int] = None
+    depth: Optional[int] = None
     unit_costs: bool = False
-    gen_seed: int = 1
+    gen_seed: Optional[int] = None
     piece: Optional[str] = None  # named piece for the correlation suite
     sampler: str = "mix"
     mix_lambda: float = float(DEFAULT_MIX_LAMBDA)
@@ -1066,11 +1080,10 @@ def load_instance(cfg: ExperimentConfig) -> HalfIntegralInstance:
         with open(cfg.instance, "r", encoding="utf-8") as fh:
             return parse_instance(fh.read())
     if cfg.family:
-        rng = np.random.default_rng(cfg.gen_seed)
-        return generators.generate(
-            cfg.family, rng, k=cfg.k, n=cfg.n, depth=cfg.depth,
-            unit_costs=cfg.unit_costs,
-        )
+        rng = np.random.default_rng(1 if cfg.gen_seed is None else cfg.gen_seed)
+        given = {name: getattr(cfg, name) for name in ("k", "n", "depth")
+                 if getattr(cfg, name) is not None}
+        return generators.generate(cfg.family, rng, unit_costs=cfg.unit_costs, **given)
     raise ConfigError("config needs an instance path or a generator family")
 
 
@@ -1104,6 +1117,11 @@ def run_suite(cfg: ExperimentConfig) -> StatReport:
     if len(sources) > 1:
         raise ConfigError(f"config names more than one source ({', '.join(sources)}): "
                           "give one")
+    stray = [name for name in ("k", "n", "depth", "gen_seed") if getattr(cfg, name) is not None]
+    stray += ["unit_costs"] * cfg.unit_costs
+    if stray and sources and sources[0] != "family":
+        raise ConfigError(f"generator settings ({', '.join(stray)}) need a family source, "
+                          f"not {sources[0]} {getattr(cfg, sources[0])!r}")
     report = StatReport(meta={
         "suite": cfg.suite, "sampler": cfg.sampler, "trials": cfg.trials,
         "seed": cfg.seed,

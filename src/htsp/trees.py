@@ -473,20 +473,19 @@ def _fit_components(components: Sequence[tuple[MultiGraph, Sequence[float]]],
 
 
 def maxent_fits(problems: Sequence[tuple[MultiGraph, dict[int, Fraction]]],
-                tolerance: float = FIT_TOLERANCE,
                 max_rounds: int = FIT_MAX_ROUNDS) -> list[MaxEntWeights]:
     """Fit weighted-uniform tree weights matching each problem's target
-    marginals: every fit is planned first (contraction, tight-set
-    factoring), then all their components are fitted together."""
+    marginals to ``FIT_TOLERANCE``: every fit is planned first
+    (contraction, tight-set factoring), then all their components are
+    fitted together."""
     plans = [_plan_fit(g, targets) for g, targets in problems]
     fitted = iter(_fit_components([c for p in plans for c in p.components],
-                                  tolerance, max_rounds))
+                                  FIT_TOLERANCE, max_rounds))
     return [MaxEntWeights(tuple(next(fitted) for _ in p.components), p.forced, p.zeros)
             for p in plans]
 
 
 def maxent_fit(interior_graph: MultiGraph, targets: dict[int, Fraction],
-               tolerance: float = FIT_TOLERANCE,
                max_rounds: int = FIT_MAX_ROUNDS) -> MaxEntWeights:
     """Fit weighted-uniform tree weights matching the target marginals.
 
@@ -494,7 +493,7 @@ def maxent_fit(interior_graph: MultiGraph, targets: dict[int, Fraction],
     factors across tight vertex subsets and fits each factor by
     multiplicative updates with matrix-tree marginals.
     """
-    (fit,) = maxent_fits([(interior_graph, targets)], tolerance, max_rounds)
+    (fit,) = maxent_fits([(interior_graph, targets)], max_rounds)
     return fit
 
 

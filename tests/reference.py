@@ -11,7 +11,9 @@ by per-class states and ``Fraction`` sums, a state's tree marginals over
 every interior edge, the max-entropy fit one component at a time and its
 tree law as edge-id sets, connectivity by a graph search, the cactus
 min-cuts by removing cycle-edge pairs, spanning-tree polytope membership
-by every vertex subset), or reads a structure the package builds.
+by every vertex subset, the critical set of a contraction step, each
+trial's join and its check in ``Fraction`` dicts), or reads a structure
+the package builds.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from typing import Optional
 
 import numpy as np
 
-from htsp.errors import (AssemblyError, InfeasibleShift, LpFailure, NonConvergence,
-                         NumericalBreakdown)
+from htsp.errors import (AssemblyError, FeasibilityViolation, InfeasibleShift, LpFailure,
+                         NonConvergence, NumericalBreakdown)
 from htsp.graph import MultiGraph, bits
-from htsp.hierarchy import Cactus, _canonical_shore
+from htsp.hierarchy import (Cactus, CutHierarchy, CutView, _canonical_shore, _critical_shore,
+                            _min_cut_shores, min_cuts_via_hierarchy)
+from htsp.join import FLOOR, EalConditions, EdgeClass, ReductionParams, coin_groups
 from htsp.matching import (
     MatchingDistribution,
     ShiftedSolution,
@@ -41,7 +45,7 @@ from htsp.matching import (
     surgery_options,
 )
 from htsp.oracle import exact_expected_net_decrease
-from htsp.params import BETA_CAP, LpSolution, _bases, _constraints, decrease_forms
+from htsp.params import BETA_CAP, QUARTER, LpSolution, _bases, _constraints, decrease_forms
 from htsp.pipeline import CyclePieceSampler, _check_interior, _submask_of_class
 from htsp.trees import (
     FIT_MAX_ROUNDS,
@@ -703,3 +707,110 @@ def fraction_marginal_check(shifted: ShiftedSolution,
         eid: v for eid, v in values.items() if v > 0 or eid in minor.zeros
     }:
         raise InfeasibleShift("tree marginals do not reproduce the shifted vector")
+
+
+def find_critical_set(g: MultiGraph, root_vertex: int) -> Optional[frozenset[int]]:
+    """Minimal proper tight set not crossed by any proper tight set, as the
+    hierarchy build picks it from the min-cut shores of ``g``; None when
+    every proper tight set is crossed (a double cycle) or none exists."""
+    shore = _critical_shore(g, _min_cut_shores(g), root_vertex)
+    return None if shore is None else frozenset(bits(shore))
+
+
+# ---------------------------------------------------------------------------
+# the per-trial join in ``Fraction``s
+# ---------------------------------------------------------------------------
+
+def detect_eal(conditions: EalConditions, tree_edges: frozenset[int]) -> dict[int, bool]:
+    """Per-edge flag: every even-at-last condition of ``eal_conditions``
+    holds on the tree."""
+    return {
+        eid: all(len(ids & tree_edges) % 2 == parity for ids, parity in conds)
+        for eid, conds in conditions.items()
+    }
+
+
+@dataclass(frozen=True)
+class JoinSolution:
+    """Join vector with the full per-edge accounting ledger."""
+
+    z: dict[int, Fraction]
+    eal: dict[int, bool]
+    coins: dict[tuple, bool]
+    reductions: dict[int, Fraction]
+    charges: dict[int, tuple[tuple[tuple[int, ...], Fraction], ...]]
+
+
+def build_join(h: CutHierarchy, classes: dict[int, EdgeClass], params: ReductionParams,
+               tree_edges: frozenset[int], rates: dict[tuple, object],
+               rng: np.random.Generator, sites, conditions: EalConditions) -> JoinSolution:
+    """One trial of the reduction-and-charge scheme for a sampled tree, with
+    the charge sites of ``build_charge_sites`` and the even-at-last
+    conditions of ``eal_conditions``.  A group's coin falls heads when
+    ``rng.random() < rates[grp]``, the groups in sorted order; the
+    ``coin_thresholds`` of the rates give the same coins.  The oracle for
+    the joins of ``BatchEngine.trial_joins``."""
+    degree_sites, pair_sites = sites
+    eal = detect_eal(conditions, tree_edges)
+    groups = coin_groups(classes)
+    coins = {grp: bool(rng.random() < rates[grp]) for grp in sorted(groups)}
+    m = h.instance.graph.m
+    z = {e: QUARTER for e in range(m)}
+    reductions: dict[int, Fraction] = {}
+    for grp, members in groups.items():
+        for e in members:
+            if eal[e] and coins[grp]:
+                reductions[e] = params.amount(classes[e].kind)
+                z[e] -= reductions[e]
+    charges: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
+
+    def odd(cut_ids) -> bool:
+        return sum(1 for c in cut_ids if c in tree_edges) % 2 == 1
+
+    for site in degree_sites:
+        if site.source in reductions and odd(site.cut_ids):
+            for f, frac in site.targets:
+                amt = site.amount * frac
+                z[f] += amt
+                charges.setdefault(f, []).append(((site.source,), amt))
+    for site in pair_sites:
+        for grp in site.groups:
+            active = [s for s, cut in grp.members if s in reductions and odd(cut)]
+            if active:
+                half = grp.amount / 2
+                for t in site.targets:
+                    z[t] += half
+                    charges.setdefault(t, []).append((tuple(active), half))
+    return JoinSolution(z, eal, coins, reductions,
+                        {e: tuple(v) for e, v in charges.items()})
+
+
+@dataclass(frozen=True)
+class JoinReport:
+    ok: bool
+    floor_violations: tuple[int, ...]
+    cut_violations: tuple[tuple[frozenset[int], Fraction], ...]
+
+
+def verify_join(z: dict[int, Fraction], tree_edges: frozenset[int], h: CutHierarchy,
+                min_cuts: Optional[list[CutView]] = None,
+                raise_on_violation: bool = True) -> JoinReport:
+    """Floor of one sixth everywhere; odd min-cuts covered to one, read from
+    the hierarchy's min-cut list (cuts with more than four edges are
+    certified by the floor alone)."""
+    if min_cuts is None:
+        min_cuts = min_cuts_via_hierarchy(h)
+    floor_bad = tuple(e for e, v in sorted(z.items()) if v < FLOOR)
+    cut_bad = []
+    for cut in min_cuts:
+        if sum(1 for e in cut.edge_ids if e in tree_edges) % 2 == 1:
+            total = sum((z[e] for e in cut.edge_ids), Fraction(0))
+            if total < 1:
+                cut_bad.append((cut.shore, total))
+    report = JoinReport(not floor_bad and not cut_bad, floor_bad, tuple(cut_bad))
+    if raise_on_violation and not report.ok:
+        raise FeasibilityViolation(
+            f"floor violations {report.floor_violations}, "
+            f"cut violations {[(sorted(s), str(v)) for s, v in report.cut_violations]}"
+        )
+    return report

@@ -17,7 +17,7 @@ from htsp.generators import (
     generate_random_4reg,
     standalone_piece,
 )
-from htsp.graph import MultiGraph, parse_instance
+from htsp.graph import MultiGraph, parse_instance, serialize_instance
 from htsp.hierarchy import build_hierarchy
 from tests.brute_min_cuts import brute_min_cuts
 from tests.conftest import ALL_FAMILIES, family_instance
@@ -225,6 +225,12 @@ def test_cli_stats_correlation_piece():
     # two sources, which one run could only read one of
     (("--instance", "INSTANCE", "--family", "zoo"), ("instance, family",)),
     (("--family", "zoo", "--piece", "c8_12", "--suite", "correlations"), ("family, piece",)),
+    # generator settings, which only a family source reads
+    (("--instance", "INSTANCE", "--suite", "marginals", "--k", "40", "--unit-costs"),
+     ("(k, unit_costs)", "instance")),
+    (("--piece", "c8_12", "--suite", "correlations", "--n", "16", "--gen-seed", "9"),
+     ("(n, gen_seed)", "piece 'c8_12'")),
+    (("--instance", "INSTANCE", "--depth", "2"), ("(depth)",)),
 ])
 def test_cli_stats_names_flags_it_cannot_honour(args, named, instance_file):
     r = run_cli("stats", *(instance_file if a == "INSTANCE" else a for a in args),
@@ -234,6 +240,24 @@ def test_cli_stats_names_flags_it_cannot_honour(args, named, instance_file):
     assert len(r.stderr.strip().splitlines()) == 1
     assert r.stderr.startswith("htsp stats: ConfigError: ")
     assert all(name in r.stderr for name in named), r.stderr
+
+
+def test_generator_settings_need_a_family_source(instance_file):
+    """A set generator setting with a file or piece source is refused; an
+    unset one takes the default of ``generators.generate``, gen_seed 1."""
+    from htsp.errors import ConfigError
+    from htsp.stats import ExperimentConfig, load_instance, run_suite
+
+    for source in ({"instance": instance_file}, {"piece": "c7bar"}):
+        for setting in ({"k": 7}, {"n": 12}, {"depth": 2}, {"gen_seed": 1},
+                        {"unit_costs": True}):
+            cfg = ExperimentConfig(**source, **setting, suite="correlations", trials=10)
+            with pytest.raises(ConfigError, match=f"\\({next(iter(setting))}\\)"):
+                run_suite(cfg)
+    for family in ALL_FAMILIES:
+        default = load_instance(ExperimentConfig(family=family))
+        want = generate(family, np.random.default_rng(1))
+        assert serialize_instance(default) == serialize_instance(want)
 
 
 def test_more_points_than_the_grid_holds_fail_before_any_draw():

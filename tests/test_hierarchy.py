@@ -13,14 +13,13 @@ from htsp.hierarchy import (
     build_hierarchy,
     crossing,
     enumerate_min_cuts,
-    find_critical_set,
     min_cuts_via_hierarchy,
 )
 from htsp.pipeline import SamplerParams
 from htsp.stats import BatchEngine
 from tests.brute_min_cuts import brute_min_cuts
 from tests.conftest import ALL_FAMILIES, family_instance
-from tests.reference import cactus_min_cut_shores
+from tests.reference import cactus_min_cut_shores, find_critical_set
 
 
 def k5_graph():

@@ -16,24 +16,21 @@ from htsp.join import (
     ReductionParams,
     bipartization_flow,
     build_charge_sites,
-    build_join,
     check_eal_bounds,
     classify,
     coin_groups,
     coin_rates,
     coin_thresholds,
-    detect_eal,
     eal_conditions,
     exact_eal_probabilities,
     integral_join_and_tour,
     min_cost_perfect_matching,
     odd_vertices,
-    verify_join,
 )
 from htsp.pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
-from htsp.stats import BatchEngine, CompiledInstance
-from tests.conftest import family_instance
-from tests.reference import shortest_path_metric
+from htsp.stats import BatchEngine, CompiledInstance, _odd_rows
+from tests.conftest import ALL_FAMILIES, family_instance
+from tests.reference import build_join, detect_eal, shortest_path_metric, verify_join
 
 QUARTER = Fraction(1, 4)
 
@@ -59,8 +56,6 @@ def test_classify_covers_every_edge_once(any_instance):
         assert nd.kind != "leaf"
         if cl.kind == "cycle":
             assert nd.kind == "cycle"
-            c, c_prime = cl.canonical_cuts
-            assert c and c_prime
         else:
             assert nd.kind == "degree"
             if cl.kind == "k5-degree":
@@ -170,7 +165,7 @@ def test_coin_thresholds_fall_as_the_rates_do(sampler):
         assert by_rate == by_threshold
     # the Monte Carlo chunk flips its coins against the same thresholds
     engine = BatchEngine(family_instance("zoo"), sp)
-    want = [engine.coin_thresholds[grp] for grp in sorted(coin_groups(engine.classes))]
+    want = [coin_thresholds(engine.rates)[grp] for grp in sorted(coin_groups(engine.classes))]
     assert [rate for _, rate in engine.groups] == want
 
 
@@ -694,14 +689,23 @@ def test_integer_metric_equals_the_fraction_reference_on_random_costs(family, da
     _assert_metric_equals_reference(HalfIntegralInstance(inst.graph, tuple(costs)))
 
 
-@pytest.mark.parametrize("family", ["double-cycle", "k5-gadget", "nested",
-                                    "random-4reg", "zoo"])
-def test_engine_trial_check_agrees_with_verify_join(family):
-    """``BatchEngine.verify_trial`` against ``verify_join`` on 200
-    ``build_join`` trials, each also with one edge's charge lowered by a
-    twelfth: the two pass and fail together."""
-    from htsp.stats import BatchEngine
+def engine_fails(engine, z, tree_edges) -> bool:
+    """Whether the engine's check through the hierarchy, ``_infeasible`` on
+    a one-column block, fails the ``Fraction`` join ``z`` on the tree."""
+    T = np.zeros((engine.m, 1), dtype=bool)
+    T[sorted(tree_edges)] = True
+    scaled = [z[e] * engine.z_denom for e in range(engine.m)]
+    assert all(v.denominator == 1 for v in scaled)
+    col = np.array([[int(v)] for v in scaled], dtype=np.int64)
+    site_odd = [_odd_rows(T, cols) for cols in engine.site_cut_cols]
+    return bool(engine._infeasible(T, col, site_odd)[0])
 
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_engine_trial_check_agrees_with_verify_join(family):
+    """The engine's check against the reference ``verify_join`` on 200
+    reference joins, each also with one edge's charge lowered by a
+    twelfth: the two pass and fail together."""
     inst = family_instance(family)
     engine = BatchEngine(inst, SamplerParams(sampler="mix"))
     cuts = min_cuts_via_hierarchy(engine.h)
@@ -715,20 +719,15 @@ def test_engine_trial_check_agrees_with_verify_join(family):
         lowered = dict(js.z)
         lowered[int(pick.integers(engine.m))] -= Fraction(1, 12)
         for z in (js.z, lowered):
-            if verify_join(z, ts.edges, engine.h, cuts, raise_on_violation=False).ok:
-                engine.verify_trial(z, ts.edges)
-            else:
-                failed += 1
-                with pytest.raises(FeasibilityViolation):
-                    engine.verify_trial(z, ts.edges)
+            ok = verify_join(z, ts.edges, engine.h, cuts, raise_on_violation=False).ok
+            assert engine_fails(engine, z, ts.edges) == (not ok)
+            failed += not ok
     assert failed > 0
 
 
 def test_engine_trial_check_catches_deficient_cut(zoo_instance):
     """The deficient cut of ``test_verify_join_catches_deficient_cut``:
     every charge a quarter except one edge of an odd min-cut at a sixth."""
-    from htsp.stats import BatchEngine
-
     engine = BatchEngine(zoo_instance, SamplerParams(sampler="mi"))
     cuts = min_cuts_via_hierarchy(engine.h)
     for trial in range(50):
@@ -739,7 +738,40 @@ def test_engine_trial_check_catches_deficient_cut(zoo_instance):
         if odd_cut is not None:
             break
     z = {e: QUARTER for e in range(engine.m)}
-    engine.verify_trial(z, ts.edges)
+    assert not engine_fails(engine, z, ts.edges)
     z[odd_cut.edge_ids[0]] = Fraction(1, 6)
-    with pytest.raises(FeasibilityViolation, match="cut violations"):
-        engine.verify_trial(z, ts.edges)
+    assert engine_fails(engine, z, ts.edges)
+    assert not verify_join(z, ts.edges, engine.h, cuts, raise_on_violation=False).ok
+
+
+def _trees(engine, trials):
+    """The trees ``htsp join --seed 2`` samples for the given trials."""
+    return [sample_r0_tree(engine.h, engine.sp, seed=2, trial=t,
+                           samplers=engine.samplers).edges for t in trials]
+
+
+@pytest.mark.parametrize("sampler", ["mi", "maxent", "mix"])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_trial_joins_equal_the_reference_join(family, sampler):
+    """``BatchEngine.trial_joins``, the joins of ``htsp join``, equal the
+    reference ``build_join`` on each trial's own coin stream, in units of
+    1/z_denom, trial by trial; a block that starts past trial 0 included."""
+    engine = BatchEngine(family_instance(family), SamplerParams(sampler=sampler))
+    trees = _trees(engine, range(200))
+    thresholds = coin_thresholds(engine.rates)
+    z = np.concatenate([engine.trial_joins(trees[:150], 2, 0),
+                        engine.trial_joins(trees[150:], 2, 150)], axis=1)
+    for trial, edges in enumerate(trees):
+        rng = np.random.default_rng(np.random.SeedSequence(2, spawn_key=(trial, 1 << 20)))
+        js = build_join(engine.h, engine.classes, engine.rp, edges, thresholds, rng,
+                        engine.sites, engine.eal_conditions)
+        assert [int(js.z[e] * engine.z_denom) for e in range(engine.m)] == z[:, trial].tolist()
+
+
+def test_trial_joins_without_charges_name_a_deficient_cut():
+    """With the charge sites emptied, reductions go unpaid: some trial's
+    join fails, and the error names its odd min-cuts below one."""
+    engine = BatchEngine(family_instance("zoo"), SamplerParams(sampler="mix"))
+    engine.degree_site_plan, engine.pair_site_plan = [], []
+    with pytest.raises(FeasibilityViolation, match=r"odd min-cuts covered below one \[\(\["):
+        engine.trial_joins(_trees(engine, range(200)), 2, 0)

@@ -52,6 +52,21 @@ CLI_STDOUT = {
         "00b179e238117d9f241b4e98ccf6f3755fba63d38b4b399f4a2471ff3f36db58",
     ("zoo", ("--seed", "3"), ("join", "--trials", "20", "--seed", "2")):
         "ab3a6d1375a417ea3c4e733a429d9250c5b9efda225e55fa56e14d980eb3bfc6",
+    # the join of each pure route, the unshortcut tour, and the mix on the
+    # families with the larger degree pieces
+    ("zoo", ("--seed", "3"), ("join", "--trials", "20", "--seed", "2",
+                              "--sampler", "mi")):
+        "b5cf9e7c8a0f14f9a9d6d673fab05bec3f0d16d9ca732617cd9a8b93e130ecf1",
+    ("zoo", ("--seed", "3"), ("join", "--trials", "20", "--seed", "2",
+                              "--sampler", "maxent")):
+        "5ef4fab8019678142325fabb8a199b426d4dcea82ad9ee1f6422aff3be4d85b7",
+    ("zoo", ("--seed", "3"), ("join", "--trials", "20", "--seed", "2",
+                              "--no-shortcut")):
+        "91a2eaead0fc9519828f81c866b21da55a107c34636d702d7fe1e08b9b9c6e87",
+    ("nested", ("--seed", "3"), ("join", "--trials", "20", "--seed", "2")):
+        "07c5f66229dba173b163f1da702ba1ce77e074c8f6c2bbf529ce6327ccafb9df",
+    ("random-4reg", ("--seed", "3"), ("join", "--trials", "20", "--seed", "2")):
+        "577cb6e121d8aca9bc17abd1f8f8f045e5a087f6cca08d82b15251517941f921",
     ("zoo", ("--seed", "3"), ("tour", "--seed", "2")):
         "95e88a2c64ff5e93aa6d51266c3e7ee71fd97d0756fad6ed1516ef3c06fc3dbb",
     ("zoo", ("--seed", "3"), ("tour", "--seed", "2", "--sampler", "mi")):

@@ -54,3 +54,18 @@ def test_one_matrix_inverse_site():
         and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
     ]
     assert len(found) == 1, found
+
+
+def test_one_join_construction():
+    """The chunk kernels of ``stats.BatchEngine`` are the package's one join
+    construction and check: the per-trial ``Fraction`` join lives only in
+    ``tests/reference.py``, as the oracle the tests hold the engine to."""
+    gone = {"build_join", "JoinSolution", "detect_eal", "verify_join", "JoinReport",
+            "verify_trial"}
+    found = [
+        f"{path.name}:{node.lineno}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone
+    ]
+    assert found == []
