@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a generated instance")
     p.add_argument("--family", choices=generators.FAMILIES, required=True)
     _add_generator_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="generator seed (default: the one stats --family uses)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
 

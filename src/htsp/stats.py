@@ -9,7 +9,10 @@ rows (``draw_rows``; a tree-table piece by a guide-table lookup into its
 cdf), even-at-last flags and cut parities are XORs of whole edge rows (a
 chunk holds one row of trials per edge), and the join arithmetic runs in
 integers after scaling every charge quantum by a common denominator (so
-feasibility checks are exact, not float).  Verification reads the
+feasibility checks are exact, not float).  The charges, the cut covers
+made from them and each trial's cost sums are held in the narrowest
+integer type (``LANES``) that the join plan's bound on the charges proves
+exact; only per-edge and per-chunk totals are added in int64.  Verification reads the
 min-cuts through the hierarchy and never lists them: one running
 two-minimum over the k + 1 partner pairs of a cycle piece with a k-vertex
 chain covers its k(k+1)/2 segment cuts, and the label cut of each degree
@@ -74,6 +77,8 @@ MAX_CHUNK = 1 << 14
 #: trials per block of the per-edge sums of squared charges
 SUMSQ_BLOCK = 1 << 10
 INT64_MAX = int(np.iinfo(np.int64).max)
+#: the integer types a chunk's trial rows may take, narrowest first
+LANES = (np.int16, np.int32, np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +181,15 @@ def check_positive(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ConfigError(f"{name} must be at least 1, got {value}")
+
+
+def narrowest_lane(bound: int) -> type:
+    """The first of ``LANES`` that holds every integer of absolute value up
+    to ``bound``; ``ScaleOverflow`` if none does."""
+    for lane in LANES:
+        if bound <= np.iinfo(lane).max:
+            return lane
+    raise ScaleOverflow(f"{bound} does not fit in int64")
 
 
 def _lcm_denominator(values: Iterable[Fraction]) -> int:
@@ -382,16 +396,38 @@ class BatchEngine(CompiledInstance):
             for site in pair_sites
         ]
         self.site_cut_cols = [np.array(c, dtype=np.int64) for c in site_cuts]
-        # the most charge |z_e| an edge can carry, so that a chunk's sums
-        # of cost * charge stay exact
+        # the most charge |z_e| an edge can carry
         most = [D // 4 + int(a) for a in self.amount_int]
         for f, amt in (t for _, _, targets in self.degree_site_plan for t in targets):
             most[f] += amt
         for (t0, t1), groups in self.pair_site_plan:
             most[t0] += sum(half for half, _ in groups)
             most[t1] += sum(half for half, _ in groups)
-        if MAX_CHUNK * sum(int(c) * z for c, z in zip(self.cost_int, most)) > INT64_MAX:
+        self._choose_lanes(most)
+        lane = self.lane
+        # the repayments as lane scalars, so a site's row stays in the lane
+        self.degree_site_plan = [(src, k, [(f, lane(amt)) for f, amt in targets])
+                                 for src, k, targets in self.degree_site_plan]
+        self.pair_site_plan = [(targets, [(lane(half), members) for half, members in groups])
+                               for targets, groups in self.pair_site_plan]
+
+    def _choose_lanes(self, most: Sequence[int]) -> None:
+        """The chunk's integer lanes, from the most charge ``most[e]`` each
+        edge can carry.  ``lane`` holds the charges and every value
+        ``_infeasible`` forms from them: a cut's cover, a gap pair's cover
+        less or plus D, and the sum of two such, all within 2 * sum(most)
+        + 2D.  ``sum_lane`` holds a trial's cost sums, cost times charge
+        and a tree's cost: int32 or wider, and no narrower than the charges
+        it reads; a chunk adds them in int64.  Raises ``ScaleOverflow``
+        unless those int64 sums of cost times charge stay exact."""
+        cost = [int(c) for c in self.cost_int]
+        charge_cost = sum(c * z for c, z in zip(cost, most))
+        if MAX_CHUNK * charge_cost > INT64_MAX:
             raise ScaleOverflow(f"{MAX_CHUNK} trials of cost times charge could overflow int64")
+        bound = 2 * sum(most) + 2 * self.z_denom
+        self.lane = narrowest_lane(bound)
+        # 2**15 lies past int16, so the cost sums take int32 at least
+        self.sum_lane = narrowest_lane(max(charge_cost, sum(cost), bound, 1 << 15))
 
     def _build_verify_plan(self) -> None:
         """The min-cuts as the hierarchy holds them (see ``_infeasible``).
@@ -523,18 +559,21 @@ class BatchEngine(CompiledInstance):
         st.reduced += _row_counts(reduced)
         st.z_sum = [a + int(b) for a, b in zip(st.z_sum, z.sum(1, dtype=np.int64))]
         st.z_sumsq = [a + b for a, b in zip(st.z_sumsq, self._square_sums(z).tolist())]
-        # einsum adds integer rows without the int64 copy of a bool block
-        # that matmul makes, which would set the chunk's peak memory
-        zc = np.einsum("e,et->t", self.cost_int, z)
-        st.zc_sum += int(zc.sum())
+        # einsum adds integer rows in the sum lane without the int64 copy of
+        # a block that matmul makes, which would set the chunk's peak memory;
+        # the chunk totals are added in int64
+        cost = self.cost_int.astype(self.sum_lane)
+        zc = np.einsum("e,et->t", cost, z, dtype=self.sum_lane)
+        st.zc_sum += int(zc.sum(dtype=np.int64))
         st.zc_sumsq += float((zc.astype(float) ** 2).sum())
-        tree_cost = np.einsum("e,et->t", self.cost_int, T)
-        st.tree_sum += int(tree_cost.sum())
+        tree_cost = np.einsum("e,et->t", cost, T, dtype=self.sum_lane)
+        st.tree_sum += int(tree_cost.sum(dtype=np.int64))
         st.tree_sumsq += float((tree_cost.astype(float) ** 2).sum())
         if verify:
             st.feasibility_failures += int(self._infeasible(T, z, site_odd).sum())
         if integral:
             ij = self._integral_costs(T.T)
+            # the int64 join costs lift the sum to int64
             total = tree_cost + ij
             st.total_sum += int(total.sum())
             st.total_sumsq += float((total.astype(float) ** 2).sum())
@@ -561,7 +600,8 @@ class BatchEngine(CompiledInstance):
         summed in floats; the order of the adds fixes the bits of a report,
         so it must stay trial order (a pairwise sum would move them).  Each
         block of ``SUMSQ_BLOCK`` trials is divided into a ``(trials, m)``
-        buffer, squared, the running sums folded into its first row, and its
+        float buffer (every lane's integers convert to floats exactly, so
+        the lane moves no bit), squared, the running sums folded into its first row, and its
         rows added by one reduction over axis 0, which adds the rows one
         after the other for every edge at once.  That holds for two or more
         columns (every instance has m = 2n >= 6 edges); with one column
@@ -580,22 +620,25 @@ class BatchEngine(CompiledInstance):
 
     def _charges(self, reduced: np.ndarray,
                  site_odd: Sequence[np.ndarray]) -> np.ndarray:
-        """Per edge and trial, the fractional join in units of 1/z_denom:
-        a quarter, less the reduced edges' amounts, plus the repayments
-        of the charge sites whose cut is odd.  ``site_odd`` holds the
-        parity rows of ``site_cut_cols``."""
+        """Per edge and trial, the fractional join in units of 1/z_denom, in
+        the plan's ``lane``: a quarter, less the reduced edges' amounts,
+        plus the repayments of the charge sites whose cut is odd.
+        ``site_odd`` holds the parity rows of ``site_cut_cols``."""
         n = reduced.shape[1]
+        lane = self.lane
         # a multiply into ``z`` casts the bool block in small buffers, with
         # no block-sized temporary; a masked subtract was 7x slower.  Each
-        # row is one cache line longer than the chunk: at 2**14 trials a
-        # row spans 128 KiB, so the rows would meet in one cache set and
-        # the trial-major reads of ``_square_sums`` would miss on every edge
-        z = np.empty((self.m, n + 8), dtype=np.int64)[:, :n]
-        np.multiply(reduced, -self.amount_int[:, None], out=z)
-        z += self.z_denom // 4
-        # two bool rows and one int64 row serve every site
+        # row is one cache line (64 bytes) longer than the chunk: at 2**14
+        # trials a row spans a power of two of bytes, so the rows would meet
+        # in one cache set and the trial-major reads of ``_square_sums``
+        # would miss on every edge
+        pad = 64 // np.dtype(lane).itemsize
+        z = np.empty((self.m, n + pad), dtype=lane)[:, :n]
+        np.multiply(reduced, -self.amount_int.astype(lane)[:, None], out=z)
+        z += lane(self.z_denom // 4)
+        # two bool rows and one lane row serve every site
         active, hit = np.empty((2, n), dtype=bool)
-        paid = np.empty(n, dtype=np.int64)
+        paid = np.empty(n, dtype=lane)
         for src, k, targets in self.degree_site_plan:
             np.logical_and(reduced[src], site_odd[k], out=active)
             for f, amt in targets:
@@ -625,14 +668,15 @@ class BatchEngine(CompiledInstance):
         charge is non-negative; a trial with a charge under the floor
         fails anyway.
         """
-        D = self.z_denom
-        bad = (z < D // 6).any(axis=0)
-        # row buffers only, with unmasked arithmetic: a (gaps, trials)
-        # block would set the chunk's peak memory, and a masked minimum
-        # was 8x slower than the adds
+        lane = self.lane
+        D = lane(self.z_denom)
+        bad = (z < lane(self.z_denom // 6)).any(axis=0)
+        # row buffers only, in the plan's lane, with unmasked arithmetic: a
+        # (gaps, trials) block would set the chunk's peak memory, and a
+        # masked minimum was 8x slower than the adds
         n = T.shape[1]
         parity = np.empty(n, dtype=bool)
-        cover, lift, shifted, least_even, least_odd = np.empty((5, n), dtype=np.int64)
+        cover, lift, shifted, least_even, least_odd = np.empty((5, n), dtype=lane)
         for cols, k in self.direct_cuts:
             # a parity no site holds is dropped after use: keeping all of
             # them would set the chunk's peak memory

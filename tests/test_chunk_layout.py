@@ -15,13 +15,14 @@ import pytest
 
 from htsp.errors import OddSetTooLarge
 from htsp.generators import generate, generate_double_cycle
+from htsp.graph import HalfIntegralInstance
 from htsp.join import ODD_SET_LIMIT
 from htsp import stats
 from htsp.pipeline import SamplerParams
-from htsp.stats import BatchEngine, BatchStats, _odd_rows, symmetry_pairs
+from htsp.stats import BatchEngine, BatchStats, _odd_rows, narrowest_lane, symmetry_pairs
 from tests.conftest import ALL_FAMILIES, FAMILY_SEED, family_instance
 from tests.rowmajor_chunk import rowmajor
-from tests.test_join import _ring_edges_with_odd
+from tests.test_join import _ring_edges_with_odd, _trees
 
 TRIALS = 2_500
 CHUNK = 1_000  # the last chunk holds 500 trials
@@ -316,9 +317,10 @@ def test_join_cache_never_empties_on_zoo():
 
 @pytest.mark.parametrize("name", ["zoo", "double-cycle-40", "double-cycle-100"])
 def test_full_flag_chunk_peak_memory(name):
-    """A warm one-chunk full-flag run stays under 2.25 int64 charge blocks
-    of traced peak: a float copy of the block, a parity row kept for every
-    min-cut, or a (gaps, trials) block per cycle piece would push it past."""
+    """A warm one-chunk full-flag run stays under 1.1 int64 charge blocks
+    of traced peak: an int64 charge block (these instances take the int16
+    lane), a float copy of the block, a parity row kept for every min-cut,
+    or a (gaps, trials) block per cycle piece would push it past."""
     engine = verify_engine(name)
     trials = 1 << 14
     flags = {"join": True, "verify": True, "integral": True}
@@ -329,4 +331,89 @@ def test_full_flag_chunk_peak_memory(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.25 * engine.m * trials * 8
+    assert peak < 1.1 * engine.m * trials * 8
+
+
+# ---------------------------------------------------------------------------
+# charge lanes: every lane against the int64 row-major oracle
+# ---------------------------------------------------------------------------
+
+LANE_CASES = ALL_FAMILIES + ("double-cycle-24",)
+
+
+@pytest.mark.parametrize("bound,lane", [
+    (0, np.int16), (2 ** 15 - 1, np.int16), (2 ** 15, np.int32),
+    (2 ** 31 - 1, np.int32), (2 ** 31, np.int64), (2 ** 63 - 1, np.int64),
+])
+def test_narrowest_lane_at_its_edges(bound, lane):
+    assert narrowest_lane(bound) is lane
+
+
+def test_no_lane_past_int64():
+    with pytest.raises(stats.ScaleOverflow):
+        narrowest_lane(2 ** 63)
+
+
+def forced_lane(engine: BatchEngine, lane) -> BatchEngine:
+    """A copy of ``engine`` whose chunk holds its charges in ``lane`` and
+    its cost sums in int32, or in int64 with the int64 lane."""
+    twin = copy.copy(engine)
+    twin.lane = lane
+    twin.sum_lane = np.int64 if lane is np.int64 else np.int32
+    twin.degree_site_plan = [(src, k, [(f, lane(amt)) for f, amt in targets])
+                             for src, k, targets in engine.degree_site_plan]
+    twin.pair_site_plan = [(targets, [(lane(half), members) for half, members in groups])
+                           for targets, groups in engine.pair_site_plan]
+    return twin
+
+
+@pytest.mark.parametrize("name", LANE_CASES)
+def test_generated_instances_take_the_int16_lane(name):
+    """The test instances run the narrowest lane, the one the benchmark
+    workloads take."""
+    engine = verify_engine(name)
+    assert engine.lane is np.int16 and engine.sum_lane is np.int32
+
+
+@pytest.mark.parametrize("lane", stats.LANES, ids=lambda t: np.dtype(t).name)
+@pytest.mark.parametrize("name", LANE_CASES)
+def test_every_lane_matches_row_major(name, lane):
+    engine = forced_lane(verify_engine(name), lane)
+    new, old = run_both(engine, 19, FLAG_SETS["all+pairs"])
+    assert_same_stats(new, old)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_trial_joins_agree_in_every_lane(family):
+    engine = engine_for(family)
+    trees = _trees(engine, range(120))
+    want = forced_lane(engine, np.int64).trial_joins(trees, 2, 0)
+    for lane in stats.LANES:
+        z = forced_lane(engine, lane).trial_joins(trees, 2, 0)
+        assert z.dtype == lane and z.tolist() == want.tolist()
+
+
+def _flat_cost_zoo(cost: int) -> BatchEngine:
+    zoo = family_instance("zoo")
+    inst = HalfIntegralInstance(zoo.graph, tuple(cost for _ in zoo.costs))
+    return BatchEngine(inst, SamplerParams(sampler="mix"))
+
+
+def test_int64_cost_sums_match_row_major():
+    """Costs of 10**6 each put a trial's cost times charge past int32, so
+    the engine adds its cost sums in int64."""
+    engine = _flat_cost_zoo(10 ** 6)
+    assert engine.lane is np.int16 and engine.sum_lane is np.int64
+    new, old = run_both(engine, 19, FLAG_SETS["all+pairs"])
+    assert_same_stats(new, old)
+
+
+def test_cost_sums_are_no_narrower_than_the_charges():
+    """Unit costs and a charge bound whose covers pass int32 while cost
+    times charge stays within it: the cost sums read int64 charges, so
+    they take int64 too."""
+    engine = copy.copy(_flat_cost_zoo(1))
+    most = [2 ** 30 // engine.m] * engine.m
+    assert sum(most) < 2 ** 31 < 2 * sum(most) + 2 * engine.z_denom
+    engine._choose_lanes(most)
+    assert engine.lane is np.int64 and engine.sum_lane is np.int64

@@ -150,6 +150,19 @@ def test_cli_generate_is_deterministic(tmp_path):
     assert a.stdout != c.stdout
 
 
+def test_cli_generate_default_seed_is_the_stats_default():
+    """``generate --family F`` without ``--seed`` writes the instance that
+    ``stats --family F`` runs on, generator seed 1."""
+    from htsp.stats import ExperimentConfig, load_instance
+
+    for family in ("zoo", "nested"):
+        r = run_cli("generate", "--family", family)
+        assert r.returncode == 0, r.stderr
+        want = serialize_instance(load_instance(ExperimentConfig(family=family)))
+        assert r.stdout == want
+        assert r.stdout == run_cli("generate", "--family", family, "--seed", "1").stdout
+
+
 def test_cli_validate(instance_file):
     r = run_cli("validate", instance_file)
     assert r.returncode == 0 and "valid" in r.stdout

@@ -69,3 +69,29 @@ def test_one_join_construction():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone
     ]
     assert found == []
+
+
+def test_one_charge_lane():
+    """The chunk's trial-wide integer rows take their type from the join
+    plan (``BatchEngine.lane`` and ``sum_lane``): ``_charges``,
+    ``_infeasible`` and ``_run_chunk`` make no array as ``np.int64``.  A
+    reduction to per-edge or chunk totals may still add in int64."""
+    makers = {"empty", "zeros", "ones", "full", "empty_like", "zeros_like", "ones_like",
+              "full_like", "array", "einsum", "astype", "multiply", "add", "subtract"}
+    tree = ast.parse((SRC / "stats.py").read_text(encoding="utf-8"))
+    engine = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "BatchEngine")
+    methods = {node.name: node for node in engine.body if isinstance(node, ast.FunctionDef)}
+    found = []
+    for name in ("_charges", "_infeasible", "_run_chunk"):
+        for node in ast.walk(methods[name]):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in makers):
+                continue
+            found += [
+                f"{name}:{node.lineno}"
+                for arg in [*node.args, *(kw.value for kw in node.keywords)]
+                for sub in ast.walk(arg)
+                if isinstance(sub, ast.Attribute) and sub.attr == "int64"
+            ]
+    assert found == []
