@@ -19,9 +19,9 @@ sys.path.insert(0, "src")
 
 from htsp.generators import generate
 from htsp.join import ReductionParams
-from htsp.params import EPSILON, TOUR_RATIO_BOUND, optimize
+from htsp.params import optimize
 from htsp.pipeline import SamplerParams
-from htsp.stats import BatchEngine, mean_and_sigma
+from htsp.stats import BatchEngine, suite_cost
 
 FAMILIES = ("double-cycle", "k5-gadget", "nested", "random-4reg", "zoo")
 
@@ -47,20 +47,16 @@ def main() -> int:
         st = eng.run(args.trials, seed=args.seed, join=True, verify=True,
                      integral=True)
         cx = float(eng.lp_cost)
-        zc_mean, _ = mean_and_sigma(st.zc_sum, st.zc_sumsq, st.trials,
-                                    1.0 / (st.z_denom * st.cost_denom))
-        tot_mean, _ = mean_and_sigma(st.total_sum, st.total_sumsq, st.trials,
-                                     1.0 / st.cost_denom)
-        frac_bound = (0.5 - EPSILON) * cx
-        tot_bound = TOUR_RATIO_BOUND * cx
+        rows = {r.name: r for r in suite_cost(eng, st)}
+        frac, total = rows["fractional-join-cost"], rows["tree-plus-join-cost"]
         lines.append(
-            f"{family},{st.trials},{cx:.10g},{zc_mean:.10g},{frac_bound:.10g},"
-            f"{(frac_bound - zc_mean) / cx:.6g},{tot_mean:.10g},"
-            f"{tot_bound:.10g},{(tot_bound - tot_mean) / cx:.6g},"
+            f"{family},{st.trials},{cx:.10g},{frac.estimate:.10g},{frac.bound:.10g},"
+            f"{frac.slack / cx:.6g},{total.estimate:.10g},"
+            f"{total.bound:.10g},{total.slack / cx:.6g},"
             f"{st.feasibility_failures}"
         )
-        print(f"{family:12s} ratio {tot_mean / cx:.4f}  "
-              f"frac slack {(frac_bound - zc_mean) / cx:+.2e}  "
+        print(f"{family:12s} ratio {total.estimate / cx:.4f}  "
+              f"frac slack {frac.slack / cx:+.2e}  "
               f"infeasible {st.feasibility_failures}  "
               f"[{time.time() - t0:.0f}s]")
     text = "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from htsp.generators import generate_k5_gadget, generate_zoo, standalone_piece
 from htsp.join import ReductionParams
 from htsp.params import optimize
 from htsp.pipeline import SamplerParams
-from htsp.stats import BatchEngine, binom_sigma, eal_bounds_for, suite_correlations
+from htsp.stats import BatchEngine, suite_correlations, suite_eal
 
 
 def main() -> int:
@@ -38,7 +38,7 @@ def main() -> int:
         for sampler in ("mi", "maxent"):
             rep = suite_correlations(piece, sampler, args.trials, args.seed,
                                      piece_label=piece_name)
-            rows = [r for r in rep.rows if not r.name.endswith("/exact")]
+            rows = [r for r in rep if not r.name.endswith("/exact")]
             by_name: dict = {}
             for r in rows:
                 cur = by_name.get(r.name)
@@ -57,20 +57,11 @@ def main() -> int:
             sp = SamplerParams(sampler=sampler, mix_lambda=res.lam)
             rp = ReductionParams(res.tau, res.gamma, res.beta, sp.effective_lambda)
             eng = BatchEngine(inst, sp, rp)
-            st = eng.run(args.trials, seed=args.seed, join=True)
-            bounds = eal_bounds_for(sp, rp)
-            by_class: dict = {}
-            for e, cl in eng.classes.items():
-                cur = by_class.get(cl.kind)
-                if cur is None or st.eal[e] < cur[1]:
-                    by_class[cl.kind] = (e, st.eal[e])
-            for kind, (e, cnt) in sorted(by_class.items()):
-                est = cnt / st.trials
-                sd = binom_sigma(est, st.trials)
-                ok = est >= float(bounds[kind]) - 3 * sd
+            for r in suite_eal(eng, eng.run(args.trials, seed=args.seed, join=True)):
+                kind = r.name.split("/", 1)[1]
                 print(f"  {label:10s} {sampler:6s} {kind:13s} "
-                      f">= {float(bounds[kind]):.5f}  got {est:.5f}  "
-                      f"[{'ok ' if ok else 'LOW'}]")
+                      f">= {r.bound:.5f}  got {r.estimate:.5f}  "
+                      f"[{'ok ' if r.passed else 'LOW'}]")
     return 0
 
 

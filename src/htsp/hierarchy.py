@@ -34,22 +34,10 @@ from .graph import CutView, HalfIntegralInstance, MultiGraph, augment, bits, uni
 # min-cut enumeration by unit max flows and residual closures
 # ---------------------------------------------------------------------------
 
-def enumerate_min_cuts(g: MultiGraph) -> list[CutView]:
-    """All cuts of value 4, one per shore/complement pair, ordered by shore
-    size, then by the sorted shore.
-
-    The canonical shore is the side not containing vertex 0.  Includes the
-    singleton cuts.  Raises ConnectivityError when the graph is not
-    4-edge-connected.
-    """
-    out = [g.cut(frozenset(bits(mask))) for mask in _min_cut_shores(g)]
-    out.sort(key=lambda c: (len(c.shore), sorted(c.shore)))
-    return out
-
-
 def _min_cut_shores(g: MultiGraph) -> list[int]:
-    """The shores of ``enumerate_min_cuts`` as vertex masks, in the order
-    found.
+    """The shores of all cuts of value 4, one per shore/complement pair, as
+    vertex masks in the order found.  The shore is the side not containing
+    vertex 0; the singleton cuts are included.
 
     Each cut is found once, at the smallest vertex t of its shore: with
     {0, ..., t-1} merged into the source, the cuts of value 4 between

@@ -84,6 +84,8 @@ BETA_CAP = Fraction(1, 12)
 EPSILON = 0.001695
 #: guaranteed bound on the expected tree-plus-join cost / c(x)
 TOUR_RATIO_BOUND = 1.4983
+#: standard errors a sampled estimate may sit past its bound and pass
+SIGMAS = 3
 
 
 def mixed_rates(lam: Fraction) -> tuple[Fraction, Fraction, Fraction]:

@@ -25,21 +25,31 @@ split into blocks.
 Chunk randomness derives from (seed, chunk index), which makes any
 (instance, seed, config) run byte-reproducible for a given chunk size; a
 different chunk size draws different trials.
+
+The report half has one verdict rule: ``sampled_row`` passes a sampled
+estimate within ``params.SIGMAS`` standard errors of its bound, on the side
+its kind names, and ``binomial_row`` is its case for a frequency; every
+other row is exact.  Each suite returns its rows, and ``run_suite``
+dispatches the instance-level suites through one table, ``SUITES``, of the
+engine flags each needs and its function.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import generators
 from .errors import AssemblyError, ConfigError, FeasibilityViolation, ScaleOverflow
-from .graph import HalfIntegralInstance
+from .graph import HalfIntegralInstance, parse_instance
 from .hierarchy import build_hierarchy, min_cuts_via_hierarchy
 from .join import (
     EDGE_KINDS,
@@ -56,12 +66,20 @@ from .join import (
     exact_eal_probabilities,
     min_cost_perfect_matching,
 )
+from .oracle import (
+    correlation_event_probability,
+    correlation_tuples,
+    exact_expected_net_decrease,
+    exact_marginals,
+)
 from .params import (CORRELATION_BOUNDS, DEFAULT_MIX_LAMBDA, EAL_BOUNDS, EPSILON, HALF,
-                     QUARTER, TOUR_RATIO_BOUND)
+                     QUARTER, SIGMAS, TOUR_RATIO_BOUND)
 from .pipeline import (
     CyclePieceSampler,
+    DegreePieceSampler,
     SamplerParams,
     build_piece_samplers,
+    k5_sampler,
 )
 
 #: most parity keys the integral-join cache of an engine holds; above it the
@@ -79,6 +97,8 @@ SUMSQ_BLOCK = 1 << 10
 INT64_MAX = int(np.iinfo(np.int64).max)
 #: the integer types a chunk's trial rows may take, narrowest first
 LANES = (np.int16, np.int32, np.int64)
+#: draws per block of the correlation suite's piece sampling
+CORRELATION_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -115,61 +135,49 @@ class StatReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def extend(self, rows: Iterable[StatRow]) -> None:
-        self.rows.extend(rows)
-
     def to_csv(self) -> str:
-        head = "suite,name,sampler,context,kind,bound,estimate,stderr,trials,passed,slack"
-        lines = [head]
-        for r in self.rows:
-            lines.append(
-                f"{r.suite},{r.name},{r.sampler},{r.context},{r.kind},"
-                f"{r.bound:.10g},{r.estimate:.10g},{r.stderr:.10g},"
-                f"{r.trials},{int(r.passed)},{r.slack:.10g}"
-            )
-        return "\n".join(lines) + "\n"
+        """The rows as CSV; a field holding a comma is quoted."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([f.name for f in fields(StatRow)] + ["slack"])
+        writer.writerows(
+            (r.suite, r.name, r.sampler, r.context, r.kind, f"{r.bound:.10g}",
+             f"{r.estimate:.10g}", f"{r.stderr:.10g}", r.trials, int(r.passed), f"{r.slack:.10g}")
+            for r in self.rows
+        )
+        return out.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "meta": self.meta,
-                "rows": [
-                    {
-                        "suite": r.suite,
-                        "name": r.name,
-                        "sampler": r.sampler,
-                        "context": r.context,
-                        "kind": r.kind,
-                        "bound": r.bound,
-                        "estimate": r.estimate,
-                        "stderr": r.stderr,
-                        "trials": r.trials,
-                        "passed": r.passed,
-                        "slack": r.slack,
-                    }
-                    for r in self.rows
-                ],
-            },
-            indent=2,
-        )
+        rows = [{**asdict(r), "slack": r.slack} for r in self.rows]
+        return json.dumps({"meta": self.meta, "rows": rows}, indent=2)
 
 
 def binom_sigma(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 1e-12) / max(n, 1))
 
 
-def lower_row(suite, name, sampler, context, bound, count, n) -> StatRow:
-    est = count / n
-    sd = binom_sigma(est, n)
-    return StatRow(suite, name, sampler, context, "lower", float(bound), est, sd,
-                   n, est >= float(bound) - 3 * sd)
+def sampled_row(suite, name, sampler, context, kind, bound, estimate, stderr,
+                trials) -> StatRow:
+    """A row of a sampled estimate under the package's one verdict rule: it
+    passes when the estimate lies within ``SIGMAS`` standard errors of its
+    bound, on the side that ``kind`` (``lower``, ``upper`` or
+    ``two-sided``) names."""
+    bound = float(bound)
+    if kind == "lower":
+        passed = estimate >= bound - SIGMAS * stderr
+    elif kind == "upper":
+        passed = estimate <= bound + SIGMAS * stderr
+    elif kind == "two-sided":
+        passed = abs(estimate - bound) <= SIGMAS * stderr
+    else:
+        raise ValueError(f"a sampled row is lower, upper or two-sided, not {kind!r}")
+    return StatRow(suite, name, sampler, context, kind, bound, estimate, stderr, trials, passed)
 
 
-def twosided_row(suite, name, sampler, context, target, count, n) -> StatRow:
+def binomial_row(suite, name, sampler, context, kind, bound, count, n) -> StatRow:
+    """The sampled row of a frequency, ``count`` hits in ``n`` trials."""
     est = count / n
-    sd = binom_sigma(est, n)
-    return StatRow(suite, name, sampler, context, "two-sided", float(target), est,
-                   sd, n, abs(est - float(target)) <= 3 * sd)
+    return sampled_row(suite, name, sampler, context, kind, bound, est, binom_sigma(est, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +367,10 @@ class BatchEngine(CompiledInstance):
         if self.z_denom >= 2 ** 40:
             raise ScaleOverflow(f"charge denominator {self.z_denom} exceeds 2**40")
         D = self.z_denom
+        # the join's start and floor in units of 1/D, exact: both quanta
+        # enter D
+        self.quarter_int = int(QUARTER * D)
+        self.floor_int = int(FLOOR * D)
         self.amount_int = np.zeros(self.m, dtype=np.int64)
         for e, cl in self.classes.items():
             self.amount_int[e] = int(self.rp.amount(cl.kind) * D)
@@ -397,7 +409,7 @@ class BatchEngine(CompiledInstance):
         ]
         self.site_cut_cols = [np.array(c, dtype=np.int64) for c in site_cuts]
         # the most charge |z_e| an edge can carry
-        most = [D // 4 + int(a) for a in self.amount_int]
+        most = [self.quarter_int + int(a) for a in self.amount_int]
         for f, amt in (t for _, _, targets in self.degree_site_plan for t in targets):
             most[f] += amt
         for (t0, t1), groups in self.pair_site_plan:
@@ -635,7 +647,7 @@ class BatchEngine(CompiledInstance):
         pad = 64 // np.dtype(lane).itemsize
         z = np.empty((self.m, n + pad), dtype=lane)[:, :n]
         np.multiply(reduced, -self.amount_int.astype(lane)[:, None], out=z)
-        z += lane(self.z_denom // 4)
+        z += lane(self.quarter_int)
         # two bool rows and one lane row serve every site
         active, hit = np.empty((2, n), dtype=bool)
         paid = np.empty(n, dtype=lane)
@@ -656,7 +668,7 @@ class BatchEngine(CompiledInstance):
     def _infeasible(self, T: np.ndarray, z: np.ndarray,
                     site_odd: Sequence[np.ndarray]) -> np.ndarray:
         """Per trial, whether the charges ``z`` (in units of 1/z_denom) break
-        the join on the trees ``T``: an edge under its floor of 1/6, or an
+        the join on the trees ``T``: an edge under its floor (``FLOOR``), or an
         odd min-cut covered below 1.  ``site_odd`` holds the parity rows of
         ``site_cut_cols``.
 
@@ -670,7 +682,7 @@ class BatchEngine(CompiledInstance):
         """
         lane = self.lane
         D = lane(self.z_denom)
-        bad = (z < lane(self.z_denom // 6)).any(axis=0)
+        bad = (z < lane(self.floor_int)).any(axis=0)
         # row buffers only, in the plan's lane, with unmasked arithmetic: a
         # (gaps, trials) block would set the chunk's peak memory, and a
         # masked minimum was 8x slower than the adds
@@ -723,7 +735,7 @@ class BatchEngine(CompiledInstance):
         bad = np.flatnonzero(self._infeasible(T, z, site_odd))
         if bad.size:
             j, D = int(bad[0]), self.z_denom
-            under = np.flatnonzero(z[:, j] < D // 6).tolist()
+            under = np.flatnonzero(z[:, j] < self.floor_int).tolist()
             cuts = []
             for cut in min_cuts_via_hierarchy(self.h):
                 ids = list(cut.edge_ids)
@@ -829,58 +841,37 @@ def mean_and_sigma(total: int, sumsq: float, n: int, scale: float) -> tuple[floa
 
 
 # ---------------------------------------------------------------------------
-# piece-level batch (correlation rows)
+# piece-level suite (correlation rows)
 # ---------------------------------------------------------------------------
 
-class PieceBatch:
-    """Monte Carlo over a single piece's compiled interior-tree mixture."""
-
-    def __init__(self, piece, sampler_params: SamplerParams):
-        from .pipeline import DegreePieceSampler, k5_sampler
-
-        if piece.graph.n == 5:
-            self.sampler = k5_sampler(piece)
-        else:
-            self.sampler = DegreePieceSampler(piece, sampler_params).compiled()
-        self.piece = piece
-
-    def event_counts(self, events: Sequence[np.ndarray], trials: int, seed: int,
-                     chunk: int = 1 << 16) -> np.ndarray:
-        """Per event, a bool row over the sampler's trees, the number of
-        trials whose drawn tree it marks: the draws counted per tree, then
-        summed under each event."""
-        check_positive(trials=trials, chunk=chunk)
-        k_trees = len(self.sampler.probs)
-        hits = np.zeros(k_trees, dtype=np.int64)
-        for idx, done in enumerate(range(0, trials, chunk)):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-            draws = self.sampler.table.lookup(rng.random(min(chunk, trials - done)))
-            hits += np.bincount(draws, minlength=k_trees)
-        return np.array(events, dtype=np.int64).reshape(len(events), k_trees) @ hits
-
-
 def suite_correlations(piece, sampler: str, trials: int, seed: int,
-                       piece_label: str = "piece") -> StatReport:
-    """Joint-inclusion lower bounds for every qualifying edge tuple."""
-    from .oracle import correlation_event_probability, correlation_tuples
-
-    batch = PieceBatch(piece, SamplerParams(sampler=sampler))
+                       piece_label: str = "piece") -> list[StatRow]:
+    """Joint-inclusion lower bounds for every qualifying edge tuple, sampled
+    from the piece's compiled tree table and exact.  Block ``idx`` of
+    ``CORRELATION_BLOCK`` draws reads ``SeedSequence(seed, spawn_key=(idx,))``;
+    the draws are counted per tree, then summed under each event."""
+    check_positive(trials=trials)
+    if piece.graph.n == 5:
+        compiled = k5_sampler(piece)
+    else:
+        compiled = DegreePieceSampler(piece, SamplerParams(sampler=sampler)).compiled()
+    hits = np.zeros(len(compiled.probs), dtype=np.int64)
+    for idx, done in enumerate(range(0, trials, CORRELATION_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
+        draws = compiled.table.lookup(rng.random(min(CORRELATION_BLOCK, trials - done)))
+        hits += np.bincount(draws, minlength=len(hits))
     bounds = CORRELATION_BOUNDS[sampler]
-    report = StatReport(meta={"piece": piece_label, "sampler": sampler, "trials": trials})
-    rows = [(row, tup, *correlation_event_probability(batch.sampler, piece, row, tup))
-            for row, tups in correlation_tuples(piece).items() for tup in tups]
-    counts = batch.event_counts([event for *_, event in rows], trials, seed)
-    for (row, tup, exact, _), cnt in zip(rows, counts):
-        report.rows.append(
-            lower_row("correlations", row, sampler, f"{piece_label}:{tup}",
-                      bounds[row], int(cnt), trials)
-        )
-        report.rows.append(
-            StatRow("correlations", row + "/exact", sampler,
-                    f"{piece_label}:{tup}", "lower", float(bounds[row]),
-                    float(exact), 0.0, 0, float(exact) >= float(bounds[row]) - 1e-12)
-        )
-    return report
+    rows = []
+    for row, tups in correlation_tuples(piece).items():
+        for tup in tups:
+            exact, event = correlation_event_probability(compiled, piece, row, tup)
+            context = f"{piece_label}:{tup}"
+            rows.append(binomial_row("correlations", row, sampler, context, "lower",
+                                     bounds[row], int(hits[event].sum()), trials))
+            rows.append(StatRow("correlations", row + "/exact", sampler, context, "lower",
+                                float(bounds[row]), float(exact), 0.0, 0,
+                                float(exact) >= float(bounds[row]) - 1e-12))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +891,7 @@ def is_half(marginal) -> bool:
     as a float."""
     if isinstance(marginal, Fraction):
         return marginal == HALF
-    return bool(abs(marginal - 0.5) <= 1e-5)
+    return bool(abs(marginal - float(HALF)) <= 1e-5)
 
 
 def symmetry_pairs(m: int, n_pairs: int = 20) -> list[tuple[int, int]]:
@@ -914,118 +905,87 @@ def symmetry_pairs(m: int, n_pairs: int = 20) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def suite_marginals(engine: BatchEngine, st: BatchStats) -> StatReport:
+def suite_marginals(engine: BatchEngine, st: BatchStats) -> list[StatRow]:
     """Every edge's inclusion frequency against one half (plus exact rows)."""
-    trials = st.trials
-    report = StatReport(meta={"suite": "marginals", "trials": trials})
-    for e in range(engine.m):
-        report.rows.append(
-            twosided_row("marginals", "edge-in-tree", engine.sp.sampler,
-                         f"edge:{e}", 0.5, int(st.incl[e]), trials)
-        )
-    from .oracle import exact_marginals
-
+    sampler = engine.sp.sampler
     exact = exact_marginals(engine.h, engine.samplers, engine.classes)
-    for e in range(engine.m):
-        report.rows.append(
-            StatRow("marginals", "edge-in-tree/exact", engine.sp.sampler,
-                    f"edge:{e}", "exact", 0.5, float(exact[e]), 0.0, 0,
-                    is_half(exact[e]))
-        )
-    return report
+    rows = [binomial_row("marginals", "edge-in-tree", sampler, f"edge:{e}", "two-sided",
+                         HALF, int(st.incl[e]), st.trials)
+            for e in range(engine.m)]
+    rows += [StatRow("marginals", "edge-in-tree/exact", sampler, f"edge:{e}", "exact",
+                     float(HALF), float(exact[e]), 0.0, 0, is_half(exact[e]))
+             for e in range(engine.m)]
+    return rows
 
 
-def suite_eal(engine: BatchEngine, st: BatchStats) -> StatReport:
+def suite_eal(engine: BatchEngine, st: BatchStats) -> list[StatRow]:
     """Even-at-last frequencies per class against the guaranteed table."""
     bounds = eal_bounds_for(engine.sp, engine.rp)
-    report = StatReport(meta={"suite": "eal", "sampler": engine.sp.sampler,
-                              "trials": st.trials})
     by_class: dict[str, list[int]] = {}
     for e, cl in engine.classes.items():
         by_class.setdefault(cl.kind, []).append(e)
+    rows = []
     for kind, edges in sorted(by_class.items()):
         worst = min(edges, key=lambda e: st.eal[e])
-        report.rows.append(
-            lower_row("eal", f"even-at-last/{kind}", engine.sp.sampler,
-                      f"worst-edge:{worst}(n={len(edges)})",
-                      bounds[kind], int(st.eal[worst]), st.trials)
-        )
-    return report
+        rows.append(binomial_row("eal", f"even-at-last/{kind}", engine.sp.sampler,
+                                 f"worst-edge:{worst}(n={len(edges)})", "lower",
+                                 bounds[kind], int(st.eal[worst]), st.trials))
+    return rows
 
 
 def suite_reduction(engine: BatchEngine, st: BatchStats,
-                    delta_floor: Optional[float] = None) -> StatReport:
-    """Reduction-rate flattening and per-edge mean net decrease."""
-    trials = st.trials
-    report = StatReport(meta={"suite": "reduction", "trials": trials})
+                    delta_floor: Optional[float] = None) -> list[StatRow]:
+    """Reduction-rate flattening and, given a floor, per-edge mean net
+    decrease."""
+    trials, sampler = st.trials, engine.sp.sampler
+    rows = []
     for e in range(engine.m):
         cl = engine.classes[e]
-        report.rows.append(
-            twosided_row("reduction", f"reduction-rate/{cl.kind}", engine.sp.sampler,
-                         f"edge:{e}", float(engine.rp.coin_bound(cl.coin_kind)),
-                         int(st.reduced[e]), trials)
-        )
+        rows.append(binomial_row("reduction", f"reduction-rate/{cl.kind}", sampler,
+                                 f"edge:{e}", "two-sided", engine.rp.coin_bound(cl.coin_kind),
+                                 int(st.reduced[e]), trials))
     if delta_floor is not None:
-        D = st.z_denom
         for e in range(engine.m):
-            mean_z = st.z_sum[e] / trials / D
+            mean_z = st.z_sum[e] / trials / st.z_denom
             var = max(st.z_sumsq[e] / trials - mean_z * mean_z, 0.0)
-            sd = math.sqrt(var / trials)
-            net = 0.25 - mean_z
-            report.rows.append(
-                StatRow("reduction", "net-decrease", engine.sp.sampler,
-                        f"edge:{e}", "lower", float(delta_floor), net, sd,
-                        trials, net >= float(delta_floor) - 3 * sd)
-            )
-    return report
+            rows.append(sampled_row("reduction", "net-decrease", sampler, f"edge:{e}",
+                                    "lower", delta_floor, float(QUARTER) - mean_z,
+                                    math.sqrt(var / trials), trials))
+    return rows
 
 
-def suite_cost(engine: BatchEngine, st: BatchStats) -> StatReport:
+def suite_cost(engine: BatchEngine, st: BatchStats) -> list[StatRow]:
     """Fractional and integral cost bounds plus join feasibility."""
     if not (st.verified and st.integral):
         raise ConfigError("the cost suite needs a run with verify and integral")
-    trials = st.trials
+    trials, sampler = st.trials, engine.sp.sampler
     cx = float(engine.lp_cost)
-    report = StatReport(meta={"suite": "cost", "trials": trials, "lp_cost": cx})
     zc_mean, zc_sig = mean_and_sigma(
         st.zc_sum, st.zc_sumsq, trials, 1.0 / (st.z_denom * st.cost_denom)
-    )
-    bound = (0.5 - EPSILON) * cx
-    report.rows.append(
-        StatRow("cost", "fractional-join-cost", engine.sp.sampler, "mean",
-                "upper", bound, zc_mean, zc_sig, trials,
-                zc_mean <= bound + 3 * zc_sig)
     )
     tot_mean, tot_sig = mean_and_sigma(
         st.total_sum, st.total_sumsq, trials, 1.0 / st.cost_denom
     )
-    bound2 = TOUR_RATIO_BOUND * cx
-    report.rows.append(
-        StatRow("cost", "tree-plus-join-cost", engine.sp.sampler, "mean",
-                "upper", bound2, tot_mean, tot_sig, trials,
-                tot_mean <= bound2 + 3 * tot_sig)
-    )
-    report.rows.append(
-        StatRow("cost", "join-feasibility", engine.sp.sampler,
-                f"failures:{st.feasibility_failures}", "exact", 0.0,
-                float(st.feasibility_failures), 0.0, trials,
-                st.feasibility_failures == 0)
-    )
     tree_mean, tree_sig = mean_and_sigma(
         st.tree_sum, st.tree_sumsq, trials, 1.0 / st.cost_denom
     )
-    report.rows.append(
-        StatRow("cost", "tree-cost", engine.sp.sampler, "mean", "two-sided",
-                cx, tree_mean, tree_sig, trials,
-                abs(tree_mean - cx) <= 3 * tree_sig)
-    )
-    return report
+    failures = st.feasibility_failures
+    return [
+        sampled_row("cost", "fractional-join-cost", sampler, "mean", "upper",
+                    (float(HALF) - EPSILON) * cx, zc_mean, zc_sig, trials),
+        sampled_row("cost", "tree-plus-join-cost", sampler, "mean", "upper",
+                    TOUR_RATIO_BOUND * cx, tot_mean, tot_sig, trials),
+        StatRow("cost", "join-feasibility", sampler, f"failures:{failures}", "exact", 0.0,
+                float(failures), 0.0, trials, failures == 0),
+        sampled_row("cost", "tree-cost", sampler, "mean", "two-sided",
+                    cx, tree_mean, tree_sig, trials),
+    ]
 
 
-def suite_symmetry(engine: BatchEngine, st: BatchStats) -> StatReport:
+def suite_symmetry(engine: BatchEngine, st: BatchStats) -> list[StatRow]:
     """Swap symmetry of half-marginal indicators for the run's edge pairs."""
     trials = st.trials
-    report = StatReport(meta={"suite": "symmetry", "trials": trials})
+    rows = []
     for (a, b), c in st.sym_counts.items():
         n00, n01, n10, n11 = (int(x) for x in c)
         for name, x, y in (("p00-vs-p11", n00, n11), ("p01-vs-p10", n01, n10)):
@@ -1033,12 +993,9 @@ def suite_symmetry(engine: BatchEngine, st: BatchStats) -> StatReport:
             # disjoint outcomes of one multinomial: the covariance term
             # enters the variance of the difference
             sd = math.sqrt(max(px + py - (px - py) ** 2, 1e-12) / trials)
-            report.rows.append(
-                StatRow("symmetry", name, engine.sp.sampler, f"pair:{a},{b}",
-                        "two-sided", 0.0, px - py, sd, trials,
-                        abs(px - py) <= 3 * sd)
-            )
-    return report
+            rows.append(sampled_row("symmetry", name, engine.sp.sampler, f"pair:{a},{b}",
+                                    "two-sided", 0.0, px - py, sd, trials))
+    return rows
 
 
 def oracle_check(inst: HalfIntegralInstance,
@@ -1046,18 +1003,16 @@ def oracle_check(inst: HalfIntegralInstance,
                  reduction_params: Optional[ReductionParams] = None) -> StatReport:
     """Exact rows: marginals, even-at-last bounds, flattened reduction
     rates, and per-edge expected net decrease, all without sampling."""
-    from . import oracle as orc
-
     ci = CompiledInstance(inst, sampler_params, reduction_params)
     sp, rp, classes = ci.sp, ci.rp, ci.classes
     report = StatReport(meta={"suite": "oracle", "sampler": sp.sampler})
-    exact = orc.exact_marginals(ci.h, ci.samplers, classes)
+    exact = exact_marginals(ci.h, ci.samplers, classes)
     for e in range(ci.m):
         val = exact[e]
         report.rows.append(
             StatRow("oracle",
                     "marginal" + ("/rational" if isinstance(val, Fraction) else ""),
-                    sp.sampler, f"edge:{e}", "exact", 0.5, float(val), 0.0, 0,
+                    sp.sampler, f"edge:{e}", "exact", float(HALF), float(val), 0.0, 0,
                     is_half(val))
         )
     probs = ci.eal_probability
@@ -1078,7 +1033,7 @@ def oracle_check(inst: HalfIntegralInstance,
                     f"edge:{e}", "exact", float(target), float(val), 0.0, 0,
                     bool(ok))
         )
-    net = orc.exact_expected_net_decrease(ci)
+    net = exact_expected_net_decrease(ci)
     for e in range(ci.m):
         report.rows.append(
             StatRow("oracle", "expected-net-decrease", sp.sampler, f"edge:{e}",
@@ -1117,9 +1072,6 @@ class ExperimentConfig:
 
 
 def load_instance(cfg: ExperimentConfig) -> HalfIntegralInstance:
-    from . import generators
-    from .graph import parse_instance
-
     if cfg.instance:
         with open(cfg.instance, "r", encoding="utf-8") as fh:
             return parse_instance(fh.read())
@@ -1131,13 +1083,14 @@ def load_instance(cfg: ExperimentConfig) -> HalfIntegralInstance:
     raise ConfigError("config needs an instance path or a generator family")
 
 
-#: engine flags each instance-level suite needs from the shared run
-SUITE_FLAGS = {
-    "marginals": (),
-    "eal": ("join",),
-    "reduction": ("join",),
-    "cost": ("join", "verify", "integral"),
-    "symmetry": (),
+#: the instance-level suites in report order, each with the engine flags it
+#: needs from the shared run
+SUITES = {
+    "marginals": ((), suite_marginals),
+    "eal": (("join",), suite_eal),
+    "reduction": (("join",), suite_reduction),
+    "cost": (("join", "verify", "integral"), suite_cost),
+    "symmetry": ((), suite_symmetry),
 }
 
 
@@ -1149,14 +1102,15 @@ def run_suite(cfg: ExperimentConfig) -> StatReport:
     (seed, chunk index), and verification and integral joins draw nothing,
     so each suite sees the counts a run of its own would give.
     """
-    from . import generators
-
-    if cfg.suite not in ("all", "correlations", *SUITE_FLAGS):
+    if cfg.suite not in ("all", "correlations", *SUITES):
         raise ConfigError(f"unknown suite {cfg.suite!r}")
     check_positive(trials=cfg.trials)
     if cfg.piece and cfg.suite != "correlations":
         raise ConfigError(f"piece {cfg.piece!r} runs only the correlations suite, "
                           f"not {cfg.suite!r}")
+    if cfg.delta_floor is not None and cfg.suite not in ("reduction", "all"):
+        raise ConfigError(f"delta floor {cfg.delta_floor} is read only by the reduction "
+                          f"suite, not {cfg.suite!r}")
     sources = [name for name in ("instance", "family", "piece") if getattr(cfg, name)]
     if len(sources) > 1:
         raise ConfigError(f"config names more than one source ({', '.join(sources)}): "
@@ -1170,43 +1124,30 @@ def run_suite(cfg: ExperimentConfig) -> StatReport:
         "suite": cfg.suite, "sampler": cfg.sampler, "trials": cfg.trials,
         "seed": cfg.seed,
     })
-    routes = ("mi", "maxent") if cfg.sampler == "mix" else (cfg.sampler,)
-    if cfg.suite == "correlations" and cfg.piece:
-        piece = generators.standalone_piece(cfg.piece)
-        for route in routes:
-            sub = suite_correlations(piece, route, cfg.trials, cfg.seed,
-                                     piece_label=cfg.piece)
-            report.extend(sub.rows)
-        return report
-
-    inst = load_instance(cfg)
     if cfg.suite == "correlations":
-        # each piece runs on its own: the suite reads no cost
-        for nd in build_hierarchy(inst).non_leaves():
-            if nd.kind != "cycle" and nd.piece.graph.n > 5:
-                for route in routes:
-                    sub = suite_correlations(nd.piece, route, cfg.trials,
-                                             cfg.seed,
-                                             piece_label=f"node{nd.node_id}")
-                    report.extend(sub.rows)
+        if cfg.piece:
+            pieces = [(generators.standalone_piece(cfg.piece), cfg.piece)]
+        else:
+            # each piece runs on its own: the suite reads no cost
+            pieces = [(nd.piece, f"node{nd.node_id}")
+                      for nd in build_hierarchy(load_instance(cfg)).non_leaves()
+                      if nd.kind != "cycle" and nd.piece.graph.n > 5]
+        routes = ("mi", "maxent") if cfg.sampler == "mix" else (cfg.sampler,)
+        for piece, label in pieces:
+            for route in routes:
+                report.rows += suite_correlations(piece, route, cfg.trials, cfg.seed,
+                                                  piece_label=label)
         return report
 
-    engine = BatchEngine(inst, cfg.sampler_params())
-    suites = tuple(SUITE_FLAGS) if cfg.suite == "all" else (cfg.suite,)
-    flags = {f for name in suites for f in SUITE_FLAGS[name]}
-    pairs = symmetry_pairs(engine.m) if "symmetry" in suites else ()
+    engine = BatchEngine(load_instance(cfg), cfg.sampler_params())
+    names = tuple(SUITES) if cfg.suite == "all" else (cfg.suite,)
+    flags = {f for name in names for f in SUITES[name][0]}
+    pairs = symmetry_pairs(engine.m) if "symmetry" in names else ()
     st = engine.run(cfg.trials, cfg.seed, join="join" in flags,
                     verify="verify" in flags, integral="integral" in flags,
                     symmetry_pairs=pairs)
-    for name in suites:
-        if name == "marginals":
-            report.extend(suite_marginals(engine, st).rows)
-        elif name == "eal":
-            report.extend(suite_eal(engine, st).rows)
-        elif name == "reduction":
-            report.extend(suite_reduction(engine, st, cfg.delta_floor).rows)
-        elif name == "cost":
-            report.extend(suite_cost(engine, st).rows)
-        else:
-            report.extend(suite_symmetry(engine, st).rows)
+    for name in names:
+        suite = SUITES[name][1]
+        report.rows += (suite(engine, st, cfg.delta_floor) if name == "reduction"
+                        else suite(engine, st))
     return report

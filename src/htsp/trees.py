@@ -62,15 +62,11 @@ FIT_MAX_ROUNDS = 10_000
 # small-graph utilities
 # ---------------------------------------------------------------------------
 
-def enumerate_spanning_trees(g: MultiGraph) -> tuple[int, ...]:
-    """All spanning trees as bitmasks over edge positions."""
-    return _spanning_tree_masks(g.n, g.endpoints)
-
-
 @functools.lru_cache(maxsize=1024)
 def _spanning_tree_masks(n: int, endpoints: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """Cached per graph shape: piece compiles meet the same small minors
-    many times."""
+    """All spanning trees of a graph shape as bitmasks over edge positions;
+    cached per shape: piece compiles meet the same small minors many
+    times."""
     if n == 1:
         return (0,)
     out = []
@@ -483,18 +479,6 @@ def maxent_fits(problems: Sequence[tuple[MultiGraph, dict[int, Fraction]]],
                                   FIT_TOLERANCE, max_rounds))
     return [MaxEntWeights(tuple(next(fitted) for _ in p.components), p.forced, p.zeros)
             for p in plans]
-
-
-def maxent_fit(interior_graph: MultiGraph, targets: dict[int, Fraction],
-               max_rounds: int = FIT_MAX_ROUNDS) -> MaxEntWeights:
-    """Fit weighted-uniform tree weights matching the target marginals.
-
-    Contracts value-one edges and deletes value-zero edges first, then
-    factors across tight vertex subsets and fits each factor by
-    multiplicative updates with matrix-tree marginals.
-    """
-    (fit,) = maxent_fits([(interior_graph, targets)], max_rounds)
-    return fit
 
 
 @functools.lru_cache(maxsize=1024)

@@ -1,4 +1,5 @@
-"""The exhaustive shore scan that ``htsp.hierarchy.enumerate_min_cuts`` replaced.
+"""The exhaustive shore scan that the max-flow min-cut enumeration
+(``htsp.hierarchy._min_cut_shores``) replaced.
 
 Kept as a test oracle: it checks every one of the 2^(n-1) shores, exactly as
 the package did before the max-flow rewrite, so the two can be compared cut

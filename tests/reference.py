@@ -1,6 +1,9 @@
 """Independent checks the tests hold the package against.
 
-None of these has a caller in the package: each recomputes a quantity the
+None of these has a caller in the package.  Three are the one-shot forms
+of package routines that only the tests call: the sorted list of every
+min-cut, every spanning tree of a graph, and a single max-entropy fit.
+Each other one recomputes a quantity the
 package derives another way (a Stoer-Wagner edge connectivity, a
 Kirchhoff count, closed-form marginals, a
 grid search over the parameter LP, the parameter LP by LAPACK and
@@ -53,10 +56,42 @@ from htsp.trees import (
     MaxEntComponent,
     MaxEntWeights,
     _plan_fit,
+    _spanning_tree_masks,
     constrained_tree_weights,
     contract_forced,
-    enumerate_spanning_trees,
+    maxent_fits,
 )
+
+
+def enumerate_min_cuts(g: MultiGraph) -> list[CutView]:
+    """All cuts of value 4, one per shore/complement pair, ordered by shore
+    size, then by the sorted shore.
+
+    The canonical shore is the side not containing vertex 0.  Includes the
+    singleton cuts.  Raises ConnectivityError when the graph is not
+    4-edge-connected.
+    """
+    out = [g.cut(frozenset(bits(mask))) for mask in _min_cut_shores(g)]
+    out.sort(key=lambda c: (len(c.shore), sorted(c.shore)))
+    return out
+
+
+def enumerate_spanning_trees(g: MultiGraph) -> tuple[int, ...]:
+    """All spanning trees as bitmasks over edge positions."""
+    return _spanning_tree_masks(g.n, g.endpoints)
+
+
+def maxent_fit(interior_graph: MultiGraph, targets: dict[int, Fraction],
+               max_rounds: int = FIT_MAX_ROUNDS) -> MaxEntWeights:
+    """Fit weighted-uniform tree weights matching the target marginals: the
+    one-problem call of ``maxent_fits``.
+
+    Contracts value-one edges and deletes value-zero edges first, then
+    factors across tight vertex subsets and fits each factor by
+    multiplicative updates with matrix-tree marginals.
+    """
+    (fit,) = maxent_fits([(interior_graph, targets)], max_rounds)
+    return fit
 
 
 def edge_ids_of(dist: MatchingDistribution, mask: int) -> frozenset[int]:

@@ -143,10 +143,10 @@ def test_criterion_3_correlation_tables():
                 piece, sampler, T_CORRELATIONS, seed=SEED + 3,
                 piece_label=piece_name,
             )
-            rows += len(rep.rows)
+            rows += len(rep)
             failures += [
                 (r.name, r.context, r.estimate, r.bound)
-                for r in rep.rows
+                for r in rep
                 if not r.passed
             ]
     report(

@@ -20,10 +20,9 @@ from htsp.matching import (_odd_set_lower_constraints, decompose_matchings,
                            enumerate_perfect_matchings)
 from htsp.pipeline import SamplerParams, _piece_states
 from htsp.stats import BatchEngine
-from htsp.trees import enumerate_spanning_trees
 from tests.conftest import ALL_FAMILIES, family_instance
 from tests.fraction_decomp import fraction_convex_decomposition
-from tests.reference import constrained_tree_distribution
+from tests.reference import constrained_tree_distribution, enumerate_spanning_trees
 from tests.test_pipeline import degree_pieces
 from tests.test_trees import shifted_on
 

@@ -244,6 +244,10 @@ def test_cli_stats_correlation_piece():
     (("--piece", "c8_12", "--suite", "correlations", "--n", "16", "--gen-seed", "9"),
      ("(n, gen_seed)", "piece 'c8_12'")),
     (("--instance", "INSTANCE", "--depth", "2"), ("(depth)",)),
+    # a delta floor, which only the reduction suite reads
+    (("--family", "zoo", "--suite", "marginals", "--delta-floor", "0.5"), ("0.5", "'marginals'")),
+    (("--piece", "c8_12", "--suite", "correlations", "--delta-floor", "0.5"),
+     ("0.5", "'correlations'")),
 ])
 def test_cli_stats_names_flags_it_cannot_honour(args, named, instance_file):
     r = run_cli("stats", *(instance_file if a == "INSTANCE" else a for a in args),

@@ -12,14 +12,13 @@ from htsp.hierarchy import (
     build_cactus,
     build_hierarchy,
     crossing,
-    enumerate_min_cuts,
     min_cuts_via_hierarchy,
 )
 from htsp.pipeline import SamplerParams
 from htsp.stats import BatchEngine
 from tests.brute_min_cuts import brute_min_cuts
 from tests.conftest import ALL_FAMILIES, family_instance
-from tests.reference import cactus_min_cut_shores, find_critical_set
+from tests.reference import cactus_min_cut_shores, enumerate_min_cuts, find_critical_set
 
 
 def k5_graph():

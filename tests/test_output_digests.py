@@ -18,13 +18,13 @@ from htsp.pipeline import SamplerParams
 from htsp.stats import ExperimentConfig, load_instance, oracle_check, run_suite
 
 SUITE_ALL_ZOO = {
-    "mi": "4d3badfd3562aeda091ab6a28487eb0ebc2784e3e3365ae517fc98af9b142ed8",
-    "maxent": "fbc7229bb045bdf41615e705c50aa7f982972400f01538c92a8333874c361c66",
-    "mix": "0f358d3080b8cdebee88b59c159348f8265615aa863fdc0c65b49f4e23ace177",
+    "mi": "491c9d78ad2ac733f0f51bbe1a3e58bfec2c6efa908d974bcad4d17c2bce4e7d",
+    "maxent": "b8ce056fc69ffca210ed7aa04e70b0dc472911b440e07ce797fa7c508df59824",
+    "mix": "b3a1dd1d6df72291ae8644416a3775fbc2e3a20f23746e8a53e09f0ec8c2872b",
 }
 # the conftest random-4reg instance (n = 12, generator seed 3): its degree
 # pieces are the largest of the pinned instances, the slow compile
-SUITE_ALL_4REG_MIX = "e9e501f74aa324d2343ff97b77f7d949bdbbfff64053fe2361259d33380cce75"
+SUITE_ALL_4REG_MIX = "a9ed30134f755e0851e354d5ef6d6e8c465d3840d062b52c9072833b4719bda6"
 ORACLE_4REG = {
     "mi": "0bbefebd9ee0cdff1758990d2fa818f9c3e2311800b877fc88fee8f4c4f05f1e",
     "mix": "5de66c0ce113b86839b113b16cc152058f8ee9e0280977c427bff59ddc5cdbe6",
@@ -34,11 +34,11 @@ ORACLE_4REG = {
 # generator seed 3, and the two named standalone pieces
 CORRELATIONS = {
     (("family", "zoo"), ("gen_seed", 3)):
-        "0960563ea04b800c97486932bb3ee88822cdc8273305dacce8c1f7802f81d00d",
+        "b359bf88e2a9e43374932756e7c452b59ca06a776d37bde86e203affac77cff7",
     (("piece", "c8_12"),):
-        "0c47d34eadb60131cc1f33204f59446381711ce61faa039572c13098a060dabe",
+        "4fdc2e989a71d14ad13213cd6aededbe58834caade3d4d808479d6523531d054",
     (("piece", "c7bar"),):
-        "94246d5c65c5a4b5fa0b1a290fbb7e2fea7a359488dddcfa39a03b3d66874ee4",
+        "4456dbd6b1633a5dae4c5bbc18e9f6ba09c2e4330ece3df388d11e3aea4df1ec",
 }
 REDUCTION_FLOOR_ZOO_MIX = "9f4bda7054e1fe6ab31a38bba5a59d308bf3a8b54990b2d10bc39c1da26a9188"
 ORACLE_ZOO_MIX = "4f520cb512f66e35ea7291cdf6d25376b84dd55a8d356010db8e22f26d839da8"

@@ -56,19 +56,59 @@ def test_one_matrix_inverse_site():
     assert len(found) == 1, found
 
 
+def _defined(names: set[str]) -> list[str]:
+    """Where the package defines a function or class of one of ``names``."""
+    return [
+        f"{path.name}:{node.lineno}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
+    ]
+
+
 def test_one_join_construction():
     """The chunk kernels of ``stats.BatchEngine`` are the package's one join
     construction and check: the per-trial ``Fraction`` join lives only in
     ``tests/reference.py``, as the oracle the tests hold the engine to."""
-    gone = {"build_join", "JoinSolution", "detect_eal", "verify_join", "JoinReport",
-            "verify_trial"}
-    found = [
-        f"{path.name}:{node.lineno}:{node.name}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone
-    ]
-    assert found == []
+    assert _defined({"build_join", "JoinSolution", "detect_eal", "verify_join",
+                     "JoinReport", "verify_trial"}) == []
+
+
+def test_test_only_helpers_live_in_tests():
+    """The one-shot forms that only the tests call (the sorted min-cut list,
+    every spanning tree of a graph, a single max-entropy fit) live in
+    ``tests/reference.py``."""
+    assert _defined({"enumerate_min_cuts", "enumerate_spanning_trees", "maxent_fit"}) == []
+
+
+def test_one_verdict_rule():
+    """Every sampled report row passes or fails by one rule: only
+    ``stats.sampled_row`` reads ``SIGMAS``, and every other ``StatRow`` the
+    package makes is an exact row, whose standard error is the literal
+    ``0.0``."""
+    readers, sampled = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        inside = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "sampled_row"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if (isinstance(node, ast.Name) and node.id == "SIGMAS"
+                    and isinstance(node.ctx, ast.Load)
+                    or isinstance(node, ast.Attribute) and node.attr == "SIGMAS"):
+                readers.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "StatRow":
+                stderr = node.args[7] if len(node.args) > 7 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "stderr"), None)
+                if not (isinstance(stderr, ast.Constant) and stderr.value == 0.0
+                        and isinstance(stderr.value, float)):
+                    sampled.append(f"{path.name}:{node.lineno}")
+    assert readers == [] and sampled == []
 
 
 def test_one_charge_lane():

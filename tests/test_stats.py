@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,8 @@ from htsp.pipeline import CyclePieceSampler, SamplerParams
 from htsp.stats import (
     BatchEngine,
     ExperimentConfig,
-    PieceBatch,
+    StatReport,
+    load_instance,
     oracle_check,
     run_suite,
     suite_correlations,
@@ -43,47 +47,50 @@ def test_engine_first_chunk_sanity(zoo_engine):
     assert st.incl.sum() == 1_000 * n  # every trial contributes n edges
 
 
+def passed(rows):
+    return all(r.passed for r in rows)
+
+
 def test_suite_marginals_rows(zoo_engine):
-    report = suite_marginals(zoo_engine, zoo_engine.run(20_000, seed=2, join=False))
+    rows = suite_marginals(zoo_engine, zoo_engine.run(20_000, seed=2, join=False))
     m = family_instance("zoo").graph.m
-    assert len(report.rows) == 2 * m
-    assert report.all_passed()
+    assert len(rows) == 2 * m
+    assert passed(rows)
 
 
 def test_suite_eal_rows(zoo_engine):
-    report = suite_eal(zoo_engine, zoo_engine.run(50_000, seed=4))
-    kinds = {r.name for r in report.rows}
+    rows = suite_eal(zoo_engine, zoo_engine.run(50_000, seed=4))
+    kinds = {r.name for r in rows}
     assert {"even-at-last/cycle", "even-at-last/special"} <= kinds
-    assert report.all_passed()
+    assert passed(rows)
 
 
 def test_suite_reduction_rows(zoo_engine):
-    report = suite_reduction(zoo_engine, zoo_engine.run(50_000, seed=5))
-    assert report.all_passed()
+    assert passed(suite_reduction(zoo_engine, zoo_engine.run(50_000, seed=5)))
 
 
 def test_suite_cost_rows(zoo_engine):
     st = zoo_engine.run(30_000, seed=6, verify=True, integral=True)
-    report = suite_cost(zoo_engine, st)
-    names = {r.name for r in report.rows}
+    rows = suite_cost(zoo_engine, st)
+    names = {r.name for r in rows}
     assert names == {
         "fractional-join-cost", "tree-plus-join-cost", "join-feasibility",
         "tree-cost",
     }
-    assert report.all_passed()
+    assert passed(rows)
 
 
 def test_suite_symmetry(zoo_engine):
     pairs = symmetry_pairs(zoo_engine.m, n_pairs=10)
     st = zoo_engine.run(40_000, seed=7, join=False, symmetry_pairs=pairs)
-    report = suite_symmetry(zoo_engine, st)
-    assert len(report.rows) == 20
-    assert report.all_passed()
+    rows = suite_symmetry(zoo_engine, st)
+    assert len(rows) == 20
+    assert passed(rows)
 
 
 def test_report_csv_shape(zoo_engine):
     st = zoo_engine.run(5_000, seed=8, verify=True, integral=True)
-    report = suite_cost(zoo_engine, st)
+    report = StatReport(suite_cost(zoo_engine, st))
     text = report.to_csv()
     lines = text.strip().splitlines()
     assert lines[0].startswith("suite,name")
@@ -91,12 +98,41 @@ def test_report_csv_shape(zoo_engine):
     assert text == report.to_csv()  # deterministic formatting
 
 
+@pytest.mark.parametrize("source", [{"family": "zoo", "suite": "all"},
+                                    {"piece": "c8_12", "suite": "correlations"}])
+def test_report_csv_rows_parse_to_eleven_fields(source):
+    """Symmetry contexts (``pair:2,23``) and correlation contexts
+    (``c8_12:(4, 5)``) hold commas; the writer quotes them, so every row
+    parses back to the header's eleven fields and its own context."""
+    report = run_suite(ExperimentConfig(**source, trials=2_000, seed=5))
+    rows = list(csv.reader(io.StringIO(report.to_csv())))
+    assert all(len(row) == 11 for row in rows)
+    assert [row[3] for row in rows[1:]] == [r.context for r in report.rows]
+    assert any("," in r.context for r in report.rows)
+
+
+@pytest.mark.parametrize("suite", ["marginals", "eal", "cost", "symmetry", "correlations"])
+def test_delta_floor_is_refused_where_no_suite_reads_it(suite):
+    """Only the reduction suite reads a delta floor; any other suite refuses
+    it rather than drop it."""
+    with pytest.raises(ConfigError, match=f"delta floor 0.5 .* not '{suite}'"):
+        run_suite(ExperimentConfig(family="zoo", suite=suite, trials=10, delta_floor=0.5))
+
+
+def test_delta_floor_rows_come_with_the_reduction_suite():
+    for suite in ("reduction", "all"):
+        cfg = ExperimentConfig(family="zoo", suite=suite, trials=1_000, delta_floor=0.0)
+        net = [r for r in run_suite(cfg).rows if r.name == "net-decrease"]
+        assert len(net) == load_instance(cfg).graph.m
+        assert all(r.kind == "lower" and r.bound == 0.0 for r in net)
+
+
 def test_piece_batch_correlations():
     piece = standalone_piece("octahedron")
-    report = suite_correlations(piece, "mi", 30_000, seed=9, piece_label="oct")
-    assert report.all_passed()
-    empirical = [r for r in report.rows if not r.name.endswith("/exact")]
-    exact = [r for r in report.rows if r.name.endswith("/exact")]
+    rows = suite_correlations(piece, "mi", 30_000, seed=9, piece_label="oct")
+    assert passed(rows)
+    empirical = [r for r in rows if not r.name.endswith("/exact")]
+    exact = [r for r in rows if r.name.endswith("/exact")]
     assert len(empirical) == len(exact) > 0
 
 
@@ -193,12 +229,28 @@ def test_engine_rejects_chunks_past_the_checked_scale(zoo_engine):
         zoo_engine.run(10, 1, chunk=MAX_CHUNK + 1)
 
 
-def test_piece_batch_and_suite_reject_counts_below_one():
-    batch = PieceBatch(standalone_piece("c7bar"), SamplerParams(sampler="mi"))
+def test_piece_and_instance_suites_reject_counts_below_one():
     with pytest.raises(ConfigError):
-        batch.event_counts([np.ones(len(batch.sampler.probs), dtype=bool)], 100, 1, chunk=0)
+        suite_correlations(standalone_piece("c7bar"), "mi", 0, 1)
     with pytest.raises(ConfigError):
         run_suite(ExperimentConfig(family="zoo", trials=0))
+
+
+def test_chunk_floor_follows_the_floor_constant(monkeypatch):
+    """The chunk reads its floor from ``join.FLOOR`` through the join plan:
+    raised to a quarter, it fails exactly the trials with a charge below a
+    quarter, which the floor of 1/6 lets pass."""
+    import htsp.stats
+    from htsp.params import QUARTER
+
+    monkeypatch.setattr(htsp.stats, "FLOOR", QUARTER)
+    engine = BatchEngine(family_instance("zoo"), SamplerParams(sampler="mix"))
+    rng = np.random.default_rng(1)
+    T = engine._draw_trees(2_000, rng)
+    _, _, site_odd, z = engine._join(T, (rng.random(2_000) for _ in engine.groups))
+    under = (z < engine.z_denom // 4).any(axis=0)
+    assert under.any()
+    assert np.array_equal(engine._infeasible(T, z, site_odd), under)
 
 
 def _cycle_samplers(engine):

@@ -13,19 +13,16 @@ from htsp.graph import MultiGraph, bits
 from htsp.hierarchy import build_hierarchy
 from htsp.matching import ShiftedSolution, decompose_matchings, shift
 from htsp.pipeline import _piece_states
-from htsp.trees import (
-    constrained_tree_weights,
-    enumerate_spanning_trees,
-    k5_paths,
-    maxent_fit,
-)
+from htsp.trees import constrained_tree_weights, k5_paths
 from tests.conftest import ALL_FAMILIES, family_instance
 from tests.reference import (
     ConstrainedTreeDistribution,
     _marginals_reproduce,
     constrained_tree_distribution,
+    enumerate_spanning_trees,
     fraction_marginal_check,
     is_connected,
+    maxent_fit,
     maxent_marginals,
     maxent_tree_distribution,
     per_class_mi_states,
