@@ -17,14 +17,13 @@ min-cuts through the hierarchy and never lists them: one running
 two-minimum over the k + 1 partner pairs of a cycle piece with a k-vertex
 chain covers its k(k+1)/2 segment cuts, and the label cut of each degree
 piece's child is checked directly.
-The per-edge sums of squared charges (``BatchStats.z_sumsq``), which only
-the delta-floor rows of the reduction suite read, keep one invariant: per
-chunk, each edge's squares are added one after the other in trial order,
-so the float bits are those of a single running sum, however the work is
-split into blocks.
-Chunk randomness derives from (seed, chunk index), which makes any
-(instance, seed, config) run byte-reproducible for a given chunk size; a
-different chunk size draws different trials.
+A run folds, in index order, the ``BatchStats`` records its chunks of
+``MAX_CHUNK`` trials return; chunk ``idx`` draws from its own stream
+``SeedSequence(seed, spawn_key=(idx,))``, so a run depends only on its
+instance, seed and flags.  Each edge's sum of squared charges
+(``BatchStats.z_sumsq``) adds the squares one after the other in trial
+order within a chunk, and the chunks' sums in chunk order, so its bits are
+those of one running sum, however the work is split.
 
 The report half has one verdict rule: ``sampled_row`` passes a sampled
 estimate within ``params.SIGMAS`` standard errors of its bound, on the side
@@ -209,12 +208,17 @@ def _lcm_denominator(values: Iterable[Fraction]) -> int:
 
 @dataclass
 class BatchStats:
+    """A run's counts and sums under its ``SETTINGS``, or one chunk's record
+    of them (``BatchEngine._run_chunk``).  A chunk's ``z_sum`` is its int64
+    partial; a run's holds Python ints, which cannot wrap."""
+
+    SETTINGS = ("verified", "integral", "z_denom", "cost_denom")
     trials: int = 0
     incl: Optional[np.ndarray] = None
     eal: Optional[np.ndarray] = None
     reduced: Optional[np.ndarray] = None
-    z_sum: Optional[list] = None
-    z_sumsq: Optional[list] = None
+    z_sum: Optional[np.ndarray] = None
+    z_sumsq: Optional[np.ndarray] = None
     zc_sum: int = 0
     zc_sumsq: float = 0.0
     tree_sum: int = 0
@@ -227,6 +231,16 @@ class BatchStats:
     sym_counts: dict = field(default_factory=dict)
     z_denom: int = 1
     cost_denom: int = 1
+
+    def fold(self, chunk: BatchStats) -> None:
+        """Add a chunk's record to these totals, field by field and pair by
+        pair, leaving the settings; each float adds in one step."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(chunk, f.name)
+            if isinstance(mine, dict):
+                mine.update((key, mine[key] + cells) for key, cells in theirs.items())
+            elif f.name not in self.SETTINGS:
+                setattr(self, f.name, mine + theirs)
 
 
 class CompiledInstance:
@@ -503,46 +517,32 @@ class BatchEngine(CompiledInstance):
 
     # -- main loop ------------------------------------------------------------
 
-    def run(
-        self,
-        trials: int,
-        seed: int,
-        *,
-        chunk: int = MAX_CHUNK,
-        join: bool = True,
-        verify: bool = False,
-        integral: bool = False,
-        symmetry_pairs: Sequence[tuple[int, int]] = (),
-    ) -> BatchStats:
-        check_positive(trials=trials, chunk=chunk)
-        if chunk > MAX_CHUNK:
-            raise ConfigError(f"chunk must be at most {MAX_CHUNK}, got {chunk}")
-        st = BatchStats()
-        st.incl = np.zeros(self.m, dtype=np.int64)
-        st.eal = np.zeros(self.m, dtype=np.int64)
-        st.reduced = np.zeros(self.m, dtype=np.int64)
-        st.z_sum = [0] * self.m
-        st.z_sumsq = [0.0] * self.m
-        st.z_denom = self.z_denom
-        st.cost_denom = self.cost_denom
-        st.verified = verify
-        st.integral = integral
-        for a, b in symmetry_pairs:
-            st.sym_counts[(a, b)] = np.zeros(4, dtype=np.int64)
-        done = 0
-        idx = 0
-        while done < trials:
-            n = min(chunk, trials - done)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(idx,))
-            )
-            self._run_chunk(n, rng, st, join, verify, integral, symmetry_pairs)
-            done += n
-            idx += 1
-        st.trials = trials
+    def run(self, trials: int, seed: int, *, join: bool = True, verify: bool = False,
+            integral: bool = False, symmetry_pairs: Sequence[tuple[int, int]] = ()
+            ) -> BatchStats:
+        """The records of chunks 0, 1, ... of ``MAX_CHUNK`` trials (the last
+        one the rest), folded in index order."""
+        check_positive(trials=trials)
+        st = self._record(0, symmetry_pairs, verify, integral, z_type=object)
+        for idx, done in enumerate(range(0, trials, MAX_CHUNK)):
+            st.fold(self._run_chunk(min(MAX_CHUNK, trials - done), seed, idx, join, verify,
+                                    integral, symmetry_pairs))
         return st
 
-    def _run_chunk(self, n, rng, st, join, verify, integral, symmetry_pairs):
+    def _record(self, trials: int, symmetry_pairs, verified: bool, integral: bool,
+                z_type: type = np.int64) -> BatchStats:
+        """A record of ``trials`` trials under the run's settings, its fields
+        ``incl`` to ``z_sumsq`` zero arrays in field order; ``z_sum`` holds ``z_type``."""
+        # incl, eal, reduced, z_sum and z_sumsq, in field order
+        sums = (np.zeros(self.m, dtype=t) for t in (np.int64, np.int64, np.int64, z_type, float))
+        return BatchStats(trials, *sums, verified=verified, integral=integral,
+                          sym_counts={p: np.zeros(4, dtype=np.int64) for p in symmetry_pairs},
+                          z_denom=self.z_denom, cost_denom=self.cost_denom)
+
+    def _run_chunk(self, n, seed, idx, join, verify, integral, symmetry_pairs) -> BatchStats:
+        """Chunk ``idx``'s record: ``n`` trials from ``SeedSequence(seed, spawn_key=(idx,))``."""
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
+        st = self._record(n, symmetry_pairs, verify, integral)
         T = self._draw_trees(n, rng)
         bits = T.view(np.uint8)
         # per trial, its edge count: the rows added in place as small ints
@@ -553,8 +553,7 @@ class BatchEngine(CompiledInstance):
             raise AssemblyError(
                 f"assembled samples without degree 2 at root {self.inst.root}"
             )
-        held = _row_counts(T)
-        st.incl += held
+        st.incl = held = _row_counts(T)
         # each pair's four cells from the trials holding both edges and each
         # edge's own count
         both = np.empty(n, dtype=bool)
@@ -563,32 +562,33 @@ class BatchEngine(CompiledInstance):
             na, nb = int(held[a]), int(held[b])
             st.sym_counts[(a, b)] += (n - na - nb + n11, nb - n11, na - n11, n11)
         if not join:
-            return
+            return st
         # one coin row at a time: a (groups, trials) block of uniforms
         # would set the chunk's peak memory
         eal, reduced, site_odd, z = self._join(T, (rng.random(n) for _ in self.groups))
-        st.eal += _row_counts(eal)
-        st.reduced += _row_counts(reduced)
-        st.z_sum = [a + int(b) for a, b in zip(st.z_sum, z.sum(1, dtype=np.int64))]
-        st.z_sumsq = [a + b for a, b in zip(st.z_sumsq, self._square_sums(z).tolist())]
+        st.eal = _row_counts(eal)
+        st.reduced = _row_counts(reduced)
+        st.z_sum = z.sum(1, dtype=np.int64)
+        st.z_sumsq = self._square_sums(z)
         # einsum adds integer rows in the sum lane without the int64 copy of
         # a block that matmul makes, which would set the chunk's peak memory;
         # the chunk totals are added in int64
         cost = self.cost_int.astype(self.sum_lane)
         zc = np.einsum("e,et->t", cost, z, dtype=self.sum_lane)
-        st.zc_sum += int(zc.sum(dtype=np.int64))
-        st.zc_sumsq += float((zc.astype(float) ** 2).sum())
+        st.zc_sum = int(zc.sum(dtype=np.int64))
+        st.zc_sumsq = float((zc.astype(float) ** 2).sum())
         tree_cost = np.einsum("e,et->t", cost, T, dtype=self.sum_lane)
-        st.tree_sum += int(tree_cost.sum(dtype=np.int64))
-        st.tree_sumsq += float((tree_cost.astype(float) ** 2).sum())
+        st.tree_sum = int(tree_cost.sum(dtype=np.int64))
+        st.tree_sumsq = float((tree_cost.astype(float) ** 2).sum())
         if verify:
-            st.feasibility_failures += int(self._infeasible(T, z, site_odd).sum())
+            st.feasibility_failures = int(self._infeasible(T, z, site_odd).sum())
         if integral:
             ij = self._integral_costs(T.T)
             # the int64 join costs lift the sum to int64
             total = tree_cost + ij
-            st.total_sum += int(total.sum())
-            st.total_sumsq += float((total.astype(float) ** 2).sum())
+            st.total_sum = int(total.sum())
+            st.total_sumsq = float((total.astype(float) ** 2).sum())
+        return st
 
     def _join(self, T: np.ndarray, uniforms: Iterable[np.ndarray]):
         """The fractional joins of a tree block: the even-at-last flags, the
@@ -868,7 +868,7 @@ def suite_correlations(piece, sampler: str, trials: int, seed: int,
             context = f"{piece_label}:{tup}"
             rows.append(binomial_row("correlations", row, sampler, context, "lower",
                                      bounds[row], int(hits[event].sum()), trials))
-            rows.append(StatRow("correlations", row + "/exact", sampler, context, "lower",
+            rows.append(StatRow("correlations", row + "/exact", sampler, context, "exact",
                                 float(bounds[row]), float(exact), 0.0, 0,
                                 float(exact) >= float(bounds[row]) - 1e-12))
     return rows
@@ -894,12 +894,12 @@ def is_half(marginal) -> bool:
     return bool(abs(marginal - float(HALF)) <= 1e-5)
 
 
-def symmetry_pairs(m: int, n_pairs: int = 20) -> list[tuple[int, int]]:
-    """Random distinct edge pairs for the swap-symmetry suite, drawn at
-    seed 2024."""
+def symmetry_pairs(m: int) -> list[tuple[int, int]]:
+    """Twenty random distinct edge pairs (all of them, if fewer) for the
+    swap-symmetry suite, drawn at seed 2024."""
     rng = np.random.default_rng(20_24)
     pairs = set()
-    while len(pairs) < min(n_pairs, m * (m - 1) // 2):
+    while len(pairs) < min(20, m * (m - 1) // 2):
         a, b = sorted(map(int, rng.choice(m, size=2, replace=False)))
         pairs.add((a, b))
     return sorted(pairs)

@@ -468,15 +468,15 @@ def _fit_components(components: Sequence[tuple[MultiGraph, Sequence[float]]],
     return out
 
 
-def maxent_fits(problems: Sequence[tuple[MultiGraph, dict[int, Fraction]]],
-                max_rounds: int = FIT_MAX_ROUNDS) -> list[MaxEntWeights]:
+def maxent_fits(problems: Sequence[tuple[MultiGraph, dict[int, Fraction]]]
+                ) -> list[MaxEntWeights]:
     """Fit weighted-uniform tree weights matching each problem's target
-    marginals to ``FIT_TOLERANCE``: every fit is planned first
-    (contraction, tight-set factoring), then all their components are
-    fitted together."""
+    marginals to ``FIT_TOLERANCE`` within ``FIT_MAX_ROUNDS`` rounds: every
+    fit is planned first (contraction, tight-set factoring), then all their
+    components are fitted together."""
     plans = [_plan_fit(g, targets) for g, targets in problems]
     fitted = iter(_fit_components([c for p in plans for c in p.components],
-                                  FIT_TOLERANCE, max_rounds))
+                                  FIT_TOLERANCE, FIT_MAX_ROUNDS))
     return [MaxEntWeights(tuple(next(fitted) for _ in p.components), p.forced, p.zeros)
             for p in plans]
 

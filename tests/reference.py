@@ -81,8 +81,7 @@ def enumerate_spanning_trees(g: MultiGraph) -> tuple[int, ...]:
     return _spanning_tree_masks(g.n, g.endpoints)
 
 
-def maxent_fit(interior_graph: MultiGraph, targets: dict[int, Fraction],
-               max_rounds: int = FIT_MAX_ROUNDS) -> MaxEntWeights:
+def maxent_fit(interior_graph: MultiGraph, targets: dict[int, Fraction]) -> MaxEntWeights:
     """Fit weighted-uniform tree weights matching the target marginals: the
     one-problem call of ``maxent_fits``.
 
@@ -90,7 +89,7 @@ def maxent_fit(interior_graph: MultiGraph, targets: dict[int, Fraction],
     factors across tight vertex subsets and fits each factor by
     multiplicative updates with matrix-tree marginals.
     """
-    (fit,) = maxent_fits([(interior_graph, targets)], max_rounds)
+    (fit,) = maxent_fits([(interior_graph, targets)])
     return fit
 
 

@@ -9,11 +9,13 @@ piece, the external pairs per cycle piece), are the old ones verbatim,
 except that a charge site names its cut by an index into the engine's
 ``site_cut_cols`` and that verification, still one check per listed min-cut,
 is its own method, ``_infeasible``: it is the oracle for the engine's check
-through the hierarchy.  The twin also keeps the old sampling plan, a
-(cols, tree matrix, cdf) table per tree-table piece read by
-``np.searchsorted`` and the pairs of each cycle piece, built from the
-engine's samplers, so it is an independent oracle for the pieces' own
-block draws.
+through the hierarchy.  Its ``run`` is the old loop over chunks of
+``stats.MAX_CHUNK`` trials, each adding its counts into one shared
+``BatchStats``: the oracle for the engine's fold of chunk records.  The
+twin also keeps the old sampling plan, a (cols, tree matrix, cdf) table per
+tree-table piece read by ``np.searchsorted`` and the pairs of each cycle
+piece, built from the engine's samplers, so it is an independent oracle for
+the pieces' own block draws.
 ``rowmajor(engine)`` gives a twin of a built engine that runs them, so the
 two layouts can be compared on one engine, field for field.
 """
@@ -27,8 +29,9 @@ import numpy as np
 from htsp.errors import AssemblyError
 from htsp.hierarchy import min_cuts_via_hierarchy
 from htsp.join import min_cost_perfect_matching
+from htsp import stats
 from htsp.pipeline import CyclePieceSampler
-from htsp.stats import BatchEngine
+from htsp.stats import BatchEngine, BatchStats
 
 
 class RowMajorEngine(BatchEngine):
@@ -93,6 +96,34 @@ class RowMajorEngine(BatchEngine):
                 flag &= cnt == 1
             eal[:, settled] = flag[:, None]
         return eal
+
+    def run(self, trials, seed, *, join=True, verify=False, integral=False,
+            symmetry_pairs=()):
+        chunk = stats.MAX_CHUNK
+        st = BatchStats()
+        st.incl = np.zeros(self.m, dtype=np.int64)
+        st.eal = np.zeros(self.m, dtype=np.int64)
+        st.reduced = np.zeros(self.m, dtype=np.int64)
+        st.z_sum = [0] * self.m
+        st.z_sumsq = [0.0] * self.m
+        st.z_denom = self.z_denom
+        st.cost_denom = self.cost_denom
+        st.verified = verify
+        st.integral = integral
+        for a, b in symmetry_pairs:
+            st.sym_counts[(a, b)] = np.zeros(4, dtype=np.int64)
+        done = 0
+        idx = 0
+        while done < trials:
+            n = min(chunk, trials - done)
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(idx,))
+            )
+            self._run_chunk(n, rng, st, join, verify, integral, symmetry_pairs)
+            done += n
+            idx += 1
+        st.trials = trials
+        return st
 
     def _run_chunk(self, n, rng, st, join, verify, integral, symmetry_pairs):
         T = self._draw_trees(n, rng)

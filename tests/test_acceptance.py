@@ -21,13 +21,14 @@ from htsp.hierarchy import (
 )
 from htsp.join import ReductionParams
 from htsp.oracle import exact_marginals
-from htsp.params import optimize
+from htsp.params import EPSILON, HALF, QUARTER, TOUR_RATIO_BOUND, optimize
 from htsp.pipeline import SamplerParams
 from htsp.stats import (
     BatchEngine,
-    binom_sigma,
+    binomial_row,
     eal_bounds_for,
     mean_and_sigma,
+    sampled_row,
     suite_correlations,
 )
 from tests.brute_min_cuts import brute_min_cuts
@@ -41,7 +42,6 @@ T_EAL = 1_000_000
 T_COST = 1_000_000
 T_SYMMETRY = 100_000
 T_SURGERY = 100_000
-EPSILON = 0.001695
 SEED = 20_2024
 
 
@@ -81,6 +81,11 @@ def report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, f"{criterion}: {detail}"
 
 
+def z_score(row) -> float:
+    """How many standard errors a sampled row's estimate lies from its bound."""
+    return abs(row.estimate - row.bound) / row.stderr
+
+
 # -- criterion 1: parameter reproduction ------------------------------------
 
 def test_criterion_1_parameter_reproduction():
@@ -94,7 +99,7 @@ def test_criterion_1_parameter_reproduction():
         "gamma": (f["gamma"], 0.0401, 1e-4),
         "beta": (f["beta"], 1 / 12, 1e-4),
         "delta": (f["delta"], 0.0008475, 1e-4),
-        "epsilon": (f["epsilon"], EPSILON, 2e-4),
+        "epsilon": (f["epsilon"], 0.001695, 2e-4),
     }
     ok = all(abs(got - want) <= tol for got, want, tol in checks.values())
     ok = ok and elapsed < 1.0
@@ -109,15 +114,14 @@ def test_criterion_1_parameter_reproduction():
 # -- criterion 2: marginal fidelity ------------------------------------------
 
 def test_criterion_2_marginal_fidelity():
-    worst = 0.0
+    rows = []
     exact_ok = True
     for family in ALL_FAMILIES:
         eng = engine(family, "mix")
         st = eng.run(T_MARGINALS, seed=SEED, join=False)
-        for e in range(eng.m):
-            est = st.incl[e] / st.trials
-            sd = binom_sigma(est, st.trials)
-            worst = max(worst, abs(est - 0.5) / sd)
+        rows += [binomial_row("marginals", "edge-in-tree", "mix", f"{family}:{e}",
+                              "two-sided", HALF, int(st.incl[e]), st.trials)
+                 for e in range(eng.m)]
         mi = engine(family, "mi")
         marg = exact_marginals(mi.h, mi.samplers, mi.classes)
         exact_ok = exact_ok and all(
@@ -125,8 +129,8 @@ def test_criterion_2_marginal_fidelity():
         )
     report(
         "criterion 2 (marginal fidelity)",
-        worst <= 3.0 and exact_ok,
-        f"worst |p-1/2| z-score {worst:.2f} over 5 families at {T_MARGINALS} "
+        all(r.passed for r in rows) and exact_ok,
+        f"worst |p-1/2| z-score {max(map(z_score, rows)):.2f} over 5 families at {T_MARGINALS} "
         f"trials; exact rational identity on the matroid route: {exact_ok}",
     )
 
@@ -174,10 +178,10 @@ def test_criterion_4_eal_table():
             for kind, edges in by_class.items():
                 seen_kinds.add(kind)
                 for e in edges:
-                    est = st.eal[e] / st.trials
-                    sd = binom_sigma(est, st.trials)
-                    if est < float(bounds[kind]) - 3 * sd:
-                        failures.append((family, sampler, kind, e, est))
+                    row = binomial_row("eal", kind, sampler, f"{family}:{e}", "lower",
+                                       bounds[kind], int(st.eal[e]), st.trials)
+                    if not row.passed:
+                        failures.append((family, sampler, kind, e, row.estimate))
     needed = {"special", "half-special", "other-degree", "k5-degree", "cycle"}
     report(
         "criterion 4 (even-at-last table)",
@@ -203,19 +207,20 @@ def test_criterion_5_reduction_flattening():
             "cycle": eng.rp.p_other,
         }
         for e, cl in eng.classes.items():
-            est = st.reduced[e] / st.trials
-            sd = binom_sigma(est, st.trials)
-            if abs(est - float(targets[cl.kind])) > 3 * sd:
-                failures.append((family, e, cl.kind, est))
+            row = binomial_row("reduction", cl.kind, "mix", f"{family}:{e}", "two-sided",
+                               targets[cl.kind], int(st.reduced[e]), st.trials)
+            if not row.passed:
+                failures.append((family, e, cl.kind, row.estimate))
         # every edge's mean net decrease clears the optimized floor
         D = st.z_denom
         for e in range(eng.m):
             mean_z = st.z_sum[e] / st.trials / D
             var = max(st.z_sumsq[e] / st.trials - mean_z * mean_z, 1e-18)
-            sd = (var / st.trials) ** 0.5
-            net = 0.25 - mean_z
-            if net < floor - 3 * sd:
-                net_failures.append((family, e, net))
+            row = sampled_row("reduction", "net-decrease", "mix", f"{family}:{e}", "lower",
+                              floor, float(QUARTER) - mean_z, (var / st.trials) ** 0.5,
+                              st.trials)
+            if not row.passed:
+                net_failures.append((family, e, row.estimate))
     report(
         "criterion 5 (reduction flattening)",
         not failures and not net_failures,
@@ -261,18 +266,18 @@ def test_criterion_7_cost_bound():
             st.zc_sum, st.zc_sumsq, st.trials,
             1.0 / (st.z_denom * st.cost_denom),
         )
-        frac_bound = (0.5 - EPSILON) * cx
-        frac_ok = zc_mean <= frac_bound + 3 * zc_sig
+        frac = sampled_row("cost", "fractional-join-cost", "mix", family, "upper",
+                           (float(HALF) - EPSILON) * cx, zc_mean, zc_sig, st.trials)
         tot_mean, tot_sig = mean_and_sigma(
             st.total_sum, st.total_sumsq, st.trials, 1.0 / st.cost_denom
         )
-        tot_bound = 1.4983 * cx
-        tot_ok = tot_mean <= tot_bound + 3 * tot_sig
+        tot = sampled_row("cost", "tree-plus-join-cost", "mix", family, "upper",
+                          TOUR_RATIO_BOUND * cx, tot_mean, tot_sig, st.trials)
         details.append(
-            f"{family}: frac slack {(frac_bound - zc_mean) / cx:+.2e}, "
-            f"ratio {tot_mean / cx:.4f} (slack {(tot_bound - tot_mean) / cx:+.4f})"
+            f"{family}: frac slack {frac.slack / cx:+.2e}, "
+            f"ratio {tot_mean / cx:.4f} (slack {tot.slack / cx:+.4f})"
         )
-        if not (frac_ok and tot_ok):
+        if not (frac.passed and tot.passed):
             failures.append(family)
     report(
         "criterion 7 (cost bound)",
@@ -334,12 +339,12 @@ def test_criterion_9_odd_surgery():
             x = float(v)
             sums[e] = sums.get(e, 0.0) + x
             sumsq[e] = sumsq.get(e, 0.0) + x * x
-    worst = 0.0
+    rows = []
     for e, s in sums.items():
         mean = s / T_SURGERY
         var = max(sumsq[e] / T_SURGERY - mean * mean, 1e-12)
-        sd = (var / T_SURGERY) ** 0.5
-        worst = max(worst, abs(mean - 0.5) / sd)
+        rows.append(sampled_row("surgery", "interior-value", "mi", f"edge:{e}", "two-sided",
+                                HALF, mean, (var / T_SURGERY) ** 0.5, T_SURGERY))
     # exhaustive polytope membership over every surgery branch
     member_ok = True
     for idx in range(3):
@@ -352,8 +357,8 @@ def test_criterion_9_odd_surgery():
                     member_ok = False
     report(
         "criterion 9 (odd-surgery properties)",
-        worst <= 3.0 and member_ok,
-        f"worst |E[y]-1/2| z-score {worst:.2f} over {T_SURGERY} surgeries; "
+        all(r.passed for r in rows) and member_ok,
+        f"worst |E[y]-1/2| z-score {max(map(z_score, rows)):.2f} over {T_SURGERY} surgeries; "
         f"polytope membership on every branch: {member_ok}",
     )
 
@@ -378,7 +383,9 @@ def test_criterion_10_symmetry():
                 px, py = x / st.trials, y / st.trials
                 # px and py count disjoint outcomes of one multinomial draw
                 var = max(px + py - (px - py) ** 2, 1e-12) / st.trials
-                if abs(px - py) > 3 * var ** 0.5:
+                row = sampled_row("symmetry", "swap", "mix", f"{family}:{a},{b}", "two-sided",
+                                  0.0, px - py, var ** 0.5, st.trials)
+                if not row.passed:
                     failures.append((family, a, b, px, py))
     report(
         "criterion 10 (symmetry invariant)",

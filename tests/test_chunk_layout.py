@@ -47,9 +47,11 @@ def double_cycle_engine(k: int) -> BatchEngine:
 
 
 def _exact(value):
-    """A comparable form that tells floats apart by their bits."""
+    """A comparable form that tells floats apart by their bits; an array
+    compares as the list of its values, so the twin's list sums meet the
+    engine's arrays."""
     if isinstance(value, np.ndarray):
-        return value.dtype.str, value.tolist()
+        return _exact(value.tolist())
     if isinstance(value, dict):
         return {k: _exact(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -67,10 +69,12 @@ def assert_same_stats(a: BatchStats, b: BatchStats) -> None:
 def run_both(engine: BatchEngine, seed: int, flags: dict) -> tuple[BatchStats, BatchStats]:
     flags = dict(flags)
     pairs = symmetry_pairs(engine.m) if flags.pop("pairs", False) else ()
-    return tuple(
-        e.run(TRIALS, seed, chunk=CHUNK, symmetry_pairs=pairs, **flags)
-        for e in (engine, rowmajor(engine))
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "MAX_CHUNK", CHUNK)
+        return tuple(
+            e.run(TRIALS, seed, symmetry_pairs=pairs, **flags)
+            for e in (engine, rowmajor(engine))
+        )
 
 
 @pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
@@ -93,6 +97,25 @@ def test_default_chunk_matches_row_major(name, trials):
     new, old = (e.run(trials, 29, **flags) for e in (engine, rowmajor(engine)))
     assert trials > stats.SUMSQ_BLOCK and trials % stats.MAX_CHUNK % stats.SUMSQ_BLOCK in (0, 64)
     assert_same_stats(new, old)
+
+
+@pytest.mark.parametrize("name", ["zoo", "double-cycle-24"])
+def test_chunk_records_computed_last_first_fold_to_the_run(name, monkeypatch):
+    """A chunk reads nothing another chunk left behind: its records,
+    computed from the last chunk (the ragged one) back to the first on cold
+    join caches and then folded in index order, give the run's stats."""
+    engine = double_cycle_engine(24) if name == "double-cycle-24" else engine_for(name)
+    monkeypatch.setattr(stats, "MAX_CHUNK", CHUNK)
+    pairs = symmetry_pairs(engine.m)
+    sizes = [CHUNK, CHUNK, TRIALS - 2 * CHUNK]
+    cold = _cold(engine)
+    records = {idx: cold._run_chunk(n, 31, idx, True, True, True, pairs)
+               for idx, n in reversed(list(enumerate(sizes)))}
+    st = cold._record(0, pairs, True, True, z_type=object)
+    for idx in range(len(sizes)):
+        st.fold(records[idx])
+    want = _cold(engine).run(TRIALS, 31, verify=True, integral=True, symmetry_pairs=pairs)
+    assert_same_stats(st, want)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -295,12 +318,13 @@ def test_capped_join_caches_give_the_same_stats(name, monkeypatch):
     must not notice."""
     engine = double_cycle_engine(24) if name == "double-cycle-24" else engine_for(name)
     flags = {"join": True, "verify": True, "integral": True}
-    want = _cold(engine).run(TRIALS, 51, chunk=CHUNK, **flags)
+    monkeypatch.setattr(stats, "MAX_CHUNK", CHUNK)
+    want = _cold(engine).run(TRIALS, 51, **flags)
     monkeypatch.setattr(stats, "JOIN_CACHE_LIMIT", 1)
     monkeypatch.setattr(stats, "DP_MEMO_LIMIT", 1)
     capped = _cold(engine)
     for _ in range(2):
-        assert_same_stats(capped.run(TRIALS, 51, chunk=CHUNK, **flags), want)
+        assert_same_stats(capped.run(TRIALS, 51, **flags), want)
         assert len(capped._join_cache) == 1
 
 

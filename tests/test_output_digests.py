@@ -34,11 +34,11 @@ ORACLE_4REG = {
 # generator seed 3, and the two named standalone pieces
 CORRELATIONS = {
     (("family", "zoo"), ("gen_seed", 3)):
-        "b359bf88e2a9e43374932756e7c452b59ca06a776d37bde86e203affac77cff7",
+        "44dcef38bb86f88816ee105d477f0373476fb2f85951117b2ac8777aeaa7b7b7",
     (("piece", "c8_12"),):
-        "4fdc2e989a71d14ad13213cd6aededbe58834caade3d4d808479d6523531d054",
+        "04fbe0f9d1f823607988183ee2291ea6de720a0bca1a34f8aff07082a69102c3",
     (("piece", "c7bar"),):
-        "4456dbd6b1633a5dae4c5bbc18e9f6ba09c2e4330ece3df388d11e3aea4df1ec",
+        "d0859e90498a1322fe8e5cfce4287e50a85cb9d6c5dcf114b8dadb35f2fa6222",
 }
 REDUCTION_FLOOR_ZOO_MIX = "9f4bda7054e1fe6ab31a38bba5a59d308bf3a8b54990b2d10bc39c1da26a9188"
 ORACLE_ZOO_MIX = "4f520cb512f66e35ea7291cdf6d25376b84dd55a8d356010db8e22f26d839da8"

@@ -84,8 +84,8 @@ def test_test_only_helpers_live_in_tests():
 def test_one_verdict_rule():
     """Every sampled report row passes or fails by one rule: only
     ``stats.sampled_row`` reads ``SIGMAS``, and every other ``StatRow`` the
-    package makes is an exact row, whose standard error is the literal
-    ``0.0``."""
+    package makes is an exact row, whose kind is the literal ``"exact"`` and
+    whose standard error is the literal ``0.0``."""
     readers, sampled = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -103,9 +103,11 @@ def test_one_verdict_rule():
                     or isinstance(node, ast.Attribute) and node.attr == "SIGMAS"):
                 readers.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "StatRow":
-                stderr = node.args[7] if len(node.args) > 7 else next(
-                    (kw.value for kw in node.keywords if kw.arg == "stderr"), None)
-                if not (isinstance(stderr, ast.Constant) and stderr.value == 0.0
+                kind, stderr = (node.args[i] if len(node.args) > i else next(
+                    (kw.value for kw in node.keywords if kw.arg == name), None)
+                    for i, name in ((4, "kind"), (7, "stderr")))
+                if not (isinstance(kind, ast.Constant) and kind.value == "exact"
+                        and isinstance(stderr, ast.Constant) and stderr.value == 0.0
                         and isinstance(stderr.value, float)):
                     sampled.append(f"{path.name}:{node.lineno}")
     assert readers == [] and sampled == []

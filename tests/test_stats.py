@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from htsp import stats
 from htsp.errors import AssemblyError, ConfigError
 from htsp.pipeline import CyclePieceSampler, SamplerParams
 from htsp.stats import (
@@ -30,14 +31,25 @@ def zoo_engine():
     return BatchEngine(family_instance("zoo"), SamplerParams(sampler="mix"))
 
 
-def test_engine_run_is_reproducible_for_one_chunk_size(zoo_engine):
-    a = zoo_engine.run(5_000, seed=3, chunk=512, join=True)
-    b = zoo_engine.run(5_000, seed=3, chunk=2048, join=True)
-    # different chunking changes draws, but determinism holds per chunking
-    c = zoo_engine.run(5_000, seed=3, chunk=512, join=True)
+def test_engine_run_is_reproducible_for_one_chunk_size(zoo_engine, monkeypatch):
+    monkeypatch.setattr(stats, "MAX_CHUNK", 512)
+    a = zoo_engine.run(5_000, seed=3, join=True)
+    c = zoo_engine.run(5_000, seed=3, join=True)
     assert np.array_equal(a.incl, c.incl)
-    assert a.z_sum == c.z_sum
-    assert a.trials == b.trials == 5_000
+    assert np.array_equal(a.z_sum, c.z_sum)
+    assert a.trials == 5_000
+
+
+def test_fold_adds_z_sums_as_python_ints(zoo_engine):
+    """Two chunk records whose charge sums are 2**62 fold to exactly
+    2**63, past int64: a run's ``z_sum`` cannot wrap."""
+    record = zoo_engine._record(1, (), False, False)
+    record.z_sum = np.full(zoo_engine.m, 2 ** 62, dtype=np.int64)
+    st = zoo_engine._record(0, (), False, False, z_type=object)
+    st.fold(record)
+    st.fold(record)
+    assert st.z_sum.tolist() == [2 ** 63] * zoo_engine.m
+    assert st.trials == 2
 
 
 def test_engine_first_chunk_sanity(zoo_engine):
@@ -81,10 +93,10 @@ def test_suite_cost_rows(zoo_engine):
 
 
 def test_suite_symmetry(zoo_engine):
-    pairs = symmetry_pairs(zoo_engine.m, n_pairs=10)
+    pairs = symmetry_pairs(zoo_engine.m)
     st = zoo_engine.run(40_000, seed=7, join=False, symmetry_pairs=pairs)
     rows = suite_symmetry(zoo_engine, st)
-    assert len(rows) == 20
+    assert len(rows) == 40
     assert passed(rows)
 
 
@@ -162,8 +174,9 @@ def test_run_suite_dispatcher(tmp_path):
     assert report2.all_passed()
 
 
-def test_tree_check_runs_on_every_chunk():
+def test_tree_check_runs_on_every_chunk(monkeypatch):
     """A tree table that goes bad after the first chunk still stops the run."""
+    monkeypatch.setattr(stats, "MAX_CHUNK", 1_000)
     engine = BatchEngine(family_instance("nested"), SamplerParams(sampler="mi"))
     draw = engine._draw_trees
 
@@ -178,7 +191,7 @@ def test_tree_check_runs_on_every_chunk():
 
     engine._draw_trees = draw_then_corrupt
     with pytest.raises(AssemblyError):
-        engine.run(3_000, seed=1, chunk=1_000, join=False)
+        engine.run(3_000, seed=1, join=False)
 
 
 def test_one_run_serves_every_suite(zoo_engine):
@@ -196,7 +209,7 @@ def test_one_run_serves_every_suite(zoo_engine):
     assert np.array_equal(full.incl, own["marginals"].incl)
     assert np.array_equal(full.eal, own["eal"].eal)
     assert np.array_equal(full.reduced, own["eal"].reduced)
-    assert full.z_sum == own["eal"].z_sum
+    assert np.array_equal(full.z_sum, own["eal"].z_sum)
     assert full.total_sum == own["cost"].total_sum
     assert all(np.array_equal(full.sym_counts[p], own["symmetry"].sym_counts[p])
                for p in pairs)
@@ -211,22 +224,44 @@ def test_suites_reject_incomplete_configs(zoo_engine):
         suite_cost(zoo_engine, zoo_engine.run(1_000, seed=8, integral=True))
 
 
-@pytest.mark.parametrize("trials,chunk", [(0, 1 << 14), (-5, 1 << 14), (10, 0), (10, -1)])
+@pytest.mark.parametrize("trials", [0, -5])
 @pytest.mark.parametrize("join", [False, True])
-def test_engine_rejects_counts_below_one(zoo_engine, trials, chunk, join):
-    """A chunk of 0 once looped forever without a join and raised
-    IndexError with one; a trial count below 1 gave empty stats."""
+def test_engine_rejects_counts_below_one(zoo_engine, trials, join):
+    """A trial count below 1 once gave empty stats."""
     with pytest.raises(ConfigError, match="must be at least 1"):
-        zoo_engine.run(trials, 1, chunk=chunk, join=join)
+        zoo_engine.run(trials, 1, join=join)
 
 
-def test_engine_rejects_chunks_past_the_checked_scale(zoo_engine):
-    """The cost scaling keeps int64 sums exact for chunks of at most
-    ``MAX_CHUNK`` trials, so a larger chunk is refused."""
-    from htsp.stats import MAX_CHUNK
+@pytest.mark.parametrize("past,match", [
+    (0, "trials of cost times charge could overflow int64"),
+    (1, "trials of tree plus join could overflow int64"),
+])
+def test_engine_refuses_a_max_chunk_past_the_checked_scale(monkeypatch, past, match):
+    """The int64 chunk sums stay exact only for chunks of at most
+    ``MAX_CHUNK`` trials, and both scale checks read the constant when an
+    engine is built.  On zoo the largest chunk the tree-plus-join check
+    lets through already fails the cost-times-charge check; one trial more
+    fails the first."""
+    total = int(BatchEngine(family_instance("zoo"), SamplerParams(sampler="mix")).cost_int.sum())
+    monkeypatch.setattr(stats, "MAX_CHUNK", stats.INT64_MAX // (2 * total) + past)
+    with pytest.raises(stats.ScaleOverflow, match=match):
+        BatchEngine(family_instance("zoo"), SamplerParams(sampler="mix"))
 
-    with pytest.raises(ConfigError, match=f"at most {MAX_CHUNK}"):
-        zoo_engine.run(10, 1, chunk=MAX_CHUNK + 1)
+
+def test_chunks_of_one_run_draw_different_trials(zoo_engine, monkeypatch):
+    """Each chunk index has its own stream: two full chunks of one seed
+    differ, a chunk recomputed alone is the same, and the run is their
+    fold."""
+    monkeypatch.setattr(stats, "MAX_CHUNK", 1_000)
+    first, second = (zoo_engine._run_chunk(1_000, 5, idx, True, False, False, ())
+                     for idx in (0, 1))
+    assert not np.array_equal(first.incl, second.incl)
+    again = zoo_engine._run_chunk(1_000, 5, 1, True, False, False, ())
+    assert np.array_equal(second.incl, again.incl) and second.zc_sum == again.zc_sum
+    st = zoo_engine.run(2_000, 5)
+    assert np.array_equal(st.incl, first.incl + second.incl)
+    assert st.z_sum.tolist() == (first.z_sum + second.z_sum).tolist()
+    assert st.zc_sum == first.zc_sum + second.zc_sum
 
 
 def test_piece_and_instance_suites_reject_counts_below_one():
@@ -272,9 +307,10 @@ def _move_root_edge(engine):
     sampler.pairs = [tuple(pair) for pair in pairs]
 
 
-def test_root_degree_check_runs_on_every_chunk():
+def test_root_degree_check_runs_on_every_chunk(monkeypatch):
     """Cycle pairs that go bad after the first chunk, keeping every tree's
     edge count, are stopped by the root-degree check."""
+    monkeypatch.setattr(stats, "MAX_CHUNK", 1_000)
     engine = BatchEngine(family_instance("nested"), SamplerParams(sampler="mi"))
     draw = engine._draw_trees
     calls = []
@@ -288,7 +324,7 @@ def test_root_degree_check_runs_on_every_chunk():
 
     engine._draw_trees = draw_then_corrupt
     with pytest.raises(AssemblyError, match="degree 2 at root"):
-        engine.run(3_000, seed=1, chunk=1_000, join=False)
+        engine.run(3_000, seed=1, join=False)
     assert len(calls) == 2
 
 

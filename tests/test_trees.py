@@ -298,14 +298,15 @@ def test_mi_sample_draws_constrained_trees():
             assert len(set(part) & t) <= 1
 
 
-def test_maxent_nonconvergence_and_breakdown():
+def test_maxent_nonconvergence_and_breakdown(monkeypatch):
     from htsp.errors import NonConvergence, NumericalBreakdown
 
     c4 = MultiGraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0)])
     targets = {0: Fraction(7, 10), 1: Fraction(7, 10), 2: Fraction(7, 10),
                3: Fraction(9, 10)}
+    monkeypatch.setattr(trees, "FIT_MAX_ROUNDS", 1)
     with pytest.raises(NonConvergence):
-        maxent_fit(c4, targets, max_rounds=1)
+        maxent_fit(c4, targets)
     # a disconnected support never reaches the fit (the target sum check
     # rejects it first), but the Laplacian guard still protects sampling
     disconnected = MultiGraph(4, [(0, 0, 1), (1, 0, 1), (2, 2, 3), (3, 2, 3)])
