@@ -21,7 +21,8 @@ from htsp.generators import generate
 from htsp.join import ReductionParams
 from htsp.params import optimize
 from htsp.pipeline import SamplerParams
-from htsp.stats import BatchEngine, suite_cost
+from htsp.engine import BatchEngine
+from htsp.stats import suite_cost
 
 FAMILIES = ("double-cycle", "k5-gadget", "nested", "random-4reg", "zoo")
 

@@ -17,7 +17,8 @@ from htsp.generators import generate_k5_gadget, generate_zoo, standalone_piece
 from htsp.join import ReductionParams
 from htsp.params import optimize
 from htsp.pipeline import SamplerParams
-from htsp.stats import BatchEngine, suite_correlations, suite_eal
+from htsp.engine import BatchEngine
+from htsp.stats import suite_correlations, suite_eal
 
 
 def main() -> int:

@@ -18,7 +18,8 @@ from .hierarchy import CutHierarchy, build_cactus, build_hierarchy, min_cuts_via
 from .join import ReductionParams, classify
 from .pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
 from .params import optimize
-from .stats import BatchEngine, CompiledInstance, ExperimentConfig, run_suite
+from .engine import BatchEngine, CompiledInstance
+from .stats import ExperimentConfig, run_suite
 
 __all__ = [
     "BatchEngine",

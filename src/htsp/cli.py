@@ -15,14 +15,14 @@ from fractions import Fraction
 from typing import Optional
 
 from . import generators
-from .errors import HtspError
+from .engine import MAX_CHUNK, BatchEngine, CompiledInstance, check_positive
+from .errors import ConfigError, HtspError
 from .graph import parse_instance, normalize_to_special_triple, serialize_instance
 from .hierarchy import build_cactus, build_hierarchy, min_cuts_via_hierarchy
 from .join import integral_join_and_tour
 from .params import DEFAULT_MIX_LAMBDA
 from .pipeline import SamplerParams, sample_r0_tree
-from .stats import (MAX_CHUNK, BatchEngine, CompiledInstance, ExperimentConfig,
-                    check_positive, load_instance, oracle_check, run_suite)
+from .stats import ExperimentConfig, load_instance, oracle_check, run_suite
 
 
 def _read_instance(path: str, strict: bool = True):
@@ -358,6 +358,10 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "trials"):
             check_positive(trials=args.trials)
+        for name in ("seed", "gen_seed"):
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                raise ConfigError(f"--{name.replace('_', '-')} must be at least 0, got {value}")
         return args.func(args)
     except (HtspError, OSError) as exc:
         msg = " ".join(str(exc).split())

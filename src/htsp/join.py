@@ -12,7 +12,7 @@ evenly between the two partner edges.  Partner edges share one coin, so a
 single repayment covers both of their canonical cuts at once.
 
 This module builds the tables of that scheme once per instance; the chunk
-kernels of ``stats.BatchEngine`` apply them to whole blocks of trees.
+kernels of ``engine.BatchEngine`` apply them to whole blocks of trees.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ from .errors import (
 )
 from .graph import HalfIntegralInstance
 from .hierarchy import CutHierarchy
-from .params import BETA_CAP, DEFAULT_MIX_LAMBDA, mixed_rates
+from .params import BETA_CAP, DEFAULT_GAMMA, DEFAULT_MIX_LAMBDA, DEFAULT_TAU, mixed_rates
 from .pipeline import PieceSampler
-
-FLOOR = Fraction(1, 6)
 
 #: reduction classes an edge can be settled in
 EDGE_KINDS = ("special", "half-special", "other-degree", "k5-degree", "cycle")
@@ -66,8 +64,8 @@ class ReductionParams:
     @classmethod
     def default(cls, mix_lambda: Fraction = DEFAULT_MIX_LAMBDA) -> "ReductionParams":
         return cls(
-            tau=Fraction(23, 648),
-            gamma=Fraction(13, 324),
+            tau=DEFAULT_TAU,
+            gamma=DEFAULT_GAMMA,
             beta=BETA_CAP,  # the optimum sits at the cap
             mix_lambda=Fraction(mix_lambda),
         )
@@ -600,7 +598,7 @@ class TourResult:
 def integral_join_and_tour(ci, tree_edges: frozenset[int],
                            shortcut: bool = True) -> TourResult:
     """Cheapest parity fix for the tree, then a closed tour, on the integer
-    costs and metric of a ``stats.CompiledInstance``; only the costs of
+    costs and metric of an ``engine.CompiledInstance``; only the costs of
     the result are ``Fraction``s.
 
     The join pairs odd-degree vertices along shortest paths; the tour is

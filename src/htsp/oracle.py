@@ -29,7 +29,7 @@ def exact_marginals(h: CutHierarchy, samplers: dict[int, PieceSampler],
 # ---------------------------------------------------------------------------
 
 def exact_expected_net_decrease(ci) -> dict[int, object]:
-    """E[quarter - z_e] per edge of a ``stats.CompiledInstance``:
+    """E[quarter - z_e] per edge of an ``engine.CompiledInstance``:
     reductions in, expected charges out, read off its exact even-at-last
     probabilities, coin rates and charge sites.
 

@@ -1,5 +1,5 @@
-"""The guarantee constants, one half and one quarter, and the reduction-parameter
-optimization.
+"""The guarantee constants (one half, one quarter, the join floor and the
+default reduction amounts) and the reduction-parameter optimization.
 
 The constants live here only; this module imports no other htsp module
 but the errors, so every module can read them.
@@ -80,6 +80,12 @@ QUARTER = Fraction(1, 4)
 DEFAULT_MIX_LAMBDA = Fraction(4715, 10000)
 #: largest reduction amount any edge class may take
 BETA_CAP = Fraction(1, 12)
+#: the default reduction amounts: tau of a plain or special degree edge,
+#: gamma of a K5 edge (a cycle edge takes beta, at ``BETA_CAP``)
+DEFAULT_TAU = Fraction(23, 648)
+DEFAULT_GAMMA = Fraction(13, 324)
+#: the least join value an edge may keep after its reduction and charges
+FLOOR = Fraction(1, 6)
 #: guaranteed gap below one half of the expected fractional join cost / c(x)
 EPSILON = 0.001695
 #: guaranteed bound on the expected tree-plus-join cost / c(x)

@@ -89,9 +89,7 @@ class CyclePieceSampler:
 
     kind = "cycle"
 
-    def __init__(self, piece: LocalMultigraph, is_root: bool, node_id: Optional[int] = None):
-        self.piece = piece
-        self.node_id = node_id
+    def __init__(self, piece: LocalMultigraph, is_root: bool):
         self.pairs: list[tuple[int, int]] = [tuple(p) for p in piece.internal_pairs()]
         if is_root:
             self.pairs += [tuple(p) for p in piece.external_pairs()]
@@ -181,11 +179,8 @@ class EnumeratedPieceSampler:
     edge-id lists; all have one size, so of two trees the one holding the
     first edge where they differ comes first."""
 
-    def __init__(self, piece: LocalMultigraph, kind: str, edge_ids: Sequence[int],
-                 masks: np.ndarray, probs: Sequence,
-                 exact: bool, generative, node_id: Optional[int] = None):
-        self.piece = piece
-        self.node_id = node_id
+    def __init__(self, kind: str, edge_ids: Sequence[int], masks: np.ndarray, probs: Sequence,
+                 exact: bool, generative):
         self.kind = kind
         # one row per edge position, one column per tree
         held = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8),
@@ -255,11 +250,11 @@ class EnumeratedPieceSampler:
         return p if self.exact_probs is not None else float(p)
 
 
-def k5_sampler(piece: LocalMultigraph, node_id: Optional[int] = None) -> EnumeratedPieceSampler:
+def k5_sampler(piece: LocalMultigraph) -> EnumeratedPieceSampler:
     paths = k5_paths(piece)
-    return EnumeratedPieceSampler(piece, "k5", piece.internal_graph()[0].edge_ids, paths,
+    return EnumeratedPieceSampler("k5", piece.internal_graph()[0].edge_ids, paths,
                                   [Fraction(1, len(paths))] * len(paths), exact=True,
-                                  generative=None, node_id=node_id)
+                                  generative=None)
 
 
 # -- degree-piece state enumeration -----------------------------------------
@@ -366,9 +361,7 @@ class DegreePieceSampler:
 
     kind = "degree"
 
-    def __init__(self, piece: LocalMultigraph, params: SamplerParams,
-                 node_id: Optional[int] = None):
-        self.node_id = node_id
+    def __init__(self, piece: LocalMultigraph, params: SamplerParams):
         self.params = params
         self.piece = piece
         #: the max-entropy fits by interior values, kept for single draws
@@ -498,8 +491,8 @@ class DegreePieceSampler:
                 acc[where[len(probs):]] += float(1 - lam) * mi_probs.astype(float)
                 probs = acc
         out = EnumeratedPieceSampler(
-            self.piece, "degree", self._edge_ids, masks, probs, exact=lam == 0,
-            generative=self._generative, node_id=self.node_id,
+            "degree", self._edge_ids, masks, probs, exact=lam == 0,
+            generative=self._generative,
         )
         self._built.clear()
         return out
@@ -537,11 +530,11 @@ def build_piece_samplers(h: CutHierarchy, params: SamplerParams) -> dict[int, Pi
     out: dict[int, PieceSampler] = {}
     for nd in h.non_leaves():
         if nd.kind == "cycle":
-            out[nd.node_id] = CyclePieceSampler(nd.piece, nd.is_root, nd.node_id)
+            out[nd.node_id] = CyclePieceSampler(nd.piece, nd.is_root)
         elif nd.piece.graph.n == 5:
-            out[nd.node_id] = k5_sampler(nd.piece, nd.node_id)
+            out[nd.node_id] = k5_sampler(nd.piece)
         else:
-            out[nd.node_id] = DegreePieceSampler(nd.piece, params, nd.node_id).compiled()
+            out[nd.node_id] = DegreePieceSampler(nd.piece, params).compiled()
     return out
 
 

@@ -34,7 +34,7 @@ from htsp.errors import (AssemblyError, FeasibilityViolation, InfeasibleShift, L
 from htsp.graph import MultiGraph, bits
 from htsp.hierarchy import (Cactus, CutHierarchy, CutView, _canonical_shore, _critical_shore,
                             _min_cut_shores, min_cuts_via_hierarchy)
-from htsp.join import FLOOR, EalConditions, EdgeClass, ReductionParams, coin_groups
+from htsp.join import EalConditions, EdgeClass, ReductionParams, coin_groups
 from htsp.matching import (
     MatchingDistribution,
     ShiftedSolution,
@@ -48,7 +48,7 @@ from htsp.matching import (
     surgery_options,
 )
 from htsp.oracle import exact_expected_net_decrease
-from htsp.params import BETA_CAP, QUARTER, LpSolution, _bases, _constraints, decrease_forms
+from htsp.params import BETA_CAP, FLOOR, QUARTER, LpSolution, _bases, _constraints, decrease_forms
 from htsp.pipeline import CyclePieceSampler, _check_interior, _submask_of_class
 from htsp.trees import (
     FIT_MAX_ROUNDS,

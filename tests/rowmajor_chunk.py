@@ -1,4 +1,4 @@
-"""The trial-major batch chunk that ``htsp.stats.BatchEngine`` replaced.
+"""The trial-major batch chunk that ``htsp.engine.BatchEngine`` replaced.
 
 Kept as a test oracle: trees, even-at-last flags, reductions and charges are
 ``(trials, m)`` arrays, and every cut is read by fancy-indexing its edge
@@ -10,7 +10,7 @@ except that a charge site names its cut by an index into the engine's
 ``site_cut_cols`` and that verification, still one check per listed min-cut,
 is its own method, ``_infeasible``: it is the oracle for the engine's check
 through the hierarchy.  Its ``run`` is the old loop over chunks of
-``stats.MAX_CHUNK`` trials, each adding its counts into one shared
+``engine.MAX_CHUNK`` trials, each adding its counts into one shared
 ``BatchStats``: the oracle for the engine's fold of chunk records.  The
 twin also keeps the old sampling plan, a (cols, tree matrix, cdf) table per
 tree-table piece read by ``np.searchsorted`` and the pairs of each cycle
@@ -26,12 +26,12 @@ import copy
 
 import numpy as np
 
+import htsp.engine
 from htsp.errors import AssemblyError
 from htsp.hierarchy import min_cuts_via_hierarchy
 from htsp.join import min_cost_perfect_matching
-from htsp import stats
+from htsp.engine import BatchEngine, BatchStats
 from htsp.pipeline import CyclePieceSampler
-from htsp.stats import BatchEngine, BatchStats
 
 
 class RowMajorEngine(BatchEngine):
@@ -99,7 +99,7 @@ class RowMajorEngine(BatchEngine):
 
     def run(self, trials, seed, *, join=True, verify=False, integral=False,
             symmetry_pairs=()):
-        chunk = stats.MAX_CHUNK
+        chunk = htsp.engine.MAX_CHUNK
         st = BatchStats()
         st.incl = np.zeros(self.m, dtype=np.int64)
         st.eal = np.zeros(self.m, dtype=np.int64)

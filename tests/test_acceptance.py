@@ -23,8 +23,8 @@ from htsp.join import ReductionParams
 from htsp.oracle import exact_marginals
 from htsp.params import EPSILON, HALF, QUARTER, TOUR_RATIO_BOUND, optimize
 from htsp.pipeline import SamplerParams
+from htsp.engine import BatchEngine
 from htsp.stats import (
-    BatchEngine,
     binomial_row,
     eal_bounds_for,
     mean_and_sigma,

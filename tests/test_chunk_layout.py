@@ -13,13 +13,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from htsp.errors import OddSetTooLarge
+import htsp.engine
+from htsp.engine import BatchEngine, BatchStats, _odd_rows, narrowest_lane
+from htsp.errors import OddSetTooLarge, ScaleOverflow
 from htsp.generators import generate, generate_double_cycle
 from htsp.graph import HalfIntegralInstance
 from htsp.join import ODD_SET_LIMIT
-from htsp import stats
 from htsp.pipeline import SamplerParams
-from htsp.stats import BatchEngine, BatchStats, _odd_rows, narrowest_lane, symmetry_pairs
+from htsp.stats import symmetry_pairs
 from tests.conftest import ALL_FAMILIES, FAMILY_SEED, family_instance
 from tests.rowmajor_chunk import rowmajor
 from tests.test_join import _ring_edges_with_odd, _trees
@@ -70,7 +71,7 @@ def run_both(engine: BatchEngine, seed: int, flags: dict) -> tuple[BatchStats, B
     flags = dict(flags)
     pairs = symmetry_pairs(engine.m) if flags.pop("pairs", False) else ()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stats, "MAX_CHUNK", CHUNK)
+        mp.setattr(htsp.engine, "MAX_CHUNK", CHUNK)
         return tuple(
             e.run(TRIALS, seed, symmetry_pairs=pairs, **flags)
             for e in (engine, rowmajor(engine))
@@ -85,7 +86,7 @@ def test_edge_major_chunk_matches_row_major(family, flag_set):
     assert_same_stats(new, old)
 
 
-@pytest.mark.parametrize("trials", [stats.MAX_CHUNK, 40_000])
+@pytest.mark.parametrize("trials", [htsp.engine.MAX_CHUNK, 40_000])
 @pytest.mark.parametrize("name", ALL_FAMILIES + ("double-cycle-24",))
 def test_default_chunk_matches_row_major(name, trials):
     """At the default chunk size a chunk holds many blocks of the second
@@ -95,7 +96,8 @@ def test_default_chunk_matches_row_major(name, trials):
     pairs = symmetry_pairs(engine.m)
     flags = {"join": True, "verify": True, "integral": True, "symmetry_pairs": pairs}
     new, old = (e.run(trials, 29, **flags) for e in (engine, rowmajor(engine)))
-    assert trials > stats.SUMSQ_BLOCK and trials % stats.MAX_CHUNK % stats.SUMSQ_BLOCK in (0, 64)
+    assert (trials > htsp.engine.SUMSQ_BLOCK
+            and trials % htsp.engine.MAX_CHUNK % htsp.engine.SUMSQ_BLOCK in (0, 64))
     assert_same_stats(new, old)
 
 
@@ -105,7 +107,7 @@ def test_chunk_records_computed_last_first_fold_to_the_run(name, monkeypatch):
     computed from the last chunk (the ragged one) back to the first on cold
     join caches and then folded in index order, give the run's stats."""
     engine = double_cycle_engine(24) if name == "double-cycle-24" else engine_for(name)
-    monkeypatch.setattr(stats, "MAX_CHUNK", CHUNK)
+    monkeypatch.setattr(htsp.engine, "MAX_CHUNK", CHUNK)
     pairs = symmetry_pairs(engine.m)
     sizes = [CHUNK, CHUNK, TRIALS - 2 * CHUNK]
     cold = _cold(engine)
@@ -318,10 +320,10 @@ def test_capped_join_caches_give_the_same_stats(name, monkeypatch):
     must not notice."""
     engine = double_cycle_engine(24) if name == "double-cycle-24" else engine_for(name)
     flags = {"join": True, "verify": True, "integral": True}
-    monkeypatch.setattr(stats, "MAX_CHUNK", CHUNK)
+    monkeypatch.setattr(htsp.engine, "MAX_CHUNK", CHUNK)
     want = _cold(engine).run(TRIALS, 51, **flags)
-    monkeypatch.setattr(stats, "JOIN_CACHE_LIMIT", 1)
-    monkeypatch.setattr(stats, "DP_MEMO_LIMIT", 1)
+    monkeypatch.setattr(htsp.engine, "JOIN_CACHE_LIMIT", 1)
+    monkeypatch.setattr(htsp.engine, "DP_MEMO_LIMIT", 1)
     capped = _cold(engine)
     for _ in range(2):
         assert_same_stats(capped.run(TRIALS, 51, **flags), want)
@@ -331,8 +333,8 @@ def test_capped_join_caches_give_the_same_stats(name, monkeypatch):
 def test_join_cache_never_empties_on_zoo():
     # a 14-vertex instance has at most 2**13 parity keys (mc-zoo meets 512)
     assert family_instance("zoo").graph.n == 14
-    assert 2 ** 13 < stats.JOIN_CACHE_LIMIT
-    assert 2 ** (ODD_SET_LIMIT - 1) < stats.DP_MEMO_LIMIT
+    assert 2 ** 13 < htsp.engine.JOIN_CACHE_LIMIT
+    assert 2 ** (ODD_SET_LIMIT - 1) < htsp.engine.DP_MEMO_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +376,7 @@ def test_narrowest_lane_at_its_edges(bound, lane):
 
 
 def test_no_lane_past_int64():
-    with pytest.raises(stats.ScaleOverflow):
+    with pytest.raises(ScaleOverflow):
         narrowest_lane(2 ** 63)
 
 
@@ -399,7 +401,7 @@ def test_generated_instances_take_the_int16_lane(name):
     assert engine.lane is np.int16 and engine.sum_lane is np.int32
 
 
-@pytest.mark.parametrize("lane", stats.LANES, ids=lambda t: np.dtype(t).name)
+@pytest.mark.parametrize("lane", htsp.engine.LANES, ids=lambda t: np.dtype(t).name)
 @pytest.mark.parametrize("name", LANE_CASES)
 def test_every_lane_matches_row_major(name, lane):
     engine = forced_lane(verify_engine(name), lane)
@@ -412,7 +414,7 @@ def test_trial_joins_agree_in_every_lane(family):
     engine = engine_for(family)
     trees = _trees(engine, range(120))
     want = forced_lane(engine, np.int64).trial_joins(trees, 2, 0)
-    for lane in stats.LANES:
+    for lane in htsp.engine.LANES:
         z = forced_lane(engine, lane).trial_joins(trees, 2, 0)
         assert z.dtype == lane and z.tolist() == want.tolist()
 

@@ -19,7 +19,7 @@ from htsp.errors import InfeasibleShift, NoPerfectMatching
 from htsp.matching import (_odd_set_lower_constraints, decompose_matchings,
                            enumerate_perfect_matchings)
 from htsp.pipeline import SamplerParams, _piece_states
-from htsp.stats import BatchEngine
+from htsp.engine import BatchEngine
 from tests.conftest import ALL_FAMILIES, family_instance
 from tests.fraction_decomp import fraction_convex_decomposition
 from tests.reference import constrained_tree_distribution, enumerate_spanning_trees

@@ -68,7 +68,7 @@ def test_every_family_generates_valid_instances():
 
 
 def test_metric_costs_satisfy_triangle_inequality():
-    from htsp.stats import CompiledInstance
+    from htsp.engine import CompiledInstance
 
     ci = CompiledInstance(family_instance("zoo"))
     d, _ = ci.metric
@@ -347,7 +347,11 @@ def test_cli_normalize(tmp_path):
                                   "tour-trials-0", "join-trials-neg",
                                   "sample-trials-0", "sample-format",
                                   "join-format", "tour-format", "join-sampler",
-                                  "join-text-trials", "generate-no-family"])
+                                  "join-text-trials", "generate-no-family",
+                                  "sample-seed-neg", "join-seed-neg", "tour-seed-neg",
+                                  "stats-seed-neg", "generate-seed-neg",
+                                  "stats-gen-seed-neg", "stats-nan-floor",
+                                  "stats-inf-floor"])
 def test_cli_bad_input_is_one_line_with_exit_code_2(case, tmp_path, instance_file):
     bad = tmp_path / "bad.htsp"
     bad.write_text("htsp 3 2\n0 1 1\n")
@@ -377,13 +381,26 @@ def test_cli_bad_input_is_one_line_with_exit_code_2(case, tmp_path, instance_fil
         "join-sampler": ("join", instance_file, "--sampler", "foo"),
         "join-text-trials": ("join", instance_file, "--trials", "x"),
         "generate-no-family": ("generate",),
+        # a negative seed is refused before numpy sees it
+        "sample-seed-neg": ("sample", instance_file, "--seed", "-1"),
+        "join-seed-neg": ("join", instance_file, "--seed", "-1"),
+        "tour-seed-neg": ("tour", instance_file, "--seed", "-1"),
+        "stats-seed-neg": ("stats", "--instance", instance_file, "--seed", "-1",
+                           "--trials", "10"),
+        "generate-seed-neg": ("generate", "--family", "zoo", "--seed", "-1"),
+        "stats-gen-seed-neg": ("stats", "--family", "zoo", "--gen-seed", "-1",
+                               "--trials", "10"),
+        "stats-nan-floor": ("stats", "--instance", instance_file, "--suite", "reduction",
+                            "--delta-floor", "nan", "--trials", "10"),
+        "stats-inf-floor": ("stats", "--instance", instance_file, "--suite", "reduction",
+                            "--delta-floor", "inf", "--trials", "10"),
     }[case]
     r = run_cli(*args)
     assert r.returncode == 2
     assert r.stdout == ""
     assert len(r.stderr.strip().splitlines()) == 1
     assert r.stderr.startswith(f"htsp {args[0]}: ")
-    if case.endswith("-mix") or "-trials-" in case:
+    if case.endswith(("-mix", "-floor")) or "-trials-" in case or "-seed-" in case:
         assert "ConfigError" in r.stderr
     if case.endswith("-format"):
         assert "unrecognized arguments: --format" in r.stderr
@@ -499,6 +516,7 @@ def test_each_command_compiles_the_instance_once(cmd, instance_file, monkeypatch
     under every name htsp looks them up by."""
     import htsp
     import htsp.cli
+    import htsp.engine
     import htsp.hierarchy
     import htsp.pipeline
     import htsp.stats
@@ -513,7 +531,8 @@ def test_each_command_compiles_the_instance_once(cmd, instance_file, monkeypatch
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        for module in (htsp, htsp.cli, htsp.hierarchy, htsp.pipeline, htsp.stats):
+        for module in (htsp, htsp.cli, htsp.engine, htsp.hierarchy, htsp.pipeline,
+                       htsp.stats):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     assert main([cmd[0], instance_file, *cmd[1:]]) == 0

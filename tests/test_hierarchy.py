@@ -15,7 +15,7 @@ from htsp.hierarchy import (
     min_cuts_via_hierarchy,
 )
 from htsp.pipeline import SamplerParams
-from htsp.stats import BatchEngine
+from htsp.engine import BatchEngine
 from tests.brute_min_cuts import brute_min_cuts
 from tests.conftest import ALL_FAMILIES, family_instance
 from tests.reference import cactus_min_cut_shores, enumerate_min_cuts, find_critical_set

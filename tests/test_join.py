@@ -28,7 +28,7 @@ from htsp.join import (
     odd_vertices,
 )
 from htsp.pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
-from htsp.stats import BatchEngine, CompiledInstance, _odd_rows
+from htsp.engine import BatchEngine, CompiledInstance, _odd_rows
 from tests.conftest import ALL_FAMILIES, family_instance
 from tests.reference import build_join, detect_eal, shortest_path_metric, verify_join
 
@@ -429,7 +429,7 @@ def test_exact_eal_probabilities_match_indicator_patterns(any_instance, sampler)
 def test_detect_eal_matches_chunk_flags():
     """Per-tree detection and the batch chunk read one set of conditions;
     on sampled trees they flag the same edges."""
-    from htsp.stats import BatchEngine
+    from htsp.engine import BatchEngine
 
     for family in ("zoo", "k5-gadget", "nested"):
         engine = BatchEngine(family_instance(family), SamplerParams(sampler="mix"))
@@ -475,7 +475,7 @@ def test_tour_and_batch_paths_share_the_odd_set_limit():
     from htsp.errors import OddSetTooLarge
     from htsp.generators import generate_double_cycle
     from htsp.join import ODD_SET_LIMIT
-    from htsp.stats import BatchEngine
+    from htsp.engine import BatchEngine
 
     inst = generate_double_cycle(20, np.random.default_rng(0))
     engine = BatchEngine(inst, SamplerParams(sampler="mi"))

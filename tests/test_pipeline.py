@@ -182,10 +182,9 @@ def test_compiled_samplers_keep_no_python_object_per_tree():
 
 
 def test_enumerated_probabilities_off_one_raise_assembly_error():
-    piece = build_hierarchy(family_instance("k5-gadget")).non_leaves()[0].piece
     masks = np.array([0b01, 0b10], dtype=np.uint64)
     with pytest.raises(AssemblyError, match="sum to 1"):
-        EnumeratedPieceSampler(piece, "k5", (0, 1), masks, [Fraction(1, 2), Fraction(1, 3)],
+        EnumeratedPieceSampler("k5", (0, 1), masks, [Fraction(1, 2), Fraction(1, 3)],
                                exact=True, generative=None)
 
 

@@ -26,7 +26,8 @@ from htsp.oracle import exact_marginals
 from htsp.params import solve_amounts
 from htsp.hierarchy import _contract, _min_cut_shores, build_hierarchy
 from htsp.pipeline import SamplerParams
-from htsp.stats import BatchEngine, binom_sigma, oracle_check
+from htsp.engine import BatchEngine
+from htsp.stats import binom_sigma, oracle_check
 from tests.brute_min_cuts import brute_min_cuts
 from tests.reference import (enumerate_spanning_trees, fraction_mi_mixture,
                              solve_amounts as reference_solve_amounts)

@@ -6,6 +6,7 @@ from pathlib import Path
 import htsp
 
 SRC = Path(htsp.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_no_bare_assert_in_the_package():
@@ -67,7 +68,7 @@ def _defined(names: set[str]) -> list[str]:
 
 
 def test_one_join_construction():
-    """The chunk kernels of ``stats.BatchEngine`` are the package's one join
+    """The chunk kernels of ``engine.BatchEngine`` are the package's one join
     construction and check: the per-trial ``Fraction`` join lives only in
     ``tests/reference.py``, as the oracle the tests hold the engine to."""
     assert _defined({"build_join", "JoinSolution", "detect_eal", "verify_join",
@@ -120,7 +121,7 @@ def test_one_charge_lane():
     reduction to per-edge or chunk totals may still add in int64."""
     makers = {"empty", "zeros", "ones", "full", "empty_like", "zeros_like", "ones_like",
               "full_like", "array", "einsum", "astype", "multiply", "add", "subtract"}
-    tree = ast.parse((SRC / "stats.py").read_text(encoding="utf-8"))
+    tree = ast.parse((SRC / "engine.py").read_text(encoding="utf-8"))
     engine = next(node for node in tree.body
                   if isinstance(node, ast.ClassDef) and node.name == "BatchEngine")
     methods = {node.name: node for node in engine.body if isinstance(node, ast.FunctionDef)}
@@ -136,4 +137,66 @@ def test_one_charge_lane():
                 for sub in ast.walk(arg)
                 if isinstance(sub, ast.Attribute) and sub.attr == "int64"
             ]
+    assert found == []
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_engine_imports_no_report_or_cli():
+    """The layer line: ``engine.py`` builds and runs the chunks, and imports
+    nothing from ``stats`` (the reports) or ``cli``."""
+    found = []
+    for node in ast.walk(_parse(SRC / "engine.py")):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            paths = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        else:
+            continue
+        if any({"stats", "cli"} & set(path.split(".")) for path in paths):
+            found.append(f"engine.py:{node.lineno}")
+    assert found == []
+
+
+def test_reports_read_no_engine_internal():
+    """``stats.py`` reads the engine's results through its public names: it
+    imports no ``_``-prefixed name from ``engine`` and reads no
+    ``_``-prefixed attribute (dunders aside), so no chunk internal."""
+    found = []
+    for node in ast.walk(_parse(SRC / "stats.py")):
+        if isinstance(node, ast.ImportFrom) and node.module == "engine":
+            found += [f"stats.py:{node.lineno}:{alias.name}"
+                      for alias in node.names if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and not node.attr.startswith("__")):
+            found.append(f"stats.py:{node.lineno}:{node.attr}")
+    assert found == []
+
+
+def test_engine_names_are_imported_from_the_engine():
+    """Each name ``engine.py`` defines is taken from ``htsp.engine``: no
+    file of the package, the tests or the scripts imports it from
+    ``htsp.stats`` or reads it as an attribute of ``stats``."""
+    names = set()
+    for node in _parse(SRC / "engine.py").body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    found = []
+    for path in sorted(paths):
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module == "htsp.stats" or node.level and node.module == "stats")):
+                found += [f"{path.name}:{node.lineno}:{alias.name}"
+                          for alias in node.names if alias.name in names]
+            elif (isinstance(node, ast.Attribute) and node.attr in names
+                  and (getattr(node.value, "id", None) == "stats"
+                       or getattr(node.value, "attr", None) == "stats")):
+                found.append(f"{path.name}:{node.lineno}:{node.attr}")
+    assert names >= {"BatchEngine", "CompiledInstance", "MAX_CHUNK", "check_positive"}
     assert found == []

@@ -4,11 +4,11 @@ import io
 import numpy as np
 import pytest
 
-from htsp import stats
-from htsp.errors import AssemblyError, ConfigError
+import htsp.engine
+from htsp.engine import BatchEngine
+from htsp.errors import AssemblyError, ConfigError, ScaleOverflow
 from htsp.pipeline import CyclePieceSampler, SamplerParams
 from htsp.stats import (
-    BatchEngine,
     ExperimentConfig,
     StatReport,
     load_instance,
@@ -32,7 +32,7 @@ def zoo_engine():
 
 
 def test_engine_run_is_reproducible_for_one_chunk_size(zoo_engine, monkeypatch):
-    monkeypatch.setattr(stats, "MAX_CHUNK", 512)
+    monkeypatch.setattr(htsp.engine, "MAX_CHUNK", 512)
     a = zoo_engine.run(5_000, seed=3, join=True)
     c = zoo_engine.run(5_000, seed=3, join=True)
     assert np.array_equal(a.incl, c.incl)
@@ -176,7 +176,7 @@ def test_run_suite_dispatcher(tmp_path):
 
 def test_tree_check_runs_on_every_chunk(monkeypatch):
     """A tree table that goes bad after the first chunk still stops the run."""
-    monkeypatch.setattr(stats, "MAX_CHUNK", 1_000)
+    monkeypatch.setattr(htsp.engine, "MAX_CHUNK", 1_000)
     engine = BatchEngine(family_instance("nested"), SamplerParams(sampler="mi"))
     draw = engine._draw_trees
 
@@ -243,8 +243,8 @@ def test_engine_refuses_a_max_chunk_past_the_checked_scale(monkeypatch, past, ma
     lets through already fails the cost-times-charge check; one trial more
     fails the first."""
     total = int(BatchEngine(family_instance("zoo"), SamplerParams(sampler="mix")).cost_int.sum())
-    monkeypatch.setattr(stats, "MAX_CHUNK", stats.INT64_MAX // (2 * total) + past)
-    with pytest.raises(stats.ScaleOverflow, match=match):
+    monkeypatch.setattr(htsp.engine, "MAX_CHUNK", htsp.engine.INT64_MAX // (2 * total) + past)
+    with pytest.raises(ScaleOverflow, match=match):
         BatchEngine(family_instance("zoo"), SamplerParams(sampler="mix"))
 
 
@@ -252,7 +252,7 @@ def test_chunks_of_one_run_draw_different_trials(zoo_engine, monkeypatch):
     """Each chunk index has its own stream: two full chunks of one seed
     differ, a chunk recomputed alone is the same, and the run is their
     fold."""
-    monkeypatch.setattr(stats, "MAX_CHUNK", 1_000)
+    monkeypatch.setattr(htsp.engine, "MAX_CHUNK", 1_000)
     first, second = (zoo_engine._run_chunk(1_000, 5, idx, True, False, False, ())
                      for idx in (0, 1))
     assert not np.array_equal(first.incl, second.incl)
@@ -272,13 +272,12 @@ def test_piece_and_instance_suites_reject_counts_below_one():
 
 
 def test_chunk_floor_follows_the_floor_constant(monkeypatch):
-    """The chunk reads its floor from ``join.FLOOR`` through the join plan:
+    """The chunk reads its floor from ``params.FLOOR`` through the join plan:
     raised to a quarter, it fails exactly the trials with a charge below a
     quarter, which the floor of 1/6 lets pass."""
-    import htsp.stats
     from htsp.params import QUARTER
 
-    monkeypatch.setattr(htsp.stats, "FLOOR", QUARTER)
+    monkeypatch.setattr(htsp.engine, "FLOOR", QUARTER)
     engine = BatchEngine(family_instance("zoo"), SamplerParams(sampler="mix"))
     rng = np.random.default_rng(1)
     T = engine._draw_trees(2_000, rng)
@@ -310,7 +309,7 @@ def _move_root_edge(engine):
 def test_root_degree_check_runs_on_every_chunk(monkeypatch):
     """Cycle pairs that go bad after the first chunk, keeping every tree's
     edge count, are stopped by the root-degree check."""
-    monkeypatch.setattr(stats, "MAX_CHUNK", 1_000)
+    monkeypatch.setattr(htsp.engine, "MAX_CHUNK", 1_000)
     engine = BatchEngine(family_instance("nested"), SamplerParams(sampler="mi"))
     draw = engine._draw_trees
     calls = []
@@ -338,9 +337,9 @@ def test_tree_checks_survive_python_O():
     root = Path(__file__).resolve().parents[1]
     script = """
 import numpy as np
+from htsp.engine import BatchEngine
 from htsp.errors import AssemblyError
 from htsp.pipeline import SamplerParams
-from htsp.stats import BatchEngine
 from tests.conftest import family_instance
 from tests.test_stats import _cycle_samplers, _move_root_edge
 
@@ -386,7 +385,7 @@ def test_oracle_check_computes_eal_probabilities_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        for module in (htsp.join, htsp.oracle, htsp.stats):
+        for module in (htsp.engine, htsp.join, htsp.oracle, htsp.stats):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
     for family in ("zoo", "random-4reg"):
@@ -409,11 +408,9 @@ def test_oracle_csv_digest_mi_random_4reg():
 
 def _shrunk_eal_probabilities(monkeypatch):
     """Make every even-at-last probability a hundredth of its exact value."""
-    import htsp.stats
-
-    exact = htsp.stats.exact_eal_probabilities
+    exact = htsp.engine.exact_eal_probabilities
     monkeypatch.setattr(
-        htsp.stats, "exact_eal_probabilities",
+        htsp.engine, "exact_eal_probabilities",
         lambda *args: {e: p / 100 for e, p in exact(*args).items()},
     )
 
