@@ -21,7 +21,7 @@ from htsp.generators import generate
 from htsp.join import ReductionParams
 from htsp.params import optimize
 from htsp.pipeline import SamplerParams
-from htsp.engine import BatchEngine
+from htsp.engine import BatchEngine, check_seed
 from htsp.stats import suite_cost
 
 FAMILIES = ("double-cycle", "k5-gadget", "nested", "random-4reg", "zoo")
@@ -34,6 +34,7 @@ def main() -> int:
     ap.add_argument("--gen-seed", type=int, default=3)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
+    check_seed(seed=args.seed, gen_seed=args.gen_seed)
 
     res = optimize()
     sp = SamplerParams(sampler="mix", mix_lambda=res.lam)

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import generators
-from .engine import MAX_CHUNK, BatchEngine, CompiledInstance, check_positive
-from .errors import ConfigError, HtspError
+from .engine import BatchEngine, CompiledInstance, check_positive, check_seed
+from .errors import HtspError
 from .graph import parse_instance, normalize_to_special_triple, serialize_instance
 from .hierarchy import build_cactus, build_hierarchy, min_cuts_via_hierarchy
 from .join import integral_join_and_tour
@@ -169,12 +169,10 @@ def _json_safe(obj):
 def cmd_join(args) -> int:
     engine = _compile(args, BatchEngine)
     rows = ["trial,seed,tree_cost,fractional_join_cost,integral_join_cost,tour_cost,ratio_to_cx"]
-    for first in range(0, args.trials, MAX_CHUNK):
-        trials = range(first, min(first + MAX_CHUNK, args.trials))
-        trees = [sample_r0_tree(engine.h, engine.sp, seed=args.seed, trial=trial,
-                                samplers=engine.samplers).edges for trial in trials]
-        z = engine.trial_joins(trees, args.seed, first)
-        for trial, edges, zc in zip(trials, trees, (engine.cost_int @ z).tolist()):
+    for first, T, rng in engine.tree_chunks(args.trials, args.seed):
+        z = engine.checked_joins(T, rng, first)
+        costs = (engine.cost_int @ z).tolist()
+        for trial, (edges, zc) in enumerate(zip(engine.trees(T), costs), first):
             frac_cost = Fraction(zc, engine.cost_denom * engine.z_denom)
             res = integral_join_and_tour(engine, edges, shortcut=not args.no_shortcut)
             ratio = float((res.tree_cost + res.join_cost) / engine.lp_cost)
@@ -190,12 +188,11 @@ def cmd_join(args) -> int:
 def cmd_tour(args) -> int:
     ci = _compile(args)
     best = None
-    for trial in range(args.trials):
-        ts = sample_r0_tree(ci.h, ci.sp, seed=args.seed, trial=trial,
-                            samplers=ci.samplers)
-        res = integral_join_and_tour(ci, ts.edges, shortcut=not args.no_shortcut)
-        if best is None or res.tour_cost < best.tour_cost:
-            best = res
+    for _, T, _ in ci.tree_chunks(args.trials, args.seed):
+        for edges in ci.trees(T):
+            res = integral_join_and_tour(ci, edges, shortcut=not args.no_shortcut)
+            if best is None or res.tour_cost < best.tour_cost:
+                best = res
     payload = {
         "tour": list(best.tour),
         "tour_cost": float(best.tour_cost),
@@ -237,12 +234,8 @@ def cmd_optimize_params(args) -> int:
     res = optimize()
     payload = dict(res.as_floats())
     payload["binding"] = list(res.binding)
-    payload["exact"] = {
-        "tau": str(res.tau),
-        "gamma": str(res.gamma),
-        "beta": str(res.beta),
-        "delta": str(res.delta),
-    }
+    payload["exact"] = {name: str(getattr(res, name))
+                        for name in ("tau", "gamma", "beta", "delta")}
     _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
@@ -358,10 +351,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "trials"):
             check_positive(trials=args.trials)
-        for name in ("seed", "gen_seed"):
-            value = getattr(args, name, None)
-            if value is not None and value < 0:
-                raise ConfigError(f"--{name.replace('_', '-')} must be at least 0, got {value}")
+        check_seed(**{f"--{name.replace('_', '-')}": getattr(args, name, None)
+                      for name in ("seed", "gen_seed")})
         return args.func(args)
     except (HtspError, OSError) as exc:
         msg = " ".join(str(exc).split())

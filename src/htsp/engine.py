@@ -17,9 +17,10 @@ two-minimum over the k + 1 partner pairs of a cycle piece with a k-vertex
 chain covers its k(k+1)/2 segment cuts, and the label cut of each degree
 piece's child is checked directly.
 A run folds, in index order, the ``BatchStats`` records its chunks of
-``MAX_CHUNK`` trials return; chunk ``idx`` draws from its own stream
-``SeedSequence(seed, spawn_key=(idx,))``, so a run depends only on its
-instance, seed and flags.  Each edge's sum of squared charges
+``MAX_CHUNK`` trials return; chunk ``idx`` of ``tree_chunks`` draws its
+trees, then its coins, from its own stream ``SeedSequence(seed,
+spawn_key=(idx,))``, so a run, and ``htsp join`` and ``tour`` at its seed,
+depend only on instance, seed and flags.  Each edge's sum of squared charges
 (``BatchStats.z_sumsq``) adds the squares one after the other in trial
 order within a chunk, and the chunks' sums in chunk order, so its bits are
 those of one running sum, however the work is split.
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .join import (
     min_cost_perfect_matching,
 )
 from .params import FLOOR, QUARTER
-from .pipeline import CyclePieceSampler, SamplerParams, build_piece_samplers
+from .pipeline import CyclePieceSampler, SamplerParams, build_piece_samplers, validate_r0_tree
 
 #: most parity keys the integral-join cache of an engine holds; above it the
 #: cache is emptied before the next miss.  A 14-vertex instance has at most
@@ -79,6 +80,14 @@ def check_positive(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ConfigError(f"{name} must be at least 1, got {value}")
+
+
+def check_seed(**seeds: Optional[int]) -> None:
+    """Raise ``ConfigError`` unless every named seed that is set is at least
+    0: numpy refuses a negative one with a bare ``ValueError``."""
+    for name, value in seeds.items():
+        if value is not None and value < 0:
+            raise ConfigError(f"{name} must be at least 0, got {value}")
 
 
 def narrowest_lane(bound: int) -> type:
@@ -138,7 +147,9 @@ class CompiledInstance:
     """One instance compiled once for every command: the hierarchy, the
     piece samplers, the edge classes and their even-at-last conditions,
     built eagerly; the even-at-last probabilities, coin rates, charge
-    sites, integer costs and integer metric, each built on first use.  It checks no even-at-last bound, and only a command that
+    sites, integer costs and integer metric, each built on first use.
+    ``tree_chunks`` draws the trials of every sampled command but
+    ``sample``.  It checks no even-at-last bound, and only a command that
     reads costs can meet their ``ScaleOverflow``."""
 
     def __init__(self, inst: HalfIntegralInstance,
@@ -154,6 +165,13 @@ class CompiledInstance:
         self.m = inst.graph.m
         self.n = inst.graph.n
         self.lp_cost = inst.lp_cost()
+        self.root_edges = inst.graph.incident_ids(inst.root)
+        # tree-table pieces read a chunk's stream first, then cycle pieces,
+        # each group by node id: the order fixes which trees a seed gives
+        self.draw_order = sorted(
+            self.samplers,
+            key=lambda nid: (isinstance(self.samplers[nid], CyclePieceSampler), nid),
+        )
 
     @cached_property
     def eal_probability(self) -> dict[int, object]:
@@ -213,6 +231,47 @@ class CompiledInstance:
             nxt = np.where(better, nxt[:, k][:, None], nxt)
         return d, nxt
 
+    # -- the trials ------------------------------------------------------------
+    #
+    # A chunk is edge-major: row e of a tree block says, per trial, whether
+    # the tree holds edge e.  A cut's parity is then the XOR of its edge
+    # rows and its cover the sum of its charge rows, both whole-row work.
+
+    def tree_chunks(self, trials: int, seed: int
+                    ) -> Iterator[tuple[int, np.ndarray, np.random.Generator]]:
+        """Chunks 0, 1, ... of ``MAX_CHUNK`` trials (the last one the rest),
+        each as its first trial, its tree block and its stream
+        ``SeedSequence(seed, spawn_key=(idx,))``, which the chunk's coins
+        read next.  A block is drawn piece by piece in ``draw_order``, and
+        every tree is checked for its edge count and its degree at the root."""
+        check_positive(trials=trials)
+        check_seed(seed=seed)
+        for idx, done in enumerate(range(0, trials, MAX_CHUNK)):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
+            T = self._draw_trees(min(MAX_CHUNK, trials - done), rng)
+            bits = T.view(np.uint8)
+            # per trial, its edge count: the rows added in place as small ints
+            count = np.add.reduce(bits, axis=0, dtype=np.uint16 if self.m < 1 << 16 else np.intp)
+            if not np.all(count == self.n):
+                raise AssemblyError(f"assembled samples without {self.n} edges")
+            if not np.all(_sum_rows(bits, self.root_edges, out=count) == 2):
+                raise AssemblyError(f"assembled samples without degree 2 at root {self.inst.root}")
+            yield done, T, rng
+
+    def _draw_trees(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        T = np.zeros((self.m, n), dtype=bool)
+        for nid in self.draw_order:
+            self.samplers[nid].draw_rows(T, rng)
+        return T
+
+    def trees(self, T: np.ndarray) -> list[frozenset[int]]:
+        """The trees of a block of ``tree_chunks``, one per trial, each checked
+        by ``validate_r0_tree`` as the draws of ``htsp sample`` are."""
+        trees = [frozenset(ids) for ids in np.nonzero(T.T)[1].reshape(-1, self.n).tolist()]
+        for edges in trees:
+            validate_r0_tree(self.h, edges)
+        return trees
+
 
 class BatchEngine(CompiledInstance):
     """Reusable vectorized trial runner for one instance and one config;
@@ -221,23 +280,11 @@ class BatchEngine(CompiledInstance):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         check_eal_bounds(self.classes, self.rp, self.eal_probability)
-        # tree-table pieces read the chunk's stream first, then cycle pieces,
-        # each group by node id: the order fixes which trees a seed gives
-        self.draw_order = sorted(
-            self.samplers,
-            key=lambda nid: (isinstance(self.samplers[nid], CyclePieceSampler), nid),
-        )
         self._build_eal_plan()
         self._build_join_plan()
         self._build_verify_plan()
         self._join_cache: dict[bytes, int] = {}
         self._dp_memo: dict = {}
-        g = self.inst.graph
-        self._incident: list[list[int]] = [[] for _ in range(self.n)]
-        for eid, (u, v) in zip(g.edge_ids, g.endpoints):
-            for w in {u, v}:
-                self._incident[w].append(eid)
-        self.root_edges = self._incident[self.inst.root]
 
     # -- plans ------------------------------------------------------------
 
@@ -382,16 +429,6 @@ class BatchEngine(CompiledInstance):
         ]
 
     # -- chunk primitives ----------------------------------------------------
-    #
-    # A chunk is edge-major: row e of a tree block says, per trial, whether
-    # the tree holds edge e.  A cut's parity is then the XOR of its edge
-    # rows and its cover the sum of its charge rows, both whole-row work.
-
-    def _draw_trees(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        T = np.zeros((self.m, n), dtype=bool)
-        for nid in self.draw_order:
-            self.samplers[nid].draw_rows(T, rng)
-        return T
 
     def _eal_flags(self, T: np.ndarray) -> np.ndarray:
         met = []
@@ -411,13 +448,10 @@ class BatchEngine(CompiledInstance):
     def run(self, trials: int, seed: int, *, join: bool = True, verify: bool = False,
             integral: bool = False, symmetry_pairs: Sequence[tuple[int, int]] = ()
             ) -> BatchStats:
-        """The records of chunks 0, 1, ... of ``MAX_CHUNK`` trials (the last
-        one the rest), folded in index order."""
-        check_positive(trials=trials)
+        """The records of the chunks of ``tree_chunks``, folded in index order."""
         st = self._record(0, symmetry_pairs, verify, integral, z_type=object)
-        for idx, done in enumerate(range(0, trials, MAX_CHUNK)):
-            st.fold(self._run_chunk(min(MAX_CHUNK, trials - done), seed, idx, join, verify,
-                                    integral, symmetry_pairs))
+        for _, T, rng in self.tree_chunks(trials, seed):
+            st.fold(self._run_chunk(T, rng, join, verify, integral, symmetry_pairs))
         return st
 
     def _record(self, trials: int, symmetry_pairs, verified: bool, integral: bool,
@@ -430,20 +464,11 @@ class BatchEngine(CompiledInstance):
                           sym_counts={p: np.zeros(4, dtype=np.int64) for p in symmetry_pairs},
                           z_denom=self.z_denom, cost_denom=self.cost_denom)
 
-    def _run_chunk(self, n, seed, idx, join, verify, integral, symmetry_pairs) -> BatchStats:
-        """Chunk ``idx``'s record: ``n`` trials from ``SeedSequence(seed, spawn_key=(idx,))``."""
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
+    def _run_chunk(self, T, rng, join, verify, integral, symmetry_pairs) -> BatchStats:
+        """The record of a chunk's tree block ``T``, its coins read from its
+        stream ``rng``."""
+        n = T.shape[1]
         st = self._record(n, symmetry_pairs, verify, integral)
-        T = self._draw_trees(n, rng)
-        bits = T.view(np.uint8)
-        # per trial, its edge count: the rows added in place as small ints
-        count = np.add.reduce(bits, axis=0, dtype=np.uint16 if self.m < 1 << 16 else np.intp)
-        if not np.all(count == self.n):
-            raise AssemblyError(f"assembled samples without {self.n} edges")
-        if not np.all(_sum_rows(bits, self.root_edges, out=count) == 2):
-            raise AssemblyError(
-                f"assembled samples without degree 2 at root {self.inst.root}"
-            )
         st.incl = held = _row_counts(T)
         # each pair's four cells from the trials holding both edges and each
         # edge's own count
@@ -454,9 +479,7 @@ class BatchEngine(CompiledInstance):
             st.sym_counts[(a, b)] += (n - na - nb + n11, nb - n11, na - n11, n11)
         if not join:
             return st
-        # one coin row at a time: a (groups, trials) block of uniforms
-        # would set the chunk's peak memory
-        eal, reduced, site_odd, z = self._join(T, (rng.random(n) for _ in self.groups))
+        eal, reduced, site_odd, z = self._join(T, rng)
         st.eal = _row_counts(eal)
         st.reduced = _row_counts(reduced)
         st.z_sum = z.sum(1, dtype=np.int64)
@@ -481,16 +504,18 @@ class BatchEngine(CompiledInstance):
             st.total_sumsq = float((total.astype(float) ** 2).sum())
         return st
 
-    def _join(self, T: np.ndarray, uniforms: Iterable[np.ndarray]):
+    def _join(self, T: np.ndarray, rng: np.random.Generator):
         """The fractional joins of a tree block: the even-at-last flags, the
         reduced edges, the parity rows of ``site_cut_cols`` and the charges
-        (see ``_charges``).  ``uniforms`` gives one row of draws in [0, 1)
-        per coin group, in the order of ``groups``; a group's coin falls
-        heads in a trial when its draw is below the group's threshold."""
+        (see ``_charges``).  Each coin group, in the order of ``groups``,
+        reads a row ``rng.random(trials)``: its coin falls heads in a trial
+        when that trial's draw is below the group's threshold."""
         eal = self._eal_flags(T)
         reduced = np.zeros_like(T)
-        for (members, rate), u in zip(self.groups, uniforms):
-            reduced[members] = eal[members] & (u < rate)
+        # one coin row at a time: a (groups, trials) block of uniforms
+        # would set the chunk's peak memory
+        for members, rate in self.groups:
+            reduced[members] = eal[members] & (rng.random(T.shape[1]) < rate)
         site_odd = [_odd_rows(T, cols) for cols in self.site_cut_cols]
         return eal, reduced, site_odd, self._charges(reduced, site_odd)
 
@@ -607,22 +632,15 @@ class BatchEngine(CompiledInstance):
             bad |= cover < 0
         return bad
 
-    def trial_joins(self, trees: Sequence[frozenset[int]], seed: int,
-                    first: int) -> np.ndarray:
-        """The fractional joins of ``htsp join``, one column per tree in
-        units of 1/z_denom, checked as a chunk checks its trials.  Tree j
-        is trial ``first + j``, whose coins are the draws
-        ``rng.random(len(groups))`` of its own stream
-        ``SeedSequence(seed, spawn_key=(trial, 1 << 20))``.  A failing
-        trial raises ``FeasibilityViolation`` naming its edges under the
-        floor and its odd min-cuts covered below one."""
-        T = np.zeros((self.m, len(trees)), dtype=bool)
-        uniforms = np.empty((len(self.groups), len(trees)))
-        for j, edges in enumerate(trees):
-            T[list(edges), j] = True
-            key = np.random.SeedSequence(seed, spawn_key=(first + j, 1 << 20))
-            uniforms[:, j] = np.random.default_rng(key).random(len(self.groups))
-        _, _, site_odd, z = self._join(T, uniforms)
+    def checked_joins(self, T: np.ndarray, rng: np.random.Generator,
+                      first: int) -> np.ndarray:
+        """The fractional joins of ``htsp join`` on a block of ``tree_chunks``,
+        one column per trial in units of 1/z_denom, their coins read from
+        the block's stream ``rng`` as a chunk reads them, and checked as a
+        chunk checks its trials.  Column j is trial ``first + j``; the first
+        failing trial raises ``FeasibilityViolation`` naming its edges under
+        the floor and its odd min-cuts covered below one."""
+        _, _, site_odd, z = self._join(T, rng)
         bad = np.flatnonzero(self._infeasible(T, z, site_odd))
         if bad.size:
             j, D = int(bad[0]), self.z_denom
@@ -659,8 +677,9 @@ class BatchEngine(CompiledInstance):
         # key bytes, padded to whole uint64 words, built a byte row at a
         # time and turned to one row per trial
         packed = np.zeros((-(-nbytes // 8) * 8, trials), dtype=np.uint8)
-        for v, ids in enumerate(self._incident):
-            packed[v >> 3] |= _odd_rows(rows, ids).view(np.uint8) << (7 - (v & 7))
+        g = self.inst.graph
+        for v in range(self.n):
+            packed[v >> 3] |= _odd_rows(rows, g.incident_ids(v)).view(np.uint8) << (7 - (v & 7))
         keys = np.ascontiguousarray(packed.T)
         # lexsort on 16-bit digits, which numpy radix-sorts: about 7x faster
         # than on the 64-bit words; any total order groups equal keys

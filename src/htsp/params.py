@@ -140,6 +140,20 @@ class LpSolution:
     delta: Fraction
     binding: tuple[str, ...]
 
+    @property
+    def epsilon(self) -> Fraction:
+        return 2 * self.delta
+
+    def as_floats(self) -> dict[str, float]:
+        return {
+            "lambda": float(self.lam),
+            "tau": float(self.tau),
+            "gamma": float(self.gamma),
+            "beta": float(self.beta),
+            "delta": float(self.delta),
+            "epsilon": float(self.epsilon),
+        }
+
 
 def _constraints(lam: Fraction) -> list[tuple[str, tuple[Fraction, ...], Fraction]]:
     """All LP constraints as a*x <= b over x = (tau, gamma, beta, delta)."""
@@ -292,37 +306,13 @@ def solve_amounts(lam: Fraction) -> LpSolution:
     return LpSolution(lam, tau, gamma, beta, delta, binding)
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
-    lam: Fraction
-    tau: Fraction
-    gamma: Fraction
-    beta: Fraction
-    delta: Fraction
-    binding: tuple[str, ...]
-
-    @property
-    def epsilon(self) -> Fraction:
-        return 2 * self.delta
-
-    def as_floats(self) -> dict[str, float]:
-        return {
-            "lambda": float(self.lam),
-            "tau": float(self.tau),
-            "gamma": float(self.gamma),
-            "beta": float(self.beta),
-            "delta": float(self.delta),
-            "epsilon": float(self.epsilon),
-        }
-
-
 def _quantize(x: float, denom: int = 10 ** 7) -> Fraction:
     return Fraction(round(x * denom), denom)
 
 
-def optimize() -> OptimizationResult:
+def optimize() -> LpSolution:
     """Grid the mix in steps of 0.02, bracket the best value, refine by
-    golden section to a bracket of 1e-5."""
+    golden section to a bracket of 1e-5; the solution at the mix found."""
     lams = [_quantize(x) for x in np.arange(0.0, 1.0 + 1e-12, 0.02)]
     vals = [solve_amounts(l).delta for l in lams]
     i = int(np.argmax([float(v) for v in vals]))
@@ -344,6 +334,4 @@ def optimize() -> OptimizationResult:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = float(solve_amounts(_quantize(d)).delta)
-    lam = _quantize((a + b) / 2, 10 ** 5)
-    sol = solve_amounts(lam)
-    return OptimizationResult(lam, sol.tau, sol.gamma, sol.beta, sol.delta, sol.binding)
+    return solve_amounts(_quantize((a + b) / 2, 10 ** 5))

@@ -9,10 +9,10 @@ spanned exactly once.
 
 Degree-piece sampling states (matching, color class, surgery branch) form
 a finite mixture, so every piece also exposes its full tree distribution;
-the matroid route's probabilities are exact rationals.  Batch experiments
-draw from these compiled distributions; single-trial sampling takes the
-same states one random step at a time, draws the state's tree from its
-own table, and keeps the full provenance ledger.
+the matroid route's probabilities are exact rationals.  Every sampled
+command but ``htsp sample`` draws blocks of trials from these compiled
+distributions; ``sample``'s walk (``sample_r0_tree``) takes the same states
+one random step at a time, with each state's tree table and provenance.
 """
 
 from __future__ import annotations
@@ -550,11 +550,6 @@ class TreeSample:
     provenance: dict[int, dict]
 
 
-def piece_rng(seed: int, trial: int, node_id: int) -> np.random.Generator:
-    """Independent, reproducible stream for one piece in one trial."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial, node_id)))
-
-
 def sample_r0_tree(
     h: CutHierarchy,
     params: SamplerParams,
@@ -563,14 +558,18 @@ def sample_r0_tree(
     trial: int = 0,
     samplers: Optional[dict[int, PieceSampler]] = None,
 ) -> TreeSample:
-    """Sample every piece (post-order, each from its ``piece_rng`` stream)
-    and validate the assembled tree."""
+    """Sample every piece, in post-order, each from its own stream
+    ``SeedSequence(seed, spawn_key=(trial, node_id))``, and validate the
+    assembled tree."""
+    from .engine import check_seed  # a local import: the engine imports this module
+    check_seed(seed=seed)
     if samplers is None:
         samplers = build_piece_samplers(h, params)
     edges: set[int] = set()
     prov: dict[int, dict] = {}
     for nd in sorted(h.non_leaves(), key=lambda nd: nd.node_id):
-        sub, p = samplers[nd.node_id].sample(piece_rng(seed, trial, nd.node_id))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial, nd.node_id)))
+        sub, p = samplers[nd.node_id].sample(rng)
         edges |= sub
         prov[nd.node_id] = p
     ts = TreeSample(frozenset(edges), prov)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import generators
-from .engine import BatchEngine, BatchStats, CompiledInstance, check_positive
+from .engine import BatchEngine, BatchStats, CompiledInstance, check_positive, check_seed
 from .errors import ConfigError
 from .graph import HalfIntegralInstance, parse_instance
 from .hierarchy import build_hierarchy
@@ -141,6 +141,7 @@ def suite_correlations(piece, sampler: str, trials: int, seed: int,
     ``CORRELATION_BLOCK`` draws reads ``SeedSequence(seed, spawn_key=(idx,))``;
     the draws are counted per tree, then summed under each event."""
     check_positive(trials=trials)
+    check_seed(seed=seed)
     if piece.graph.n == 5:
         compiled = k5_sampler(piece)
     else:
@@ -366,6 +367,7 @@ def load_instance(cfg: ExperimentConfig) -> HalfIntegralInstance:
         with open(cfg.instance, "r", encoding="utf-8") as fh:
             return parse_instance(fh.read())
     if cfg.family:
+        check_seed(gen_seed=cfg.gen_seed)
         rng = np.random.default_rng(1 if cfg.gen_seed is None else cfg.gen_seed)
         given = {name: getattr(cfg, name) for name in ("k", "n", "depth")
                  if getattr(cfg, name) is not None}
@@ -395,6 +397,7 @@ def run_suite(cfg: ExperimentConfig) -> StatReport:
     if cfg.suite not in ("all", "correlations", *SUITES):
         raise ConfigError(f"unknown suite {cfg.suite!r}")
     check_positive(trials=cfg.trials)
+    check_seed(seed=cfg.seed)
     if cfg.piece and cfg.suite != "correlations":
         raise ConfigError(f"piece {cfg.piece!r} runs only the correlations suite, "
                           f"not {cfg.suite!r}")

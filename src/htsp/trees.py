@@ -7,8 +7,8 @@ match the targets.  Cycle pieces and K5 pieces have their own elementary
 samplers (one edge per partner pair; a uniform Hamiltonian path).
 
 The matroid route has one entry point, ``constrained_tree_weights``: a
-piece's compile passes all its distinct states and a single draw one, and
-every state of every minor shape goes to ``decomp.decompose`` in one call.
+piece's compile passes all its distinct states and ``htsp sample``'s walk
+one, and every state of every minor shape goes to ``decomp.decompose`` in one call.
 
 Fitting works on the minor obtained by contracting value-one edges and
 deleting value-zero edges.  Shifted vectors can sit on a face of the
@@ -210,8 +210,8 @@ def constrained_tree_weights(states: Sequence[ShiftedSolution]
     """Decompose each shifted interior vector over part-respecting trees,
     all the states in one ``decompose`` call; a state the decomposition or
     its marginal check rejects gets its ``InfeasibleShift``.  The one entry
-    point of the matroid route: a piece's compile passes all its states, a
-    single draw one.  Every tree holds the forced edges and no zero edge,
+    point of the matroid route: a piece's compile passes all its states,
+    ``htsp sample``'s walk one.  Every tree holds the forced edges and no zero edge,
     and ``_rejections`` checks the minor's edges, so the trees of a state
     that passes reproduce its whole interior vector."""
     out: list = [None] * len(states)

@@ -783,7 +783,7 @@ def build_join(h: CutHierarchy, classes: dict[int, EdgeClass], params: Reduction
     conditions of ``eal_conditions``.  A group's coin falls heads when
     ``rng.random() < rates[grp]``, the groups in sorted order; the
     ``coin_thresholds`` of the rates give the same coins.  The oracle for
-    the joins of ``BatchEngine.trial_joins``."""
+    the joins of ``BatchEngine.checked_joins``, fed a chunk's coin draws."""
     degree_sites, pair_sites = sites
     eal = detect_eal(conditions, tree_edges)
     groups = coin_groups(classes)

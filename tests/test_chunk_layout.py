@@ -23,7 +23,7 @@ from htsp.pipeline import SamplerParams
 from htsp.stats import symmetry_pairs
 from tests.conftest import ALL_FAMILIES, FAMILY_SEED, family_instance
 from tests.rowmajor_chunk import rowmajor
-from tests.test_join import _ring_edges_with_odd, _trees
+from tests.test_join import _ring_edges_with_odd
 
 TRIALS = 2_500
 CHUNK = 1_000  # the last chunk holds 500 trials
@@ -109,12 +109,14 @@ def test_chunk_records_computed_last_first_fold_to_the_run(name, monkeypatch):
     engine = double_cycle_engine(24) if name == "double-cycle-24" else engine_for(name)
     monkeypatch.setattr(htsp.engine, "MAX_CHUNK", CHUNK)
     pairs = symmetry_pairs(engine.m)
-    sizes = [CHUNK, CHUNK, TRIALS - 2 * CHUNK]
     cold = _cold(engine)
-    records = {idx: cold._run_chunk(n, 31, idx, True, True, True, pairs)
-               for idx, n in reversed(list(enumerate(sizes)))}
+    chunks = list(cold.tree_chunks(TRIALS, 31))
+    assert [(first, T.shape[1]) for first, T, _ in chunks] == [
+        (0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, TRIALS - 2 * CHUNK)]
+    records = {idx: cold._run_chunk(T, rng, True, True, True, pairs)
+               for idx, (_, T, rng) in reversed(list(enumerate(chunks)))}
     st = cold._record(0, pairs, True, True, z_type=object)
-    for idx in range(len(sizes)):
+    for idx in range(len(chunks)):
         st.fold(records[idx])
     want = _cold(engine).run(TRIALS, 31, verify=True, integral=True, symmetry_pairs=pairs)
     assert_same_stats(st, want)
@@ -410,12 +412,12 @@ def test_every_lane_matches_row_major(name, lane):
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
-def test_trial_joins_agree_in_every_lane(family):
+def test_checked_joins_agree_in_every_lane(family):
     engine = engine_for(family)
-    trees = _trees(engine, range(120))
-    want = forced_lane(engine, np.int64).trial_joins(trees, 2, 0)
+    (_, T, rng), = engine.tree_chunks(120, 2)
+    want = forced_lane(engine, np.int64).checked_joins(T, copy.deepcopy(rng), 0)
     for lane in htsp.engine.LANES:
-        z = forced_lane(engine, lane).trial_joins(trees, 2, 0)
+        z = forced_lane(engine, lane).checked_joins(T, copy.deepcopy(rng), 0)
         assert z.dtype == lane and z.tolist() == want.tolist()
 
 

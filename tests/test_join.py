@@ -1,3 +1,6 @@
+import copy
+import csv
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -27,8 +30,13 @@ from htsp.join import (
     min_cost_perfect_matching,
     odd_vertices,
 )
+import htsp.cli
+import htsp.engine
+from htsp.cli import main
+from htsp.graph import parse_instance
 from htsp.pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
 from htsp.engine import BatchEngine, CompiledInstance, _odd_rows
+from htsp.stats import ExperimentConfig, run_suite
 from tests.conftest import ALL_FAMILIES, family_instance
 from tests.reference import build_join, detect_eal, shortest_path_metric, verify_join
 
@@ -744,34 +752,100 @@ def test_engine_trial_check_catches_deficient_cut(zoo_instance):
     assert not verify_join(z, ts.edges, engine.h, cuts, raise_on_violation=False).ok
 
 
-def _trees(engine, trials):
-    """The trees ``htsp join --seed 2`` samples for the given trials."""
-    return [sample_r0_tree(engine.h, engine.sp, seed=2, trial=t,
-                           samplers=engine.samplers).edges for t in trials]
+class _Draws:
+    """Hands out given uniforms in order, as ``rng.random()`` would."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self) -> float:
+        return next(self._draws)
 
 
 @pytest.mark.parametrize("sampler", ["mi", "maxent", "mix"])
 @pytest.mark.parametrize("family", ALL_FAMILIES)
-def test_trial_joins_equal_the_reference_join(family, sampler):
-    """``BatchEngine.trial_joins``, the joins of ``htsp join``, equal the
-    reference ``build_join`` on each trial's own coin stream, in units of
-    1/z_denom, trial by trial; a block that starts past trial 0 included."""
+def test_checked_joins_equal_the_reference_join(family, sampler, monkeypatch):
+    """``BatchEngine.checked_joins``, the joins of ``htsp join``, equal the
+    reference ``build_join`` fed each trial's coin uniforms from its chunk's
+    stream, in sorted group order, in units of 1/z_denom, trial by trial;
+    a chunk that starts past trial 0 included."""
+    monkeypatch.setattr(htsp.engine, "MAX_CHUNK", 150)
     engine = BatchEngine(family_instance(family), SamplerParams(sampler=sampler))
-    trees = _trees(engine, range(200))
     thresholds = coin_thresholds(engine.rates)
-    z = np.concatenate([engine.trial_joins(trees[:150], 2, 0),
-                        engine.trial_joins(trees[150:], 2, 150)], axis=1)
-    for trial, edges in enumerate(trees):
-        rng = np.random.default_rng(np.random.SeedSequence(2, spawn_key=(trial, 1 << 20)))
-        js = build_join(engine.h, engine.classes, engine.rp, edges, thresholds, rng,
-                        engine.sites, engine.eal_conditions)
-        assert [int(js.z[e] * engine.z_denom) for e in range(engine.m)] == z[:, trial].tolist()
+    firsts = []
+    for first, T, rng in engine.tree_chunks(200, 2):
+        n = T.shape[1]
+        # the coins ``checked_joins`` reads next: one row per group, in
+        # the sorted order of ``engine.groups``
+        twin = copy.deepcopy(rng)
+        draws = np.array([twin.random(n) for _ in engine.groups]).reshape(-1, n)
+        z = engine.checked_joins(T, rng, first)
+        for j in range(n):
+            edges = frozenset(np.flatnonzero(T[:, j]).tolist())
+            js = build_join(engine.h, engine.classes, engine.rp, edges, thresholds,
+                            _Draws(draws[:, j].tolist()), engine.sites, engine.eal_conditions)
+            assert [int(js.z[e] * engine.z_denom) for e in range(engine.m)] == z[:, j].tolist()
+        firsts.append(first)
+    assert firsts == [0, 150]
 
 
-def test_trial_joins_without_charges_name_a_deficient_cut():
+def test_checked_joins_without_charges_name_a_deficient_cut():
     """With the charge sites emptied, reductions go unpaid: some trial's
     join fails, and the error names its odd min-cuts below one."""
     engine = BatchEngine(family_instance("zoo"), SamplerParams(sampler="mix"))
     engine.degree_site_plan, engine.pair_site_plan = [], []
     with pytest.raises(FeasibilityViolation, match=r"odd min-cuts covered below one \[\(\["):
-        engine.trial_joins(_trees(engine, range(200)), 2, 0)
+        for first, T, rng in engine.tree_chunks(200, 2):
+            engine.checked_joins(T, rng, first)
+
+
+@pytest.mark.parametrize("family", ["zoo", "nested", "random-4reg"])
+def test_join_and_tour_read_the_trials_of_a_run(family, tmp_path, capsys, monkeypatch):
+    """Trial t of ``htsp join|tour --trials N --seed S`` is trial t of
+    ``BatchEngine.run(N, S)`` and of ``htsp stats``, over chunks that end in
+    a ragged one: the trees and charges ``join`` writes sum to the run's
+    ``incl`` and ``z_sum``, the mean of its fractional join costs is the
+    cost suite's, and ``tour`` reads the run's trees."""
+    monkeypatch.setattr(htsp.engine, "MAX_CHUNK", 64)
+    path = str(tmp_path / f"{family}.htsp")
+    assert main(["generate", "--family", family, "--seed", "3", "--out", path]) == 0
+    with open(path, encoding="utf-8") as fh:
+        engine = BatchEngine(parse_instance(fh.read()), SamplerParams())
+    blocks = []
+    run_chunk = engine._run_chunk
+    monkeypatch.setattr(engine, "_run_chunk",
+                        lambda T, *rest: blocks.append(T.copy()) or run_chunk(T, *rest))
+    want = engine.run(150, 2, join=True)
+    trees = [frozenset(np.flatnonzero(col).tolist()) for col in np.concatenate(blocks, 1).T]
+
+    written = []
+    checked_joins = BatchEngine.checked_joins
+
+    def record(self, T, rng, first):
+        z = checked_joins(self, T, rng, first)
+        written.append((T.copy(), z.copy()))
+        return z
+
+    monkeypatch.setattr(BatchEngine, "checked_joins", record)
+    capsys.readouterr()
+    assert main(["join", path, "--trials", "150", "--seed", "2"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [T.shape[1] for T, _ in written] == [64, 64, 22]
+    assert [int(r["trial"]) for r in rows] == list(range(150))
+    T = np.concatenate([T for T, _ in written], axis=1)
+    z = np.concatenate([z for _, z in written], axis=1)
+    assert [frozenset(np.flatnonzero(col).tolist()) for col in T.T] == trees
+    assert T.sum(axis=1).tolist() == want.incl.tolist()
+    assert z.sum(axis=1, dtype=np.int64).tolist() == want.z_sum.tolist()
+    cost = next(r for r in run_suite(ExperimentConfig(instance=path, trials=150, seed=2,
+                                                      suite="cost")).rows
+                if r.name == "fractional-join-cost")
+    mean = sum(float(r["fractional_join_cost"]) for r in rows) / len(rows)
+    assert mean == pytest.approx(cost.estimate, rel=1e-9)
+
+    read = []
+    monkeypatch.setattr(htsp.cli, "integral_join_and_tour",
+                        lambda ci, edges, shortcut: read.append(edges) or
+                        integral_join_and_tour(ci, edges, shortcut=shortcut))
+    assert main(["tour", path, "--trials", "150", "--seed", "2"]) == 0
+    assert read == trees

@@ -30,6 +30,15 @@ def test_cost_experiment_verifies_every_family(tmp_path):
     assert [row["infeasible"] for row in rows] == ["0"] * len(ALL_FAMILIES)
 
 
+def test_cost_experiment_refuses_a_negative_seed():
+    """A negative seed stops the script with a ``ConfigError`` before any
+    work, not with numpy's ``ValueError``."""
+    for flag in ("--seed", "--gen-seed"):
+        r = run_script("cost_experiment.py", flag, "-1", "--trials", "10")
+        assert r.returncode != 0
+        assert "ConfigError" in r.stderr and "ValueError" not in r.stderr
+
+
 def test_reproduce_tables_runs():
     r = run_script("reproduce_tables.py", "--trials", "2000")
     assert r.returncode == 0, r.stderr

@@ -200,3 +200,36 @@ def test_engine_names_are_imported_from_the_engine():
                 found.append(f"{path.name}:{node.lineno}:{node.attr}")
     assert names >= {"BatchEngine", "CompiledInstance", "MAX_CHUNK", "check_positive"}
     assert found == []
+
+
+def test_one_trial_stream():
+    """Every sampled command but ``htsp sample`` reads its trials from one
+    stream per chunk: ``engine.py`` builds ``SeedSequence`` at exactly one
+    site, ``CompiledInstance.tree_chunks``; no spawn key of the package
+    holds the old per-trial coin key, one shifted left by 20; and
+    ``cli.py`` runs the step-by-step walk, ``sample_r0_tree``, only in
+    ``cmd_sample``."""
+    engine = _parse(SRC / "engine.py")
+    sites = [node.lineno for node in ast.walk(engine)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "SeedSequence"]
+    chunks = next(node for node in ast.walk(engine)
+                  if isinstance(node, ast.FunctionDef) and node.name == "tree_chunks")
+    assert len(sites) == 1 and chunks.lineno <= sites[0] <= chunks.end_lineno
+    coin_keys = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.keyword) and node.arg == "spawn_key"
+        and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.LShift)
+                and getattr(sub.left, "value", None) == 1
+                and getattr(sub.right, "value", None) == 20
+                for sub in ast.walk(node.value))
+    ]
+    assert coin_keys == []
+    walks = [
+        f"cli.py:{fn.name}:{node.lineno}"
+        for fn in _parse(SRC / "cli.py").body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sample_r0_tree"
+    ]
+    assert walks and all(w.startswith("cli.py:cmd_sample:") for w in walks)

@@ -7,7 +7,7 @@ import pytest
 import htsp.engine
 from htsp.engine import BatchEngine
 from htsp.errors import AssemblyError, ConfigError, ScaleOverflow
-from htsp.pipeline import CyclePieceSampler, SamplerParams
+from htsp.pipeline import CyclePieceSampler, SamplerParams, sample_r0_tree
 from htsp.stats import (
     ExperimentConfig,
     StatReport,
@@ -253,10 +253,11 @@ def test_chunks_of_one_run_draw_different_trials(zoo_engine, monkeypatch):
     differ, a chunk recomputed alone is the same, and the run is their
     fold."""
     monkeypatch.setattr(htsp.engine, "MAX_CHUNK", 1_000)
-    first, second = (zoo_engine._run_chunk(1_000, 5, idx, True, False, False, ())
-                     for idx in (0, 1))
+    first, second = (zoo_engine._run_chunk(T, rng, True, False, False, ())
+                     for _, T, rng in zoo_engine.tree_chunks(2_000, 5))
     assert not np.array_equal(first.incl, second.incl)
-    again = zoo_engine._run_chunk(1_000, 5, 1, True, False, False, ())
+    _, (_, T, rng) = zoo_engine.tree_chunks(2_000, 5)
+    again = zoo_engine._run_chunk(T, rng, True, False, False, ())
     assert np.array_equal(second.incl, again.incl) and second.zc_sum == again.zc_sum
     st = zoo_engine.run(2_000, 5)
     assert np.array_equal(st.incl, first.incl + second.incl)
@@ -271,6 +272,25 @@ def test_piece_and_instance_suites_reject_counts_below_one():
         run_suite(ExperimentConfig(family="zoo", trials=0))
 
 
+@pytest.mark.parametrize("case", ["run", "suite-seed", "suite-gen-seed", "correlations",
+                                  "walk"])
+def test_library_refuses_a_negative_seed(zoo_engine, case):
+    """A negative seed is a ``ConfigError`` before numpy sees it, which
+    would raise a bare ``ValueError``."""
+    call = {
+        "run": lambda: zoo_engine.run(10, -1),
+        "suite-seed": lambda: run_suite(ExperimentConfig(family="zoo", trials=10, seed=-1,
+                                                         suite="marginals")),
+        "suite-gen-seed": lambda: run_suite(ExperimentConfig(family="zoo", trials=10,
+                                                             gen_seed=-1, suite="marginals")),
+        "correlations": lambda: suite_correlations(standalone_piece("c8_12"), "mi", 10, -3),
+        "walk": lambda: sample_r0_tree(zoo_engine.h, zoo_engine.sp, seed=-1,
+                                       samplers=zoo_engine.samplers),
+    }[case]
+    with pytest.raises(ConfigError, match="must be at least 0"):
+        call()
+
+
 def test_chunk_floor_follows_the_floor_constant(monkeypatch):
     """The chunk reads its floor from ``params.FLOOR`` through the join plan:
     raised to a quarter, it fails exactly the trials with a charge below a
@@ -281,7 +301,7 @@ def test_chunk_floor_follows_the_floor_constant(monkeypatch):
     engine = BatchEngine(family_instance("zoo"), SamplerParams(sampler="mix"))
     rng = np.random.default_rng(1)
     T = engine._draw_trees(2_000, rng)
-    _, _, site_odd, z = engine._join(T, (rng.random(2_000) for _ in engine.groups))
+    _, _, site_odd, z = engine._join(T, rng)
     under = (z < engine.z_denom // 4).any(axis=0)
     assert under.any()
     assert np.array_equal(engine._infeasible(T, z, site_odd), under)
