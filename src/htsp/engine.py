@@ -23,20 +23,31 @@ spawn_key=(idx,))``, so a run, and ``htsp join`` and ``tour`` at its seed,
 depend only on instance, seed and flags.  Each edge's sum of squared charges
 (``BatchStats.z_sumsq``) adds the squares one after the other in trial
 order within a chunk, and the chunks' sums in chunk order, so its bits are
-those of one running sum, however the work is split.
+those of one running sum, however the work is split.  A run of two or more
+full chunks uses the CPUs this process may run on: chunk ``idx`` goes to
+process ``idx % P``, where process 0 is the caller and the others are the
+engine's helpers, forked by ``os.fork`` at its first such run and kept
+while it lives; the caller folds every record, so the output is the same
+at any CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
+import weakref
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import BinaryIO, Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .errors import AssemblyError, ConfigError, FeasibilityViolation, ScaleOverflow
+from .errors import (AssemblyError, ConfigError, FeasibilityViolation, HelperLost, HtspError,
+                     ScaleOverflow)
 from .graph import HalfIntegralInstance
 from .hierarchy import build_hierarchy, min_cuts_via_hierarchy
 from .join import (
@@ -172,6 +183,7 @@ class CompiledInstance:
             self.samplers,
             key=lambda nid: (isinstance(self.samplers[nid], CyclePieceSampler), nid),
         )
+        self._pairings: dict[tuple[int, ...], tuple[int, list[tuple[int, int]]]] = {}
 
     @cached_property
     def eal_probability(self) -> dict[int, object]:
@@ -231,22 +243,37 @@ class CompiledInstance:
             nxt = np.where(better, nxt[:, k][:, None], nxt)
         return d, nxt
 
+    def pairing(self, odd: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
+        """The cheapest pairing of the odd vertices ``odd`` in ``metric``, as
+        its cost and its pairs, solved once per odd set: the memo empties
+        before a miss once it holds ``JOIN_CACHE_LIMIT`` sets."""
+        key = tuple(odd)
+        hit = self._pairings.get(key)
+        if hit is None:
+            if len(self._pairings) >= JOIN_CACHE_LIMIT:
+                self._pairings.clear()
+            hit = self._pairings[key] = min_cost_perfect_matching(list(key), self.metric[0])
+        return hit
+
     # -- the trials ------------------------------------------------------------
     #
     # A chunk is edge-major: row e of a tree block says, per trial, whether
     # the tree holds edge e.  A cut's parity is then the XOR of its edge
     # rows and its cover the sum of its charge rows, both whole-row work.
 
-    def tree_chunks(self, trials: int, seed: int
+    def tree_chunks(self, trials: int, seed: int, chunks: Optional[Iterable[int]] = None
                     ) -> Iterator[tuple[int, np.ndarray, np.random.Generator]]:
         """Chunks 0, 1, ... of ``MAX_CHUNK`` trials (the last one the rest),
-        each as its first trial, its tree block and its stream
-        ``SeedSequence(seed, spawn_key=(idx,))``, which the chunk's coins
-        read next.  A block is drawn piece by piece in ``draw_order``, and
-        every tree is checked for its edge count and its degree at the root."""
+        or those of the indices ``chunks`` in their order, each as its first
+        trial, its tree block and its stream ``SeedSequence(seed,
+        spawn_key=(idx,))``, which the chunk's coins read next.  A block is
+        drawn piece by piece in ``draw_order``, and every tree is checked
+        for its edge count and its degree at the root."""
         check_positive(trials=trials)
         check_seed(seed=seed)
-        for idx, done in enumerate(range(0, trials, MAX_CHUNK)):
+        starts = range(0, trials, MAX_CHUNK)
+        for idx in range(len(starts)) if chunks is None else chunks:
+            done = starts[idx]
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
             T = self._draw_trees(min(MAX_CHUNK, trials - done), rng)
             bits = T.view(np.uint8)
@@ -285,6 +312,15 @@ class BatchEngine(CompiledInstance):
         self._build_verify_plan()
         self._join_cache: dict[bytes, int] = {}
         self._dp_memo: dict = {}
+        self._helpers = _Helpers(self)
+
+    def __copy__(self) -> BatchEngine:
+        """A twin on the same plans and caches, with helper processes of its
+        own, so it may change its plans before its first parallel run."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin._helpers = _Helpers(twin)
+        return twin
 
     # -- plans ------------------------------------------------------------
 
@@ -448,11 +484,42 @@ class BatchEngine(CompiledInstance):
     def run(self, trials: int, seed: int, *, join: bool = True, verify: bool = False,
             integral: bool = False, symmetry_pairs: Sequence[tuple[int, int]] = ()
             ) -> BatchStats:
-        """The records of the chunks of ``tree_chunks``, folded in index order."""
+        """The records of the chunks of ``tree_chunks``, folded in index order.
+
+        Chunk ``idx`` is computed by process ``idx % P`` of ``P =
+        processes(trials)``: process 0 is this one and the others are the
+        engine's helpers, so the fold, and the result, is the same at any P.
+        A run whose chunks fail raises the error of the lowest failing
+        chunk, as one process does."""
+        flags = (join, verify, integral, symmetry_pairs)
+        P = processes(trials)
+        shares = [range(k, -(-trials // MAX_CHUNK), P) for k in range(P)]
+        if P == 1:
+            # catching nothing, one process raises a chunk's error at once
+            replies = [self._share(trials, seed, shares[0], flags, ())]
+        else:
+            replies = self._helpers.run(self, trials, seed, shares, flags)
+        failed = [(share[len(records)], err)
+                  for share, (records, err) in zip(shares, replies) if err is not None]
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
         st = self._record(0, symmetry_pairs, verify, integral, z_type=object)
-        for _, T, rng in self.tree_chunks(trials, seed):
-            st.fold(self._run_chunk(T, rng, join, verify, integral, symmetry_pairs))
+        for idx in range(sum(map(len, shares))):
+            st.fold(replies[idx % P][0][idx // P])
         return st
+
+    def _share(self, trials: int, seed: int, chunks: range, flags: tuple, catch
+               ) -> tuple[list[BatchStats], Optional[BaseException]]:
+        """The records of the chunks ``chunks`` of a run, in their order, up
+        to the first that raises an error of the type(s) ``catch``, and that
+        error."""
+        records = []
+        try:
+            for _, T, rng in self.tree_chunks(trials, seed, chunks):
+                records.append(self._run_chunk(T, rng, *flags))
+        except catch as exc:
+            return records, exc
+        return records, None
 
     def _record(self, trials: int, symmetry_pairs, verified: bool, integral: bool,
                 z_type: type = np.int64) -> BatchStats:
@@ -712,6 +779,133 @@ class BatchEngine(CompiledInstance):
         costs = np.empty(len(found), dtype=np.int64)
         costs[rank] = found
         return costs[inverse]
+
+
+# ---------------------------------------------------------------------------
+# the helper processes
+# ---------------------------------------------------------------------------
+
+def cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def processes(trials: int) -> int:
+    """How many processes a run of ``trials`` trials spreads its chunks
+    over: one per CPU, but each with at least one full chunk of
+    ``MAX_CHUNK`` trials.  One where there is no ``os.fork``, or while a
+    second thread runs: a forked child holds only the forking thread, and
+    a lock another thread held stays held in it."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(cpu_count(), trials // MAX_CHUNK))
+
+
+def _send(fd: int, obj) -> None:
+    data = memoryview(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+    while data:
+        data = data[os.write(fd, data):]
+
+
+class _Helpers:
+    """The helper processes of one engine: forked at its first run of two or
+    more full chunks, with the engine as it is then, and kept while the
+    engine lives, each with its own join caches.
+
+    A helper keeps no descriptor but its own two pipe ends, so it reads EOF
+    on its task pipe, and leaves by ``os._exit``, when its engine is
+    collected (``close``, which a finalizer also runs at interpreter exit),
+    when that pipe is closed, or when the parent dies."""
+
+    def __init__(self, owner: BatchEngine):
+        #: per helper: its pid, the write end of its task pipe and a reader
+        #: on its reply pipe
+        self.procs: list[tuple[int, int, BinaryIO]] = []
+        self.parent = os.getpid()
+        weakref.finalize(owner, self.close)
+
+    def run(self, engine: BatchEngine, trials: int, seed: int, shares: list[range],
+            flags: tuple) -> list[tuple]:
+        """Share k > 0 of a run's chunks to helper k - 1 and share 0 to this
+        process; the replies of ``_share``, in share order.  Any exception
+        here ends every helper before it propagates; the next run forks anew."""
+        try:
+            while len(self.procs) < len(shares) - 1:
+                self._fork(engine)
+            helpers = self.procs[:len(shares) - 1]
+            for (pid, tasks, _), share in zip(helpers, shares[1:]):
+                # the chunk size as the caller sees it now, not as it was at
+                # the fork
+                try:
+                    _send(tasks, (MAX_CHUNK, trials, seed, share, flags))
+                except BrokenPipeError:
+                    raise HelperLost(f"helper process {pid} ended before it returned "
+                                     "its chunks") from None
+            replies = [engine._share(trials, seed, shares[0], flags, HtspError)]
+            for pid, _, replies_in in helpers:
+                try:
+                    replies.append(pickle.load(replies_in))
+                except (EOFError, pickle.UnpicklingError):
+                    raise HelperLost(f"helper process {pid} ended before it returned "
+                                     "its chunks") from None
+            return replies
+        except BaseException:
+            self.close(kill=True)
+            raise
+
+    def _fork(self, engine: BatchEngine) -> None:
+        tasks_r, tasks_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (tasks_r, tasks_w, replies_r, replies_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            try:
+                _serve(engine, tasks_r, replies_w)
+            finally:
+                os._exit(1)
+        os.close(tasks_r)
+        os.close(replies_w)
+        self.procs.append((pid, tasks_w, os.fdopen(replies_r, "rb")))
+
+    def close(self, kill: bool = False) -> None:
+        """End every helper, by closing its task pipe or by SIGKILL, and reap
+        it."""
+        if os.getpid() != self.parent:
+            # a helper's inherited copy of another engine's helpers
+            return
+        procs, self.procs = self.procs, []
+        for pid, tasks, _ in procs:
+            os.close(tasks)
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+        for pid, _, replies_in in procs:
+            os.waitpid(pid, 0)
+            replies_in.close()
+
+
+def _serve(engine: BatchEngine, tasks_fd: int, replies_fd: int) -> NoReturn:
+    """A helper's loop: it closes every other descriptor, then answers each
+    task with the reply of ``BatchEngine._share``, whatever error a chunk
+    raises included, until EOF."""
+    global MAX_CHUNK
+    lo, hi = sorted((tasks_fd, replies_fd))
+    os.closerange(0, lo)
+    os.closerange(lo + 1, hi)
+    os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
+    tasks = os.fdopen(tasks_fd, "rb")
+    while True:
+        try:
+            # the caller's chunk size rebinds this process's own
+            MAX_CHUNK, trials, seed, share, flags = pickle.load(tasks)
+        except EOFError:
+            os._exit(0)
+        _send(replies_fd, engine._share(trials, seed, share, flags, Exception))
 
 
 def _odd_rows(rows: np.ndarray, ids) -> np.ndarray:

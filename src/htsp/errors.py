@@ -87,6 +87,11 @@ class OddSetTooLarge(HtspError):
     """Too many odd vertices for exact minimum-cost join computation."""
 
 
+class HelperLost(HtspError):
+    """A helper process of a Monte Carlo run ended before it returned its
+    chunks."""
+
+
 class ScaleOverflow(HtspError):
     """Costs or charge quanta scale past what exact int64 sums hold."""
 

@@ -598,8 +598,9 @@ class TourResult:
 def integral_join_and_tour(ci, tree_edges: frozenset[int],
                            shortcut: bool = True) -> TourResult:
     """Cheapest parity fix for the tree, then a closed tour, on the integer
-    costs and metric of an ``engine.CompiledInstance``; only the costs of
-    the result are ``Fraction``s.
+    costs and metric of an ``engine.CompiledInstance``, whose pairing memo
+    solves each odd set once; only the costs of the result are
+    ``Fraction``s.
 
     The join pairs odd-degree vertices along shortest paths; the tour is
     the Euler circuit of the combined multigraph, shortcut to first visits
@@ -609,7 +610,7 @@ def integral_join_and_tour(ci, tree_edges: frozenset[int],
     inst = ci.inst
     g = inst.graph
     d, nxt = ci.metric
-    join_cost, pairs = min_cost_perfect_matching(odd_vertices(inst, tree_edges), d)
+    join_cost, pairs = ci.pairing(odd_vertices(inst, tree_edges))
     legs: list[tuple[int, int]] = [g.endpoints[eid] for eid in tree_edges]
     for a, b in pairs:
         node = a

@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+import htsp.engine
 from htsp.generators import (
     generate_double_cycle,
     generate_k5_gadget,
@@ -46,3 +47,10 @@ def zoo_instance():
 @pytest.fixture
 def k5_instance():
     return family_instance("k5-gadget")
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """Keeps every Monte Carlo run of a test in this process, for a test
+    that watches chunk internals through their side effects here."""
+    monkeypatch.setattr(htsp.engine, "cpu_count", lambda: 1)

@@ -800,7 +800,8 @@ def test_checked_joins_without_charges_name_a_deficient_cut():
 
 
 @pytest.mark.parametrize("family", ["zoo", "nested", "random-4reg"])
-def test_join_and_tour_read_the_trials_of_a_run(family, tmp_path, capsys, monkeypatch):
+def test_join_and_tour_read_the_trials_of_a_run(family, tmp_path, capsys, monkeypatch,
+                                               one_process):
     """Trial t of ``htsp join|tour --trials N --seed S`` is trial t of
     ``BatchEngine.run(N, S)`` and of ``htsp stats``, over chunks that end in
     a ragged one: the trees and charges ``join`` writes sum to the run's
@@ -849,3 +850,25 @@ def test_join_and_tour_read_the_trials_of_a_run(family, tmp_path, capsys, monkey
                         integral_join_and_tour(ci, edges, shortcut=shortcut))
     assert main(["tour", path, "--trials", "150", "--seed", "2"]) == 0
     assert read == trees
+
+
+@pytest.mark.parametrize("cmd", ["join", "tour"])
+def test_join_and_tour_solve_each_odd_set_once(cmd, tmp_path, capsys, monkeypatch):
+    """``htsp join`` and ``htsp tour`` solve the pairing DP once per distinct
+    odd set of their trials, and a memo that empties before every miss
+    writes the same bytes."""
+    path = str(tmp_path / "zoo.htsp")
+    assert main(["generate", "--family", "zoo", "--seed", "3", "--out", path]) == 0
+    solved = []
+    solve = htsp.engine.min_cost_perfect_matching
+    monkeypatch.setattr(htsp.engine, "min_cost_perfect_matching",
+                        lambda odd, d: solved.append(tuple(odd)) or solve(odd, d))
+    capsys.readouterr()
+    outputs = []
+    for limit in (htsp.engine.JOIN_CACHE_LIMIT, 1):
+        monkeypatch.setattr(htsp.engine, "JOIN_CACHE_LIMIT", limit)
+        assert main([cmd, path, "--trials", "300", "--seed", "2"]) == 0
+        outputs.append(capsys.readouterr().out)
+        if limit > 1:
+            assert 1 < len(solved) == len(set(solved)) < 300
+    assert outputs[0] == outputs[1]

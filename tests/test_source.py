@@ -233,3 +233,25 @@ def test_one_trial_stream():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sample_r0_tree"
     ]
     assert walks and all(w.startswith("cli.py:cmd_sample:") for w in walks)
+
+
+def test_one_fork_site():
+    """The package starts processes at one place, ``engine._Helpers``, by a
+    plain ``os.fork``, and no file of it imports ``multiprocessing``, whose
+    import alone raises a run's peak memory."""
+    forks, imports = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr.startswith("fork")):
+                forks.append(f"{path.name}:{ast.unparse(node.func)}")
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno}" for name in names
+                        if name.split(".")[0] == "multiprocessing"]
+    assert forks == ["engine.py:os.fork"]
+    assert imports == []

@@ -174,7 +174,7 @@ def test_run_suite_dispatcher(tmp_path):
     assert report2.all_passed()
 
 
-def test_tree_check_runs_on_every_chunk(monkeypatch):
+def test_tree_check_runs_on_every_chunk(monkeypatch, one_process):
     """A tree table that goes bad after the first chunk still stops the run."""
     monkeypatch.setattr(htsp.engine, "MAX_CHUNK", 1_000)
     engine = BatchEngine(family_instance("nested"), SamplerParams(sampler="mi"))
@@ -326,7 +326,7 @@ def _move_root_edge(engine):
     sampler.pairs = [tuple(pair) for pair in pairs]
 
 
-def test_root_degree_check_runs_on_every_chunk(monkeypatch):
+def test_root_degree_check_runs_on_every_chunk(monkeypatch, one_process):
     """Cycle pairs that go bad after the first chunk, keeping every tree's
     edge count, are stopped by the root-degree check."""
     monkeypatch.setattr(htsp.engine, "MAX_CHUNK", 1_000)
