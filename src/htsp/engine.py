@@ -10,8 +10,9 @@ chunk holds one row of trials per edge), and the join arithmetic runs in
 integers after scaling every charge quantum by a common denominator (so
 feasibility checks are exact, not float).  The charges, the cut covers
 made from them and each trial's cost sums are held in the narrowest
-integer type (``LANES``) that the join plan's bound on the charges proves
-exact; only per-edge and per-chunk totals are added in int64.  Verification reads the
+integer type (``LANES``) that a bound on the charges over the cuts the
+check reads proves exact; only per-edge and per-chunk totals are added in
+int64.  Verification reads the
 min-cuts through the hierarchy and never lists them: one running
 two-minimum over the k + 1 partner pairs of a cycle piece with a k-vertex
 chain covers its k(k+1)/2 segment cuts, and the label cut of each degree
@@ -310,6 +311,7 @@ class BatchEngine(CompiledInstance):
         self._build_eal_plan()
         self._build_join_plan()
         self._build_verify_plan()
+        self._choose_lanes(self._most_charges())
         self._join_cache: dict[bytes, int] = {}
         self._dp_memo: dict = {}
         self._helpers = _Helpers(self)
@@ -396,38 +398,48 @@ class BatchEngine(CompiledInstance):
             for site in pair_sites
         ]
         self.site_cut_cols = [np.array(c, dtype=np.int64) for c in site_cuts]
-        # the most charge |z_e| an edge can carry
+
+    def _most_charges(self) -> list[int]:
+        """Per edge, the most charge |z_e| it can carry: its quarter and its
+        reduction, and every repayment a site can pay it."""
         most = [self.quarter_int + int(a) for a in self.amount_int]
         for f, amt in (t for _, _, targets in self.degree_site_plan for t in targets):
-            most[f] += amt
+            most[f] += int(amt)
         for (t0, t1), groups in self.pair_site_plan:
-            most[t0] += sum(half for half, _ in groups)
-            most[t1] += sum(half for half, _ in groups)
-        self._choose_lanes(most)
-        lane = self.lane
+            most[t0] += sum(int(half) for half, _ in groups)
+            most[t1] += sum(int(half) for half, _ in groups)
+        return most
+
+    def _choose_lanes(self, most: Sequence[int]) -> None:
+        """The chunk's integer lanes, from the most charge ``most[e]`` each
+        edge can carry, and the site repayments cast to ``lane``.
+
+        ``lane`` holds the charges and every value ``_infeasible`` forms
+        from them: a charge and the floor; a direct cut's cover, and its
+        partial sums, within the cut's sum of ``most``; a gap pair's cover
+        less or plus D, within the pair's sum of ``most`` plus D; and the
+        sum of two such.  ``sum_lane`` holds a trial's cost sums, cost
+        times charge and a tree's cost: int32 or wider, and no narrower
+        than the charges it reads; a chunk adds them in int64.  Raises
+        ``ScaleOverflow`` unless those int64 sums of cost times charge
+        stay exact."""
+        cost = [int(c) for c in self.cost_int]
+        charge_cost = sum(c * z for c, z in zip(cost, most))
+        if MAX_CHUNK * charge_cost > INT64_MAX:
+            raise ScaleOverflow(f"{MAX_CHUNK} trials of cost times charge could overflow int64")
+        D = self.z_denom
+        cover = max((sum(most[e] for e in cols.tolist()) for cols, _ in self.direct_cuts),
+                    default=0)
+        gap = max((most[a] + most[b] for gaps in self.cycle_gaps for a, b in gaps), default=0)
+        bound = max(cover, 2 * (gap + D), max(most), abs(self.floor_int))
+        self.lane = lane = narrowest_lane(bound)
+        # 2**15 lies past int16, so the cost sums take int32 at least
+        self.sum_lane = narrowest_lane(max(charge_cost, sum(cost), bound, 1 << 15))
         # the repayments as lane scalars, so a site's row stays in the lane
         self.degree_site_plan = [(src, k, [(f, lane(amt)) for f, amt in targets])
                                  for src, k, targets in self.degree_site_plan]
         self.pair_site_plan = [(targets, [(lane(half), members) for half, members in groups])
                                for targets, groups in self.pair_site_plan]
-
-    def _choose_lanes(self, most: Sequence[int]) -> None:
-        """The chunk's integer lanes, from the most charge ``most[e]`` each
-        edge can carry.  ``lane`` holds the charges and every value
-        ``_infeasible`` forms from them: a cut's cover, a gap pair's cover
-        less or plus D, and the sum of two such, all within 2 * sum(most)
-        + 2D.  ``sum_lane`` holds a trial's cost sums, cost times charge
-        and a tree's cost: int32 or wider, and no narrower than the charges
-        it reads; a chunk adds them in int64.  Raises ``ScaleOverflow``
-        unless those int64 sums of cost times charge stay exact."""
-        cost = [int(c) for c in self.cost_int]
-        charge_cost = sum(c * z for c, z in zip(cost, most))
-        if MAX_CHUNK * charge_cost > INT64_MAX:
-            raise ScaleOverflow(f"{MAX_CHUNK} trials of cost times charge could overflow int64")
-        bound = 2 * sum(most) + 2 * self.z_denom
-        self.lane = narrowest_lane(bound)
-        # 2**15 lies past int16, so the cost sums take int32 at least
-        self.sum_lane = narrowest_lane(max(charge_cost, sum(cost), bound, 1 << 15))
 
     def _build_verify_plan(self) -> None:
         """The min-cuts as the hierarchy holds them (see ``_infeasible``).

@@ -184,26 +184,58 @@ def eal_conditions(h: CutHierarchy, classes: dict[int, EdgeClass]) -> EalConditi
 
 
 def parity_law(samplers: dict[int, PieceSampler], classes: dict[int, EdgeClass],
-               sets: Sequence[Iterable[int]]) -> dict[int, object]:
+               sets: Sequence[Iterable[int]]) -> tuple[dict[int, object], Optional[int]]:
     """Joint law of the tree's parities on a few edge sets.
 
     Bit i of a state is the parity of the tree's edges in ``sets[i]``.
     Pieces sample independently, so the law is the XOR convolution of the
-    pieces' own laws; it is exact when every piece law is.
+    pieces' own laws, in node order.  While every piece law so far is
+    exact, the law is integer numerators over the returned denominator,
+    the product of the pieces' ones.  From the first float piece law on it
+    is float probabilities and the denominator is None: each numerator
+    enters as its quotient, correctly rounded, and the products and sums
+    run in the order of ``Fraction`` and float arithmetic on the same laws.
     """
     by_piece: dict[int, list[set[int]]] = {}
     for i, ids in enumerate(sets):
         for e in ids:
-            by_piece.setdefault(classes[e].settled, [set() for _ in sets])[i].add(e)
-    law: dict[int, object] = {0: Fraction(1)}
-    for nid in sorted(by_piece):
-        piece_law = samplers[nid].parity_law(by_piece[nid])
+            nid = classes[e].settled
+            if nid not in by_piece:
+                by_piece[nid] = [set() for _ in sets]
+            by_piece[nid][i].add(e)
+    # the first piece law as it is: its convolution with the point mass at
+    # 0 would give it back, numbers and order
+    pieces = sorted(by_piece)
+    law, den = samplers[pieces[0]].parity_law(by_piece[pieces[0]]) if pieces else ({0: 1}, 1)
+    for nid in pieces[1:]:
+        piece_law, piece_den = samplers[nid].parity_law(by_piece[nid])
+        if den is not None and piece_den is None:
+            law = {state: k / den for state, k in law.items()}
+            den = None
+        elif den is None and piece_den is not None:
+            piece_law = {state: k / piece_den for state, k in piece_law.items()}
+        elif den is not None:
+            den *= piece_den
         acc: dict[int, object] = {}
         for a, pa in law.items():
             for b, pb in piece_law.items():
                 acc[a ^ b] = acc.get(a ^ b, 0) + pa * pb
         law = acc
-    return law
+    return law, den
+
+
+def event_weight(samplers: dict[int, PieceSampler], classes: dict[int, EdgeClass],
+                 conditions: Sequence[tuple[frozenset[int], int]],
+                 odd_cuts: Sequence[Iterable[int]] = ()) -> tuple[object, Optional[int]]:
+    """The probability of ``event_probability``'s event as its numerator
+    and denominator, or as a float and None where ``parity_law`` is float;
+    a float law that meets the event in no state gives an exact 0."""
+    k = len(conditions)
+    want = sum(parity << i for i, (_, parity) in enumerate(conditions))
+    law, den = parity_law(samplers, classes, [ids for ids, _ in conditions] + list(odd_cuts))
+    total = sum(pr for state, pr in law.items()
+                if state & ((1 << k) - 1) == want and (state >> k or not odd_cuts))
+    return (total, den or 1) if isinstance(total, int) else (total, den)
 
 
 def event_probability(samplers: dict[int, PieceSampler],
@@ -211,18 +243,16 @@ def event_probability(samplers: dict[int, PieceSampler],
                       conditions: Sequence[tuple[frozenset[int], int]],
                       odd_cuts: Sequence[Iterable[int]] = ()) -> object:
     """Probability that every parity condition holds and, when ``odd_cuts``
-    are given, the tree crosses at least one of them oddly."""
-    k = len(conditions)
-    want = sum(parity << i for i, (_, parity) in enumerate(conditions))
-    law = parity_law(samplers, classes, [ids for ids, _ in conditions] + list(odd_cuts))
-    return sum(pr for state, pr in law.items()
-               if state & ((1 << k) - 1) == want and (state >> k or not odd_cuts))
+    are given, the tree crosses at least one of them oddly: a ``Fraction``
+    when every piece law it reads is exact, a float otherwise."""
+    num, den = event_weight(samplers, classes, conditions, odd_cuts)
+    return num if den is None else Fraction(num, den)
 
 
 def exact_eal_probabilities(conditions: EalConditions, classes: dict[int, EdgeClass],
                             samplers: dict[int, PieceSampler]) -> dict[int, object]:
     """Even-at-last probability per edge of ``eal_conditions``, exact where
-    the samplers are exact."""
+    the samplers are exact: one value per distinct set of conditions."""
     by_conditions: dict[tuple, object] = {}
     out: dict[int, object] = {}
     for eid, conds in conditions.items():

@@ -7,14 +7,30 @@ off one joint law (``join.parity_law``).  So marginals,
 even-at-last rates, reduction rates, and the expected net decrease of
 every edge can be computed exactly (rationally on the matroid route) and
 compared against the guaranteed bounds without Monte Carlo error.
+
+Exact probabilities travel as integer numerators over one denominator,
+from the piece tables (``EnumeratedPieceSampler.exact_nums``, a cycle
+piece's counts of pair choices) through the joint law and its events
+(``join.event_weight``) to each edge's net decrease, whose terms are
+integer products summed over their least common denominator.  A
+``Fraction`` is made once per value that leaves the layer: a marginal, an
+even-at-last or correlation-event probability, a net decrease.  Where a
+piece law is float (the max-entropy and mixed routes), the values turn to
+floats where ``Fraction`` and float arithmetic would, each exact value as
+its quotient, correctly rounded, so their bits are those of that
+arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from typing import Optional
+
 import numpy as np
 
 from .hierarchy import CutHierarchy
-from .join import EdgeClass, event_probability
+from .join import EdgeClass, event_weight
 from .pipeline import PieceSampler
 
 
@@ -35,33 +51,78 @@ def exact_expected_net_decrease(ci) -> dict[int, object]:
 
     A site charges when its source is even at last, its coin comes up, and
     one of its cuts is crossed oddly; a pair site's coin group repays once
-    for all of its members' cuts.
+    for all of its members' cuts.  Each edge's value is its reduction less
+    its charges in site order, degree sites first.  Exact terms are
+    products of integer numerators and denominators and the exact part
+    sums over their least common denominator, so an all-exact edge makes
+    one ``Fraction``; a float term turns the value into a float as
+    ``Fraction`` arithmetic would at that point (``_product``,
+    ``_difference``).
     """
-    classes, samplers, rates = ci.classes, ci.samplers, ci.rates
+    classes, samplers = ci.classes, ci.samplers
+    rates = {grp: _ratio(r) for grp, r in ci.rates.items()}
     # an edge is reduced when it is even at last and its coin comes up
-    net: dict[int, object] = {
-        e: rates[cl.coin_group] * ci.eal_probability[e] * ci.rp.amount(cl.kind)
+    reduction = {
+        e: _product(rates[cl.coin_group], _ratio(ci.eal_probability[e]),
+                    _ratio(ci.rp.amount(cl.kind)))
         for e, cl in classes.items()
     }
+    charges: dict[int, list] = {e: [] for e in classes}
     degree_sites, pair_sites = ci.sites
     for site in degree_sites:
         s = site.source
-        p = event_probability(samplers, classes, ci.eal_conditions[s],
-                              [site.cut_ids])
+        p = event_weight(samplers, classes, ci.eal_conditions[s], [site.cut_ids])
         rate = rates[classes[s].coin_group]
+        amount = _ratio(site.amount)
         for f, frac in site.targets:
-            net[f] = net[f] - site.amount * frac * rate * p
+            charges[f].append(_product(amount, _ratio(frac), rate, p))
     for site in pair_sites:
-        t0, t1 = site.targets
         for grp in site.groups:
             s0 = grp.members[0][0]
-            p = event_probability(samplers, classes, ci.eal_conditions[s0],
-                                  [cut for _, cut in grp.members])
-            rate = rates[classes[s0].coin_group]
-            half = grp.amount / 2
-            net[t0] = net[t0] - half * rate * p
-            net[t1] = net[t1] - half * rate * p
-    return net
+            p = event_weight(samplers, classes, ci.eal_conditions[s0],
+                             [cut for _, cut in grp.members])
+            half = (grp.amount.numerator, 2 * grp.amount.denominator)
+            paid = _product(half, rates[classes[s0].coin_group], p)
+            for t in site.targets:
+                charges[t].append(paid)
+    return {e: _difference(reduction[e], charges[e]) for e in classes}
+
+
+def _ratio(x) -> tuple[object, Optional[int]]:
+    """A ``Fraction`` as (numerator, denominator), a float as (x, None)."""
+    return (x, None) if isinstance(x, float) else (x.numerator, x.denominator)
+
+
+def _product(*factors: tuple[object, Optional[int]]) -> tuple[object, Optional[int]]:
+    """The product of ``_ratio`` pairs, left to right: integers while every
+    factor is exact; at a float factor the exact product so far becomes
+    its quotient, correctly rounded, and every later exact factor too."""
+    num, den = 1, 1
+    for n, d in factors:
+        if den is None:
+            num = num * (n if d is None else n / d)
+        elif d is None:
+            num, den = num / den * n, None
+        else:
+            num, den = num * n, den * d
+    return num, den
+
+
+def _difference(start: tuple[object, Optional[int]], terms: list) -> object:
+    """``start`` less each of the ``_ratio`` pairs ``terms`` in turn: the
+    exact part over the least common denominator, a ``Fraction`` if every
+    term is exact; from the first float on, floats, an exact value entering
+    as its quotient, correctly rounded."""
+    num, den = start
+    for n, d in terms:
+        if den is not None and d is not None:
+            lcm = den // math.gcd(den, d) * d
+            num, den = num * (lcm // den) - n * (lcm // d), lcm
+        elif den is not None:
+            num, den = num / den - n, None
+        else:
+            num = num - (n if d is None else n / d)
+    return num if den is None else Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,9 @@ class CyclePieceSampler:
         self.pairs: list[tuple[int, int]] = [tuple(p) for p in piece.internal_pairs()]
         if is_root:
             self.pairs += [tuple(p) for p in piece.external_pairs()]
+        #: per edge id, its pair's index and its side in the pair
+        self._pair_of = {e: (j, side) for j, pair in enumerate(self.pairs)
+                         for side, e in enumerate(pair)}
 
     def sample(self, rng: np.random.Generator) -> tuple[frozenset[int], dict]:
         picks = rng.integers(0, 2, size=len(self.pairs))
@@ -110,20 +113,26 @@ class CyclePieceSampler:
             T[first] = pick
             T[second] = np.logical_not(pick, out=pick)
 
-    def parity_law(self, sets: list[set[int]]) -> dict[int, Fraction]:
+    def parity_law(self, sets: list[set[int]]) -> tuple[dict[int, int], int]:
         """Law of the drawn edges' parities on ``sets``, as in ``join.parity_law``:
-        each pair flips the sets holding the edge it picks, with chance 1/2."""
-        law = {0: Fraction(1)}
-        for a, b in self.pairs:
-            flip_a = sum(1 << i for i, ids in enumerate(sets) if a in ids)
-            flip_b = sum(1 << i for i, ids in enumerate(sets) if b in ids)
-            if flip_a or flip_b:
-                acc: dict[int, Fraction] = {}
-                for state, pr in law.items():
-                    for flip in (flip_a, flip_b):
-                        acc[state ^ flip] = acc.get(state ^ flip, 0) + pr / 2
-                law = acc
-        return law
+        each pair flips the sets holding the edge it picks.  The t pairs
+        that touch a set are convolved in pair order, and the law counts
+        their choices per state, over the denominator 2**t; the other pairs
+        drop out."""
+        flips: dict[int, list[int]] = {}
+        for i, ids in enumerate(sets):
+            for e in ids:
+                at = self._pair_of.get(e)
+                if at is not None:
+                    flips.setdefault(at[0], [0, 0])[at[1]] |= 1 << i
+        law = {0: 1}
+        for j in sorted(flips):
+            acc: dict[int, int] = {}
+            for state, count in law.items():
+                for flip in flips[j]:
+                    acc[state ^ flip] = acc.get(state ^ flip, 0) + count
+            law = acc
+        return law, 1 << len(flips)
 
     def exact_marginal(self, eid: int) -> Fraction:
         return HALF
@@ -177,10 +186,17 @@ class EnumeratedPieceSampler:
     the table ``holds``: one row per edge id the trees use (``cols``), one
     column per tree.  The trees run in the order of their ascending
     edge-id lists; all have one size, so of two trees the one holding the
-    first edge where they differ comes first."""
+    first edge where they differ comes first.
 
-    def __init__(self, kind: str, edge_ids: Sequence[int], masks: np.ndarray, probs: Sequence,
-                 exact: bool, generative):
+    ``weights`` are the trees' float probabilities, or with ``den`` their
+    exact probabilities as integer numerators over ``den``.  An exact
+    piece keeps only those numerators, over their lowest common
+    denominator (``exact_nums`` over ``exact_den``), and its float
+    probabilities are their quotients, correctly rounded, normalized as
+    float ones are."""
+
+    def __init__(self, kind: str, edge_ids: Sequence[int], masks: np.ndarray,
+                 weights: Sequence, generative, den: Optional[int] = None):
         self.kind = kind
         # one row per edge position, one column per tree
         held = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8),
@@ -193,14 +209,21 @@ class EnumeratedPieceSampler:
         self.cols = np.asarray(edge_ids, dtype=np.intp)[used]
         self._col_of = {e: i for i, e in enumerate(self.cols.tolist())}
         self.holds = np.ascontiguousarray(held[used][:, order])
-        raw = np.asarray(probs)[order]
-        self.exact_probs: Optional[tuple[Fraction, ...]] = tuple(raw.tolist()) if exact else None
-        self.probs = raw.astype(float)
+        self.exact_nums: Optional[tuple[int, ...]] = None
+        self.exact_den: Optional[int] = None
+        if den is None:
+            self.probs = np.asarray(weights, dtype=float)[order]
+        else:
+            nums = [weights[i] for i in order.tolist()]
+            g = math.gcd(den, *nums)
+            self.exact_nums = tuple([k // g for k in nums])
+            self.exact_den = den // g
+            if sum(self.exact_nums) != self.exact_den:
+                raise AssemblyError(f"{kind} piece tree probabilities do not sum to 1")
+            self.probs = np.array([k / self.exact_den for k in self.exact_nums])
         self.probs = self.probs / self.probs.sum()
         self.table = GuideTable(np.cumsum(self.probs))
         self._generative = generative
-        if exact and sum(self.exact_probs, Fraction(0)) != 1:
-            raise AssemblyError(f"{kind} piece tree probabilities do not sum to 1")
 
     def tree(self, i: int) -> frozenset[int]:
         """The edge ids of tree ``i``."""
@@ -228,33 +251,36 @@ class EnumeratedPieceSampler:
                                 axis=0)
 
     def probability(self, event: np.ndarray):
-        """The probability of the trees ``event`` marks, summed in tree
-        order; exact when the tree probabilities are."""
-        probs = self.exact_probs if self.exact_probs is not None else self.probs
-        return sum((probs[i] for i in np.flatnonzero(event).tolist()), Fraction(0))
+        """The probability of the trees ``event`` marks: an exact one as one
+        ``Fraction`` of the summed numerators, a float one summed in tree
+        order."""
+        idx = np.flatnonzero(event).tolist()
+        if self.exact_nums is not None:
+            nums = self.exact_nums
+            return Fraction(sum([nums[i] for i in idx]), self.exact_den)
+        return sum((self.probs[i] for i in idx), Fraction(0))
 
-    def parity_law(self, sets: list[set[int]]) -> dict[int, object]:
-        """Law of the tree's parities on ``sets``, as in ``join.parity_law``;
-        exact when the tree probabilities are."""
-        probs = self.exact_probs if self.exact_probs is not None else self.probs
+    def parity_law(self, sets: list[set[int]]) -> tuple[dict[int, object], Optional[int]]:
+        """Law of the tree's parities on ``sets``, as in ``join.parity_law``:
+        summed numerators and ``exact_den`` on an exact piece, float
+        probabilities summed in tree order and None otherwise."""
         states = np.zeros(len(self.probs), dtype=np.int64)
         for i, ids in enumerate(sets):
             states |= (self.edge_counts(ids) & 1) << i
         law: dict[int, object] = {}
-        for state, pr in zip(states.tolist(), probs):
+        for state, pr in zip(states.tolist(), self.exact_nums or self.probs):
             law[state] = law.get(state, 0) + pr
-        return law
+        return law, self.exact_den
 
     def exact_marginal(self, eid: int):
         p = self.probability(self.edge_counts([eid]))
-        return p if self.exact_probs is not None else float(p)
+        return p if self.exact_nums is not None else float(p)
 
 
 def k5_sampler(piece: LocalMultigraph) -> EnumeratedPieceSampler:
     paths = k5_paths(piece)
     return EnumeratedPieceSampler("k5", piece.internal_graph()[0].edge_ids, paths,
-                                  [Fraction(1, len(paths))] * len(paths), exact=True,
-                                  generative=None)
+                                  [1] * len(paths), generative=None, den=len(paths))
 
 
 # -- degree-piece state enumeration -----------------------------------------
@@ -424,13 +450,13 @@ class DegreePieceSampler:
 
     # -- full mixtures ------------------------------------------------------
 
-    def mi_mixture(self) -> tuple[np.ndarray, np.ndarray]:
-        """The matroid route's trees as position masks and their exact
-        probabilities, ``Fraction``s in an object array.  Each distinct
-        state is decomposed once, all of them in one batch, at the summed
+    def mi_mixture(self) -> tuple[np.ndarray, list[int], int]:
+        """The matroid route's trees as position masks, and their exact
+        probabilities as integer numerators over one common denominator,
+        which the function returns last.  Each distinct state is
+        decomposed once, all of them in one batch, at the summed
         probability of its visits; a state that fails raises in the order
-        of first visits.  The sums run on integer numerators over one
-        common denominator."""
+        of first visits."""
         states, visits = _piece_states(self.piece, True, self._built)
         prob: list = [0] * len(states)
         for pr, i in visits:
@@ -447,8 +473,7 @@ class DegreePieceSampler:
                 total[t] = total.get(t, 0) + scale * k
         if sum(total.values()) != den:
             raise AssemblyError("matroid-route tree mixture does not sum to 1")
-        return (np.array(list(total), dtype=np.uint64),
-                np.array([Fraction(k, den) for k in total.values()], dtype=object))
+        return np.array(list(total), dtype=np.uint64), list(total.values()), den
 
     def maxent_mixture(self) -> tuple[np.ndarray, np.ndarray]:
         """The max-entropy route's trees as ascending position masks and
@@ -476,24 +501,23 @@ class DegreePieceSampler:
         only the tables and fits afterwards, so the walk's states are
         dropped."""
         lam = self.params.effective_lambda
+        den = None
         if lam == 0:
-            masks, probs = self.mi_mixture()
+            masks, probs, den = self.mi_mixture()
         else:
             masks, probs = self.maxent_mixture()
             probs = float(lam) * probs
             if lam != 1:
                 # the routes mixed tree by tree: the max-entropy share first
-                mi_masks, mi_probs = self.mi_mixture()
+                mi_masks, nums, mi_den = self.mi_mixture()
                 masks, where = np.unique(np.concatenate([masks, mi_masks]),
                                          return_inverse=True)
                 acc = np.zeros(len(masks))
                 acc[where[:len(probs)]] = probs
-                acc[where[len(probs):]] += float(1 - lam) * mi_probs.astype(float)
+                acc[where[len(probs):]] += float(1 - lam) * np.array([k / mi_den for k in nums])
                 probs = acc
-        out = EnumeratedPieceSampler(
-            "degree", self._edge_ids, masks, probs, exact=lam == 0,
-            generative=self._generative,
-        )
+        out = EnumeratedPieceSampler("degree", self._edge_ids, masks, probs,
+                                     generative=self._generative, den=den)
         self._built.clear()
         return out
 

@@ -26,7 +26,7 @@ from .engine import BatchEngine, BatchStats, CompiledInstance, check_positive, c
 from .errors import ConfigError
 from .graph import HalfIntegralInstance, parse_instance
 from .hierarchy import build_hierarchy
-from .join import EDGE_KINDS, ReductionParams, coin_kind
+from .join import EDGE_KINDS, ReductionParams, coin_groups, coin_kind
 from .oracle import (
     correlation_event_probability,
     correlation_tuples,
@@ -293,42 +293,51 @@ def oracle_check(inst: HalfIntegralInstance,
                  sampler_params: Optional[SamplerParams] = None,
                  reduction_params: Optional[ReductionParams] = None) -> StatReport:
     """Exact rows: marginals, even-at-last bounds, flattened reduction
-    rates, and per-edge expected net decrease, all without sampling."""
+    rates, and per-edge expected net decrease, all without sampling.  The
+    members of a coin group share one even-at-last probability and one
+    rate (``join.coin_rates``), so each group's values are read once."""
     ci = CompiledInstance(inst, sampler_params, reduction_params)
     sp, rp, classes = ci.sp, ci.rp, ci.classes
     report = StatReport(meta={"suite": "oracle", "sampler": sp.sampler})
+    rows, sampler = report.rows, sp.sampler
+    half = float(HALF)
     exact = exact_marginals(ci.h, ci.samplers, classes)
     for e in range(ci.m):
         val = exact[e]
-        report.rows.append(
+        rows.append(
             StatRow("oracle",
                     "marginal" + ("/rational" if isinstance(val, Fraction) else ""),
-                    sp.sampler, f"edge:{e}", "exact", float(HALF), float(val), 0.0, 0,
-                    is_half(val))
+                    sampler, f"edge:{e}", "exact", half, float(val), 0.0, 0, is_half(val))
         )
-    probs = ci.eal_probability
-    bounds = eal_bounds_for(sp, rp)
+    # per coin group: its even-at-last probability, and its flattened
+    # reduction rate against the group's coin bound
+    groups = {}
+    for grp, members in coin_groups(classes).items():
+        est = ci.eal_probability[members[0]]
+        target = rp.coin_bound(classes[members[0]].coin_kind)
+        val = ci.rates[grp] * est
+        ok = (val == target) if isinstance(val, Fraction) else abs(val - float(target)) <= 1e-9
+        groups[grp] = float(est), float(target), float(val), bool(ok)
+    bounds = {kind: float(b) for kind, b in eal_bounds_for(sp, rp).items()}
     for e in range(ci.m):
         kind = classes[e].kind
-        report.rows.append(
-            StatRow("oracle", f"even-at-last/{kind}", sp.sampler, f"edge:{e}",
-                    "exact", float(bounds[kind]), float(probs[e]), 0.0, 0,
-                    float(probs[e]) >= float(bounds[kind]) - 1e-12)
+        est = groups[classes[e].coin_group][0]
+        rows.append(
+            StatRow("oracle", f"even-at-last/{kind}", sampler, f"edge:{e}",
+                    "exact", bounds[kind], est, 0.0, 0, est >= bounds[kind] - 1e-12)
         )
     for e in range(ci.m):
-        target = rp.coin_bound(classes[e].coin_kind)
-        val = ci.rates[classes[e].coin_group] * probs[e]
-        ok = (val == target) if isinstance(val, Fraction) else abs(val - float(target)) <= 1e-9
-        report.rows.append(
-            StatRow("oracle", "reduction-rate-flattened", sp.sampler,
-                    f"edge:{e}", "exact", float(target), float(val), 0.0, 0,
-                    bool(ok))
+        _, target, val, ok = groups[classes[e].coin_group]
+        rows.append(
+            StatRow("oracle", "reduction-rate-flattened", sampler,
+                    f"edge:{e}", "exact", target, val, 0.0, 0, ok)
         )
     net = exact_expected_net_decrease(ci)
     for e in range(ci.m):
-        report.rows.append(
-            StatRow("oracle", "expected-net-decrease", sp.sampler, f"edge:{e}",
-                    "exact", 0.0, float(net[e]), 0.0, 0, float(net[e]) > 0)
+        val = float(net[e])
+        rows.append(
+            StatRow("oracle", "expected-net-decrease", sampler, f"edge:{e}",
+                    "exact", 0.0, val, 0.0, 0, val > 0)
         )
     return report
 

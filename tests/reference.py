@@ -7,8 +7,9 @@ Each other one recomputes a quantity the
 package derives another way (a Stoer-Wagner edge connectivity, a
 Kirchhoff count, closed-form marginals, a
 grid search over the parameter LP, the parameter LP by LAPACK and
-``Fraction`` Gauss-Jordan, an exact expected join cost, the ``Fraction``
-shortest-path metric with successors, the
+``Fraction`` Gauss-Jordan, the exact layer's laws, event probabilities
+and net decreases in ``Fraction`` dicts, an exact expected join cost, the
+``Fraction`` shortest-path metric with successors, the
 even-at-last probabilities by indicator patterns, the matroid-route mixture
 by per-class states and ``Fraction`` sums, a state's tree marginals over
 every interior edge, the max-entropy fit one component at a time and its
@@ -485,6 +486,129 @@ def solve_amounts(lam: Fraction) -> LpSolution:
 
 
 # ---------------------------------------------------------------------------
+# the exact layer in ``Fraction`` dicts: the package's code before the piece
+# laws, the parity law, event probabilities and net decreases went to integer
+# numerators over one denominator
+# ---------------------------------------------------------------------------
+
+def exact_probs(sampler) -> Optional[tuple[Fraction, ...]]:
+    """A tree-table piece's exact tree probabilities as ``Fraction``s, in
+    tree order, or None on a float piece."""
+    if sampler.exact_nums is None:
+        return None
+    return tuple(Fraction(k, sampler.exact_den) for k in sampler.exact_nums)
+
+
+def piece_parity_law(sampler, sets: list[set[int]]) -> dict[int, object]:
+    """Law of a piece's parities on ``sets``: ``Fraction``s on an exact
+    piece, its float probabilities added in tree order otherwise."""
+    if isinstance(sampler, CyclePieceSampler):
+        law = {0: Fraction(1)}
+        for a, b in sampler.pairs:
+            flip_a = sum(1 << i for i, ids in enumerate(sets) if a in ids)
+            flip_b = sum(1 << i for i, ids in enumerate(sets) if b in ids)
+            if flip_a or flip_b:
+                acc: dict[int, Fraction] = {}
+                for state, pr in law.items():
+                    for flip in (flip_a, flip_b):
+                        acc[state ^ flip] = acc.get(state ^ flip, 0) + pr / 2
+                law = acc
+        return law
+    probs = exact_probs(sampler)
+    if probs is None:
+        probs = sampler.probs
+    states = np.zeros(len(sampler.probs), dtype=np.int64)
+    for i, ids in enumerate(sets):
+        states |= (sampler.edge_counts(ids) & 1) << i
+    law = {}
+    for state, pr in zip(states.tolist(), probs):
+        law[state] = law.get(state, 0) + pr
+    return law
+
+
+def parity_law(samplers, classes, sets) -> dict[int, object]:
+    """The joint parity law as the XOR convolution of ``piece_parity_law``s
+    in node order, with ``Fraction`` and float arithmetic mixed as Python
+    mixes them."""
+    by_piece: dict[int, list[set[int]]] = {}
+    for i, ids in enumerate(sets):
+        for e in ids:
+            by_piece.setdefault(classes[e].settled, [set() for _ in sets])[i].add(e)
+    law: dict[int, object] = {0: Fraction(1)}
+    for nid in sorted(by_piece):
+        piece_law = piece_parity_law(samplers[nid], by_piece[nid])
+        acc: dict[int, object] = {}
+        for a, pa in law.items():
+            for b, pb in piece_law.items():
+                acc[a ^ b] = acc.get(a ^ b, 0) + pa * pb
+        law = acc
+    return law
+
+
+def event_probability(samplers, classes, conditions, odd_cuts=()) -> object:
+    """Probability that every parity condition holds and, with ``odd_cuts``,
+    that one of the cuts is crossed oddly, summed off ``parity_law``."""
+    k = len(conditions)
+    want = sum(parity << i for i, (_, parity) in enumerate(conditions))
+    law = parity_law(samplers, classes, [ids for ids, _ in conditions] + list(odd_cuts))
+    return sum(pr for state, pr in law.items()
+               if state & ((1 << k) - 1) == want and (state >> k or not odd_cuts))
+
+
+def eal_probabilities(conditions: EalConditions, classes, samplers) -> dict[int, object]:
+    """Even-at-last probability per edge by ``event_probability``."""
+    return {eid: event_probability(samplers, classes, conds)
+            for eid, conds in conditions.items()}
+
+
+def piece_probability(sampler, event: np.ndarray) -> object:
+    """The probability of the trees ``event`` marks, summed in tree order
+    from a ``Fraction`` zero."""
+    probs = exact_probs(sampler)
+    if probs is None:
+        probs = sampler.probs
+    return sum((probs[i] for i in np.flatnonzero(event).tolist()), Fraction(0))
+
+
+def exact_marginal(sampler, eid: int) -> object:
+    """An edge's inclusion probability from its settled piece: one half on
+    a cycle piece, ``piece_probability`` otherwise, as a float on a float
+    piece."""
+    if isinstance(sampler, CyclePieceSampler):
+        return Fraction(1, 2)
+    p = piece_probability(sampler, sampler.edge_counts([eid]))
+    return p if sampler.exact_nums is not None else float(p)
+
+
+def expected_net_decrease(ci, eal_probability, rates) -> dict[int, object]:
+    """E[quarter - z_e] per edge, by ``Fraction`` and float arithmetic on
+    the given even-at-last probabilities and coin rates."""
+    classes, samplers = ci.classes, ci.samplers
+    net: dict[int, object] = {
+        e: rates[cl.coin_group] * eal_probability[e] * ci.rp.amount(cl.kind)
+        for e, cl in classes.items()
+    }
+    degree_sites, pair_sites = ci.sites
+    for site in degree_sites:
+        s = site.source
+        p = event_probability(samplers, classes, ci.eal_conditions[s], [site.cut_ids])
+        rate = rates[classes[s].coin_group]
+        for f, frac in site.targets:
+            net[f] = net[f] - site.amount * frac * rate * p
+    for site in pair_sites:
+        t0, t1 = site.targets
+        for grp in site.groups:
+            s0 = grp.members[0][0]
+            p = event_probability(samplers, classes, ci.eal_conditions[s0],
+                                  [cut for _, cut in grp.members])
+            rate = rates[classes[s0].coin_group]
+            half = grp.amount / 2
+            net[t0] = net[t0] - half * rate * p
+            net[t1] = net[t1] - half * rate * p
+    return net
+
+
+# ---------------------------------------------------------------------------
 # even-at-last probabilities by indicator patterns: the package's code before
 # the even-at-last event became parity conditions on one law
 # ---------------------------------------------------------------------------
@@ -516,9 +640,10 @@ def indicator_distribution(sampler, eids: list[int]) -> list[tuple[int, object]]
         for pat, pr in patterns:
             merged[pat] = merged.get(pat, Fraction(0)) + pr
         return sorted(merged.items())
-    use_exact = sampler.exact_probs is not None
+    exact = exact_probs(sampler)
+    use_exact = exact is not None
     merged: dict[int, object] = {}
-    probs = sampler.exact_probs if use_exact else sampler.probs
+    probs = exact if use_exact else sampler.probs
     for t, pr in zip(sampler.trees, probs):
         pat = 0
         for j, e in enumerate(eids):
@@ -583,11 +708,9 @@ def pattern_eal_probabilities(h, classes, samplers) -> dict[int, object]:
                 int_u = [e for e in g.incident_ids(u) if e not in ext_ids]
                 int_v = [e for e in g.incident_ids(v) if e not in ext_ids]
                 parity_pr: dict[tuple[int, int], object] = {}
-                probs = (
-                    sampler.exact_probs
-                    if sampler.exact_probs is not None
-                    else sampler.probs
-                )
+                probs = exact_probs(sampler)
+                if probs is None:
+                    probs = sampler.probs
                 for t, pr in zip(trees, probs):
                     a = sum(1 for e in int_u if e in t) % 2
                     b = sum(1 for e in int_v if e in t) % 2

@@ -439,9 +439,40 @@ def test_int64_cost_sums_match_row_major():
 def test_cost_sums_are_no_narrower_than_the_charges():
     """Unit costs and a charge bound whose covers pass int32 while cost
     times charge stays within it: the cost sums read int64 charges, so
-    they take int64 too."""
+    they take int64 too.  The charge sits on one gap pair of the cycle
+    piece, whose cover with D, doubled, is the bound."""
     engine = copy.copy(_flat_cost_zoo(1))
-    most = [2 ** 30 // engine.m] * engine.m
-    assert sum(most) < 2 ** 31 < 2 * sum(most) + 2 * engine.z_denom
+    (a, b), *_ = engine.cycle_gaps[0]
+    most = [0] * engine.m
+    most[a] = most[b] = 2 ** 29
+    assert sum(most) < 2 ** 31 < 2 * (most[a] + most[b] + engine.z_denom)
     engine._choose_lanes(most)
     assert engine.lane is np.int64 and engine.sum_lane is np.int64
+
+
+#: instances whose sum of the most charge over all edges took them to int32,
+#: while every cover the check forms fits int16: family, size, generator seed
+CUT_BOUNDED_CASES = {
+    "k5-gadget-30-seed1": ("k5-gadget", {"k": 30}, 1),
+    "k5-gadget-30-seed3": ("k5-gadget", {"k": 30}, 3),
+    "random-4reg-20-seed3": ("random-4reg", {"n": 20}, 3),
+}
+
+
+@pytest.mark.parametrize("name", CUT_BOUNDED_CASES)
+def test_lanes_bounded_by_the_cuts_the_check_reads(name):
+    """The lane is bounded by a direct cut's cover, twice a gap pair's
+    cover plus D, a single charge, D and the floor, not by every edge's
+    charge: these take int16, and run as the int64 lane does, field for
+    field."""
+    family, size, seed = CUT_BOUNDED_CASES[name]
+    engine = BatchEngine(generate(family, np.random.default_rng(seed), **size),
+                         SamplerParams(sampler="mix"))
+    most = engine._most_charges()
+    assert 2 * sum(most) + 2 * engine.z_denom > np.iinfo(np.int16).max
+    assert engine.lane is np.int16 and engine.sum_lane is np.int32
+    flags = {"join": True, "verify": True, "integral": True}
+    got = engine.run(3_000, 11, **flags)
+    want = forced_lane(engine, np.int64).run(3_000, 11, **flags)
+    assert got.feasibility_failures == 0
+    assert_same_stats(got, want)

@@ -18,6 +18,7 @@ from htsp.generators import generate_random_4reg
 from htsp.hierarchy import build_hierarchy
 from htsp.pipeline import EnumeratedPieceSampler, SamplerParams, build_piece_samplers
 from tests.conftest import ALL_FAMILIES, family_instance
+from tests.reference import exact_probs
 
 COMPILED = {
     "mi": {
@@ -69,8 +70,8 @@ def compiled_digest(samplers) -> str:
         if isinstance(s, EnumeratedPieceSampler):
             h.update(repr([sorted(t) for t in s.trees]).encode())
             h.update(s.probs.tobytes())
-            if s.exact_probs is not None:
-                h.update(repr(s.exact_probs).encode())
+            if s.exact_nums is not None:
+                h.update(repr(exact_probs(s)).encode())
     return h.hexdigest()
 
 

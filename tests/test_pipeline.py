@@ -35,10 +35,12 @@ def degree_pieces(inst):
 
 
 def mi_mixture_sets(piece) -> dict[frozenset[int], Fraction]:
-    """The compiled matroid-route mixture of a degree piece by edge-id set."""
+    """The compiled matroid-route mixture of a degree piece by edge-id set,
+    its integer numerators over their denominator as ``Fraction``s."""
     sampler = DegreePieceSampler(piece, SamplerParams(sampler="mi"))
-    masks, probs = sampler.mi_mixture()
-    return dict(zip(tree_sets(masks, sampler._edge_ids), probs.tolist()))
+    masks, nums, den = sampler.mi_mixture()
+    assert type(den) is int and all(type(k) is int for k in nums)
+    return dict(zip(tree_sets(masks, sampler._edge_ids), (Fraction(k, den) for k in nums)))
 
 
 @pytest.fixture(params=("mi", "mix"))
@@ -184,8 +186,8 @@ def test_compiled_samplers_keep_no_python_object_per_tree():
 def test_enumerated_probabilities_off_one_raise_assembly_error():
     masks = np.array([0b01, 0b10], dtype=np.uint64)
     with pytest.raises(AssemblyError, match="sum to 1"):
-        EnumeratedPieceSampler("k5", (0, 1), masks, [Fraction(1, 2), Fraction(1, 3)],
-                               exact=True, generative=None)
+        # 1/2 and 1/3 over 6
+        EnumeratedPieceSampler("k5", (0, 1), masks, [3, 2], generative=None, den=6)
 
 
 def test_mi_mixture_off_one_raises_assembly_error(monkeypatch):

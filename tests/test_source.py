@@ -144,6 +144,44 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
+#: the exact layer's functions, as (module, class or None, function)
+EXACT_LAYER = (
+    ("pipeline.py", "CyclePieceSampler", "parity_law"),
+    ("pipeline.py", "EnumeratedPieceSampler", "parity_law"),
+    ("join.py", None, "parity_law"),
+    ("join.py", None, "event_weight"),
+    ("join.py", None, "event_probability"),
+    ("join.py", None, "exact_eal_probabilities"),
+    ("oracle.py", None, "exact_expected_net_decrease"),
+    ("oracle.py", None, "_product"),
+    ("oracle.py", None, "_difference"),
+)
+
+
+def test_no_fraction_per_state_in_the_exact_layer():
+    """The exact layer carries integer numerators over one denominator: no
+    function of it calls ``Fraction`` inside a loop or a comprehension, so
+    a value makes one ``Fraction`` at most, where it leaves the layer."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = set()
+    for module, cls, name in EXACT_LAYER:
+        scope = _parse(SRC / module)
+        if cls is not None:
+            scope = next(node for node in scope.body
+                         if isinstance(node, ast.ClassDef) and node.name == cls)
+        fn = next(node for node in scope.body
+                  if isinstance(node, ast.FunctionDef) and node.name == name)
+        found |= {
+            f"{module}:{call.lineno}"
+            for loop in ast.walk(fn) if isinstance(loop, loops)
+            for call in ast.walk(loop)
+            if isinstance(call, ast.Call)
+            and (isinstance(call.func, ast.Name) and call.func.id == "Fraction"
+                 or isinstance(call.func, ast.Attribute) and call.func.attr == "Fraction")
+        }
+    assert sorted(found) == []
+
+
 def test_engine_imports_no_report_or_cli():
     """The layer line: ``engine.py`` builds and runs the chunks, and imports
     nothing from ``stats`` (the reports) or ``cli``."""
