@@ -17,6 +17,10 @@ min-cuts through the hierarchy and never lists them: one running
 two-minimum over the k + 1 partner pairs of a cycle piece with a k-vertex
 chain covers its k(k+1)/2 segment cuts, and the label cut of each degree
 piece's child is checked directly.
+Every integral join, of a chunk or of ``htsp join`` and ``tour``, runs the
+pairing DP on the instance's one memo (``CompiledInstance.pairing``, under
+``PAIRING_MEMO_LIMIT``); a chunk's parity keys read as the memo's vertex
+bitmasks, so a hit is one lookup and only a miss runs the DP.
 A run folds, in index order, the ``BatchStats`` records its chunks of
 ``MAX_CHUNK`` trials return; chunk ``idx`` of ``tree_chunks`` draws its
 trees, then its coins, from its own stream ``SeedSequence(seed,
@@ -49,7 +53,7 @@ import numpy as np
 
 from .errors import (AssemblyError, ConfigError, FeasibilityViolation, HelperLost, HtspError,
                      ScaleOverflow)
-from .graph import HalfIntegralInstance
+from .graph import HalfIntegralInstance, bits
 from .hierarchy import build_hierarchy, min_cuts_via_hierarchy
 from .join import (
     ReductionParams,
@@ -66,13 +70,10 @@ from .join import (
 from .params import FLOOR, QUARTER
 from .pipeline import CyclePieceSampler, SamplerParams, build_piece_samplers, validate_r0_tree
 
-#: most parity keys the integral-join cache of an engine holds; above it the
-#: cache is emptied before the next miss.  A 14-vertex instance has at most
-#: 2**13 keys, so it never empties there
-JOIN_CACHE_LIMIT = 1 << 16
-#: most subset entries the pairing DP's shared memo holds between solves; one
-#: solve at ``join.ODD_SET_LIMIT`` odd vertices fills up to 2**17
-DP_MEMO_LIMIT = 1 << 18
+#: most vertex subsets the pairing memo holds between solves (the DP's answer
+#: for a subset does not depend on what the memo holds); one solve at
+#: ``join.ODD_SET_LIMIT`` odd vertices fills up to 2**17 of them
+PAIRING_MEMO_LIMIT = 1 << 18
 #: most trials a chunk holds; the cost scaling keeps a chunk's int64 cost
 #: sums exact for that many
 MAX_CHUNK = 1 << 14
@@ -184,7 +185,9 @@ class CompiledInstance:
             self.samplers,
             key=lambda nid: (isinstance(self.samplers[nid], CyclePieceSampler), nid),
         )
-        self._pairings: dict[tuple[int, ...], tuple[int, list[tuple[int, int]]]] = {}
+        #: the pairing memo: a vertex bitmask to its cheapest pairing's cost
+        #: and the partner of its lowest vertex, as the DP fills it
+        self._memo: dict[int, tuple] = {0: (0, None)}
 
     @cached_property
     def eal_probability(self) -> dict[int, object]:
@@ -246,15 +249,12 @@ class CompiledInstance:
 
     def pairing(self, odd: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
         """The cheapest pairing of the odd vertices ``odd`` in ``metric``, as
-        its cost and its pairs, solved once per odd set: the memo empties
-        before a miss once it holds ``JOIN_CACHE_LIMIT`` sets."""
-        key = tuple(odd)
-        hit = self._pairings.get(key)
-        if hit is None:
-            if len(self._pairings) >= JOIN_CACHE_LIMIT:
-                self._pairings.clear()
-            hit = self._pairings[key] = min_cost_perfect_matching(list(key), self.metric[0])
-        return hit
+        its cost and its pairs, by the DP on the one pairing memo, which
+        empties between solves once it holds ``PAIRING_MEMO_LIMIT`` subsets."""
+        if len(self._memo) >= PAIRING_MEMO_LIMIT:
+            self._memo.clear()
+            self._memo[0] = (0, None)
+        return min_cost_perfect_matching(list(odd), self.metric[0], memo=self._memo)
 
     # -- the trials ------------------------------------------------------------
     #
@@ -312,8 +312,6 @@ class BatchEngine(CompiledInstance):
         self._build_join_plan()
         self._build_verify_plan()
         self._choose_lanes(self._most_charges())
-        self._join_cache: dict[bytes, int] = {}
-        self._dp_memo: dict = {}
         self._helpers = _Helpers(self)
 
     def __copy__(self) -> BatchEngine:
@@ -744,11 +742,11 @@ class BatchEngine(CompiledInstance):
         chunk hands over a transposed view of its edge-major block.
 
         A trial's join depends only on its odd vertices, and a chunk holds
-        few distinct odd sets, so only those are looked up (and solved on a
-        miss), in the order of their first trial, and their costs scattered
-        back.  The cache key is the trial's vertex parities packed as
-        ``np.packbits`` packs them: vertex v is bit ``7 - v % 8`` of byte
-        ``v // 8``.
+        few distinct odd sets, so only those are looked up in the pairing
+        memo (and solved by ``pairing`` on a miss), in the order of their
+        first trial, and their costs scattered back.  A trial's key is its
+        vertex parities packed little-endian, vertex v as bit ``v % 8`` of
+        byte ``v // 8``, so its uint64 words read as the memo's bitmask.
         """
         rows = T.T
         trials = T.shape[0]
@@ -758,7 +756,7 @@ class BatchEngine(CompiledInstance):
         packed = np.zeros((-(-nbytes // 8) * 8, trials), dtype=np.uint8)
         g = self.inst.graph
         for v in range(self.n):
-            packed[v >> 3] |= _odd_rows(rows, g.incident_ids(v)).view(np.uint8) << (7 - (v & 7))
+            packed[v >> 3] |= _odd_rows(rows, g.incident_ids(v)).view(np.uint8) << (v & 7)
         keys = np.ascontiguousarray(packed.T)
         # lexsort on 16-bit digits, which numpy radix-sorts: about 7x faster
         # than on the 64-bit words; any total order groups equal keys
@@ -773,23 +771,14 @@ class BatchEngine(CompiledInstance):
         firsts = order[starts]
         rank = np.argsort(firsts)
         firsts = firsts[rank]
-        blob = keys[firsts, :nbytes].tobytes()
-        found = [self._join_cache.get(blob[k:k + nbytes])
-                 for k in range(0, len(blob), nbytes)]
-        d, _ = self.metric
-        for j, cost in enumerate(found):
-            if cost is None:
-                # the caps are kept between lookups, never inside a solve
-                if len(self._join_cache) >= JOIN_CACHE_LIMIT:
-                    self._join_cache.clear()
-                if len(self._dp_memo) >= DP_MEMO_LIMIT:
-                    self._dp_memo.clear()
-                odd = np.flatnonzero(np.unpackbits(keys[firsts[j]])[:self.n])
-                c, _ = min_cost_perfect_matching(odd.tolist(), d, memo=self._dp_memo)
-                key = blob[j * nbytes:(j + 1) * nbytes]
-                found[j] = self._join_cache[key] = int(c)
-        costs = np.empty(len(found), dtype=np.int64)
-        costs[rank] = found
+        # each distinct key as the memo's bitmask, its words added high first
+        words = keys[firsts].view("<u8")
+        masks = words[:, -1].tolist()
+        for w in range(words.shape[1] - 2, -1, -1):
+            masks = [high << 64 | low for high, low in zip(masks, words[:, w].tolist())]
+        memo = self._memo
+        costs = np.empty(len(masks), dtype=np.int64)
+        costs[rank] = [(memo.get(mask) or self.pairing(list(bits(mask))))[0] for mask in masks]
         return costs[inverse]
 
 
@@ -824,7 +813,7 @@ def _send(fd: int, obj) -> None:
 class _Helpers:
     """The helper processes of one engine: forked at its first run of two or
     more full chunks, with the engine as it is then, and kept while the
-    engine lives, each with its own join caches.
+    engine lives, each with its own copy of the engine's pairing memo.
 
     A helper keeps no descriptor but its own two pipe ends, so it reads EOF
     on its task pipe, and leaves by ``os._exit``, when its engine is

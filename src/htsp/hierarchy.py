@@ -244,20 +244,26 @@ class LocalMultigraph:
 
     def external_pairs(self) -> list[tuple[int, ...]]:
         """Parallel classes at the external vertex, as sorted edge-id tuples."""
-        if self.root_pairs is not None:
-            return [tuple(sorted(p)) for p in self.root_pairs]
-        classes = self.graph.parallel_classes()
-        ext = self.external_vertex
-        out = []
-        for (a, b), pos in sorted(classes.items()):
-            if ext in (a, b):
-                out.append(tuple(sorted(self.graph.edge_ids[i] for i in pos)))
-        return out
+        return list(self._external_pairs)
 
     def internal_pairs(self) -> list[tuple[int, int]]:
         """Partner edge-id pairs between consecutive chain vertices."""
+        return list(self._internal_pairs)
+
+    # built once: a compile reads them from every stage
+    @functools.cached_property
+    def _external_pairs(self) -> tuple[tuple[int, ...], ...]:
+        if self.root_pairs is not None:
+            return tuple(tuple(sorted(p)) for p in self.root_pairs)
+        ext = self.external_vertex
+        return tuple(tuple(sorted(self.graph.edge_ids[i] for i in pos))
+                     for (a, b), pos in sorted(self.graph.parallel_classes().items())
+                     if ext in (a, b))
+
+    @functools.cached_property
+    def _internal_pairs(self) -> tuple[tuple[int, int], ...]:
         if self.chain is None:
-            return []
+            return ()
         classes = {
             (min(a, b), max(a, b)): pos
             for (a, b), pos in self.graph.parallel_classes().items()
@@ -266,7 +272,7 @@ class LocalMultigraph:
         for x, y in zip(self.chain, self.chain[1:]):
             pos = classes[(min(x, y), max(x, y))]
             pairs.append(tuple(sorted(self.graph.edge_ids[i] for i in pos)))
-        return pairs
+        return tuple(pairs)
 
 
 @dataclass(frozen=True)

@@ -628,9 +628,9 @@ class TourResult:
 def integral_join_and_tour(ci, tree_edges: frozenset[int],
                            shortcut: bool = True) -> TourResult:
     """Cheapest parity fix for the tree, then a closed tour, on the integer
-    costs and metric of an ``engine.CompiledInstance``, whose pairing memo
-    solves each odd set once; only the costs of the result are
-    ``Fraction``s.
+    costs and metric of an ``engine.CompiledInstance``, whose ``pairing``
+    shares one memo with its chunks' integral joins; only the costs of the
+    result are ``Fraction``s.
 
     The join pairs odd-degree vertices along shortest paths; the tour is
     the Euler circuit of the combined multigraph, shortcut to first visits

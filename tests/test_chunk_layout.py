@@ -105,7 +105,7 @@ def test_default_chunk_matches_row_major(name, trials):
 def test_chunk_records_computed_last_first_fold_to_the_run(name, monkeypatch):
     """A chunk reads nothing another chunk left behind: its records,
     computed from the last chunk (the ragged one) back to the first on cold
-    join caches and then folded in index order, give the run's stats."""
+    pairing memos and then folded in index order, give the run's stats."""
     engine = double_cycle_engine(24) if name == "double-cycle-24" else engine_for(name)
     monkeypatch.setattr(htsp.engine, "MAX_CHUNK", CHUNK)
     pairs = symmetry_pairs(engine.m)
@@ -272,15 +272,26 @@ def _join_rows(engine: BatchEngine, trials: int, seed: int) -> np.ndarray:
 
 def _cold(engine: BatchEngine) -> BatchEngine:
     twin = copy.copy(engine)
-    twin._join_cache = {}
-    twin._dp_memo = {}
+    twin._memo = {0: (0, None)}
     return twin
 
 
+def _mask(key: bytes) -> int:
+    """The vertex bitmask of a trial-major parity key, packed as
+    ``np.packbits`` packs it: vertex v is bit ``7 - v % 8`` of byte
+    ``v // 8``."""
+    return int.from_bytes(np.packbits(np.unpackbits(np.frombuffer(key, dtype=np.uint8)),
+                                      bitorder="little").tobytes(), "little")
+
+
 def _assert_same_cache(new: BatchEngine, old: BatchEngine) -> None:
-    items = list(new._join_cache.items())
-    assert items == list(old._join_cache.items())
-    assert all(type(k) is bytes and type(v) is int for k, v in items)
+    """The pairing memo holds the subsets the trial-major DP memo holds, in
+    its order, with the empty set seeded first, and every odd set the
+    trial-major cache met reads its cost there."""
+    want = {0: (0, None), **old._dp_memo}
+    assert list(new._memo.items()) == list(want.items())
+    assert all(type(k) is int for k in new._memo)
+    assert [new._memo[_mask(k)][0] for k in old._join_cache] == list(old._join_cache.values())
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES + ("double-cycle-72",))
@@ -297,7 +308,7 @@ def test_integral_join_matches_per_trial_lookup(name):
         assert new_costs.dtype == old_costs.dtype
         assert new_costs.tolist() == old_costs.tolist()
         _assert_same_cache(engine, old)
-    assert len(engine._join_cache) > 1
+    assert len(engine._memo) > 1
 
 
 def test_integral_join_past_odd_set_limit_raises_alike():
@@ -312,31 +323,39 @@ def test_integral_join_past_odd_set_limit_raises_alike():
     for e in (engine, old):
         with pytest.raises(OddSetTooLarge):
             e._integral_costs(rows)
-    assert len(engine._join_cache) > 1
+    assert len(engine._memo) > 1
     _assert_same_cache(engine, old)
 
 
 @pytest.mark.parametrize("name", ["zoo", "double-cycle-24"])
 def test_capped_join_caches_give_the_same_stats(name, monkeypatch):
-    """Caches of one entry empty before nearly every miss; the statistics
-    must not notice."""
+    """A memo capped at one subset empties before every miss, so it holds
+    the subsets of one solve at most; the statistics must not notice.  The
+    double cycle's trees are all even: its one key, the empty set, is a
+    hit from the start."""
     engine = double_cycle_engine(24) if name == "double-cycle-24" else engine_for(name)
     flags = {"join": True, "verify": True, "integral": True}
     monkeypatch.setattr(htsp.engine, "MAX_CHUNK", CHUNK)
-    want = _cold(engine).run(TRIALS, 51, **flags)
-    monkeypatch.setattr(htsp.engine, "JOIN_CACHE_LIMIT", 1)
-    monkeypatch.setattr(htsp.engine, "DP_MEMO_LIMIT", 1)
+    warm = _cold(engine)
+    want = warm.run(TRIALS, 51, **flags)
+    monkeypatch.setattr(htsp.engine, "PAIRING_MEMO_LIMIT", 1)
     capped = _cold(engine)
     for _ in range(2):
         assert_same_stats(capped.run(TRIALS, 51, **flags), want)
-        assert len(capped._join_cache) == 1
+        last = max(capped._memo)
+        assert capped._memo[0] == (0, None)
+        assert all(not mask & ~last for mask in capped._memo)
+    if name == "zoo":
+        assert len(capped._memo) < len(warm._memo)
+    else:
+        assert capped._memo == warm._memo == {0: (0, None)}
 
 
 def test_join_cache_never_empties_on_zoo():
-    # a 14-vertex instance has at most 2**13 parity keys (mc-zoo meets 512)
+    # a 14-vertex instance has at most 2**13 even vertex subsets (mc-zoo
+    # meets 512 parity keys), and one solve at the DP limit fills 2**17
     assert family_instance("zoo").graph.n == 14
-    assert 2 ** 13 < htsp.engine.JOIN_CACHE_LIMIT
-    assert 2 ** (ODD_SET_LIMIT - 1) < htsp.engine.DP_MEMO_LIMIT
+    assert 2 ** 13 + 2 ** (ODD_SET_LIMIT - 1) < htsp.engine.PAIRING_MEMO_LIMIT
 
 
 # ---------------------------------------------------------------------------

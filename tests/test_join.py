@@ -332,17 +332,25 @@ def _brute_force_matching(odd, d):
     return best
 
 
-def test_matching_dp_against_brute_force(zoo_instance):
+def test_matching_dp_against_brute_force(zoo_instance, monkeypatch):
+    """The DP on a shared memo against brute force; and the compiled
+    instance's ``pairing``, on its one memo kept so small that it empties
+    between solves, against the DP on a fresh memo: same cost, same pairs."""
     inst = zoo_instance
     d, _ = shortest_path_metric(inst)
     h = build_hierarchy(inst)
     sp = SamplerParams(sampler="mix")
     samplers = build_piece_samplers(h, sp)
+    ci = CompiledInstance(inst, sp)
+    limit = 64
+    monkeypatch.setattr(htsp.engine, "PAIRING_MEMO_LIMIT", limit)
     memo = {}
-    checked = 0
+    checked = clears = 0
     for trial in range(40):
         ts = sample_r0_tree(h, sp, seed=8, trial=trial, samplers=samplers)
         odd = odd_vertices(inst, ts.edges)
+        clears += len(ci._memo) >= limit
+        assert ci.pairing(odd) == min_cost_perfect_matching(odd, ci.metric[0])
         if len(odd) > 10:
             continue
         cost, pairs = min_cost_perfect_matching(odd, d, memo=memo)
@@ -350,6 +358,7 @@ def test_matching_dp_against_brute_force(zoo_instance):
         assert sorted(v for p in pairs for v in p) == sorted(odd)
         checked += 1
     assert checked > 5
+    assert clears > 1
 
 
 def test_exact_net_decrease_meets_delta_floor():
@@ -854,19 +863,26 @@ def test_join_and_tour_read_the_trials_of_a_run(family, tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("cmd", ["join", "tour"])
 def test_join_and_tour_solve_each_odd_set_once(cmd, tmp_path, capsys, monkeypatch):
-    """``htsp join`` and ``htsp tour`` solve the pairing DP once per distinct
-    odd set of their trials, and a memo that empties before every miss
+    """``htsp join`` and ``htsp tour`` run the pairing DP on the instance's
+    one memo, so it solves each distinct odd set of their trials once: a
+    call whose odd set the memo does not hold yet comes once per set, and
+    fewer than once per trial.  A memo that empties before every solve
     writes the same bytes."""
     path = str(tmp_path / "zoo.htsp")
     assert main(["generate", "--family", "zoo", "--seed", "3", "--out", path]) == 0
     solved = []
     solve = htsp.engine.min_cost_perfect_matching
-    monkeypatch.setattr(htsp.engine, "min_cost_perfect_matching",
-                        lambda odd, d: solved.append(tuple(odd)) or solve(odd, d))
+
+    def counted(odd, d, memo):
+        if sum(1 << v for v in odd) not in memo:
+            solved.append(tuple(odd))
+        return solve(odd, d, memo=memo)
+
+    monkeypatch.setattr(htsp.engine, "min_cost_perfect_matching", counted)
     capsys.readouterr()
     outputs = []
-    for limit in (htsp.engine.JOIN_CACHE_LIMIT, 1):
-        monkeypatch.setattr(htsp.engine, "JOIN_CACHE_LIMIT", limit)
+    for limit in (htsp.engine.PAIRING_MEMO_LIMIT, 1):
+        monkeypatch.setattr(htsp.engine, "PAIRING_MEMO_LIMIT", limit)
         assert main([cmd, path, "--trials", "300", "--seed", "2"]) == 0
         outputs.append(capsys.readouterr().out)
         if limit > 1:

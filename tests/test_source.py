@@ -293,3 +293,27 @@ def test_one_fork_site():
                         if name.split(".")[0] == "multiprocessing"]
     assert forks == ["engine.py:os.fork"]
     assert imports == []
+
+
+def test_one_pairing_memo():
+    """The package pairs odd vertices at one place, ``CompiledInstance.pairing``,
+    on its one memo, and keeps no cache limit but ``PAIRING_MEMO_LIMIT``."""
+    calls, limits = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _parse(path)
+        owner = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        owner.update((id(node), f"{cls.name}.{fn.name}") for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "min_cost_perfect_matching"):
+                calls.append(f"{path.name}:{owner.get(id(node))}")
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                limits += [f"{path.name}:{t.id}" for t in targets if isinstance(t, ast.Name)
+                           and t.id.endswith(("_CACHE_LIMIT", "_MEMO_LIMIT"))]
+    assert calls == ["engine.py:CompiledInstance.pairing"]
+    assert limits == ["engine.py:PAIRING_MEMO_LIMIT"]
