@@ -19,7 +19,6 @@ from .engine import BatchEngine, CompiledInstance, check_positive, check_seed
 from .errors import HtspError
 from .graph import parse_instance, normalize_to_special_triple, serialize_instance
 from .hierarchy import build_cactus, build_hierarchy, min_cuts_via_hierarchy
-from .join import integral_join_and_tour
 from .params import DEFAULT_MIX_LAMBDA
 from .pipeline import SamplerParams, sample_r0_tree
 from .stats import ExperimentConfig, load_instance, oracle_check, run_suite
@@ -168,18 +167,19 @@ def _json_safe(obj):
 
 def cmd_join(args) -> int:
     engine = _compile(args, BatchEngine)
+    denom = engine.cost_denom
     rows = ["trial,seed,tree_cost,fractional_join_cost,integral_join_cost,tour_cost,ratio_to_cx"]
     for first, T, rng in engine.tree_chunks(args.trials, args.seed):
         z = engine.checked_joins(T, rng, first)
         costs = (engine.cost_int @ z).tolist()
-        for trial, (edges, zc) in enumerate(zip(engine.trees(T), costs), first):
-            frac_cost = Fraction(zc, engine.cost_denom * engine.z_denom)
-            res = integral_join_and_tour(engine, edges, shortcut=not args.no_shortcut)
-            ratio = float((res.tree_cost + res.join_cost) / engine.lp_cost)
+        tours = engine.tours(T, shortcut=not args.no_shortcut)
+        for trial, (zc, (tree, join, _, tour)) in enumerate(zip(costs, tours), first):
+            frac_cost = Fraction(zc, denom * engine.z_denom)
+            ratio = float(Fraction(tree + join, denom) / engine.lp_cost)
             rows.append(
-                f"{trial},{args.seed},{float(res.tree_cost):.10g},"
-                f"{float(frac_cost):.10g},{float(res.join_cost):.10g},"
-                f"{float(res.tour_cost):.10g},{ratio:.10g}"
+                f"{trial},{args.seed},{tree / denom:.10g},"
+                f"{float(frac_cost):.10g},{join / denom:.10g},"
+                f"{tour / denom:.10g},{ratio:.10g}"
             )
     _write("\n".join(rows) + "\n", args.out)
     return 0
@@ -187,18 +187,19 @@ def cmd_join(args) -> int:
 
 def cmd_tour(args) -> int:
     ci = _compile(args)
-    best = None
-    for _, T, _ in ci.tree_chunks(args.trials, args.seed):
-        for edges in ci.trees(T):
-            res = integral_join_and_tour(ci, edges, shortcut=not args.no_shortcut)
-            if best is None or res.tour_cost < best.tour_cost:
-                best = res
+    # the first of the cheapest tours, in trial order
+    tree, join, tour, tour_cost = min(
+        (res for _, T, _ in ci.tree_chunks(args.trials, args.seed)
+         for res in ci.tours(T, shortcut=not args.no_shortcut)),
+        key=lambda res: res[3],
+    )
+    denom = ci.cost_denom
     payload = {
-        "tour": list(best.tour),
-        "tour_cost": float(best.tour_cost),
-        "tree_cost": float(best.tree_cost),
-        "join_cost": float(best.join_cost),
-        "ratio_to_cx": float((best.tree_cost + best.join_cost) / ci.lp_cost),
+        "tour": tour,
+        "tour_cost": tour_cost / denom,
+        "tree_cost": tree / denom,
+        "join_cost": join / denom,
+        "ratio_to_cx": float(Fraction(tree + join, denom) / ci.lp_cost),
         "trials": args.trials,
     }
     _write(json.dumps(payload, indent=2) + "\n", args.out)

@@ -17,10 +17,13 @@ min-cuts through the hierarchy and never lists them: one running
 two-minimum over the k + 1 partner pairs of a cycle piece with a k-vertex
 chain covers its k(k+1)/2 segment cuts, and the label cut of each degree
 piece's child is checked directly.
-Every integral join, of a chunk or of ``htsp join`` and ``tour``, runs the
-pairing DP on the instance's one memo (``CompiledInstance.pairing``, under
-``PAIRING_MEMO_LIMIT``); a chunk's parity keys read as the memo's vertex
-bitmasks, so a hit is one lookup and only a miss runs the DP.
+Every integral join, of a chunk or of ``htsp join`` and ``tour``, groups a
+block's trials by odd set first (``CompiledInstance._odd_sets``), whose
+parity keys read as the vertex bitmasks of the instance's one pairing memo,
+and runs the pairing DP (``CompiledInstance.pairing``, under
+``PAIRING_MEMO_LIMIT``) only on a miss; ``CompiledInstance.tours`` reads
+``join`` and ``tour``'s costs off the block the same way, so only the tour
+walk runs per trial.
 A run folds, in index order, the ``BatchStats`` records its chunks of
 ``MAX_CHUNK`` trials return; chunk ``idx`` of ``tree_chunks`` draws its
 trees, then its coins, from its own stream ``SeedSequence(seed,
@@ -66,6 +69,7 @@ from .join import (
     eal_conditions,
     exact_eal_probabilities,
     min_cost_perfect_matching,
+    tour_walk,
 )
 from .params import FLOOR, QUARTER
 from .pipeline import CyclePieceSampler, SamplerParams, build_piece_samplers, validate_r0_tree
@@ -224,11 +228,12 @@ class CompiledInstance:
                         dtype=np.int64)
 
     @cached_property
-    def metric(self) -> tuple[np.ndarray, np.ndarray]:
+    def metric(self) -> tuple[list[list[int]], list[list[int]]]:
         """All-pairs shortest-path costs over the support graph, in units of
-        1/cost_denom, and ``nxt[u, v]``, the vertex after u on a shortest
-        path to v.  Floyd-Warshall: the first cheapest parallel edge seeds
-        a pair, and only a strictly shorter path through k replaces it."""
+        1/cost_denom, and ``nxt[u][v]``, the vertex after u on a shortest
+        path to v, as lists of rows.  Floyd-Warshall: the first cheapest
+        parallel edge seeds a pair, and only a strictly shorter path
+        through k replaces it."""
         n = self.n
         # unconnected: two such add up without overflow, above any real path
         d = np.full((n, n), INT64_MAX // 4, dtype=np.int64)
@@ -245,7 +250,8 @@ class CompiledInstance:
             better = alt < d
             d = np.where(better, alt, d)
             nxt = np.where(better, nxt[:, k][:, None], nxt)
-        return d, nxt
+        # the pairing DP and the tour walk index them entry by entry
+        return d.tolist(), nxt.tolist()
 
     def pairing(self, odd: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
         """The cheapest pairing of the odd vertices ``odd`` in ``metric``, as
@@ -292,13 +298,79 @@ class CompiledInstance:
             self.samplers[nid].draw_rows(T, rng)
         return T
 
-    def trees(self, T: np.ndarray) -> list[frozenset[int]]:
-        """The trees of a block of ``tree_chunks``, one per trial, each checked
-        by ``validate_r0_tree`` as the draws of ``htsp sample`` are."""
+    def tours(self, T: np.ndarray, shortcut: bool = True
+              ) -> Iterator[tuple[int, int, list[int], int]]:
+        """Per trial of a block of ``tree_chunks``, its tree cost, integral
+        join cost, tour and tour cost, the costs in units of 1/cost_denom.
+        Every tree is first checked by ``validate_r0_tree``, as the draws of
+        ``htsp sample`` are.  The costs are read off the whole block: the
+        tree costs from its rows, the joins from the pairings of its
+        distinct odd sets on the one memo; per trial only ``tour_walk``
+        runs."""
+        # the walk takes a tree's legs in the order its frozenset iterates,
+        # and that order fixes the tours ``htsp join`` and ``tour`` print
         trees = [frozenset(ids) for ids in np.nonzero(T.T)[1].reshape(-1, self.n).tolist()]
         for edges in trees:
             validate_r0_tree(self.h, edges)
-        return trees
+        tree_costs = (self.cost_int @ T).tolist()
+        masks, index = self._odd_sets(T)
+        joins = [self.pairing(list(bits(mask))) for mask in masks]
+        for edges, tree_cost, i in zip(trees, tree_costs, index.tolist()):
+            join_cost, pairs = joins[i]
+            yield (tree_cost, join_cost, *tour_walk(self, edges, pairs, shortcut))
+
+    def _odd_sets(self, rows: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """The distinct odd-vertex sets of an edge-major tree block, as
+        vertex bitmasks in the order of their first trial, and per trial the
+        index of its set among them.
+
+        A trial's key is its vertex parities packed little-endian, vertex v
+        as bit ``v % 8`` of byte ``v // 8``, so its uint64 words read as
+        the bitmask.
+        """
+        trials = rows.shape[1]
+        nbytes = -(-self.n // 8)
+        # key bytes, padded to whole uint64 words, built a byte row at a
+        # time and turned to one row per trial
+        packed = np.zeros((-(-nbytes // 8) * 8, trials), dtype=np.uint8)
+        g = self.inst.graph
+        for v in range(self.n):
+            packed[v >> 3] |= _odd_rows(rows, g.incident_ids(v)).view(np.uint8) << (v & 7)
+        keys = np.ascontiguousarray(packed.T)
+        # lexsort on 16-bit digits, which numpy radix-sorts: about 7x faster
+        # than on the 64-bit words; any total order groups equal keys
+        order = np.lexsort(keys.view(np.uint16).T)
+        ordered = keys.view(np.uint64)[order]
+        starts = np.ones(trials, dtype=bool)
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+        # lexsort is stable, so each run of equal keys starts at its first
+        # trial; ``rank`` lists the runs by that trial, ``place`` inverts it
+        firsts = order[starts]
+        rank = np.argsort(firsts)
+        place = np.empty_like(rank)
+        place[rank] = np.arange(len(rank))
+        index = np.empty(trials, dtype=np.intp)
+        index[order] = place[np.cumsum(starts) - 1]
+        # each distinct key as a bitmask, its words added high first
+        words = keys[firsts[rank]].view("<u8")
+        masks = words[:, -1].tolist()
+        for w in range(words.shape[1] - 2, -1, -1):
+            masks = [high << 64 | low for high, low in zip(masks, words[:, w].tolist())]
+        return masks, index
+
+    def _integral_costs(self, T: np.ndarray) -> np.ndarray:
+        """Integral join cost per trial of a ``(trials, m)`` tree block; the
+        chunk hands over a transposed view of its edge-major block.
+
+        A trial's join depends only on its odd vertices, and a chunk holds
+        few distinct odd sets, so only those of ``_odd_sets`` are looked up
+        in the pairing memo (and solved by ``pairing`` on a miss), and their
+        costs scattered back.
+        """
+        masks, index = self._odd_sets(T.T)
+        memo = self._memo
+        costs = [(memo.get(mask) or self.pairing(list(bits(mask))))[0] for mask in masks]
+        return np.array(costs, dtype=np.int64)[index]
 
 
 class BatchEngine(CompiledInstance):
@@ -734,52 +806,6 @@ class BatchEngine(CompiledInstance):
             raise FeasibilityViolation(f"trial {first + j}: edges under the floor {under}, "
                                        f"odd min-cuts covered below one {cuts}")
         return z
-
-    # -- integral joins --------------------------------------------------------
-
-    def _integral_costs(self, T: np.ndarray) -> np.ndarray:
-        """Integral join cost per trial of a ``(trials, m)`` tree block; the
-        chunk hands over a transposed view of its edge-major block.
-
-        A trial's join depends only on its odd vertices, and a chunk holds
-        few distinct odd sets, so only those are looked up in the pairing
-        memo (and solved by ``pairing`` on a miss), in the order of their
-        first trial, and their costs scattered back.  A trial's key is its
-        vertex parities packed little-endian, vertex v as bit ``v % 8`` of
-        byte ``v // 8``, so its uint64 words read as the memo's bitmask.
-        """
-        rows = T.T
-        trials = T.shape[0]
-        nbytes = -(-self.n // 8)
-        # key bytes, padded to whole uint64 words, built a byte row at a
-        # time and turned to one row per trial
-        packed = np.zeros((-(-nbytes // 8) * 8, trials), dtype=np.uint8)
-        g = self.inst.graph
-        for v in range(self.n):
-            packed[v >> 3] |= _odd_rows(rows, g.incident_ids(v)).view(np.uint8) << (v & 7)
-        keys = np.ascontiguousarray(packed.T)
-        # lexsort on 16-bit digits, which numpy radix-sorts: about 7x faster
-        # than on the 64-bit words; any total order groups equal keys
-        order = np.lexsort(keys.view(np.uint16).T)
-        ordered = keys.view(np.uint64)[order]
-        starts = np.ones(trials, dtype=bool)
-        np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-        inverse = np.empty(trials, dtype=np.intp)
-        inverse[order] = np.cumsum(starts) - 1
-        # lexsort is stable, so each run of equal keys starts at its first
-        # trial; ``rank`` lists the runs by that trial
-        firsts = order[starts]
-        rank = np.argsort(firsts)
-        firsts = firsts[rank]
-        # each distinct key as the memo's bitmask, its words added high first
-        words = keys[firsts].view("<u8")
-        masks = words[:, -1].tolist()
-        for w in range(words.shape[1] - 2, -1, -1):
-            masks = [high << 64 | low for high, low in zip(masks, words[:, w].tolist())]
-        memo = self._memo
-        costs = np.empty(len(masks), dtype=np.int64)
-        costs[rank] = [(memo.get(mask) or self.pairing(list(bits(mask))))[0] for mask in masks]
-        return costs[inverse]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ evenly between the two partner edges.  Partner edges share one coin, so a
 single repayment covers both of their canonical cuts at once.
 
 This module builds the tables of that scheme once per instance; the chunk
-kernels of ``engine.BatchEngine`` apply them to whole blocks of trees.
+kernels of ``engine.BatchEngine`` apply them to whole blocks of trees.  It
+also holds the pairing DP of the integral join and the tour walk of one
+tree; ``engine.CompiledInstance.tours`` feeds them a block's odd sets.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import (
     NoPerfectMatching,
     OddSetTooLarge,
 )
-from .graph import HalfIntegralInstance
 from .hierarchy import CutHierarchy
 from .params import BETA_CAP, DEFAULT_GAMMA, DEFAULT_MIX_LAMBDA, DEFAULT_TAU, mixed_rates
 from .pipeline import PieceSampler
@@ -607,74 +608,51 @@ def min_cost_perfect_matching(odd: list[int], dist,
     return cost, pairs
 
 
-def odd_vertices(inst: HalfIntegralInstance, tree_edges: frozenset[int]) -> list[int]:
-    g = inst.graph
-    deg = [0] * g.n
-    for eid in tree_edges:
-        u, v = g.endpoints[eid]
-        deg[u] += 1
-        deg[v] += 1
-    return [v for v in range(g.n) if deg[v] % 2 == 1]
+def tour_walk(ci, edges: Iterable[int], pairs: Sequence[tuple[int, int]],
+              shortcut: bool = True) -> tuple[list[int], int]:
+    """The closed tour of a tree ``edges`` and its integral join ``pairs`` on
+    the metric of an ``engine.CompiledInstance``, and its cost in units of
+    1/cost_denom.
 
-
-@dataclass(frozen=True)
-class TourResult:
-    join_cost: Fraction
-    tour: tuple[int, ...]
-    tour_cost: Fraction
-    tree_cost: Fraction
-
-
-def integral_join_and_tour(ci, tree_edges: frozenset[int],
-                           shortcut: bool = True) -> TourResult:
-    """Cheapest parity fix for the tree, then a closed tour, on the integer
-    costs and metric of an ``engine.CompiledInstance``, whose ``pairing``
-    shares one memo with its chunks' integral joins; only the costs of the
-    result are ``Fraction``s.
-
-    The join pairs odd-degree vertices along shortest paths; the tour is
-    the Euler circuit of the combined multigraph, shortcut to first visits
-    and priced in the shortest-path metric (always a metric, so the
-    shortcut never costs more than the walk).
+    Each pair is joined along a shortest path; the tour is the Euler circuit
+    of the combined multigraph from the root, in the order of ``edges`` and
+    then of the join's legs, shortcut to first visits and priced in the
+    shortest-path metric (always a metric, so the shortcut never costs more
+    than the walk).
     """
-    inst = ci.inst
-    g = inst.graph
+    g = ci.inst.graph
     d, nxt = ci.metric
-    join_cost, pairs = ci.pairing(odd_vertices(inst, tree_edges))
-    legs: list[tuple[int, int]] = [g.endpoints[eid] for eid in tree_edges]
+    legs = [g.endpoints[eid] for eid in edges]
     for a, b in pairs:
         node = a
         while node != b:
-            step = int(nxt[node, b])
+            step = nxt[node][b]
             legs.append((node, step))
             node = step
-    tree_cost = sum(int(ci.cost_int[eid]) for eid in tree_edges)
 
-    # Euler circuit over the leg multiset
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    # Euler circuit over the leg multiset: at the top vertex, skip its used
+    # legs, then walk its next one or, with none left, close it
+    adj: list[list[int]] = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(legs):
         adj[u].append(i)
         adj[v].append(i)
     used = [False] * len(legs)
-    stack = [inst.root]
+    ptr = [0] * g.n
+    stack = [ci.inst.root]
     circuit: list[int] = []
-    ptr = {v: 0 for v in adj}
     while stack:
         v = stack[-1]
-        advanced = False
-        while ptr[v] < len(adj[v]):
-            i = adj[v][ptr[v]]
-            if used[i]:
-                ptr[v] += 1
-                continue
+        at, p = adj[v], ptr[v]
+        while p < len(at) and used[at[p]]:
+            p += 1
+        ptr[v] = p
+        if p == len(at):
+            circuit.append(stack.pop())
+        else:
+            i = at[p]
             used[i] = True
             a, b = legs[i]
-            w = b if a == v else a
-            stack.append(w)
-            advanced = True
-            break
-        if not advanced:
-            circuit.append(stack.pop())
+            stack.append(b if a == v else a)
     if not all(used):
         raise AssemblyError("leg multiset is not connected")
     circuit.reverse()
@@ -690,11 +668,4 @@ def integral_join_and_tour(ci, tree_edges: frozenset[int],
     else:
         tour = circuit[:-1]
         steps = zip(circuit, circuit[1:])
-    tour_cost = sum(int(d[a, b]) for a, b in steps)
-    denom = ci.cost_denom
-    return TourResult(
-        join_cost=Fraction(int(join_cost), denom),
-        tour=tuple(tour),
-        tour_cost=Fraction(tour_cost, denom),
-        tree_cost=Fraction(tree_cost, denom),
-    )
+    return tour, sum(d[a][b] for a, b in steps)

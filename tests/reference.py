@@ -9,8 +9,8 @@ Kirchhoff count, closed-form marginals, a
 grid search over the parameter LP, the parameter LP by LAPACK and
 ``Fraction`` Gauss-Jordan, the exact layer's laws, event probabilities
 and net decreases in ``Fraction`` dicts, an exact expected join cost, the
-``Fraction`` shortest-path metric with successors, the
-even-at-last probabilities by indicator patterns, the matroid-route mixture
+``Fraction`` shortest-path metric with successors, a tree's odd vertices
+by degree counts, the even-at-last probabilities by indicator patterns, the matroid-route mixture
 by per-class states and ``Fraction`` sums, a state's tree marginals over
 every interior edge, the max-entropy fit one component at a time and its
 tree law as edge-id sets, connectivity by a graph search, the cactus
@@ -375,6 +375,18 @@ def shortest_path_metric(inst) -> tuple[list[list[Fraction]], dict]:
                     nxt[(i, j)] = nxt[(i, k)]
                     nxt[(j, i)] = nxt[(j, k)]
     return d, nxt
+
+
+def odd_vertices(inst, tree_edges) -> list[int]:
+    """The odd-degree vertices of an edge set, in vertex order, by counting
+    degrees edge by edge.  The oracle for ``CompiledInstance._odd_sets``."""
+    g = inst.graph
+    deg = [0] * g.n
+    for eid in tree_edges:
+        u, v = g.endpoints[eid]
+        deg[u] += 1
+        deg[v] += 1
+    return [v for v in range(g.n) if deg[v] % 2 == 1]
 
 
 def grid_oracle(lam: Fraction, coarse: float = 1e-3,

@@ -71,7 +71,7 @@ def test_metric_costs_satisfy_triangle_inequality():
     from htsp.engine import CompiledInstance
 
     ci = CompiledInstance(family_instance("zoo"))
-    d, _ = ci.metric
+    d = np.array(ci.metric[0])
     g = ci.inst.graph
     for eid, (u, v) in zip(g.edge_ids, g.endpoints):
         assert d[u, v] <= ci.cost_int[eid]

@@ -26,19 +26,18 @@ from htsp.join import (
     coin_thresholds,
     eal_conditions,
     exact_eal_probabilities,
-    integral_join_and_tour,
     min_cost_perfect_matching,
-    odd_vertices,
+    tour_walk,
 )
-import htsp.cli
 import htsp.engine
 from htsp.cli import main
-from htsp.graph import parse_instance
+from htsp.graph import bits, parse_instance
 from htsp.pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
 from htsp.engine import BatchEngine, CompiledInstance, _odd_rows
 from htsp.stats import ExperimentConfig, run_suite
 from tests.conftest import ALL_FAMILIES, family_instance
-from tests.reference import build_join, detect_eal, shortest_path_metric, verify_join
+from tests.reference import (build_join, detect_eal, odd_vertices, shortest_path_metric,
+                             verify_join)
 
 QUARTER = Fraction(1, 4)
 
@@ -303,20 +302,40 @@ def test_verify_join_catches_deficient_cut(zoo_instance):
 
 
 def test_integral_join_empty_and_pair(zoo_instance):
+    """``tours`` on a block of trials: each tree's cost is its edges' sum, its
+    join costs nothing without odd vertices and a shortest path with two,
+    and its tour visits every vertex once for at most tree plus join."""
     inst = zoo_instance
     ci = CompiledInstance(inst, SamplerParams(sampler="mi"))
     d, _ = shortest_path_metric(inst)
-    for trial in range(30):
-        ts = sample_r0_tree(ci.h, ci.sp, seed=6, trial=trial, samplers=ci.samplers)
-        res = integral_join_and_tour(ci, ts.edges)
-        odd = odd_vertices(inst, ts.edges)
+    [(_, T, _)] = ci.tree_chunks(3000, 6)
+    sizes = set()
+    for col, (tree_cost, join_cost, tour, tour_cost) in zip(T.T, ci.tours(T)):
+        edges = np.flatnonzero(col).tolist()
+        odd = odd_vertices(inst, edges)
+        sizes.add(len(odd))
+        assert Fraction(tree_cost, ci.cost_denom) == sum(inst.costs[e] for e in edges)
         if not odd:
-            assert res.join_cost == 0
+            assert join_cost == 0
         if len(odd) == 2:
-            assert res.join_cost == d[odd[0]][odd[1]]
+            assert Fraction(join_cost, ci.cost_denom) == d[odd[0]][odd[1]]
         # a tour visits every vertex exactly once
-        assert sorted(res.tour) == list(range(inst.graph.n))
-        assert res.tour_cost <= res.tree_cost + res.join_cost
+        assert sorted(tour) == list(range(inst.graph.n))
+        assert tour_cost <= tree_cost + join_cost
+    assert {0, 2} <= sizes
+
+
+@pytest.mark.parametrize("family", ["zoo", "nested"])
+def test_odd_sets_list_each_trials_odd_vertices(family):
+    """``_odd_sets`` lists a block's distinct odd-vertex sets once each, in
+    the order of their first trial, and points each trial at its own."""
+    ci = CompiledInstance(family_instance(family))
+    [(_, T, _)] = ci.tree_chunks(500, 4)
+    masks, index = ci._odd_sets(T)
+    odd = [odd_vertices(ci.inst, np.flatnonzero(col).tolist()) for col in T.T]
+    assert [list(bits(masks[i])) for i in index.tolist()] == odd
+    firsts = [index.tolist().index(i) for i in range(len(masks))]
+    assert len(set(masks)) == len(masks) and firsts == sorted(firsts)
 
 
 def _brute_force_matching(odd, d):
@@ -488,25 +507,55 @@ def _ring_edges_with_odd(inst, k):
     return edges
 
 
-def test_tour_and_batch_paths_share_the_odd_set_limit():
-    from htsp.errors import OddSetTooLarge
-    from htsp.generators import generate_double_cycle
-    from htsp.join import ODD_SET_LIMIT
-    from htsp.engine import BatchEngine
+def _r0_tree_with_odd(inst, k):
+    """A rooted tree of ``validate_r0_tree``'s form with exactly k odd
+    vertices: a spanning tree of the non-root vertices by Kruskal's rule in
+    a seeded random edge order, plus the root's first two edges."""
+    g = inst.graph
+    rng = np.random.default_rng(0)
+    while True:
+        parent = list(range(g.n))
 
-    inst = generate_double_cycle(20, np.random.default_rng(0))
-    engine = BatchEngine(inst, SamplerParams(sampler="mi"))
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        edges = list(g.incident_ids(inst.root)[:2])
+        for e in rng.permutation(g.m).tolist():
+            u, v = (find(x) for x in g.endpoints[e])
+            if inst.root not in g.endpoints[e] and u != v:
+                parent[u] = v
+                edges.append(e)
+        if len(odd_vertices(inst, edges)) == k:
+            return edges
+
+
+def test_tour_and_batch_paths_share_the_odd_set_limit():
+    """``tours`` and the chunk's ``_integral_costs`` pair odd sets on the one
+    path: both accept ``ODD_SET_LIMIT`` odd vertices, at the same cost, and
+    both raise ``OddSetTooLarge`` at two more.  Three K4,4 clusters on a
+    host cycle give 24 vertices and trees with many leaves."""
+    from htsp import generators
+    from htsp.errors import OddSetTooLarge
+    from htsp.join import ODD_SET_LIMIT
+
+    b, ring = generators._host_cycle(6)
+    for i in (2, 3, 4):
+        b.expand(ring[i], generators.CLUSTERS["k44"](), f"Q{i}")
+    inst = b.materialize(ring[0], ring[1], ring[-1], np.random.default_rng(0))
+    ci = CompiledInstance(inst, SamplerParams(sampler="mi"))
     for k, accepted in ((ODD_SET_LIMIT, True), (ODD_SET_LIMIT + 2, False)):
-        edges = _ring_edges_with_odd(inst, k)
-        row = np.zeros((1, inst.graph.m), dtype=bool)
-        row[0, edges] = True
-        tour = lambda: integral_join_and_tour(engine, frozenset(edges))
-        batch = lambda: engine._integral_costs(row)
+        T = np.zeros((inst.graph.m, 1), dtype=bool)
+        T[_r0_tree_with_odd(inst, k), 0] = True
+        tours = lambda: list(ci.tours(T))
+        batch = lambda: ci._integral_costs(T.T)
         if accepted:
-            assert tour().join_cost == Fraction(int(batch()[0]), engine.cost_denom)
+            [(_, join_cost, _, _)] = tours()
+            assert join_cost == batch()[0] > 0
         else:
             with pytest.raises(OddSetTooLarge):
-                tour()
+                tours()
             with pytest.raises(OddSetTooLarge):
                 batch()
 
@@ -520,11 +569,11 @@ def test_disconnected_legs_raise_assembly_error():
     for eid, (u, v) in zip(g.edge_ids, g.endpoints):
         key = (min(u, v), max(u, v))
         if inst.root not in key and key in seen:
-            pair = frozenset({seen[key], eid})
+            pair = [seen[key], eid]
             break
         seen[key] = eid
     with pytest.raises(AssemblyError, match="not connected"):
-        integral_join_and_tour(CompiledInstance(inst), pair)
+        tour_walk(CompiledInstance(inst), pair, [])
 
 
 def test_flow_rows_off_one_raise_flow_infeasible(monkeypatch):
@@ -675,6 +724,9 @@ def _assert_metric_equals_reference(inst, ci=None):
     equal the ``Fraction`` Floyd-Warshall's entry for entry."""
     ci = ci or CompiledInstance(inst)
     d, nxt = ci.metric
+    # lists of Python int rows, which the pairing DP and the tour walk index
+    assert all(type(x) is int for table in (d, nxt) for row in table for x in row)
+    d, nxt = np.array(d), np.array(nxt)
     ref_d, ref_nxt = shortest_path_metric(inst)
     n = inst.graph.n
     assert [[Fraction(int(x), ci.cost_denom) for x in row] for row in d] == ref_d
@@ -815,7 +867,9 @@ def test_join_and_tour_read_the_trials_of_a_run(family, tmp_path, capsys, monkey
     ``BatchEngine.run(N, S)`` and of ``htsp stats``, over chunks that end in
     a ragged one: the trees and charges ``join`` writes sum to the run's
     ``incl`` and ``z_sum``, the mean of its fractional join costs is the
-    cost suite's, and ``tour`` reads the run's trees."""
+    cost suite's, the tree and integral join costs it reads from ``tours``
+    sum to the integral run's ``tree_sum`` and ``total_sum - tree_sum``, and
+    ``tour`` reads the run's trees."""
     monkeypatch.setattr(htsp.engine, "MAX_CHUNK", 64)
     path = str(tmp_path / f"{family}.htsp")
     assert main(["generate", "--family", family, "--seed", "3", "--out", path]) == 0
@@ -825,7 +879,7 @@ def test_join_and_tour_read_the_trials_of_a_run(family, tmp_path, capsys, monkey
     run_chunk = engine._run_chunk
     monkeypatch.setattr(engine, "_run_chunk",
                         lambda T, *rest: blocks.append(T.copy()) or run_chunk(T, *rest))
-    want = engine.run(150, 2, join=True)
+    want = engine.run(150, 2, join=True, integral=True)
     trees = [frozenset(np.flatnonzero(col).tolist()) for col in np.concatenate(blocks, 1).T]
 
     written = []
@@ -837,6 +891,16 @@ def test_join_and_tour_read_the_trials_of_a_run(family, tmp_path, capsys, monkey
         return z
 
     monkeypatch.setattr(BatchEngine, "checked_joins", record)
+    read, costs = [], []
+    tours = CompiledInstance.tours
+
+    def record_tours(self, T, shortcut=True):
+        read.append(T.copy())
+        for res in tours(self, T, shortcut):
+            costs.append(res[:2])
+            yield res
+
+    monkeypatch.setattr(CompiledInstance, "tours", record_tours)
     capsys.readouterr()
     assert main(["join", path, "--trials", "150", "--seed", "2"]) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
@@ -852,13 +916,15 @@ def test_join_and_tour_read_the_trials_of_a_run(family, tmp_path, capsys, monkey
                 if r.name == "fractional-join-cost")
     mean = sum(float(r["fractional_join_cost"]) for r in rows) / len(rows)
     assert mean == pytest.approx(cost.estimate, rel=1e-9)
+    assert [T.shape[1] for T in read] == [64, 64, 22]
+    assert all((a == b).all() for a, b in zip(read, (T for T, _ in written)))
+    assert sum(tree for tree, _ in costs) == want.tree_sum
+    assert sum(join for _, join in costs) == want.total_sum - want.tree_sum
 
-    read = []
-    monkeypatch.setattr(htsp.cli, "integral_join_and_tour",
-                        lambda ci, edges, shortcut: read.append(edges) or
-                        integral_join_and_tour(ci, edges, shortcut=shortcut))
+    read.clear()
     assert main(["tour", path, "--trials", "150", "--seed", "2"]) == 0
-    assert read == trees
+    read_trees = [frozenset(np.flatnonzero(col).tolist()) for col in np.concatenate(read, 1).T]
+    assert read_trees == trees
 
 
 @pytest.mark.parametrize("cmd", ["join", "tour"])

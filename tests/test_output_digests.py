@@ -72,6 +72,11 @@ CLI_STDOUT = {
         "7c28a6af4cb27052f50d2e2b27bfd9a6bd0810e6831bc176e44cd55e971050d0",
     ("zoo", ("--seed", "3"), ("tour", "--seed", "2", "--sampler", "mi")):
         "6b0bbbdf91648ffbcbe9fe91a7a0265175fb942bb1590730c71a0db555f709bf",
+    # the unshortcut tour's walk, and the join on K5 pieces
+    ("zoo", ("--seed", "3"), ("tour", "--seed", "2", "--no-shortcut")):
+        "cb288b026b703b2dbbeba6eb1d6d7c019d78acf1bb997f2c49bf628220639d6d",
+    ("k5-gadget", ("--seed", "3"), ("join", "--trials", "20", "--seed", "2")):
+        "6c835f36f800e9876c81e93949289170d5c455a22701faf377c1aac1d36718f0",
     # single draws of each sampler on the families with odd degree pieces:
     # matching, colour class, surgery branch and tree, provenance included
     ("zoo", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",

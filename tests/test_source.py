@@ -317,3 +317,28 @@ def test_one_pairing_memo():
                            and t.id.endswith(("_CACHE_LIMIT", "_MEMO_LIMIT"))]
     assert calls == ["engine.py:CompiledInstance.pairing"]
     assert limits == ["engine.py:PAIRING_MEMO_LIMIT"]
+
+
+def test_one_integral_join_path():
+    """A tree's integral join has one home, the compiled instance's odd sets
+    and pairings: the package keeps no per-tree odd-vertex scan or second
+    join path, and the CLI reads ``CompiledInstance.tours``, nothing of
+    ``htsp.join``."""
+    removed = {"odd_vertices", "TourResult", "integral_join_and_tour"}
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in removed
+    ]
+    assert defined == []
+
+    def from_join(node) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            return node.module in ("join", "htsp.join") or (
+                node.module in (None, "htsp") and "join" in names)
+        return isinstance(node, ast.Import) and any(a.name == "htsp.join" for a in node.names)
+
+    imports = [ast.unparse(node) for node in ast.walk(_parse(SRC / "cli.py")) if from_join(node)]
+    assert imports == []
