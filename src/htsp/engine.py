@@ -28,15 +28,12 @@ A run folds, in index order, the ``BatchStats`` records its chunks of
 ``MAX_CHUNK`` trials return; chunk ``idx`` of ``tree_chunks`` draws its
 trees, then its coins, from its own stream ``SeedSequence(seed,
 spawn_key=(idx,))``, so a run, and ``htsp join`` and ``tour`` at its seed,
-depend only on instance, seed and flags.  Each edge's sum of squared charges
-(``BatchStats.z_sumsq``) adds the squares one after the other in trial
-order within a chunk, and the chunks' sums in chunk order, so its bits are
-those of one running sum, however the work is split.  A run of two or more
-full chunks uses the CPUs this process may run on: chunk ``idx`` goes to
-process ``idx % P``, where process 0 is the caller and the others are the
-engine's helpers, forked by ``os.fork`` at its first such run and kept
-while it lives; the caller folds every record, so the output is the same
-at any CPU count.
+depend only on instance, seed and flags.  A run of two or more full chunks
+uses the CPUs this process may run on: chunk ``idx`` goes to process
+``idx % P``, where process 0 is the caller and the others are the engine's
+helpers, forked by ``os.fork`` at its first such run and kept while it
+lives; the caller folds every record, so the output is the same at any CPU
+count.
 """
 
 from __future__ import annotations
@@ -81,8 +78,6 @@ PAIRING_MEMO_LIMIT = 1 << 18
 #: most trials a chunk holds; the cost scaling keeps a chunk's int64 cost
 #: sums exact for that many
 MAX_CHUNK = 1 << 14
-#: trials per block of the per-edge sums of squared charges
-SUMSQ_BLOCK = 1 << 10
 INT64_MAX = int(np.iinfo(np.int64).max)
 #: the integer types a chunk's trial rows may take, narrowest first
 LANES = (np.int16, np.int32, np.int64)
@@ -126,8 +121,12 @@ def _lcm_denominator(values: Iterable[Fraction]) -> int:
 @dataclass
 class BatchStats:
     """A run's counts and sums under its ``SETTINGS``, or one chunk's record
-    of them (``BatchEngine._run_chunk``).  A chunk's ``z_sum`` is its int64
-    partial; a run's holds Python ints, which cannot wrap."""
+    of them (``BatchEngine._run_chunk``).  Per edge, ``z_sum`` adds the
+    trials' charges in units of 1/z_denom and ``z_sumsq`` their squares in
+    units of 1/z_denom**2; like every ``*_sumsq``, it is the float sum of
+    the squared integers, read through ``stats.mean_and_sigma``.  A chunk's
+    ``z_sum`` is its int64 partial; a run's holds Python ints, which cannot
+    wrap."""
 
     SETTINGS = ("verified", "integral", "z_denom", "cost_denom")
     trials: int = 0
@@ -632,7 +631,9 @@ class BatchEngine(CompiledInstance):
         st.eal = _row_counts(eal)
         st.reduced = _row_counts(reduced)
         st.z_sum = z.sum(1, dtype=np.int64)
-        st.z_sumsq = self._square_sums(z)
+        # the squares are integers, so their float sum is exact below 2**53
+        # in any add order; an int64 sum could wrap
+        st.z_sumsq = np.einsum("et,et->e", z, z, dtype=float)
         # einsum adds integer rows in the sum lane without the int64 copy of
         # a block that matmul makes, which would set the chunk's peak memory;
         # the chunk totals are added in int64
@@ -668,33 +669,6 @@ class BatchEngine(CompiledInstance):
         site_odd = [_odd_rows(T, cols) for cols in self.site_cut_cols]
         return eal, reduced, site_odd, self._charges(reduced, site_odd)
 
-    def _square_sums(self, z: np.ndarray) -> np.ndarray:
-        """Per edge, the sum over the chunk's trials of its squared charge
-        (z / z_denom)**2, added in trial order.
-
-        The squares can overflow int64 when the charge denominator is large,
-        and they only feed the sigma of the delta-floor rows, so they are
-        summed in floats; the order of the adds fixes the bits of a report,
-        so it must stay trial order (a pairwise sum would move them).  Each
-        block of ``SUMSQ_BLOCK`` trials is divided into a ``(trials, m)``
-        float buffer (every lane's integers convert to floats exactly, so
-        the lane moves no bit), squared, the running sums folded into its first row, and its
-        rows added by one reduction over axis 0, which adds the rows one
-        after the other for every edge at once.  That holds for two or more
-        columns (every instance has m = 2n >= 6 edges); with one column
-        numpy switches to pairwise summation.
-        """
-        m, n = z.shape
-        buf = np.empty((min(SUMSQ_BLOCK, n), m))
-        acc = np.zeros(m)
-        for lo in range(0, n, SUMSQ_BLOCK):
-            rows = buf[:min(SUMSQ_BLOCK, n - lo)]
-            np.divide(z[:, lo:lo + len(rows)].T, self.z_denom, out=rows)
-            rows *= rows
-            rows[0] += acc
-            np.add.reduce(rows, axis=0, out=acc)
-        return acc
-
     def _charges(self, reduced: np.ndarray,
                  site_odd: Sequence[np.ndarray]) -> np.ndarray:
         """Per edge and trial, the fractional join in units of 1/z_denom, in
@@ -704,13 +678,8 @@ class BatchEngine(CompiledInstance):
         n = reduced.shape[1]
         lane = self.lane
         # a multiply into ``z`` casts the bool block in small buffers, with
-        # no block-sized temporary; a masked subtract was 7x slower.  Each
-        # row is one cache line (64 bytes) longer than the chunk: at 2**14
-        # trials a row spans a power of two of bytes, so the rows would meet
-        # in one cache set and the trial-major reads of ``_square_sums``
-        # would miss on every edge
-        pad = 64 // np.dtype(lane).itemsize
-        z = np.empty((self.m, n + pad), dtype=lane)[:, :n]
+        # no block-sized temporary; a masked subtract was 7x slower
+        z = np.empty((self.m, n), dtype=lane)
         np.multiply(reduced, -self.amount_int.astype(lane)[:, None], out=z)
         z += lane(self.quarter_int)
         # two bool rows and one lane row serve every site

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -299,20 +299,31 @@ def generate_random_4reg(n: int, rng: np.random.Generator,
     raise GenerationFailure("no valid random instance after 2000 tries")
 
 
-FAMILIES = ("double-cycle", "k5-gadget", "nested", "random-4reg", "zoo")
+#: each family's generator and the one size setting it reads (zoo reads none)
+_FAMILIES = {
+    "double-cycle": (generate_double_cycle, "k"),
+    "k5-gadget": (generate_k5_gadget, "k"),
+    "nested": (generate_nested, "depth"),
+    "random-4reg": (generate_random_4reg, "n"),
+    "zoo": (generate_zoo, None),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
+def size_setting(family: str) -> Optional[str]:
+    """The size setting (``k``, ``n`` or ``depth``) that ``family`` reads, or
+    None if it reads none."""
+    if family not in _FAMILIES:
+        raise GenerationFailure(f"unknown family {family!r}")
+    return _FAMILIES[family][1]
 
 
 def generate(family: str, rng: np.random.Generator, *, k: int = 7, n: int = 12,
              depth: int = 2, unit_costs: bool = False) -> HalfIntegralInstance:
-    """Dispatch to a generator family by name."""
-    if family == "double-cycle":
-        return generate_double_cycle(k, rng, unit_costs)
-    if family == "k5-gadget":
-        return generate_k5_gadget(k, rng, unit_costs)
-    if family == "nested":
-        return generate_nested(depth, rng, unit_costs)
-    if family == "random-4reg":
-        return generate_random_4reg(n, rng, unit_costs)
-    if family == "zoo":
-        return generate_zoo(rng, unit_costs)
-    raise GenerationFailure(f"unknown family {family!r}")
+    """Dispatch to a generator family by name; it reads the size that
+    ``size_setting`` names and ignores the others."""
+    size = size_setting(family)
+    build = _FAMILIES[family][0]
+    if size is None:
+        return build(rng, unit_costs)
+    return build({"k": k, "n": n, "depth": depth}[size], rng, unit_costs)

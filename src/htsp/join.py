@@ -27,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     AssemblyError,
+    ConfigError,
     EstimateBelowBound,
     FlowInfeasible,
     NoPerfectMatching,
@@ -56,11 +57,11 @@ class ReductionParams:
 
     def __post_init__(self):
         if not (0 <= self.tau <= self.gamma <= self.beta <= BETA_CAP):
-            raise ValueError(f"need 0 <= tau <= gamma <= beta <= {BETA_CAP}")
+            raise ConfigError(f"need 0 <= tau <= gamma <= beta <= {BETA_CAP}")
         if self.beta < 2 * self.tau or self.beta < 2 * self.gamma:
-            raise ValueError("need beta >= 2*tau and beta >= 2*gamma")
+            raise ConfigError("need beta >= 2*tau and beta >= 2*gamma")
         if not 0 <= self.mix_lambda <= 1:
-            raise ValueError("mix_lambda must be in [0, 1]")
+            raise ConfigError("mix_lambda must be in [0, 1]")
 
     @classmethod
     def default(cls, mix_lambda: Fraction = DEFAULT_MIX_LAMBDA) -> "ReductionParams":

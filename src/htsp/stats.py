@@ -125,6 +125,9 @@ def binomial_row(suite, name, sampler, context, kind, bound, count, n) -> StatRo
 # ---------------------------------------------------------------------------
 
 def mean_and_sigma(total: int, sumsq: float, n: int, scale: float) -> tuple[float, float]:
+    """The mean and standard error of ``n`` trials of a quantity in units of
+    ``scale``, from the sum of its integers and the float sum of their
+    squares."""
     mean = total / n * scale
     var = max(sumsq / n * scale * scale - mean * mean, 0.0)
     return mean, math.sqrt(var / n)
@@ -237,11 +240,10 @@ def suite_reduction(engine: BatchEngine, st: BatchStats,
                                  int(st.reduced[e]), trials))
     if delta_floor is not None:
         for e in range(engine.m):
-            mean_z = st.z_sum[e] / trials / st.z_denom
-            var = max(st.z_sumsq[e] / trials - mean_z * mean_z, 0.0)
+            mean_z, sigma = mean_and_sigma(st.z_sum[e], st.z_sumsq[e], trials, 1 / st.z_denom)
             rows.append(sampled_row("reduction", "net-decrease", sampler, f"edge:{e}",
                                     "lower", delta_floor, float(QUARTER) - mean_z,
-                                    math.sqrt(var / trials), trials))
+                                    sigma, trials))
     return rows
 
 
@@ -377,9 +379,14 @@ def load_instance(cfg: ExperimentConfig) -> HalfIntegralInstance:
             return parse_instance(fh.read())
     if cfg.family:
         check_seed(gen_seed=cfg.gen_seed)
-        rng = np.random.default_rng(1 if cfg.gen_seed is None else cfg.gen_seed)
+        reads = generators.size_setting(cfg.family)
         given = {name: getattr(cfg, name) for name in ("k", "n", "depth")
                  if getattr(cfg, name) is not None}
+        stray = [name for name in given if name != reads]
+        if stray:
+            raise ConfigError(f"family {cfg.family!r} reads {reads or 'no size setting'}, "
+                              f"not {', '.join(stray)}")
+        rng = np.random.default_rng(1 if cfg.gen_seed is None else cfg.gen_seed)
         return generators.generate(cfg.family, rng, unit_costs=cfg.unit_costs, **given)
     raise ConfigError("config needs an instance path or a generator family")
 
@@ -424,6 +431,7 @@ def run_suite(cfg: ExperimentConfig) -> StatReport:
     if stray and sources and sources[0] != "family":
         raise ConfigError(f"generator settings ({', '.join(stray)}) need a family source, "
                           f"not {sources[0]} {getattr(cfg, sources[0])!r}")
+    sp = cfg.sampler_params()
     report = StatReport(meta={
         "suite": cfg.suite, "sampler": cfg.sampler, "trials": cfg.trials,
         "seed": cfg.seed,
@@ -443,7 +451,7 @@ def run_suite(cfg: ExperimentConfig) -> StatReport:
                                                   piece_label=label)
         return report
 
-    engine = BatchEngine(load_instance(cfg), cfg.sampler_params())
+    engine = BatchEngine(load_instance(cfg), sp)
     names = tuple(SUITES) if cfg.suite == "all" else (cfg.suite,)
     flags = {f for name in names for f in SUITES[name][0]}
     pairs = symmetry_pairs(engine.m) if "symmetry" in names else ()

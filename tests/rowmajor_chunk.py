@@ -165,11 +165,10 @@ class RowMajorEngine(BatchEngine):
                 z[:, t0] += act * half_amt
                 z[:, t1] += act * half_amt
         st.z_sum = [a + int(b) for a, b in zip(st.z_sum, z.sum(0, dtype=np.int64))]
-        # squares can overflow int64 when the charge denominator is large;
-        # they only feed sigma estimates, so float accumulation suffices
-        zf = z / D
+        # each chunk's exact integer sum of squares, in Python ints (int64
+        # could wrap), as a float; the chunks add in order
         st.z_sumsq = [
-            a + float(b) for a, b in zip(st.z_sumsq, (zf * zf).sum(0))
+            a + float(b) for a, b in zip(st.z_sumsq, (z.astype(object) ** 2).sum(0))
         ]
         zc = z @ self.cost_int
         st.zc_sum += int(zc.sum())

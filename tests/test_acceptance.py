@@ -212,13 +212,11 @@ def test_criterion_5_reduction_flattening():
             if not row.passed:
                 failures.append((family, e, cl.kind, row.estimate))
         # every edge's mean net decrease clears the optimized floor
-        D = st.z_denom
         for e in range(eng.m):
-            mean_z = st.z_sum[e] / st.trials / D
-            var = max(st.z_sumsq[e] / st.trials - mean_z * mean_z, 1e-18)
+            mean_z, sigma = mean_and_sigma(st.z_sum[e], st.z_sumsq[e], st.trials,
+                                           1 / st.z_denom)
             row = sampled_row("reduction", "net-decrease", "mix", f"{family}:{e}", "lower",
-                              floor, float(QUARTER) - mean_z, (var / st.trials) ** 0.5,
-                              st.trials)
+                              floor, float(QUARTER) - mean_z, sigma, st.trials)
             if not row.passed:
                 net_failures.append((family, e, row.estimate))
     report(

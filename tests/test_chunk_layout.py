@@ -89,16 +89,32 @@ def test_edge_major_chunk_matches_row_major(family, flag_set):
 @pytest.mark.parametrize("trials", [htsp.engine.MAX_CHUNK, 40_000])
 @pytest.mark.parametrize("name", ALL_FAMILIES + ("double-cycle-24",))
 def test_default_chunk_matches_row_major(name, trials):
-    """At the default chunk size a chunk holds many blocks of the second
-    moment; 40,000 trials end in a ragged chunk of 7,232 whose last block
-    holds 64 trials."""
+    """At the default chunk size, and for 40,000 trials, which end in a
+    ragged chunk of 7,232."""
     engine = double_cycle_engine(24) if name == "double-cycle-24" else engine_for(name)
     pairs = symmetry_pairs(engine.m)
     flags = {"join": True, "verify": True, "integral": True, "symmetry_pairs": pairs}
     new, old = (e.run(trials, 29, **flags) for e in (engine, rowmajor(engine)))
-    assert (trials > htsp.engine.SUMSQ_BLOCK
-            and trials % htsp.engine.MAX_CHUNK % htsp.engine.SUMSQ_BLOCK in (0, 64))
     assert_same_stats(new, old)
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES + ("double-cycle-24",))
+def test_second_moment_is_exact(name):
+    """At default parameters each chunk's ``z_sumsq`` is its exact integer
+    sum of squared charges, below 2**53, and the run's is those sums added
+    in chunk order."""
+    engine = double_cycle_engine(24) if name == "double-cycle-24" else engine_for(name)
+    trials, seed = 40_000, 37
+    folded = np.zeros(engine.m)
+    for _, T, rng in engine.tree_chunks(trials, seed):
+        z = engine._join(T, copy.deepcopy(rng))[3]
+        record = engine._run_chunk(T, rng, True, True, True, ())
+        exact = [sum(int(v) ** 2 for v in row) for row in z]
+        assert max(exact) < 2 ** 53
+        assert record.z_sumsq.tolist() == [float(s) for s in exact]
+        folded += record.z_sumsq
+    st = engine.run(trials, seed, join=True, verify=True, integral=True)
+    assert _exact(st.z_sumsq) == _exact(folded)
 
 
 @pytest.mark.parametrize("name", ["zoo", "double-cycle-24"])

@@ -248,6 +248,15 @@ def test_cli_stats_correlation_piece():
     (("--family", "zoo", "--suite", "marginals", "--delta-floor", "0.5"), ("0.5", "'marginals'")),
     (("--piece", "c8_12", "--suite", "correlations", "--delta-floor", "0.5"),
      ("0.5", "'correlations'")),
+    # a size setting the family does not read
+    (("--family", "double-cycle", "--n", "99", "--depth", "4", "--suite", "marginals"),
+     ("'double-cycle' reads k", "not n, depth")),
+    (("--family", "zoo", "--k", "5", "--suite", "marginals"), ("'zoo'", "not k")),
+    # a sampler mix, which the correlations suite checks like the others
+    (("--family", "nested", "--suite", "correlations", "--mix-lambda", "5"),
+     ("mix_lambda 5 is outside",)),
+    (("--family", "nested", "--suite", "correlations", "--mix-lambda", "nan"),
+     ("mix_lambda nan is not",)),
 ])
 def test_cli_stats_names_flags_it_cannot_honour(args, named, instance_file):
     r = run_cli("stats", *(instance_file if a == "INSTANCE" else a for a in args),
@@ -257,6 +266,23 @@ def test_cli_stats_names_flags_it_cannot_honour(args, named, instance_file):
     assert len(r.stderr.strip().splitlines()) == 1
     assert r.stderr.startswith("htsp stats: ConfigError: ")
     assert all(name in r.stderr for name in named), r.stderr
+
+
+def test_cli_generate_refuses_a_size_the_family_does_not_read():
+    r = run_cli("generate", "--family", "zoo", "--k", "5")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "htsp generate: ConfigError: family 'zoo' reads no size setting, not k\n"
+
+
+def test_cli_a_size_the_family_reads_still_runs():
+    r = run_cli("generate", "--family", "random-4reg", "--n", "10")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == serialize_instance(
+        generate("random-4reg", np.random.default_rng(1), n=10))
+    r = run_cli("stats", "--family", "random-4reg", "--n", "10", "--suite", "marginals",
+                "--trials", "10")
+    assert r.returncode == 0, r.stderr
 
 
 def test_generator_settings_need_a_family_source(instance_file):

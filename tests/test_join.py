@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from htsp.errors import (
     AssemblyError,
+    ConfigError,
     FeasibilityViolation,
     FlowInfeasible,
     GenerationFailure,
@@ -143,6 +144,21 @@ def test_no_reduction_keeps_quarter(zoo_instance):
                     eal_conditions(h, classes))
     assert all(z == QUARTER for z in js.z.values())
     assert not js.reductions and not js.charges
+
+
+def test_reduction_params_refuse_unordered_amounts():
+    with pytest.raises(ConfigError, match="tau <= gamma <= beta"):
+        ReductionParams(Fraction(1, 20), Fraction(1, 40), Fraction(1, 12), Fraction(1, 2))
+
+
+def test_reduction_params_refuse_beta_under_twice_an_amount():
+    with pytest.raises(ConfigError, match="beta >= 2\\*tau"):
+        ReductionParams(Fraction(1, 20), Fraction(1, 20), Fraction(1, 20), Fraction(1, 2))
+
+
+def test_reduction_params_refuse_a_mix_outside_the_unit_interval():
+    with pytest.raises(ConfigError, match="mix_lambda must be in"):
+        ReductionParams.default(Fraction(2))
 
 
 @pytest.mark.parametrize("sampler", ["mi", "maxent", "mix"])

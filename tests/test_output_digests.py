@@ -40,7 +40,7 @@ CORRELATIONS = {
     (("piece", "c7bar"),):
         "d0859e90498a1322fe8e5cfce4287e50a85cb9d6c5dcf114b8dadb35f2fa6222",
 }
-REDUCTION_FLOOR_ZOO_MIX = "9f4bda7054e1fe6ab31a38bba5a59d308bf3a8b54990b2d10bc39c1da26a9188"
+REDUCTION_FLOOR_ZOO_MIX = "28752a357d801b34e998990d43987d60dfd91bd0453be3f14634f5c6d309c5cd"
 ORACLE_ZOO_MIX = "4f520cb512f66e35ea7291cdf6d25376b84dd55a8d356010db8e22f26d839da8"
 # the optimized mix, amounts (floats and exact) and binding constraints
 OPTIMIZE_PARAMS = "7dc901fbf651bf28b55f16f9b8420a6fc0afd981e7cf9cff929b83395fdb3ad4"

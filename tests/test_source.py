@@ -342,3 +342,33 @@ def test_one_integral_join_path():
 
     imports = [ast.unparse(node) for node in ast.walk(_parse(SRC / "cli.py")) if from_join(node)]
     assert imports == []
+
+
+def test_one_second_moment_rule():
+    """Each edge's squared charges are one reduction in the chunk, with no
+    blocked square sum, and every report reads a ``*_sumsq`` field only
+    through ``stats.mean_and_sigma``."""
+    defined = []
+    for node in ast.walk(_parse(SRC / "engine.py")):
+        if isinstance(node, ast.FunctionDef):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    assert {"_square_sums", "SUMSQ_BLOCK"}.isdisjoint(defined)
+
+    tree = _parse(SRC / "stats.py")
+    through = {
+        id(node)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == "mean_and_sigma"
+        for arg in call.args
+        for node in ast.walk(arg)
+    }
+    reads = [
+        f"stats.py:{node.lineno}:{ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.endswith("_sumsq")
+        and isinstance(node.ctx, ast.Load) and id(node) not in through
+    ]
+    assert reads == []
