@@ -459,14 +459,14 @@ def build_charge_sites(h: CutHierarchy, classes: dict[int, EdgeClass],
                     entries.setdefault(classes[s].coin_group, []).append((s, cut_r))
                 groups = []
                 for _, members in sorted(entries.items()):
-                    amounts = {params.amount(classes[s].kind) for s, _ in members}
-                    if len(amounts) != 1:
+                    amounts = [params.amount(classes[s].kind) for s, _ in members]
+                    if any(a != amounts[0] for a in amounts):
                         # one repayment serves the whole coin group
                         raise FlowInfeasible(
                             f"coin group of edges {[s for s, _ in members]} has "
-                            f"{len(amounts)} reduction amounts, not one"
+                            f"{len(set(amounts))} reduction amounts, not one"
                         )
-                    groups.append(PairChargeGroup(amounts.pop(), tuple(members)))
+                    groups.append(PairChargeGroup(amounts[0], tuple(members)))
                 pair_sites.append(PairChargeSite(tuple(pair), tuple(groups)))
     return degree_sites, pair_sites
 
@@ -504,14 +504,14 @@ def coin_rates(classes: dict[int, EdgeClass], params: ReductionParams,
     ``Fraction`` when the even-at-last estimate is one, a float otherwise."""
     rates: dict[tuple, object] = {}
     for grp, members in coin_groups(classes).items():
-        ests = {eal_probability[e] for e in members}
-        if len(ests) != 1:
+        est = eal_probability[members[0]]
+        if any(eal_probability[e] != est for e in members):
             # one coin flattens every member to the bound only if they share
             # one even-at-last rate
             raise EstimateBelowBound(
-                f"coin group {members} has {len(ests)} even-at-last estimates, not one"
+                f"coin group {members} has {len({eal_probability[e] for e in members})} "
+                f"even-at-last estimates, not one"
             )
-        est = ests.pop()
         bound = params.coin_bound(classes[members[0]].coin_kind)
         one = Fraction(1) if isinstance(est, Fraction) else 1.0
         rates[grp] = bound / est if est > bound else one

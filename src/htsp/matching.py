@@ -60,16 +60,10 @@ def enumerate_perfect_matchings(g: MultiGraph) -> list[int]:
 
 def _odd_set_lower_constraints(g: MultiGraph) -> list[tuple[int, int]]:
     """Boundary masks of odd vertex sets, one per complement pair."""
-    n = g.n
     out = []
-    seen: set[int] = set()
-    full = (1 << n) - 1
-    for s in range(1, 1 << (n - 1)):  # canonical side: vertex n-1 outside
+    for s in range(1, 1 << (g.n - 1)):  # canonical side: vertex n-1 outside
         if bin(s).count("1") % 2 == 0:
             continue
-        if s in seen:
-            continue
-        seen.add(s)
         mask = 0
         for i, (u, v) in enumerate(g.endpoints):
             if ((s >> u) & 1) != ((s >> v) & 1):
@@ -201,29 +195,42 @@ def _parts_from_submatching(g: MultiGraph, internal_ids: set[int],
     return tuple(sorted(parts))
 
 
+def _shifted(g: MultiGraph, internal: set[int], interior_graph: MultiGraph,
+             parts: tuple[tuple[int, ...], ...], matching_mask: int, submatching_mask: int,
+             surgery: Optional[tuple] = None, move: Fraction = Fraction(0),
+             **extra) -> ShiftedSolution:
+    """One on matched edges, one third elsewhere, plus ``move`` on the
+    surgery's adjusted edge; ``extra`` provenance (an odd piece's
+    ``pairing``) follows the surgery's."""
+    values = {
+        g.edge_ids[i]: (ONE if (matching_mask >> i) & 1 else THIRD)
+        for i in range(g.m)
+    }
+    if surgery is not None:
+        values[surgery[2]] += move
+    return ShiftedSolution(
+        values=values,
+        interior_graph=interior_graph,
+        interior_edge_ids=tuple(sorted(internal)),
+        parts=parts,
+        forced=frozenset(eid for eid in internal if values[eid] == 1),
+        provenance={
+            "matching": tuple(sorted(g.edge_ids[i] for i in bits(matching_mask))),
+            "submatching": tuple(sorted(g.edge_ids[i] for i in bits(submatching_mask))),
+            "surgery": surgery,
+            **extra,
+        },
+    )
+
+
 def shift(piece: LocalMultigraph, matching_mask: int,
           submatching_mask: int = 0) -> ShiftedSolution:
     """One on matched edges, one third elsewhere; parts from the sub-matching."""
     g = piece.graph
     internal = set(piece.internal_edge_ids)
-    values = {
-        g.edge_ids[i]: (ONE if (matching_mask >> i) & 1 else THIRD)
-        for i in range(g.m)
-    }
     parts = _parts_from_submatching(g, internal, submatching_mask)
-    forced = frozenset(eid for eid in internal if values[eid] == 1)
-    return ShiftedSolution(
-        values=values,
-        interior_graph=piece.internal_graph()[0],
-        interior_edge_ids=tuple(sorted(internal)),
-        parts=parts,
-        forced=forced,
-        provenance={
-            "matching": tuple(sorted(g.edge_ids[i] for i in bits(matching_mask))),
-            "submatching": tuple(sorted(g.edge_ids[i] for i in bits(submatching_mask))),
-            "surgery": None,
-        },
-    )
+    return _shifted(g, internal, piece.internal_graph()[0], parts,
+                    matching_mask, submatching_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +391,11 @@ def apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
     hitting a three-edge part, the part member removed so the surviving
     pair is tight at one.
     """
-    g = split.graph
-    internal = set(split.internal_edge_ids())
-    values = {
-        g.edge_ids[i]: (ONE if (matching_mask >> i) & 1 else THIRD)
-        for i in range(g.m)
-    }
     parts = split.parts(submatching_mask)
     if kind == "decrease":
-        values[adjusted] -= THIRD
+        move = -THIRD
     elif kind == "increase":
-        values[adjusted] += THIRD
+        move = THIRD
     else:
         raise ValueError(kind)
     drops = surgery_drops(split, submatching_mask, kind, adjusted)
@@ -406,20 +407,9 @@ def apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
     if dropped is not None:
         parts = tuple(tuple(e for e in p if e != dropped) if adjusted in p else p
                       for p in parts)
-    forced = frozenset(eid for eid in internal if values[eid] == 1)
-    return ShiftedSolution(
-        values=values,
-        interior_graph=split.interior_graph(),
-        interior_edge_ids=tuple(sorted(internal)),
-        parts=tuple(sorted(parts)),
-        forced=forced,
-        provenance={
-            "matching": tuple(sorted(g.edge_ids[i] for i in bits(matching_mask))),
-            "submatching": tuple(sorted(g.edge_ids[i] for i in bits(submatching_mask))),
-            "surgery": (kind, trigger, adjusted, dropped),
-            "pairing": split.pairing,
-        },
-    )
+    return _shifted(split.graph, set(split.internal_edge_ids()), split.interior_graph(),
+                    tuple(sorted(parts)), matching_mask, submatching_mask,
+                    (kind, trigger, adjusted, dropped), move, pairing=split.pairing)
 
 
 def odd_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,

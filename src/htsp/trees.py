@@ -62,30 +62,73 @@ FIT_MAX_ROUNDS = 10_000
 # small-graph utilities
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class _Shape:
+    """One graph shape's spanning trees, enumerated once, for both routes;
+    each route's form of them is built on its first use."""
+
+    n: int
+    endpoints: tuple[tuple[int, int], ...]
+    #: the spanning trees as edge-position masks, in enumeration order
+    masks: np.ndarray
+
+    @functools.cached_property
+    def positions(self) -> np.ndarray:
+        """The max-entropy route's trees: one row per tree in enumeration
+        order, its ascending edge positions."""
+        held = (self.masks[:, None] >> np.arange(len(self.endpoints), dtype=np.uint64)) & 1
+        # a copy: the column indices are a view into a two-row array
+        pos = np.nonzero(held)[1].reshape(len(self.masks), self.n - 1).copy()
+        pos.flags.writeable = False
+        return pos
+
+    @functools.cached_property
+    def trees(self) -> np.ndarray:
+        """The masks ascending: row for row the candidates of ``decomposition``."""
+        trees = np.sort(self.masks)
+        trees.flags.writeable = False
+        return trees
+
+    @functools.cached_property
+    def decomposition(self) -> DecompositionShape:
+        """The matroid route's trees as candidates under x(E[S]) <= |S| - 1
+        for every vertex subset S holding an edge."""
+        subsets = []
+        for size in range(2, self.n + 1):
+            for sub in itertools.combinations(range(self.n), size):
+                s = set(sub)
+                mask = 0
+                for i, (u, v) in enumerate(self.endpoints):
+                    if u in s and v in s:
+                        mask |= 1 << i
+                if mask:
+                    subsets.append((mask, size - 1))
+        return DecompositionShape(self.trees.tolist(), len(self.endpoints), subsets)
+
+
 @functools.lru_cache(maxsize=1024)
-def _spanning_tree_masks(n: int, endpoints: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """All spanning trees of a graph shape as bitmasks over edge positions;
-    cached per shape: piece compiles meet the same small minors many
-    times."""
-    if n == 1:
-        return (0,)
+def _shape(n: int, endpoints: tuple[tuple[int, int], ...]) -> _Shape:
+    """The record of a graph shape, cached: piece compiles meet the same
+    small minors many times."""
+    if len(endpoints) > 64:
+        raise SizeLimitExceeded(f"minor with {len(endpoints)} edges exceeds 64")
     out = []
     for combo in itertools.combinations(range(len(endpoints)), n - 1):
         parent = list(range(n))
-        ok = True
         for i in combo:
             u, v = endpoints[i]
             ru, rv = find_root(parent, u), find_root(parent, v)
             if ru == rv:
-                ok = False
                 break
             parent[ru] = rv
-        if ok:
+        else:
             mask = 0
             for i in combo:
                 mask |= 1 << i
             out.append(mask)
-    return tuple(out)
+    masks = np.array(out, dtype=np.uint64)
+    masks.flags.writeable = False  # shared by every caller of the cache
+    return _Shape(n, endpoints, masks)
 
 
 @dataclass(frozen=True)
@@ -138,36 +181,6 @@ def _contract(n: int, edge_ids: tuple[int, ...], endpoints: tuple[tuple[int, int
 # exact constrained-tree distribution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ShapeTables:
-    """What every constrained decomposition on one minor shape shares."""
-
-    #: the spanning trees as edge-position masks, ascending
-    trees: np.ndarray
-    #: the trees as candidates under x(E[S]) <= |S| - 1 for every vertex
-    #: subset S holding an edge
-    decomposition: DecompositionShape
-
-
-@functools.lru_cache(maxsize=1024)
-def _shape_tables(n: int, endpoints: tuple[tuple[int, int], ...]) -> _ShapeTables:
-    if len(endpoints) > 64:
-        raise SizeLimitExceeded(f"minor with {len(endpoints)} edges exceeds 64")
-    trees = np.array(sorted(_spanning_tree_masks(n, endpoints)), dtype=np.uint64)
-    trees.flags.writeable = False  # shared by every caller of the cache
-    subsets = []
-    for size in range(2, n + 1):
-        for sub in itertools.combinations(range(n), size):
-            s = set(sub)
-            mask = 0
-            for i, (u, v) in enumerate(endpoints):
-                if u in s and v in s:
-                    mask |= 1 << i
-            if mask:
-                subsets.append((mask, size - 1))
-    return _ShapeTables(trees, DecompositionShape(trees.tolist(), len(endpoints), subsets))
-
-
 class TreeWeights(NamedTuple):
     """A shifted state's exact tree distribution: each tree as a mask over
     the positions of its interior graph's edge ids, the weights as
@@ -179,13 +192,13 @@ class TreeWeights(NamedTuple):
     denominator: int
 
 
-def _tree_state(shifted: ShiftedSolution) -> tuple[_Minor, _ShapeTables, DecompositionState]:
-    """The minor of a shifted state, its shape and its own part rows."""
+def _tree_state(shifted: ShiftedSolution) -> tuple[_Minor, _Shape, DecompositionState]:
+    """The minor of a shifted state, its shape's record and its own part rows."""
     g = shifted.interior_graph
     values = shifted.values
     minor = contract_forced(g, values)
     mg = minor.graph
-    tables = _shape_tables(mg.n, mg.endpoints)
+    shape = _shape(mg.n, mg.endpoints)
     pos_of = {eid: i for i, eid in enumerate(mg.edge_ids)}
     part_masks = []
     for part in shifted.parts:
@@ -196,13 +209,13 @@ def _tree_state(shifted: ShiftedSolution) -> tuple[_Minor, _ShapeTables, Decompo
         if mask:
             part_masks.append(mask)
 
-    keep = (np.bitwise_count(tables.trees[:, None] & np.array(part_masks, dtype=np.uint64))
+    keep = (np.bitwise_count(shape.trees[:, None] & np.array(part_masks, dtype=np.uint64))
             <= 1).all(axis=1)
     if not keep.any():
         raise InfeasibleShift("no constrained spanning tree in the support")
     state = DecompositionState(tuple(values[eid] for eid in mg.edge_ids),
                                tuple((pm, 1) for pm in part_masks), keep)
-    return minor, tables, state
+    return minor, shape, state
 
 
 def constrained_tree_weights(states: Sequence[ShiftedSolution]
@@ -219,11 +232,11 @@ def constrained_tree_weights(states: Sequence[ShiftedSolution]
     minors: list[tuple[int, _Minor]] = []
     for i, shifted in enumerate(states):
         try:
-            minor, tables, state = _tree_state(shifted)
+            minor, record, state = _tree_state(shifted)
         except InfeasibleShift as exc:
             out[i] = exc
             continue
-        jobs.append((tables.decomposition, state))
+        jobs.append((record.decomposition, state))
         minors.append((i, minor))
     results = decompose(jobs)
     # per minor, its forced edges and each edge as interior positions; a
@@ -369,9 +382,7 @@ def _plan_fit(interior_graph: MultiGraph, targets: dict[int, Fraction]) -> _FitP
         raise BoundaryTarget(
             f"targets sum to {Fraction(total, den)}, need {interior_graph.n - 1}"
         )
-    minor = _contract(interior_graph.n, ids, interior_graph.endpoints,
-                      tuple(sorted(eid for eid in ids if nums[eid] == den)),
-                      tuple(sorted(eid for eid in ids if nums[eid] == 0)))
+    minor = contract_forced(interior_graph, targets)
     components: list[tuple[MultiGraph, tuple[float, ...]]] = []
 
     def rec(g: MultiGraph) -> None:
@@ -481,16 +492,6 @@ def maxent_fits(problems: Sequence[tuple[MultiGraph, dict[int, Fraction]]]
             for p in plans]
 
 
-@functools.lru_cache(maxsize=1024)
-def _tree_positions(n: int, endpoints: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """The spanning trees of a graph shape, in enumeration order, each as
-    its ascending edge positions: one row per tree."""
-    masks = _spanning_tree_masks(n, endpoints)
-    pos = np.array([list(bits(mask)) for mask in masks], dtype=np.intp).reshape(len(masks), -1)
-    pos.flags.writeable = False  # shared by every caller of the cache
-    return pos
-
-
 def maxent_tree_law(fit: MaxEntWeights, edge_ids: Sequence[int]
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Enumerated support and probabilities of the fitted distribution:
@@ -504,7 +505,7 @@ def maxent_tree_law(fit: MaxEntWeights, edge_ids: Sequence[int]
     masks = np.array([sum(1 << position[e] for e in fit.forced)], dtype=np.uint64)
     probs = np.array([1.0])
     for c in fit.components:
-        pos = _tree_positions(c.graph.n, c.graph.endpoints)
+        pos = _shape(c.graph.n, c.graph.endpoints).positions
         wvec = np.array([c.weights[eid] for eid in c.graph.edge_ids])
         cw = np.ones(len(pos))
         for j in range(pos.shape[1]):

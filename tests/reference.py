@@ -57,7 +57,7 @@ from htsp.trees import (
     MaxEntComponent,
     MaxEntWeights,
     _plan_fit,
-    _spanning_tree_masks,
+    _shape,
     constrained_tree_weights,
     contract_forced,
     maxent_fits,
@@ -79,7 +79,7 @@ def enumerate_min_cuts(g: MultiGraph) -> list[CutView]:
 
 def enumerate_spanning_trees(g: MultiGraph) -> tuple[int, ...]:
     """All spanning trees as bitmasks over edge positions."""
-    return _spanning_tree_masks(g.n, g.endpoints)
+    return tuple(_shape(g.n, g.endpoints).masks.tolist())
 
 
 def maxent_fit(interior_graph: MultiGraph, targets: dict[int, Fraction]) -> MaxEntWeights:

@@ -144,6 +144,18 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
+def _names(tree: ast.Module) -> list[str]:
+    """Every function, class and assigned plain name a module defines."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
 #: the exact layer's functions, as (module, class or None, function)
 EXACT_LAYER = (
     ("pipeline.py", "CyclePieceSampler", "parity_law"),
@@ -348,14 +360,7 @@ def test_one_second_moment_rule():
     """Each edge's squared charges are one reduction in the chunk, with no
     blocked square sum, and every report reads a ``*_sumsq`` field only
     through ``stats.mean_and_sigma``."""
-    defined = []
-    for node in ast.walk(_parse(SRC / "engine.py")):
-        if isinstance(node, ast.FunctionDef):
-            defined.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defined += [t.id for t in targets if isinstance(t, ast.Name)]
-    assert {"_square_sums", "SUMSQ_BLOCK"}.isdisjoint(defined)
+    assert {"_square_sums", "SUMSQ_BLOCK"}.isdisjoint(_names(_parse(SRC / "engine.py")))
 
     tree = _parse(SRC / "stats.py")
     through = {
@@ -372,3 +377,20 @@ def test_one_second_moment_rule():
         and isinstance(node.ctx, ast.Load) and id(node) not in through
     ]
     assert reads == []
+
+
+def test_one_table_per_graph_shape():
+    """Both tree routes read one enumeration of a graph shape's spanning
+    trees, the record ``trees._shape``: ``trees.py`` keeps no second table of
+    them, and its only process-wide caches are that record and the
+    forced-edge contraction."""
+    removed = {"_spanning_tree_masks", "_ShapeTables", "_shape_tables", "_tree_positions"}
+    tree = _parse(SRC / "trees.py")
+    assert removed.isdisjoint(_names(tree))
+
+    # every reference to a cache decorator, by the function it decorates
+    owner = {id(n): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for d in fn.decorator_list for n in ast.walk(d)}
+    caches = sorted(owner.get(id(n), f"line {n.lineno}") for n in ast.walk(tree)
+                    if getattr(n, "attr", getattr(n, "id", None)) in ("lru_cache", "cache"))
+    assert caches == ["_contract", "_shape"]

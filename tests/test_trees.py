@@ -7,7 +7,7 @@ import pytest
 import htsp.pipeline as pipeline
 import htsp.trees as trees
 from htsp.decomp import Decomposition
-from htsp.errors import BoundaryTarget, InfeasibleShift
+from htsp.errors import BoundaryTarget, InfeasibleShift, SizeLimitExceeded
 from htsp.generators import standalone_piece
 from htsp.graph import MultiGraph, bits
 from htsp.hierarchy import build_hierarchy
@@ -272,15 +272,46 @@ def test_spanning_tree_enumeration_against_kirchhoff():
 
 
 def test_cached_spanning_trees_cannot_be_mutated():
+    """Both routes share one record per graph shape: no caller can write
+    into its tables, and a graph of other edge ids but the same shape gets
+    the same record."""
     edges = [(0, 0, 1), (1, 1, 2), (2, 0, 2), (3, 0, 2)]
-    first = enumerate_spanning_trees(MultiGraph(3, edges))
-    with pytest.raises((TypeError, AttributeError)):
-        first.append(0)
-    with pytest.raises(TypeError):
-        first[0] = 0
-    # a graph with other edge ids but the same shape shares the cached trees
-    again = enumerate_spanning_trees(MultiGraph(3, [(7 + e, u, v) for e, u, v in edges]))
-    assert again is first and len(first) == spanning_tree_count(MultiGraph(3, edges)) == 5
+    g = MultiGraph(3, edges)
+    record = trees._shape(g.n, g.endpoints)
+    for table in (record.masks, record.positions, record.trees):
+        with pytest.raises(ValueError):
+            table[0] = 0
+    with pytest.raises(AttributeError):
+        record.masks = record.masks.copy()
+    again = MultiGraph(3, [(7 + e, u, v) for e, u, v in edges])
+    assert trees._shape(again.n, again.endpoints) is record
+    assert len(record.masks) == spanning_tree_count(g) == 5
+    # the 64-edge limit of a mask guards both routes at the record
+    with pytest.raises(SizeLimitExceeded):
+        trees._shape(2, ((0, 1),) * 65)
+
+
+@pytest.mark.parametrize("name", ["zoo", "random-4reg-12-0"])
+def test_every_shape_record_keeps_each_route_order(name, monkeypatch):
+    """On every shape a ``mix`` compile meets, the max-entropy positions
+    read back as the masks in enumeration order, and the decomposition's
+    candidates are the masks ascending, as ``trees`` holds them."""
+    records = {}
+    real = trees._shape
+
+    def recording(n, endpoints):
+        record = real(n, endpoints)
+        records[id(record)] = record
+        return record
+
+    monkeypatch.setattr(trees, "_shape", recording)
+    pipeline.build_piece_samplers(build_hierarchy(instance(name)),
+                                  pipeline.SamplerParams(sampler="mix"))
+    assert len(records) > 1
+    for record in records.values():
+        masks = record.masks.tolist()
+        assert [sum(1 << p for p in row) for row in record.positions.tolist()] == masks
+        assert list(record.decomposition.cands) == record.trees.tolist() == sorted(masks)
 
 
 def test_mi_sample_draws_constrained_trees():
