@@ -38,7 +38,6 @@ count.
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import signal
@@ -53,7 +52,7 @@ import numpy as np
 
 from .errors import (AssemblyError, ConfigError, FeasibilityViolation, HelperLost, HtspError,
                      ScaleOverflow)
-from .graph import HalfIntegralInstance, bits
+from .graph import HalfIntegralInstance, bits, in_units, lcm_denominator
 from .hierarchy import build_hierarchy, min_cuts_via_hierarchy
 from .join import (
     ReductionParams,
@@ -109,13 +108,6 @@ def narrowest_lane(bound: int) -> type:
         if bound <= np.iinfo(lane).max:
             return lane
     raise ScaleOverflow(f"{bound} does not fit in int64")
-
-
-def _lcm_denominator(values: Iterable[Fraction]) -> int:
-    d = 1
-    for v in values:
-        d = math.lcm(d, Fraction(v).denominator)
-    return d
 
 
 @dataclass
@@ -205,26 +197,30 @@ class CompiledInstance:
         """The degree and the pair charge sites."""
         return build_charge_sites(self.h, self.classes, self.rp)
 
-    @cached_property
-    def cost_denom(self) -> int:
-        """The costs' common denominator.  Raises ``ScaleOverflow`` unless
-        the int64 sums stay exact: a tree, an integral join and a metric
-        entry each cost at most the sum S of all scaled costs, a trial's
-        tree plus join at most 2S, and a chunk adds ``MAX_CHUNK`` trials."""
-        denom = _lcm_denominator(self.inst.costs)
-        total = sum(c * denom for c in self.inst.costs)
+    def _cost_units(self) -> tuple[int, tuple[int, ...]]:
+        """The costs' common denominator and each cost in units of 1/it.
+        Raises ``ScaleOverflow`` unless the int64 sums stay exact: a tree,
+        an integral join and a metric entry each cost at most the sum S of
+        all scaled costs, a trial's tree plus join at most 2S, and a chunk
+        adds ``MAX_CHUNK`` trials."""
+        denom, units = self.inst.cost_units
+        total = sum(units)
         if 2 * MAX_CHUNK * total > INT64_MAX:
             raise ScaleOverflow(
                 f"costs over their common denominator {denom} sum to {total}; "
                 f"{MAX_CHUNK} trials of tree plus join could overflow int64"
             )
-        return denom
+        return denom, units
+
+    @cached_property
+    def cost_denom(self) -> int:
+        """The costs' common denominator."""
+        return self._cost_units()[0]
 
     @cached_property
     def cost_int(self) -> np.ndarray:
         """Each edge's cost in units of 1/cost_denom."""
-        return np.array([int(c * self.cost_denom) for c in self.inst.costs],
-                        dtype=np.int64)
+        return np.array(self._cost_units()[1], dtype=np.int64)
 
     @cached_property
     def metric(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -412,71 +408,72 @@ class BatchEngine(CompiledInstance):
         self.eal_plan = [(key, edges[0], edges[1:]) for key, edges in by_key.items()]
 
     def _build_join_plan(self) -> None:
+        """The chunk's integer plan in units of 1/z_denom, the common
+        denominator of every charge quantum.  Each kind's reduction amount
+        is scaled once and read by its edges and its pair groups, which
+        repay half of it; a degree site repays its amount times each
+        target's share."""
         degree_sites, pair_sites = self.sites
-        quanta = [QUARTER, FLOOR]
-        for e, cl in self.classes.items():
-            quanta.append(self.rp.amount(cl.kind))
-        for site in degree_sites:
-            for f, frac in site.targets:
-                quanta.append(site.amount * frac)
-        for site in pair_sites:
-            for grp in site.groups:
-                quanta.append(grp.amount / 2)
-        self.z_denom = _lcm_denominator(quanta)
-        if self.z_denom >= 2 ** 40:
-            raise ScaleOverflow(f"charge denominator {self.z_denom} exceeds 2**40")
-        D = self.z_denom
-        # the join's start and floor in units of 1/D, exact: both quanta
-        # enter D
-        self.quarter_int = int(QUARTER * D)
-        self.floor_int = int(FLOOR * D)
-        self.amount_int = np.zeros(self.m, dtype=np.int64)
-        for e, cl in self.classes.items():
-            self.amount_int[e] = int(self.rp.amount(cl.kind) * D)
+        amount = {kind: self.rp.amount(kind) for kind in {cl.kind for cl in self.classes.values()}}
+        # a pair group's members share one amount, that of its first member
+        group_kind = [[self.classes[grp.members[0][0]].kind for grp in site.groups]
+                      for site in pair_sites]
+        repayments = [[(f, site.amount * frac) for f, frac in site.targets]
+                      for site in degree_sites]
+        quanta = [QUARTER, FLOOR, *amount.values(),
+                  *(amount[kind] / 2 for kind in {k for kinds in group_kind for k in kinds}),
+                  *(amt for targets in repayments for _, amt in targets)]
+        self.z_denom = D = lcm_denominator(quanta)
+        if D >= 2 ** 40:
+            raise ScaleOverflow(f"charge denominator {D} exceeds 2**40")
+        # every quantum enters D, so each scales exactly
+        self.quarter_int = in_units(QUARTER, D)
+        self.floor_int = in_units(FLOOR, D)
+        kind_int = {kind: in_units(a, D) for kind, a in amount.items()}
+        self.amount_int = np.array([kind_int[self.classes[e].kind] for e in range(self.m)],
+                                   dtype=np.int64)
         # a draw below the exact threshold is a draw below the rate; the
         # nearest double to a Fraction rate can sit one draw quantum off
         thresholds = coin_thresholds(self.rates)
         self.groups = [(np.array(members, dtype=np.int64), thresholds[grp])
                        for grp, members in sorted(coin_groups(self.classes).items())]
-        # the sites read their cuts by index into ``site_cut_cols``, so a
-        # chunk computes each distinct cut's parity once
+        # the sites read their cuts, each a sorted tuple, by index into
+        # ``site_cut_cols``, so a chunk computes each distinct cut's parity once
         site_cuts: dict[tuple[int, ...], int] = {}
-
-        def site_cut(cut) -> int:
-            return site_cuts.setdefault(tuple(sorted(cut)), len(site_cuts))
-
         self.degree_site_plan = [
             (
                 site.source,
-                site_cut(site.cut_ids),
-                [(f, int(site.amount * frac * D)) for f, frac in site.targets],
+                site_cuts.setdefault(site.cut_ids, len(site_cuts)),
+                [(f, in_units(amt, D)) for f, amt in targets],
             )
-            for site in degree_sites
+            for site, targets in zip(degree_sites, repayments)
         ]
         self.pair_site_plan = [
             (
                 site.targets,
                 [
                     (
-                        int(grp.amount * D) // 2,
-                        [(s, site_cut(cut)) for s, cut in grp.members],
+                        kind_int[kind] // 2,
+                        [(s, site_cuts.setdefault(cut, len(site_cuts))) for s, cut in grp.members],
                     )
-                    for grp in site.groups
+                    for grp, kind in zip(site.groups, kinds)
                 ],
             )
-            for site in pair_sites
+            for site, kinds in zip(pair_sites, group_kind)
         ]
         self.site_cut_cols = [np.array(c, dtype=np.int64) for c in site_cuts]
 
     def _most_charges(self) -> list[int]:
         """Per edge, the most charge |z_e| it can carry: its quarter and its
         reduction, and every repayment a site can pay it."""
-        most = [self.quarter_int + int(a) for a in self.amount_int]
+        most = [self.quarter_int + a for a in self.amount_int.tolist()]
+        # the repayments may be lane scalars already: add them as ints
         for f, amt in (t for _, _, targets in self.degree_site_plan for t in targets):
             most[f] += int(amt)
         for (t0, t1), groups in self.pair_site_plan:
-            most[t0] += sum(int(half) for half, _ in groups)
-            most[t1] += sum(int(half) for half, _ in groups)
+            repaid = sum(int(half) for half, _ in groups)
+            most[t0] += repaid
+            most[t1] += repaid
         return most
 
     def _choose_lanes(self, most: Sequence[int]) -> None:
@@ -492,7 +489,7 @@ class BatchEngine(CompiledInstance):
         than the charges it reads; a chunk adds them in int64.  Raises
         ``ScaleOverflow`` unless those int64 sums of cost times charge
         stay exact."""
-        cost = [int(c) for c in self.cost_int]
+        cost = self.cost_int.tolist()
         charge_cost = sum(c * z for c, z in zip(cost, most))
         if MAX_CHUNK * charge_cost > INT64_MAX:
             raise ScaleOverflow(f"{MAX_CHUNK} trials of cost times charge could overflow int64")

@@ -9,9 +9,11 @@ carries a stable integer id assigned in file order and never renumbered.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -30,6 +32,18 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def lcm_denominator(values: Iterable[Fraction]) -> int:
+    """The least common denominator of exact rationals: one lcm over their
+    distinct denominators."""
+    return math.lcm(*{v.denominator for v in values})
+
+
+def in_units(value: Fraction, denom: int) -> int:
+    """An exact rational in units of 1/``denom``, which its denominator
+    divides: the one home of that scaling."""
+    return value.numerator * (denom // value.denominator)
 
 
 def find_root(parent: list[int], x: int) -> int:
@@ -57,7 +71,7 @@ class MultiGraph:
     Parallel edges are distinct entries; self-loops are never stored.
     """
 
-    __slots__ = ("n", "edge_ids", "endpoints", "vertex_sets", "_adj")
+    __slots__ = ("n", "edge_ids", "endpoints", "vertex_sets", "_adj", "_cycle_order")
 
     def __init__(
         self,
@@ -82,6 +96,8 @@ class MultiGraph:
             adj[u].append(i)
             adj[v].append(i)
         self._adj = tuple(tuple(a) for a in adj)
+        # the walk of ``double_cycle_order``, taken on its first call
+        self._cycle_order: tuple[int, ...] | None | bool = False
 
     # -- basic queries ---------------------------------------------------
 
@@ -159,43 +175,40 @@ class MultiGraph:
             classes.setdefault(key, []).append(i)
         return classes
 
-    def double_cycle_order(self) -> list[int] | None:
+    def double_cycle_order(self) -> tuple[int, ...] | None:
         """Vertex order of the cycle if this is a double cycle, else None.
 
         A double cycle is a cycle with every edge doubled.  The degenerate
         two-vertex form (four parallel edges) is accepted; its pair split
-        is up to the caller.
+        is up to the caller.  The graph is walked once, on the first call.
         """
-        if self.n < 2 or any(d != 4 for d in self.degrees()):
+        if self._cycle_order is False:
+            self._cycle_order = self._walk_double_cycle()
+        return self._cycle_order
+
+    def _walk_double_cycle(self) -> tuple[int, ...] | None:
+        n = self.n
+        if n < 2 or any(len(a) != 4 for a in self._adj):
             return None
-        classes = self.parallel_classes()
-        if self.n == 2:
-            return [0, 1] if self.m == 4 else None
-        if any(len(pos) != 2 for pos in classes.values()):
-            return None
-        if len(classes) != self.n:
-            return None
-        nbrs: dict[int, set[int]] = {v: set() for v in range(self.n)}
-        for a, b in classes:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        if any(len(s) != 2 for s in nbrs.values()):
-            return None
-        # walk the cycle of parallel pairs
+        if n == 2:
+            return (0, 1)  # four parallel edges
+        # each vertex's two neighbours, each joined to it by two edges: an
+        # edge's end sum less v is its end other than v
+        sums = [u + w for u, w in self.endpoints]
+        nbrs = []
+        for v, (p, q, r, s) in enumerate(self._adj):
+            a, b, c, d = sorted((sums[p], sums[q], sums[r], sums[s]))
+            if a != b or c != d or b == c:
+                return None
+            nbrs.append((a - v, c - v))
+        # walk the cycle of parallel pairs from 0, lower neighbour first
         order = [0]
-        prev = None
-        while True:
-            cur = order[-1]
-            nxt = [w for w in sorted(nbrs[cur]) if w != prev]
-            if not nxt:
-                return None
-            if nxt[0] == 0 and len(order) > 2:
-                break
-            prev = cur
-            order.append(nxt[0])
-            if len(order) > self.n:
-                return None
-        return order if len(order) == self.n else None
+        prev, cur = 0, nbrs[0][0]
+        while cur:
+            order.append(cur)
+            a, c = nbrs[cur]
+            prev, cur = cur, c if a == prev else a
+        return tuple(order) if len(order) == n else None
 
     # -- connectivity ----------------------------------------------------
 
@@ -276,19 +289,31 @@ class HalfIntegralInstance:
     def root(self) -> int:
         return SPECIAL_ROOT
 
+    @cached_property
+    def cost_units(self) -> tuple[int, tuple[int, ...]]:
+        """The costs' least common denominator D, and each cost in units of
+        1/D."""
+        denom = lcm_denominator(self.costs)
+        return denom, tuple(in_units(c, denom) for c in self.costs)
+
     def lp_cost(self) -> Fraction:
         """Cost of the fractional solution: half the total edge cost."""
-        return sum(self.costs, Fraction(0)) / 2
+        denom, units = self.cost_units
+        return Fraction(sum(units), 2 * denom)
 
     def validate(self) -> None:
         g = self.graph
         for v, d in enumerate(g.degrees()):
             if d != 4:
                 raise DegreeError(f"vertex {v} has degree {d}, expected 4")
-        conn = g.edge_connectivity()
-        if conn != 4:
-            raise ConnectivityError(f"edge connectivity is {conn}, expected 4")
-        if any(c < 0 for c in self.costs):
+        # a double cycle is exactly 4-edge-connected: a cut crosses the
+        # cycle twice, each time at a doubled edge, and two vertices are
+        # joined by four edges; any other graph runs the flows
+        if g.double_cycle_order() is None:
+            conn = g.edge_connectivity()
+            if conn != 4:
+                raise ConnectivityError(f"edge connectivity is {conn}, expected 4")
+        if any(u < 0 for u in self.cost_units[1]):
             raise ParseError("negative edge cost")
         if self.strict:
             if g.n < 3:
@@ -314,16 +339,13 @@ _COST_RE = re.compile(r"^\d+(\.\d+)?$|^\d+/\d+$")
 def _parse_cost(tok: str) -> Fraction:
     if not _COST_RE.match(tok):
         raise ParseError(f"bad cost literal {tok!r}")
-    return Fraction(tok)
+    # an integer literal skips the string parse of ``Fraction``
+    return Fraction(int(tok)) if tok.isdigit() else Fraction(tok)
 
 
 def parse_instance(text: str, strict: bool = True) -> HalfIntegralInstance:
     """Parse and fully validate an instance file."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError("empty instance")
     head = lines[0].split()
@@ -337,6 +359,8 @@ def parse_instance(text: str, strict: bool = True) -> HalfIntegralInstance:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     costs = []
+    # a cost literal is parsed once, however many edges carry it
+    parsed: dict[str, Fraction] = {}
     for eid, ln in enumerate(lines[1:]):
         parts = ln.split()
         if len(parts) != 3:
@@ -350,7 +374,10 @@ def parse_instance(text: str, strict: bool = True) -> HalfIntegralInstance:
         if u == v:
             raise ParseError(f"self-loop in {ln!r}")
         edges.append((eid, u, v))
-        costs.append(_parse_cost(parts[2]))
+        tok = parts[2]
+        if tok not in parsed:
+            parsed[tok] = _parse_cost(tok)
+        costs.append(parsed[tok])
     inst = HalfIntegralInstance(MultiGraph(n, edges), tuple(costs), strict=strict)
     inst.validate()
     return inst

@@ -398,7 +398,7 @@ def _max_flow(rows: dict[int, list[int]], demands: dict[int, Fraction],
 class DegreeChargeSite:
     source: int
     amount: Fraction
-    cut_ids: tuple[int, ...]
+    cut_ids: tuple[int, ...]  # sorted
     targets: tuple[tuple[int, Fraction], ...]
 
 
@@ -407,7 +407,7 @@ class PairChargeGroup:
     """Sources sharing one coin; one repayment serves all their cuts."""
 
     amount: Fraction
-    members: tuple[tuple[int, tuple[int, ...]], ...]  # (source, cut edge ids)
+    members: tuple[tuple[int, tuple[int, ...]], ...]  # (source, sorted cut edge ids)
 
 
 @dataclass(frozen=True)
@@ -459,14 +459,16 @@ def build_charge_sites(h: CutHierarchy, classes: dict[int, EdgeClass],
                     entries.setdefault(classes[s].coin_group, []).append((s, cut_r))
                 groups = []
                 for _, members in sorted(entries.items()):
-                    amounts = [params.amount(classes[s].kind) for s, _ in members]
-                    if any(a != amounts[0] for a in amounts):
+                    amount = params.amount(classes[members[0][0]].kind)
+                    kinds = {classes[s].kind for s, _ in members}
+                    if any(params.amount(kind) != amount for kind in kinds):
                         # one repayment serves the whole coin group
                         raise FlowInfeasible(
                             f"coin group of edges {[s for s, _ in members]} has "
-                            f"{len(set(amounts))} reduction amounts, not one"
+                            f"{len({params.amount(kind) for kind in kinds})} "
+                            f"reduction amounts, not one"
                         )
-                    groups.append(PairChargeGroup(amounts[0], tuple(members)))
+                    groups.append(PairChargeGroup(amount, tuple(members)))
                 pair_sites.append(PairChargeSite(tuple(pair), tuple(groups)))
     return degree_sites, pair_sites
 
@@ -498,39 +500,59 @@ def coin_groups(classes: dict[int, EdgeClass]) -> dict[tuple, tuple[int, ...]]:
     return {k: tuple(v) for k, v in groups.items()}
 
 
+def _value_key(x: object) -> tuple:
+    """A memo key for an estimate or a rate: its type and its value, a
+    ``Fraction`` as its integer pair, which hashes far faster than it does.
+    A float and an equal ``Fraction`` give rates of different types."""
+    return type(x), x.as_integer_ratio() if isinstance(x, Fraction) else x
+
+
 def coin_rates(classes: dict[int, EdgeClass], params: ReductionParams,
                eal_probability: dict[int, object]) -> dict[tuple, object]:
     """Bernoulli rate per coin group: ``min(1, bound / estimate)``, a
-    ``Fraction`` when the even-at-last estimate is one, a float otherwise."""
+    ``Fraction`` when the even-at-last estimate is one, a float otherwise.
+    Groups of one coin kind and estimate share one rate, computed once."""
+    memo: dict[tuple, object] = {}
     rates: dict[tuple, object] = {}
     for grp, members in coin_groups(classes).items():
         est = eal_probability[members[0]]
-        if any(eal_probability[e] != est for e in members):
+        if any(eal_probability[e] != est for e in members[1:]):
             # one coin flattens every member to the bound only if they share
             # one even-at-last rate
             raise EstimateBelowBound(
                 f"coin group {members} has {len({eal_probability[e] for e in members})} "
                 f"even-at-last estimates, not one"
             )
-        bound = params.coin_bound(classes[members[0]].coin_kind)
-        one = Fraction(1) if isinstance(est, Fraction) else 1.0
-        rates[grp] = bound / est if est > bound else one
+        kind = classes[members[0]].coin_kind
+        key = (kind, _value_key(est))
+        if key not in memo:
+            bound = params.coin_bound(kind)
+            one = Fraction(1) if isinstance(est, Fraction) else 1.0
+            memo[key] = bound / est if est > bound else one
+        rates[grp] = memo[key]
     return rates
 
 
 def check_eal_bounds(classes: dict[int, EdgeClass], params: ReductionParams,
                      eal_probability: dict[int, object]) -> None:
     """Refuse an even-at-last estimate below its coin bound: exactly for a
-    ``Fraction``, within a relative 1e-9 for a float."""
+    ``Fraction``, within a relative 1e-9 for a float; each distinct coin
+    kind and estimate is checked once."""
+    passed: set[tuple] = set()
     for members in coin_groups(classes).values():
         est = eal_probability[members[0]]
-        bound = params.coin_bound(classes[members[0]].coin_kind)
+        kind = classes[members[0]].coin_kind
+        key = (kind, _value_key(est))
+        if key in passed:
+            continue
+        bound = params.coin_bound(kind)
         below = est < bound if isinstance(est, Fraction) else float(bound) > est * (1 + 1e-9)
         if est <= 0 or below:
             raise EstimateBelowBound(
                 f"even-at-last estimate {float(est):.6g} below bound "
                 f"{float(bound):.6g} for edges {members}"
             )
+        passed.add(key)
 
 
 def coin_thresholds(rates: dict[tuple, object]) -> dict[tuple, float]:
@@ -540,9 +562,17 @@ def coin_thresholds(rates: dict[tuple, object]) -> dict[tuple, float]:
     Those x are multiples k / 2**53, and k < r * 2**53 holds exactly when
     k < ceil(r * 2**53); a rate is at most one, so that ceiling over 2**53
     is a double.  A coin then costs one float comparison, not a
-    ``Fraction`` one, and falls the same way.
+    ``Fraction`` one, and falls the same way.  Each distinct rate is
+    converted once.
     """
-    return {grp: math.ceil(Fraction(r) * 2 ** 53) / 2 ** 53 for grp, r in rates.items()}
+    memo: dict[tuple, float] = {}
+    out = {}
+    for grp, r in rates.items():
+        key = _value_key(r)
+        if key not in memo:
+            memo[key] = math.ceil(Fraction(r) * 2 ** 53) / 2 ** 53
+        out[grp] = memo[key]
+    return out
 
 
 # ---------------------------------------------------------------------------

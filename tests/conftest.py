@@ -1,4 +1,5 @@
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from htsp.generators import (
     generate_random_4reg,
     generate_zoo,
 )
+from htsp.graph import HalfIntegralInstance
 
 FAMILY_SEED = 3
 
@@ -29,6 +31,14 @@ def family_instance(family: str):
     if family == "zoo":
         return generate_zoo(rng)
     raise KeyError(family)
+
+
+@functools.cache
+def fractional_cost_instance():
+    """The zoo instance with a/b costs: every generator draws integer costs."""
+    zoo = family_instance("zoo")
+    costs = tuple(Fraction(int(c), 1 + e % 6) for e, c in enumerate(zoo.costs))
+    return HalfIntegralInstance(zoo.graph, costs)
 
 
 ALL_FAMILIES = ("double-cycle", "k5-gadget", "nested", "random-4reg", "zoo")

@@ -16,8 +16,9 @@ every interior edge, the max-entropy fit one component at a time and its
 tree law as edge-id sets, connectivity by a graph search, the cactus
 min-cuts by removing cycle-edge pairs, spanning-tree polytope membership
 by every vertex subset, the critical set of a contraction step, each
-trial's join and its check in ``Fraction`` dicts), or reads a structure
-the package builds.
+trial's join and its check in ``Fraction`` dicts, the engine's integer
+plan by one ``Fraction`` product per edge, coin group and site member), or
+reads a structure the package builds.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from htsp.engine import narrowest_lane
 from htsp.errors import (AssemblyError, FeasibilityViolation, InfeasibleShift, LpFailure,
                          NonConvergence, NumericalBreakdown)
 from htsp.graph import MultiGraph, bits
@@ -983,3 +985,74 @@ def verify_join(z: dict[int, Fraction], tree_edges: frozenset[int], h: CutHierar
             f"cut violations {[(sorted(s), str(v)) for s, v in report.cut_violations]}"
         )
     return report
+
+
+def _lcm_of_denominators(values) -> int:
+    d = 1
+    for v in values:
+        d = math.lcm(d, Fraction(v).denominator)
+    return d
+
+
+def fraction_plan(engine) -> dict:
+    """A ``BatchEngine``'s integer plan by ``Fraction`` arithmetic, one
+    product per edge, coin group and site member: the costs over their
+    common denominator, the charge quanta over theirs (``z_denom``), each
+    group's coin rate and threshold, and the lanes the most charge per edge
+    takes.  Sites read their cuts as sorted edge-id tuples, and the lanes
+    the engine's verification plan."""
+    inst, rp, classes = engine.inst, engine.rp, engine.classes
+    cost_denom = _lcm_of_denominators(inst.costs)
+    cost_int = [int(c * cost_denom) for c in inst.costs]
+    degree_sites, pair_sites = engine.sites
+    quanta = [QUARTER, FLOOR] + [rp.amount(cl.kind) for cl in classes.values()]
+    for site in degree_sites:
+        quanta += [site.amount * frac for _, frac in site.targets]
+    for site in pair_sites:
+        quanta += [rp.amount(classes[grp.members[0][0]].kind) / 2 for grp in site.groups]
+    D = _lcm_of_denominators(quanta)
+    amount_int = [int(rp.amount(classes[e].kind) * D) for e in range(engine.m)]
+    degree_plan = [
+        (site.source, tuple(sorted(site.cut_ids)),
+         [(f, int(site.amount * frac * D)) for f, frac in site.targets])
+        for site in degree_sites
+    ]
+    pair_plan = [
+        (site.targets,
+         [(int(rp.amount(classes[grp.members[0][0]].kind) * D) // 2,
+           [(s, tuple(sorted(cut))) for s, cut in grp.members])
+          for grp in site.groups])
+        for site in pair_sites
+    ]
+    rates = {}
+    for grp, members in coin_groups(classes).items():
+        est = engine.eal_probability[members[0]]
+        bound = rp.coin_bound(classes[members[0]].coin_kind)
+        one = Fraction(1) if isinstance(est, Fraction) else 1.0
+        rates[grp] = bound / est if est > bound else one
+    thresholds = {grp: math.ceil(Fraction(r) * 2 ** 53) / 2 ** 53 for grp, r in rates.items()}
+    most = [int(QUARTER * D) + a for a in amount_int]
+    for _, _, targets in degree_plan:
+        for f, amt in targets:
+            most[f] += amt
+    for (t0, t1), groups in pair_plan:
+        most[t0] += sum(half for half, _ in groups)
+        most[t1] += sum(half for half, _ in groups)
+    cover = max((sum(most[e] for e in cols.tolist()) for cols, _ in engine.direct_cuts),
+                default=0)
+    gap = max((most[a] + most[b] for gaps in engine.cycle_gaps for a, b in gaps), default=0)
+    bound = max(cover, 2 * (gap + D), max(most), abs(int(FLOOR * D)))
+    charge_cost = sum(c * z for c, z in zip(cost_int, most))
+    return {
+        "cost_denom": cost_denom,
+        "cost_int": cost_int,
+        "lp_cost": sum(inst.costs, Fraction(0)) / 2,
+        "z_denom": D,
+        "amount_int": amount_int,
+        "degree_plan": degree_plan,
+        "pair_plan": pair_plan,
+        "rates": {grp: (type(r), r) for grp, r in rates.items()},
+        "thresholds": [thresholds[grp] for grp in sorted(rates)],
+        "lane": narrowest_lane(bound),
+        "sum_lane": narrowest_lane(max(charge_cost, sum(cost_int), bound, 1 << 15)),
+    }

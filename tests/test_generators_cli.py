@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from htsp.cli import main
 from htsp.errors import GenerationFailure
 from htsp.generators import (
     GRID,
@@ -20,7 +21,7 @@ from htsp.generators import (
 from htsp.graph import MultiGraph, parse_instance, serialize_instance
 from htsp.hierarchy import build_hierarchy
 from tests.brute_min_cuts import brute_min_cuts
-from tests.conftest import ALL_FAMILIES, family_instance
+from tests.conftest import ALL_FAMILIES, family_instance, fractional_cost_instance
 
 
 def test_catalog_graphs_are_valid_pieces():
@@ -166,6 +167,18 @@ def test_cli_generate_default_seed_is_the_stats_default():
 def test_cli_validate(instance_file):
     r = run_cli("validate", instance_file)
     assert r.returncode == 0 and "valid" in r.stdout
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES + ("fractional-costs",))
+def test_cli_validate_prints_half_the_total_cost(family, tmp_path, capsys):
+    """``htsp validate`` prints the LP cost as half the ``Fraction`` sum of
+    the costs, on every family and on a/b costs."""
+    inst = fractional_cost_instance() if family == "fractional-costs" else family_instance(family)
+    path = tmp_path / "inst.htsp"
+    path.write_text(serialize_instance(inst))
+    assert main(["validate", str(path)]) == 0
+    g, lp = inst.graph, sum(inst.costs, Fraction(0)) / 2
+    assert capsys.readouterr().out == f"valid: {g.n} vertices, {g.m} edges, lp cost {lp}\n"
 
 
 def test_cli_hierarchy_and_cactus(instance_file):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import htsp.graph
+import htsp.hierarchy
 from htsp.errors import (
     ConnectivityError,
     DegreeError,
@@ -13,6 +15,7 @@ from htsp.errors import (
     SpecialTripleError,
 )
 from htsp.generators import generate_double_cycle, generate_random_4reg
+from htsp.hierarchy import build_hierarchy
 from htsp.graph import (
     HalfIntegralInstance,
     MultiGraph,
@@ -20,6 +23,7 @@ from htsp.graph import (
     parse_instance,
     serialize_instance,
 )
+from tests.conftest import family_instance
 from tests.reference import stoer_wagner_connectivity
 
 
@@ -191,3 +195,110 @@ def test_edge_connectivity_below_the_minimum_degree():
 def test_edge_connectivity_of_the_families(any_instance):
     g = any_instance.graph
     assert g.edge_connectivity() == stoer_wagner_connectivity(g) == 4
+
+
+# -- the double-cycle certificate ---------------------------------------------
+
+def _count_augments(monkeypatch) -> list[int]:
+    """A one-cell counter of unit-flow pushes, through every name that
+    ``graph.py`` and ``hierarchy.py`` bind to ``augment``."""
+    calls = [0]
+    original = htsp.graph.augment
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    for module in (htsp.graph, htsp.hierarchy):
+        monkeypatch.setattr(module, "augment", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [24, 100, 200, 400])
+def test_double_cycle_parses_without_a_flow(k, monkeypatch):
+    """A double cycle is certified 4-edge-connected by its recognizer, and
+    its hierarchy ends at once: neither runs a flow."""
+    text = serialize_instance(generate_double_cycle(k, np.random.default_rng(1)))
+    calls = _count_augments(monkeypatch)
+    inst = parse_instance(text)
+    build_hierarchy(inst)
+    assert calls == [0]
+    # the counter does see the flows of a graph that is not a double cycle
+    parse_instance(serialize_instance(family_instance("zoo")))
+    assert calls[0] > 0
+
+
+def _graph_of(pairs, rng) -> MultiGraph:
+    """The multigraph of the vertex pairs, its vertices relabelled and its
+    edges shuffled by ``rng``."""
+    n = 1 + max(max(p) for p in pairs)
+    perm = rng.permutation(n).tolist()
+    order = rng.permutation(len(pairs)).tolist()
+    return MultiGraph(n, [(i, perm[pairs[j][0]], perm[pairs[j][1]]) for i, j in enumerate(order)])
+
+
+def _double_cycle_pairs(k: int, base: int = 0) -> list[tuple[int, int]]:
+    if k == 2:
+        return [(base, base + 1)] * 4
+    return [(base + i, base + (i + 1) % k) for i in range(k)] * 2
+
+
+def _near_misses(rng) -> dict[str, list[tuple[int, int]]]:
+    """Degree-4 graphs that are not double cycles: two disjoint double
+    cycles, the same two joined by crossing one edge of each, a double
+    cycle with two of its parallel pairs crossed, and K5."""
+    a, b = (int(x) for x in rng.integers(2, 8, size=2))
+    apart = _double_cycle_pairs(a) + _double_cycle_pairs(b, base=a)
+    joined = list(apart)
+    # one edge of (0, 1) and one of (a, a + 1) become (0, a) and (1, a + 1)
+    joined.remove((0, 1))
+    joined.remove((a, a + 1))
+    joined += [(0, a), (1, a + 1)]
+    k = int(rng.integers(4, 10))
+    crossed = _double_cycle_pairs(k)
+    j = int(rng.integers(2, k - 1))
+    for _ in range(2):
+        crossed.remove((0, 1))
+        crossed.remove((j, j + 1))
+    crossed += [(0, 1), (j, j + 1), (0, j), (1, j + 1)]
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    return {"apart": apart, "joined": joined, "crossed": crossed, "k5": k5}
+
+
+def _connectivity_verdict(g: MultiGraph):
+    """``validate``'s message on a non-strict instance of ``g``, or None."""
+    try:
+        HalfIntegralInstance(g, (Fraction(1),) * g.m, strict=False).validate()
+    except (ConnectivityError, DegreeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_double_cycle_certificate_agrees_with_stoer_wagner(seed):
+    """The recognizer's verdict on random double cycles, and the flow's on
+    degree-4 near misses, is Stoer-Wagner's; a near miss below 4 raises
+    the flow's message."""
+    rng = np.random.default_rng(seed)
+    g = _graph_of(_double_cycle_pairs(int(rng.integers(2, 30))), rng)
+    assert g.double_cycle_order() is not None
+    assert stoer_wagner_connectivity(g) == 4
+    assert _connectivity_verdict(g) is None
+    for name, pairs in _near_misses(rng).items():
+        g = _graph_of(pairs, rng)
+        assert g.double_cycle_order() is None and set(g.degrees()) == {4}, name
+        conn = stoer_wagner_connectivity(g)
+        want = None if conn == 4 else f"ConnectivityError: edge connectivity is {conn}, expected 4"
+        assert _connectivity_verdict(g) == want, name
+        assert conn == g.edge_connectivity()
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_a_degree_three_vertex_is_refused_first(k):
+    """A double cycle less one edge is no double cycle and is below
+    4-edge-connected, yet the degree check speaks first."""
+    rng = np.random.default_rng(k)
+    pairs = _double_cycle_pairs(k)
+    g = _graph_of(pairs[1:], rng)
+    assert _connectivity_verdict(g).startswith("DegreeError: ")
+    assert "has degree 3, expected 4" in _connectivity_verdict(g)

@@ -1,5 +1,6 @@
 import copy
 import csv
+import functools
 import io
 from fractions import Fraction
 
@@ -32,13 +33,15 @@ from htsp.join import (
 )
 import htsp.engine
 from htsp.cli import main
-from htsp.graph import bits, parse_instance
+from htsp.generators import generate_double_cycle
+from htsp.graph import bits, parse_instance, serialize_instance
+from htsp.params import BETA_CAP, DEFAULT_TAU, optimize
 from htsp.pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
 from htsp.engine import BatchEngine, CompiledInstance, _odd_rows
 from htsp.stats import ExperimentConfig, run_suite
-from tests.conftest import ALL_FAMILIES, family_instance
-from tests.reference import (build_join, detect_eal, odd_vertices, shortest_path_metric,
-                             verify_join)
+from tests.conftest import ALL_FAMILIES, FAMILY_SEED, family_instance, fractional_cost_instance
+from tests.reference import (build_join, detect_eal, fraction_plan, odd_vertices,
+                             shortest_path_metric, verify_join)
 
 QUARTER = Fraction(1, 4)
 
@@ -190,6 +193,98 @@ def test_coin_thresholds_fall_as_the_rates_do(sampler):
     engine = BatchEngine(family_instance("zoo"), sp)
     want = [coin_thresholds(engine.rates)[grp] for grp in sorted(coin_groups(engine.classes))]
     assert [rate for _, rate in engine.groups] == want
+
+
+def test_equal_estimates_of_two_types_keep_their_rate_types(zoo_instance):
+    """Rates are shared by value and type: a float estimate equal to a
+    ``Fraction`` one still gives a float rate, and the other way round."""
+    classes = classify(build_hierarchy(zoo_instance))
+    rp = ReductionParams.default()
+    groups = sorted(coin_groups(classes).items())
+    probs = {e: Fraction(3, 4) for e in classes}
+    for grp, members in groups[::2]:
+        probs.update((e, 0.75) for e in members)
+    rates = coin_rates(classes, rp, probs)
+    for grp, members in groups:
+        assert type(rates[grp]) is type(probs[members[0]]), grp
+        assert rates[grp] == rp.coin_bound(classes[members[0]].coin_kind) / probs[members[0]]
+
+
+def _fractional_cost_instance():
+    """``conftest.fractional_cost_instance`` as read from its instance file."""
+    want = fractional_cost_instance()
+    text = serialize_instance(want)
+    assert "/" in text
+    inst = parse_instance(text)
+    assert inst.costs == want.costs
+    return inst
+
+
+@functools.cache
+def plan_instance(name: str):
+    if name in ALL_FAMILIES:
+        return family_instance(name)
+    if name == "fractional-costs":
+        return _fractional_cost_instance()
+    family, k = name.rsplit("-", 1)
+    return generate_double_cycle(int(k), np.random.default_rng(FAMILY_SEED))
+
+
+@functools.cache
+def _optimized():
+    return optimize()
+
+
+def plan_params(name: str) -> tuple:
+    """Sampler and reduction parameters: the defaults, ``optimize()``'s
+    amounts and mix, either pure sampler, and tau equal to gamma, so two
+    edge kinds share one reduction amount."""
+    if name == "optimized":
+        res = _optimized()
+        sp = SamplerParams(sampler="mix", mix_lambda=res.lam)
+        return sp, ReductionParams(res.tau, res.gamma, res.beta, sp.effective_lambda)
+    if name == "tau-is-gamma":
+        sp = SamplerParams()
+        return sp, ReductionParams(DEFAULT_TAU, DEFAULT_TAU, BETA_CAP, sp.effective_lambda)
+    return SamplerParams(sampler="mix" if name == "default" else name), None
+
+
+def engine_plan(engine: BatchEngine) -> dict:
+    """The fields of ``reference.fraction_plan`` as the engine holds them:
+    repayments as ints and site cuts as edge-id tuples."""
+    cuts = [tuple(c.tolist()) for c in engine.site_cut_cols]
+    return {
+        "cost_denom": engine.cost_denom,
+        "cost_int": engine.cost_int.tolist(),
+        "lp_cost": engine.inst.lp_cost(),
+        "z_denom": engine.z_denom,
+        "amount_int": engine.amount_int.tolist(),
+        "degree_plan": [(src, cuts[k], [(f, int(amt)) for f, amt in targets])
+                        for src, k, targets in engine.degree_site_plan],
+        "pair_plan": [(targets, [(int(half), [(s, cuts[k]) for s, k in members])
+                                 for half, members in groups])
+                      for targets, groups in engine.pair_site_plan],
+        "rates": {grp: (type(r), r) for grp, r in engine.rates.items()},
+        "thresholds": [t for _, t in engine.groups],
+        "lane": engine.lane,
+        "sum_lane": engine.sum_lane,
+    }
+
+
+PLAN_INSTANCES = ALL_FAMILIES + ("double-cycle-24", "double-cycle-100", "fractional-costs")
+
+
+@pytest.mark.parametrize("params", ["default", "optimized", "mi", "maxent", "tau-is-gamma"])
+@pytest.mark.parametrize("name", PLAN_INSTANCES)
+def test_integer_plan_equals_the_fraction_formulas(name, params):
+    """Every integer of the engine's plan, scaled once per distinct value,
+    equals the one ``Fraction`` product per edge, coin group and site
+    member gives, and so does the LP cost."""
+    sp, rp = plan_params(params)
+    engine = BatchEngine(plan_instance(name), sp, rp)
+    want = fraction_plan(engine)
+    assert engine_plan(engine) == want
+    assert engine.lp_cost == want["lp_cost"]
 
 
 def test_join_ledger_conservation(zoo_instance):
