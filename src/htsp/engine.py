@@ -153,9 +153,10 @@ class BatchStats:
 
 class CompiledInstance:
     """One instance compiled once for every command: the hierarchy, the
-    piece samplers, the edge classes and their even-at-last conditions,
-    built eagerly; the even-at-last probabilities, coin rates, charge
-    sites, integer costs and integer metric, each built on first use.
+    piece samplers, the edge classes, their coin groups and their
+    even-at-last conditions, built eagerly; the even-at-last
+    probabilities, coin rates, charge sites, integer costs and integer
+    metric, each built on first use.
     ``tree_chunks`` draws the trials of every sampled command but
     ``sample``.  It checks no even-at-last bound, and only a command that
     reads costs can meet their ``ScaleOverflow``."""
@@ -169,6 +170,8 @@ class CompiledInstance:
         self.h = build_hierarchy(inst)
         self.samplers = build_piece_samplers(self.h, self.sp)
         self.classes = classify(self.h)
+        #: each coin group's member edges, sorted, by group key
+        self.coin_groups = coin_groups(self.classes)
         self.eal_conditions = eal_conditions(self.h, self.classes)
         self.m = inst.graph.m
         self.n = inst.graph.n
@@ -190,7 +193,7 @@ class CompiledInstance:
 
     @cached_property
     def rates(self) -> dict[tuple, object]:
-        return coin_rates(self.classes, self.rp, self.eal_probability)
+        return coin_rates(self.classes, self.coin_groups, self.rp, self.eal_probability)
 
     @cached_property
     def sites(self) -> tuple[list, list]:
@@ -374,7 +377,7 @@ class BatchEngine(CompiledInstance):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        check_eal_bounds(self.classes, self.rp, self.eal_probability)
+        check_eal_bounds(self.classes, self.coin_groups, self.rp, self.eal_probability)
         self._build_eal_plan()
         self._build_join_plan()
         self._build_verify_plan()
@@ -436,7 +439,7 @@ class BatchEngine(CompiledInstance):
         # nearest double to a Fraction rate can sit one draw quantum off
         thresholds = coin_thresholds(self.rates)
         self.groups = [(np.array(members, dtype=np.int64), thresholds[grp])
-                       for grp, members in sorted(coin_groups(self.classes).items())]
+                       for grp, members in sorted(self.coin_groups.items())]
         # the sites read their cuts, each a sorted tuple, by index into
         # ``site_cut_cols``, so a chunk computes each distinct cut's parity once
         site_cuts: dict[tuple[int, ...], int] = {}

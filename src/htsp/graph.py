@@ -218,7 +218,7 @@ class MultiGraph:
         far, which starts at the minimum degree."""
         if self.n < 2:
             return 0
-        arcs = unit_arcs(self)
+        arcs = flow_arcs(self.n, self.endpoints)
         best = min(self.degrees())
         for t in range(1, self.n):
             flow = [0] * self.m
@@ -229,38 +229,49 @@ class MultiGraph:
         return best
 
 
-def unit_arcs(g: MultiGraph) -> list[list[tuple[int, int, int]]]:
+def flow_arcs(n: int, endpoints: Sequence[tuple[int, int]],
+              caps: Sequence[int] | None = None) -> list[list[tuple[int, int, int, int]]]:
     """Per vertex u, its arcs (edge position, other end, +1 if u is the
-    edge's first end), for unit flows along the edges of ``g``."""
-    arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for pos, (u, v) in enumerate(g.endpoints):
-        arcs[u].append((pos, v, 1))
-        arcs[v].append((pos, u, -1))
+    edge's first end, the most flow the arc may carry that way).  Without
+    ``caps`` every edge is a unit edge, 1 either way; with them, edge i is
+    an arc of capacity ``caps[i]`` from its first end to its second."""
+    arcs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for pos, (u, v) in enumerate(endpoints):
+        forward, back = (1, 1) if caps is None else (caps[pos], 0)
+        arcs[u].append((pos, v, 1, forward))
+        arcs[v].append((pos, u, -1, back))
     return arcs
 
 
-def augment(arcs: list[list[tuple[int, int, int]]], flow: list[int],
+def augment(arcs: list[list[tuple[int, int, int, int]]], flow: list[int],
             source: int, t: int) -> int:
-    """Push one unit along a shortest residual path from the ``source``
-    vertex mask to t, if there is one.
+    """Push the bottleneck along a shortest residual path from the
+    ``source`` vertex mask to t, if there is one: the package's one
+    augmenting-path step.
 
     ``flow`` holds the net flow along each edge, first end to second, and
-    every edge carries at most one unit either way.  Returns the mask of
-    the vertices seen: it holds t after a push, and is everything the
-    source reaches otherwise.
+    an arc has residual room while its flow that way is below its limit.
+    Into one sink t over unit edges the bottleneck is 1: the last arc
+    enters t, and no push takes flow out of t.  Returns the mask of the vertices seen: it holds t
+    after a push, and is everything the source reaches otherwise.
     """
     seen = source
-    via: dict[int, tuple[int, int, int]] = {}
+    via: dict[int, tuple[int, tuple[int, int, int, int]]] = {}
     queue = list(bits(source))
     for u in queue:
-        for pos, w, sign in arcs[u]:
-            if not (seen >> w) & 1 and flow[pos] * sign < 1:
+        for arc in arcs[u]:
+            pos, w, sign, limit = arc
+            if not (seen >> w) & 1 and flow[pos] * sign < limit:
                 seen |= 1 << w
-                via[w] = (pos, u, sign)
+                via[w] = (u, arc)
                 if w == t:
+                    path = []
                     while w in via:
-                        pos, w, sign = via[w]
-                        flow[pos] += sign
+                        w, arc = via[w]
+                        path.append(arc)
+                    push = min(limit - flow[pos] * sign for pos, _, sign, limit in path)
+                    for pos, _, sign, _ in path:
+                        flow[pos] += sign * push
                     return seen
                 queue.append(w)
     return seen

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import AssemblyError, ConnectivityError
-from .graph import CutView, HalfIntegralInstance, MultiGraph, augment, bits, unit_arcs
+from .graph import CutView, HalfIntegralInstance, MultiGraph, augment, bits, flow_arcs
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +48,7 @@ def _min_cut_shores(g: MultiGraph) -> list[int]:
     n = g.n
     if n < 2:
         return []
-    arcs = unit_arcs(g)
+    arcs = flow_arcs(n, g.endpoints)
     shores: list[int] = []
     for t in range(1, n):
         flow = [0] * g.m
@@ -67,7 +67,7 @@ def _min_cut_shores(g: MultiGraph) -> list[int]:
     return shores
 
 
-def _closed_shores(arcs: list[list[tuple[int, int, int]]], flow: list[int],
+def _closed_shores(arcs: list[list[tuple[int, int, int, int]]], flow: list[int],
                    reached: int, t: int) -> list[int]:
     """Shores, as vertex masks, of all minimum cuts between source and t.
 
@@ -82,8 +82,8 @@ def _closed_shores(arcs: list[list[tuple[int, int, int]]], flow: list[int],
     succ = [0] * n
     pred = [0] * n
     for u in range(n):
-        for pos, w, sign in arcs[u]:
-            if flow[pos] * sign < 1:
+        for pos, w, sign, limit in arcs[u]:
+            if flow[pos] * sign < limit:
                 succ[u] |= 1 << w
                 pred[w] |= 1 << u
     full = (1 << n) - 1
@@ -337,22 +337,21 @@ def _piece_from(inst: HalfIntegralInstance, current: MultiGraph, shore: int,
     comp = ((1 << current.n) - 1) & ~shore
     if not comp:
         raise AssemblyError("piece must have an external side")
-    contracted, _ = current.contract(bits(comp))
-    ext = contracted.n - 1
-    # reorder so internal vertices come first in a deterministic order
-    internal_old = sorted(
-        (v for v in range(contracted.n) if v != ext),
-        key=lambda v: sorted(contracted.vertex_sets[v]),
-    )
-    order = internal_old + [ext]
-    renum = {old: new for new, old in enumerate(order)}
+    # internal vertices in the order of their sorted original ids, then the
+    # complement merged into the external vertex; edges keep their order
+    internal = sorted(bits(shore), key=lambda v: sorted(current.vertex_sets[v]))
+    ext = len(internal)
+    renum = dict.fromkeys(bits(comp), ext)
+    renum.update((v, i) for i, v in enumerate(internal))
     graph = MultiGraph(
-        contracted.n,
+        ext + 1,
         [
             (eid, renum[u], renum[v])
-            for eid, (u, v) in zip(contracted.edge_ids, contracted.endpoints)
+            for eid, (u, v) in zip(current.edge_ids, current.endpoints)
+            if renum[u] != renum[v]
         ],
-        [contracted.vertex_sets[old] for old in order],
+        [current.vertex_sets[v] for v in internal]
+        + [frozenset().union(*(current.vertex_sets[v] for v in bits(comp)))],
     )
     child_map = tuple(
         node_ids[graph.vertex_sets[v]] if v != ext else None
@@ -454,17 +453,18 @@ def _check_hierarchy(h: CutHierarchy) -> None:
         union = frozenset().union(*parts)
         if union != nd.label or sum(len(p) for p in parts) != len(nd.label):
             raise AssemblyError(f"children of node {nd.node_id} do not partition it")
-        piece = nd.piece
-        ext_deg = piece.graph.degree(piece.external_vertex)
-        if ext_deg != 4 or any(piece.graph.degree(v) != 4 for v in piece.internal_vertices):
+        g, ext = nd.piece.graph, nd.piece.external_vertex
+        if any(d != 4 for d in g.degrees()):
             raise AssemblyError(f"piece of node {nd.node_id} is not 4-regular")
         allowed = {0, 2} if nd.kind == "cycle" else {0, 1}
-        ext_ids = set(piece.external_edge_ids)
-        for v in piece.internal_vertices:
-            k = sum(1 for eid in piece.graph.incident_ids(v) if eid in ext_ids)
-            if k not in allowed:
+        # a vertex's external edges are its edges to the external vertex
+        pattern = [0] * g.n
+        for pos in g.incident(ext):
+            pattern[g.other_end(pos, ext)] += 1
+        for v in nd.piece.internal_vertices:
+            if pattern[v] not in allowed:
                 raise AssemblyError(
-                    f"boundary pattern {k} not allowed at a {nd.kind} node"
+                    f"boundary pattern {pattern[v]} not allowed at a {nd.kind} node"
                 )
 
 

@@ -33,6 +33,7 @@ from .errors import (
     NoPerfectMatching,
     OddSetTooLarge,
 )
+from .graph import augment, flow_arcs, in_units, lcm_denominator
 from .hierarchy import CutHierarchy
 from .params import BETA_CAP, DEFAULT_GAMMA, DEFAULT_MIX_LAMBDA, DEFAULT_TAU, mixed_rates
 from .pipeline import PieceSampler
@@ -316,7 +317,7 @@ def bipartization_flow(piece, demands: dict[int, Fraction]) -> FlowAssignment:
             raise FlowInfeasible("uniform thirds exceed the K5 cap")
         return FlowAssignment(fractions, load, cap)
     cap = maxd / 2
-    flow = _max_flow(rows, demands, cap)
+    flow = _charge_flow(rows, demands, cap)
     if flow is None:
         raise FlowInfeasible(f"no assignment at cap {cap}")
     fractions = {}
@@ -332,66 +333,36 @@ def bipartization_flow(piece, demands: dict[int, Fraction]) -> FlowAssignment:
     return FlowAssignment(fractions, load, cap)
 
 
-def _max_flow(rows: dict[int, list[int]], demands: dict[int, Fraction],
-              cap: Fraction) -> Optional[dict[tuple[int, int], Fraction]]:
-    """Edmonds-Karp on source -> externals -> internals -> sink."""
+def _charge_flow(rows: dict[int, list[int]], demands: dict[int, Fraction],
+                 cap: Fraction) -> Optional[dict[tuple[int, int], Fraction]]:
+    """Route each source's demand to the targets of its row, each target
+    taking at most ``cap``: the flow on every (source, target), or None
+    when the demands do not all fit.
+
+    A max flow by ``graph.augment`` in units of 1/D, the common denominator
+    of the demands and the cap, on vertex 0 (S), the sorted sources, the
+    sorted targets and the sink (T).  Its edges are S-s, f-T, then s-f in
+    row order, so each vertex meets its arcs in that order.
+    """
     sources = sorted(rows)
     targets = sorted({f for ts in rows.values() for f in ts})
-    S, T = "S", "T"
-    capacity: dict[tuple, Fraction] = {}
-    adj: dict = {S: [], T: []}
-    for s in sources:
-        capacity[(S, s)] = demands[s]
-        adj[S].append(s)
-        adj.setdefault(s, []).append(S)
-    for f in targets:
-        capacity[(f, T)] = cap
-        adj.setdefault(f, []).append(T)
-        adj[T].append(f)
-    for s in sources:
-        for f in rows[s]:
-            capacity[(s, f)] = demands[s]
-            adj[s].append(f)
-            adj[f].append(s)
-    flow: dict[tuple, Fraction] = {}
-
-    def residual(a, b) -> Fraction:
-        return capacity.get((a, b), Fraction(0)) - flow.get((a, b), Fraction(0)) + flow.get((b, a), Fraction(0))
-
-    total = Fraction(0)
-    while True:
-        prev = {S: None}
-        queue = [S]
-        while queue and T not in prev:
-            x = queue.pop(0)
-            for y in adj[x]:
-                if y not in prev and residual(x, y) > 0:
-                    prev[y] = x
-                    queue.append(y)
-        if T not in prev:
-            break
-        path = []
-        node = T
-        while node != S:
-            path.append((prev[node], node))
-            node = prev[node]
-        aug = min(residual(a, b) for a, b in path)
-        for a, b in path:
-            back = flow.get((b, a), Fraction(0))
-            if back >= aug:
-                flow[(b, a)] = back - aug
-            else:
-                flow[(a, b)] = flow.get((a, b), Fraction(0)) + aug - back
-                if back:
-                    flow[(b, a)] = Fraction(0)
-        total += aug
-    if total != sum(demands.values()):
+    index = {x: i for i, x in enumerate([*sources, *targets], 1)}
+    sink = len(index) + 1
+    pairs = [(s, f) for s in sources for f in rows[s]]
+    D = lcm_denominator([cap, *demands.values()])
+    units = [in_units(demands[s], D) for s in sources]
+    edges = ([(0, index[s]) for s in sources] + [(index[f], sink) for f in targets]
+             + [(index[s], index[f]) for s, f in pairs])
+    caps = (units + [in_units(cap, D)] * len(targets)
+            + [in_units(demands[s], D) for s, _ in pairs])
+    arcs = flow_arcs(sink + 1, edges, caps)
+    flow = [0] * len(edges)
+    while (augment(arcs, flow, 1, sink) >> sink) & 1:
+        pass
+    if flow[:len(sources)] != units:
         return None
-    return {
-        (s, f): flow.get((s, f), Fraction(0))
-        for s in sources
-        for f in rows[s]
-    }
+    return {pair: Fraction(val, D)
+            for pair, val in zip(pairs, flow[len(sources) + len(targets):])}
 
 
 @dataclass(frozen=True)
@@ -507,14 +478,16 @@ def _value_key(x: object) -> tuple:
     return type(x), x.as_integer_ratio() if isinstance(x, Fraction) else x
 
 
-def coin_rates(classes: dict[int, EdgeClass], params: ReductionParams,
-               eal_probability: dict[int, object]) -> dict[tuple, object]:
-    """Bernoulli rate per coin group: ``min(1, bound / estimate)``, a
-    ``Fraction`` when the even-at-last estimate is one, a float otherwise.
-    Groups of one coin kind and estimate share one rate, computed once."""
+def coin_rates(classes: dict[int, EdgeClass], groups: dict[tuple, tuple[int, ...]],
+               params: ReductionParams, eal_probability: dict[int, object]
+               ) -> dict[tuple, object]:
+    """Bernoulli rate per coin group of ``coin_groups(classes)``:
+    ``min(1, bound / estimate)``, a ``Fraction`` when the even-at-last
+    estimate is one, a float otherwise.  Groups of one coin kind and
+    estimate share one rate, computed once."""
     memo: dict[tuple, object] = {}
     rates: dict[tuple, object] = {}
-    for grp, members in coin_groups(classes).items():
+    for grp, members in groups.items():
         est = eal_probability[members[0]]
         if any(eal_probability[e] != est for e in members[1:]):
             # one coin flattens every member to the bound only if they share
@@ -533,13 +506,14 @@ def coin_rates(classes: dict[int, EdgeClass], params: ReductionParams,
     return rates
 
 
-def check_eal_bounds(classes: dict[int, EdgeClass], params: ReductionParams,
-                     eal_probability: dict[int, object]) -> None:
-    """Refuse an even-at-last estimate below its coin bound: exactly for a
-    ``Fraction``, within a relative 1e-9 for a float; each distinct coin
-    kind and estimate is checked once."""
+def check_eal_bounds(classes: dict[int, EdgeClass], groups: dict[tuple, tuple[int, ...]],
+                     params: ReductionParams, eal_probability: dict[int, object]) -> None:
+    """Refuse an even-at-last estimate below its coin bound, over the coin
+    groups of ``coin_groups(classes)``: exactly for a ``Fraction``, within a
+    relative 1e-9 for a float; each distinct coin kind and estimate is
+    checked once."""
     passed: set[tuple] = set()
-    for members in coin_groups(classes).values():
+    for members in groups.values():
         est = eal_probability[members[0]]
         kind = classes[members[0]].coin_kind
         key = (kind, _value_key(est))

@@ -26,7 +26,7 @@ from .engine import BatchEngine, BatchStats, CompiledInstance, check_positive, c
 from .errors import ConfigError
 from .graph import HalfIntegralInstance, parse_instance
 from .hierarchy import build_hierarchy
-from .join import EDGE_KINDS, ReductionParams, coin_groups, coin_kind
+from .join import EDGE_KINDS, ReductionParams, coin_kind
 from .oracle import (
     correlation_event_probability,
     correlation_tuples,
@@ -314,7 +314,7 @@ def oracle_check(inst: HalfIntegralInstance,
     # per coin group: its even-at-last probability, and its flattened
     # reduction rate against the group's coin bound
     groups = {}
-    for grp, members in coin_groups(classes).items():
+    for grp, members in ci.coin_groups.items():
         est = ci.eal_probability[members[0]]
         target = rp.coin_bound(classes[members[0]].coin_kind)
         val = ci.rates[grp] * est

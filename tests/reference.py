@@ -9,7 +9,8 @@ Kirchhoff count, closed-form marginals, a
 grid search over the parameter LP, the parameter LP by LAPACK and
 ``Fraction`` Gauss-Jordan, the exact layer's laws, event probabilities
 and net decreases in ``Fraction`` dicts, an exact expected join cost, the
-``Fraction`` shortest-path metric with successors, a tree's odd vertices
+``Fraction`` shortest-path metric with successors, the charge split
+by a ``Fraction`` Edmonds-Karp, a tree's odd vertices
 by degree counts, the even-at-last probabilities by indicator patterns, the matroid-route mixture
 by per-class states and ``Fraction`` sums, a state's tree marginals over
 every interior edge, the max-entropy fit one component at a time and its
@@ -886,6 +887,72 @@ def find_critical_set(g: MultiGraph, root_vertex: int) -> Optional[frozenset[int
     every proper tight set is crossed (a double cycle) or none exists."""
     shore = _critical_shore(g, _min_cut_shores(g), root_vertex)
     return None if shore is None else frozenset(bits(shore))
+
+
+# ---------------------------------------------------------------------------
+# the charge split's max flow in ``Fraction``s
+# ---------------------------------------------------------------------------
+
+def fraction_max_flow(rows: dict[int, list[int]], demands: dict[int, Fraction],
+              cap: Fraction) -> Optional[dict[tuple[int, int], Fraction]]:
+    """Edmonds-Karp on source -> externals -> internals -> sink."""
+    sources = sorted(rows)
+    targets = sorted({f for ts in rows.values() for f in ts})
+    S, T = "S", "T"
+    capacity: dict[tuple, Fraction] = {}
+    adj: dict = {S: [], T: []}
+    for s in sources:
+        capacity[(S, s)] = demands[s]
+        adj[S].append(s)
+        adj.setdefault(s, []).append(S)
+    for f in targets:
+        capacity[(f, T)] = cap
+        adj.setdefault(f, []).append(T)
+        adj[T].append(f)
+    for s in sources:
+        for f in rows[s]:
+            capacity[(s, f)] = demands[s]
+            adj[s].append(f)
+            adj[f].append(s)
+    flow: dict[tuple, Fraction] = {}
+
+    def residual(a, b) -> Fraction:
+        return capacity.get((a, b), Fraction(0)) - flow.get((a, b), Fraction(0)) + flow.get((b, a), Fraction(0))
+
+    total = Fraction(0)
+    while True:
+        prev = {S: None}
+        queue = [S]
+        while queue and T not in prev:
+            x = queue.pop(0)
+            for y in adj[x]:
+                if y not in prev and residual(x, y) > 0:
+                    prev[y] = x
+                    queue.append(y)
+        if T not in prev:
+            break
+        path = []
+        node = T
+        while node != S:
+            path.append((prev[node], node))
+            node = prev[node]
+        aug = min(residual(a, b) for a, b in path)
+        for a, b in path:
+            back = flow.get((b, a), Fraction(0))
+            if back >= aug:
+                flow[(b, a)] = back - aug
+            else:
+                flow[(a, b)] = flow.get((a, b), Fraction(0)) + aug - back
+                if back:
+                    flow[(b, a)] = Fraction(0)
+        total += aug
+    if total != sum(demands.values()):
+        return None
+    return {
+        (s, f): flow.get((s, f), Fraction(0))
+        for s in sources
+        for f in rows[s]
+    }
 
 
 # ---------------------------------------------------------------------------

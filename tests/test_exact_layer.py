@@ -70,7 +70,7 @@ def test_instance_values_match_the_fraction_layer(name, sampler):
     ci = compiled(name, sampler)
     eal = reference.eal_probabilities(ci.eal_conditions, ci.classes, ci.samplers)
     assert_same_values(ci.eal_probability, eal)
-    rates = coin_rates(ci.classes, ci.rp, eal)
+    rates = coin_rates(ci.classes, ci.coin_groups, ci.rp, eal)
     assert_same_values(ci.rates, rates)
     assert_same_values(
         exact_marginals(ci.h, ci.samplers, ci.classes),

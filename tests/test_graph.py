@@ -19,6 +19,8 @@ from htsp.hierarchy import build_hierarchy
 from htsp.graph import (
     HalfIntegralInstance,
     MultiGraph,
+    augment,
+    flow_arcs,
     normalize_to_special_triple,
     parse_instance,
     serialize_instance,
@@ -195,6 +197,25 @@ def test_edge_connectivity_below_the_minimum_degree():
 def test_edge_connectivity_of_the_families(any_instance):
     g = any_instance.graph
     assert g.edge_connectivity() == stoer_wagner_connectivity(g) == 4
+
+
+def test_augment_pushes_the_bottleneck():
+    """A push carries the least residual room of its shortest path, and an
+    arc of capacity c carries nothing backwards; a unit edge carries at
+    most one unit either way."""
+    # arcs 0->1, 1->2, 2->3 and the shortcut 0->2, of capacities 5, 3, 4, 2
+    arcs = flow_arcs(4, [(0, 1), (1, 2), (2, 3), (0, 2)], [5, 3, 4, 2])
+    flow = [0] * 4
+    assert augment(arcs, flow, 1, 3) >> 3 & 1 and flow == [0, 0, 2, 2]
+    assert augment(arcs, flow, 1, 3) >> 3 & 1 and flow == [2, 2, 4, 2]
+    assert augment(arcs, flow, 1, 3) == 0b0111 and flow == [2, 2, 4, 2]
+    unit = flow_arcs(2, [(0, 1)])
+    flow = [0]
+    assert augment(unit, flow, 0b01, 1) == 0b11 and flow == [1]
+    assert augment(unit, flow, 0b01, 1) == 0b01
+    # backwards the room is the unit sent plus one unit the other way
+    assert augment(unit, flow, 0b10, 0) == 0b11 and flow == [-1]
+    assert augment(unit, flow, 0b10, 0) == 0b10
 
 
 # -- the double-cycle certificate ---------------------------------------------

@@ -359,3 +359,17 @@ def test_contract_merged_degree_property(n, seed):
     cut = g.cut(shore)
     gc, mapping = g.contract(shore)
     assert gc.degree(mapping[next(iter(shore))]) == cut.value
+
+
+def test_boundary_patterns_are_checked_per_node_kind():
+    """A degree piece's boundary vertices carry one external edge each, a
+    cycle piece's two: the hierarchy check refuses either pattern under
+    the other kind, naming the first internal vertex's count."""
+    from dataclasses import replace
+
+    h = build_hierarchy(family_instance("zoo"))
+    for nd in h.non_leaves():
+        swapped = replace(nd, kind="cycle" if nd.kind == "degree" else "degree")
+        nodes = tuple(swapped if other is nd else other for other in h.nodes)
+        with pytest.raises(AssemblyError, match=r"boundary pattern [12] not allowed at a"):
+            hierarchy._check_hierarchy(replace(h, nodes=nodes))

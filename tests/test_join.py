@@ -33,15 +33,15 @@ from htsp.join import (
 )
 import htsp.engine
 from htsp.cli import main
-from htsp.generators import generate_double_cycle
+from htsp.generators import generate_double_cycle, generate_random_4reg
 from htsp.graph import bits, parse_instance, serialize_instance
 from htsp.params import BETA_CAP, DEFAULT_TAU, optimize
 from htsp.pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
 from htsp.engine import BatchEngine, CompiledInstance, _odd_rows
 from htsp.stats import ExperimentConfig, run_suite
 from tests.conftest import ALL_FAMILIES, FAMILY_SEED, family_instance, fractional_cost_instance
-from tests.reference import (build_join, detect_eal, fraction_plan, odd_vertices,
-                             shortest_path_metric, verify_join)
+from tests.reference import (build_join, detect_eal, fraction_max_flow, fraction_plan,
+                             odd_vertices, shortest_path_metric, verify_join)
 
 QUARTER = Fraction(1, 4)
 
@@ -53,7 +53,7 @@ def prepared(inst, sampler="mix"):
     samplers = build_piece_samplers(h, sp)
     classes = classify(h)
     probs = exact_eal_probabilities(eal_conditions(h, classes), classes, samplers)
-    rates = coin_rates(classes, rp, probs)
+    rates = coin_rates(classes, coin_groups(classes), rp, probs)
     sites = build_charge_sites(h, classes, rp)
     return h, sp, rp, samplers, classes, rates, sites
 
@@ -204,7 +204,7 @@ def test_equal_estimates_of_two_types_keep_their_rate_types(zoo_instance):
     probs = {e: Fraction(3, 4) for e in classes}
     for grp, members in groups[::2]:
         probs.update((e, 0.75) for e in members)
-    rates = coin_rates(classes, rp, probs)
+    rates = coin_rates(classes, coin_groups(classes), rp, probs)
     for grp, members in groups:
         assert type(rates[grp]) is type(probs[members[0]]), grp
         assert rates[grp] == rp.coin_bound(classes[members[0]].coin_kind) / probs[members[0]]
@@ -532,7 +532,7 @@ def test_estimate_below_bound_raises(zoo_instance):
     rp = ReductionParams.default()
     bogus = {e: 1e-6 for e in classes}
     with pytest.raises(EstimateBelowBound):
-        check_eal_bounds(classes, rp, bogus)
+        check_eal_bounds(classes, coin_groups(classes), rp, bogus)
 
 
 def test_bound_check_is_exact_on_fractions_and_tolerant_on_floats(zoo_instance):
@@ -541,17 +541,18 @@ def test_bound_check_is_exact_on_fractions_and_tolerant_on_floats(zoo_instance):
     from htsp.errors import EstimateBelowBound
 
     classes = classify(build_hierarchy(zoo_instance))
+    groups = coin_groups(classes)
     rp = ReductionParams.default()
     bound = {e: rp.coin_bound(cl.coin_kind) for e, cl in classes.items()}
-    check_eal_bounds(classes, rp, bound)
-    rates = coin_rates(classes, rp, bound)
+    check_eal_bounds(classes, groups, rp, bound)
+    rates = coin_rates(classes, groups, rp, bound)
     assert all(r == 1 and isinstance(r, Fraction) for r in rates.values())
     below = {e: b * (1 - Fraction(1, 10 ** 12)) for e, b in bound.items()}
     with pytest.raises(EstimateBelowBound):
-        check_eal_bounds(classes, rp, below)
-    check_eal_bounds(classes, rp, {e: float(b) for e, b in below.items()})
+        check_eal_bounds(classes, groups, rp, below)
+    check_eal_bounds(classes, groups, rp, {e: float(b) for e, b in below.items()})
     above = {e: 2 * b for e, b in bound.items()}
-    assert set(coin_rates(classes, rp, above).values()) == {Fraction(1, 2)}
+    assert set(coin_rates(classes, groups, rp, above).values()) == {Fraction(1, 2)}
 
 
 @pytest.mark.parametrize("sampler", ["mi", "maxent", "mix"])
@@ -698,16 +699,103 @@ def test_flow_rows_off_one_raise_flow_infeasible(monkeypatch):
         nd.piece for nd in h.non_leaves() if nd.kind == "degree" and nd.piece.graph.n > 5
     )
     demands = {e: Fraction(1) for e in piece.external_edge_ids}
-    real = join_mod._max_flow
+    real = join_mod.augment
 
-    def short_flow(rows, demands, cap):
-        flow = real(rows, demands, cap)
-        first = min(rows)
-        return {(s, f): (x / 2 if s == first else x) for (s, f), x in flow.items()}
+    def short_flow(arcs, flow, source, t):
+        seen = real(arcs, flow, source, t)
+        if not (seen >> t) & 1:
+            # the flow is final: take half of the first source's demand back
+            # from its edges to the targets, and leave its edge from S full
+            out = [pos for pos, _, sign, _ in arcs[1] if sign == 1]
+            excess = sum(flow[pos] for pos in out) // 2
+            for pos in out:
+                take = min(flow[pos], excess)
+                flow[pos] -= take
+                excess -= take
+        return seen
 
-    monkeypatch.setattr(join_mod, "_max_flow", short_flow)
+    monkeypatch.setattr(join_mod, "augment", short_flow)
     with pytest.raises(FlowInfeasible, match="sum to 1/2"):
         bipartization_flow(piece, demands)
+
+
+@functools.cache
+def _hierarchy_and_classes(name: str) -> tuple:
+    if name.startswith("random-4reg-seed-"):
+        seed = int(name.rsplit("-", 1)[1])
+        inst = generate_random_4reg(12, np.random.default_rng(seed))
+    else:
+        inst = family_instance(name)
+    h = build_hierarchy(inst)
+    return h, classify(h)
+
+
+SPLIT_INSTANCES = ALL_FAMILIES + tuple(f"random-4reg-seed-{seed}" for seed in range(4))
+
+
+@pytest.mark.parametrize("params", ["default", "optimized", "mi", "maxent"])
+def test_charge_split_equals_the_fraction_edmonds_karp(params):
+    """On every degree piece but K5, with the demands ``build_charge_sites``
+    gives it, ``bipartization_flow`` splits each demand as the ``Fraction``
+    Edmonds-Karp does, in the same order, with the same loads."""
+    sp, rp = plan_params(params)
+    rp = rp or ReductionParams.default(sp.effective_lambda)
+    compared = 0
+    for name in SPLIT_INSTANCES:
+        h, classes = _hierarchy_and_classes(name)
+        for nd in h.non_leaves():
+            piece = nd.piece
+            if nd.kind == "cycle" or piece.graph.n == 5:
+                continue
+            demands = {}
+            for s in sorted(piece.external_edge_ids):
+                amount = rp.amount(classes[s].kind)
+                demands[s] = amount / 2 if classes[s].kind == "cycle" else amount
+            g, ext = piece.graph, set(piece.external_edge_ids)
+            rows = {}
+            for s in demands:
+                u, v = g.endpoints[g.edge_index(s)]
+                inner = u if v == piece.external_vertex else v
+                rows[s] = sorted(e for e in g.incident_ids(inner) if e not in ext)
+            cap = max(demands.values()) / 2
+            flow = fraction_max_flow(rows, demands, cap)
+            if flow is None:
+                with pytest.raises(FlowInfeasible, match="no assignment at cap"):
+                    bipartization_flow(piece, demands)
+                continue
+            got = bipartization_flow(piece, demands)
+            want = [((s, f), x / demands[s]) for (s, f), x in flow.items() if x]
+            load = {}
+            for (s, f), x in flow.items():
+                if x:
+                    load[f] = load.get(f, Fraction(0)) + x
+            assert list(got.fractions.items()) == want, (name, nd.node_id)
+            assert list(got.load.items()) == list(load.items()) and got.cap == cap
+            compared += 1
+    assert compared > 0
+
+
+_AMOUNTS = st.fractions(min_value=0, max_value=2, max_denominator=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_charge_flow_equals_the_fraction_edmonds_karp_on_random_rows(data):
+    """On random rows, demands and caps, feasible or not, the integer flow
+    gives the ``Fraction`` Edmonds-Karp's dict, in its order, and None
+    exactly when it does."""
+    from htsp.join import _charge_flow
+
+    sources = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True))
+    targets = data.draw(st.lists(st.integers(50, 90), min_size=1, max_size=6, unique=True))
+    rows = {s: data.draw(st.lists(st.sampled_from(targets), max_size=len(targets), unique=True))
+            for s in sources}
+    demands = {s: data.draw(_AMOUNTS) for s in sources}
+    cap = data.draw(_AMOUNTS)
+    want = fraction_max_flow(rows, demands, cap)
+    got = _charge_flow(rows, demands, cap)
+    assert (got is None) == (want is None)
+    assert got is None or list(got.items()) == list(want.items())
 
 
 def test_coin_group_with_two_estimates_raises(zoo_instance):
@@ -723,7 +811,7 @@ def test_coin_group_with_two_estimates_raises(zoo_instance):
     probs = {e: 0.9 for e in classes}
     probs[members[0]] = 0.95
     with pytest.raises(EstimateBelowBound, match="2 even-at-last estimates"):
-        coin_rates(classes, rp, probs)
+        coin_rates(classes, coin_groups(classes), rp, probs)
 
 
 # -- certifying checks that are raises, not asserts ----------------------------
@@ -851,7 +939,7 @@ def test_integer_metric_equals_the_fraction_reference(family):
 
 
 def test_integer_metric_equals_the_fraction_reference_on_a_long_double_cycle():
-    from htsp.generators import generate_double_cycle
+    from htsp.generators import generate_double_cycle, generate_random_4reg
 
     _assert_metric_equals_reference(generate_double_cycle(100, np.random.default_rng(0)))
 

@@ -394,3 +394,23 @@ def test_one_table_per_graph_shape():
     caches = sorted(owner.get(id(n), f"line {n.lineno}") for n in ast.walk(tree)
                     if getattr(n, "attr", getattr(n, "id", None)) in ("lru_cache", "cache"))
     assert caches == ["_contract", "_shape"]
+
+
+def test_one_max_flow_routine():
+    """``graph.augment`` is the package's one augmenting-path step: ``join.py``
+    defines no ``_max_flow`` and names no flow node by a string, and no
+    function of the package but ``augment`` writes a flow entry."""
+    join = _parse(SRC / "join.py")
+    assert "_max_flow" not in _names(join)
+    nodes = [f"join.py:{node.lineno}" for node in ast.walk(join)
+             if isinstance(node, ast.Constant) and node.value in ("S", "T")]
+    assert nodes == []
+    writers = sorted({
+        f"{path.name}:{fn.name}"
+        for path in SRC.glob("*.py")
+        for fn in ast.walk(_parse(path)) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, (ast.Assign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Subscript) and getattr(target.value, "id", None) == "flow"
+    })
+    assert writers == ["graph.py:augment"]
