@@ -16,11 +16,19 @@ so at lam = n/d all constraint rows are integers over one common factor.
 A float screen solves all C(17, 4) bases at once in closed form: each 4x4
 determinant and Cramer numerator is a bilinear form in the 2x2 minors of
 the basis's first and last two rows.  Floats only pick the near-optimal
-bases; each of those is re-solved on the integer rows and certified by
-integer inequalities, and the largest exact delta wins, the first basis in
-``itertools.combinations`` order on a tie.  The optimal face is an edge,
-not a vertex, at every mix checked, so that tie-break fixes the reported
-amounts.
+bases; each of those is re-solved on the integer rows from its cofactor
+matrix and certified by integer inequalities, and the largest exact delta
+wins, the first basis in ``itertools.combinations`` order on a tie.  The
+optimal face is an edge, not a vertex, at every mix checked, so that
+tie-break fixes the reported amounts.
+
+The mix search needs only the optimal delta, which LP duality certifies
+on one basis: its vertex is feasible and its dual multipliers, the last
+column of its cofactor matrix over its determinant, are nonnegative.  The
+LP has few distinct optimal bases over the mix range, so the search tries
+the bases it has already certified first, in integers, and screens only
+where none of them is optimal; the reported solution still comes from the
+screen at the final mix.
 """
 
 from __future__ import annotations
@@ -92,6 +100,12 @@ EPSILON = 0.001695
 TOUR_RATIO_BOUND = 1.4983
 #: standard errors a sampled estimate may sit past its bound and pass
 SIGMAS = 3
+#: the parameter LP's float screen: a basis whose float determinant is at
+#: most ``SCREEN_SINGULAR`` counts as singular, and one within ``SCREEN_NEAR``
+#: of every row and of the best float delta is kept; they only pick
+#: candidates, and an integer certificate decides each one
+SCREEN_SINGULAR = 1e-12
+SCREEN_NEAR = 1e-9
 
 
 def mixed_rates(lam: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -183,40 +197,32 @@ _PAIRS = list(itertools.combinations(range(5), 2))
 _C0, _C1 = np.array(_PAIRS).T
 
 
-def _laplace_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices and signs that expand the five 4x4 minors of a basis's
-    augmented rows [A | b] by the 2x2 minors of rows (0, 1) and (2, 3).
+def _laplace_table() -> np.ndarray:
+    """The five 4x4 minors of a basis's augmented rows [A | b] as bilinear
+    forms in the 2x2 minors of rows (0, 1) and (2, 3): output j is
+    top . table[j] . bot.
 
     Output j < 4 is the Cramer numerator of x_j, output 4 is det A.
     """
-    top, bot, sign = [], [], []
+    table = np.zeros((5, len(_PAIRS), len(_PAIRS)))
     for j in range(5):
         cols = [c for c in range(5) if c != j]
         # b sits last among ``cols``; Cramer's matrix has it in column j
         flip = 1 if j == 4 else (-1) ** (3 - j)
         for p, q in itertools.combinations(range(4), 2):
             r, s = (c for c in range(4) if c not in (p, q))
-            top.append(_PAIRS.index((cols[p], cols[q])))
-            bot.append(_PAIRS.index((cols[r], cols[s])))
-            sign.append(flip * (-1) ** (p + q + 1))
-    return tuple(np.array(t).reshape(5, 6) for t in (top, bot, sign))
+            top = _PAIRS.index((cols[p], cols[q]))
+            bot = _PAIRS.index((cols[r], cols[s]))
+            table[j, top, bot] = flip * (-1) ** (p + q + 1)
+    return table
 
 
-_TOP, _BOT, _SIGN = _laplace_table()
-#: the same expansion as bilinear forms: output j = top . _LAPLACE[j] . bot
-_LAPLACE = np.zeros((5, len(_PAIRS), len(_PAIRS)))
-_LAPLACE[np.arange(5)[:, None], _TOP, _BOT] = _SIGN
+_LAPLACE = _laplace_table()
 
 
 def _minors(ri: np.ndarray, rk: np.ndarray) -> np.ndarray:
     """2x2 minors of augmented row pairs over the ten column pairs."""
     return ri[..., _C0] * rk[..., _C1] - ri[..., _C1] * rk[..., _C0]
-
-
-def _cramer(top: np.ndarray, bot: np.ndarray) -> np.ndarray:
-    """Per basis the Cramer numerators of x and det A, from the minors of
-    its first and its last two rows (used on Python-int arrays)."""
-    return (top[..., _TOP] * bot[..., _BOT] * _SIGN).sum(axis=-1)
 
 
 @functools.cache
@@ -250,26 +256,21 @@ def _affine_rows() -> tuple[tuple[str, ...], np.ndarray, np.ndarray, int]:
     return tuple(name for name, _, _ in at0), ints[0], ints[1], q
 
 
-def solve_amounts(lam: Fraction) -> LpSolution:
-    """Exact maximizer of the minimum decrease form at a fixed mix.
+def _integer_rows(lam: Fraction) -> np.ndarray:
+    """The augmented rows at mix lam as integers (object array), over the
+    positive factor q * lam.denominator."""
+    _, u, v, _ = _affine_rows()
+    return u * lam.denominator + v * lam.numerator
 
-    Vertex enumeration with a float screen and an integer certificate.
-    The screen solves every basis of four constraints by Cramer's rule,
-    each 4x4 determinant expanded from the 2x2 minors of its row pairs,
-    and keeps the feasible bases within 1e-9 of the best float delta.
-    Each of those is re-solved on the integer-scaled rows (numerators N
-    over the determinant D), certified by A N <= b D on every row, and
-    its binding rows are the equalities.  Among the certified bases the
-    one with the largest exact delta wins, the first in
-    ``itertools.combinations`` order on a tie: at every mix checked the
-    optimal face is an edge, whose two vertices can differ in gamma, so
-    the tie-break fixes the reported amounts.  ``Fraction``s are built
-    for the returned solution only.
-    """
-    lam = Fraction(lam)
-    names, u, v, q = _affine_rows()
+
+def _screen(lam: Fraction, rows: np.ndarray) -> list[list[int]]:
+    """The bases the float screen keeps at mix lam, in
+    ``itertools.combinations`` order: every basis of four constraints is
+    solved by Cramer's rule, each 4x4 determinant expanded from the 2x2
+    minors of its row pairs, and the feasible ones within ``SCREEN_NEAR``
+    of the best float delta are kept."""
+    names, _, _, q = _affine_rows()
     m = len(names)
-    rows = u * lam.denominator + v * lam.numerator
     # int / int divides correctly rounded: the floats of the Fraction rows
     aug = (rows / (q * lam.denominator)).astype(float)
 
@@ -279,24 +280,109 @@ def solve_amounts(lam: Fraction) -> LpSolution:
     grid = (_minors(aug[top[:, 0]], aug[top[:, 1]]) @ _LAPLACE) @ \
         _minors(aug[bot[:, 0]], aug[bot[:, 1]]).T
     grid = grid.reshape(5, -1)[:, flat]
-    good = np.flatnonzero(np.abs(grid[4]) > 1e-12)
+    good = np.flatnonzero(np.abs(grid[4]) > SCREEN_SINGULAR)
     xs = grid[:4, good] / grid[4, good]
-    feas = (aug[:, :4] @ xs - aug[:, 4:]).max(axis=0) <= 1e-9
+    feas = (aug[:, :4] @ xs - aug[:, 4:]).max(axis=0) <= SCREEN_NEAR
     if not feas.any():
         raise LpFailure(f"feasible region is empty at lambda {lam}")
     deltas = xs[3, feas]
-    near = _bases(m)[good[feas][deltas >= deltas.max() - 1e-9]]
+    return _bases(m)[good[feas][deltas >= deltas.max() - SCREEN_NEAR]].tolist()
 
-    exact = _cramer(_minors(rows[near[:, 0]], rows[near[:, 1]]),
-                    _minors(rows[near[:, 2]], rows[near[:, 3]]))
-    best: Optional[tuple[list[int], int, np.ndarray]] = None
-    for *num, den in exact.tolist():
-        if den == 0:
+
+#: each row index with the other three, in order
+_OTHERS = [[k for k in range(4) if k != i] for i in range(4)]
+
+
+def _vertex(rows: list[list[int]],
+            basis: list[int]) -> Optional[tuple[list[int], int, list[int]]]:
+    """A basis's vertex as integer numerators N over its determinant D made
+    positive, with D times each of its rows' dual multipliers for
+    "maximize delta"; None if the basis is singular.
+
+    With C the cofactor matrix of the basis rows A, N = C^T b and the
+    multipliers y = C[:, 3] / D solve y A = (0, 0, 0, 1).
+    """
+    a = [rows[i] for i in basis]
+    cof = [[0] * 4 for _ in range(4)]
+    for i, (r0, r1, r2) in enumerate([[a[k] for k in ks] for ks in _OTHERS]):
+        for j, (c0, c1, c2) in enumerate(_OTHERS):
+            det = (r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1])
+                   - r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0])
+                   + r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0]))
+            cof[i][j] = -det if (i + j) % 2 else det
+    den = sum(x * c for x, c in zip(a[0], cof[0]))
+    if den == 0:
+        return None
+    sign = 1 if den > 0 else -1
+    num = [sign * sum(c[j] * r[4] for c, r in zip(cof, a)) for j in range(4)]
+    return num, sign * den, [sign * c[3] for c in cof]
+
+
+def _slacks(rows: list[list[int]], num: list[int], den: int) -> list[int]:
+    """A N - b D on every row: the vertex N / D is feasible when none is
+    positive, and a row binds where it is zero."""
+    t, g, b, d = num
+    return [r[0] * t + r[1] * g + r[2] * b + r[3] * d - r[4] * den for r in rows]
+
+
+def _certify(rows: list[list[int]], basis: list[int]) -> Optional[Fraction]:
+    """The optimal delta if ``basis`` is an optimal basis of the integer
+    ``rows``, else None.  By LP duality it is when its vertex is feasible
+    (primal) and its dual multipliers are all nonnegative (dual)."""
+    vertex = _vertex(rows, basis)
+    if vertex is None:
+        return None
+    num, den, duals = vertex
+    if min(duals) < 0 or max(_slacks(rows, num, den)) > 0:
+        return None
+    return Fraction(num[3], den)
+
+
+def _optimal_delta(lam: Fraction, known: list[list[int]]) -> Fraction:
+    """The optimal delta at mix lam, certified on an optimal basis: first
+    the bases in ``known``, most recent first; when none is optimal here,
+    the screen's bases in order, the first certified one joining ``known``;
+    when none of those is either, ``solve_amounts``'s answer or failure.
+    ``known`` belongs to one search, so no basis outlives it."""
+    rows = _integer_rows(lam)
+    ints = rows.tolist()
+    for basis in reversed(known):
+        delta = _certify(ints, basis)
+        if delta is not None:
+            return delta
+    for basis in _screen(lam, rows):
+        delta = _certify(ints, basis)
+        if delta is not None:
+            known.append(basis)
+            return delta
+    return solve_amounts(lam).delta
+
+
+def solve_amounts(lam: Fraction) -> LpSolution:
+    """Exact maximizer of the minimum decrease form at a fixed mix.
+
+    Vertex enumeration with a float screen and an integer certificate.
+    Each basis the screen keeps is re-solved on the integer-scaled rows
+    (numerators N over the determinant D), certified by A N <= b D on
+    every row, and its binding rows are the equalities.  Among the
+    certified bases the one with the largest exact delta wins, the first
+    in ``itertools.combinations`` order on a tie: at every mix checked the
+    optimal face is an edge, whose two vertices can differ in gamma, so
+    the tie-break fixes the reported amounts.  ``Fraction``s are built
+    for the returned solution only.
+    """
+    lam = Fraction(lam)
+    names = _affine_rows()[0]
+    rows = _integer_rows(lam)
+    ints = rows.tolist()
+    best: Optional[tuple[list[int], int, list[int]]] = None
+    for basis in _screen(lam, rows):
+        vertex = _vertex(ints, basis)
+        if vertex is None:
             continue
-        if den < 0:
-            num, den = [-k for k in num], -den
-        slack = rows[:, :4] @ num - rows[:, 4] * den
-        if (slack <= 0).all() and (best is None or num[3] * best[1] > best[0][3] * den):
+        num, den, _ = vertex
+        slack = _slacks(ints, num, den)
+        if max(slack) <= 0 and (best is None or num[3] * best[1] > best[0][3] * den):
             best = (num, den, slack)
     if best is None:
         raise LpFailure(f"float screening lost the optimum at lambda {lam}")
@@ -312,9 +398,14 @@ def _quantize(x: float, denom: int = 10 ** 7) -> Fraction:
 
 def optimize() -> LpSolution:
     """Grid the mix in steps of 0.02, bracket the best value, refine by
-    golden section to a bracket of 1e-5; the solution at the mix found."""
+    golden section to a bracket of 1e-5; the solution at the mix found.
+
+    The search reads each delta off a certified optimal basis
+    (``_optimal_delta``); the bases it certifies live in this call only.
+    """
+    known: list[list[int]] = []
     lams = [_quantize(x) for x in np.arange(0.0, 1.0 + 1e-12, 0.02)]
-    vals = [solve_amounts(l).delta for l in lams]
+    vals = [_optimal_delta(l, known) for l in lams]
     i = int(np.argmax([float(v) for v in vals]))
     lo = float(lams[max(0, i - 1)])
     hi = float(lams[min(len(lams) - 1, i + 1)])
@@ -323,15 +414,15 @@ def optimize() -> LpSolution:
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc = float(solve_amounts(_quantize(c)).delta)
-    fd = float(solve_amounts(_quantize(d)).delta)
+    fc = float(_optimal_delta(_quantize(c), known))
+    fd = float(_optimal_delta(_quantize(d), known))
     while b - a > 1e-5:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = float(solve_amounts(_quantize(c)).delta)
+            fc = float(_optimal_delta(_quantize(c), known))
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = float(solve_amounts(_quantize(d)).delta)
+            fd = float(_optimal_delta(_quantize(d), known))
     return solve_amounts(_quantize((a + b) / 2, 10 ** 5))

@@ -291,14 +291,23 @@ def suite_symmetry(engine: BatchEngine, st: BatchStats) -> list[StatRow]:
     return rows
 
 
-def oracle_check(inst: HalfIntegralInstance,
+def oracle_check(inst: HalfIntegralInstance | CompiledInstance,
                  sampler_params: Optional[SamplerParams] = None,
                  reduction_params: Optional[ReductionParams] = None) -> StatReport:
     """Exact rows: marginals, even-at-last bounds, flattened reduction
     rates, and per-edge expected net decrease, all without sampling.  The
     members of a coin group share one even-at-last probability and one
-    rate (``join.coin_rates``), so each group's values are read once."""
-    ci = CompiledInstance(inst, sampler_params, reduction_params)
+    rate (``join.coin_rates``), so each group's values are read once.
+
+    An already compiled instance (a ``BatchEngine`` is one) is read as it
+    is, with its own sampler and reduction parameters, so it takes none."""
+    if isinstance(inst, CompiledInstance):
+        if sampler_params is not None or reduction_params is not None:
+            raise ConfigError("a compiled instance carries its own sampler and "
+                              "reduction parameters: give none")
+        ci = inst
+    else:
+        ci = CompiledInstance(inst, sampler_params, reduction_params)
     sp, rp, classes = ci.sp, ci.rp, ci.classes
     report = StatReport(meta={"suite": "oracle", "sampler": sp.sampler})
     rows, sampler = report.rows, sp.sampler

@@ -42,6 +42,16 @@ CORRELATIONS = {
 }
 REDUCTION_FLOOR_ZOO_MIX = "28752a357d801b34e998990d43987d60dfd91bd0453be3f14634f5c6d309c5cd"
 ORACLE_ZOO_MIX = "4f520cb512f66e35ea7291cdf6d25376b84dd55a8d356010db8e22f26d839da8"
+# the oracle report on the mix: the zoo instance, and the cycle shapes,
+# double-cycle k = 24 at generator seed 1 (the cuts-dcycle shape) and the
+# conftest k5-gadget
+ORACLE_MIX = {
+    (("family", "zoo"), ("gen_seed", 3)): ORACLE_ZOO_MIX,
+    (("family", "double-cycle"), ("k", 24), ("gen_seed", 1)):
+        "31775fac3f7eaabfef585ed94a945ca906c79d3f707d4c294d2ea8c291a97552",
+    (("family", "k5-gadget"), ("k", 6), ("gen_seed", 3)):
+        "1d7093a6010b238b4a1bf87e62457bc30c7cda57e3f0e8a62c52178e75dcc9fd",
+}
 # the optimized mix, amounts (floats and exact) and binding constraints
 OPTIMIZE_PARAMS = "7dc901fbf651bf28b55f16f9b8420a6fc0afd981e7cf9cff929b83395fdb3ad4"
 # stdout of one command on a generated instance: (family, generator flags,
@@ -166,10 +176,11 @@ def test_suite_correlations_csv_digest(source):
     assert _sha(run_suite(cfg).to_csv()) == CORRELATIONS[source]
 
 
-def test_oracle_csv_digest():
-    inst = load_instance(ExperimentConfig(family="zoo", gen_seed=3))
+@pytest.mark.parametrize("source", sorted(ORACLE_MIX))
+def test_oracle_csv_digest(source):
+    inst = load_instance(ExperimentConfig(**dict(source)))
     report = oracle_check(inst, SamplerParams(sampler="mix"))
-    assert _sha(report.to_csv()) == ORACLE_ZOO_MIX
+    assert _sha(report.to_csv()) == ORACLE_MIX[source]
 
 
 def test_suite_all_csv_digest_random_4reg():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htsp import params
 from htsp.errors import LpFailure
@@ -111,15 +112,23 @@ def test_solve_amounts_respects_constraints():
 
 
 def _visited_mixes(monkeypatch) -> list[Fraction]:
-    """Every mix ``optimize()`` solves at, in call order."""
+    """Every mix ``optimize()`` searches or solves at, in call order; each
+    searched delta is checked against ``solve_amounts`` on the way."""
     seen: list[Fraction] = []
-    real = params.solve_amounts
+    search, solve = params._optimal_delta, params.solve_amounts
 
-    def record(lam):
+    def searched(lam, known):
         seen.append(Fraction(lam))
-        return real(lam)
+        delta = search(lam, known)
+        assert delta == solve(lam).delta
+        return delta
 
-    monkeypatch.setattr(params, "solve_amounts", record)
+    def solved(lam):
+        seen.append(Fraction(lam))
+        return solve(lam)
+
+    monkeypatch.setattr(params, "_optimal_delta", searched)
+    monkeypatch.setattr(params, "solve_amounts", solved)
     optimize()
     monkeypatch.undo()
     return seen
@@ -127,7 +136,8 @@ def _visited_mixes(monkeypatch) -> list[Fraction]:
 
 def test_solve_amounts_equals_the_reference_where_optimize_looks(monkeypatch):
     # the closed-form screen and integer certificate give the LAPACK and
-    # Fraction Gauss-Jordan solver's answer, tie-break and binding included
+    # Fraction Gauss-Jordan solver's answer, tie-break and binding included;
+    # at every mix searched, the certified delta is that answer's delta
     grid = [_quantize(x) for x in np.arange(0.0, 1.0 + 1e-12, 0.02)]
     visited = _visited_mixes(monkeypatch)
     assert len(grid) == 51 and len(visited) == 72
@@ -135,17 +145,75 @@ def test_solve_amounts_equals_the_reference_where_optimize_looks(monkeypatch):
         assert solve_amounts(lam) == reference.solve_amounts(lam)
 
 
-def test_tie_break_is_the_first_optimal_basis():
-    # at the default mix the optimal face is an edge whose two vertices
-    # differ in gamma; the first basis in combinations order is reported
-    lam = Fraction(4715, 10000)
+#: the bases certified across the examples of the property below
+_SHARED_BASES: list[list[int]] = []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 7).flatmap(
+    lambda d: st.tuples(st.integers(0, d), st.just(d))))
+def test_certified_delta_is_the_optimum(nd):
+    # a basis certified at one mix is tried at every later one: it is
+    # accepted only where duality proves it optimal
+    lam = Fraction(*nd)
+    assert params._optimal_delta(lam, _SHARED_BASES) == solve_amounts(lam).delta
+
+
+def _reference_vertices(lam: Fraction) -> list[tuple[list[int], list[Fraction]]]:
+    """Every basis with a feasible vertex at mix lam, and that vertex."""
     cons = params._constraints(lam)
-    feasible = []
+    out = []
     for combo in params._bases(len(cons)).tolist():
         x = reference._solve4([cons[i][1] for i in combo], [cons[i][2] for i in combo])
         if x is not None and all(
                 sum(c * v for c, v in zip(coefs, x)) <= b for _, coefs, b in cons):
-            feasible.append(x)
+            out.append((combo, x))
+    return out
+
+
+def test_a_feasible_basis_that_is_not_optimal_is_refused():
+    # only the dual multipliers tell these apart from an optimal basis
+    half = Fraction(1, 2)
+    best = solve_amounts(half).delta
+    rows = params._integer_rows(half).tolist()
+    suboptimal = [combo for combo, x in _reference_vertices(half) if x[3] < best]
+    assert suboptimal
+    for combo in suboptimal:
+        assert params._certify(rows, combo) is None
+    known = [suboptimal[0]]
+    assert params._optimal_delta(half, known) == best
+    assert len(known) == 2 and params._certify(rows, known[1]) == best
+
+
+def test_the_certificate_does_not_depend_on_the_determinant_sign():
+    # swapping two rows of a basis flips the sign of its determinant
+    half = Fraction(1, 2)
+    rows = params._integer_rows(half).tolist()
+    known: list[list[int]] = []
+    best = params._optimal_delta(half, known)
+    (basis,) = known
+    swapped = [basis[1], basis[0], *basis[2:]]
+    assert params._certify(rows, basis) == params._certify(rows, swapped) == best
+
+
+def test_optimize_screens_a_few_mixes_and_keeps_no_basis(monkeypatch):
+    calls = []
+    real = params._screen
+    monkeypatch.setattr(params, "_screen", lambda lam, rows: calls.append(lam) or real(lam, rows))
+    first = optimize()
+    screened = calls[:]
+    calls.clear()
+    # the search starts from no known basis, so it screens its first mix,
+    # and a second search screens the same mixes again
+    assert screened[0] == 0 and len(screened) <= 8
+    assert optimize() == first and calls == screened
+
+
+def test_tie_break_is_the_first_optimal_basis():
+    # at the default mix the optimal face is an edge whose two vertices
+    # differ in gamma; the first basis in combinations order is reported
+    lam = Fraction(4715, 10000)
+    feasible = [x for _, x in _reference_vertices(lam)]
     best = max(x[3] for x in feasible)
     optima = [x for x in feasible if x[3] == best]
     assert len({tuple(x) for x in optima}) == len({x[1] for x in optima}) == 2
@@ -163,6 +231,8 @@ def test_empty_feasible_region_raises(monkeypatch):
     try:
         with pytest.raises(LpFailure, match="feasible region is empty"):
             solve_amounts(Fraction(1, 2))
+        with pytest.raises(LpFailure, match="feasible region is empty"):
+            params._optimal_delta(Fraction(1, 2), [])
     finally:
         monkeypatch.undo()
         params._affine_rows.cache_clear()

@@ -415,6 +415,25 @@ def test_oracle_check_computes_eal_probabilities_once(monkeypatch):
         assert calls == dict.fromkeys(names, 1), family
 
 
+@pytest.mark.parametrize("family,sampler", [("zoo", "mix"), ("random-4reg", "mi")])
+def test_oracle_check_reads_a_compiled_instance_as_it_is(family, sampler, monkeypatch):
+    """An engine's oracle report is the instance's, byte for byte, and
+    compiles no piece sampler again; parameters beside it are refused."""
+    inst, sp = family_instance(family), SamplerParams(sampler=sampler)
+    expected = oracle_check(inst, sp).to_csv()
+    engine = BatchEngine(inst, sp)
+    builds = []
+    real = htsp.engine.build_piece_samplers
+    monkeypatch.setattr(htsp.engine, "build_piece_samplers",
+                        lambda *args: builds.append(args) or real(*args))
+    assert oracle_check(engine).to_csv() == expected
+    assert builds == []
+    with pytest.raises(ConfigError, match="compiled instance"):
+        oracle_check(engine, sp)
+    with pytest.raises(ConfigError, match="compiled instance"):
+        oracle_check(engine, reduction_params=engine.rp)
+
+
 def test_oracle_csv_digest_mi_random_4reg():
     """The matroid route's oracle report, pinned like the zoo digests of
     ``test_output_digests.py``: its rows are exact rationals printed."""
