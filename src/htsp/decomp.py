@@ -16,40 +16,51 @@ total-mass equality self-maintaining.
 One kernel decomposes many points of many polytopes at once.
 
 - Per shape (``DecompositionShape``, built once per candidate set): the
-  candidates, the constraint rows, the row x candidate deficits ``d`` (int8
-  when they fit; d > 0 says how far a candidate stays inside a bound),
-  packed bit words that rule candidates out, and the lcm ``L`` of every
-  positive ``d``.  The spanning trees of a contracted minor under its
-  vertex-subset rows are one shape, cached with the minor's trees and
-  shared by every shifted state on that minor.  The step quotas ``L / d``
-  are made once per ``decompose`` call and dropped after the shape's last
-  block, so the cached arrays stay small.
+  candidates and the slack rows, each affine in the scaled residual
+  (sigma itself, then the constraints, then one row r_e per edge).  Per
+  candidate: packed bit words of the rows it moves, and per row its
+  deficit d (a unit step along the candidate lowers the row's slack by
+  d).  A block reads each candidate's cap list, its rows with d > 0,
+  made from its shapes' deficits.  The spanning trees of a contracted
+  minor under its vertex-subset rows are one shape, cached with the
+  minor's trees and shared by every shifted state on that minor.
 - Per state (``DecompositionState``): the target, the candidates the state
   may use, and a few upper rows of its own (the partition parts).
 
 ``decompose`` takes (shape, state) jobs of any number of shapes, as a
-degree piece's compile passes the states of all its minor shapes at once.
-A shape whose states are at most ``SHARED_CELLS`` candidates x rows each
-(the minors of pieces of up to eight vertices, on the generators'
-instances) shares blocks with other such shapes, smallest first: each
-state reads its own shape's tables, padded to the block's largest.  A
-larger shape runs alone, reading its tables as they are.  A block holds
-at most ``BLOCK_CELLS`` states x candidates x rows.  Every round of a
-block prunes the candidates (support, tight rows), takes each state's
-largest step and first best candidate, updates and divides out the gcd,
-for all of its states at once and over the live (state, candidate) pairs
-only.  Finished states leave the block; the rest go on in lockstep.
+degree piece's compile passes the states of all its minor shapes at once,
+and an odd piece its three split pieces' matchings.  It orders the jobs by
+shape and target and cuts them into blocks of at most ``BLOCK_CELLS``
+cells, a state's cells being its candidates times its rows.  A block holds
+states of any number of shapes, with no padding: its tables are its
+shapes' tables one after the other, each state reads its own shape's
+rows, cap lists and rule words, and its own rows enter as (pair, row)
+entries where the pair's candidate moves the row.  Every round runs all
+the block's live states in lockstep:
+
+- the states are grouped by (shape, residual, sigma), and each group's
+  slack rows and tight-row key are computed once;
+- the live (state, candidate) pairs are pruned by their group's key (a
+  support edge at r_e <= 0, or a tight row the candidate moves), then by
+  the state's own tight rows;
+- each distinct (group, candidate) of the pairs left takes the smallest
+  cap over its cap list once, and each pair the smaller of that and its
+  own rows' caps;
+- each state takes its first largest step in its own candidate order,
+  updates and divides out the gcd.
+
+Finished states leave the block; the rest go on.
 
 The greedy runs on integers: the residual ``r`` and the scale ``sigma``
 of each state are kept as integer numerators over one running common
 denominator ``D``, divided by their gcd after every step.  A candidate
-whose step is capped by a constraint it meets ``d`` times too few (or too
-many, for a lower bound) can move by ``slack / d``; with ``L`` a common
-multiple of every such ``d``, each candidate's step is ``T / (D * L)`` for
-the integer ``T = slack * (L / d)``.  A step is slack / d whatever ``L``
-is, so taking ``L`` over a block's shapes and its states' own rows
-instead of over one state's candidates changes no weight and no
-comparison between steps.  A block's arrays are int64 while a per-round
+whose step is capped by a row it lowers by ``d`` can move by
+``slack / d``; with ``L`` a common multiple of every such ``d``, each
+candidate's step is ``T / (D * L)`` for the integer ``T = slack * (L / d)``.
+A step is slack / d whatever ``L`` is, so taking ``L`` over a block's
+shapes and its states' own rows instead of over one state's candidates
+changes no weight and no comparison between steps: a state's greedy does
+not depend on its block.  A block's arrays are int64 while a per-round
 bound shows that no product can reach 2**62, and exact Python ints
 (``dtype=object``) after.  Each state's weights come back as integer
 numerators over one denominator; ``exact_convex_decomposition`` is the
@@ -79,11 +90,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 INT64_SAFE = 2 ** 62
-#: states x candidates x rows: the size of a block's largest temporary
-BLOCK_CELLS = 2 ** 16
-#: a shape whose states are at most this many cells each shares blocks
-#: with other such shapes
-SHARED_CELLS = 2 ** 12
+#: (candidate x row) cells of a block's states, each state counted on its
+#: own: it bounds every table and per-round temporary of the block
+BLOCK_CELLS = 2 ** 18
 
 
 class DecompositionFailure(ValueError):
@@ -101,8 +110,9 @@ def _bit_rows(masks: Sequence[int], m: int) -> np.ndarray:
 
 
 def _lcm_of_positive(a: np.ndarray) -> int:
-    """The lcm of the distinct positive entries of ``a``."""
-    pos = np.sort(a[a > 0])
+    """The lcm of the positive entries of ``a``, taken over the distinct
+    entries above 1."""
+    pos = np.sort(a[a > 1])
     return math.lcm(*pos[:1].tolist(), *pos[1:][pos[1:] != pos[:-1]].tolist())
 
 
@@ -114,6 +124,13 @@ def _pack(a: np.ndarray) -> np.ndarray:
     if pad:
         b = np.concatenate([b, np.zeros(b.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1)
     return np.ascontiguousarray(b).view(np.uint64)
+
+
+def _ragged(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranges of lengths ``lens`` laid end to end: per position its range
+    and its offset in that range."""
+    owner = np.repeat(np.arange(len(lens)), lens)
+    return owner, np.arange(len(owner)) - (np.cumsum(lens) - lens)[owner]
 
 
 class DecompositionShape:
@@ -132,22 +149,30 @@ class DecompositionShape:
         self.cands = tuple(cands)
         self.upper = tuple(upper)
         self.lower = tuple(lower)
-        # one row per constraint, each read as sign * x(mask) >= sigma * bound
+        # the slack rows, coef . r + const * sigma: sigma (no step exceeds
+        # it), each constraint read as sign * x(mask) >= sigma * sign *
+        # bound, then r_e per edge
         cons = self.upper + self.lower
-        self.sign = np.array([-1] * len(upper) + [1] * len(lower), dtype=np.int64)
-        self.bound = self.sign * np.array([b for _, b in cons], dtype=np.int64)
+        sign = np.array([-1] * len(upper) + [1] * len(lower), dtype=np.int8)
         self.member = _bit_rows(cands, m)
-        self.rows = _bit_rows([mask for mask, _ in cons], m)
-        # d[j, i] > 0: candidate i caps the step at slack_j / d[j, i];
-        # d[j, i] != 0 on a tight constraint j keeps candidate i out
-        d = (self.sign[:, None] * (self.rows.astype(np.int64) @ self.member.T.astype(np.int64))
-             - self.bound[:, None])
-        self.deficit = d.astype(np.int8) if d.size and -128 <= d.min() and d.max() < 128 else d
-        # a candidate is ruled out by a support edge at r_e <= 0 or by a
-        # tight row it moves
-        self.rule_words = _pack(np.concatenate([self.member, (d != 0).T], axis=1))
+        self.coef = np.concatenate([np.zeros((1, m), dtype=np.int8),
+                                    sign[:, None] * _bit_rows([mask for mask, _ in cons], m),
+                                    np.eye(m, dtype=np.int8)])
+        bound = sign * np.array([b for _, b in cons], dtype=np.int64)
+        self.const = np.concatenate([[1], -bound, np.zeros(m, dtype=np.int64)])
+        # d[i, k] = coef_k . x_i + const_k: a unit step along candidate i
+        # lowers slack row k by d; d > 0 caps the step at slack / d, d != 0
+        # on a tight row keeps candidate i out (an integer product: a float
+        # one pages in BLAS kernels, about 0.2 MB resident, for no gain at
+        # these sizes)
+        d = self.member.astype(np.int64) @ self.coef.T.astype(np.int64) + self.const
+        self.rule_words = _pack(d != 0)
+        # kept dense: most entries of a tree shape are positive, so a cap
+        # list (row and d per entry) would take twice the bytes; a block
+        # makes the lists of its own shapes
+        self.deficit = d.astype(np.int8) if -128 <= d.min() and d.max() < 128 else d
         self.scale = _lcm_of_positive(d)
-        self.headroom = int(np.abs(self.bound).max(initial=0)) + m + 2
+        self.headroom = int(np.abs(bound).max(initial=0)) + m + 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,13 +184,16 @@ class DecompositionState:
     upper: tuple[tuple[int, int], ...] = ()
     #: which of the shape's candidates this state may use; all when None
     alive: Optional[np.ndarray] = None
+    #: the target as numerators over their least common denominator; made
+    #: from ``target`` when not given (the states of one target share it)
+    integer_target: Optional[tuple[tuple[int, ...], int]] = None
 
-    @functools.cached_property
-    def integer_target(self) -> tuple[list[int], int]:
-        """The target as numerators over its least common denominator."""
-        dens = [x.denominator for x in self.target]
-        dn = math.lcm(*dens)
-        return [x.numerator * (dn // d) for x, d in zip(self.target, dens)], dn
+    def __post_init__(self):
+        if self.integer_target is None:
+            dens = [x.denominator for x in self.target]
+            dn = math.lcm(*dens)
+            object.__setattr__(self, "integer_target", (
+                tuple(x.numerator * (dn // d) for x, d in zip(self.target, dens)), dn))
 
 
 class Decomposition(NamedTuple):
@@ -181,75 +209,38 @@ def decompose(jobs: Sequence[tuple[DecompositionShape, DecompositionState]]
               ) -> list[Union[Decomposition, DecompositionFailure]]:
     """Each (shape, state) job's decomposition, or the ``DecompositionFailure``
     that says its target is outside the polytope its candidates span."""
-    own = max((len(state.upper) for _, state in jobs), default=0)
-    by_shape: dict[int, tuple[DecompositionShape, list[int]]] = {}
-    for j, (shape, _) in enumerate(jobs):
-        by_shape.setdefault(id(shape), (shape, []))[1].append(j)
+    # the states of one shape and one target (the states the trees' route
+    # makes of one target share it) side by side: they share each round's
+    # caps while their residuals agree
+    rank: dict[int, int] = {}
+    order = sorted(range(len(jobs)), key=lambda j: (
+        rank.setdefault(id(jobs[j][0]), len(rank)),
+        rank.setdefault(id(jobs[j][1].integer_target), len(rank))))
     blocks: list[list[int]] = []
-    small: list[tuple[int, int]] = []
-    for shape, idx in by_shape.values():
-        cells = len(shape.cands) * (len(shape.bound) + shape.m + own + 1)
-        if cells <= SHARED_CELLS:
-            small.extend((cells, j) for j in idx)
-            continue
-        per = max(1, BLOCK_CELLS // cells)
-        blocks.extend(idx[lo:lo + per] for lo in range(0, len(idx), per))
-    # small shapes share blocks, smallest first, each block as many states
-    # as fit at its largest shape's size
-    block: list[int] = []
-    for cells, j in sorted(small, key=lambda x: x[0]):
-        if block and (len(block) + 1) * cells > BLOCK_CELLS:
-            blocks.append(block)
-            block = []
-        block.append(j)
-    if block:
-        blocks.append(block)
+    cells = 0
+    for j in order:
+        shape, state = jobs[j]
+        size = (len(shape.cands) if state.alive is None else np.count_nonzero(state.alive)) * (
+            len(shape.const) + len(state.upper))
+        if not blocks or cells + size > BLOCK_CELLS:
+            blocks.append([])
+            cells = 0
+        blocks[-1].append(j)
+        cells += size
     out: list = [None] * len(jobs)
-    # a shape's step tables live from its first block to its last: a large
-    # shape's blocks come one after the other
-    last = {id(jobs[j][0]): k for k, block in enumerate(blocks) for j in block}
-    prepared: dict[int, _StepTables] = {}
-    for k, block in enumerate(blocks):
-        tables: list[_StepTables] = []
+    for block in blocks:
+        shapes: list[DecompositionShape] = []
         slot: dict[int, int] = {}
         which = []
         for j in block:
             shape = jobs[j][0]
             if id(shape) not in slot:
-                if id(shape) not in prepared:
-                    prepared[id(shape)] = _step_tables(shape)
-                slot[id(shape)] = len(tables)
-                tables.append(prepared[id(shape)])
+                slot[id(shape)] = len(shapes)
+                shapes.append(shape)
             which.append(slot[id(shape)])
-        for j, res in zip(block, _decompose_block(tables, which, [jobs[j][1] for j in block])):
+        for j, res in zip(block, _decompose_block(shapes, which, [jobs[j][1] for j in block])):
             out[j] = res
-        for t in tables:
-            if last[id(t.shape)] == k:
-                del prepared[id(t.shape)]
     return out
-
-
-class _StepTables(NamedTuple):
-    """A shape's step quotas, made once per ``decompose`` call for all its
-    blocks (so the cached shapes stay small): per candidate and row, over
-    the shape's rows then one row x_e >= 0 per edge (whose caps are the
-    greedy's edge caps r_e), ``scale / d`` where the row caps the
-    candidate's step (d > 0), else 0 and ``uncapped``."""
-
-    shape: DecompositionShape
-    quota: np.ndarray
-    uncapped: np.ndarray
-
-
-def _step_tables(shape: DecompositionShape) -> _StepTables:
-    d = np.concatenate([shape.deficit.T, shape.member], axis=1)
-    caps = d > 0
-    quota = shape.scale // np.where(caps, d, 1).astype(
-        object if shape.scale >= INT64_SAFE else np.int64)
-    quota = np.where(caps, quota, 0)
-    if shape.scale < 2 ** 31:
-        quota = quota.astype(np.int32)
-    return _StepTables(shape, quota, ~caps)
 
 
 def exact_convex_decomposition(
@@ -272,112 +263,116 @@ def exact_convex_decomposition(
             for i, k in zip(res.order, res.numerators)}
 
 
-def _stack(arrays: Sequence[np.ndarray], shape: tuple[int, ...], fill=0) -> np.ndarray:
-    """The arrays padded by ``fill`` to ``shape`` and stacked on a new
-    first axis."""
-    out = np.full((len(arrays),) + shape, fill, dtype=np.result_type(*arrays))
-    for i, a in enumerate(arrays):
-        out[(i,) + tuple(slice(0, k) for k in a.shape)] = a
-    return out
+class _Tables(NamedTuple):
+    """A block's shapes one after the other: their candidates, their slack
+    rows and their cap lists, with where each shape starts."""
+
+    cand_at: np.ndarray
+    n_cands: np.ndarray
+    row_at: np.ndarray
+    width: np.ndarray
+    #: per candidate its edges (padded to the block's m) and rule words
+    member: np.ndarray
+    rule: np.ndarray
+    #: per slack row its affine form, and whether it is an edge row r_e
+    coef: np.ndarray
+    const: np.ndarray
+    edge: np.ndarray
+    #: per candidate its cap list: entries cap_ptr[i] to cap_ptr[i + 1]
+    #: of (row within the shape, d)
+    cap_ptr: np.ndarray
+    cap_row: np.ndarray
+    cap_d: np.ndarray
 
 
-def _decompose_block(tables: Sequence[_StepTables], which: Sequence[int],
+def _block_tables(shapes: Sequence[DecompositionShape]) -> _Tables:
+    m = max(s.m for s in shapes)
+    n_cands = np.array([len(s.cands) for s in shapes])
+    width = np.array([len(s.const) for s in shapes])
+    cand_at, row_at = np.cumsum(n_cands) - n_cands, np.cumsum(width) - width
+    ptrs, cap_rows, cap_ds = zip(*(_cap_lists(s) for s in shapes))
+    n_caps = np.array([len(r) for r in cap_rows])
+    member = np.zeros((n_cands.sum(), m), dtype=bool)
+    rule = np.zeros((n_cands.sum(), max(s.rule_words.shape[1] for s in shapes)),
+                    dtype=np.uint64)
+    coef = np.zeros((width.sum(), m), dtype=np.int8)
+    for s, c, r in zip(shapes, cand_at.tolist(), row_at.tolist()):
+        member[c:c + len(s.cands), :s.m] = s.member
+        rule[c:c + len(s.cands), :s.rule_words.shape[1]] = s.rule_words
+        coef[r:r + len(s.const), :s.m] = s.coef
+    return _Tables(
+        cand_at, n_cands, row_at, width, member, rule, coef,
+        np.concatenate([s.const for s in shapes]),
+        np.concatenate([np.arange(len(s.const)) >= len(s.const) - s.m for s in shapes]),
+        np.concatenate([[0]] + [p[1:] + at for p, at in zip(
+            ptrs, (np.cumsum(n_caps) - n_caps).tolist())]),
+        np.concatenate(cap_rows), np.concatenate(cap_ds))
+
+
+@functools.lru_cache(maxsize=1)
+def _cap_lists(shape: DecompositionShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A shape's cap lists, its entries of d > 0 in (candidate, row) order:
+    per candidate where its list starts, then per entry its row and d.  The
+    last shape's lists stay cached: a call's blocks take the shapes in
+    order, so a shape whose states fill several blocks makes them once."""
+    d = shape.deficit
+    caps = np.flatnonzero(d > 0)
+    cand, row = np.divmod(caps, d.shape[1])
+    ptr = np.zeros(len(shape.cands) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cand, minlength=len(shape.cands)), out=ptr[1:])
+    return ptr, row.astype(np.int16 if d.shape[1] < 2 ** 15 else np.int32), d.ravel()[caps]
+
+
+def _decompose_block(shapes: Sequence[DecompositionShape], which: Sequence[int],
                      states: Sequence[DecompositionState]
                      ) -> list[Union[Decomposition, DecompositionFailure]]:
-    """Decompose ``states`` in lockstep, state b over the shape of
-    ``tables[which[b]]``.
-
-    A one-shape block reads its shape's tables as they are, on a first
-    axis of length one.  A block of several shapes pads each shape's
-    tables to the block's largest (candidates that are never alive, empty
-    rows that never go tight or cap, edges at zero) and stacks them on
-    that axis.  Each round reads the tables for the live (state,
-    candidate) pairs only, at the state's shape."""
-    shapes = [t.shape for t in tables]
-    m = max(s.m for s in shapes)
-    n_cands = max(len(s.cands) for s in shapes)
-    n_rows = max(len(s.bound) for s in shapes)
-    one = len(shapes) == 1
-    which = np.zeros(len(states), dtype=np.intp) if one else np.asarray(which, dtype=np.intp)
+    """Decompose ``states`` in lockstep, state b over ``shapes[which[b]]``,
+    on the live (state, candidate) pairs only."""
+    tab = _block_tables(shapes)
+    which = np.asarray(which, dtype=np.intp)
+    m = tab.member.shape[1]
     out: list = [None] * len(states)
 
-    # per shape the rows (an empty padding row reads x(mask) <= sigma), and
-    # the rule words: a candidate is ruled out by a support edge at
-    # r_e <= 0 or by a tight row it moves
-    if one:
-        (shape,) = shapes
-        member, rows_t = shape.member[None], shape.rows.T[None]
-        sign, bound, rule_words = shape.sign[None], shape.bound[None], shape.rule_words[None]
-    else:
-        member = _stack([s.member for s in shapes], (n_cands, m), False)
-        rows_t = _stack([s.rows.T for s in shapes], (m, n_rows), False)
-        sign = _stack([s.sign for s in shapes], (n_rows,), -1)
-        bound = _stack([s.bound for s in shapes], (n_rows,), -1)
-        moves = _stack([s.deficit.T != 0 for s in shapes], (n_cands, n_rows), False)
-        rule_words = _pack(np.concatenate([member, moves], axis=2))
+    # the live pairs, by state then candidate; a pair's candidate indexes
+    # the block's tables
+    n_cands = tab.n_cands[which]
+    pos = np.flatnonzero(np.concatenate([
+        np.ones(c, dtype=bool) if s.alive is None else s.alive
+        for s, c in zip(states, n_cands.tolist())]))
+    pst, within = _ragged(n_cands)
+    pst, cand = pst[pos], within[pos] + tab.cand_at[which][pst[pos]]
 
-    # the states' own upper rows, padded by empty rows of bound 1: their
-    # slack is sigma, so they never go tight and never cap below sigma
-    own_rows = np.zeros((len(states), max(len(s.upper) for s in states), m), dtype=bool)
-    own_bound = np.ones(own_rows.shape[:2], dtype=np.int64)
-    at = [(b, k) for b, s in enumerate(states) for k in range(len(s.upper))]
-    if at:
-        at = tuple(np.array(at).T)
-        own_rows[at] = _bit_rows([mask for s in states for mask, _ in s.upper], m)
-        own_bound[at] = [bd for s in states for _, bd in s.upper]
-    # counts fit int16: a row holds at most m edges
-    held = own_rows.astype(np.int16) @ (member[0].T if one else member[which].transpose(
-        0, 2, 1)).astype(np.int16)
-    own_d = (own_bound[:, :, None] - held).transpose(0, 2, 1)
-    own_words = _pack(own_d != 0)
-    scale = math.lcm(*(s.scale for s in shapes), _lcm_of_positive(own_d))
+    # the states' own upper rows one after the other, and the (pair, own
+    # row) entries that matter: those whose row the candidate moves
+    n_own = np.array([len(s.upper) for s in states], dtype=np.intp)
+    own_state = np.repeat(np.arange(len(states)), n_own)
+    own_rows = _bit_rows([mask for s in states for mask, _ in s.upper], m)
+    own_bound = np.array([bd for s in states for _, bd in s.upper], dtype=np.int64)
+    e_pair, e_row, d = _own_entries(n_own, pst, cand, _pack(own_rows), _pack(tab.member),
+                                    own_bound)
+    scale = math.lcm(*(s.scale for s in shapes), _lcm_of_positive(d))
     headroom = max(max(s.headroom for s in shapes), int(own_bound.max(initial=0)) + m + 2)
+    # a step's numerator is slack x (scale / d) on a row that caps it; an
+    # entry of d < 0 caps nothing and reads -1
+    kind = np.int32 if scale < 2 ** 31 else np.int64 if scale < INT64_SAFE else object
+    unit = np.array(scale, dtype=kind)
+    cap_quota = (unit // tab.cap_d).astype(kind)
+    e_quota = np.where(d > 0, unit // np.maximum(d, 1), -1).astype(kind)
 
-    # the quotas at the block's scale
-    def at_scale(t: _StepTables) -> np.ndarray:
-        if scale == t.shape.scale:
-            return t.quota
-        return t.quota.astype(object if scale >= INT64_SAFE else np.int64) * (
-            scale // t.shape.scale)
-
-    if one:
-        quota, uncapped = at_scale(tables[0])[None], tables[0].uncapped[None]
-    else:
-        # a shape's edge rows start at the block's; the padding caps nothing
-        quotas = [at_scale(t) for t in tables]
-        quota = np.zeros((len(tables), n_cands, n_rows + m), dtype=np.result_type(*quotas))
-        uncapped = np.ones(quota.shape, dtype=bool)
-        for i, (t, q) in enumerate(zip(tables, quotas)):
-            c, r = len(t.shape.cands), len(t.shape.bound)
-            for dst, src in ((quota, q), (uncapped, t.uncapped)):
-                dst[i, :c, :r] = src[:, :r]
-                dst[i, :c, n_rows:n_rows + t.shape.m] = src[:, r:]
-    cache: dict = {}
-
-    def tables_as(dtype) -> tuple[np.ndarray, ...]:
-        # int64 rounds read the small int and bool tables as they are
-        if dtype not in cache:
-            own_div = np.where(own_d > 0, own_d, 1).astype(dtype)
-            arrays = (quota, uncapped, np.where(own_d > 0, scale // own_div, 0), own_d <= 0,
-                      rows_t, sign, bound, own_rows, own_bound)
-            cache[dtype] = tuple(x.astype(object) for x in arrays) if dtype is object else arrays
-        return cache[dtype]
-
-    alive = np.zeros((len(states), n_cands), dtype=bool)
-    res = np.zeros((len(states), m), dtype=object)
-    den, limit = [], []
-    for b, s in enumerate(states):
-        shape = shapes[which[b]]
-        alive[b, :len(shape.cands)] = True if s.alive is None else s.alive
-        nums, dens = s.integer_target
-        res[b, :len(nums)] = nums
-        den.append(dens)
-        limit.append(len(shape.bound) + len(s.upper) + shape.m + 8)
+    targets = [s.integer_target for s in states]
+    res = np.array([nums + (0,) * (m - len(nums)) for nums, _ in targets],
+                   dtype=object).reshape(len(states), m)
+    den = np.array([dn for _, dn in targets], dtype=object)
+    sig = den.copy()
+    count = np.bincount(pst, minlength=len(states))
+    limit = (np.array([len(s.upper) + len(s.lower) + s.m + 8 for s in shapes])[which]
+             + n_own + count)
     ids = np.arange(len(states))
-    sig = np.array(den, dtype=object)
-    limit = np.array(limit) + alive.sum(axis=1)
-    taken: list[list[tuple[int, int, int]]] = [[] for _ in states]
-    stuck = ~alive.any(axis=1)
+    # per round the (state, candidate, step, step's denominator) of each
+    # state that stepped
+    steps: list[tuple[np.ndarray, ...]] = []
+    exhausted = np.zeros(len(states), dtype=bool)
+    stuck = count == 0
     rounds = 0
 
     while True:
@@ -385,86 +380,195 @@ def _decompose_block(tables: Sequence[_StepTables], which: Sequence[int],
         # whose rounds ran out
         done = stuck | (sig == 0) | (rounds == limit)
         if done.any():
-            exhausted = (sig == 0) & ~(res != 0).any(axis=1)
-            for j in np.flatnonzero(done).tolist():
-                if stuck[j]:
-                    out[ids[j]] = DecompositionFailure(
-                        "no candidates" if rounds == 0 else
-                        "decomposition stuck; target outside the polytope")
-                elif exhausted[j]:
-                    out[ids[j]] = _weights(taken[ids[j]])
-                else:
-                    out[ids[j]] = DecompositionFailure("decomposition did not exhaust the target")
-            keep = np.flatnonzero(~done)
-            ids, res, sig, limit = ids[keep], res[keep], sig[keep], limit[keep]
-            den = [den[j] for j in keep.tolist()]
+            ok = ~stuck & (sig == 0) & ~(res != 0).any(axis=1)
+            exhausted[ids[ok]] = True
+            for j in np.flatnonzero(done & ~ok).tolist():
+                out[ids[j]] = DecompositionFailure(
+                    "decomposition did not exhaust the target" if not stuck[j] else
+                    "no candidates" if rounds == 0 else
+                    "decomposition stuck; target outside the polytope")
+            keep = ~done
+            ids, res, sig, den, limit = ids[keep], res[keep], sig[keep], den[keep], limit[keep]
+            (pst, cand), e_pair, (e_row, e_quota) = _keep_pairs(
+                keep[pst], ((np.cumsum(keep) - 1)[pst], cand), e_pair, (e_row, e_quota))
         if not ids.size:
-            return out
+            break
         rounds += 1
 
         top = max(int(np.abs(res).max(initial=0)), int(sig.max()))
         dtype = np.int64 if top * headroom * scale < INT64_SAFE else object
-        res, sig = res.astype(dtype), sig.astype(dtype)
-        quota_t, uncapped_t, own_quota, own_uncapped, rows_tt, sign_t, bound_t, own_r, own_b = \
-            tables_as(dtype)
-        on = slice(None) if one else which[ids]
-        slack = (sign_t[on] * np.matmul(res[:, None, :], rows_tt[on])[:, 0, :]
-                 - sig[:, None] * bound_t[on])
-        own_slack = sig[:, None] * own_b[ids] - (own_r[ids] @ res[:, :, None])[:, :, 0]
+        res, sig = res.astype(dtype, copy=False), sig.astype(dtype, copy=False)
+        shape_at = which[ids]
 
-        # leaving the support or moving a tight constraint rules a candidate
-        # out for good: r only falls where the chosen candidate sits, and
-        # the chosen one keeps every tight constraint tight
-        at, cand = np.nonzero(alive[ids])
-        state, shape_at = ids[at], which[ids[at]]
-        keys = _pack(np.concatenate([res <= 0, slack == 0], axis=1))
-        own_keys = _pack(own_slack == 0)
-        out_now = (((rule_words[shape_at, cand] & keys[at]) != 0).any(axis=1)
-                   | ((own_words[state, cand] & own_keys[at]) != 0).any(axis=1))
-        alive[state[out_now], cand[out_now]] = False
-        live = ~out_now
-        at, cand, state, shape_at = at[live], cand[live], state[live], shape_at[live]
+        # the slack rows of each distinct (shape, residual, sigma) once, and
+        # each distinct (group, candidate) of the live pairs once
+        group, first = _groups(shape_at, res, sig)
+        gshape = shape_at[first]
+        slack, row_at, keys = _group_slack(tab, gshape, res[first], sig[first])
+        of_pair, g, c = _distinct(tab, gshape, group[pst], cand)
+        # own rows read their state's live place; a settled state's rows
+        # read any, and no entry is left to read them
+        live_at = np.zeros(len(states), dtype=np.intp)
+        live_at[ids] = np.arange(len(ids))
+        at = live_at[own_state]
+        e_slack = (sig[at] * own_bound - (own_rows * res[at]).sum(axis=1))[e_row]
 
-        # every live candidate's largest step, the first largest per state
-        top_t = sig * scale
-        cap = int(top_t.max())
-        slack = np.concatenate([slack, res], axis=1)
-        step = np.minimum(
-            _least_cap(slack[at], quota_t[shape_at, cand], uncapped_t[shape_at, cand], cap),
-            _least_cap(own_slack[at], own_quota[state, cand], own_uncapped[state, cand], cap))
-        steps = np.full((len(ids), n_cands), -1, dtype=dtype)
-        steps[at, cand] = np.minimum(step, top_t[at])
-        best = steps.argmax(axis=1)
-        t = steps[np.arange(len(ids)), best]
+        # leaving the support or moving a tight row rules a candidate out
+        # for good: r only falls where the chosen candidate sits, and the
+        # chosen one keeps every tight row tight
+        moved = ((tab.rule[c] & keys[g]) != 0).any(axis=1)
+        live = ~moved[of_pair]
+        live[e_pair[e_slack == 0]] = False
+        (pst, cand, of_pair), e_pair, (e_row, e_quota, e_slack) = _keep_pairs(
+            live, (pst, cand, of_pair), e_pair, (e_row, e_quota, e_slack))
+
+        # every live pair's largest step: the least of its group's cap on
+        # its candidate and its own rows' caps; per state the first largest
+        caps = np.zeros(len(g), dtype=dtype)
+        caps[~moved] = _least_caps(tab, cap_quota, slack, row_at[g[~moved]], c[~moved])
+        step = caps[of_pair]
+        capping = e_quota > 0
+        np.minimum.at(step, e_pair[capping], e_slack[capping] * e_quota[capping])
+        count = np.bincount(pst, minlength=len(ids))
+        t = np.zeros(len(ids), dtype=dtype)
+        t[count > 0] = np.maximum.reduceat(step, (np.cumsum(count) - count)[count > 0])
+        best_at = np.flatnonzero(step == t[pst])
+        best_at = best_at[_run_starts(pst[best_at])]
+        best = np.zeros(len(ids), dtype=np.intp)
+        best[pst[best_at]] = cand[best_at]
         stuck = t <= 0
         t[stuck] = 0
-        for j in np.flatnonzero(~stuck).tolist():
-            taken[ids[j]].append((int(best[j]), int(t[j]), den[j] * scale))
+        q = den * scale
+        steps.append((ids[~stuck], (best - tab.cand_at[shape_at])[~stuck], t[~stuck], q[~stuck]))
 
-        res = res * scale - t[:, None] * member[which[ids], best].astype(dtype)
+        res = res * scale - t[:, None] * tab.member[best].astype(dtype)
         sig = sig * scale - t
-        g = np.gcd.reduce(np.concatenate([res, sig[:, None]], axis=1), axis=1).tolist()
-        div = [math.gcd(gj, dn * scale) if gj else 1 for gj, dn in zip(g, den)]
-        den = [dn * scale // gj for dn, gj in zip(den, div)]
-        div = np.array(div, dtype=dtype)
+        gcd = np.gcd.reduce(np.concatenate([res, sig[:, None]], axis=1), axis=1).astype(object)
+        div = np.gcd(gcd, q)
+        div[gcd == 0] = 1
+        den = q // div
+        div = div.astype(dtype)
         res //= div[:, None]
         sig //= div
 
-
-def _least_cap(slack: np.ndarray, quota: np.ndarray, uncapped: np.ndarray, cap) -> np.ndarray:
-    """Per pair, the smallest of its rows' caps: slack x quota on a row that
-    caps the candidate (``quota`` is 0 on the others), ``cap`` on one that
-    does not; computed in place in ``slack``."""
-    slack *= quota
-    np.putmask(slack, uncapped, cap)
-    return slack.min(axis=1, initial=cap)
+    for b, w in zip(np.flatnonzero(exhausted).tolist(), _weights(steps, exhausted)):
+        out[b] = w
+    return out
 
 
-def _weights(taken: list[tuple[int, int, int]]) -> Decomposition:
-    """Sum the steps of one state over their least common denominator."""
-    den = math.lcm(*(q for _, _, q in taken))
-    acc: dict[int, int] = {}
-    for i, t, q in taken:
-        acc[i] = acc.get(i, 0) + t * (den // q)
-    g = math.gcd(den, *acc.values())
-    return Decomposition(tuple(acc), tuple(k // g for k in acc.values()), den // g)
+def _own_entries(n_own: np.ndarray, pst: np.ndarray, cand: np.ndarray, own_words: np.ndarray,
+                 member_words: np.ndarray, own_bound: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (pair, own row) entries whose row the pair's candidate moves:
+    each entry's pair, row and the d != 0 by which a unit step lowers the
+    row's slack.  Row k of every state at a time, so the temporaries are
+    the size of the pairs."""
+    first = np.cumsum(n_own) - n_own
+    out = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64))]
+    for k in range(int(n_own.max(initial=0))):
+        pair = np.flatnonzero(n_own[pst] > k)
+        row = first[pst[pair]] + k
+        d = own_bound[row] - np.bitwise_count(own_words[row] & member_words[cand[pair]]).sum(
+            axis=1, dtype=np.int64)
+        out.append((pair[d != 0], row[d != 0], d[d != 0]))
+    return tuple(np.concatenate(x) for x in zip(*out))
+
+
+def _keep_pairs(keep: np.ndarray, pairs: tuple[np.ndarray, ...], e_pair: np.ndarray,
+                entries: tuple[np.ndarray, ...]) -> tuple:
+    """The pair arrays at the pairs ``keep`` marks, and the own-row entries
+    of those pairs, their pair renumbered."""
+    e_keep = keep[e_pair]
+    return (tuple(a[keep] for a in pairs), (np.cumsum(keep) - 1)[e_pair[e_keep]],
+            tuple(a[e_keep] for a in entries))
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of ``a`` starts."""
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = a[1:] != a[:-1]
+    return new
+
+
+def _groups(shape_at: np.ndarray, res: np.ndarray, sig: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Per state its group, the states of one (shape, residual, sigma),
+    and per group one of its states; on Python ints each state alone."""
+    if res.dtype == object:
+        return np.arange(len(sig)), np.arange(len(sig))
+    key = np.concatenate([shape_at[:, None], sig[:, None], res], axis=1)
+    # each row as one opaque byte string: equal rows are equal strings
+    rows, group = np.unique(key.view(np.dtype((np.void, key.itemsize * key.shape[1]))),
+                            return_inverse=True)
+    group = group.reshape(-1)
+    first = np.empty(len(rows), dtype=np.intp)
+    first[group] = np.arange(len(group))
+    return group, first
+
+
+def _group_slack(tab: _Tables, shape_at: np.ndarray, res: np.ndarray, sig: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each group's slack rows end to end, where each group's rows start, and
+    per group the packed key of its tight rows.  An edge row reads
+    max(r_e, 0): an edge at r_e <= 0 is out of the support."""
+    owner, within = _ragged(tab.width[shape_at])
+    rows = tab.row_at[shape_at][owner] + within
+    slack = (tab.coef[rows] * res[owner]).sum(axis=1) + tab.const[rows] * sig[owner]
+    slack[tab.edge[rows] & (slack < 0)] = 0
+    tight = np.zeros((len(shape_at), tab.rule.shape[1] * 64), dtype=bool)
+    tight[owner, within] = slack == 0
+    width = tab.width[shape_at]
+    return slack, np.cumsum(width) - width, _pack(tight)
+
+
+def _distinct(tab: _Tables, shape_at: np.ndarray, group: np.ndarray, cand: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (group, candidate) pairs, each once: per pair its
+    index among them, and per distinct pair its group and candidate."""
+    n = tab.n_cands[shape_at]
+    at = np.cumsum(n) - n
+    place = at[group] + cand - tab.cand_at[shape_at][group]
+    seen = np.zeros(n.sum(), dtype=bool)
+    seen[place] = True
+    distinct = np.flatnonzero(seen)
+    g = np.repeat(np.arange(len(n)), n)[distinct]
+    return (np.cumsum(seen) - 1)[place], g, distinct - at[g] + tab.cand_at[shape_at[g]]
+
+
+def _least_caps(tab: _Tables, cap_quota: np.ndarray, slack: np.ndarray, row_at: np.ndarray,
+                cand: np.ndarray) -> np.ndarray:
+    """Per (group, candidate), given by where the group's slack rows start
+    and the candidate, the smallest cap of its cap list, slack x quota."""
+    lo = tab.cap_ptr[cand]
+    lens = tab.cap_ptr[cand + 1] - lo
+    starts = np.cumsum(lens) - lens
+    # the cap lists end to end, one cell per (pair, list entry)
+    entry = np.repeat(lo - starts, lens)
+    entry += np.arange(len(entry))
+    caps = slack[np.repeat(row_at, lens) + tab.cap_row[entry]]
+    caps *= cap_quota[entry]
+    return np.minimum.reduceat(caps, starts)
+
+
+def _weights(steps: list[tuple[np.ndarray, ...]], exhausted: np.ndarray
+             ) -> list[Decomposition]:
+    """Per exhausted state, in order, its steps summed over their least
+    common denominator.  A state takes a candidate at most once: its step
+    tightens a row the candidate moves, which rules it out."""
+    if not exhausted.any():
+        return []
+    s, c, t, q = (np.concatenate(x) for x in zip(*steps))
+    # by state, then round: a state steps at most once a round
+    at = np.repeat(np.arange(len(steps)), [len(x[0]) for x in steps])
+    keep = exhausted[s]
+    order = np.argsort(s[keep] * len(steps) + at[keep])
+    s, c, t, q = (x[keep][order] for x in (s, c, t, q))
+    new = _run_starts(s)
+    starts = np.flatnonzero(new)
+    seg = np.cumsum(new) - 1
+    den = np.lcm.reduceat(q, starts)
+    num = t.astype(object) * (den[seg] // q)
+    g = np.gcd(np.gcd.reduceat(num, starts), den)
+    num, c = (num // g[seg]).tolist(), c.tolist()
+    return [Decomposition(tuple(c[a:b]), tuple(num[a:b]), dn) for a, b, dn in zip(
+        starts.tolist(), starts[1:].tolist() + [len(s)], (den // g).tolist())]

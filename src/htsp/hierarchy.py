@@ -232,15 +232,16 @@ class LocalMultigraph:
     def split_matchings(self) -> tuple:
         """(split piece, matching distribution) per split pairing of an odd
         piece, in ``pairings_of`` order; (None, distribution) alone for an
-        even piece.  Built once: both sampler routes and the single draws
-        of a degree piece share it."""
+        even piece.  Built once, the split pieces' decompositions in one
+        call: both sampler routes and the single draws of a degree piece
+        share it."""
         from . import matching
 
         if self.graph.n % 2 == 0:
             return ((None, matching.decompose_matchings(self)),)
         splits = [matching.split_external(self, pairing)
                   for pairing in matching.pairings_of(self.external_edge_ids)]
-        return tuple((sp, matching.decompose_matchings(sp)) for sp in splits)
+        return tuple(zip(splits, matching.matching_distributions(splits)))
 
     def external_pairs(self) -> list[tuple[int, ...]]:
         """Parallel classes at the external vertex, as sorted edge-id tuples."""

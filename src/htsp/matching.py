@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .decomp import DecompositionFailure, exact_convex_decomposition
+from .decomp import DecompositionFailure, DecompositionShape, DecompositionState, decompose
 from .errors import ColoringOverflow, InfeasibleShift, NoPerfectMatching
 from .graph import MultiGraph, bits
 from .hierarchy import LocalMultigraph
@@ -96,20 +96,47 @@ class MatchingDistribution:
 
 def decompose_matchings(piece: Union[LocalMultigraph, MultiGraph]) -> MatchingDistribution:
     """Exact quarter-mass decomposition over all perfect matchings."""
-    g = _graph_of(piece)
-    if g.n % 2:
-        raise NoPerfectMatching("odd vertex count")
-    matchings = enumerate_perfect_matchings(g)
-    if not matchings:
-        raise NoPerfectMatching("piece has no perfect matching")
-    target = [QUARTER] * g.m
-    lower = _odd_set_lower_constraints(g)
-    try:
-        w = exact_convex_decomposition(matchings, target, upper=(), lower=lower)
-    except DecompositionFailure as exc:
-        raise NoPerfectMatching(f"quarter-mass decomposition failed: {exc}") from exc
-    masks = tuple(sorted(w))
-    return MatchingDistribution(g, masks, tuple(w[mk] for mk in masks))
+    (dist,) = matching_distributions([piece])
+    return dist
+
+
+def matching_distributions(pieces: Sequence[Union[LocalMultigraph, MultiGraph]]
+                           ) -> list[MatchingDistribution]:
+    """Each piece's exact quarter-mass decomposition over all its perfect
+    matchings, all of them in one ``decompose`` call; the first piece that
+    fails raises its ``NoPerfectMatching``."""
+    graphs = [_graph_of(p) for p in pieces]
+    # per piece its shape, or the failure it raises after the pieces before it
+    shapes: list = []
+    jobs = []
+    for g in graphs:
+        if g.n % 2:
+            shapes.append(NoPerfectMatching("odd vertex count"))
+            continue
+        matchings = enumerate_perfect_matchings(g)
+        if not matchings:
+            shapes.append(NoPerfectMatching("piece has no perfect matching"))
+            continue
+        try:
+            shapes.append(DecompositionShape(matchings, g.m,
+                                             lower=_odd_set_lower_constraints(g)))
+        except DecompositionFailure as exc:
+            shapes.append(exc)
+            continue
+        jobs.append((shapes[-1], DecompositionState((QUARTER,) * g.m)))
+    results = iter(decompose(jobs))
+    out = []
+    for g, shape in zip(graphs, shapes):
+        if isinstance(shape, NoPerfectMatching):
+            raise shape
+        res = shape if isinstance(shape, DecompositionFailure) else next(results)
+        if isinstance(res, DecompositionFailure):
+            raise NoPerfectMatching(f"quarter-mass decomposition failed: {res}") from res
+        w = {shape.cands[i]: Fraction(k, res.denominator)
+             for i, k in zip(res.order, res.numerators)}
+        masks = tuple(sorted(w))
+        out.append(MatchingDistribution(g, masks, tuple(w[mk] for mk in masks)))
+    return out
 
 
 # ---------------------------------------------------------------------------

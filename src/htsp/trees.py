@@ -192,30 +192,51 @@ class TreeWeights(NamedTuple):
     denominator: int
 
 
-def _tree_state(shifted: ShiftedSolution) -> tuple[_Minor, _Shape, DecompositionState]:
-    """The minor of a shifted state, its shape's record and its own part rows."""
+class _Prepared(NamedTuple):
+    """What the states of one interior graph and value vector share: the
+    minor, its shape's record, the minor's edge positions, and a state of
+    the target alone, whose integer target every such state reuses."""
+
+    minor: _Minor
+    record: _Shape
+    pos_of: dict[int, int]
+    state: DecompositionState
+
+
+def _prepare(shifted: ShiftedSolution) -> _Prepared:
+    """The forced-edge contraction of a state's interior values, read once
+    per interior graph and value vector."""
     g = shifted.interior_graph
-    values = shifted.values
-    minor = contract_forced(g, values)
+    minor = contract_forced(g, shifted.values)
     mg = minor.graph
-    shape = _shape(mg.n, mg.endpoints)
-    pos_of = {eid: i for i, eid in enumerate(mg.edge_ids)}
+    return _Prepared(minor, _shape(mg.n, mg.endpoints),
+                     {eid: i for i, eid in enumerate(mg.edge_ids)},
+                     DecompositionState(tuple(shifted.values[eid] for eid in mg.edge_ids)))
+
+
+def _tree_state(shifted: ShiftedSolution, prep: _Prepared, allowed: dict
+                ) -> tuple[_Minor, _Shape, DecompositionState]:
+    """The minor of a shifted state, its shape's record and its state with
+    its own part rows.  ``prep`` is what the states of its interior graph
+    and values share, and ``allowed`` holds the part-respecting trees by
+    record and parts, filled as they are met."""
     part_masks = []
     for part in shifted.parts:
         mask = 0
         for eid in part:
-            if eid in pos_of:
-                mask |= 1 << pos_of[eid]
+            if eid in prep.pos_of:
+                mask |= 1 << prep.pos_of[eid]
         if mask:
             part_masks.append(mask)
-
-    keep = (np.bitwise_count(shape.trees[:, None] & np.array(part_masks, dtype=np.uint64))
-            <= 1).all(axis=1)
-    if not keep.any():
+    key = (id(prep.record), tuple(part_masks))
+    if key not in allowed:
+        allowed[key] = (np.bitwise_count(
+            prep.record.trees[:, None] & np.array(part_masks, dtype=np.uint64)) <= 1).all(axis=1)
+    if not allowed[key].any():
         raise InfeasibleShift("no constrained spanning tree in the support")
-    state = DecompositionState(tuple(values[eid] for eid in mg.edge_ids),
-                               tuple((pm, 1) for pm in part_masks), keep)
-    return minor, shape, state
+    return prep.minor, prep.record, DecompositionState(
+        prep.state.target, tuple((pm, 1) for pm in part_masks), allowed[key],
+        prep.state.integer_target)
 
 
 def constrained_tree_weights(states: Sequence[ShiftedSolution]
@@ -226,13 +247,22 @@ def constrained_tree_weights(states: Sequence[ShiftedSolution]
     point of the matroid route: a piece's compile passes all its states,
     ``htsp sample``'s walk one.  Every tree holds the forced edges and no zero edge,
     and ``_rejections`` checks the minor's edges, so the trees of a state
-    that passes reproduce its whole interior vector."""
+    that passes reproduce its whole interior vector.  The states of one
+    interior graph and value vector share one ``_prepare``."""
     out: list = [None] * len(states)
     jobs: list[tuple[DecompositionShape, DecompositionState]] = []
     minors: list[tuple[int, _Minor]] = []
+    prepared: dict[tuple, _Prepared] = {}
+    allowed: dict = {}
     for i, shifted in enumerate(states):
+        g = shifted.interior_graph
+        vals = [shifted.values[eid] for eid in g.edge_ids]
+        key = (g.n, g.edge_ids, g.endpoints, tuple([x.numerator for x in vals]),
+               tuple([x.denominator for x in vals]))
         try:
-            minor, record, state = _tree_state(shifted)
+            if key not in prepared:
+                prepared[key] = _prepare(shifted)
+            minor, record, state = _tree_state(shifted, prepared[key], allowed)
         except InfeasibleShift as exc:
             out[i] = exc
             continue

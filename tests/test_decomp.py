@@ -203,15 +203,16 @@ def test_a_wide_state_keeps_its_exact_weights_in_an_int64_block(monkeypatch):
     blocks = []
     real = decomp._decompose_block
     monkeypatch.setattr(decomp, "_decompose_block",
-                        lambda *a: blocks.append(len(a[-1])) or real(*a))
+                        lambda *a: blocks.append((len(a[0]), len(a[-1]))) or real(*a))
     assert assert_jobs_same([(shape, state) for state in states]) == 0
-    assert blocks == [len(states)]
+    # one block: one shape, all five states
+    assert blocks == [(1, len(states))]
 
 
 def test_a_mixed_shape_block_settles_each_state_on_its_own(monkeypatch):
-    """States of three small shapes share one block, padded to its largest
-    shape; the state pushed outside its polytope fails alone and every
-    other state gets the Fraction greedy's weights."""
+    """States of three small shapes share one ragged block, each reading
+    its own shape's tables; the state pushed outside its polytope fails
+    alone and every other state gets the Fraction greedy's weights."""
     rng = np.random.default_rng(21)
     graphs = [MultiGraph(3, [(0, 0, 1), (1, 1, 2), (2, 0, 2), (3, 0, 1)]),
               MultiGraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 0, 3), (4, 0, 2)]),
@@ -230,10 +231,92 @@ def test_a_mixed_shape_block_settles_each_state_on_its_own(monkeypatch):
     blocks = []
     real = decomp._decompose_block
     monkeypatch.setattr(decomp, "_decompose_block",
-                        lambda *a: blocks.append(len(a[0])) or real(*a))
+                        lambda *a: blocks.append((len(a[0]), len(a[-1]))) or real(*a))
     assert assert_jobs_same(jobs) == 1
     assert isinstance(decomp.decompose(jobs)[bad], decomp.DecompositionFailure)
-    assert blocks[0] == len(graphs)
+    # every call: one block of all three shapes and all nine states
+    assert blocks == [(len(graphs), len(jobs))] * 2
+
+
+def wide_k4_state() -> tuple[MultiGraph, list[int], list[Fraction]]:
+    """K4, its spanning trees, and a point of their polytope whose weights
+    have the primes 2**61 - 1 and 2**31 - 1 as denominators."""
+    k4 = MultiGraph(4, [(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 1, 2), (4, 1, 3), (5, 2, 3)])
+    cands = enumerate_spanning_trees(k4)
+    p, q = 2 ** 61 - 1, 2 ** 31 - 1
+    shares = {cands[0]: Fraction(1, p), cands[5]: Fraction(1, q)}
+    shares[cands[9]] = 1 - sum(shares.values())
+    return k4, cands, [sum((w for c, w in shares.items() if (c >> e) & 1), Fraction(0))
+                       for e in range(k4.m)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_call_of_mixed_jobs_matches_the_fraction_greedy(seed, monkeypatch):
+    """One ``decompose`` call over tree shapes of several sizes (states
+    with parts of their own and the trees those parts allow, some sharing
+    a target so that their caps are shared), a matching shape, a state
+    pushed outside its polytope and the wide prime-denominator state: one
+    block, and every job gets the Fraction greedy's outcome."""
+    rng = np.random.default_rng(100 + seed)
+    jobs = []
+    for n in (3, 4, 5, 6):
+        g = random_multigraph(rng, n)
+        trees = enumerate_spanning_trees(g)
+        shape = decomp.DecompositionShape(trees, g.m, subset_constraints(g))
+        for _ in range(2):
+            x = tuple(convex_point(rng, trees, g.m))
+            for _ in range(3):
+                parts = random_parts(rng, g.m)
+                alive = np.array([all((t & p).bit_count() <= 1 for p in parts)
+                                  for t in shape.cands])
+                if alive.any():
+                    jobs.append((shape, decomp.DecompositionState(
+                        x, tuple((p, 1) for p in parts), alive)))
+    ring = MultiGraph(4, [(2 * i + j, i, (i + 1) % 4) for i in range(4) for j in range(2)])
+    matchings = decomp.DecompositionShape(enumerate_perfect_matchings(ring), ring.m,
+                                          lower=_odd_set_lower_constraints(ring))
+    jobs.append((matchings, decomp.DecompositionState((Fraction(1, 4),) * ring.m)))
+    shape, state = jobs[1]
+    jobs.append((shape, decomp.DecompositionState(tuple(outside(rng, list(state.target))))))
+    k4, cands, wide = wide_k4_state()
+    jobs.append((decomp.DecompositionShape(cands, k4.m, subset_constraints(k4)),
+                 decomp.DecompositionState(tuple(wide))))
+    order = rng.permutation(len(jobs))
+    jobs = [jobs[i] for i in order]
+    blocks = []
+    real = decomp._decompose_block
+    monkeypatch.setattr(decomp, "_decompose_block",
+                        lambda *a: blocks.append(len(a[-1])) or real(*a))
+    assert assert_jobs_same(jobs) >= 1
+    assert blocks == [len(jobs)]
+
+
+def test_the_matroid_route_runs_in_few_blocks_and_rounds(monkeypatch):
+    """The conftest random-4reg build, the slow structure, decomposes its
+    383 tree states in a few blocks of a few lockstep rounds each (a
+    layout of one shape's states per block took 42 blocks)."""
+    tree_blocks, rounds = [], []
+    real_block, real_slack = decomp._decompose_block, decomp._group_slack
+
+    def block(shapes, which, states):
+        # tree shapes carry upper rows, the matching shapes lower ones
+        rounds.append(0 if shapes[0].upper else None)
+        if shapes[0].upper:
+            tree_blocks.append(len(states))
+        return real_block(shapes, which, states)
+
+    def slack(*args):
+        if rounds[-1] is not None:
+            rounds[-1] += 1
+        return real_slack(*args)
+
+    monkeypatch.setattr(decomp, "_decompose_block", block)
+    monkeypatch.setattr(decomp, "_group_slack", slack)
+    BatchEngine(family_instance("random-4reg"), SamplerParams(sampler="mix"))
+    rounds = [r for r in rounds if r is not None]
+    assert sum(tree_blocks) > 300
+    assert len(tree_blocks) <= 10
+    assert max(rounds) <= 4 and sum(rounds) <= 30
 
 
 def test_conftest_random_4reg_is_the_slow_structure():

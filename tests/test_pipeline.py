@@ -285,15 +285,16 @@ def test_each_split_piece_is_decomposed_once(n, monkeypatch):
     # pairing of an odd piece, and one of an even piece
     (piece,) = [p for p in degree_pieces(family_instance("zoo")) if p.graph.n == n]
     calls = []
-    real = matching.decompose_matchings
-    monkeypatch.setattr(matching, "decompose_matchings",
-                        lambda g: calls.append(g) or real(g))
+    real = matching.matching_distributions
+    monkeypatch.setattr(matching, "matching_distributions",
+                        lambda gs: calls.append(len(gs)) or real(gs))
     sampler = DegreePieceSampler(piece, SamplerParams(sampler="mix"))
     compiled = sampler.compiled()
     rng = np.random.default_rng(0)
     for _ in range(30):
         compiled.sample(rng)
-    assert len(calls) == (3 if n % 2 else 1)
+    # an odd piece's three split pieces go in one call
+    assert calls == [3 if n % 2 else 1]
 
 
 @pytest.mark.parametrize("family", ["nested", "random-4reg", "zoo"])

@@ -414,3 +414,21 @@ def test_one_max_flow_routine():
         if isinstance(target, ast.Subscript) and getattr(target.value, "id", None) == "flow"
     })
     assert writers == ["graph.py:augment"]
+
+
+def test_one_block_layout():
+    """``decomp.decompose`` runs every block on one ragged layout: the
+    module keeps no threshold for shapes that share blocks and no padding
+    helper, and only ``decompose`` calls the block's round loop,
+    ``_decompose_block``."""
+    tree = _parse(SRC / "decomp.py")
+    assert {"SHARED_CELLS", "_stack"}.isdisjoint(_names(tree))
+    callers = sorted({
+        f"{path.name}:{fn.name}"
+        for path in SRC.glob("*.py")
+        for fn in ast.walk(_parse(path)) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_decompose_block"
+    })
+    assert callers == ["decomp.py:decompose"]

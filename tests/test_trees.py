@@ -368,7 +368,7 @@ def test_rejections_catch_corrupted_decompositions(family):
     checked = 0
     for piece in degree_pieces(family_instance(family)):
         for _, sh in itertools.islice(per_class_mi_states(piece), 0, None, 5):
-            _, tables, state = trees._tree_state(sh)
+            _, tables, state = trees._tree_state(sh, trees._prepare(sh), {})
             shape = tables.decomposition
             (r,) = trees.decompose([(shape, state)])
             assert trees._rejections([(shape, state)], [r]) == [None]
