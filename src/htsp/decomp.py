@@ -179,21 +179,22 @@ class DecompositionShape:
 class DecompositionState:
     """One point to decompose over a shape."""
 
-    target: tuple[Fraction, ...]
+    #: the target as integer numerators over their least common
+    #: denominator; the states of one target share the tuple
+    integer_target: tuple[tuple[int, ...], int]
     #: (mask, bound) upper rows of this state alone
     upper: tuple[tuple[int, int], ...] = ()
     #: which of the shape's candidates this state may use; all when None
     alive: Optional[np.ndarray] = None
-    #: the target as numerators over their least common denominator; made
-    #: from ``target`` when not given (the states of one target share it)
-    integer_target: Optional[tuple[tuple[int, ...], int]] = None
 
-    def __post_init__(self):
-        if self.integer_target is None:
-            dens = [x.denominator for x in self.target]
-            dn = math.lcm(*dens)
-            object.__setattr__(self, "integer_target", (
-                tuple(x.numerator * (dn // d) for x, d in zip(self.target, dens)), dn))
+    @classmethod
+    def of(cls, target: Sequence[Fraction], upper: tuple[tuple[int, int], ...] = (),
+           alive: Optional[np.ndarray] = None) -> "DecompositionState":
+        """The state of a target given as exact rationals."""
+        dens = [x.denominator for x in target]
+        dn = math.lcm(*dens)
+        return cls((tuple(x.numerator * (dn // d) for x, d in zip(target, dens)), dn),
+                   upper, alive)
 
 
 class Decomposition(NamedTuple):
@@ -256,7 +257,7 @@ def exact_convex_decomposition(
     that the target is outside the polytope spanned by the candidates.
     """
     shape = DecompositionShape(candidates, len(target), upper, lower)
-    (res,) = decompose([(shape, DecompositionState(tuple(Fraction(x) for x in target)))])
+    (res,) = decompose([(shape, DecompositionState.of([Fraction(x) for x in target]))])
     if isinstance(res, DecompositionFailure):
         raise res
     return {shape.cands[i]: Fraction(k, res.denominator)

@@ -35,7 +35,8 @@ from .errors import (
 )
 from .graph import augment, flow_arcs, in_units, lcm_denominator
 from .hierarchy import CutHierarchy
-from .params import BETA_CAP, DEFAULT_GAMMA, DEFAULT_MIX_LAMBDA, DEFAULT_TAU, mixed_rates
+from .params import (BETA_CAP, DEFAULT_GAMMA, DEFAULT_MIX_LAMBDA, DEFAULT_TAU,
+                     EAL_RELATIVE_TOLERANCE, mixed_rates)
 from .pipeline import PieceSampler
 
 #: reduction classes an edge can be settled in
@@ -510,8 +511,8 @@ def check_eal_bounds(classes: dict[int, EdgeClass], groups: dict[tuple, tuple[in
                      params: ReductionParams, eal_probability: dict[int, object]) -> None:
     """Refuse an even-at-last estimate below its coin bound, over the coin
     groups of ``coin_groups(classes)``: exactly for a ``Fraction``, within a
-    relative 1e-9 for a float; each distinct coin kind and estimate is
-    checked once."""
+    relative ``EAL_RELATIVE_TOLERANCE`` for a float; each distinct coin kind
+    and estimate is checked once."""
     passed: set[tuple] = set()
     for members in groups.values():
         est = eal_probability[members[0]]
@@ -520,7 +521,8 @@ def check_eal_bounds(classes: dict[int, EdgeClass], groups: dict[tuple, tuple[in
         if key in passed:
             continue
         bound = params.coin_bound(kind)
-        below = est < bound if isinstance(est, Fraction) else float(bound) > est * (1 + 1e-9)
+        below = (est < bound if isinstance(est, Fraction)
+                 else float(bound) > est * (1 + EAL_RELATIVE_TOLERANCE))
         if est <= 0 or below:
             raise EstimateBelowBound(
                 f"even-at-last estimate {float(est):.6g} below bound "

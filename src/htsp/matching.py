@@ -23,7 +23,6 @@ from .graph import MultiGraph, bits
 from .hierarchy import LocalMultigraph
 from .params import HALF, QUARTER
 
-ONE = Fraction(1)
 THIRD = Fraction(1, 3)
 
 SPLIT_EDGE_A, SPLIT_EDGE_B = -1, -2  # synthetic ids for the added parallel pair
@@ -59,17 +58,20 @@ def enumerate_perfect_matchings(g: MultiGraph) -> list[int]:
 
 
 def _odd_set_lower_constraints(g: MultiGraph) -> list[tuple[int, int]]:
-    """Boundary masks of odd vertex sets, one per complement pair."""
-    out = []
-    for s in range(1, 1 << (g.n - 1)):  # canonical side: vertex n-1 outside
-        if bin(s).count("1") % 2 == 0:
-            continue
-        mask = 0
-        for i, (u, v) in enumerate(g.endpoints):
-            if ((s >> u) & 1) != ((s >> v) & 1):
-                mask |= 1 << i
-        out.append((mask, 1))
-    return out
+    """Boundary masks of odd vertex sets, one per complement pair: the sets
+    without vertex n - 1, in ascending order of their vertex masks.  Each
+    edge's bit is set on every set it crosses at once, in 64-edge words."""
+    sets = np.arange(1, 1 << (g.n - 1), dtype=np.int64)
+    sets = sets[(np.bitwise_count(sets) & 1) == 1]
+    words = np.zeros(((g.m + 63) // 64, len(sets)), dtype=np.uint64)
+    for i, (u, v) in enumerate(g.endpoints):
+        crosses = ((sets >> u) ^ (sets >> v)) & 1
+        words[i // 64] |= crosses.astype(np.uint64) << np.uint64(i % 64)
+    rows = words.tolist()
+    masks = rows[0] if rows else [0] * len(sets)
+    for w, word in enumerate(rows[1:], 1):
+        masks = [mk | (x << (64 * w)) for mk, x in zip(masks, word)]
+    return [(mk, 1) for mk in masks]
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ def matching_distributions(pieces: Sequence[Union[LocalMultigraph, MultiGraph]]
         except DecompositionFailure as exc:
             shapes.append(exc)
             continue
-        jobs.append((shapes[-1], DecompositionState((QUARTER,) * g.m)))
+        jobs.append((shapes[-1], DecompositionState.of((QUARTER,) * g.m)))
     results = iter(decompose(jobs))
     out = []
     for g, shape in zip(graphs, shapes):
@@ -186,21 +188,59 @@ def seven_coloring(g: MultiGraph, matching_mask: int) -> list[list[int]]:
 class ShiftedSolution:
     """Piece marginals after the matching shift (and odd surgery, if any).
 
-    ``values`` covers every edge of the sampling graph by id; interior
-    sampling uses ``interior_values`` on ``interior_graph``.  ``parts`` are
-    the partition-matroid classes restricted to internal edges; each
-    carries capacity one.
+    Every value is a multiple of one third (one on a matched edge, one third
+    elsewhere, a surgery moving one edge by a third), so a state keeps its
+    values as integer thirds: ``thirds`` per edge of its sampling graph
+    ``graph``, and ``interior_thirds`` per edge of ``interior_graph``, each
+    in its graph's edge order.  ``parts`` are the partition-matroid classes
+    restricted to internal edges; each carries capacity one.  The values
+    as ``Fraction``s by edge id (``values``, ``interior_values``), the
+    forced edges and the provenance are views, built on first read.
     """
 
-    values: dict[int, Fraction]
+    graph: MultiGraph
+    thirds: tuple[int, ...]
     interior_graph: MultiGraph
-    interior_edge_ids: tuple[int, ...]
+    interior_thirds: tuple[int, ...]
     parts: tuple[tuple[int, ...], ...]
-    forced: frozenset[int]
-    provenance: dict
+    matching_mask: int
+    submatching_mask: int
+    #: (kind, trigger, adjusted, dropped) of an odd piece's surgery branch
+    surgery: Optional[tuple] = None
+    #: an odd piece's split pairing
+    pairing: Optional[tuple] = None
+
+    @functools.cached_property
+    def values(self) -> dict[int, Fraction]:
+        """Every edge of the sampling graph by id, with its value."""
+        return {eid: Fraction(k, 3) for eid, k in zip(self.graph.edge_ids, self.thirds)}
+
+    @functools.cached_property
+    def interior_edge_ids(self) -> tuple[int, ...]:
+        return tuple(sorted(self.interior_graph.edge_ids))
 
     def interior_values(self) -> dict[int, Fraction]:
-        return {eid: self.values[eid] for eid in self.interior_edge_ids}
+        """The interior edges by ascending id, with their values."""
+        return dict(sorted((eid, Fraction(k, 3)) for eid, k in
+                           zip(self.interior_graph.edge_ids, self.interior_thirds)))
+
+    @functools.cached_property
+    def forced(self) -> frozenset[int]:
+        """The interior edges at value one."""
+        return frozenset(eid for eid, k in zip(self.interior_graph.edge_ids,
+                                                self.interior_thirds) if k == 3)
+
+    @functools.cached_property
+    def provenance(self) -> dict:
+        g = self.graph
+        out = {
+            "matching": tuple(sorted(g.edge_ids[i] for i in bits(self.matching_mask))),
+            "submatching": tuple(sorted(g.edge_ids[i] for i in bits(self.submatching_mask))),
+            "surgery": self.surgery,
+        }
+        if self.pairing is not None:
+            out["pairing"] = self.pairing
+        return out
 
 
 def _parts_from_submatching(g: MultiGraph, internal_ids: set[int],
@@ -222,42 +262,36 @@ def _parts_from_submatching(g: MultiGraph, internal_ids: set[int],
     return tuple(sorted(parts))
 
 
-def _shifted(g: MultiGraph, internal: set[int], interior_graph: MultiGraph,
+def _interior_at(g: MultiGraph, interior_graph: MultiGraph) -> tuple[int, ...]:
+    """The position in ``g`` of each edge of ``interior_graph``, in its order."""
+    at = {eid: i for i, eid in enumerate(g.edge_ids)}
+    return tuple(at[eid] for eid in interior_graph.edge_ids)
+
+
+def _shifted(g: MultiGraph, interior_graph: MultiGraph, interior_at: tuple[int, ...],
              parts: tuple[tuple[int, ...], ...], matching_mask: int, submatching_mask: int,
-             surgery: Optional[tuple] = None, move: Fraction = Fraction(0),
-             **extra) -> ShiftedSolution:
-    """One on matched edges, one third elsewhere, plus ``move`` on the
-    surgery's adjusted edge; ``extra`` provenance (an odd piece's
-    ``pairing``) follows the surgery's."""
-    values = {
-        g.edge_ids[i]: (ONE if (matching_mask >> i) & 1 else THIRD)
-        for i in range(g.m)
-    }
+             surgery: Optional[tuple] = None, move: int = 0,
+             pairing: Optional[tuple] = None) -> ShiftedSolution:
+    """Three thirds on matched edges, one elsewhere, plus ``move`` thirds on
+    the surgery's adjusted edge; ``interior_at`` is ``_interior_at(g,
+    interior_graph)``."""
+    thirds = [1] * g.m
+    for i in bits(matching_mask):
+        thirds[i] = 3
     if surgery is not None:
-        values[surgery[2]] += move
-    return ShiftedSolution(
-        values=values,
-        interior_graph=interior_graph,
-        interior_edge_ids=tuple(sorted(internal)),
-        parts=parts,
-        forced=frozenset(eid for eid in internal if values[eid] == 1),
-        provenance={
-            "matching": tuple(sorted(g.edge_ids[i] for i in bits(matching_mask))),
-            "submatching": tuple(sorted(g.edge_ids[i] for i in bits(submatching_mask))),
-            "surgery": surgery,
-            **extra,
-        },
-    )
+        thirds[g.edge_index(surgery[2])] += move
+    return ShiftedSolution(g, tuple(thirds), interior_graph,
+                           tuple([thirds[i] for i in interior_at]),
+                           parts, matching_mask, submatching_mask, surgery, pairing)
 
 
 def shift(piece: LocalMultigraph, matching_mask: int,
           submatching_mask: int = 0) -> ShiftedSolution:
     """One on matched edges, one third elsewhere; parts from the sub-matching."""
-    g = piece.graph
-    internal = set(piece.internal_edge_ids)
-    parts = _parts_from_submatching(g, internal, submatching_mask)
-    return _shifted(g, internal, piece.internal_graph()[0], parts,
-                    matching_mask, submatching_mask)
+    g, interior = piece.graph, piece.internal_graph()[0]
+    parts = _parts_from_submatching(g, set(piece.internal_edge_ids), submatching_mask)
+    return _shifted(g, interior, _interior_at(g, interior), parts, matching_mask,
+                    submatching_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +321,12 @@ class SplitPiece:
 
     def interior_graph(self) -> MultiGraph:
         return self._interior_graph
+
+    @functools.cached_property
+    def interior_at(self) -> tuple[int, ...]:
+        """The position in ``graph`` of each interior edge, in the interior
+        graph's order."""
+        return _interior_at(self.graph, self._interior_graph)
 
     # built once per split piece: every surgery state shares them
     @functools.cached_property
@@ -380,6 +420,7 @@ def surgery_options(split: SplitPiece, matching_mask: int) -> list[tuple]:
         p_e = HALF
         kind = "increase"
     internal = set(split.internal_edge_ids())
+    share = p_e * THIRD
     for eid in pool:
         u = split.boundary_vertex_of(eid)
         adj = sorted(
@@ -390,7 +431,7 @@ def surgery_options(split: SplitPiece, matching_mask: int) -> list[tuple]:
                 f"boundary vertex {u} has {len(adj)} internal edges, not 3"
             )
         for f in adj:
-            branches.append((kind, eid, f, p_e * THIRD))
+            branches.append((kind, eid, f, share))
     return branches
 
 
@@ -409,21 +450,32 @@ def surgery_drops(split: SplitPiece, submatching_mask: int, kind: str,
     return (None,)
 
 
+#: the thirds a surgery branch moves its adjusted edge by, per kind
+SURGERY_MOVE = {"decrease": -1, "increase": 1}
+
+
+def surgery_parts(split: SplitPiece, submatching_mask: int, adjusted: int,
+                  dropped: Optional[int]) -> tuple[tuple[int, ...], ...]:
+    """The parts of a surgery branch: the sub-matching's, less the member
+    ``dropped`` from the part holding ``adjusted``."""
+    parts = split.parts(submatching_mask)
+    if dropped is None:
+        return parts
+    return tuple(sorted(tuple(e for e in p if e != dropped) if adjusted in p else p
+                        for p in parts))
+
+
 def apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
                   kind: str, trigger: int, adjusted: int,
                   dropped: Optional[int] = None) -> ShiftedSolution:
-    """Shift on the split graph, then move one third of value on ``adjusted``.
+    """Shift on the split graph, then move one third of value on ``adjusted``
+    (down on a decrease, up on an increase).
 
     ``dropped`` is one of the branch's ``surgery_drops``: for an increase
     hitting a three-edge part, the part member removed so the surviving
     pair is tight at one.
     """
-    parts = split.parts(submatching_mask)
-    if kind == "decrease":
-        move = -THIRD
-    elif kind == "increase":
-        move = THIRD
-    else:
+    if kind not in SURGERY_MOVE:
         raise ValueError(kind)
     drops = surgery_drops(split, submatching_mask, kind, adjusted)
     if dropped not in drops:
@@ -431,12 +483,10 @@ def apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
             f"dropped edge {dropped} is not one of {drops}, the drops of the "
             f"{kind} on edge {adjusted}"
         )
-    if dropped is not None:
-        parts = tuple(tuple(e for e in p if e != dropped) if adjusted in p else p
-                      for p in parts)
-    return _shifted(split.graph, set(split.internal_edge_ids()), split.interior_graph(),
-                    tuple(sorted(parts)), matching_mask, submatching_mask,
-                    (kind, trigger, adjusted, dropped), move, pairing=split.pairing)
+    return _shifted(split.graph, split.interior_graph(), split.interior_at,
+                    surgery_parts(split, submatching_mask, adjusted, dropped),
+                    matching_mask, submatching_mask, (kind, trigger, adjusted, dropped),
+                    SURGERY_MOVE[kind], split.pairing)
 
 
 def odd_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,

@@ -29,15 +29,17 @@ from .errors import AssemblyError, ConfigError, InfeasibleShift, SizeLimitExceed
 from .graph import bits, find_root
 from .hierarchy import CutHierarchy, LocalMultigraph
 from .matching import (
-    THIRD,
+    SURGERY_MOVE,
     ShiftedSolution,
+    _interior_at,
     _parts_from_submatching,
-    apply_surgery,
+    _shifted,
     odd_surgery,
     seven_coloring,
     shift,
     surgery_drops,
     surgery_options,
+    surgery_parts,
 )
 from .params import DEFAULT_MIX_LAMBDA, HALF
 from .trees import (
@@ -302,14 +304,6 @@ def _class_submasks(classes: list[list[int]]) -> list[tuple[int, int]]:
     return list(counts.items())
 
 
-def _values_key(values: dict[int, Fraction]) -> tuple[tuple[int, ...], ...]:
-    """Exact values as an integer key (edge ids, numerators, denominators);
-    hashing ``Fraction``s is slow."""
-    ids = sorted(values)
-    return (tuple(ids), tuple([values[e].numerator for e in ids]),
-            tuple([values[e].denominator for e in ids]))
-
-
 def _check_interior(piece: LocalMultigraph) -> None:
     if piece.graph.n - 1 > DECOMPOSITION_INTERIOR_LIMIT:
         raise SizeLimitExceeded(
@@ -319,9 +313,11 @@ def _check_interior(piece: LocalMultigraph) -> None:
 
 
 def _piece_states(piece: LocalMultigraph, classes: bool, built: Optional[dict] = None
-                  ) -> tuple[list[ShiftedSolution], list[tuple[Fraction, int]]]:
-    """A degree piece's sampling states, each distinct state once, and the
-    walk's visits to them as (probability, state index), in walk order.
+                  ) -> tuple[list[ShiftedSolution], list[tuple[int, int]], int]:
+    """A degree piece's sampling states, each distinct state once, the
+    walk's visits to them as (weight, state index) in walk order, and the
+    denominator of the weights: a visit's probability is its integer
+    weight over the piece's one denominator.
 
     The walk takes a matching of each split piece, then a color class
     (with ``classes``, the matroid route) or the empty sub-matching
@@ -332,54 +328,60 @@ def _piece_states(piece: LocalMultigraph, classes: bool, built: Optional[dict] =
     edge positions); the trigger edge of a surgery branch only enters the
     provenance, which is the first visit's, so two triggers at one
     boundary vertex visit one state.  ``built`` keeps the states by key
-    across walks: the two routes share the max-entropy route's states."""
+    across walks: the two routes share the max-entropy route's states.
+
+    The weights count in units of the matching weights' least common
+    denominator, of the seven classes and, on an odd piece, of the three
+    pairings, of a branch's share of 1/24 (a decrease branch takes 2, an
+    increase branch 4) and of the two drops that split an increase."""
     _check_interior(piece)
     odd = piece.graph.n % 2 == 1
     states: list[ShiftedSolution] = []
-    visits: list[tuple[Fraction, int]] = []
+    visits: list[tuple[int, int]] = []
     index: dict[tuple, int] = {}
     built = {} if built is None else built
 
-    def visit(pr: Fraction, key: tuple, build) -> None:
+    def visit(weight: int, key: tuple, build) -> None:
         if key not in index:
             if key not in built:
                 built[key] = build()
             index[key] = len(states)
             states.append(built[key])
-        visits.append((pr, index[key]))
+        visits.append((weight, index[key]))
 
+    unit = math.lcm(*(w.denominator for _, dist in piece.split_matchings for w in dist.weights))
     even_parts: dict[int, tuple] = {}
+    # the states are built as ``shift`` and ``apply_surgery`` build them,
+    # from the parts the walk has already read
     for sp, dist in piece.split_matchings:
         g = sp.graph if odd else piece.graph
+        interior = sp.interior_graph() if odd else piece.internal_graph()[0]
+        at = sp.interior_at if odd else _interior_at(g, interior)
         for mk, w in zip(dist.masks, dist.weights):
+            wk = w.numerator * (unit // w.denominator)
             subs = _class_submasks(seven_coloring(g, mk)) if classes else [(0, 7)]
             if not odd:
                 for sub, k in subs:
                     if sub not in even_parts:
                         even_parts[sub] = _parts_from_submatching(
                             g, set(piece.internal_edge_ids), sub)
-                    visit(w * Fraction(k, 7), (mk, None, None, even_parts[sub]),
-                          lambda: shift(piece, mk, sub))
+                    parts = even_parts[sub]
+                    visit(wk * k, (mk, None, None, parts),
+                          lambda: _shifted(g, interior, at, parts, mk, sub))
                 continue
             options = surgery_options(sp, mk)
             for sub, k in subs:
-                base = THIRD * w * Fraction(k, 7)
-                parts = sp.parts(sub)
                 for kind, e, f, pb in options:
+                    share = wk * k * pb.numerator * (24 // pb.denominator)
                     drops = surgery_drops(sp, sub, kind, f)
                     for dropped in drops:
-                        kept = parts if dropped is None else tuple(sorted(
-                            tuple(x for x in p if x != dropped) if f in p else p
-                            for p in parts))
-                        visit(base * pb / len(drops), (mk, kind, f, kept),
-                              lambda: apply_surgery(sp, mk, sub, kind, e, f, dropped))
-    return states, visits
-
-
-def _interior_key(shifted: ShiftedSolution) -> tuple:
-    """The interior values of a state as an integer key: the max-entropy
-    fit reads nothing else."""
-    return _values_key(shifted.interior_values())
+                        parts = surgery_parts(sp, sub, f, dropped)
+                        # one or two drops share the branch
+                        visit(share * (2 // len(drops)), (mk, kind, f, parts),
+                              lambda: _shifted(g, interior, at, parts, mk, sub,
+                                               (kind, e, f, dropped), SURGERY_MOVE[kind],
+                                               sp.pairing))
+    return states, visits, unit * (7 * 3 * 24 * 2 if odd else 7)
 
 
 class DegreePieceSampler:
@@ -409,12 +411,12 @@ class DegreePieceSampler:
     def _me_fits(self, states: list[ShiftedSolution]) -> list:
         """Each state's max-entropy fit; the fits not yet cached are made in
         one ``maxent_fits`` call."""
-        keys = [_interior_key(sh) for sh in states]
+        keys = [sh.interior_thirds for sh in states]
         todo: dict = {}
         for key, sh in zip(keys, states):
             if key not in self._me_cache and key not in todo:
                 todo[key] = sh
-        fits = maxent_fits([(sh.interior_graph, sh.interior_values()) for sh in todo.values()])
+        fits = maxent_fits([(sh.interior_graph, sh.interior_thirds, 3) for sh in todo.values()])
         self._me_cache.update(zip(todo, fits))
         return [self._me_cache[key] for key in keys]
 
@@ -439,14 +441,14 @@ class DegreePieceSampler:
             return (np.array(w.trees, dtype=np.uint64),
                     [k / w.denominator for k in w.numerators])
 
-        return self._table(("mi", _values_key(shifted.values), shifted.parts), build)
+        return self._table(("mi", shifted.thirds, shifted.parts), build)
 
     def _me_table(self, shifted: ShiftedSolution) -> tuple:
         def build():
             (fit,) = self._me_fits([shifted])
             return maxent_tree_law(fit, self._edge_ids)
 
-        return self._table(("maxent", _interior_key(shifted)), build)
+        return self._table(("maxent", shifted.interior_thirds), build)
 
     # -- full mixtures ------------------------------------------------------
 
@@ -457,20 +459,21 @@ class DegreePieceSampler:
         decomposed once, all of them in one batch, at the summed
         probability of its visits; a state that fails raises in the order
         of first visits."""
-        states, visits = _piece_states(self.piece, True, self._built)
-        prob: list = [0] * len(states)
-        for pr, i in visits:
-            prob[i] += pr
+        states, visits, visit_den = _piece_states(self.piece, True, self._built)
+        prob = [0] * len(states)
+        for k, i in visits:
+            prob[i] += k
         weights = constrained_tree_weights(states)
         for w in weights:
             if isinstance(w, InfeasibleShift):
                 raise w
-        den = math.lcm(*(pr.denominator * w.denominator for pr, w in zip(prob, weights)))
+        den = math.lcm(*(w.denominator for w in weights))
         total: dict[int, int] = {}
         for pr, w in zip(prob, weights):
-            scale = pr.numerator * (den // (pr.denominator * w.denominator))
+            scale = pr * (den // w.denominator)
             for t, k in zip(w.trees, w.numerators):
                 total[t] = total.get(t, 0) + scale * k
+        den *= visit_den
         if sum(total.values()) != den:
             raise AssemblyError("matroid-route tree mixture does not sum to 1")
         return np.array(list(total), dtype=np.uint64), list(total.values()), den
@@ -478,7 +481,7 @@ class DegreePieceSampler:
     def maxent_mixture(self) -> tuple[np.ndarray, np.ndarray]:
         """The max-entropy route's trees as ascending position masks and
         their float probabilities, each added visit by visit."""
-        states, visits = _piece_states(self.piece, False, self._built)
+        states, visits, visit_den = _piece_states(self.piece, False, self._built)
         fits = self._me_fits(states)
         # each distinct fit's tree law once; all the laws' trees indexed in
         # one sorted array
@@ -491,9 +494,10 @@ class DegreePieceSampler:
         masks, where = np.unique(np.concatenate([m for m, _ in laws]), return_inverse=True)
         starts = np.cumsum([0] + [len(m) for m, _ in laws])
         acc = np.zeros(len(masks))
-        for pr, i in visits:
+        for k, i in visits:
             j = law_of[id(fits[i])]
-            np.add.at(acc, where[starts[j]:starts[j + 1]], float(pr) * laws[j][1])
+            # an int quotient rounds correctly, as the float of a Fraction does
+            np.add.at(acc, where[starts[j]:starts[j + 1]], k / visit_den * laws[j][1])
         return masks, acc
 
     def compiled(self) -> EnumeratedPieceSampler:

@@ -33,8 +33,9 @@ from .oracle import (
     exact_expected_net_decrease,
     exact_marginals,
 )
-from .params import (CORRELATION_BOUNDS, DEFAULT_MIX_LAMBDA, EAL_BOUNDS, EPSILON, HALF,
-                     QUARTER, SIGMAS, TOUR_RATIO_BOUND)
+from .params import (CORRELATION_BOUNDS, DEFAULT_MIX_LAMBDA, EAL_BOUNDS, EPSILON,
+                     EXACT_ROW_SLACK, HALF, HALF_TOLERANCE, QUARTER, RATE_TOLERANCE, SIGMAS,
+                     TOUR_RATIO_BOUND, VARIANCE_FLOOR)
 from .pipeline import DegreePieceSampler, SamplerParams, k5_sampler
 
 #: draws per block of the correlation suite's piece sampling
@@ -93,7 +94,7 @@ class StatReport:
 
 
 def binom_sigma(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 1e-12) / max(n, 1))
+    return math.sqrt(max(p * (1.0 - p), VARIANCE_FLOOR) / max(n, 1))
 
 
 def sampled_row(suite, name, sampler, context, kind, bound, estimate, stderr,
@@ -164,7 +165,7 @@ def suite_correlations(piece, sampler: str, trials: int, seed: int,
                                      bounds[row], int(hits[event].sum()), trials))
             rows.append(StatRow("correlations", row + "/exact", sampler, context, "exact",
                                 float(bounds[row]), float(exact), 0.0, 0,
-                                float(exact) >= float(bounds[row]) - 1e-12))
+                                float(exact) >= float(bounds[row]) - EXACT_ROW_SLACK))
     return rows
 
 
@@ -181,11 +182,11 @@ def eal_bounds_for(sp: SamplerParams, rp: ReductionParams) -> dict[str, Fraction
 
 
 def is_half(marginal) -> bool:
-    """An exact marginal of one half: equal as a ``Fraction``, within 1e-5
-    as a float."""
+    """An exact marginal of one half: equal as a ``Fraction``, within
+    ``HALF_TOLERANCE`` as a float."""
     if isinstance(marginal, Fraction):
         return marginal == HALF
-    return bool(abs(marginal - float(HALF)) <= 1e-5)
+    return bool(abs(marginal - float(HALF)) <= HALF_TOLERANCE)
 
 
 def symmetry_pairs(m: int) -> list[tuple[int, int]]:
@@ -285,7 +286,7 @@ def suite_symmetry(engine: BatchEngine, st: BatchStats) -> list[StatRow]:
             px, py = x / trials, y / trials
             # disjoint outcomes of one multinomial: the covariance term
             # enters the variance of the difference
-            sd = math.sqrt(max(px + py - (px - py) ** 2, 1e-12) / trials)
+            sd = math.sqrt(max(px + py - (px - py) ** 2, VARIANCE_FLOOR) / trials)
             rows.append(sampled_row("symmetry", name, engine.sp.sampler, f"pair:{a},{b}",
                                     "two-sided", 0.0, px - py, sd, trials))
     return rows
@@ -327,7 +328,8 @@ def oracle_check(inst: HalfIntegralInstance | CompiledInstance,
         est = ci.eal_probability[members[0]]
         target = rp.coin_bound(classes[members[0]].coin_kind)
         val = ci.rates[grp] * est
-        ok = (val == target) if isinstance(val, Fraction) else abs(val - float(target)) <= 1e-9
+        ok = ((val == target) if isinstance(val, Fraction)
+              else abs(val - float(target)) <= RATE_TOLERANCE)
         groups[grp] = float(est), float(target), float(val), bool(ok)
     bounds = {kind: float(b) for kind, b in eal_bounds_for(sp, rp).items()}
     for e in range(ci.m):
@@ -335,7 +337,7 @@ def oracle_check(inst: HalfIntegralInstance | CompiledInstance,
         est = groups[classes[e].coin_group][0]
         rows.append(
             StatRow("oracle", f"even-at-last/{kind}", sampler, f"edge:{e}",
-                    "exact", bounds[kind], est, 0.0, 0, est >= bounds[kind] - 1e-12)
+                    "exact", bounds[kind], est, 0.0, 0, est >= bounds[kind] - EXACT_ROW_SLACK)
         )
     for e in range(ci.m):
         _, target, val, ok = groups[classes[e].coin_group]

@@ -36,6 +36,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .decomp import (
+    INT64_SAFE,
     Decomposition,
     DecompositionFailure,
     DecompositionShape,
@@ -50,7 +51,7 @@ from .errors import (
     NumericalBreakdown,
     SizeLimitExceeded,
 )
-from .graph import MultiGraph, bits, find_root
+from .graph import MultiGraph, find_root
 from .hierarchy import LocalMultigraph
 from .matching import ShiftedSolution
 
@@ -133,21 +134,37 @@ def _shape(n: int, endpoints: tuple[tuple[int, int], ...]) -> _Shape:
 
 @dataclass(frozen=True)
 class _Minor:
-    """Value-one edges contracted, value-zero edges deleted."""
+    """Value-one edges contracted, value-zero edges deleted; ``at`` holds
+    each minor edge's position in the graph it was made from, and
+    ``forced_mask`` the forced edges' positions there."""
 
     graph: MultiGraph
     forced: tuple[int, ...]
     zeros: tuple[int, ...]
+    at: tuple[int, ...]
+    forced_mask: int
 
     @property
     def edge_ids(self) -> tuple[int, ...]:
         return self.graph.edge_ids
 
+    def lifted(self) -> list[int]:
+        """The minor's spanning trees in its shape record's order, as masks
+        over the positions of the graph it was made from, the forced edges
+        included."""
+        trees = _shape(self.graph.n, self.graph.endpoints).trees
+        held = (trees[:, None] >> np.arange(len(self.at), dtype=np.uint64)) & 1
+        lifted = np.bitwise_or.reduce(held << np.array(self.at, dtype=np.uint64), axis=1)
+        return (lifted | np.uint64(self.forced_mask)).tolist()
 
-def contract_forced(g: MultiGraph, values: dict[int, Fraction]) -> _Minor:
-    forced = tuple(sorted(eid for eid in g.edge_ids if values[eid] == 1))
-    zeros = tuple(sorted(eid for eid in g.edge_ids if values[eid] == 0))
-    return _contract(g.n, g.edge_ids, g.endpoints, forced, zeros)
+
+def contract_row(g: MultiGraph, row: Sequence[int], one: int) -> _Minor:
+    """The minor of ``g`` at the values ``row``, numerators in its edge
+    order over ``one``: value-one edges contracted, value-zero edges
+    deleted."""
+    return _contract(g.n, g.edge_ids, g.endpoints,
+                     tuple(sorted(e for e, k in zip(g.edge_ids, row) if k == one)),
+                     tuple(sorted(e for e, k in zip(g.edge_ids, row) if k == 0)))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -166,15 +183,17 @@ def _contract(n: int, edge_ids: tuple[int, ...], endpoints: tuple[tuple[int, int
     roots = sorted({find_root(parent, v) for v in range(n)})
     renum = {r: i for i, r in enumerate(roots)}
     zset = set(zeros)
-    edges = []
-    for eid, (u, v) in zip(edge_ids, endpoints):
+    edges, at = [], []
+    for p, (eid, (u, v)) in enumerate(zip(edge_ids, endpoints)):
         if eid in fset or eid in zset:
             continue
         a, b = renum[find_root(parent, u)], renum[find_root(parent, v)]
         if a == b:
             raise InfeasibleShift("positive edge inside a forced component")
         edges.append((eid, a, b))
-    return _Minor(MultiGraph(len(roots), edges), forced, zeros)
+        at.append(p)
+    return _Minor(MultiGraph(len(roots), edges), forced, zeros, tuple(at),
+                  sum(1 << p for p, eid in enumerate(edge_ids) if eid in fset))
 
 
 # ---------------------------------------------------------------------------
@@ -193,103 +212,159 @@ class TreeWeights(NamedTuple):
 
 
 class _Prepared(NamedTuple):
-    """What the states of one interior graph and value vector share: the
-    minor, its shape's record, the minor's edge positions, and a state of
-    the target alone, whose integer target every such state reuses."""
+    """What the states of one interior graph and value row share: the
+    minor, its shape's record and the integer target every such state
+    reuses."""
 
     minor: _Minor
     record: _Shape
-    pos_of: dict[int, int]
-    state: DecompositionState
+    target: tuple[tuple[int, ...], int]
 
 
-def _prepare(shifted: ShiftedSolution) -> _Prepared:
-    """The forced-edge contraction of a state's interior values, read once
-    per interior graph and value vector."""
-    g = shifted.interior_graph
-    minor = contract_forced(g, shifted.values)
+def _prepare(g: MultiGraph, row: Sequence[int]) -> _Prepared:
+    """The forced-edge contraction of an interior value row in thirds (a
+    state's ``interior_thirds``), read once per interior graph and row.
+    The target is the minor's values over 3, or over 1 when every one is
+    whole: over their least common denominator."""
+    minor = contract_row(g, row, 3)
+    nums = tuple(row[p] for p in minor.at)
+    target = (nums, 3) if any(k % 3 for k in nums) else (tuple(k // 3 for k in nums), 1)
     mg = minor.graph
-    return _Prepared(minor, _shape(mg.n, mg.endpoints),
-                     {eid: i for i, eid in enumerate(mg.edge_ids)},
-                     DecompositionState(tuple(shifted.values[eid] for eid in mg.edge_ids)))
+    return _Prepared(minor, _shape(mg.n, mg.endpoints), target)
 
 
-def _tree_state(shifted: ShiftedSolution, prep: _Prepared, allowed: dict
-                ) -> tuple[_Minor, _Shape, DecompositionState]:
-    """The minor of a shifted state, its shape's record and its state with
-    its own part rows.  ``prep`` is what the states of its interior graph
-    and values share, and ``allowed`` holds the part-respecting trees by
-    record and parts, filled as they are met."""
-    part_masks = []
-    for part in shifted.parts:
-        mask = 0
-        for eid in part:
-            if eid in prep.pos_of:
-                mask |= 1 << prep.pos_of[eid]
-        if mask:
-            part_masks.append(mask)
-    key = (id(prep.record), tuple(part_masks))
-    if key not in allowed:
-        allowed[key] = (np.bitwise_count(
-            prep.record.trees[:, None] & np.array(part_masks, dtype=np.uint64)) <= 1).all(axis=1)
-    if not allowed[key].any():
-        raise InfeasibleShift("no constrained spanning tree in the support")
-    return prep.minor, prep.record, DecompositionState(
-        prep.state.target, tuple((pm, 1) for pm in part_masks), allowed[key],
-        prep.state.integer_target)
+#: candidates per pass of the part-respecting check
+PART_CHECK_BLOCK = 2 ** 13
+
+
+def _tree_states(states: Sequence[ShiftedSolution]
+                 ) -> list[Union[tuple[_Prepared, DecompositionState], InfeasibleShift]]:
+    """Each state's prepared minor and its decomposition state with its own
+    part rows, or the ``InfeasibleShift`` that rules it out: forced edges
+    with a cycle, a positive edge inside a forced component, or parts that
+    no tree of the support respects.
+
+    The states of one interior graph and value row share one ``_prepare``.
+    The parts of all the states are read over their minors' edge positions
+    together, and the part-respecting candidates of all the states are
+    found in one pass over their candidates laid end to end."""
+    out: list = [None] * len(states)
+    # per interior graph object, the index of its structure and its
+    # positions by edge id: the three split pieces of an odd piece have
+    # one interior structure in three objects
+    structures: dict[tuple, int] = {}
+    graphs: dict[int, tuple[int, dict[int, int]]] = {}
+    # per interior structure and value row, the index of its ``_prepare``
+    # in ``preps``, or the failure of it
+    prepared: dict[tuple, Union[int, InfeasibleShift]] = {}
+    preps: list[_Prepared] = []
+    interior_masks: dict[tuple, tuple[int, ...]] = {}
+    # per part of the states that prepare, its interior mask and its
+    # state's prep; per such state its parts' span
+    live, masks, rows, spans = [], [], [], []
+    for i, sh in enumerate(states):
+        g = sh.interior_graph
+        if id(g) not in graphs:
+            graphs[id(g)] = (structures.setdefault((g.n, g.edge_ids, g.endpoints),
+                                                   len(structures)),
+                             {eid: p for p, eid in enumerate(g.edge_ids)})
+        gkey, pos = graphs[id(g)]
+        key = (gkey, sh.interior_thirds)
+        if key not in prepared:
+            try:
+                preps.append(_prepare(g, sh.interior_thirds))
+                prepared[key] = len(preps) - 1
+            except InfeasibleShift as exc:
+                prepared[key] = exc
+        r = prepared[key]
+        if isinstance(r, InfeasibleShift):
+            out[i] = r
+            continue
+        pkey = (gkey, sh.parts)
+        if pkey not in interior_masks:
+            interior_masks[pkey] = tuple(sum(1 << pos[e] for e in part) for part in sh.parts)
+        ms = interior_masks[pkey]
+        live.append((i, preps[r]))
+        spans.append(len(masks))
+        masks += ms
+        rows += [r] * len(ms)
+    spans.append(len(masks))
+    if not live:
+        return out
+    # each part over its minor's edge positions: the bits of its interior
+    # mask at the minor's edges, in the minor's order; a part with no edge
+    # in the minor drops out
+    width = max(1, max(len(prep.minor.at) for prep in preps))
+    at = np.zeros((len(preps), width), dtype=np.uint64)
+    valid = np.zeros((len(preps), width), dtype=np.uint64)
+    for r, prep in enumerate(preps):
+        at[r, :len(prep.minor.at)] = prep.minor.at
+        valid[r, :len(prep.minor.at)] = 1
+    picked = (np.array(masks, dtype=np.uint64)[:, None] >> at[rows]) & valid[rows]
+    pm = np.bitwise_or.reduce(picked << np.arange(width, dtype=np.uint64), axis=1)
+    part_of = np.repeat(np.arange(len(live)), np.diff(spans))[pm != 0]
+    pm = pm[pm != 0]
+    counts = np.bincount(part_of, minlength=len(live))
+    starts = np.cumsum(counts) - counts
+    parts = np.zeros((len(live), int(counts.max(initial=0))), dtype=np.uint64)
+    parts[part_of, np.arange(len(part_of)) - starts[part_of]] = pm
+    # every state's candidates one after the other, each against its state's
+    # parts: a candidate holding two edges of a part is out
+    sizes = [len(prep.record.trees) for _, prep in live]
+    trees = np.concatenate([prep.record.trees for _, prep in live])
+    owner = np.repeat(np.arange(len(live)), sizes)
+    alive = np.ones(len(trees), dtype=bool)
+    for a in range(0, len(trees), PART_CHECK_BLOCK):
+        held, whose = trees[a:a + PART_CHECK_BLOCK], owner[a:a + PART_CHECK_BLOCK]
+        for col in parts.T:
+            alive[a:a + PART_CHECK_BLOCK] &= np.bitwise_count(held & col[whose]) <= 1
+    some = np.bincount(owner[alive], minlength=len(live)).tolist()
+    pm, counts, starts = pm.tolist(), counts.tolist(), starts.tolist()
+    end = 0
+    for (i, prep), k, size, c, s0 in zip(live, some, sizes, counts, starts):
+        end += size
+        if not k:
+            out[i] = InfeasibleShift("no constrained spanning tree in the support")
+        else:
+            out[i] = prep, DecompositionState(prep.target,
+                                              tuple([(x, 1) for x in pm[s0:s0 + c]]),
+                                              alive[end - size:end])
+    return out
 
 
 def constrained_tree_weights(states: Sequence[ShiftedSolution]
                              ) -> list[Union[TreeWeights, InfeasibleShift]]:
     """Decompose each shifted interior vector over part-respecting trees,
-    all the states in one ``decompose`` call; a state the decomposition or
-    its marginal check rejects gets its ``InfeasibleShift``.  The one entry
-    point of the matroid route: a piece's compile passes all its states,
-    ``htsp sample``'s walk one.  Every tree holds the forced edges and no zero edge,
-    and ``_rejections`` checks the minor's edges, so the trees of a state
-    that passes reproduce its whole interior vector.  The states of one
-    interior graph and value vector share one ``_prepare``."""
+    all the states in one ``decompose`` call; a state ``_tree_states``, the
+    decomposition or its marginal check rejects gets its
+    ``InfeasibleShift``.  The one entry point of the matroid route: a
+    piece's compile passes all its states, ``htsp sample``'s walk one.
+    Every tree holds the forced edges and no zero edge, and
+    ``_rejections`` checks the minor's edges, so the trees of a state that
+    passes reproduce its whole interior vector."""
     out: list = [None] * len(states)
     jobs: list[tuple[DecompositionShape, DecompositionState]] = []
-    minors: list[tuple[int, _Minor]] = []
-    prepared: dict[tuple, _Prepared] = {}
-    allowed: dict = {}
-    for i, shifted in enumerate(states):
-        g = shifted.interior_graph
-        vals = [shifted.values[eid] for eid in g.edge_ids]
-        key = (g.n, g.edge_ids, g.endpoints, tuple([x.numerator for x in vals]),
-               tuple([x.denominator for x in vals]))
-        try:
-            if key not in prepared:
-                prepared[key] = _prepare(shifted)
-            minor, record, state = _tree_state(shifted, prepared[key], allowed)
-        except InfeasibleShift as exc:
-            out[i] = exc
+    preps: list[tuple[int, _Prepared]] = []
+    for i, t in enumerate(_tree_states(states)):
+        if isinstance(t, InfeasibleShift):
+            out[i] = t
             continue
-        jobs.append((record.decomposition, state))
-        minors.append((i, minor))
+        prep, state = t
+        jobs.append((prep.record.decomposition, state))
+        preps.append((i, prep))
     results = decompose(jobs)
-    # per minor, its forced edges and each edge as interior positions; a
-    # candidate of a minor as an interior mask, once per call: states share
-    # minors
-    lift: dict[int, tuple[int, list[int]]] = {}
-    tree_of: dict[tuple[int, int], int] = {}
-    for (i, minor), (shape, _), r, exc in zip(minors, jobs, results,
-                                              _rejections(jobs, results)):
+    # each minor's trees lifted once per call: states share minors
+    lifted: dict[int, list[int]] = {}
+    for (i, prep), r, exc in zip(preps, results, _rejections(jobs, results)):
         if exc is not None:
             out[i] = exc
             continue
-        if id(minor) not in lift:
-            pos = {eid: p for p, eid in enumerate(states[i].interior_graph.edge_ids)}
-            lift[id(minor)] = (sum(1 << pos[eid] for eid in minor.forced),
-                               [1 << pos[eid] for eid in minor.edge_ids])
-        forced, bit = lift[id(minor)]
+        if id(prep.minor) not in lifted:
+            lifted[id(prep.minor)] = prep.minor.lifted()
+        trees = lifted[id(prep.minor)]
         pairs = sorted(zip(r.order, r.numerators))
-        for c, _ in pairs:
-            if (id(minor), c) not in tree_of:
-                tree_of[id(minor), c] = forced + sum(bit[p] for p in bits(shape.cands[c]))
-        out[i] = TreeWeights(tuple(tree_of[id(minor), c] for c, _ in pairs),
-                             tuple(k for _, k in pairs), r.denominator)
+        out[i] = TreeWeights(tuple([trees[c] for c, _ in pairs]),
+                             tuple([k for _, k in pairs]), r.denominator)
     return out
 
 
@@ -300,7 +375,9 @@ def _rejections(jobs: Sequence[tuple[DecompositionShape, DecompositionState]],
     decomposition or for weights that do not sum to one or do not
     reproduce the target as tree marginals; None for a decomposition that
     passes.  The check runs on the integer numerators of all the
-    decompositions at once, over the largest shape's edge positions."""
+    decompositions at once, over the largest shape's edge positions (at
+    most 64, as every tree shape's), in int64 where every product fits and
+    on exact Python ints otherwise."""
     out: list[Optional[InfeasibleShift]] = []
     for r in results:
         out.append(None)
@@ -313,27 +390,35 @@ def _rejections(jobs: Sequence[tuple[DecompositionShape, DecompositionState]],
     m = max(jobs[j][0].m for j in done)
     sizes = [len(results[j].order) for j in done]
     starts = np.cumsum([0] + sizes[:-1])
-    # the rows each decomposition took, gathered once per shape
-    rows: dict[int, tuple[DecompositionShape, list[int], list[int]]] = {}
-    for j, at, k in zip(done, starts.tolist(), sizes):
-        shape = jobs[j][0]
-        entry = rows.setdefault(id(shape), (shape, [], []))
-        entry[1].extend(results[j].order)
-        entry[2].extend(range(at, at + k))
-    chosen = np.zeros((sum(sizes), m), dtype=bool)
-    for shape, cands, where in rows.values():
-        chosen[where, :shape.m] = shape.member[cands]
-    w = np.array([k for j in done for k in results[j].numerators], dtype=object)
+    # the trees each decomposition took, as rows of their edges
+    cands = [jobs[j][0].cands for j in done]
+    taken = np.array([c[i] for c, j in zip(cands, done) for i in results[j].order],
+                     dtype=np.uint64)
+    chosen = np.unpackbits(taken.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+                           count=m, bitorder="little").view(bool)
+    nums = [k for j in done for k in results[j].numerators]
+    dens = [results[j].denominator for j in done]
+    targets = [jobs[j][1].integer_target for j in done]
+    tnums = [k for t, _ in targets for k in t]
+    tdens = [q for _, q in targets]
+    # a marginal and a sum are at most the largest weight times the most
+    # trees a state took; each is compared after a product with a
+    # denominator
+    top = max(max(max(nums, default=0), -min(nums, default=0)) * max(sizes) * max(tdens),
+              max(max(tnums, default=0), -min(tnums, default=0)) * max(dens))
+    kind = np.int64 if top < INT64_SAFE else object
+    w = np.array(nums, dtype=kind)
     marg = np.add.reduceat(chosen * w[:, None], starts, axis=0)
     sums = np.add.reduceat(w, starts).tolist()
-    den = np.array([results[j].denominator for j in done], dtype=object)
-    targets = [jobs[j][1].integer_target for j in done]
-    tden = np.array([q for _, q in targets], dtype=object)
-    tnum = np.zeros(marg.shape, dtype=object)
-    for row, (nums, _) in zip(tnum, targets):
-        row[:len(nums)] = nums
+    den = np.array(dens, dtype=kind)
+    tden = np.array(tdens, dtype=kind)
+    tnum = np.zeros(marg.shape, dtype=kind)
+    lens = [len(t) for t, _ in targets]
+    owner, offset = np.repeat(np.arange(len(done)), lens), np.arange(sum(lens))
+    offset -= np.repeat(np.cumsum(lens) - lens, lens)
+    tnum[owner, offset] = np.array(tnums, dtype=kind)
     ok = (marg * tden[:, None] == tnum * den[:, None]).all(axis=1).tolist()
-    for j, good, total, q in zip(done, ok, sums, den.tolist()):
+    for j, good, total, q in zip(done, ok, sums, dens):
         if total != q:
             out[j] = InfeasibleShift("tree weights do not sum to 1")
         elif not good:
@@ -395,24 +480,21 @@ def _find_tight_subset(g: MultiGraph, nums: dict[int, int], den: int
     return None
 
 
-def _plan_fit(interior_graph: MultiGraph, targets: dict[int, Fraction]) -> _FitPlan:
+def _plan_fit(interior_graph: MultiGraph, row: Sequence[int], den: int) -> _FitPlan:
     """Contract value-one edges, delete value-zero edges, then factor
     across tight vertex subsets: each factor is a component to fit.  The
-    checks run on the targets' numerators over their least common
-    denominator."""
-    ids = interior_graph.edge_ids
-    dens = [targets[eid].denominator for eid in ids]
-    den = math.lcm(*dens)
-    nums = {eid: targets[eid].numerator * (den // d) for eid, d in zip(ids, dens)}
-    for eid in ids:
-        if not 0 <= nums[eid] <= den:
-            raise BoundaryTarget(f"target {targets[eid]} for edge {eid} outside [0,1]")
-    total = sum(nums.values())
+    targets are the numerators ``row``, in the graph's edge order, over
+    ``den``, and the checks run on them."""
+    nums = dict(zip(interior_graph.edge_ids, row))
+    for eid, k in nums.items():
+        if not 0 <= k <= den:
+            raise BoundaryTarget(f"target {Fraction(k, den)} for edge {eid} outside [0,1]")
+    total = sum(row)
     if total != (interior_graph.n - 1) * den:
         raise BoundaryTarget(
             f"targets sum to {Fraction(total, den)}, need {interior_graph.n - 1}"
         )
-    minor = contract_forced(interior_graph, targets)
+    minor = contract_row(interior_graph, row, den)
     components: list[tuple[MultiGraph, tuple[float, ...]]] = []
 
     def rec(g: MultiGraph) -> None:
@@ -509,13 +591,15 @@ def _fit_components(components: Sequence[tuple[MultiGraph, Sequence[float]]],
     return out
 
 
-def maxent_fits(problems: Sequence[tuple[MultiGraph, dict[int, Fraction]]]
+def maxent_fits(problems: Sequence[tuple[MultiGraph, Sequence[int], int]]
                 ) -> list[MaxEntWeights]:
     """Fit weighted-uniform tree weights matching each problem's target
-    marginals to ``FIT_TOLERANCE`` within ``FIT_MAX_ROUNDS`` rounds: every
+    marginals to ``FIT_TOLERANCE`` within ``FIT_MAX_ROUNDS`` rounds.  A
+    problem is a graph and its targets as numerators in its edge order
+    over one denominator (a state's ``interior_thirds`` over 3).  Every
     fit is planned first (contraction, tight-set factoring), then all their
     components are fitted together."""
-    plans = [_plan_fit(g, targets) for g, targets in problems]
+    plans = [_plan_fit(g, row, den) for g, row, den in problems]
     fitted = iter(_fit_components([c for p in plans for c in p.components],
                                   FIT_TOLERANCE, FIT_MAX_ROUNDS))
     return [MaxEntWeights(tuple(next(fitted) for _ in p.components), p.forced, p.zeros)

@@ -12,7 +12,9 @@ and net decreases in ``Fraction`` dicts, an exact expected join cost, the
 ``Fraction`` shortest-path metric with successors, the charge split
 by a ``Fraction`` Edmonds-Karp, a tree's odd vertices
 by degree counts, the even-at-last probabilities by indicator patterns, the matroid-route mixture
-by per-class states and ``Fraction`` sums, a state's tree marginals over
+by per-class states and ``Fraction`` sums, a degree piece's walk, shift
+and surgery on ``Fraction`` dicts, the odd-set rows of the matching
+polytope one vertex set at a time, a state's tree marginals over
 every interior edge, the max-entropy fit one component at a time and its
 tree law as edge-id sets, connectivity by a graph search, the cactus
 min-cuts by removing cycle-edge pairs, spanning-tree polytope membership
@@ -42,6 +44,7 @@ from htsp.join import EalConditions, EdgeClass, ReductionParams, coin_groups
 from htsp.matching import (
     MatchingDistribution,
     ShiftedSolution,
+    SplitPiece,
     _parts_from_submatching,
     apply_surgery,
     decompose_matchings,
@@ -49,11 +52,12 @@ from htsp.matching import (
     seven_coloring,
     shift,
     split_external,
+    surgery_drops,
     surgery_options,
 )
 from htsp.oracle import exact_expected_net_decrease
 from htsp.params import BETA_CAP, FLOOR, QUARTER, LpSolution, _bases, _constraints, decrease_forms
-from htsp.pipeline import CyclePieceSampler, _check_interior, _submask_of_class
+from htsp.pipeline import CyclePieceSampler, _check_interior, _class_submasks, _submask_of_class
 from htsp.trees import (
     FIT_MAX_ROUNDS,
     FIT_TOLERANCE,
@@ -62,7 +66,7 @@ from htsp.trees import (
     _plan_fit,
     _shape,
     constrained_tree_weights,
-    contract_forced,
+    contract_row,
     maxent_fits,
 )
 
@@ -93,8 +97,21 @@ def maxent_fit(interior_graph: MultiGraph, targets: dict[int, Fraction]) -> MaxE
     factors across tight vertex subsets and fits each factor by
     multiplicative updates with matrix-tree marginals.
     """
-    (fit,) = maxent_fits([(interior_graph, targets)])
+    (fit,) = maxent_fits([(interior_graph, *integer_targets(interior_graph, targets))])
     return fit
+
+
+def integer_targets(g: MultiGraph, targets: dict[int, Fraction]) -> tuple[tuple[int, ...], int]:
+    """Targets by edge id as numerators in the graph's edge order over
+    their least common denominator."""
+    den = math.lcm(*(targets[eid].denominator for eid in g.edge_ids))
+    return tuple(targets[eid].numerator * (den // targets[eid].denominator)
+                 for eid in g.edge_ids), den
+
+
+def contract_forced(g: MultiGraph, values: dict[int, Fraction]):
+    """The minor of ``g`` at values given as ``Fraction``s by edge id."""
+    return contract_row(g, *integer_targets(g, values))
 
 
 def edge_ids_of(dist: MatchingDistribution, mask: int) -> frozenset[int]:
@@ -300,7 +317,7 @@ def fit_component(g: MultiGraph, targets, tol: float = FIT_TOLERANCE,
 def per_component_maxent_fit(interior_graph: MultiGraph, targets) -> MaxEntWeights:
     """The package's plan of a fit (contraction, tight-set factoring), each
     component fitted on its own."""
-    plan = _plan_fit(interior_graph, targets)
+    plan = _plan_fit(interior_graph, *integer_targets(interior_graph, targets))
     return MaxEntWeights(tuple(fit_component(g, t) for g, t in plan.components),
                          plan.forced, plan.zeros)
 
@@ -1123,3 +1140,148 @@ def fraction_plan(engine) -> dict:
         "lane": narrowest_lane(bound),
         "sum_lane": narrowest_lane(max(charge_cost, sum(cost_int), bound, 1 << 15)),
     }
+
+
+# ---------------------------------------------------------------------------
+# the degree-piece walk on Fraction dicts: the package's walk, shift and
+# surgery before a state's values became integer thirds and a visit's
+# probability an integer weight over one denominator per piece
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FractionState:
+    """A shifted state with its values as ``Fraction``s by edge id."""
+
+    values: dict[int, Fraction]
+    interior_graph: MultiGraph
+    interior_edge_ids: tuple[int, ...]
+    parts: tuple[tuple[int, ...], ...]
+    forced: frozenset[int]
+    provenance: dict
+
+    def interior_values(self) -> dict[int, Fraction]:
+        return {eid: self.values[eid] for eid in self.interior_edge_ids}
+
+
+def fraction_shifted(g: MultiGraph, internal: set[int], interior_graph: MultiGraph,
+                     parts: tuple[tuple[int, ...], ...], matching_mask: int,
+                     submatching_mask: int, surgery: Optional[tuple] = None,
+                     move: Fraction = Fraction(0), **extra) -> FractionState:
+    """One on matched edges, one third elsewhere, plus ``move`` on the
+    surgery's adjusted edge; ``extra`` provenance (an odd piece's
+    ``pairing``) follows the surgery's."""
+    values = {
+        g.edge_ids[i]: (Fraction(1) if (matching_mask >> i) & 1 else Fraction(1, 3))
+        for i in range(g.m)
+    }
+    if surgery is not None:
+        values[surgery[2]] += move
+    return FractionState(
+        values=values,
+        interior_graph=interior_graph,
+        interior_edge_ids=tuple(sorted(internal)),
+        parts=parts,
+        forced=frozenset(eid for eid in internal if values[eid] == 1),
+        provenance={
+            "matching": tuple(sorted(g.edge_ids[i] for i in bits(matching_mask))),
+            "submatching": tuple(sorted(g.edge_ids[i] for i in bits(submatching_mask))),
+            "surgery": surgery,
+            **extra,
+        },
+    )
+
+
+def fraction_shift(piece, matching_mask: int, submatching_mask: int = 0) -> FractionState:
+    g = piece.graph
+    internal = set(piece.internal_edge_ids)
+    parts = _parts_from_submatching(g, internal, submatching_mask)
+    return fraction_shifted(g, internal, piece.internal_graph()[0], parts,
+                            matching_mask, submatching_mask)
+
+
+def fraction_apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
+                           kind: str, trigger: int, adjusted: int,
+                           dropped: Optional[int] = None) -> FractionState:
+    parts = split.parts(submatching_mask)
+    if kind == "decrease":
+        move = -Fraction(1, 3)
+    elif kind == "increase":
+        move = Fraction(1, 3)
+    else:
+        raise ValueError(kind)
+    drops = surgery_drops(split, submatching_mask, kind, adjusted)
+    if dropped not in drops:
+        raise InfeasibleShift(f"dropped edge {dropped} is not one of {drops}")
+    if dropped is not None:
+        parts = tuple(tuple(e for e in p if e != dropped) if adjusted in p else p
+                      for p in parts)
+    return fraction_shifted(split.graph, set(split.internal_edge_ids()),
+                            split.interior_graph(), tuple(sorted(parts)), matching_mask,
+                            submatching_mask, (kind, trigger, adjusted, dropped), move,
+                            pairing=split.pairing)
+
+
+def fraction_piece_states(piece, classes: bool, built: Optional[dict] = None
+                          ) -> tuple[list[FractionState], list[tuple[Fraction, int]]]:
+    """A degree piece's distinct states and the walk's visits to them as
+    (probability, state index), every probability a ``Fraction`` product."""
+    _check_interior(piece)
+    odd = piece.graph.n % 2 == 1
+    states: list[FractionState] = []
+    visits: list[tuple[Fraction, int]] = []
+    index: dict[tuple, int] = {}
+    built = {} if built is None else built
+
+    def visit(pr: Fraction, key: tuple, build) -> None:
+        if key not in index:
+            if key not in built:
+                built[key] = build()
+            index[key] = len(states)
+            states.append(built[key])
+        visits.append((pr, index[key]))
+
+    even_parts: dict[int, tuple] = {}
+    for sp, dist in piece.split_matchings:
+        g = sp.graph if odd else piece.graph
+        for mk, w in zip(dist.masks, dist.weights):
+            subs = _class_submasks(seven_coloring(g, mk)) if classes else [(0, 7)]
+            if not odd:
+                for sub, k in subs:
+                    if sub not in even_parts:
+                        even_parts[sub] = _parts_from_submatching(
+                            g, set(piece.internal_edge_ids), sub)
+                    visit(w * Fraction(k, 7), (mk, None, None, even_parts[sub]),
+                          lambda: fraction_shift(piece, mk, sub))
+                continue
+            options = surgery_options(sp, mk)
+            for sub, k in subs:
+                base = Fraction(1, 3) * w * Fraction(k, 7)
+                parts = sp.parts(sub)
+                for kind, e, f, pb in options:
+                    drops = surgery_drops(sp, sub, kind, f)
+                    for dropped in drops:
+                        kept = parts if dropped is None else tuple(sorted(
+                            tuple(x for x in p if x != dropped) if f in p else p
+                            for p in parts))
+                        visit(base * pb / len(drops), (mk, kind, f, kept),
+                              lambda: fraction_apply_surgery(sp, mk, sub, kind, e, f, dropped))
+    return states, visits
+
+
+# ---------------------------------------------------------------------------
+# the odd-set rows of the matching polytope, one vertex set at a time
+# ---------------------------------------------------------------------------
+
+def odd_set_lower_constraints(g: MultiGraph) -> list[tuple[int, int]]:
+    """Boundary masks of odd vertex sets, one per complement pair: the sets
+    without vertex n - 1, in ascending order of their vertex masks."""
+    out = []
+    for s in range(1, 1 << (g.n - 1)):
+        if bin(s).count("1") % 2 == 0:
+            continue
+        mask = 0
+        for i, (u, v) in enumerate(g.endpoints):
+            if ((s >> u) & 1) != ((s >> v) & 1):
+                mask |= 1 << i
+        out.append((mask, 1))
+    return out

@@ -35,12 +35,18 @@ def outcome(fn, *args, **kwargs):
         return (type(exc), str(exc))
 
 
+def target_of(state: decomp.DecompositionState) -> list[Fraction]:
+    """A state's target as ``Fraction``s."""
+    nums, den = state.integer_target
+    return [Fraction(k, den) for k in nums]
+
+
 def per_state_args(shape: decomp.DecompositionShape, state: decomp.DecompositionState):
     """A batched state as the arguments of one per-call decomposition."""
     cands = list(shape.cands)
     if state.alive is not None:
         cands = [cands[i] for i in np.flatnonzero(state.alive)]
-    return cands, list(state.target), list(state.upper) + list(shape.upper), list(shape.lower)
+    return cands, target_of(state), list(state.upper) + list(shape.upper), list(shape.lower)
 
 
 def kernel_outcome(shape: decomp.DecompositionShape, res) -> object:
@@ -199,7 +205,7 @@ def test_a_wide_state_keeps_its_exact_weights_in_an_int64_block(monkeypatch):
     shape = decomp.DecompositionShape(cands, k4.m, subset_constraints(k4))
     rng = np.random.default_rng(5)
     narrow = [convex_point(rng, list(shape.cands), k4.m) for _ in range(4)]
-    states = [decomp.DecompositionState(tuple(x)) for x in narrow[:2] + [wide] + narrow[2:]]
+    states = [decomp.DecompositionState.of(tuple(x)) for x in narrow[:2] + [wide] + narrow[2:]]
     blocks = []
     real = decomp._decompose_block
     monkeypatch.setattr(decomp, "_decompose_block",
@@ -224,10 +230,10 @@ def test_a_mixed_shape_block_settles_each_state_on_its_own(monkeypatch):
                                           subset_constraints(g))
         for _ in range(3):
             x = convex_point(rng, list(shape.cands), g.m)
-            jobs.append((shape, decomp.DecompositionState(tuple(x))))
+            jobs.append((shape, decomp.DecompositionState.of(tuple(x))))
     bad = 4
     shape, state = jobs[bad]
-    jobs[bad] = (shape, decomp.DecompositionState(tuple(outside(rng, list(state.target)))))
+    jobs[bad] = (shape, decomp.DecompositionState.of(tuple(outside(rng, target_of(state)))))
     blocks = []
     real = decomp._decompose_block
     monkeypatch.setattr(decomp, "_decompose_block",
@@ -270,17 +276,17 @@ def test_one_call_of_mixed_jobs_matches_the_fraction_greedy(seed, monkeypatch):
                 alive = np.array([all((t & p).bit_count() <= 1 for p in parts)
                                   for t in shape.cands])
                 if alive.any():
-                    jobs.append((shape, decomp.DecompositionState(
+                    jobs.append((shape, decomp.DecompositionState.of(
                         x, tuple((p, 1) for p in parts), alive)))
     ring = MultiGraph(4, [(2 * i + j, i, (i + 1) % 4) for i in range(4) for j in range(2)])
     matchings = decomp.DecompositionShape(enumerate_perfect_matchings(ring), ring.m,
                                           lower=_odd_set_lower_constraints(ring))
-    jobs.append((matchings, decomp.DecompositionState((Fraction(1, 4),) * ring.m)))
+    jobs.append((matchings, decomp.DecompositionState.of((Fraction(1, 4),) * ring.m)))
     shape, state = jobs[1]
-    jobs.append((shape, decomp.DecompositionState(tuple(outside(rng, list(state.target))))))
+    jobs.append((shape, decomp.DecompositionState.of(tuple(outside(rng, target_of(state))))))
     k4, cands, wide = wide_k4_state()
     jobs.append((decomp.DecompositionShape(cands, k4.m, subset_constraints(k4)),
-                 decomp.DecompositionState(tuple(wide))))
+                 decomp.DecompositionState.of(tuple(wide))))
     order = rng.permutation(len(jobs))
     jobs = [jobs[i] for i in order]
     blocks = []

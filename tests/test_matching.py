@@ -21,7 +21,8 @@ from htsp.matching import (
     split_external,
     surgery_options,
 )
-from tests.reference import edge_ids_of, in_spanning_tree_polytope, part_sums
+from tests.reference import (edge_ids_of, in_spanning_tree_polytope, odd_set_lower_constraints,
+                             part_sums)
 from tests.single_draws import odd_split, sample_matching, select_submatching
 
 QUARTER = Fraction(1, 4)
@@ -246,6 +247,25 @@ def test_odd_surgery_part_invariant():
             assert total <= 1
         surgery = sh.provenance["surgery"]
         assert surgery[0] in ("decrease", "increase")
+
+
+def test_odd_set_rows_equal_the_one_set_at_a_time_listing():
+    """The odd-set rows of every graph whose matchings a compile decomposes
+    (an even piece's graph, an odd piece's three split graphs), on the
+    conftest families and random-4reg at n = 12, generator seeds 0-3, are
+    the rows of the one-set-at-a-time listing, in its order."""
+    from tests.conftest import ALL_FAMILIES
+    from tests.test_compiled_digests import instance
+    from tests.test_pipeline import degree_pieces
+
+    pieces = [piece for name in [*ALL_FAMILIES, *(f"random-4reg-12-{s}" for s in range(4))]
+              for piece in degree_pieces(instance(name))]
+    graphs = [piece.graph if sp is None else sp.graph
+              for piece in pieces for sp, _ in piece.split_matchings]
+    # four even pieces and four odd ones, with three split graphs each
+    assert sorted(p.graph.n % 2 for p in pieces) == [0] * 4 + [1] * 4 and len(graphs) == 16
+    for g in graphs:
+        assert matching._odd_set_lower_constraints(g) == odd_set_lower_constraints(g)
 
 
 @pytest.mark.parametrize("weights, match", [

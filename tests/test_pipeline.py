@@ -24,7 +24,8 @@ from htsp.pipeline import (
 from htsp.generators import generate_random_4reg
 from htsp.matching import decompose_matchings, seven_coloring, shift
 from tests.conftest import ALL_FAMILIES, family_instance
-from tests.reference import fraction_mi_mixture, per_class_mi_states, tree_sets
+from tests.reference import (fraction_mi_mixture, fraction_piece_states, per_class_mi_states,
+                             tree_sets)
 from tests.single_draws import degree_piece_draw, restrict
 
 
@@ -198,7 +199,7 @@ def test_mi_mixture_off_one_raises_assembly_error(monkeypatch):
     real_states = pipeline._piece_states
     # the first state alone, at half its probability
     monkeypatch.setattr(pipeline, "_piece_states", lambda p, classes, built: (
-        real_states(p, classes)[0][:1], [(Fraction(1, 2), 0)]))
+        real_states(p, classes)[0][:1], [(1, 0)], 2))
     with pytest.raises(AssemblyError, match="sum to 1"):
         DegreePieceSampler(piece, SamplerParams(sampler="mi")).mi_mixture()
 
@@ -234,8 +235,30 @@ def test_mi_mixture_equals_the_fraction_reference(name):
         assert mix == fraction_mi_mixture(piece)
 
 
+@pytest.mark.parametrize("name", [*ALL_FAMILIES, *(f"random-4reg-12-{s}" for s in range(4))])
+def test_the_walks_equal_the_fraction_walks(name):
+    """Both routes' walks, run as a compile runs them (the max-entropy walk
+    first, its states shared with the matroid route's), give the
+    ``Fraction`` walk's states in its order, each with its values, parts,
+    forced edges and provenance, and each visit its probability exactly."""
+    from tests.test_compiled_digests import instance
+
+    for piece in degree_pieces(instance(name)):
+        built, ref_built = {}, {}
+        for classes in (False, True):
+            states, visits, den = pipeline._piece_states(piece, classes, built)
+            want, want_visits = fraction_piece_states(piece, classes, ref_built)
+            assert [(Fraction(k, den), i) for k, i in visits] == want_visits
+            assert len(states) == len(want)
+            for sh, ref in zip(states, want):
+                assert list(sh.values.items()) == list(ref.values.items())
+                assert list(sh.interior_values().items()) == list(ref.interior_values().items())
+                assert (sh.parts, sh.forced, sh.provenance) == (ref.parts, ref.forced,
+                                                                 ref.provenance)
+
+
 def _state_key(shifted):
-    return pipeline._values_key(shifted.values), shifted.parts
+    return tuple(sorted(shifted.values.items())), shifted.parts
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -246,11 +269,11 @@ def test_a_state_of_several_color_classes_is_visited_and_decomposed_once(n, monk
     for pr, sh in per_class_mi_states(piece):
         key = _state_key(sh)
         want[key] = want.get(key, 0) + pr
-    states, visits = pipeline._piece_states(piece, classes=True)
+    states, visits, den = pipeline._piece_states(piece, classes=True)
     got: dict[tuple, Fraction] = {}
-    for pr, i in visits:
+    for k, i in visits:
         key = _state_key(states[i])
-        got[key] = got.get(key, 0) + pr
+        got[key] = got.get(key, 0) + Fraction(k, den)
     assert len(visits) < sum(1 for _ in per_class_mi_states(piece))
     assert len({_state_key(sh) for sh in states}) == len(states)
     assert got == want

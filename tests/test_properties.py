@@ -123,7 +123,7 @@ def test_batched_kernel_equals_the_fraction_greedy_per_state(seed, size, trees):
             x = convex_point(rng, usable, g.m)
             if rng.random() < 0.3:
                 x = outside(rng, x)
-            jobs.append((shape, DecompositionState(tuple(x), tuple(rows), alive)))
+            jobs.append((shape, DecompositionState.of(tuple(x), tuple(rows), alive)))
     assert_jobs_same(jobs)
 
 

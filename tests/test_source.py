@@ -77,9 +77,10 @@ def test_one_join_construction():
 
 def test_test_only_helpers_live_in_tests():
     """The one-shot forms that only the tests call (the sorted min-cut list,
-    every spanning tree of a graph, a single max-entropy fit) live in
-    ``tests/reference.py``."""
-    assert _defined({"enumerate_min_cuts", "enumerate_spanning_trees", "maxent_fit"}) == []
+    every spanning tree of a graph, a single max-entropy fit, the minor of
+    ``Fraction`` values) live in ``tests/reference.py``."""
+    assert _defined({"enumerate_min_cuts", "enumerate_spanning_trees", "maxent_fit",
+                     "contract_forced"}) == []
 
 
 def test_one_verdict_rule():
@@ -170,27 +171,70 @@ EXACT_LAYER = (
 )
 
 
+def _function(module: str, cls, name: str) -> ast.FunctionDef:
+    scope = _parse(SRC / module)
+    if cls is not None:
+        scope = next(node for node in scope.body
+                     if isinstance(node, ast.ClassDef) and node.name == cls)
+    return next(node for node in scope.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _in_loops(fn: ast.FunctionDef):
+    """Every node inside a loop or a comprehension of ``fn``."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return (node for loop in ast.walk(fn) if isinstance(loop, loops) for node in ast.walk(loop))
+
+
+def _is_fraction_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "Fraction")
+
+
 def test_no_fraction_per_state_in_the_exact_layer():
     """The exact layer carries integer numerators over one denominator: no
     function of it calls ``Fraction`` inside a loop or a comprehension, so
     a value makes one ``Fraction`` at most, where it leaves the layer."""
-    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    found = set()
-    for module, cls, name in EXACT_LAYER:
-        scope = _parse(SRC / module)
-        if cls is not None:
-            scope = next(node for node in scope.body
-                         if isinstance(node, ast.ClassDef) and node.name == cls)
-        fn = next(node for node in scope.body
-                  if isinstance(node, ast.FunctionDef) and node.name == name)
-        found |= {
-            f"{module}:{call.lineno}"
-            for loop in ast.walk(fn) if isinstance(loop, loops)
-            for call in ast.walk(loop)
-            if isinstance(call, ast.Call)
-            and (isinstance(call.func, ast.Name) and call.func.id == "Fraction"
-                 or isinstance(call.func, ast.Attribute) and call.func.attr == "Fraction")
-        }
+    found = {f"{module}:{node.lineno}"
+             for module, cls, name in EXACT_LAYER
+             for node in _in_loops(_function(module, cls, name)) if _is_fraction_call(node)}
+    assert sorted(found) == []
+
+
+#: the compile's state layer: the walk, the state builders and the matroid
+#: route's state preparation and mixture, as (module, class or None, function)
+STATE_LAYER = (
+    ("pipeline.py", None, "_piece_states"),
+    ("matching.py", None, "_shifted"),
+    ("matching.py", None, "apply_surgery"),
+    ("trees.py", None, "constrained_tree_weights"),
+    ("trees.py", None, "_tree_states"),
+    ("trees.py", None, "_rejections"),
+    ("pipeline.py", "DegreePieceSampler", "mi_mixture"),
+)
+
+
+def test_no_fraction_per_state_in_the_state_layer():
+    """A compile's states carry their values as integer thirds and the
+    walk's visits integer weights over one denominator per piece: no
+    function of the state layer calls ``Fraction``, or reads a constant the
+    package makes with one (``THIRD``, ``HALF``, ...), inside a loop or a
+    comprehension."""
+    constants = {
+        target.id
+        for path in sorted(SRC.glob("*.py"))
+        for node in _parse(path).body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and node.value is not None and any(map(_is_fraction_call, ast.walk(node.value)))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    assert {"THIRD", "HALF", "QUARTER"} <= constants
+    found = {f"{module}:{name}:{node.lineno}"
+             for module, cls, name in STATE_LAYER
+             for node in _in_loops(_function(module, cls, name))
+             if _is_fraction_call(node)
+             or isinstance(node, ast.Name) and node.id in constants}
     assert sorted(found) == []
 
 
@@ -432,3 +476,29 @@ def test_one_block_layout():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_decompose_block"
     })
     assert callers == ["decomp.py:decompose"]
+
+
+#: the functions that pass or fail a row with a float tolerance, as
+#: (module, class or None, function)
+TOLERANCE_SITES = (
+    ("stats.py", None, "is_half"),
+    ("stats.py", None, "oracle_check"),
+    ("stats.py", None, "suite_correlations"),
+    ("stats.py", None, "binom_sigma"),
+    ("stats.py", None, "suite_symmetry"),
+    ("join.py", None, "check_eal_bounds"),
+)
+
+
+def test_verdict_tolerances_are_named_in_params():
+    """Every verdict tolerance and variance floor is a named constant of
+    ``params.py``: the functions that apply one hold no float literal but
+    0.0 and 1.0."""
+    found = [
+        f"{module}:{name}:{node.lineno}"
+        for module, cls, name in TOLERANCE_SITES
+        for node in ast.walk(_function(module, cls, name))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        and node.value not in (0.0, 1.0)
+    ]
+    assert found == []

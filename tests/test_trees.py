@@ -44,15 +44,11 @@ from tests.test_pipeline import degree_pieces
 THIRD = Fraction(1, 3)
 
 
-def shifted_on(graph, values, parts=(), forced=frozenset()):
-    return ShiftedSolution(
-        values=dict(values),
-        interior_graph=graph,
-        interior_edge_ids=tuple(sorted(values)),
-        parts=tuple(parts),
-        forced=frozenset(forced),
-        provenance={},
-    )
+def shifted_on(graph, values, parts=()):
+    """A state on ``graph`` alone (its own interior), at ``values`` in thirds."""
+    thirds = tuple(int(3 * values[eid]) for eid in graph.edge_ids)
+    assert all(Fraction(k, 3) == values[eid] for eid, k in zip(graph.edge_ids, thirds))
+    return ShiftedSolution(graph, thirds, graph, thirds, tuple(parts), 0, 0)
 
 
 def test_triangle_uniform():
@@ -67,7 +63,8 @@ def test_tight_part_forces_exactly_one():
     # a four-cycle with one tight two-edge part
     c4 = MultiGraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0)])
     values = {0: Fraction(2, 3), 1: Fraction(1, 3), 2: Fraction(1), 3: Fraction(1)}
-    sh = shifted_on(c4, values, parts=((0, 1),), forced={2, 3})
+    sh = shifted_on(c4, values, parts=((0, 1),))
+    assert sh.forced == {2, 3}
     dist = constrained_tree_distribution(sh)
     for t in dist.trees:
         assert len({0, 1} & t) == 1
@@ -368,8 +365,8 @@ def test_rejections_catch_corrupted_decompositions(family):
     checked = 0
     for piece in degree_pieces(family_instance(family)):
         for _, sh in itertools.islice(per_class_mi_states(piece), 0, None, 5):
-            _, tables, state = trees._tree_state(sh, trees._prepare(sh), {})
-            shape = tables.decomposition
+            (prep, state), = trees._tree_states([sh])
+            shape = prep.record.decomposition
             (r,) = trees.decompose([(shape, state)])
             assert trees._rejections([(shape, state)], [r]) == [None]
             if len(r.order) < 2:
@@ -392,7 +389,7 @@ def test_every_tree_weights_reproduces_its_state(family):
     """The compile's decompositions pass the oracles that re-check every
     interior edge: forced and zero edges as well as the minor's."""
     for piece in degree_pieces(family_instance(family)):
-        states, _ = _piece_states(piece, classes=True)
+        states = _piece_states(piece, classes=True)[0]
         for sh, w in zip(states, constrained_tree_weights(states)):
             dist = ConstrainedTreeDistribution(
                 tuple(tree_sets(w.trees, sh.interior_graph.edge_ids)),
@@ -425,8 +422,9 @@ def test_every_compiled_fit_and_tree_law_equals_the_per_component_reference(name
     pipeline.build_piece_samplers(build_hierarchy(instance(name)),
                                   pipeline.SamplerParams(sampler="maxent"))
     assert bool(fits) == bool(degree_pieces(instance(name)))
-    for (graph, targets), fit in fits:
-        ref = per_component_maxent_fit(graph, targets)
+    for (graph, row, den), fit in fits:
+        ref = per_component_maxent_fit(graph, {e: Fraction(k, den)
+                                               for e, k in zip(graph.edge_ids, row)})
         assert (fit.forced, fit.zeros) == (ref.forced, ref.zeros)
         assert len(fit.components) == len(ref.components)
         for c, r in zip(fit.components, ref.components):
