@@ -16,7 +16,7 @@ from .graph import (
 )
 from .hierarchy import CutHierarchy, build_cactus, build_hierarchy, min_cuts_via_hierarchy
 from .join import ReductionParams, classify
-from .pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
+from .pipeline import SamplerParams, build_piece_samplers
 from .params import optimize
 from .engine import BatchEngine, CompiledInstance
 from .stats import ExperimentConfig, run_suite
@@ -38,6 +38,5 @@ __all__ = [
     "optimize",
     "parse_instance",
     "run_suite",
-    "sample_r0_tree",
     "serialize_instance",
 ]

@@ -20,7 +20,7 @@ from .errors import HtspError
 from .graph import parse_instance, normalize_to_special_triple, serialize_instance
 from .hierarchy import build_cactus, build_hierarchy, min_cuts_via_hierarchy
 from .params import DEFAULT_MIX_LAMBDA
-from .pipeline import SamplerParams, sample_r0_tree
+from .pipeline import SamplerParams, ShiftLedger
 from .stats import ExperimentConfig, load_instance, oracle_check, run_suite
 
 
@@ -139,16 +139,17 @@ def cmd_cactus(args) -> int:
 
 def cmd_sample(args) -> int:
     ci = _compile(args)
+    ledger = ShiftLedger(ci.h, ci.sp, args.seed) if args.dump_shift else None
     lines = []
-    for trial in range(args.trials):
-        ts = sample_r0_tree(ci.h, ci.sp, seed=args.seed, trial=trial,
-                            samplers=ci.samplers)
-        entry = {"trial": trial, "edges": sorted(ts.edges)}
-        if args.dump_shift:
-            entry["provenance"] = {
-                str(nid): _json_safe(p) for nid, p in sorted(ts.provenance.items())
-            }
-        lines.append(json.dumps(entry))
+    for first, T, _ in ci.tree_chunks(args.trials, args.seed):
+        for trial, edges in enumerate(ci.tree_edges(T, first), first):
+            entry = {"trial": trial, "edges": edges}
+            if ledger is not None:
+                entry["provenance"] = {
+                    str(nid): _json_safe(p)
+                    for nid, p in ledger.draw(trial, frozenset(edges)).items()
+                }
+            lines.append(json.dumps(entry))
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -172,7 +173,7 @@ def cmd_join(args) -> int:
     for first, T, rng in engine.tree_chunks(args.trials, args.seed):
         z = engine.checked_joins(T, rng, first)
         costs = (engine.cost_int @ z).tolist()
-        tours = engine.tours(T, shortcut=not args.no_shortcut)
+        tours = engine.tours(T, first, shortcut=not args.no_shortcut)
         for trial, (zc, (tree, join, _, tour)) in enumerate(zip(costs, tours), first):
             frac_cost = Fraction(zc, denom * engine.z_denom)
             ratio = float(Fraction(tree + join, denom) / engine.lp_cost)
@@ -189,8 +190,8 @@ def cmd_tour(args) -> int:
     ci = _compile(args)
     # the first of the cheapest tours, in trial order
     tree, join, tour, tour_cost = min(
-        (res for _, T, _ in ci.tree_chunks(args.trials, args.seed)
-         for res in ci.tours(T, shortcut=not args.no_shortcut)),
+        (res for first, T, _ in ci.tree_chunks(args.trials, args.seed)
+         for res in ci.tours(T, first, shortcut=not args.no_shortcut)),
         key=lambda res: res[3],
     )
     denom = ci.cost_denom
@@ -298,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     _add_common(p)
     p.add_argument("--dump-shift", action="store_true",
-                   help="include the per-piece provenance ledger")
+                   help="add each piece's ledger: a degree piece's walk drawn "
+                   "from its posterior given the tree")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("join", help="per-trial join and tour costs as CSV")

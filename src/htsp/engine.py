@@ -68,7 +68,7 @@ from .join import (
     tour_walk,
 )
 from .params import FLOOR, QUARTER
-from .pipeline import CyclePieceSampler, SamplerParams, build_piece_samplers, validate_r0_tree
+from .pipeline import CyclePieceSampler, SamplerParams, build_piece_samplers
 
 #: most vertex subsets the pairing memo holds between solves (the DP's answer
 #: for a subset does not depend on what the memo holds); one solve at
@@ -157,9 +157,9 @@ class CompiledInstance:
     even-at-last conditions, built eagerly; the even-at-last
     probabilities, coin rates, charge sites, integer costs and integer
     metric, each built on first use.
-    ``tree_chunks`` draws the trials of every sampled command but
-    ``sample``.  It checks no even-at-last bound, and only a command that
-    reads costs can meet their ``ScaleOverflow``."""
+    ``tree_chunks`` draws the trials of every sampled command.  It checks
+    no even-at-last bound, and only a command that reads costs can meet
+    their ``ScaleOverflow``."""
 
     def __init__(self, inst: HalfIntegralInstance,
                  sampler_params: Optional[SamplerParams] = None,
@@ -296,20 +296,47 @@ class CompiledInstance:
             self.samplers[nid].draw_rows(T, rng)
         return T
 
-    def tours(self, T: np.ndarray, shortcut: bool = True
+    def tree_edges(self, T: np.ndarray, first: int) -> list[list[int]]:
+        """Per trial of a block of ``tree_chunks`` whose first trial is
+        ``first``, its edge ids ascending, once every trial is checked to be
+        a rooted tree.  ``tree_chunks`` has proved n edges and degree 2 at
+        the root, so a trial is one exactly when its n - 2 non-root edges
+        connect the other n - 1 vertices.  A label propagation over the
+        block's edge rows decides that for every trial at once: each sweep
+        gives both ends of every held non-root edge the smaller of their
+        labels, the sweeps alternating in direction, until no label moves.
+        The first trial left with two labels raises ``AssemblyError``."""
+        g = self.inst.graph
+        root = self.inst.root
+        ends = [(e, u, v) for e, (u, v) in zip(g.edge_ids, g.endpoints) if root not in (u, v)]
+        label = np.repeat(np.arange(self.n, dtype=np.int32)[:, None], T.shape[1], axis=1)
+        for sweep in range(self.n):
+            before = label.copy()
+            for e, u, v in ends if sweep % 2 == 0 else ends[::-1]:
+                low = np.minimum(label[u], label[v])
+                np.copyto(label[u], low, where=T[e])
+                np.copyto(label[v], low, where=T[e])
+            if np.array_equal(before, label):
+                break
+        others = np.delete(label, root, axis=0)
+        split = np.flatnonzero((others != others[0]).any(axis=0))
+        if split.size:
+            raise AssemblyError(f"trial {first + int(split[0])}: its non-root edges do not "
+                                f"connect the {self.n - 1} vertices other than the root")
+        return np.nonzero(T.T)[1].reshape(-1, self.n).tolist()
+
+    def tours(self, T: np.ndarray, first: int, shortcut: bool = True
               ) -> Iterator[tuple[int, int, list[int], int]]:
-        """Per trial of a block of ``tree_chunks``, its tree cost, integral
-        join cost, tour and tour cost, the costs in units of 1/cost_denom.
-        Every tree is first checked by ``validate_r0_tree``, as the draws of
-        ``htsp sample`` are.  The costs are read off the whole block: the
-        tree costs from its rows, the joins from the pairings of its
-        distinct odd sets on the one memo; per trial only ``tour_walk``
-        runs."""
+        """Per trial of a block of ``tree_chunks`` whose first trial is
+        ``first``, its tree cost, integral join cost, tour and tour cost,
+        the costs in units of 1/cost_denom.  The block is first checked by
+        ``tree_edges``, as the trees ``htsp sample`` prints are.  The costs
+        are read off the whole block: the tree costs from its rows, the
+        joins from the pairings of its distinct odd sets on the one memo;
+        per trial only ``tour_walk`` runs."""
         # the walk takes a tree's legs in the order its frozenset iterates,
         # and that order fixes the tours ``htsp join`` and ``tour`` print
-        trees = [frozenset(ids) for ids in np.nonzero(T.T)[1].reshape(-1, self.n).tolist()]
-        for edges in trees:
-            validate_r0_tree(self.h, edges)
+        trees = [frozenset(ids) for ids in self.tree_edges(T, first)]
         tree_costs = (self.cost_int @ T).tolist()
         masks, index = self._odd_sets(T)
         joins = [self.pairing(list(bits(mask))) for mask in masks]

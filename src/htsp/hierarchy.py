@@ -233,8 +233,8 @@ class LocalMultigraph:
         """(split piece, matching distribution) per split pairing of an odd
         piece, in ``pairings_of`` order; (None, distribution) alone for an
         even piece.  Built once, the split pieces' decompositions in one
-        call: both sampler routes and the single draws of a degree piece
-        share it."""
+        call: both sampler routes and the ``--dump-shift`` ledger of a
+        degree piece share it."""
         from . import matching
 
         if self.graph.n % 2 == 0:

@@ -232,15 +232,23 @@ class ShiftedSolution:
 
     @functools.cached_property
     def provenance(self) -> dict:
-        g = self.graph
-        out = {
-            "matching": tuple(sorted(g.edge_ids[i] for i in bits(self.matching_mask))),
-            "submatching": tuple(sorted(g.edge_ids[i] for i in bits(self.submatching_mask))),
-            "surgery": self.surgery,
-        }
-        if self.pairing is not None:
-            out["pairing"] = self.pairing
-        return out
+        return provenance(self.graph, self.matching_mask, self.submatching_mask,
+                          self.surgery, self.pairing)
+
+
+def provenance(g: MultiGraph, matching_mask: int, submatching_mask: int,
+               surgery: Optional[tuple], pairing: Optional[tuple]) -> dict:
+    """A walk step's ledger: the matching and sub-matching as edge ids of
+    its sampling graph ``g``, the surgery branch and, on an odd piece, the
+    split pairing."""
+    out = {
+        "matching": tuple(sorted(g.edge_ids[i] for i in bits(matching_mask))),
+        "submatching": tuple(sorted(g.edge_ids[i] for i in bits(submatching_mask))),
+        "surgery": surgery,
+    }
+    if pairing is not None:
+        out["pairing"] = pairing
+    return out
 
 
 def _parts_from_submatching(g: MultiGraph, internal_ids: set[int],
@@ -487,21 +495,3 @@ def apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
                     surgery_parts(split, submatching_mask, adjusted, dropped),
                     matching_mask, submatching_mask, (kind, trigger, adjusted, dropped),
                     SURGERY_MOVE[kind], split.pairing)
-
-
-def odd_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
-                rng: np.random.Generator) -> ShiftedSolution:
-    """Random surgery branch followed by the part adjustment: a trigger
-    edge, then one of the three adjusted edges at its boundary vertex,
-    then one of the branch's drops, each uniformly."""
-    branches = surgery_options(split, matching_mask)
-    kinds = {b[0] for b in branches}
-    if len(kinds) != 1:
-        raise InfeasibleShift(f"surgery branches of kinds {sorted(kinds)}, not one")
-    # three branches per trigger, in trigger order
-    i = int(rng.integers(0, len(branches) // 3))
-    kind, trigger, adjusted, _ = branches[3 * i + int(rng.integers(0, 3))]
-    drops = surgery_drops(split, submatching_mask, kind, adjusted)
-    dropped = drops[int(rng.integers(0, 2))] if len(drops) == 2 else None
-    return apply_surgery(split, matching_mask, submatching_mask, kind,
-                         trigger, adjusted, dropped)

@@ -10,9 +10,10 @@ spanned exactly once.
 Degree-piece sampling states (matching, color class, surgery branch) form
 a finite mixture, so every piece also exposes its full tree distribution;
 the matroid route's probabilities are exact rationals.  Every sampled
-command but ``htsp sample`` draws blocks of trials from these compiled
-distributions; ``sample``'s walk (``sample_r0_tree``) takes the same states
-one random step at a time, with each state's tree table and provenance.
+command draws blocks of trials from these compiled distributions.  Under
+``htsp sample --dump-shift`` a degree piece's walk is drawn after its tree,
+from the exact posterior of the walk's visits given the tree
+(``ShiftLedger``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import AssemblyError, ConfigError, InfeasibleShift, SizeLimitExceeded
-from .graph import bits, find_root
 from .hierarchy import CutHierarchy, LocalMultigraph
 from .matching import (
     SURGERY_MOVE,
@@ -34,15 +34,15 @@ from .matching import (
     _interior_at,
     _parts_from_submatching,
     _shifted,
-    odd_surgery,
+    provenance,
     seven_coloring,
-    shift,
     surgery_drops,
     surgery_options,
     surgery_parts,
 )
 from .params import DEFAULT_MIX_LAMBDA, HALF
 from .trees import (
+    TreeWeights,
     constrained_tree_weights,
     k5_paths,
     maxent_fits,
@@ -98,11 +98,6 @@ class CyclePieceSampler:
         #: per edge id, its pair's index and its side in the pair
         self._pair_of = {e: (j, side) for j, pair in enumerate(self.pairs)
                          for side, e in enumerate(pair)}
-
-    def sample(self, rng: np.random.Generator) -> tuple[frozenset[int], dict]:
-        picks = rng.integers(0, 2, size=len(self.pairs))
-        edges = frozenset(p[int(k)] for p, k in zip(self.pairs, picks))
-        return edges, {"mode": "cycle"}
 
     def draw_rows(self, T: np.ndarray, rng: np.random.Generator) -> None:
         """Draw a block of trials into ``T``, which holds one row of trials
@@ -175,10 +170,6 @@ class GuideTable:
             idx[late] = np.searchsorted(cdf, u[late], side="right")
         return idx
 
-    def draw(self, rng: np.random.Generator) -> int:
-        """The index of one draw: one uniform of ``rng``, looked up."""
-        return int(self.lookup(np.array([rng.random()]))[0])
-
 
 class EnumeratedPieceSampler:
     """Degree or K5 piece with a fully enumerated interior-tree mixture.
@@ -198,7 +189,7 @@ class EnumeratedPieceSampler:
     float ones are."""
 
     def __init__(self, kind: str, edge_ids: Sequence[int], masks: np.ndarray,
-                 weights: Sequence, generative, den: Optional[int] = None):
+                 weights: Sequence, den: Optional[int] = None):
         self.kind = kind
         # one row per edge position, one column per tree
         held = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8),
@@ -225,25 +216,15 @@ class EnumeratedPieceSampler:
             self.probs = np.array([k / self.exact_den for k in self.exact_nums])
         self.probs = self.probs / self.probs.sum()
         self.table = GuideTable(np.cumsum(self.probs))
-        self._generative = generative
-
-    def tree(self, i: int) -> frozenset[int]:
-        """The edge ids of tree ``i``."""
-        return frozenset(self.cols[self.holds[:, i]].tolist())
 
     @property
     def trees(self) -> tuple[frozenset[int], ...]:
         """Every tree as its edge ids, read off ``holds`` on each access."""
-        return tuple(map(self.tree, range(self.holds.shape[1])))
-
-    def sample(self, rng: np.random.Generator) -> tuple[frozenset[int], dict]:
-        if self._generative is not None:
-            return self._generative(rng)
-        return self.tree(self.table.draw(rng)), {"mode": self.kind}
+        return tuple(frozenset(self.cols[held].tolist()) for held in self.holds.T)
 
     def draw_rows(self, T: np.ndarray, rng: np.random.Generator) -> None:
         """Draw a block of trials into ``T``, which holds one row of trials
-        per edge id, by the lookup of ``sample``: per edge of ``cols``,
+        per edge id, by a lookup into the trees' cdf: per edge of ``cols``,
         whether each drawn tree holds it."""
         T[self.cols] = np.take(self.holds, self.table.lookup(rng.random(T.shape[1])), axis=1)
 
@@ -282,7 +263,7 @@ class EnumeratedPieceSampler:
 def k5_sampler(piece: LocalMultigraph) -> EnumeratedPieceSampler:
     paths = k5_paths(piece)
     return EnumeratedPieceSampler("k5", piece.internal_graph()[0].edge_ids, paths,
-                                  [1] * len(paths), generative=None, den=len(paths))
+                                  [1] * len(paths), den=len(paths))
 
 
 # -- degree-piece state enumeration -----------------------------------------
@@ -312,7 +293,8 @@ def _check_interior(piece: LocalMultigraph) -> None:
         )
 
 
-def _piece_states(piece: LocalMultigraph, classes: bool, built: Optional[dict] = None
+def _piece_states(piece: LocalMultigraph, classes: bool, built: Optional[dict] = None,
+                  steps: Optional[list] = None
                   ) -> tuple[list[ShiftedSolution], list[tuple[int, int]], int]:
     """A degree piece's sampling states, each distinct state once, the
     walk's visits to them as (weight, state index) in walk order, and the
@@ -329,6 +311,9 @@ def _piece_states(piece: LocalMultigraph, classes: bool, built: Optional[dict] =
     provenance, which is the first visit's, so two triggers at one
     boundary vertex visit one state.  ``built`` keeps the states by key
     across walks: the two routes share the max-entropy route's states.
+    ``steps``, if given, gets each visit's own step in walk order, the
+    arguments of ``matching.provenance``: its sampling graph, matching,
+    sub-matching, surgery branch and split pairing.
 
     The weights count in units of the matching weights' least common
     denominator, of the seven classes and, on an odd piece, of the three
@@ -341,13 +326,15 @@ def _piece_states(piece: LocalMultigraph, classes: bool, built: Optional[dict] =
     index: dict[tuple, int] = {}
     built = {} if built is None else built
 
-    def visit(weight: int, key: tuple, build) -> None:
+    def visit(weight: int, key: tuple, build, step: tuple) -> None:
         if key not in index:
             if key not in built:
                 built[key] = build()
             index[key] = len(states)
             states.append(built[key])
         visits.append((weight, index[key]))
+        if steps is not None:
+            steps.append(step)
 
     unit = math.lcm(*(w.denominator for _, dist in piece.split_matchings for w in dist.weights))
     even_parts: dict[int, tuple] = {}
@@ -367,7 +354,8 @@ def _piece_states(piece: LocalMultigraph, classes: bool, built: Optional[dict] =
                             g, set(piece.internal_edge_ids), sub)
                     parts = even_parts[sub]
                     visit(wk * k, (mk, None, None, parts),
-                          lambda: _shifted(g, interior, at, parts, mk, sub))
+                          lambda: _shifted(g, interior, at, parts, mk, sub),
+                          (g, mk, sub, None, None))
                 continue
             options = surgery_options(sp, mk)
             for sub, k in subs:
@@ -380,23 +368,21 @@ def _piece_states(piece: LocalMultigraph, classes: bool, built: Optional[dict] =
                         visit(share * (2 // len(drops)), (mk, kind, f, parts),
                               lambda: _shifted(g, interior, at, parts, mk, sub,
                                                (kind, e, f, dropped), SURGERY_MOVE[kind],
-                                               sp.pairing))
+                                               sp.pairing),
+                              (g, mk, sub, (kind, e, f, dropped), sp.pairing))
     return states, visits, unit * (7 * 3 * 24 * 2 if odd else 7)
 
 
+
+
 class DegreePieceSampler:
-    """Runs both routes on one degree piece and caches every distribution."""
+    """Runs both routes on one degree piece and mixes their tree laws."""
 
     kind = "degree"
 
     def __init__(self, piece: LocalMultigraph, params: SamplerParams):
         self.params = params
         self.piece = piece
-        #: the max-entropy fits by interior values, kept for single draws
-        self._me_cache: dict = {}
-        # what single draws look up: per split piece its matchings, per
-        # state its trees
-        self._tables: dict = {}
         #: the states both walks build, by key, until the compile ends
         self._built: dict = {}
 
@@ -406,49 +392,28 @@ class DegreePieceSampler:
         order: the positions of every tree mask of the piece."""
         return self.piece.internal_graph()[0].edge_ids
 
-    # -- cached per-state distributions -----------------------------------
+    # -- per-state tree laws ----------------------------------------------
 
-    def _me_fits(self, states: list[ShiftedSolution]) -> list:
-        """Each state's max-entropy fit; the fits not yet cached are made in
-        one ``maxent_fits`` call."""
-        keys = [sh.interior_thirds for sh in states]
-        todo: dict = {}
-        for key, sh in zip(keys, states):
-            if key not in self._me_cache and key not in todo:
-                todo[key] = sh
-        fits = maxent_fits([(sh.interior_graph, sh.interior_thirds, 3) for sh in todo.values()])
-        self._me_cache.update(zip(todo, fits))
-        return [self._me_cache[key] for key in keys]
-
-    def _table(self, key, build) -> tuple:
-        """(outcomes, their ``GuideTable``) under ``key``, by ``build()``
-        on first use: a pair of the outcomes and their probabilities."""
-        if key not in self._tables:
-            outcomes, probs = build()
-            self._tables[key] = (outcomes, GuideTable(np.cumsum(probs)))
-        return self._tables[key]
-
-    def _matching_table(self, split: int) -> tuple:
-        dist = self.piece.split_matchings[split][1]
-        return self._table(("matching", split),
-                           lambda: (dist.masks, [float(w) for w in dist.weights]))
-
-    def _mi_table(self, shifted: ShiftedSolution) -> tuple:
-        def build():
-            (w,) = constrained_tree_weights([shifted])
+    @staticmethod
+    def _mi_weights(states: list[ShiftedSolution]) -> list[TreeWeights]:
+        """Each state's decomposition, all in one batch; a state that fails
+        raises, in state order."""
+        weights = constrained_tree_weights(states)
+        for w in weights:
             if isinstance(w, InfeasibleShift):
                 raise w
-            return (np.array(w.trees, dtype=np.uint64),
-                    [k / w.denominator for k in w.numerators])
+        return weights
 
-        return self._table(("mi", shifted.thirds, shifted.parts), build)
-
-    def _me_table(self, shifted: ShiftedSolution) -> tuple:
-        def build():
-            (fit,) = self._me_fits([shifted])
-            return maxent_tree_law(fit, self._edge_ids)
-
-        return self._table(("maxent", shifted.interior_thirds), build)
+    def _maxent_laws(self, states: list[ShiftedSolution]) -> tuple[list[int], list[tuple]]:
+        """Each distinct interior vector's tree law once, its fit made in one
+        ``maxent_fits`` call, and per state the index of its law."""
+        first: dict = {}
+        for sh in states:
+            first.setdefault(sh.interior_thirds, sh)
+        fits = maxent_fits([(sh.interior_graph, sh.interior_thirds, 3) for sh in first.values()])
+        law_of = {key: i for i, key in enumerate(first)}
+        return ([law_of[sh.interior_thirds] for sh in states],
+                [maxent_tree_law(fit, self._edge_ids) for fit in fits])
 
     # -- full mixtures ------------------------------------------------------
 
@@ -463,10 +428,7 @@ class DegreePieceSampler:
         prob = [0] * len(states)
         for k, i in visits:
             prob[i] += k
-        weights = constrained_tree_weights(states)
-        for w in weights:
-            if isinstance(w, InfeasibleShift):
-                raise w
+        weights = self._mi_weights(states)
         den = math.lcm(*(w.denominator for w in weights))
         total: dict[int, int] = {}
         for pr, w in zip(prob, weights):
@@ -482,27 +444,19 @@ class DegreePieceSampler:
         """The max-entropy route's trees as ascending position masks and
         their float probabilities, each added visit by visit."""
         states, visits, visit_den = _piece_states(self.piece, False, self._built)
-        fits = self._me_fits(states)
-        # each distinct fit's tree law once; all the laws' trees indexed in
-        # one sorted array
-        law_of: dict[int, int] = {}
-        laws = []
-        for fit in fits:
-            if id(fit) not in law_of:
-                law_of[id(fit)] = len(laws)
-                laws.append(maxent_tree_law(fit, self._edge_ids))
+        law_of, laws = self._maxent_laws(states)
+        # all the laws' trees indexed in one sorted array
         masks, where = np.unique(np.concatenate([m for m, _ in laws]), return_inverse=True)
         starts = np.cumsum([0] + [len(m) for m, _ in laws])
         acc = np.zeros(len(masks))
         for k, i in visits:
-            j = law_of[id(fits[i])]
+            j = law_of[i]
             # an int quotient rounds correctly, as the float of a Fraction does
             np.add.at(acc, where[starts[j]:starts[j + 1]], k / visit_den * laws[j][1])
         return masks, acc
 
     def compiled(self) -> EnumeratedPieceSampler:
-        """The piece's tree mixture on its route mix.  Single draws read
-        only the tables and fits afterwards, so the walk's states are
+        """The piece's tree mixture on its route mix; the walk's states are
         dropped."""
         lam = self.params.effective_lambda
         den = None
@@ -520,34 +474,39 @@ class DegreePieceSampler:
                 acc[where[:len(probs)]] = probs
                 acc[where[len(probs):]] += float(1 - lam) * np.array([k / mi_den for k in nums])
                 probs = acc
-        out = EnumeratedPieceSampler("degree", self._edge_ids, masks, probs,
-                                     generative=self._generative, den=den)
+        out = EnumeratedPieceSampler("degree", self._edge_ids, masks, probs, den=den)
         self._built.clear()
         return out
 
-    # -- generative path ----------------------------------------------------
+    # -- the walk's joint law with the tree -----------------------------------
 
-    def _generative(self, rng: np.random.Generator) -> tuple[frozenset[int], dict]:
-        """One walk through the states of ``_piece_states``: the route, the
-        split piece, its matching, the color class on the matroid route,
-        the surgery branch, then the state's tree."""
-        use_maxent = bool(rng.random() < float(self.params.effective_lambda))
-        piece = self.piece
-        odd = piece.graph.n % 2 == 1
-        split = int(rng.integers(0, 3)) if odd else 0
-        sp = piece.split_matchings[split][0]
-        masks, table = self._matching_table(split)
-        mk = masks[table.draw(rng)]
-        sub = 0
-        if not use_maxent:
-            classes = seven_coloring(sp.graph if odd else piece.graph, mk)
-            sub = _submask_of_class(classes, int(rng.integers(0, 7)))
-        shifted = odd_surgery(sp, mk, sub, rng) if odd else shift(piece, mk, sub)
-        # drawing from the enumerated max-entropy law is equal in law to
-        # sequential conditioning and much cheaper per trial
-        masks, table = (self._me_table if use_maxent else self._mi_table)(shifted)
-        tree = frozenset(self._edge_ids[i] for i in bits(int(masks[table.draw(rng)])))
-        return tree, dict(shifted.provenance, mode="maxent" if use_maxent else "mi")
+    def walk_visits(self) -> list[tuple[str, tuple, object, dict]]:
+        """Every visit of the walk on each route the mix draws from, the
+        max-entropy route first, as its route, its step (the arguments of
+        ``matching.provenance``), its probability (the route's share times
+        the visit's weight over its denominator, a ``Fraction``) and its
+        state's tree law, a dict of position masks to probabilities:
+        ``Fraction``s on the matroid route, the fit's floats on the
+        max-entropy route.  Built by the compile's own walk, decompositions
+        and fits."""
+        lam = self.params.effective_lambda
+        out = []
+        for route, share in (("maxent", lam), ("mi", 1 - lam)):
+            if share == 0:
+                continue
+            steps: list = []
+            states, visits, den = _piece_states(self.piece, route == "mi", self._built, steps)
+            if route == "mi":
+                laws = [dict(zip(w.trees, (Fraction(k, w.denominator) for k in w.numerators)))
+                        for w in self._mi_weights(states)]
+            else:
+                law_of, fitted = self._maxent_laws(states)
+                tables = [dict(zip(m.tolist(), p.tolist())) for m, p in fitted]
+                laws = [tables[j] for j in law_of]
+            out += [(route, step, share * Fraction(k, den), laws[i])
+                    for (k, i), step in zip(visits, steps)]
+        self._built.clear()
+        return out
 
 
 PieceSampler = Union[CyclePieceSampler, EnumeratedPieceSampler]
@@ -567,63 +526,70 @@ def build_piece_samplers(h: CutHierarchy, params: SamplerParams) -> dict[int, Pi
 
 
 # ---------------------------------------------------------------------------
-# assembly
+# the walk behind a drawn tree
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TreeSample:
-    """A sampled rooted tree plus per-piece provenance."""
+class ShiftPosterior:
+    """A degree piece's walk given its tree.  Visit v of a route and tree T
+    have the joint weight P(route) * P(v | route) * P(T | state of v), the
+    walk's joint law; normalized over the visits, it is the posterior of
+    the walk given T, from which ``draw`` takes one visit."""
 
-    edges: frozenset[int]
-    provenance: dict[int, dict]
+    def __init__(self, piece: LocalMultigraph, params: SamplerParams):
+        self.position = {eid: i for i, eid in enumerate(piece.internal_graph()[0].edge_ids)}
+        self.visits = DegreePieceSampler(piece, params).walk_visits()
+        #: per tree mask, the visits that reach it and the lookup table of
+        #: their posterior, built on the tree's first draw
+        self._tables: dict[int, tuple[np.ndarray, GuideTable]] = {}
+
+    def joint(self, tree: int) -> list:
+        """Per visit, its joint weight with the tree of position mask
+        ``tree``: exact on the matroid route, a float where a max-entropy
+        law enters."""
+        return [p * law.get(tree, 0) for _, _, p, law in self.visits]
+
+    def draw(self, edges: frozenset[int], rng: np.random.Generator) -> dict:
+        """The ledger of one visit drawn from the posterior given the
+        piece's edges among ``edges``, by one uniform of ``rng``."""
+        tree = sum(1 << i for eid, i in self.position.items() if eid in edges)
+        if tree not in self._tables:
+            w = np.array([float(x) for x in self.joint(tree)])
+            reach = np.flatnonzero(w > 0)
+            if not reach.size:
+                raise AssemblyError(f"no walk of the piece reaches the tree {sorted(edges)}")
+            self._tables[tree] = reach, GuideTable(np.cumsum(w[reach] / w[reach].sum()))
+        reach, table = self._tables[tree]
+        route, step, _, _ = self.visits[int(reach[table.lookup(rng.random(1))[0]])]
+        return dict(provenance(*step), mode=route)
 
 
-def sample_r0_tree(
-    h: CutHierarchy,
-    params: SamplerParams,
-    *,
-    seed: int = 0,
-    trial: int = 0,
-    samplers: Optional[dict[int, PieceSampler]] = None,
-) -> TreeSample:
-    """Sample every piece, in post-order, each from its own stream
-    ``SeedSequence(seed, spawn_key=(trial, node_id))``, and validate the
-    assembled tree."""
-    from .engine import check_seed  # a local import: the engine imports this module
-    check_seed(seed=seed)
-    if samplers is None:
-        samplers = build_piece_samplers(h, params)
-    edges: set[int] = set()
-    prov: dict[int, dict] = {}
-    for nd in sorted(h.non_leaves(), key=lambda nd: nd.node_id):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial, nd.node_id)))
-        sub, p = samplers[nd.node_id].sample(rng)
-        edges |= sub
-        prov[nd.node_id] = p
-    ts = TreeSample(frozenset(edges), prov)
-    validate_r0_tree(h, ts.edges)
-    return ts
+class ShiftLedger:
+    """What ``htsp sample --dump-shift`` prints per piece of a tree: the
+    mode of a cycle or K5 piece, and for a degree piece the ledger of its
+    walk drawn from the posterior given the tree (``ShiftPosterior``,
+    built on the piece's first draw).  Trial t's draw at piece i reads its
+    own stream ``SeedSequence(seed, spawn_key=(t, i))``, so the trees do
+    not depend on the ledger."""
 
+    def __init__(self, h: CutHierarchy, params: SamplerParams, seed: int):
+        from .engine import check_seed  # a local import: the engine imports this module
+        check_seed(seed=seed)
+        self.nodes = sorted(h.non_leaves(), key=lambda nd: nd.node_id)
+        self.params = params
+        self.seed = seed
+        self._posteriors: dict[int, ShiftPosterior] = {}
 
-def validate_r0_tree(h: CutHierarchy, edges: frozenset[int]) -> None:
-    g = h.instance.graph
-    root = h.instance.root
-    if len(edges) != g.n:
-        raise AssemblyError(f"expected {g.n} edges, got {len(edges)}")
-    deg_root = sum(
-        1 for eid in edges if root in g.endpoints[eid]
-    )
-    if deg_root != 2:
-        raise AssemblyError(f"root degree {deg_root}, expected 2")
-    parent = list(range(g.n))
-    for eid in edges:
-        u, v = g.endpoints[eid]
-        if root in (u, v):
-            continue
-        ru, rv = find_root(parent, u), find_root(parent, v)
-        if ru == rv:
-            raise AssemblyError("cycle among non-root edges")
-        parent[ru] = rv
-    comps = {find_root(parent, v) for v in range(g.n) if v != root}
-    if len(comps) != 1:
-        raise AssemblyError("non-root edges do not span the other vertices")
+    def draw(self, trial: int, edges: frozenset[int]) -> dict[int, dict]:
+        """Each non-leaf node's ledger for trial ``trial``'s tree ``edges``,
+        by node id."""
+        out: dict[int, dict] = {}
+        for nd in self.nodes:
+            if nd.kind == "cycle" or nd.piece.graph.n == 5:
+                out[nd.node_id] = {"mode": "cycle" if nd.kind == "cycle" else "k5"}
+                continue
+            if nd.node_id not in self._posteriors:
+                self._posteriors[nd.node_id] = ShiftPosterior(nd.piece, self.params)
+            rng = np.random.default_rng(np.random.SeedSequence(self.seed,
+                                                               spawn_key=(trial, nd.node_id)))
+            out[nd.node_id] = self._posteriors[nd.node_id].draw(edges, rng)
+        return out

@@ -7,8 +7,9 @@ match the targets.  Cycle pieces and K5 pieces have their own elementary
 samplers (one edge per partner pair; a uniform Hamiltonian path).
 
 The matroid route has one entry point, ``constrained_tree_weights``: a
-piece's compile passes all its distinct states and ``htsp sample``'s walk
-one, and every state of every minor shape goes to ``decomp.decompose`` in one call.
+piece's compile (or the ledger of ``htsp sample --dump-shift``) passes all
+its distinct states, and every state of every minor shape goes to
+``decomp.decompose`` in one call.
 
 Fitting works on the minor obtained by contracting value-one edges and
 deleting value-zero edges.  Shifted vectors can sit on a face of the
@@ -16,7 +17,7 @@ spanning-tree polytope (a vertex subset whose interior mass is already
 full), in which case the distribution factorizes: the fit recurses into
 the tight subset and its contraction, and sampling draws the components
 independently.  ``maxent_fits`` plans every fit of a batch first, then
-fits all their components in one lockstep loop per vertex count, each
+fits their distinct components in one lockstep loop per vertex count, each
 component with its own float arithmetic and its own stopping round, so a
 batch gives every fit bit for bit as a fit on its own would.  A fit's
 tree law (``maxent_tree_law``) is a uint64 mask per tree over the piece's
@@ -338,7 +339,7 @@ def constrained_tree_weights(states: Sequence[ShiftedSolution]
     all the states in one ``decompose`` call; a state ``_tree_states``, the
     decomposition or its marginal check rejects gets its
     ``InfeasibleShift``.  The one entry point of the matroid route: a
-    piece's compile passes all its states, ``htsp sample``'s walk one.
+    piece's compile passes all its states.
     Every tree holds the forced edges and no zero edge, and
     ``_rejections`` checks the minor's edges, so the trees of a state that
     passes reproduce its whole interior vector."""
@@ -520,9 +521,10 @@ def _plan_fit(interior_graph: MultiGraph, row: Sequence[int], den: int) -> _FitP
 
 
 def _fit_components(components: Sequence[tuple[MultiGraph, Sequence[float]]],
-                    tol: float, max_rounds: int) -> list[MaxEntComponent]:
+                    tol: float, max_rounds: int) -> list[tuple[list[float], float]]:
     """Fit every component by multiplicative updates with matrix-tree
-    marginals, the components of one vertex count in lockstep.
+    marginals, the components of one vertex count in lockstep; each
+    component's weights in its edge order, with its fit error.
 
     Per component and round, exactly the float operations of a fit on its
     own: the weighted Laplacian summed cell by cell in edge order, its
@@ -530,11 +532,15 @@ def _fit_components(components: Sequence[tuple[MultiGraph, Sequence[float]]],
     effective resistance and marginal, the error, then the update and its
     division by the largest weight.  A component stops at the first round
     its error is within ``tol``.  Edges past a component's own are padded
-    as zero-weight loops at vertex 0, which add zero to the Laplacian."""
+    as zero-weight loops at vertex 0, which add zero to the Laplacian.
+    The live components sit in compact rows, rebuilt only when one stops,
+    and a round's Laplacians are one ``np.bincount`` over their flat cells,
+    which adds each cell's terms in the order ``np.add.at`` would."""
     out: list = [None] * len(components)
     groups: dict[int, list[int]] = {}
     for i, (g, _) in enumerate(components):
         groups.setdefault(g.n, []).append(i)
+    signs = np.array([1.0, 1.0, -1.0, -1.0])
     for n, idx in groups.items():
         m = max(components[i][0].m for i in idx)
         ends = np.zeros((len(idx), m, 2), dtype=np.intp)
@@ -546,19 +552,16 @@ def _fit_components(components: Sequence[tuple[MultiGraph, Sequence[float]]],
             valid[b, :g.m] = True
             t[b, :g.m] = targets
         u, v = ends[:, :, 0], ends[:, :, 1]
-        # per edge the Laplacian cells uu, vv, uv, vu, in edge order
-        cells_r = np.stack([u, v, u, v], axis=2)
-        cells_c = np.stack([u, v, v, u], axis=2)
-        signs = np.array([1.0, 1.0, -1.0, -1.0])
+        # per edge its Laplacian cells uu, vv, uv, vu, in edge order, as
+        # flat indices into one n x n matrix
+        cells = np.stack([u, v, u, v], axis=2) * n + np.stack([u, v, v, u], axis=2)
         w = np.where(valid, 1.0, 0.0)
-        err = np.full(len(idx), np.inf)
-        live = np.arange(len(idx))
+        live = np.array(idx)
         for _ in range(max_rounds):
             k = len(live)
-            lap = np.zeros((k, n, n))
-            at = np.broadcast_to(np.arange(k)[:, None, None], cells_r[live].shape)
-            np.add.at(lap, (at, cells_r[live], cells_c[live]),
-                      w[live][:, :, None] * signs)
+            flat = cells + (np.arange(k) * (n * n))[:, None, None]
+            lap = np.bincount(flat.ravel(), (w[:, :, None] * signs).ravel(),
+                              minlength=k * n * n).reshape(k, n, n)
             inv = np.zeros((k, n, n))
             try:
                 inv[:, :-1, :-1] = np.linalg.inv(lap[:, :-1, :-1])
@@ -567,27 +570,24 @@ def _fit_components(components: Sequence[tuple[MultiGraph, Sequence[float]]],
             # the ground row and column are zero: an edge at the ground
             # reads its other end's diagonal entry alone
             rows = np.arange(k)[:, None]
-            lu, lv = u[live], v[live]
-            reff = inv[rows, lu, lu] + inv[rows, lv, lv] - 2 * inv[rows, lu, lv]
-            marg = w[live] * reff
-            ok = valid[live]
-            if ((marg <= 0) & ok).any():
+            reff = inv[rows, u, u] + inv[rows, v, v] - 2 * inv[rows, u, v]
+            marg = w * reff
+            if ((marg <= 0) & valid).any():
                 raise NumericalBreakdown("nonpositive marginal during fitting")
-            tl = t[live]
-            err[live] = np.where(ok, np.abs(marg / tl - 1.0), 0.0).max(axis=1)
-            going = err[live] > tol
-            live, marg, tl = live[going], marg[going], tl[going]
-            if not live.size:
-                break
-            nw = w[live] * (tl / np.where(valid[live], marg, 1.0))
-            w[live] = nw / nw.max(axis=1, keepdims=True)
+            err = np.where(valid, np.abs(marg / t - 1.0), 0.0).max(axis=1)
+            going = err > tol
+            if not going.all():
+                for b in np.flatnonzero(~going).tolist():
+                    g = components[live[b]][0]
+                    out[live[b]] = (w[b, :g.m].tolist(), float(err[b]))
+                if not going.any():
+                    break
+                live, u, v, valid, t, cells, w, marg, err = (
+                    a[going] for a in (live, u, v, valid, t, cells, w, marg, err))
+            nw = w * (t / np.where(valid, marg, 1.0))
+            w = nw / nw.max(axis=1, keepdims=True)
         else:
-            b = int(live[0])
-            raise NonConvergence(f"fit error {err[b]:.3e} after {max_rounds} rounds")
-        for b, i in enumerate(idx):
-            g = components[i][0]
-            out[i] = MaxEntComponent(g, dict(zip(g.edge_ids, w[b, :g.m].tolist())),
-                                     float(err[b]))
+            raise NonConvergence(f"fit error {err[0]:.3e} after {max_rounds} rounds")
     return out
 
 
@@ -597,12 +597,26 @@ def maxent_fits(problems: Sequence[tuple[MultiGraph, Sequence[int], int]]
     marginals to ``FIT_TOLERANCE`` within ``FIT_MAX_ROUNDS`` rounds.  A
     problem is a graph and its targets as numerators in its edge order
     over one denominator (a state's ``interior_thirds`` over 3).  Every
-    fit is planned first (contraction, tight-set factoring), then all their
-    components are fitted together."""
+    fit is planned first (contraction, tight-set factoring), then their
+    components are fitted together, each distinct one (vertex count,
+    endpoints and targets) once; a plan gets its components' weights under
+    its own edge ids."""
     plans = [_plan_fit(g, row, den) for g, row, den in problems]
-    fitted = iter(_fit_components([c for p in plans for c in p.components],
-                                  FIT_TOLERANCE, FIT_MAX_ROUNDS))
-    return [MaxEntWeights(tuple(next(fitted) for _ in p.components), p.forced, p.zeros)
+    index: dict[tuple, int] = {}
+    todo: list[tuple[MultiGraph, tuple[float, ...]]] = []
+    for p in plans:
+        for g, targets in p.components:
+            key = (g.n, g.endpoints, targets)
+            if key not in index:
+                index[key] = len(todo)
+                todo.append((g, targets))
+    fitted = _fit_components(todo, FIT_TOLERANCE, FIT_MAX_ROUNDS)
+
+    def component(g: MultiGraph, targets: tuple[float, ...]) -> MaxEntComponent:
+        weights, err = fitted[index[g.n, g.endpoints, targets]]
+        return MaxEntComponent(g, dict(zip(g.edge_ids, weights)), err)
+
+    return [MaxEntWeights(tuple(component(*c) for c in p.components), p.forced, p.zeros)
             for p in plans]
 
 

@@ -41,6 +41,14 @@ def fractional_cost_instance():
     return HalfIntegralInstance(zoo.graph, costs)
 
 
+def trial_trees(ci, trials: int, seed: int) -> list[frozenset[int]]:
+    """The trees of trials 0 to ``trials`` - 1 of ``ci.tree_chunks(trials,
+    seed)``, each as its edge ids: trial t of ``htsp sample``, ``join`` and
+    ``stats`` at that trial count and seed."""
+    return [frozenset(edges) for first, T, _ in ci.tree_chunks(trials, seed)
+            for edges in ci.tree_edges(T, first)]
+
+
 ALL_FAMILIES = ("double-cycle", "k5-gadget", "nested", "random-4reg", "zoo")
 
 

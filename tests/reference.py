@@ -1,11 +1,12 @@
 """Independent checks the tests hold the package against.
 
-None of these has a caller in the package.  Three are the one-shot forms
+None of these has a caller in the package.  Two are the one-shot forms
 of package routines that only the tests call: the sorted list of every
-min-cut, every spanning tree of a graph, and a single max-entropy fit.
+min-cut and a single max-entropy fit.
 Each other one recomputes a quantity the
-package derives another way (a Stoer-Wagner edge connectivity, a
-Kirchhoff count, closed-form marginals, a
+package derives another way (a Stoer-Wagner edge connectivity, every
+spanning tree of a graph by brute force over edge subsets, a rooted tree
+checked one trial at a time by union-find, a Kirchhoff count, closed-form marginals, a
 grid search over the parameter LP, the parameter LP by LAPACK and
 ``Fraction`` Gauss-Jordan, the exact layer's laws, event probabilities
 and net decreases in ``Fraction`` dicts, an exact expected join cost, the
@@ -64,7 +65,6 @@ from htsp.trees import (
     MaxEntComponent,
     MaxEntWeights,
     _plan_fit,
-    _shape,
     constrained_tree_weights,
     contract_row,
     maxent_fits,
@@ -84,9 +84,54 @@ def enumerate_min_cuts(g: MultiGraph) -> list[CutView]:
     return out
 
 
+def _union_find_joins(n: int, pairs) -> bool:
+    """Whether the vertex pairs ``pairs`` join n vertices without a cycle,
+    each pair merging two classes of a union-find with path halving."""
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in pairs:
+        ru, rv = root(u), root(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
 def enumerate_spanning_trees(g: MultiGraph) -> tuple[int, ...]:
-    """All spanning trees as bitmasks over edge positions."""
-    return tuple(_shape(g.n, g.endpoints).masks.tolist())
+    """All spanning trees as bitmasks over edge positions, by brute force:
+    every set of n - 1 edge positions in ``itertools.combinations`` order
+    that a union-find joins without a cycle."""
+    return tuple(
+        sum(1 << i for i in combo)
+        for combo in itertools.combinations(range(g.m), g.n - 1)
+        if _union_find_joins(g.n, (g.endpoints[i] for i in combo))
+    )
+
+
+def validate_r0_tree(h: CutHierarchy, edges: frozenset[int]) -> None:
+    """Raise ``AssemblyError`` unless ``edges`` is a rooted tree of the
+    instance: n edges, two of them at the root, and the others a spanning
+    tree of the other vertices, checked one edge at a time."""
+    g = h.instance.graph
+    root = h.instance.root
+    if len(edges) != g.n:
+        raise AssemblyError(f"expected {g.n} edges, got {len(edges)}")
+    deg_root = sum(1 for eid in edges if root in g.endpoints[eid])
+    if deg_root != 2:
+        raise AssemblyError(f"root degree {deg_root}, expected 2")
+    others = [v for v in range(g.n) if v != root]
+    at = {v: i for i, v in enumerate(others)}
+    pairs = [(at[u], at[v]) for u, v in (g.endpoints[eid] for eid in sorted(edges))
+             if root not in (u, v)]
+    if not _union_find_joins(len(others), pairs):
+        raise AssemblyError("cycle among non-root edges")
+    # n - 2 edges joining n - 1 vertices without a cycle span them
 
 
 def maxent_fit(interior_graph: MultiGraph, targets: dict[int, Fraction]) -> MaxEntWeights:
@@ -1221,10 +1266,14 @@ def fraction_apply_surgery(split: SplitPiece, matching_mask: int, submatching_ma
                             pairing=split.pairing)
 
 
-def fraction_piece_states(piece, classes: bool, built: Optional[dict] = None
+def fraction_piece_states(piece, classes: bool, built: Optional[dict] = None,
+                          ledgers: Optional[list] = None
                           ) -> tuple[list[FractionState], list[tuple[Fraction, int]]]:
     """A degree piece's distinct states and the walk's visits to them as
-    (probability, state index), every probability a ``Fraction`` product."""
+    (probability, state index), every probability a ``Fraction`` product.
+    ``ledgers``, if given, gets each visit's own ledger in visit order: its
+    matching and sub-matching as edge ids, its surgery branch (kind,
+    trigger, adjusted edge, drop) and, on an odd piece, its pairing."""
     _check_interior(piece)
     odd = piece.graph.n % 2 == 1
     states: list[FractionState] = []
@@ -1232,13 +1281,20 @@ def fraction_piece_states(piece, classes: bool, built: Optional[dict] = None
     index: dict[tuple, int] = {}
     built = {} if built is None else built
 
-    def visit(pr: Fraction, key: tuple, build) -> None:
+    def visit(pr: Fraction, key: tuple, build, surgery=None) -> None:
         if key not in index:
             if key not in built:
                 built[key] = build()
             index[key] = len(states)
             states.append(built[key])
         visits.append((pr, index[key]))
+        if ledgers is not None:
+            ledger = {"matching": tuple(sorted(edge_ids_of(dist, mk))),
+                      "submatching": tuple(sorted(edge_ids_of(dist, sub))),
+                      "surgery": surgery}
+            if odd:
+                ledger["pairing"] = sp.pairing
+            ledgers.append(ledger)
 
     even_parts: dict[int, tuple] = {}
     for sp, dist in piece.split_matchings:
@@ -1264,7 +1320,8 @@ def fraction_piece_states(piece, classes: bool, built: Optional[dict] = None
                             tuple(x for x in p if x != dropped) if f in p else p
                             for p in parts))
                         visit(base * pb / len(drops), (mk, kind, f, kept),
-                              lambda: fraction_apply_surgery(sp, mk, sub, kind, e, f, dropped))
+                              lambda: fraction_apply_surgery(sp, mk, sub, kind, e, f, dropped),
+                              (kind, e, f, dropped))
     return states, visits
 
 

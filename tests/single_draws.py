@@ -2,17 +2,19 @@
 
 The package samples from compiled piece distributions; these walk the
 generative steps one draw at a time (a matching, a color class, a pairing,
-a tree by sequential conditioning) so the tests can check each step's law
-against the compiled one.
+a surgery branch, a tree by sequential conditioning) so the tests can
+check each step's law against the compiled one, and the ledger of
+``htsp sample --dump-shift`` against the walk's joint law.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from htsp.errors import NumericalBreakdown
+import htsp.matching as matching
+from htsp.errors import InfeasibleShift, NumericalBreakdown
 from htsp.graph import MultiGraph, bits
 from htsp.hierarchy import CutHierarchy, LocalMultigraph
 from htsp.matching import (
@@ -96,25 +98,57 @@ def surgery_draw(split: SplitPiece, matching_mask: int, submatching_mask: int,
                          trigger, adjusted, dropped)
 
 
+def odd_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
+                rng: np.random.Generator) -> ShiftedSolution:
+    """A surgery branch drawn by index into ``surgery_options``' list: a
+    trigger edge, then one of the three adjusted edges at its boundary
+    vertex, then one of the branch's drops, each uniformly; the stream is
+    read as ``surgery_draw`` reads it."""
+    branches = matching.surgery_options(split, matching_mask)
+    kinds = {b[0] for b in branches}
+    if len(kinds) != 1:
+        raise InfeasibleShift(f"surgery branches of kinds {sorted(kinds)}, not one")
+    # three branches per trigger, in trigger order
+    i = int(rng.integers(0, len(branches) // 3))
+    kind, trigger, adjusted, _ = branches[3 * i + int(rng.integers(0, 3))]
+    drops = matching.surgery_drops(split, submatching_mask, kind, adjusted)
+    dropped = drops[int(rng.integers(0, 2))] if len(drops) == 2 else None
+    return apply_surgery(split, matching_mask, submatching_mask, kind,
+                         trigger, adjusted, dropped)
+
+
 def degree_piece_draw(piece: LocalMultigraph, maxent_share: float,
-                      rng: np.random.Generator) -> tuple[frozenset[int], dict]:
+                      rng: np.random.Generator, memo: Optional[dict] = None
+                      ) -> tuple[frozenset[int], dict]:
     """One degree-piece tree and its provenance, every step drawn here: the
     route, the pairing of an odd piece, a matching, the color class on the
     matroid route, the surgery branch, and the tree by a search of the
-    state's cdf."""
+    state's cdf.  ``memo``, if given, keeps each split's matchings and each
+    state's tree law for the next draws; the stream is read alike."""
+    memo = {} if memo is None else memo
     use_maxent = bool(rng.random() < maxent_share)
     odd = piece.graph.n % 2 == 1
     split = odd_split(piece, rng) if odd else None
-    mk = sample_matching(decompose_matchings(split or piece), rng)
+    key = split.pairing if odd else None
+    if key not in memo:
+        memo[key] = (split, decompose_matchings(split or piece))
+    split, dist = memo[key]
+    mk = sample_matching(dist, rng)
     sub = 0 if use_maxent else select_submatching(split or piece, mk, rng)
     shifted = surgery_draw(split, mk, sub, rng) if odd else shift(piece, mk, sub)
+    key = (use_maxent, tuple(shifted.interior_values().items()), shifted.parts)
     if use_maxent:
-        fit = per_component_maxent_fit(shifted.interior_graph, shifted.interior_values())
-        trees, probs = maxent_tree_distribution(fit)
-        i = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        if key not in memo:
+            fit = per_component_maxent_fit(shifted.interior_graph, shifted.interior_values())
+            trees, probs = maxent_tree_distribution(fit)
+            memo[key] = trees, np.cumsum(probs)
+        trees, cdf = memo[key]
+        i = int(np.searchsorted(cdf, rng.random(), side="right"))
         tree = trees[min(i, len(trees) - 1)]
     else:
-        tree = mi_sample(shifted, rng)
+        if key not in memo:
+            memo[key] = constrained_tree_distribution(shifted)
+        tree = memo[key].sample(rng)
     return tree, dict(shifted.provenance, mode="maxent" if use_maxent else "mi")
 
 

@@ -34,7 +34,7 @@ from htsp.stats import (
 from tests.brute_min_cuts import brute_min_cuts
 from tests.conftest import ALL_FAMILIES, family_instance
 from tests.reference import cactus_min_cut_shores, in_spanning_tree_polytope
-from tests.single_draws import sample_matching
+from tests.single_draws import odd_surgery, sample_matching
 
 T_MARGINALS = 100_000
 T_CORRELATIONS = 100_000
@@ -314,7 +314,6 @@ def test_criterion_9_odd_surgery():
     from htsp.matching import (
         apply_surgery,
         decompose_matchings,
-        odd_surgery,
         pairings_of,
         split_external,
         surgery_options,

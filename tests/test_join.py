@@ -36,10 +36,11 @@ from htsp.cli import main
 from htsp.generators import generate_double_cycle, generate_random_4reg
 from htsp.graph import bits, parse_instance, serialize_instance
 from htsp.params import BETA_CAP, DEFAULT_TAU, optimize
-from htsp.pipeline import SamplerParams, build_piece_samplers, sample_r0_tree
+from htsp.pipeline import SamplerParams, build_piece_samplers
 from htsp.engine import BatchEngine, CompiledInstance, _odd_rows
 from htsp.stats import ExperimentConfig, run_suite
-from tests.conftest import ALL_FAMILIES, FAMILY_SEED, family_instance, fractional_cost_instance
+from tests.conftest import (ALL_FAMILIES, FAMILY_SEED, family_instance, fractional_cost_instance,
+                            trial_trees)
 from tests.reference import (build_join, detect_eal, fraction_max_flow, fraction_plan,
                              odd_vertices, shortest_path_metric, verify_join)
 
@@ -89,10 +90,8 @@ def test_detect_eal_double_cycle_flags_everything():
     h = build_hierarchy(inst)
     classes = classify(h)
     sp = SamplerParams(sampler="mi")
-    samplers = build_piece_samplers(h, sp)
-    for trial in range(20):
-        ts = sample_r0_tree(h, sp, seed=1, trial=trial, samplers=samplers)
-        eal = detect_eal(eal_conditions(h, classes), ts.edges)
+    for edges in trial_trees(CompiledInstance(inst, sp), 20, 1):
+        eal = detect_eal(eal_conditions(h, classes), edges)
         assert all(eal.values())
 
 
@@ -100,14 +99,12 @@ def test_detect_eal_degree_matches_parity_definition(zoo_instance):
     h = build_hierarchy(zoo_instance)
     classes = classify(h)
     sp = SamplerParams(sampler="mix")
-    samplers = build_piece_samplers(h, sp)
-    for trial in range(30):
-        ts = sample_r0_tree(h, sp, seed=3, trial=trial, samplers=samplers)
-        eal = detect_eal(eal_conditions(h, classes), ts.edges)
+    for edges in trial_trees(CompiledInstance(zoo_instance, sp), 30, 3):
+        eal = detect_eal(eal_conditions(h, classes), edges)
         for nd in h.non_leaves():
             g = nd.piece.graph
             deg = {
-                v: sum(1 for e in g.incident_ids(v) if e in ts.edges)
+                v: sum(1 for e in g.incident_ids(v) if e in edges)
                 for v in range(g.n)
             }
             if nd.kind == "cycle":
@@ -140,10 +137,10 @@ def test_exact_eal_probabilities_clear_bounds(any_instance):
 
 def test_no_reduction_keeps_quarter(zoo_instance):
     h, sp, rp, samplers, classes, rates, sites = prepared(zoo_instance)
-    ts = sample_r0_tree(h, sp, seed=7, trial=0, samplers=samplers)
+    (edges,) = trial_trees(CompiledInstance(zoo_instance, sp), 1, 7)
     zero_rates = {g: 0.0 for g in rates}
     rng = np.random.default_rng(0)
-    js = build_join(h, classes, rp, ts.edges, zero_rates, rng, sites,
+    js = build_join(h, classes, rp, edges, zero_rates, rng, sites,
                     eal_conditions(h, classes))
     assert all(z == QUARTER for z in js.z.values())
     assert not js.reductions and not js.charges
@@ -182,11 +179,11 @@ def test_coin_thresholds_fall_as_the_rates_do(sampler):
             if 0 <= x < 1:
                 assert (x < t) == (x < r), (grp, r, x)
     conditions = eal_conditions(h, classes)
-    for trial in range(20):
-        ts = sample_r0_tree(h, sp, seed=3, trial=trial, samplers=samplers)
-        by_rate = build_join(h, classes, rp, ts.edges, rates, np.random.default_rng(trial),
+    trees = trial_trees(CompiledInstance(family_instance("zoo"), sp), 20, 3)
+    for trial, edges in enumerate(trees):
+        by_rate = build_join(h, classes, rp, edges, rates, np.random.default_rng(trial),
                              sites, conditions)
-        by_threshold = build_join(h, classes, rp, ts.edges, thresholds,
+        by_threshold = build_join(h, classes, rp, edges, thresholds,
                                   np.random.default_rng(trial), sites, conditions)
         assert by_rate == by_threshold
     # the Monte Carlo chunk flips its coins against the same thresholds
@@ -291,10 +288,9 @@ def test_join_ledger_conservation(zoo_instance):
     h, sp, rp, samplers, classes, rates, sites = prepared(zoo_instance)
     degree_sites, pair_sites = sites
     cuts = min_cuts_via_hierarchy(h)
-    for trial in range(60):
-        ts = sample_r0_tree(h, sp, seed=13, trial=trial, samplers=samplers)
+    for trial, edges in enumerate(trial_trees(CompiledInstance(zoo_instance, sp), 60, 13)):
         rng = np.random.default_rng((13, trial))
-        js = build_join(h, classes, rp, ts.edges, rates, rng, sites,
+        js = build_join(h, classes, rp, edges, rates, rng, sites,
                         eal_conditions(h, classes))
         # z equals quarter minus reduction plus received charges
         for e in range(zoo_instance.graph.m):
@@ -304,7 +300,7 @@ def test_join_ledger_conservation(zoo_instance):
             assert js.z[e] == expect
         # every deficient odd min-cut is repaid in full
         for site in degree_sites:
-            odd = sum(1 for c in site.cut_ids if c in ts.edges) % 2 == 1
+            odd = sum(1 for c in site.cut_ids if c in edges) % 2 == 1
             if site.source in js.reductions and odd:
                 received = sum(
                     amt
@@ -313,15 +309,14 @@ def test_join_ledger_conservation(zoo_instance):
                     if site.source in srcs
                 )
                 assert received == site.amount
-        verify_join(js.z, ts.edges, h, cuts)
+        verify_join(js.z, edges, h, cuts)
 
 
 def test_partner_coins_correlated(k5_instance):
     h, sp, rp, samplers, classes, rates, sites = prepared(k5_instance)
-    for trial in range(40):
-        ts = sample_r0_tree(h, sp, seed=3, trial=trial, samplers=samplers)
+    for trial, edges in enumerate(trial_trees(CompiledInstance(k5_instance, sp), 40, 3)):
         rng = np.random.default_rng((5, trial))
-        js = build_join(h, classes, rp, ts.edges, rates, rng, sites,
+        js = build_join(h, classes, rp, edges, rates, rng, sites,
                         eal_conditions(h, classes))
         for e, cl in classes.items():
             if cl.kind != "cycle":
@@ -380,9 +375,8 @@ def test_verify_join_passes_half_x(zoo_instance):
     h = build_hierarchy(zoo_instance)
     z = {e: QUARTER for e in range(zoo_instance.graph.m)}
     sp = SamplerParams(sampler="mi")
-    samplers = build_piece_samplers(h, sp)
-    ts = sample_r0_tree(h, sp, seed=2, trial=0, samplers=samplers)
-    report = verify_join(z, ts.edges, h)
+    (edges,) = trial_trees(CompiledInstance(zoo_instance, sp), 1, 2)
+    report = verify_join(z, edges, h)
     assert report.ok
 
 
@@ -390,14 +384,12 @@ def test_verify_join_catches_deficient_cut(zoo_instance):
     h = build_hierarchy(zoo_instance)
     cuts = min_cuts_via_hierarchy(h)
     sp = SamplerParams(sampler="mi")
-    samplers = build_piece_samplers(h, sp)
-    for trial in range(50):
-        ts = sample_r0_tree(h, sp, seed=4, trial=trial, samplers=samplers)
+    for edges in trial_trees(CompiledInstance(zoo_instance, sp), 50, 4):
         odd_cut = next(
             (
                 c
                 for c in cuts
-                if sum(1 for e in c.edge_ids if e in ts.edges) % 2 == 1
+                if sum(1 for e in c.edge_ids if e in edges) % 2 == 1
             ),
             None,
         )
@@ -407,8 +399,8 @@ def test_verify_join_catches_deficient_cut(zoo_instance):
     z = {e: QUARTER for e in range(zoo_instance.graph.m)}
     z[odd_cut.edge_ids[0]] = Fraction(1, 4) - Fraction(1, 12)  # cut at 11/12
     with pytest.raises(FeasibilityViolation):
-        verify_join(z, ts.edges, h, cuts)
-    report = verify_join(z, ts.edges, h, cuts, raise_on_violation=False)
+        verify_join(z, edges, h, cuts)
+    report = verify_join(z, edges, h, cuts, raise_on_violation=False)
     assert not report.ok and report.cut_violations
 
 
@@ -421,7 +413,7 @@ def test_integral_join_empty_and_pair(zoo_instance):
     d, _ = shortest_path_metric(inst)
     [(_, T, _)] = ci.tree_chunks(3000, 6)
     sizes = set()
-    for col, (tree_cost, join_cost, tour, tour_cost) in zip(T.T, ci.tours(T)):
+    for col, (tree_cost, join_cost, tour, tour_cost) in zip(T.T, ci.tours(T, 0)):
         edges = np.flatnonzero(col).tolist()
         odd = odd_vertices(inst, edges)
         sizes.add(len(odd))
@@ -470,15 +462,13 @@ def test_matching_dp_against_brute_force(zoo_instance, monkeypatch):
     d, _ = shortest_path_metric(inst)
     h = build_hierarchy(inst)
     sp = SamplerParams(sampler="mix")
-    samplers = build_piece_samplers(h, sp)
     ci = CompiledInstance(inst, sp)
     limit = 64
     monkeypatch.setattr(htsp.engine, "PAIRING_MEMO_LIMIT", limit)
     memo = {}
     checked = clears = 0
-    for trial in range(40):
-        ts = sample_r0_tree(h, sp, seed=8, trial=trial, samplers=samplers)
-        odd = odd_vertices(inst, ts.edges)
+    for edges in trial_trees(ci, 40, 8):
+        odd = odd_vertices(inst, edges)
         clears += len(ci._memo) >= limit
         assert ci.pairing(odd) == min_cost_perfect_matching(odd, ci.metric[0])
         if len(odd) > 10:
@@ -581,11 +571,7 @@ def test_detect_eal_matches_chunk_flags():
 
     for family in ("zoo", "k5-gadget", "nested"):
         engine = BatchEngine(family_instance(family), SamplerParams(sampler="mix"))
-        trees = [
-            sample_r0_tree(engine.h, engine.sp, seed=4, trial=t,
-                           samplers=engine.samplers).edges
-            for t in range(40)
-        ]
+        trees = trial_trees(engine, 40, 4)
         T = np.zeros((engine.m, len(trees)), dtype=bool)
         for j, t in enumerate(trees):
             T[sorted(t), j] = True
@@ -660,7 +646,7 @@ def test_tour_and_batch_paths_share_the_odd_set_limit():
     for k, accepted in ((ODD_SET_LIMIT, True), (ODD_SET_LIMIT + 2, False)):
         T = np.zeros((inst.graph.m, 1), dtype=bool)
         T[_r0_tree_with_odd(inst, k), 0] = True
-        tours = lambda: list(ci.tours(T))
+        tours = lambda: list(ci.tours(T, 0))
         batch = lambda: ci._integral_costs(T.T)
         if accepted:
             [(_, join_cost, _, _)] = tours()
@@ -979,16 +965,14 @@ def test_engine_trial_check_agrees_with_verify_join(family):
     cuts = min_cuts_via_hierarchy(engine.h)
     pick = np.random.default_rng(11)
     failed = 0
-    for trial in range(200):
-        ts = sample_r0_tree(engine.h, engine.sp, seed=12, trial=trial,
-                            samplers=engine.samplers)
-        js = build_join(engine.h, engine.classes, engine.rp, ts.edges, engine.rates,
+    for trial, edges in enumerate(trial_trees(engine, 200, 12)):
+        js = build_join(engine.h, engine.classes, engine.rp, edges, engine.rates,
                         np.random.default_rng(trial), engine.sites, engine.eal_conditions)
         lowered = dict(js.z)
         lowered[int(pick.integers(engine.m))] -= Fraction(1, 12)
         for z in (js.z, lowered):
-            ok = verify_join(z, ts.edges, engine.h, cuts, raise_on_violation=False).ok
-            assert engine_fails(engine, z, ts.edges) == (not ok)
+            ok = verify_join(z, edges, engine.h, cuts, raise_on_violation=False).ok
+            assert engine_fails(engine, z, edges) == (not ok)
             failed += not ok
     assert failed > 0
 
@@ -998,18 +982,16 @@ def test_engine_trial_check_catches_deficient_cut(zoo_instance):
     every charge a quarter except one edge of an odd min-cut at a sixth."""
     engine = BatchEngine(zoo_instance, SamplerParams(sampler="mi"))
     cuts = min_cuts_via_hierarchy(engine.h)
-    for trial in range(50):
-        ts = sample_r0_tree(engine.h, engine.sp, seed=4, trial=trial,
-                            samplers=engine.samplers)
+    for edges in trial_trees(engine, 50, 4):
         odd_cut = next((c for c in cuts
-                        if sum(1 for e in c.edge_ids if e in ts.edges) % 2 == 1), None)
+                        if sum(1 for e in c.edge_ids if e in edges) % 2 == 1), None)
         if odd_cut is not None:
             break
     z = {e: QUARTER for e in range(engine.m)}
-    assert not engine_fails(engine, z, ts.edges)
+    assert not engine_fails(engine, z, edges)
     z[odd_cut.edge_ids[0]] = Fraction(1, 6)
-    assert engine_fails(engine, z, ts.edges)
-    assert not verify_join(z, ts.edges, engine.h, cuts, raise_on_violation=False).ok
+    assert engine_fails(engine, z, edges)
+    assert not verify_join(z, edges, engine.h, cuts, raise_on_violation=False).ok
 
 
 class _Draws:
@@ -1093,9 +1075,9 @@ def test_join_and_tour_read_the_trials_of_a_run(family, tmp_path, capsys, monkey
     read, costs = [], []
     tours = CompiledInstance.tours
 
-    def record_tours(self, T, shortcut=True):
+    def record_tours(self, T, first, shortcut=True):
         read.append(T.copy())
-        for res in tours(self, T, shortcut):
+        for res in tours(self, T, first, shortcut):
             costs.append(res[:2])
             yield res
 

@@ -14,7 +14,6 @@ from htsp.matching import (
     apply_surgery,
     decompose_matchings,
     enumerate_perfect_matchings,
-    odd_surgery,
     pairings_of,
     seven_coloring,
     shift,
@@ -23,7 +22,7 @@ from htsp.matching import (
 )
 from tests.reference import (edge_ids_of, in_spanning_tree_polytope, odd_set_lower_constraints,
                              part_sums)
-from tests.single_draws import odd_split, sample_matching, select_submatching
+from tests.single_draws import odd_split, odd_surgery, sample_matching, select_submatching
 
 QUARTER = Fraction(1, 4)
 THIRD = Fraction(1, 3)

@@ -55,12 +55,12 @@ ORACLE_MIX = {
 # the optimized mix, amounts (floats and exact) and binding constraints
 OPTIMIZE_PARAMS = "7dc901fbf651bf28b55f16f9b8420a6fc0afd981e7cf9cff929b83395fdb3ad4"
 # stdout of one command on a generated instance: (family, generator flags,
-# command arguments after the instance path) -> digest.  ``join`` and
-# ``tour`` read the trials of ``BatchEngine.run`` at their seed
+# command arguments after the instance path) -> digest.  ``sample``, ``join``
+# and ``tour`` read the trials of ``BatchEngine.run`` at their seed
 CLI_STDOUT = {
     ("zoo", ("--seed", "3"), ("sample", "--trials", "5", "--seed", "9",
                               "--dump-shift")):
-        "00b179e238117d9f241b4e98ccf6f3755fba63d38b4b399f4a2471ff3f36db58",
+        "be41db8bc68fb5af0807a91f09d82dfa440c4cb46874c78c27752213a574d211",
     ("zoo", ("--seed", "3"), ("join", "--trials", "20", "--seed", "2")):
         "70616160057cae06aad8782dc164f693c21ef98945fc02c1d35afcab5b538c0d",
     # the join of each pure route, the unshortcut tour, and the mix on the
@@ -87,35 +87,36 @@ CLI_STDOUT = {
         "cb288b026b703b2dbbeba6eb1d6d7c019d78acf1bb997f2c49bf628220639d6d",
     ("k5-gadget", ("--seed", "3"), ("join", "--trials", "20", "--seed", "2")):
         "6c835f36f800e9876c81e93949289170d5c455a22701faf377c1aac1d36718f0",
-    # single draws of each sampler on the families with odd degree pieces:
-    # matching, colour class, surgery branch and tree, provenance included
+    # the trees of each sampler on the families with odd degree pieces, with
+    # each degree piece's ledger (route, pairing, matching, colour class,
+    # surgery branch) drawn from the walk's posterior given the tree
     ("zoo", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
                               "--sampler", "mi", "--dump-shift")):
-        "19eb4e9e94e28b712d74073ee11f5916ed2bab24330d2e9f80b2f9049440e0a3",
+        "d8eab36c60fcf26dc2b3a18b28584ceb9bed9cc5b48df7721b0968f0ca953d8e",
     ("zoo", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
                               "--sampler", "maxent", "--dump-shift")):
-        "12c6d4dd59756397aa6e5e0d39290947d532ea8575c7bdf1bacbcb5ae584f00b",
+        "347e9d5449936ed8750fb0c35617e8ae7e2b00c96ac7785f9aaac92565a08dca",
     ("zoo", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
                               "--sampler", "mix", "--dump-shift")):
-        "ccc3171459d9321d9b5b9f4813da694233e8197e3f08af8dd40bde01668fb86e",
+        "00ebf0e92072f12f88edf7826898818d66bef6bf032f11b8020e1051214ad4af",
     ("nested", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
                                  "--sampler", "mi", "--dump-shift")):
-        "63813c6f348400b3b3f4767980ae05e4e043083797f555a61e13d3f694d91c33",
+        "aa1215517c084fd606e92dbc42e309600690fb038837dddaa0e9dba8364fce8b",
     ("nested", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
                                  "--sampler", "maxent", "--dump-shift")):
-        "56e6d92e15b2e3ee0ed418592e794358ac173bc23c76caf4d57ed316236f7a4c",
+        "42776bc22cf206246f84b8b7db9339c5d78b9279d7bc5a979a461cc6321d5712",
     ("nested", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
                                  "--sampler", "mix", "--dump-shift")):
-        "580800017df53b1757aef1251df0209b72f2241213f27cc306f74a06490a2d25",
+        "5860dfb2f4bfc558b4d780d030379aa70781dec39552a0286c4986c6c80d8fd3",
     ("random-4reg", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
                                       "--sampler", "mi", "--dump-shift")):
-        "b43b0225a7aace6acdcabff87196250e421a706ecfcc24957da085aaf246f393",
+        "fad8d2cd58572e9794adf399497ab452f7bdd670d190a040e8b90de77a01d601",
     ("random-4reg", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
                                       "--sampler", "maxent", "--dump-shift")):
-        "b4b43cbb6a99b43d088c7bee68fc607465a07fb9799530a4739b6fdb1f86464b",
+        "1cdf3a1bf3bbd133160d55515cfdc61ef4fa919d9e96bcc1e7cd52b4fae1c152",
     ("random-4reg", ("--seed", "3"), ("sample", "--trials", "20", "--seed", "9",
                                       "--sampler", "mix", "--dump-shift")):
-        "06be8e67605734185d4cf7411a747c1bb1fbe88dc03afe97f348a17dd9f6551b",
+        "88ce403969bebea4ee218a9ef363c39d5dbc357dbeba3691b829f8522802d2cc",
     # 100 vertices and 4,950 min-cuts: the metric and the join check at size
     ("double-cycle", ("--k", "100", "--seed", "0"), ("join", "--trials", "20")):
         "91d71fd2162c438bb5768eb442a25006d28846c55d309cbcbb202725c20a692f",

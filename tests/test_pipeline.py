@@ -1,5 +1,9 @@
+import csv
 import gc
+import io
+import json
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +14,7 @@ import htsp.matching as matching
 import htsp.pipeline as pipeline
 import htsp.trees as trees
 from htsp.decomp import Decomposition
+from htsp.engine import BatchEngine, CompiledInstance
 from htsp.errors import AssemblyError, InfeasibleShift
 from htsp.hierarchy import build_hierarchy
 from htsp.pipeline import (
@@ -17,16 +22,16 @@ from htsp.pipeline import (
     EnumeratedPieceSampler,
     GuideTable,
     SamplerParams,
+    ShiftPosterior,
     build_piece_samplers,
-    sample_r0_tree,
-    validate_r0_tree,
 )
 from htsp.generators import generate_random_4reg
-from htsp.matching import decompose_matchings, seven_coloring, shift
-from tests.conftest import ALL_FAMILIES, family_instance
+from htsp.params import SIGMAS
+from htsp.matching import decompose_matchings, provenance, seven_coloring, shift
+from tests.conftest import ALL_FAMILIES, family_instance, trial_trees
 from tests.reference import (fraction_mi_mixture, fraction_piece_states, per_class_mi_states,
-                             tree_sets)
-from tests.single_draws import degree_piece_draw, restrict
+                             tree_sets, validate_r0_tree)
+from tests.single_draws import degree_piece_draw, restrict, sample_k5_path
 
 
 def degree_pieces(inst):
@@ -50,11 +55,10 @@ def sampler_params(request):
 
 
 def test_sampled_trees_are_rooted_trees(any_instance, sampler_params):
-    h = build_hierarchy(any_instance)
-    samplers = build_piece_samplers(h, sampler_params)
-    for trial in range(40):
-        ts = sample_r0_tree(h, sampler_params, seed=42, trial=trial, samplers=samplers)
-        assert len(ts.edges) == any_instance.graph.n  # validated inside as well
+    ci = CompiledInstance(any_instance, sampler_params)
+    for edges in trial_trees(ci, 40, 42):
+        assert len(edges) == any_instance.graph.n
+        validate_r0_tree(ci.h, edges)
 
 
 def test_edge_count_identity(any_instance):
@@ -91,18 +95,18 @@ def test_compiled_mix_marginals_near_half(zoo_instance):
 
 
 def test_generative_matches_compiled_distribution(k5_instance):
-    """Frequencies from the generative path match the compiled mixture."""
+    """Frequencies of the step-by-step draw of a K5 piece (a uniform
+    Hamiltonian path) match its compiled table."""
     h = build_hierarchy(k5_instance)
-    sp = SamplerParams(sampler="mi")
-    samplers = build_piece_samplers(h, sp)
-    degree = next(
-        s for s in samplers.values() if getattr(s, "kind", "") in ("degree", "k5")
-    )
+    samplers = build_piece_samplers(h, SamplerParams(sampler="mi"))
+    nd = next(nd for nd in h.non_leaves() if nd.kind != "cycle")
+    degree = samplers[nd.node_id]
+    assert degree.kind == "k5"
     n = 30_000
     rng = np.random.default_rng(44)
     counts: dict[frozenset, int] = {}
     for _ in range(n):
-        t, _ = degree.sample(rng)
+        t = sample_k5_path(nd.piece, rng)
         counts[t] = counts.get(t, 0) + 1
     assert set(counts) <= set(degree.trees)
     for t, p in zip(degree.trees, degree.probs):
@@ -112,23 +116,18 @@ def test_generative_matches_compiled_distribution(k5_instance):
 
 
 def test_seeded_sampling_is_reproducible(zoo_instance):
-    h = build_hierarchy(zoo_instance)
-    sp = SamplerParams(sampler="mix")
-    samplers = build_piece_samplers(h, sp)
-    a = [sample_r0_tree(h, sp, seed=9, trial=t, samplers=samplers).edges for t in range(5)]
-    b = [sample_r0_tree(h, sp, seed=9, trial=t, samplers=samplers).edges for t in range(5)]
-    assert a == b
-    c = [sample_r0_tree(h, sp, seed=10, trial=t, samplers=samplers).edges for t in range(5)]
-    assert a != c
+    ci = CompiledInstance(zoo_instance, SamplerParams(sampler="mix"))
+    a = trial_trees(ci, 5, 9)
+    assert a == trial_trees(ci, 5, 9)
+    assert a != trial_trees(ci, 5, 10)
 
 
 def test_restrict_parities(zoo_instance):
-    h = build_hierarchy(zoo_instance)
-    sp = SamplerParams(sampler="mi")
-    samplers = build_piece_samplers(h, sp)
-    ts = sample_r0_tree(h, sp, seed=5, trial=0, samplers=samplers)
+    ci = CompiledInstance(zoo_instance, SamplerParams(sampler="mi"))
+    h = ci.h
+    (edges,) = trial_trees(ci, 1, 5)
     for nd in h.non_leaves():
-        local, parity = restrict(h, ts.edges, nd.node_id)
+        local, parity = restrict(h, edges, nd.node_id)
         g = nd.piece.graph
         # interior edges of the restriction form a spanning tree of the piece
         interior_local = [e for e in local if e in set(nd.piece.internal_edge_ids)]
@@ -137,28 +136,22 @@ def test_restrict_parities(zoo_instance):
         # leaf nodes restrict to nothing
     for nd in h.nodes:
         if nd.kind == "leaf":
-            local, parity = restrict(h, ts.edges, nd.node_id)
+            local, parity = restrict(h, edges, nd.node_id)
             assert local == frozenset() and parity == {}
 
 
 def test_validate_rejects_bad_sets(zoo_instance):
     h = build_hierarchy(zoo_instance)
-    from htsp.errors import AssemblyError
-
     with pytest.raises(AssemblyError):
         validate_r0_tree(h, frozenset(range(zoo_instance.graph.n - 1)))
 
 
 def test_marginal_monte_carlo_loose(any_instance):
-    h = build_hierarchy(any_instance)
-    sp = SamplerParams(sampler="mix")
-    samplers = build_piece_samplers(h, sp)
+    ci = CompiledInstance(any_instance, SamplerParams(sampler="mix"))
     n = 3_000
     counts = np.zeros(any_instance.graph.m)
-    for trial in range(n):
-        ts = sample_r0_tree(h, sp, seed=77, trial=trial, samplers=samplers)
-        for e in ts.edges:
-            counts[e] += 1
+    for edges in trial_trees(ci, n, 77):
+        counts[list(edges)] += 1
     sd = (0.25 / n) ** 0.5
     assert np.all(np.abs(counts / n - 0.5) <= 5 * sd)
 
@@ -188,7 +181,7 @@ def test_enumerated_probabilities_off_one_raise_assembly_error():
     masks = np.array([0b01, 0b10], dtype=np.uint64)
     with pytest.raises(AssemblyError, match="sum to 1"):
         # 1/2 and 1/3 over 6
-        EnumeratedPieceSampler("k5", (0, 1), masks, [3, 2], generative=None, den=6)
+        EnumeratedPieceSampler("k5", (0, 1), masks, [3, 2], den=6)
 
 
 def test_mi_mixture_off_one_raises_assembly_error(monkeypatch):
@@ -304,36 +297,38 @@ def test_a_state_of_several_color_classes_is_visited_and_decomposed_once(n, monk
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_each_split_piece_is_decomposed_once(n, monkeypatch):
-    # both routes and the single draws share one decomposition per
-    # pairing of an odd piece, and one of an even piece
+    # both routes and the walk behind a drawn tree share one decomposition
+    # per pairing of an odd piece, and one of an even piece
     (piece,) = [p for p in degree_pieces(family_instance("zoo")) if p.graph.n == n]
     calls = []
     real = matching.matching_distributions
     monkeypatch.setattr(matching, "matching_distributions",
                         lambda gs: calls.append(len(gs)) or real(gs))
-    sampler = DegreePieceSampler(piece, SamplerParams(sampler="mix"))
-    compiled = sampler.compiled()
-    rng = np.random.default_rng(0)
-    for _ in range(30):
-        compiled.sample(rng)
+    DegreePieceSampler(piece, SamplerParams(sampler="mix")).compiled()
+    ShiftPosterior(piece, SamplerParams(sampler="mix"))
     # an odd piece's three split pieces go in one call
     assert calls == [3 if n % 2 else 1]
 
 
 @pytest.mark.parametrize("family", ["nested", "random-4reg", "zoo"])
 def test_single_draws_walk_the_states_step_by_step(family):
-    """A degree piece's single draw, read off the sampler's tables, is the
-    draw made step by step from a fresh decomposition of each step, and
-    leaves the stream at the same place."""
+    """Every draw of the step-by-step walk of ``tests/single_draws.py``, a
+    fresh decomposition at each step, is a visit of the compile's walk on
+    its route, with its own ledger, whose state's tree law gives the drawn
+    tree a positive probability."""
     for piece in degree_pieces(family_instance(family)):
+        edge_ids = piece.internal_graph()[0].edge_ids
         for sampler in ("mi", "maxent", "mix"):
             params = SamplerParams(sampler=sampler)
-            degree = DegreePieceSampler(piece, params)
+            visits = DegreePieceSampler(piece, params).walk_visits()
             share = float(params.effective_lambda)
-            a, b = np.random.default_rng(8), np.random.default_rng(8)
+            rng = np.random.default_rng(8)
+            memo: dict = {}
             for _ in range(40):
-                assert degree._generative(a) == degree_piece_draw(piece, share, b)
-            assert a.random() == b.random()
+                tree, ledger = degree_piece_draw(piece, share, rng, memo)
+                mask = sum(1 << i for i, e in enumerate(edge_ids) if e in tree)
+                assert any(dict(provenance(*step), mode=route) == ledger
+                           and law.get(mask, 0) > 0 for route, step, _, law in visits)
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +393,198 @@ def test_guide_lookup_edge_cases_and_fallback():
 
 
 def test_single_draws_and_block_draws_read_one_stream_alike():
-    """``sample`` draws one uniform per call, ``draw_rows`` a row of them:
-    from one seed they pick the same trees."""
+    """A block draw picks, for each trial, the tree that a search of the
+    cdf gives for that trial's uniform, drawn one at a time from the same
+    seed."""
     inst = family_instance("k5-gadget")
     h = build_hierarchy(inst)
     sampler = next(s for s in build_piece_samplers(h, SamplerParams()).values()
                    if isinstance(s, EnumeratedPieceSampler) and s.kind == "k5")
     rng = np.random.default_rng(4)
-    singles = [sampler.sample(rng)[0] for _ in range(300)]
+    cdf = np.cumsum(sampler.probs)
+    singles = [sampler.trees[int(_search(cdf, np.array([rng.random()]))[0])]
+               for _ in range(300)]
     T = np.zeros((inst.graph.m, 300), dtype=bool)
     sampler.draw_rows(T, np.random.default_rng(4))
     assert [frozenset(np.flatnonzero(T[:, t]).tolist()) for t in range(300)] == singles
+
+
+# ---------------------------------------------------------------------------
+# the one trial stream and the walk behind a drawn tree
+# ---------------------------------------------------------------------------
+
+def test_sample_join_and_stats_share_trial_t(tmp_path, capsys):
+    """Trial t of ``htsp sample``, ``htsp join`` and ``stats`` (a
+    ``BatchEngine.run``) at one trial count and seed is one tree: the
+    trees ``sample`` prints are the helper's, ``join``'s tree costs are
+    theirs, and the run's per-edge inclusion counts are their sums."""
+    from htsp.cli import main
+
+    inst = family_instance("zoo")
+    path = str(tmp_path / "zoo.htsp")
+    assert main(["generate", "--family", "zoo", "--seed", "3", "--out", path]) == 0
+    trials, seed = 300, 6
+    assert main(["sample", path, "--trials", str(trials), "--seed", str(seed)]) == 0
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    engine = BatchEngine(inst, SamplerParams())
+    trees = trial_trees(engine, trials, seed)
+    assert [(e["trial"], e["edges"]) for e in printed] == [(t, sorted(edges)) for t, edges
+                                                          in enumerate(trees)]
+    assert main(["join", path, "--trials", str(trials), "--seed", str(seed)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [float(r["tree_cost"]) for r in rows] == [
+        float(sum(inst.costs[e] for e in edges)) for edges in trees]
+    incl = engine.run(trials, seed, join=False).incl
+    want = np.zeros(inst.graph.m, dtype=np.int64)
+    for edges in trees:
+        want[list(edges)] += 1
+    assert incl.tolist() == want.tolist()
+
+
+def test_tree_check_names_the_first_trial_that_is_not_a_rooted_tree():
+    """``tree_edges`` checks a whole block at once and names the first trial
+    that ``validate_r0_tree``, one trial at a time, refuses: one non-root
+    tree edge swapped for a non-tree edge that closes a cycle, then for one
+    that leaves a leaf apart from the rest."""
+    ci = CompiledInstance(family_instance("zoo"), SamplerParams())
+    g, root = ci.inst.graph, ci.inst.root
+    (first, T, _), = ci.tree_chunks(40, 3)
+    assert len(ci.tree_edges(T, first)) == 40
+    for t in range(40):
+        validate_r0_tree(ci.h, frozenset(np.flatnonzero(T[:, t]).tolist()))
+    trial = 17
+    tree = set(np.flatnonzero(T[:, trial]).tolist())
+    inner = [e for e in range(g.m) if root not in g.endpoints[e]]
+    degree = np.bincount(np.array([g.endpoints[e] for e in tree]).ravel(), minlength=g.n)
+    leaf = next(e for e in sorted(tree & set(inner))
+                if min(degree[v] for v in g.endpoints[e]) == 1)
+    cases = {
+        "cycle": [(e, f) for e in sorted(tree & set(inner)) for f in inner if f not in tree],
+        "split": [(leaf, f) for f in inner
+                  if f not in tree and min(degree[v] for v in g.endpoints[f]) > 1],
+    }
+    for name, swaps in cases.items():
+        for drop, add in swaps:
+            broken = tree - {drop} | {add}
+            try:
+                validate_r0_tree(ci.h, frozenset(broken))
+            except AssemblyError:
+                break
+        else:
+            pytest.fail(f"no {name} swap breaks trial {trial}")
+        B = T.copy()
+        B[drop, trial], B[add, trial] = False, True
+        B[:, trial + 5] = B[:, trial]
+        with pytest.raises(AssemblyError, match=f"^trial {first + trial}:"):
+            ci.tree_edges(B, first)
+
+
+def test_no_degree_sampler_outlives_the_compile(monkeypatch):
+    """A compile keeps only the tree tables: no ``DegreePieceSampler`` is
+    reachable from the engine once it is built."""
+    refs = []
+    real = DegreePieceSampler.compiled
+
+    def recording(self):
+        refs.append(weakref.ref(self))
+        return real(self)
+
+    monkeypatch.setattr(DegreePieceSampler, "compiled", recording)
+    engine = BatchEngine(family_instance("zoo"), SamplerParams())
+    gc.collect()
+    assert engine.samplers and refs
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def _table_masks(sampler: EnumeratedPieceSampler, edge_ids) -> list[int]:
+    """Each tree of a tree table as its mask over the positions of
+    ``edge_ids``."""
+    position = {e: i for i, e in enumerate(edge_ids)}
+    return [sum(1 << position[e] for e in tree) for tree in sampler.trees]
+
+
+@pytest.mark.parametrize("sampler", ["mi", "maxent", "mix"])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_the_walk_posterior_sums_to_the_table_and_to_the_visits(family, sampler):
+    """For every degree piece, the joint weights of the walk's visits with
+    each tree of the piece's table sum over the visits to the table's
+    probability of the tree, and over the table's trees to the walk's
+    visit law (the ``Fraction`` walk's, times the route's share): exactly
+    on the matroid route, to float rounding where a max-entropy law
+    enters."""
+    params = SamplerParams(sampler=sampler)
+    lam = params.effective_lambda
+    for piece in degree_pieces(family_instance(family)):
+        table = DegreePieceSampler(piece, params).compiled()
+        post = ShiftPosterior(piece, params)
+        masks = _table_masks(table, post.position)
+        exact = sampler == "mi"
+        probs = ([Fraction(k, table.exact_den) for k in table.exact_nums] if exact
+                 else table.probs.tolist())
+        joints = [post.joint(tree) for tree in masks]
+        by_visit = [sum(col) for col in zip(*joints)]
+        # no walk reaches a tree outside the table
+        assert {t for _, _, _, law in post.visits for t, q in law.items() if q} <= set(masks)
+        want_visits = []
+        for route, share in (("maxent", lam), ("mi", 1 - lam)):
+            if share:
+                ledgers: list = []
+                _, ref_visits = fraction_piece_states(piece, route == "mi", None, ledgers)
+                want_visits += [(route, share * pr, ledger)
+                                for (pr, _), ledger in zip(ref_visits, ledgers)]
+        assert [(route, p, provenance(*step)) for route, step, p, _ in post.visits] == \
+            want_visits
+        for joint, pr in zip(joints, probs):
+            if exact:
+                assert sum(joint) == pr
+            else:
+                assert float(sum(joint)) == pytest.approx(pr, rel=1e-9, abs=1e-15)
+        for got, (_, pr, _) in zip(by_visit, want_visits):
+            if exact:
+                assert got == pr
+            else:
+                assert float(got) == pytest.approx(float(pr), rel=1e-9, abs=1e-15)
+
+
+def test_the_ledger_matches_the_step_by_step_walk_on_zoo(tmp_path, capsys):
+    """On zoo (mix), the joint frequencies of each degree piece's ledger
+    and tree over the trials of ``htsp sample --dump-shift`` match those of
+    as many draws of ``tests/single_draws.py``'s walk: the two-sample
+    chi-square statistic over their cells lies within ``SIGMAS`` standard
+    deviations (sqrt(2 df)) of its mean, df.  The printed trees do not
+    depend on the flag."""
+    from htsp.cli import _json_safe, main
+
+    path = str(tmp_path / "zoo.htsp")
+    assert main(["generate", "--family", "zoo", "--seed", "3", "--out", path]) == 0
+    n = 8_000
+    runs = {}
+    for flags in ((), ("--dump-shift",)):
+        assert main(["sample", path, "--trials", str(n), "--seed", "11", *flags]) == 0
+        runs[flags] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    printed = runs[("--dump-shift",)]
+    assert [e["edges"] for e in printed] == [e["edges"] for e in runs[()]]
+    h = build_hierarchy(family_instance("zoo"))
+    share = float(SamplerParams().effective_lambda)
+    nodes = [nd for nd in h.non_leaves() if nd.kind != "cycle" and nd.piece.graph.n != 5]
+    assert nodes
+    rng = np.random.default_rng(12)
+    for nd in nodes:
+        interior = set(nd.piece.internal_edge_ids)
+        ledger: dict = {}
+        for e in printed:
+            key = (json.dumps(e["provenance"][str(nd.node_id)], sort_keys=True),
+                   tuple(x for x in e["edges"] if x in interior))
+            ledger[key] = ledger.get(key, 0) + 1
+        walk: dict = {}
+        memo: dict = {}
+        for _ in range(n):
+            tree, steps = degree_piece_draw(nd.piece, share, rng, memo)
+            key = (json.dumps(_json_safe(steps), sort_keys=True), tuple(sorted(tree)))
+            walk[key] = walk.get(key, 0) + 1
+        cells = set(ledger) | set(walk)
+        stat = sum((ledger.get(c, 0) - walk.get(c, 0)) ** 2 / (ledger.get(c, 0) + walk.get(c, 0))
+                   for c in cells)
+        df = len(cells) - 1
+        assert df > 10
+        assert stat <= df + SIGMAS * (2 * df) ** 0.5, (nd.node_id, stat, df)

@@ -297,12 +297,15 @@ def test_engine_names_are_imported_from_the_engine():
 
 
 def test_one_trial_stream():
-    """Every sampled command but ``htsp sample`` reads its trials from one
-    stream per chunk: ``engine.py`` builds ``SeedSequence`` at exactly one
-    site, ``CompiledInstance.tree_chunks``; no spawn key of the package
-    holds the old per-trial coin key, one shifted left by 20; and
-    ``cli.py`` runs the step-by-step walk, ``sample_r0_tree``, only in
-    ``cmd_sample``."""
+    """Every sampled command reads its trials from one stream per chunk:
+    ``engine.py`` builds ``SeedSequence`` at exactly one site,
+    ``CompiledInstance.tree_chunks``; no spawn key of the package holds the
+    old per-trial coin key, one shifted left by 20; every command that
+    prints trials (``sample``, ``join``, ``tour``) reads ``tree_chunks``;
+    and the step-by-step walk is gone: no piece sampler defines ``sample``,
+    ``GuideTable`` defines no ``draw``, and the package defines none of
+    ``sample_r0_tree``, ``TreeSample``, ``odd_surgery`` and
+    ``validate_r0_tree``, whose forms live in ``tests/``."""
     engine = _parse(SRC / "engine.py")
     sites = [node.lineno for node in ast.walk(engine)
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "SeedSequence"]
@@ -320,13 +323,22 @@ def test_one_trial_stream():
                 for sub in ast.walk(node.value))
     ]
     assert coin_keys == []
-    walks = [
-        f"cli.py:{fn.name}:{node.lineno}"
-        for fn in _parse(SRC / "cli.py").body if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sample_r0_tree"
-    ]
-    assert walks and all(w.startswith("cli.py:cmd_sample:") for w in walks)
+    commands = {fn.name: fn for fn in _parse(SRC / "cli.py").body
+                if isinstance(fn, ast.FunctionDef)}
+    readers = {name for name in ("cmd_sample", "cmd_join", "cmd_tour")
+               if any(isinstance(node, ast.Attribute) and node.attr == "tree_chunks"
+                      for node in ast.walk(commands[name]))}
+    assert readers == {"cmd_sample", "cmd_join", "cmd_tour"}
+    methods = {
+        (cls.name, fn.name)
+        for cls in ast.walk(_parse(SRC / "pipeline.py")) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+    }
+    samplers = {cls for cls, _ in methods if cls.endswith("PieceSampler")}
+    assert {"CyclePieceSampler", "EnumeratedPieceSampler", "DegreePieceSampler"} <= samplers
+    assert [(cls, fn) for cls, fn in methods
+            if cls in samplers and fn == "sample" or (cls, fn) == ("GuideTable", "draw")] == []
+    assert _defined({"sample_r0_tree", "TreeSample", "odd_surgery", "validate_r0_tree"}) == []
 
 
 def test_one_fork_site():

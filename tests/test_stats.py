@@ -7,7 +7,7 @@ import pytest
 import htsp.engine
 from htsp.engine import BatchEngine
 from htsp.errors import AssemblyError, ConfigError, ScaleOverflow
-from htsp.pipeline import CyclePieceSampler, SamplerParams, sample_r0_tree
+from htsp.pipeline import CyclePieceSampler, SamplerParams, ShiftLedger
 from htsp.stats import (
     ExperimentConfig,
     StatReport,
@@ -284,8 +284,7 @@ def test_library_refuses_a_negative_seed(zoo_engine, case):
         "suite-gen-seed": lambda: run_suite(ExperimentConfig(family="zoo", trials=10,
                                                              gen_seed=-1, suite="marginals")),
         "correlations": lambda: suite_correlations(standalone_piece("c8_12"), "mi", 10, -3),
-        "walk": lambda: sample_r0_tree(zoo_engine.h, zoo_engine.sp, seed=-1,
-                                       samplers=zoo_engine.samplers),
+        "walk": lambda: ShiftLedger(zoo_engine.h, zoo_engine.sp, -1),
     }[case]
     with pytest.raises(ConfigError, match="must be at least 0"):
         call()

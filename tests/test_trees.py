@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import htsp.pipeline as pipeline
 import htsp.trees as trees
@@ -268,6 +269,41 @@ def test_spanning_tree_enumeration_against_kirchhoff():
         assert len(enumerate_spanning_trees(g)) == spanning_tree_count(g)
 
 
+@st.composite
+def loopless_multigraphs(draw) -> MultiGraph:
+    """A loopless multigraph of 1 to 7 vertices and up to 14 edges, each
+    edge an unordered pair drawn with either orientation; often
+    disconnected."""
+    n = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    ends = draw(st.lists(st.sampled_from(pairs), max_size=14)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(ends), max_size=len(ends)))
+    return MultiGraph(n, [(i, v, u) if flip else (i, u, v)
+                          for i, ((u, v), flip) in enumerate(zip(ends, flips))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(loopless_multigraphs())
+def test_shape_masks_equal_the_brute_force_enumeration(g):
+    """``_shape`` lists the spanning trees that a brute force over every
+    set of n - 1 edges finds, in the same order, as many as the Kirchhoff
+    count."""
+    masks = trees._shape(g.n, g.endpoints).masks.tolist()
+    assert masks == list(enumerate_spanning_trees(g))
+    assert len(masks) == spanning_tree_count(g)
+
+
+def test_shape_masks_of_one_vertex_and_of_a_disconnected_graph():
+    # one vertex: the empty tree; two parts: no tree
+    one = MultiGraph(1, [])
+    assert trees._shape(one.n, one.endpoints).masks.tolist() == [0] == list(
+        enumerate_spanning_trees(one))
+    apart = MultiGraph(4, [(0, 0, 1), (1, 0, 1), (2, 2, 3)])
+    assert trees._shape(apart.n, apart.endpoints).masks.tolist() == [] == list(
+        enumerate_spanning_trees(apart))
+    assert spanning_tree_count(apart) == 0 and spanning_tree_count(one) == 1
+
+
 def test_cached_spanning_trees_cannot_be_mutated():
     """Both routes share one record per graph shape: no caller can write
     into its tables, and a graph of other edge ids but the same shape gets
@@ -422,6 +458,21 @@ def test_every_compiled_fit_and_tree_law_equals_the_per_component_reference(name
     pipeline.build_piece_samplers(build_hierarchy(instance(name)),
                                   pipeline.SamplerParams(sampler="maxent"))
     assert bool(fits) == bool(degree_pieces(instance(name)))
+    if fits:
+        # one batch more: a problem twice and a copy under other edge ids,
+        # whose components are fitted once and handed to each under its ids
+        (graph, row, den), _ = max(fits, key=lambda f: len(f[1].components))
+        copy = MultiGraph(graph.n, [(100 + e, a, b) for e, (a, b) in
+                                    zip(graph.edge_ids, graph.endpoints)], graph.vertex_sets)
+        batch = [(graph, row, den), (graph, row, den), (copy, row, den)]
+        sizes = []
+        real_components = trees._fit_components
+        monkeypatch.setattr(trees, "_fit_components",
+                            lambda todo, *a: sizes.append(len(todo)) or real_components(todo, *a))
+        out = trees.maxent_fits(batch)
+        plan = trees._plan_fit(graph, row, den)
+        assert sizes == [len({(g.n, g.endpoints, t) for g, t in plan.components})] != [0]
+        fits.extend(zip(batch, out))
     for (graph, row, den), fit in fits:
         ref = per_component_maxent_fit(graph, {e: Fraction(k, den)
                                                for e, k in zip(graph.edge_ids, row)})
