@@ -63,8 +63,7 @@ changes no weight and no comparison between steps: a state's greedy does
 not depend on its block.  A block's arrays are int64 while a per-round
 bound shows that no product can reach 2**62, and exact Python ints
 (``dtype=object``) after.  Each state's weights come back as integer
-numerators over one denominator; ``exact_convex_decomposition`` is the
-one-state call that returns ``Fraction``s.
+numerators over one denominator.
 
 The greedy has no rule of its own for a forced edge (r_e = sigma) that a
 candidate misses: in every polytope the package decomposes, the support
@@ -242,26 +241,6 @@ def decompose(jobs: Sequence[tuple[DecompositionShape, DecompositionState]]
         for j, res in zip(block, _decompose_block(shapes, which, [jobs[j][1] for j in block])):
             out[j] = res
     return out
-
-
-def exact_convex_decomposition(
-    candidates: Sequence[int],
-    target: Sequence[Fraction],
-    upper: Sequence[tuple[int, int]] = (),
-    lower: Sequence[tuple[int, int]] = (),
-) -> dict[int, Fraction]:
-    """Weights over candidates reproducing ``target`` exactly, keyed in the
-    order the greedy took them.
-
-    Raises DecompositionFailure when the greedy gets stuck, which signals
-    that the target is outside the polytope spanned by the candidates.
-    """
-    shape = DecompositionShape(candidates, len(target), upper, lower)
-    (res,) = decompose([(shape, DecompositionState.of([Fraction(x) for x in target]))])
-    if isinstance(res, DecompositionFailure):
-        raise res
-    return {shape.cands[i]: Fraction(k, res.denominator)
-            for i, k in zip(res.order, res.numerators)}
 
 
 class _Tables(NamedTuple):

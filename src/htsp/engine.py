@@ -156,7 +156,8 @@ class CompiledInstance:
     piece samplers, the edge classes, their coin groups and their
     even-at-last conditions, built eagerly; the even-at-last
     probabilities, coin rates, charge sites, integer costs and integer
-    metric, each built on first use.
+    metric, each built on first use.  Its reduction parameters mix at the
+    sampler's own share λ, or it raises ``ConfigError``.
     ``tree_chunks`` draws the trials of every sampled command.  It checks
     no even-at-last bound, and only a command that reads costs can meet
     their ``ScaleOverflow``."""
@@ -167,6 +168,10 @@ class CompiledInstance:
         self.inst = inst
         self.sp = sampler_params or SamplerParams()
         self.rp = reduction_params or ReductionParams.default(self.sp.effective_lambda)
+        if self.rp.mix_lambda != self.sp.effective_lambda:
+            # the coin rates flatten to the mixed bounds of the tables' own mix
+            raise ConfigError(f"reduction parameters mix at lambda {self.rp.mix_lambda}, but "
+                              f"the {self.sp.sampler} sampler at {self.sp.effective_lambda}")
         self.h = build_hierarchy(inst)
         self.samplers = build_piece_samplers(self.h, self.sp)
         self.classes = classify(self.h)
@@ -188,11 +193,11 @@ class CompiledInstance:
         self._memo: dict[int, tuple] = {0: (0, None)}
 
     @cached_property
-    def eal_probability(self) -> dict[int, object]:
+    def eal_probability(self) -> dict[int, Fraction]:
         return exact_eal_probabilities(self.eal_conditions, self.classes, self.samplers)
 
     @cached_property
-    def rates(self) -> dict[tuple, object]:
+    def rates(self) -> dict[tuple, Fraction]:
         return coin_rates(self.classes, self.coin_groups, self.rp, self.eal_probability)
 
     @cached_property

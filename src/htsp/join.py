@@ -35,8 +35,7 @@ from .errors import (
 )
 from .graph import augment, flow_arcs, in_units, lcm_denominator
 from .hierarchy import CutHierarchy
-from .params import (BETA_CAP, DEFAULT_GAMMA, DEFAULT_MIX_LAMBDA, DEFAULT_TAU,
-                     EAL_RELATIVE_TOLERANCE, mixed_rates)
+from .params import BETA_CAP, DEFAULT_GAMMA, DEFAULT_MIX_LAMBDA, DEFAULT_TAU, mixed_rates
 from .pipeline import PieceSampler
 
 #: reduction classes an edge can be settled in
@@ -188,17 +187,13 @@ def eal_conditions(h: CutHierarchy, classes: dict[int, EdgeClass]) -> EalConditi
 
 
 def parity_law(samplers: dict[int, PieceSampler], classes: dict[int, EdgeClass],
-               sets: Sequence[Iterable[int]]) -> tuple[dict[int, object], Optional[int]]:
+               sets: Sequence[Iterable[int]]) -> tuple[dict[int, int], int]:
     """Joint law of the tree's parities on a few edge sets.
 
     Bit i of a state is the parity of the tree's edges in ``sets[i]``.
     Pieces sample independently, so the law is the XOR convolution of the
-    pieces' own laws, in node order.  While every piece law so far is
-    exact, the law is integer numerators over the returned denominator,
-    the product of the pieces' ones.  From the first float piece law on it
-    is float probabilities and the denominator is None: each numerator
-    enters as its quotient, correctly rounded, and the products and sums
-    run in the order of ``Fraction`` and float arithmetic on the same laws.
+    pieces' own laws, in node order: integer numerators over the returned
+    denominator, the product of the pieces' ones.
     """
     by_piece: dict[int, list[set[int]]] = {}
     for i, ids in enumerate(sets):
@@ -208,19 +203,13 @@ def parity_law(samplers: dict[int, PieceSampler], classes: dict[int, EdgeClass],
                 by_piece[nid] = [set() for _ in sets]
             by_piece[nid][i].add(e)
     # the first piece law as it is: its convolution with the point mass at
-    # 0 would give it back, numbers and order
+    # 0 would give it back
     pieces = sorted(by_piece)
     law, den = samplers[pieces[0]].parity_law(by_piece[pieces[0]]) if pieces else ({0: 1}, 1)
     for nid in pieces[1:]:
         piece_law, piece_den = samplers[nid].parity_law(by_piece[nid])
-        if den is not None and piece_den is None:
-            law = {state: k / den for state, k in law.items()}
-            den = None
-        elif den is None and piece_den is not None:
-            piece_law = {state: k / piece_den for state, k in piece_law.items()}
-        elif den is not None:
-            den *= piece_den
-        acc: dict[int, object] = {}
+        den *= piece_den
+        acc: dict[int, int] = {}
         for a, pa in law.items():
             for b, pb in piece_law.items():
                 acc[a ^ b] = acc.get(a ^ b, 0) + pa * pb
@@ -230,35 +219,31 @@ def parity_law(samplers: dict[int, PieceSampler], classes: dict[int, EdgeClass],
 
 def event_weight(samplers: dict[int, PieceSampler], classes: dict[int, EdgeClass],
                  conditions: Sequence[tuple[frozenset[int], int]],
-                 odd_cuts: Sequence[Iterable[int]] = ()) -> tuple[object, Optional[int]]:
+                 odd_cuts: Sequence[Iterable[int]] = ()) -> tuple[int, int]:
     """The probability of ``event_probability``'s event as its numerator
-    and denominator, or as a float and None where ``parity_law`` is float;
-    a float law that meets the event in no state gives an exact 0."""
+    and denominator."""
     k = len(conditions)
     want = sum(parity << i for i, (_, parity) in enumerate(conditions))
     law, den = parity_law(samplers, classes, [ids for ids, _ in conditions] + list(odd_cuts))
-    total = sum(pr for state, pr in law.items()
-                if state & ((1 << k) - 1) == want and (state >> k or not odd_cuts))
-    return (total, den or 1) if isinstance(total, int) else (total, den)
+    return sum(pr for state, pr in law.items()
+               if state & ((1 << k) - 1) == want and (state >> k or not odd_cuts)), den
 
 
 def event_probability(samplers: dict[int, PieceSampler],
                       classes: dict[int, EdgeClass],
                       conditions: Sequence[tuple[frozenset[int], int]],
-                      odd_cuts: Sequence[Iterable[int]] = ()) -> object:
+                      odd_cuts: Sequence[Iterable[int]] = ()) -> Fraction:
     """Probability that every parity condition holds and, when ``odd_cuts``
-    are given, the tree crosses at least one of them oddly: a ``Fraction``
-    when every piece law it reads is exact, a float otherwise."""
-    num, den = event_weight(samplers, classes, conditions, odd_cuts)
-    return num if den is None else Fraction(num, den)
+    are given, the tree crosses at least one of them oddly."""
+    return Fraction(*event_weight(samplers, classes, conditions, odd_cuts))
 
 
 def exact_eal_probabilities(conditions: EalConditions, classes: dict[int, EdgeClass],
-                            samplers: dict[int, PieceSampler]) -> dict[int, object]:
-    """Even-at-last probability per edge of ``eal_conditions``, exact where
-    the samplers are exact: one value per distinct set of conditions."""
-    by_conditions: dict[tuple, object] = {}
-    out: dict[int, object] = {}
+                            samplers: dict[int, PieceSampler]) -> dict[int, Fraction]:
+    """Even-at-last probability per edge of ``eal_conditions``: one value
+    per distinct set of conditions."""
+    by_conditions: dict[tuple, Fraction] = {}
+    out: dict[int, Fraction] = {}
     for eid, conds in conditions.items():
         if conds not in by_conditions:
             by_conditions[conds] = event_probability(samplers, classes, conds)
@@ -472,22 +457,20 @@ def coin_groups(classes: dict[int, EdgeClass]) -> dict[tuple, tuple[int, ...]]:
     return {k: tuple(v) for k, v in groups.items()}
 
 
-def _value_key(x: object) -> tuple:
-    """A memo key for an estimate or a rate: its type and its value, a
-    ``Fraction`` as its integer pair, which hashes far faster than it does.
-    A float and an equal ``Fraction`` give rates of different types."""
-    return type(x), x.as_integer_ratio() if isinstance(x, Fraction) else x
+def _value_key(x: Fraction) -> tuple[int, int]:
+    """A memo key for an estimate or a rate: its integer pair, which
+    hashes far faster than the ``Fraction`` does."""
+    return x.as_integer_ratio()
 
 
 def coin_rates(classes: dict[int, EdgeClass], groups: dict[tuple, tuple[int, ...]],
-               params: ReductionParams, eal_probability: dict[int, object]
-               ) -> dict[tuple, object]:
+               params: ReductionParams, eal_probability: dict[int, Fraction]
+               ) -> dict[tuple, Fraction]:
     """Bernoulli rate per coin group of ``coin_groups(classes)``:
-    ``min(1, bound / estimate)``, a ``Fraction`` when the even-at-last
-    estimate is one, a float otherwise.  Groups of one coin kind and
-    estimate share one rate, computed once."""
-    memo: dict[tuple, object] = {}
-    rates: dict[tuple, object] = {}
+    ``min(1, bound / estimate)``.  Groups of one coin kind and estimate
+    share one rate, computed once."""
+    memo: dict[tuple, Fraction] = {}
+    rates: dict[tuple, Fraction] = {}
     for grp, members in groups.items():
         est = eal_probability[members[0]]
         if any(eal_probability[e] != est for e in members[1:]):
@@ -501,18 +484,16 @@ def coin_rates(classes: dict[int, EdgeClass], groups: dict[tuple, tuple[int, ...
         key = (kind, _value_key(est))
         if key not in memo:
             bound = params.coin_bound(kind)
-            one = Fraction(1) if isinstance(est, Fraction) else 1.0
-            memo[key] = bound / est if est > bound else one
+            memo[key] = bound / est if est > bound else Fraction(1)
         rates[grp] = memo[key]
     return rates
 
 
 def check_eal_bounds(classes: dict[int, EdgeClass], groups: dict[tuple, tuple[int, ...]],
-                     params: ReductionParams, eal_probability: dict[int, object]) -> None:
+                     params: ReductionParams, eal_probability: dict[int, Fraction]) -> None:
     """Refuse an even-at-last estimate below its coin bound, over the coin
-    groups of ``coin_groups(classes)``: exactly for a ``Fraction``, within a
-    relative ``EAL_RELATIVE_TOLERANCE`` for a float; each distinct coin kind
-    and estimate is checked once."""
+    groups of ``coin_groups(classes)``; each distinct coin kind and
+    estimate is checked once."""
     passed: set[tuple] = set()
     for members in groups.values():
         est = eal_probability[members[0]]
@@ -521,9 +502,7 @@ def check_eal_bounds(classes: dict[int, EdgeClass], groups: dict[tuple, tuple[in
         if key in passed:
             continue
         bound = params.coin_bound(kind)
-        below = (est < bound if isinstance(est, Fraction)
-                 else float(bound) > est * (1 + EAL_RELATIVE_TOLERANCE))
-        if est <= 0 or below:
+        if est <= 0 or est < bound:
             raise EstimateBelowBound(
                 f"even-at-last estimate {float(est):.6g} below bound "
                 f"{float(bound):.6g} for edges {members}"
@@ -531,7 +510,7 @@ def check_eal_bounds(classes: dict[int, EdgeClass], groups: dict[tuple, tuple[in
         passed.add(key)
 
 
-def coin_thresholds(rates: dict[tuple, object]) -> dict[tuple, float]:
+def coin_thresholds(rates: dict[tuple, Fraction]) -> dict[tuple, float]:
     """Per coin group, the double t with ``x < t`` exactly when x is below
     the group's rate, for every x that ``Generator.random()`` returns.
 
@@ -546,7 +525,7 @@ def coin_thresholds(rates: dict[tuple, object]) -> dict[tuple, float]:
     for grp, r in rates.items():
         key = _value_key(r)
         if key not in memo:
-            memo[key] = math.ceil(Fraction(r) * 2 ** 53) / 2 ** 53
+            memo[key] = math.ceil(r * 2 ** 53) / 2 ** 53
         out[grp] = memo[key]
     return out
 

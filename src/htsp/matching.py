@@ -215,10 +215,6 @@ class ShiftedSolution:
         """Every edge of the sampling graph by id, with its value."""
         return {eid: Fraction(k, 3) for eid, k in zip(self.graph.edge_ids, self.thirds)}
 
-    @functools.cached_property
-    def interior_edge_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.interior_graph.edge_ids))
-
     def interior_values(self) -> dict[int, Fraction]:
         """The interior edges by ascending id, with their values."""
         return dict(sorted((eid, Fraction(k, 3)) for eid, k in
@@ -293,15 +289,6 @@ def _shifted(g: MultiGraph, interior_graph: MultiGraph, interior_at: tuple[int, 
                            parts, matching_mask, submatching_mask, surgery, pairing)
 
 
-def shift(piece: LocalMultigraph, matching_mask: int,
-          submatching_mask: int = 0) -> ShiftedSolution:
-    """One on matched edges, one third elsewhere; parts from the sub-matching."""
-    g, interior = piece.graph, piece.internal_graph()[0]
-    parts = _parts_from_submatching(g, set(piece.internal_edge_ids), submatching_mask)
-    return _shifted(g, interior, _interior_at(g, interior), parts, matching_mask,
-                    submatching_mask)
-
-
 # ---------------------------------------------------------------------------
 # odd pieces: split and surgery
 # ---------------------------------------------------------------------------
@@ -354,7 +341,7 @@ class SplitPiece:
         return MultiGraph(k, edges, self.graph.vertex_sets[:k])
 
     def parts(self, submatching_mask: int) -> tuple[tuple[int, ...], ...]:
-        """The parts of a sub-matching, as ``shift`` builds them; built once
+        """The parts of a sub-matching, as an even piece's are built; built once
         per sub-matching, as every surgery branch of a state reads them."""
         if submatching_mask not in self._parts:
             self._parts[submatching_mask] = _parts_from_submatching(
@@ -471,27 +458,3 @@ def surgery_parts(split: SplitPiece, submatching_mask: int, adjusted: int,
         return parts
     return tuple(sorted(tuple(e for e in p if e != dropped) if adjusted in p else p
                         for p in parts))
-
-
-def apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
-                  kind: str, trigger: int, adjusted: int,
-                  dropped: Optional[int] = None) -> ShiftedSolution:
-    """Shift on the split graph, then move one third of value on ``adjusted``
-    (down on a decrease, up on an increase).
-
-    ``dropped`` is one of the branch's ``surgery_drops``: for an increase
-    hitting a three-edge part, the part member removed so the surviving
-    pair is tight at one.
-    """
-    if kind not in SURGERY_MOVE:
-        raise ValueError(kind)
-    drops = surgery_drops(split, submatching_mask, kind, adjusted)
-    if dropped not in drops:
-        raise InfeasibleShift(
-            f"dropped edge {dropped} is not one of {drops}, the drops of the "
-            f"{kind} on edge {adjusted}"
-        )
-    return _shifted(split.graph, split.interior_graph(), split.interior_at,
-                    surgery_parts(split, submatching_mask, adjusted, dropped),
-                    matching_mask, submatching_mask, (kind, trigger, adjusted, dropped),
-                    SURGERY_MOVE[kind], split.pairing)

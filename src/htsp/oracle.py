@@ -5,8 +5,8 @@ and every relevant event (endpoint parities, split partner pairs, cut
 crossings) is a condition on the tree's parities on a few edge sets, read
 off one joint law (``join.parity_law``).  So marginals,
 even-at-last rates, reduction rates, and the expected net decrease of
-every edge can be computed exactly (rationally on the matroid route) and
-compared against the guaranteed bounds without Monte Carlo error.
+every edge can be computed exactly and compared against the guaranteed
+bounds without Monte Carlo error.
 
 Exact probabilities travel as integer numerators over one denominator,
 from the piece tables (``EnumeratedPieceSampler.exact_nums``, a cycle
@@ -14,18 +14,15 @@ piece's counts of pair choices) through the joint law and its events
 (``join.event_weight``) to each edge's net decrease, whose terms are
 integer products summed over their least common denominator.  A
 ``Fraction`` is made once per value that leaves the layer: a marginal, an
-even-at-last or correlation-event probability, a net decrease.  Where a
-piece law is float (the max-entropy and mixed routes), the values turn to
-floats where ``Fraction`` and float arithmetic would, each exact value as
-its quotient, correctly rounded, so their bits are those of that
-arithmetic.
+even-at-last or correlation-event probability, a net decrease.  On the
+max-entropy and mixed routes the piece tables are the drawn float tables,
+read exactly, so every value is a ``Fraction`` on every sampler.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -35,7 +32,7 @@ from .pipeline import PieceSampler
 
 
 def exact_marginals(h: CutHierarchy, samplers: dict[int, PieceSampler],
-                    classes: dict[int, EdgeClass]) -> dict[int, object]:
+                    classes: dict[int, EdgeClass]) -> dict[int, Fraction]:
     """Inclusion probability of every edge, from its settled piece."""
     return {eid: samplers[cl.settled].exact_marginal(eid) for eid, cl in classes.items()}
 
@@ -44,7 +41,7 @@ def exact_marginals(h: CutHierarchy, samplers: dict[int, PieceSampler],
 # exact reduction and net-decrease accounting
 # ---------------------------------------------------------------------------
 
-def exact_expected_net_decrease(ci) -> dict[int, object]:
+def exact_expected_net_decrease(ci) -> dict[int, Fraction]:
     """E[quarter - z_e] per edge of an ``engine.CompiledInstance``:
     reductions in, expected charges out, read off its exact even-at-last
     probabilities, coin rates and charge sites.
@@ -52,19 +49,16 @@ def exact_expected_net_decrease(ci) -> dict[int, object]:
     A site charges when its source is even at last, its coin comes up, and
     one of its cuts is crossed oddly; a pair site's coin group repays once
     for all of its members' cuts.  Each edge's value is its reduction less
-    its charges in site order, degree sites first.  Exact terms are
-    products of integer numerators and denominators and the exact part
-    sums over their least common denominator, so an all-exact edge makes
-    one ``Fraction``; a float term turns the value into a float as
-    ``Fraction`` arithmetic would at that point (``_product``,
-    ``_difference``).
+    its charges in site order, degree sites first.  Every term is a
+    product of integer numerators and denominators, and an edge's terms
+    sum over their least common denominator into one ``Fraction``.
     """
     classes, samplers = ci.classes, ci.samplers
-    rates = {grp: _ratio(r) for grp, r in ci.rates.items()}
+    rates = {grp: r.as_integer_ratio() for grp, r in ci.rates.items()}
     # an edge is reduced when it is even at last and its coin comes up
     reduction = {
-        e: _product(rates[cl.coin_group], _ratio(ci.eal_probability[e]),
-                    _ratio(ci.rp.amount(cl.kind)))
+        e: _product(rates[cl.coin_group], ci.eal_probability[e].as_integer_ratio(),
+                    ci.rp.amount(cl.kind).as_integer_ratio())
         for e, cl in classes.items()
     }
     charges: dict[int, list] = {e: [] for e in classes}
@@ -73,9 +67,9 @@ def exact_expected_net_decrease(ci) -> dict[int, object]:
         s = site.source
         p = event_weight(samplers, classes, ci.eal_conditions[s], [site.cut_ids])
         rate = rates[classes[s].coin_group]
-        amount = _ratio(site.amount)
+        amount = site.amount.as_integer_ratio()
         for f, frac in site.targets:
-            charges[f].append(_product(amount, _ratio(frac), rate, p))
+            charges[f].append(_product(amount, frac.as_integer_ratio(), rate, p))
     for site in pair_sites:
         for grp in site.groups:
             s0 = grp.members[0][0]
@@ -88,41 +82,22 @@ def exact_expected_net_decrease(ci) -> dict[int, object]:
     return {e: _difference(reduction[e], charges[e]) for e in classes}
 
 
-def _ratio(x) -> tuple[object, Optional[int]]:
-    """A ``Fraction`` as (numerator, denominator), a float as (x, None)."""
-    return (x, None) if isinstance(x, float) else (x.numerator, x.denominator)
-
-
-def _product(*factors: tuple[object, Optional[int]]) -> tuple[object, Optional[int]]:
-    """The product of ``_ratio`` pairs, left to right: integers while every
-    factor is exact; at a float factor the exact product so far becomes
-    its quotient, correctly rounded, and every later exact factor too."""
+def _product(*factors: tuple[int, int]) -> tuple[int, int]:
+    """The product of (numerator, denominator) pairs, as one such pair."""
     num, den = 1, 1
     for n, d in factors:
-        if den is None:
-            num = num * (n if d is None else n / d)
-        elif d is None:
-            num, den = num / den * n, None
-        else:
-            num, den = num * n, den * d
+        num, den = num * n, den * d
     return num, den
 
 
-def _difference(start: tuple[object, Optional[int]], terms: list) -> object:
-    """``start`` less each of the ``_ratio`` pairs ``terms`` in turn: the
-    exact part over the least common denominator, a ``Fraction`` if every
-    term is exact; from the first float on, floats, an exact value entering
-    as its quotient, correctly rounded."""
+def _difference(start: tuple[int, int], terms: list[tuple[int, int]]) -> Fraction:
+    """``start`` less each of the (numerator, denominator) pairs ``terms``,
+    over their least common denominator."""
     num, den = start
     for n, d in terms:
-        if den is not None and d is not None:
-            lcm = den // math.gcd(den, d) * d
-            num, den = num * (lcm // den) - n * (lcm // d), lcm
-        elif den is not None:
-            num, den = num / den - n, None
-        else:
-            num = num - (n if d is None else n / d)
-    return num if den is None else Fraction(num, den)
+        lcm = den // math.gcd(den, d) * d
+        num, den = num * (lcm // den) - n * (lcm // d), lcm
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +147,7 @@ def correlation_tuples(piece) -> dict[str, list[tuple]]:
     return out
 
 
-def correlation_event_probability(sampler, piece, row: str, tup) -> tuple[object, np.ndarray]:
+def correlation_event_probability(sampler, piece, row: str, tup) -> tuple[Fraction, np.ndarray]:
     """Exact probability of one correlation event plus the event itself, a
     bool row over the sampler's trees.  The trees hold interior edges
     only, so a vertex's external edges count zero."""

@@ -106,17 +106,10 @@ SIGMAS = 3
 #: candidates, and an integer certificate decides each one
 SCREEN_SINGULAR = 1e-12
 SCREEN_NEAR = 1e-9
-#: the verdict tolerances of the exact rows where a value is a float (a
-#: piece law of the max-entropy or mixed route): a float exact marginal is
-#: one half within ``HALF_TOLERANCE``, a float flattened reduction rate
-#: meets its coin bound within ``RATE_TOLERANCE``, a float even-at-last
-#: estimate refused below its coin bound only past a relative
-#: ``EAL_RELATIVE_TOLERANCE``, and an exact row read as a float passes
-#: within ``EXACT_ROW_SLACK`` below its bound
-HALF_TOLERANCE = 1e-5
-RATE_TOLERANCE = 1e-9
-EAL_RELATIVE_TOLERANCE = 1e-9
-EXACT_ROW_SLACK = 1e-12
+#: the max-entropy fit stops once every fitted marginal is within this
+#: relative error of its target; an exact marginal row on a route the fit
+#: enters passes within it of one half
+FIT_TOLERANCE = 1e-6
 #: the least variance a sampled row's standard error is computed from, so
 #: that an estimate of 0 or 1 keeps a positive standard error
 VARIANCE_FLOOR = 1e-12

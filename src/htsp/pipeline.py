@@ -8,8 +8,9 @@ is a rooted tree: the root vertex keeps degree two and everything else is
 spanned exactly once.
 
 Degree-piece sampling states (matching, color class, surgery branch) form
-a finite mixture, so every piece also exposes its full tree distribution;
-the matroid route's probabilities are exact rationals.  Every sampled
+a finite mixture, so every piece also exposes its full tree distribution,
+exactly: the matroid route's rationals, or a float table's entries read as
+the dyadic rationals they are.  Every sampled
 command draws blocks of trials from these compiled distributions.  Under
 ``htsp sample --dump-shift`` a degree piece's walk is drawn after its tree,
 from the exact posterior of the walk's visits given the tree
@@ -182,11 +183,14 @@ class EnumeratedPieceSampler:
     first edge where they differ comes first.
 
     ``weights`` are the trees' float probabilities, or with ``den`` their
-    exact probabilities as integer numerators over ``den``.  An exact
-    piece keeps only those numerators, over their lowest common
-    denominator (``exact_nums`` over ``exact_den``), and its float
-    probabilities are their quotients, correctly rounded, normalized as
-    float ones are."""
+    exact probabilities as integer numerators over ``den``.  Every piece
+    keeps its exact law as integer numerators over their lowest common
+    denominator (``exact_nums`` over ``exact_den``).  Exact weights give
+    them directly, and the float probabilities ``probs`` are their
+    quotients, correctly rounded, then normalized.  Float weights are
+    normalized into ``probs``, and each entry of ``probs``, a dyadic
+    rational, is read exactly over the exact sum of the entries: the law
+    the guide table draws, up to the rounding of its cdf."""
 
     def __init__(self, kind: str, edge_ids: Sequence[int], masks: np.ndarray,
                  weights: Sequence, den: Optional[int] = None):
@@ -202,19 +206,24 @@ class EnumeratedPieceSampler:
         self.cols = np.asarray(edge_ids, dtype=np.intp)[used]
         self._col_of = {e: i for i, e in enumerate(self.cols.tolist())}
         self.holds = np.ascontiguousarray(held[used][:, order])
-        self.exact_nums: Optional[tuple[int, ...]] = None
-        self.exact_den: Optional[int] = None
         if den is None:
-            self.probs = np.asarray(weights, dtype=float)[order]
+            probs = np.asarray(weights, dtype=float)[order]
+            probs = probs / probs.sum()
+            ratios = [p.as_integer_ratio() for p in probs.tolist()]
+            unit = max(d for _, d in ratios)
+            nums = [k * (unit // d) for k, d in ratios]
+            den = sum(nums)
         else:
             nums = [weights[i] for i in order.tolist()]
-            g = math.gcd(den, *nums)
-            self.exact_nums = tuple([k // g for k in nums])
-            self.exact_den = den // g
-            if sum(self.exact_nums) != self.exact_den:
-                raise AssemblyError(f"{kind} piece tree probabilities do not sum to 1")
-            self.probs = np.array([k / self.exact_den for k in self.exact_nums])
-        self.probs = self.probs / self.probs.sum()
+            # an int quotient rounds correctly, in lowest terms or not
+            probs = np.array([k / den for k in nums])
+            probs = probs / probs.sum()
+        self.probs = probs
+        g = math.gcd(den, *nums)
+        self.exact_nums = tuple([k // g for k in nums])
+        self.exact_den = den // g
+        if sum(self.exact_nums) != self.exact_den:
+            raise AssemblyError(f"{kind} piece tree probabilities do not sum to 1")
         self.table = GuideTable(np.cumsum(self.probs))
 
     @property
@@ -233,31 +242,25 @@ class EnumeratedPieceSampler:
         return np.count_nonzero(self.holds[[self._col_of[e] for e in ids if e in self._col_of]],
                                 axis=0)
 
-    def probability(self, event: np.ndarray):
-        """The probability of the trees ``event`` marks: an exact one as one
-        ``Fraction`` of the summed numerators, a float one summed in tree
-        order."""
-        idx = np.flatnonzero(event).tolist()
-        if self.exact_nums is not None:
-            nums = self.exact_nums
-            return Fraction(sum([nums[i] for i in idx]), self.exact_den)
-        return sum((self.probs[i] for i in idx), Fraction(0))
+    def probability(self, event: np.ndarray) -> Fraction:
+        """The probability of the trees ``event`` marks: one ``Fraction`` of
+        the summed numerators."""
+        nums = self.exact_nums
+        return Fraction(sum([nums[i] for i in np.flatnonzero(event).tolist()]), self.exact_den)
 
-    def parity_law(self, sets: list[set[int]]) -> tuple[dict[int, object], Optional[int]]:
+    def parity_law(self, sets: list[set[int]]) -> tuple[dict[int, int], int]:
         """Law of the tree's parities on ``sets``, as in ``join.parity_law``:
-        summed numerators and ``exact_den`` on an exact piece, float
-        probabilities summed in tree order and None otherwise."""
+        summed numerators over ``exact_den``."""
         states = np.zeros(len(self.probs), dtype=np.int64)
         for i, ids in enumerate(sets):
             states |= (self.edge_counts(ids) & 1) << i
-        law: dict[int, object] = {}
-        for state, pr in zip(states.tolist(), self.exact_nums or self.probs):
-            law[state] = law.get(state, 0) + pr
+        law: dict[int, int] = {}
+        for state, k in zip(states.tolist(), self.exact_nums):
+            law[state] = law.get(state, 0) + k
         return law, self.exact_den
 
-    def exact_marginal(self, eid: int):
-        p = self.probability(self.edge_counts([eid]))
-        return p if self.exact_nums is not None else float(p)
+    def exact_marginal(self, eid: int) -> Fraction:
+        return self.probability(self.edge_counts([eid]))
 
 
 def k5_sampler(piece: LocalMultigraph) -> EnumeratedPieceSampler:
@@ -338,8 +341,8 @@ def _piece_states(piece: LocalMultigraph, classes: bool, built: Optional[dict] =
 
     unit = math.lcm(*(w.denominator for _, dist in piece.split_matchings for w in dist.weights))
     even_parts: dict[int, tuple] = {}
-    # the states are built as ``shift`` and ``apply_surgery`` build them,
-    # from the parts the walk has already read
+    # the states are built by ``matching._shifted`` from the parts the walk
+    # has already read
     for sp, dist in piece.split_matchings:
         g = sp.graph if odd else piece.graph
         interior = sp.interior_graph() if odd else piece.internal_graph()[0]

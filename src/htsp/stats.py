@@ -34,8 +34,7 @@ from .oracle import (
     exact_marginals,
 )
 from .params import (CORRELATION_BOUNDS, DEFAULT_MIX_LAMBDA, EAL_BOUNDS, EPSILON,
-                     EXACT_ROW_SLACK, HALF, HALF_TOLERANCE, QUARTER, RATE_TOLERANCE, SIGMAS,
-                     TOUR_RATIO_BOUND, VARIANCE_FLOOR)
+                     FIT_TOLERANCE, HALF, QUARTER, SIGMAS, TOUR_RATIO_BOUND, VARIANCE_FLOOR)
 from .pipeline import DegreePieceSampler, SamplerParams, k5_sampler
 
 #: draws per block of the correlation suite's piece sampling
@@ -164,8 +163,7 @@ def suite_correlations(piece, sampler: str, trials: int, seed: int,
             rows.append(binomial_row("correlations", row, sampler, context, "lower",
                                      bounds[row], int(hits[event].sum()), trials))
             rows.append(StatRow("correlations", row + "/exact", sampler, context, "exact",
-                                float(bounds[row]), float(exact), 0.0, 0,
-                                float(exact) >= float(bounds[row]) - EXACT_ROW_SLACK))
+                                float(bounds[row]), float(exact), 0.0, 0, exact >= bounds[row]))
     return rows
 
 
@@ -181,12 +179,12 @@ def eal_bounds_for(sp: SamplerParams, rp: ReductionParams) -> dict[str, Fraction
     return {kind: bound(coin_kind(kind)) for kind in EDGE_KINDS}
 
 
-def is_half(marginal) -> bool:
-    """An exact marginal of one half: equal as a ``Fraction``, within
-    ``HALF_TOLERANCE`` as a float."""
-    if isinstance(marginal, Fraction):
-        return marginal == HALF
-    return bool(abs(marginal - float(HALF)) <= HALF_TOLERANCE)
+def is_half(marginal: Fraction, lam: Fraction) -> bool:
+    """An exact marginal of one half at max-entropy share ``lam``: equal on
+    the matroid route, and within ``FIT_TOLERANCE`` where the max-entropy
+    fit enters, whose stopping rule keeps it within (2/3) * lam *
+    ``FIT_TOLERANCE``."""
+    return marginal == HALF or lam != 0 and abs(marginal - HALF) <= FIT_TOLERANCE
 
 
 def symmetry_pairs(m: int) -> list[tuple[int, int]]:
@@ -208,7 +206,8 @@ def suite_marginals(engine: BatchEngine, st: BatchStats) -> list[StatRow]:
                          HALF, int(st.incl[e]), st.trials)
             for e in range(engine.m)]
     rows += [StatRow("marginals", "edge-in-tree/exact", sampler, f"edge:{e}", "exact",
-                     float(HALF), float(exact[e]), 0.0, 0, is_half(exact[e]))
+                     float(HALF), float(exact[e]), 0.0, 0,
+                     is_half(exact[e], engine.sp.effective_lambda))
              for e in range(engine.m)]
     return rows
 
@@ -312,45 +311,42 @@ def oracle_check(inst: HalfIntegralInstance | CompiledInstance,
     sp, rp, classes = ci.sp, ci.rp, ci.classes
     report = StatReport(meta={"suite": "oracle", "sampler": sp.sampler})
     rows, sampler = report.rows, sp.sampler
-    half = float(HALF)
+    half, lam = float(HALF), sp.effective_lambda
     exact = exact_marginals(ci.h, ci.samplers, classes)
     for e in range(ci.m):
-        val = exact[e]
         rows.append(
-            StatRow("oracle",
-                    "marginal" + ("/rational" if isinstance(val, Fraction) else ""),
-                    sampler, f"edge:{e}", "exact", half, float(val), 0.0, 0, is_half(val))
+            StatRow("oracle", "marginal/rational", sampler, f"edge:{e}", "exact", half,
+                    float(exact[e]), 0.0, 0, is_half(exact[e], lam))
         )
-    # per coin group: its even-at-last probability, and its flattened
-    # reduction rate against the group's coin bound
+    # per coin group: its even-at-last probability against its bound (the
+    # group has one coin kind, so one bound), and its flattened reduction
+    # rate against the group's coin bound
+    bounds = eal_bounds_for(sp, rp)
     groups = {}
     for grp, members in ci.coin_groups.items():
         est = ci.eal_probability[members[0]]
+        bound = bounds[classes[members[0]].kind]
         target = rp.coin_bound(classes[members[0]].coin_kind)
         val = ci.rates[grp] * est
-        ok = ((val == target) if isinstance(val, Fraction)
-              else abs(val - float(target)) <= RATE_TOLERANCE)
-        groups[grp] = float(est), float(target), float(val), bool(ok)
-    bounds = {kind: float(b) for kind, b in eal_bounds_for(sp, rp).items()}
+        groups[grp] = ((float(bound), float(est), est >= bound),
+                       (float(target), float(val), val == target))
     for e in range(ci.m):
-        kind = classes[e].kind
-        est = groups[classes[e].coin_group][0]
+        bound, est, ok = groups[classes[e].coin_group][0]
         rows.append(
-            StatRow("oracle", f"even-at-last/{kind}", sampler, f"edge:{e}",
-                    "exact", bounds[kind], est, 0.0, 0, est >= bounds[kind] - EXACT_ROW_SLACK)
+            StatRow("oracle", f"even-at-last/{classes[e].kind}", sampler, f"edge:{e}",
+                    "exact", bound, est, 0.0, 0, ok)
         )
     for e in range(ci.m):
-        _, target, val, ok = groups[classes[e].coin_group]
+        target, val, ok = groups[classes[e].coin_group][1]
         rows.append(
             StatRow("oracle", "reduction-rate-flattened", sampler,
                     f"edge:{e}", "exact", target, val, 0.0, 0, ok)
         )
     net = exact_expected_net_decrease(ci)
     for e in range(ci.m):
-        val = float(net[e])
         rows.append(
             StatRow("oracle", "expected-net-decrease", sampler, f"edge:{e}",
-                    "exact", 0.0, val, 0.0, 0, val > 0)
+                    "exact", 0.0, float(net[e]), 0.0, 0, net[e] > 0)
         )
     return report
 

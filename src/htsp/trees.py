@@ -55,8 +55,8 @@ from .errors import (
 from .graph import MultiGraph, find_root
 from .hierarchy import LocalMultigraph
 from .matching import ShiftedSolution
+from .params import FIT_TOLERANCE
 
-FIT_TOLERANCE = 1e-6
 FIT_MAX_ROUNDS = 10_000
 
 

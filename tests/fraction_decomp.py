@@ -2,7 +2,9 @@
 
 Kept as a test oracle: every step is done in ``Fraction``, exactly as the
 package did before the integer rewrite, so the two can be compared weight
-for weight and key for key.  See ``htsp.decomp`` for the method.
+for weight and key for key, the integer greedy through
+``exact_convex_decomposition``, its one-state call.  See ``htsp.decomp`` for
+the method.
 """
 
 from __future__ import annotations
@@ -10,8 +12,24 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from htsp.decomp import DecompositionFailure
+from htsp.decomp import DecompositionFailure, DecompositionShape, DecompositionState, decompose
 from htsp.graph import bits
+
+
+def exact_convex_decomposition(
+    candidates: Sequence[int],
+    target: Sequence[Fraction],
+    upper: Sequence[tuple[int, int]] = (),
+    lower: Sequence[tuple[int, int]] = (),
+) -> dict[int, Fraction]:
+    """``htsp.decomp.decompose`` on one state, its weights as ``Fraction``s
+    keyed in the order the greedy took them; a failure raises."""
+    shape = DecompositionShape(candidates, len(target), upper, lower)
+    (res,) = decompose([(shape, DecompositionState.of([Fraction(x) for x in target]))])
+    if isinstance(res, DecompositionFailure):
+        raise res
+    return {shape.cands[i]: Fraction(k, res.denominator)
+            for i, k in zip(res.order, res.numerators)}
 
 
 def fraction_convex_decomposition(

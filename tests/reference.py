@@ -1,8 +1,9 @@
 """Independent checks the tests hold the package against.
 
-None of these has a caller in the package.  Two are the one-shot forms
+None of these has a caller in the package.  Four are the one-shot forms
 of package routines that only the tests call: the sorted list of every
-min-cut and a single max-entropy fit.
+min-cut, a single max-entropy fit, and one shifted state or surgery
+branch (``shift``, ``apply_surgery``).
 Each other one recomputes a quantity the
 package derives another way (a Stoer-Wagner edge connectivity, every
 spanning tree of a graph by brute force over edge subsets, a rooted tree
@@ -43,25 +44,27 @@ from htsp.hierarchy import (Cactus, CutHierarchy, CutView, _canonical_shore, _cr
                             _min_cut_shores, min_cuts_via_hierarchy)
 from htsp.join import EalConditions, EdgeClass, ReductionParams, coin_groups
 from htsp.matching import (
+    SURGERY_MOVE,
     MatchingDistribution,
     ShiftedSolution,
     SplitPiece,
+    _interior_at,
     _parts_from_submatching,
-    apply_surgery,
+    _shifted,
     decompose_matchings,
     pairings_of,
     seven_coloring,
-    shift,
     split_external,
     surgery_drops,
     surgery_options,
+    surgery_parts,
 )
 from htsp.oracle import exact_expected_net_decrease
-from htsp.params import BETA_CAP, FLOOR, QUARTER, LpSolution, _bases, _constraints, decrease_forms
+from htsp.params import (BETA_CAP, FIT_TOLERANCE, FLOOR, QUARTER, LpSolution, _bases, _constraints,
+                         decrease_forms)
 from htsp.pipeline import CyclePieceSampler, _check_interior, _class_submasks, _submask_of_class
 from htsp.trees import (
     FIT_MAX_ROUNDS,
-    FIT_TOLERANCE,
     MaxEntComponent,
     MaxEntWeights,
     _plan_fit,
@@ -568,17 +571,14 @@ def solve_amounts(lam: Fraction) -> LpSolution:
 # numerators over one denominator
 # ---------------------------------------------------------------------------
 
-def exact_probs(sampler) -> Optional[tuple[Fraction, ...]]:
+def exact_probs(sampler) -> tuple[Fraction, ...]:
     """A tree-table piece's exact tree probabilities as ``Fraction``s, in
-    tree order, or None on a float piece."""
-    if sampler.exact_nums is None:
-        return None
+    tree order."""
     return tuple(Fraction(k, sampler.exact_den) for k in sampler.exact_nums)
 
 
-def piece_parity_law(sampler, sets: list[set[int]]) -> dict[int, object]:
-    """Law of a piece's parities on ``sets``: ``Fraction``s on an exact
-    piece, its float probabilities added in tree order otherwise."""
+def piece_parity_law(sampler, sets: list[set[int]]) -> dict[int, Fraction]:
+    """Law of a piece's parities on ``sets``, in ``Fraction``s."""
     if isinstance(sampler, CyclePieceSampler):
         law = {0: Fraction(1)}
         for a, b in sampler.pairs:
@@ -591,22 +591,18 @@ def piece_parity_law(sampler, sets: list[set[int]]) -> dict[int, object]:
                         acc[state ^ flip] = acc.get(state ^ flip, 0) + pr / 2
                 law = acc
         return law
-    probs = exact_probs(sampler)
-    if probs is None:
-        probs = sampler.probs
     states = np.zeros(len(sampler.probs), dtype=np.int64)
     for i, ids in enumerate(sets):
         states |= (sampler.edge_counts(ids) & 1) << i
     law = {}
-    for state, pr in zip(states.tolist(), probs):
+    for state, pr in zip(states.tolist(), exact_probs(sampler)):
         law[state] = law.get(state, 0) + pr
     return law
 
 
-def parity_law(samplers, classes, sets) -> dict[int, object]:
+def parity_law(samplers, classes, sets) -> dict[int, Fraction]:
     """The joint parity law as the XOR convolution of ``piece_parity_law``s
-    in node order, with ``Fraction`` and float arithmetic mixed as Python
-    mixes them."""
+    in node order."""
     by_piece: dict[int, list[set[int]]] = {}
     for i, ids in enumerate(sets):
         for e in ids:
@@ -638,28 +634,24 @@ def eal_probabilities(conditions: EalConditions, classes, samplers) -> dict[int,
             for eid, conds in conditions.items()}
 
 
-def piece_probability(sampler, event: np.ndarray) -> object:
+def piece_probability(sampler, event: np.ndarray) -> Fraction:
     """The probability of the trees ``event`` marks, summed in tree order
     from a ``Fraction`` zero."""
     probs = exact_probs(sampler)
-    if probs is None:
-        probs = sampler.probs
     return sum((probs[i] for i in np.flatnonzero(event).tolist()), Fraction(0))
 
 
-def exact_marginal(sampler, eid: int) -> object:
+def exact_marginal(sampler, eid: int) -> Fraction:
     """An edge's inclusion probability from its settled piece: one half on
-    a cycle piece, ``piece_probability`` otherwise, as a float on a float
-    piece."""
+    a cycle piece, ``piece_probability`` otherwise."""
     if isinstance(sampler, CyclePieceSampler):
         return Fraction(1, 2)
-    p = piece_probability(sampler, sampler.edge_counts([eid]))
-    return p if sampler.exact_nums is not None else float(p)
+    return piece_probability(sampler, sampler.edge_counts([eid]))
 
 
-def expected_net_decrease(ci, eal_probability, rates) -> dict[int, object]:
-    """E[quarter - z_e] per edge, by ``Fraction`` and float arithmetic on
-    the given even-at-last probabilities and coin rates."""
+def expected_net_decrease(ci, eal_probability, rates) -> dict[int, Fraction]:
+    """E[quarter - z_e] per edge, by ``Fraction`` arithmetic on the given
+    even-at-last probabilities and coin rates."""
     classes, samplers = ci.classes, ci.samplers
     net: dict[int, object] = {
         e: rates[cl.coin_group] * eal_probability[e] * ci.rp.amount(cl.kind)
@@ -717,16 +709,13 @@ def indicator_distribution(sampler, eids: list[int]) -> list[tuple[int, object]]
         for pat, pr in patterns:
             merged[pat] = merged.get(pat, Fraction(0)) + pr
         return sorted(merged.items())
-    exact = exact_probs(sampler)
-    use_exact = exact is not None
-    merged: dict[int, object] = {}
-    probs = exact if use_exact else sampler.probs
-    for t, pr in zip(sampler.trees, probs):
+    merged = {}
+    for t, pr in zip(sampler.trees, exact_probs(sampler)):
         pat = 0
         for j, e in enumerate(eids):
             if e in t:
                 pat |= 1 << j
-        merged[pat] = merged.get(pat, Fraction(0) if use_exact else 0.0) + pr
+        merged[pat] = merged.get(pat, Fraction(0)) + pr
     return sorted(merged.items())
 
 
@@ -755,7 +744,7 @@ def joint_indicator(samplers, classes, eids) -> list[tuple[int, object]]:
 
 
 def pattern_eal_probabilities(h, classes, samplers) -> dict[int, object]:
-    """Even-at-last probability per edge, exact where the samplers are exact."""
+    """Even-at-last probability per edge, as a ``Fraction``."""
     out: dict[int, object] = {}
     for nd in h.non_leaves():
         piece = nd.piece
@@ -804,6 +793,43 @@ def pattern_eal_probabilities(h, classes, samplers) -> dict[int, object]:
                             p = p + qpr * jpr
                 out[eid] = p
     return out
+
+
+# ---------------------------------------------------------------------------
+# one state at a time: the state builders the compile's walk replaced with
+# ``matching._shifted`` on the parts it has already read
+# ---------------------------------------------------------------------------
+
+def shift(piece, matching_mask: int, submatching_mask: int = 0) -> ShiftedSolution:
+    """One on matched edges, one third elsewhere; parts from the sub-matching."""
+    g, interior = piece.graph, piece.internal_graph()[0]
+    parts = _parts_from_submatching(g, set(piece.internal_edge_ids), submatching_mask)
+    return _shifted(g, interior, _interior_at(g, interior), parts, matching_mask,
+                    submatching_mask)
+
+
+def apply_surgery(split: SplitPiece, matching_mask: int, submatching_mask: int,
+                  kind: str, trigger: int, adjusted: int,
+                  dropped: Optional[int] = None) -> ShiftedSolution:
+    """Shift on the split graph, then move one third of value on ``adjusted``
+    (down on a decrease, up on an increase).
+
+    ``dropped`` is one of the branch's ``surgery_drops``: for an increase
+    hitting a three-edge part, the part member removed so the surviving
+    pair is tight at one.
+    """
+    if kind not in SURGERY_MOVE:
+        raise ValueError(kind)
+    drops = surgery_drops(split, submatching_mask, kind, adjusted)
+    if dropped not in drops:
+        raise InfeasibleShift(
+            f"dropped edge {dropped} is not one of {drops}, the drops of the "
+            f"{kind} on edge {adjusted}"
+        )
+    return _shifted(split.graph, split.interior_graph(), split.interior_at,
+                    surgery_parts(split, submatching_mask, adjusted, dropped),
+                    matching_mask, submatching_mask, (kind, trigger, adjusted, dropped),
+                    SURGERY_MOVE[kind], split.pairing)
 
 
 # ---------------------------------------------------------------------------

@@ -23,19 +23,19 @@ from htsp.matching import (
     SplitPiece,
     _graph_of,
     _parts_from_submatching,
-    apply_surgery,
     decompose_matchings,
     pairings_of,
     seven_coloring,
-    shift,
     split_external,
 )
 from htsp.trees import MaxEntComponent, MaxEntWeights, k5_paths
 from tests.reference import (
+    apply_surgery,
     constrained_tree_distribution,
     matrix_tree_marginals,
     maxent_tree_distribution,
     per_component_maxent_fit,
+    shift,
 )
 
 MARGINAL_GUARD = 1e-9

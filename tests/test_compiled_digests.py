@@ -1,15 +1,18 @@
-"""Byte-identity of the compiled piece samplers.
+"""Byte-identity of the compiled piece samplers, and their exact laws.
 
 For each sampler route, a sha256 per instance over every tree-table
 piece in node order: its trees (each as its sorted edge ids), the bytes of
-its float probabilities and, on the matroid route, its exact
-probabilities.  The instances are the five conftest families and
-random-4reg at n = 12, generator seeds 0-3, the instances whose compiles
-the fit and decomposition oracles cover.  A change that moves any tree or
-any probability bit must say why and update the digest in the same change.
+its float probabilities and its exact probabilities.  The instances are
+the five conftest families and random-4reg at n = 12, generator seeds 0-3,
+the instances whose compiles the fit and decomposition oracles cover.  A
+change that moves any tree or any probability bit must say why and update
+the digest in the same change.
 """
 
+import functools
 import hashlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,24 +38,24 @@ COMPILED = {
     "maxent": {
         "double-cycle": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "k5-gadget": "718120baab134cbe2c3a7faa3082269f50a783446ecbe4cf40cd71c3ac4f07d7",
-        "nested": "530f612794ceaa733d6c254975955a88edefaa21ab716633e635af2e310b7ad2",
-        "random-4reg": "437c6203f175a5a219224142e7e4a4f3d3be0b8223f0fd2ffe5d1cc4fcf89b2f",
-        "zoo": "6348cede2ba62ac6cf81d023876a9c4a356ed333b2f966b8a24e1c203249c44e",
-        "random-4reg-12-0": "e1d6a17a0457763c26b329bf47219bda460237b5f4846894886e20778731e379",
-        "random-4reg-12-1": "e8934f25d7849249a5ade698c80c23cd03f0a247031368c0940cce8bdf90d67d",
-        "random-4reg-12-2": "45ade664d38173be4825895a8718241229c4f44b2da76e27e7e993dfe84dd99f",
-        "random-4reg-12-3": "437c6203f175a5a219224142e7e4a4f3d3be0b8223f0fd2ffe5d1cc4fcf89b2f",
+        "nested": "d32e44da34a2fba968f254635d94aba0c1866173993d9287d2cbad549f75f6f4",
+        "random-4reg": "d119b8e217156a46e93e39c893b3e1ac22fef93d0e513d51c056ff90280d4eb3",
+        "zoo": "451105aa2405ffb08b4bc5e412dddd9f803545e7a0d0caaab1751567b4bec8ca",
+        "random-4reg-12-0": "d23e6d931a24d55f0e28c5ebf747d0034ac629128b7e03b12bb5aa22c73efd25",
+        "random-4reg-12-1": "6959ccbfdf79b0c29924ae2a08a1e1953a5a9e9dd50c6da2837c01c3fe1e4a46",
+        "random-4reg-12-2": "11fd5d270cf744c1d2cc9300fbd932021b46200382897c78209763be34a8567f",
+        "random-4reg-12-3": "d119b8e217156a46e93e39c893b3e1ac22fef93d0e513d51c056ff90280d4eb3",
     },
     "mix": {
         "double-cycle": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "k5-gadget": "718120baab134cbe2c3a7faa3082269f50a783446ecbe4cf40cd71c3ac4f07d7",
-        "nested": "23f21abe7b06708066aee19392601855513e7a0c5f352e960fd8e37082743121",
-        "random-4reg": "2274f47197475207931f277e58eb35496a8418c755b3e71cd1e1539cfb552ca9",
-        "zoo": "10accb1950a2cf6a9b9ca07c40d4bb58774391784714ae3ff3187d4b4676cea1",
-        "random-4reg-12-0": "8a309e5acd49f9f7da8e59147f7249ba105d3ad9adc57f5bfd68f0555cf63acc",
-        "random-4reg-12-1": "aa335e6a72597ff728676fcbce485306b70597464737fb368693653e8ead3886",
-        "random-4reg-12-2": "a7b1d3413efbe98e817c378d0a3e4723e3aaf0757499c0cd5c7dc7246be2b346",
-        "random-4reg-12-3": "2274f47197475207931f277e58eb35496a8418c755b3e71cd1e1539cfb552ca9",
+        "nested": "d5a8d0f8a8af11ee6eef6308589d6da230509bc3d357567f8736a34587cf7d97",
+        "random-4reg": "e7c37321146db4be2da0d43482615ef4098f2dd4a3bdd63955ad776995dbc8ae",
+        "zoo": "7e7a7271fc23af594c5ded80834663287bf33ecc1a622b5502e37198cab9b214",
+        "random-4reg-12-0": "fc12e9922e7d1d424bd8d41ab850b7d87304557de8722dccd4bf151639a5aec0",
+        "random-4reg-12-1": "01ee345bc0948b89e512ccd2cbf979d73e1911f42ce20880870486b1a923e546",
+        "random-4reg-12-2": "9d6ebdf902f3c7f2b53edd4d4cd95dcb5272b4372281128c1bf126b07b097004",
+        "random-4reg-12-3": "e7c37321146db4be2da0d43482615ef4098f2dd4a3bdd63955ad776995dbc8ae",
     },
 }
 
@@ -70,15 +73,39 @@ def compiled_digest(samplers) -> str:
         if isinstance(s, EnumeratedPieceSampler):
             h.update(repr([sorted(t) for t in s.trees]).encode())
             h.update(s.probs.tobytes())
-            if s.exact_nums is not None:
-                h.update(repr(exact_probs(s)).encode())
+            h.update(repr(exact_probs(s)).encode())
     return h.hexdigest()
+
+
+@functools.cache
+def compiled(name: str, sampler: str) -> dict:
+    return build_piece_samplers(build_hierarchy(instance(name)), SamplerParams(sampler=sampler))
 
 
 @pytest.mark.parametrize("sampler", sorted(COMPILED))
 def test_compiled_samplers_digest(sampler):
-    got = {}
-    for name in COMPILED[sampler]:
-        h = build_hierarchy(instance(name))
-        got[name] = compiled_digest(build_piece_samplers(h, SamplerParams(sampler=sampler)))
+    got = {name: compiled_digest(compiled(name, sampler)) for name in COMPILED[sampler]}
     assert got == COMPILED[sampler]
+
+
+@pytest.mark.parametrize("sampler", sorted(COMPILED))
+def test_the_exact_law_is_the_drawn_table(sampler):
+    """Every tree-table piece's exact numerators sum to its denominator.
+    Where the max-entropy fit enters a degree piece, its exact law is its
+    float probabilities read as exact dyadic values over their exact sum,
+    the law the guide table draws.  Every float probability lies within two
+    ulps of its exact quotient: a float table is normalized by its float
+    sum, and so is a matroid-route one after its quotients are rounded, so
+    one ulp does not hold on either route."""
+    for name in COMPILED[sampler]:
+        for s in compiled(name, sampler).values():
+            if not isinstance(s, EnumeratedPieceSampler):
+                continue
+            assert sum(s.exact_nums) == s.exact_den, name
+            exact = [Fraction(k, s.exact_den) for k in s.exact_nums]
+            probs = s.probs.tolist()
+            if s.kind == "degree" and sampler != "mi":
+                total = sum(map(Fraction, probs))
+                assert exact == [Fraction(p) / total for p in probs], name
+            assert all(abs(Fraction(p) - q) <= 2 * Fraction(math.ulp(p))
+                       for p, q in zip(probs, exact)), name

@@ -1,8 +1,8 @@
 """The integer greedy in ``htsp.decomp`` against the Fraction greedy it replaced.
 
 Both must return equal weights in equal key order, and raise the same
-``DecompositionFailure`` when the target is outside the polytope: the one-state
-``exact_convex_decomposition`` as a call, and the batched ``decompose``
+``DecompositionFailure`` when the target is outside the polytope: one state
+through ``fraction_decomp.exact_convex_decomposition``, and the batched ``decompose``
 (shape, state) job by job.
 """
 
@@ -21,7 +21,7 @@ from htsp.matching import (_odd_set_lower_constraints, decompose_matchings,
 from htsp.pipeline import SamplerParams, _piece_states
 from htsp.engine import BatchEngine
 from tests.conftest import ALL_FAMILIES, family_instance
-from tests.fraction_decomp import fraction_convex_decomposition
+from tests.fraction_decomp import exact_convex_decomposition, fraction_convex_decomposition
 from tests.reference import constrained_tree_distribution, enumerate_spanning_trees
 from tests.test_pipeline import degree_pieces
 from tests.test_trees import shifted_on
@@ -71,7 +71,7 @@ def assert_jobs_same(jobs) -> int:
 def assert_same(*args) -> bool:
     """Compare both greedies on one input; True when both raised."""
     want = outcome(fraction_convex_decomposition, *args)
-    got = outcome(decomp.exact_convex_decomposition, *args)
+    got = outcome(exact_convex_decomposition, *args)
     assert got == want
     return isinstance(want, tuple)
 
@@ -187,7 +187,7 @@ def test_large_prime_denominators_take_the_exact_int_path():
     # the first round's numerators live over p * q > 2**62, so int64 is refused
     assert p * q > decomp.INT64_SAFE
     assert not assert_same(cands, x, subset_constraints(k4))
-    assert sum(decomp.exact_convex_decomposition(
+    assert sum(exact_convex_decomposition(
         cands, x, subset_constraints(k4)).values()) == 1
 
 

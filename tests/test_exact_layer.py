@@ -1,14 +1,13 @@
 """The exact layer on integer numerators against its ``Fraction`` form.
 
 ``tests/reference.py`` keeps the piece laws, the joint parity law, event
-probabilities and the expected net decrease as ``Fraction`` dicts, mixed
-with floats as Python mixes them.  Every even-at-last probability, coin
-rate, marginal, net decrease and correlation-event probability must be the
-same: an exact value an equal ``Fraction``, a float the same bits.
+probabilities and the expected net decrease as ``Fraction`` dicts.  Every
+even-at-last probability, coin rate, marginal, net decrease and
+correlation-event probability must be the same ``Fraction``, on every
+sampler.
 """
 
 import functools
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from htsp.engine import CompiledInstance
 from htsp.generators import generate
 from htsp.join import coin_rates, parity_law
-from htsp.oracle import (_difference, _product, _ratio, correlation_event_probability,
-                         correlation_tuples, exact_expected_net_decrease, exact_marginals)
+from htsp.oracle import (correlation_event_probability, correlation_tuples,
+                         exact_expected_net_decrease, exact_marginals)
 from htsp.pipeline import CyclePieceSampler, SamplerParams
 from tests import reference
 from tests.conftest import ALL_FAMILIES, FAMILY_SEED, family_instance
@@ -44,11 +43,8 @@ def compiled(name: str, sampler: str) -> CompiledInstance:
 
 
 def assert_same(new, old) -> None:
-    """``new`` is ``old``: a float with the same bits, or an equal ``Fraction``."""
-    if isinstance(old, float):
-        assert isinstance(new, float) and float(new).hex() == float(old).hex(), (new, old)
-    else:
-        assert type(new) is Fraction and new == old, (new, old)
+    """``new`` is ``old``: an equal ``Fraction``."""
+    assert type(new) is Fraction and new == old, (new, old)
 
 
 def assert_same_values(new: dict, old: dict) -> None:
@@ -57,9 +53,9 @@ def assert_same_values(new: dict, old: dict) -> None:
         assert_same(new[key], old[key])
 
 
-def as_fractions(law: dict, den) -> dict:
-    """A law of numerators over ``den`` as ``Fraction``s; a float law as it is."""
-    return law if den is None else {state: Fraction(k, den) for state, k in law.items()}
+def as_fractions(law: dict, den: int) -> dict:
+    """A law of numerators over ``den`` as ``Fraction``s."""
+    return {state: Fraction(k, den) for state, k in law.items()}
 
 
 CASES = [(name, sampler) for name in INSTANCES for sampler in SAMPLERS]
@@ -97,8 +93,8 @@ def first_piece(name: str, sampler: str, kind: str):
     return next(s for _, s in sorted(ci.samplers.items()) if s.kind == kind)
 
 
-#: one piece of each kind: (instance, sampler, kind); the degree piece once
-#: exact and once float
+#: one piece of each kind: (instance, sampler, kind); the degree piece on
+#: the matroid route and on the mix
 PIECES = [("double-cycle", "mix", "cycle"), ("zoo", "mix", "cycle"), ("k5-gadget", "mix", "k5"),
           ("zoo", "mi", "degree"), ("zoo", "mix", "degree")]
 
@@ -118,38 +114,17 @@ def test_piece_parity_laws_match_the_fraction_laws(case, data):
     sets = data.draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=5))
     law, den = s.parity_law(sets)
     old = reference.piece_parity_law(s, sets)
-    assert (den is None) == (case[1] != "mi" and case[2] == "degree")
+    assert type(den) is int and all(type(k) is int for k in law.values())
     assert_same_values(as_fractions(law, den), old)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(SAMPLERS), st.data())
 def test_joint_parity_law_matches_the_fraction_law(sampler, data):
-    """Sets across the pieces of zoo, where float degree-piece laws meet
-    exact cycle and degree laws in node order."""
+    """Sets across the pieces of zoo, where degree-piece laws of either
+    route meet cycle and degree laws in node order."""
     ci = compiled("zoo", sampler)
     sets = data.draw(st.lists(st.sets(st.integers(0, ci.m - 1)), min_size=1, max_size=5))
     law, den = parity_law(ci.samplers, ci.classes, sets)
     assert_same_values(as_fractions(law, den),
                        reference.parity_law(ci.samplers, ci.classes, sets))
-
-
-#: exact values with denominators up to 10**6, and floats
-NUMBERS = st.one_of(st.fractions(min_value=0, max_value=4, max_denominator=10 ** 6),
-                    st.floats(min_value=0, max_value=4))
-
-
-def _value(pair):
-    num, den = pair
-    return num if den is None else Fraction(num, den)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(NUMBERS, min_size=1, max_size=6))
-def test_products_and_differences_mix_as_python_does(values):
-    """The net decrease's arithmetic on (numerator, denominator) pairs
-    turns to floats where ``Fraction`` and float arithmetic would, with the
-    same bits."""
-    pairs = [_ratio(v) for v in values]
-    assert_same(_value(_product(*pairs)), functools.reduce(operator.mul, values))
-    assert_same(_difference(pairs[0], pairs[1:]), functools.reduce(operator.sub, values))

@@ -192,19 +192,21 @@ def test_coin_thresholds_fall_as_the_rates_do(sampler):
     assert [rate for _, rate in engine.groups] == want
 
 
-def test_equal_estimates_of_two_types_keep_their_rate_types(zoo_instance):
-    """Rates are shared by value and type: a float estimate equal to a
-    ``Fraction`` one still gives a float rate, and the other way round."""
+def test_equal_estimates_share_one_rate(zoo_instance):
+    """Rates are shared by value: coin groups of one coin kind whose
+    estimates are equal ``Fraction``s, each made on its own, read one rate."""
     classes = classify(build_hierarchy(zoo_instance))
     rp = ReductionParams.default()
-    groups = sorted(coin_groups(classes).items())
+    groups = coin_groups(classes)
     probs = {e: Fraction(3, 4) for e in classes}
-    for grp, members in groups[::2]:
-        probs.update((e, 0.75) for e in members)
-    rates = coin_rates(classes, coin_groups(classes), rp, probs)
-    for grp, members in groups:
-        assert type(rates[grp]) is type(probs[members[0]]), grp
-        assert rates[grp] == rp.coin_bound(classes[members[0]].coin_kind) / probs[members[0]]
+    rates = coin_rates(classes, groups, rp, probs)
+    first: dict[str, Fraction] = {}
+    for grp, members in groups.items():
+        kind = classes[members[0]].coin_kind
+        assert type(rates[grp]) is Fraction
+        assert rates[grp] == rp.coin_bound(kind) / Fraction(3, 4), grp
+        assert rates[grp] is first.setdefault(kind, rates[grp]), grp
+    assert len(first) > 1
 
 
 def _fractional_cost_instance():
@@ -525,9 +527,9 @@ def test_estimate_below_bound_raises(zoo_instance):
         check_eal_bounds(classes, coin_groups(classes), rp, bogus)
 
 
-def test_bound_check_is_exact_on_fractions_and_tolerant_on_floats(zoo_instance):
-    """A ``Fraction`` one part in 10**12 below its bound is refused; a float
-    that close passes, as the 1e-9 tolerance allows."""
+def test_bound_check_is_exact(zoo_instance):
+    """An estimate at its bound passes with rate one, one part in 10**12
+    below it is refused, and twice the bound halves the rate."""
     from htsp.errors import EstimateBelowBound
 
     classes = classify(build_hierarchy(zoo_instance))
@@ -540,7 +542,6 @@ def test_bound_check_is_exact_on_fractions_and_tolerant_on_floats(zoo_instance):
     below = {e: b * (1 - Fraction(1, 10 ** 12)) for e, b in bound.items()}
     with pytest.raises(EstimateBelowBound):
         check_eal_bounds(classes, groups, rp, below)
-    check_eal_bounds(classes, groups, rp, {e: float(b) for e, b in below.items()})
     above = {e: 2 * b for e, b in bound.items()}
     assert set(coin_rates(classes, groups, rp, above).values()) == {Fraction(1, 2)}
 
@@ -548,7 +549,7 @@ def test_bound_check_is_exact_on_fractions_and_tolerant_on_floats(zoo_instance):
 @pytest.mark.parametrize("sampler", ["mi", "maxent", "mix"])
 def test_exact_eal_probabilities_match_indicator_patterns(any_instance, sampler):
     """The parity-law probabilities against the indicator-pattern code they
-    replaced: equal ``Fraction``s on the matroid route, floats within 1e-12."""
+    replaced: equal ``Fraction``s on every sampler."""
     from tests.reference import pattern_eal_probabilities
 
     h = build_hierarchy(any_instance)
@@ -558,10 +559,7 @@ def test_exact_eal_probabilities_match_indicator_patterns(any_instance, sampler)
     old = pattern_eal_probabilities(h, classes, samplers)
     assert sorted(new) == sorted(old)
     for e in old:
-        if sampler == "mi":
-            assert isinstance(new[e], Fraction) and new[e] == old[e], e
-        else:
-            assert abs(new[e] - old[e]) <= 1e-12, e
+        assert isinstance(new[e], Fraction) and new[e] == old[e], e
 
 
 def test_detect_eal_matches_chunk_flags():

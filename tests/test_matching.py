@@ -11,17 +11,15 @@ from htsp.matching import (
     MatchingDistribution,
     SplitPiece,
     _parts_from_submatching,
-    apply_surgery,
     decompose_matchings,
     enumerate_perfect_matchings,
     pairings_of,
     seven_coloring,
-    shift,
     split_external,
     surgery_options,
 )
-from tests.reference import (edge_ids_of, in_spanning_tree_polytope, odd_set_lower_constraints,
-                             part_sums)
+from tests.reference import (apply_surgery, edge_ids_of, in_spanning_tree_polytope,
+                             odd_set_lower_constraints, part_sums, shift)
 from tests.single_draws import odd_split, odd_surgery, sample_matching, select_submatching
 
 QUARTER = Fraction(1, 4)

@@ -19,15 +19,16 @@ from htsp.stats import ExperimentConfig, load_instance, oracle_check, run_suite
 
 SUITE_ALL_ZOO = {
     "mi": "491c9d78ad2ac733f0f51bbe1a3e58bfec2c6efa908d974bcad4d17c2bce4e7d",
-    "maxent": "b8ce056fc69ffca210ed7aa04e70b0dc472911b440e07ce797fa7c508df59824",
-    "mix": "b3a1dd1d6df72291ae8644416a3775fbc2e3a20f23746e8a53e09f0ec8c2872b",
+    "maxent": "75bedca4a33be8549a22910185c74e72043f20b7b7bf8c8ffe5d1174f2bf9230",
+    "mix": "6f349dff9be3a7ee6ae351f871f778d6141eb112c63f99a5ccaa677ed84cf52e",
 }
 # the conftest random-4reg instance (n = 12, generator seed 3): its degree
 # pieces are the largest of the pinned instances, the slow compile
-SUITE_ALL_4REG_MIX = "a9ed30134f755e0851e354d5ef6d6e8c465d3840d062b52c9072833b4719bda6"
+SUITE_ALL_4REG_MIX = "9e834afa2e6ade795b821fbe52bd057a35eed98f490071bd51c67246ed2426af"
 ORACLE_4REG = {
     "mi": "0bbefebd9ee0cdff1758990d2fa818f9c3e2311800b877fc88fee8f4c4f05f1e",
-    "mix": "5de66c0ce113b86839b113b16cc152058f8ee9e0280977c427bff59ddc5cdbe6",
+    "maxent": "79fe1f211e45aa6a4c2bf41fbfeeb0806baf8ef839cb21afb531d1b242a92366",
+    "mix": "5e376c5160e16f318675aeda113677fa1f7595e856930dd69d5829df43138206",
 }
 # the correlation suite (its events over each piece's tree table, both
 # routes of the mix), 20,000 trials at seed 5: the zoo instance at
@@ -41,7 +42,7 @@ CORRELATIONS = {
         "d0859e90498a1322fe8e5cfce4287e50a85cb9d6c5dcf114b8dadb35f2fa6222",
 }
 REDUCTION_FLOOR_ZOO_MIX = "28752a357d801b34e998990d43987d60dfd91bd0453be3f14634f5c6d309c5cd"
-ORACLE_ZOO_MIX = "4f520cb512f66e35ea7291cdf6d25376b84dd55a8d356010db8e22f26d839da8"
+ORACLE_ZOO_MIX = "c9c23edd08d39617c55e6d16b754527d5a60302d08755c01cc7eaa18998812df"
 # the oracle report on the mix: the zoo instance, and the cycle shapes,
 # double-cycle k = 24 at generator seed 1 (the cuts-dcycle shape) and the
 # conftest k5-gadget

@@ -27,10 +27,10 @@ from htsp.pipeline import (
 )
 from htsp.generators import generate_random_4reg
 from htsp.params import SIGMAS
-from htsp.matching import decompose_matchings, provenance, seven_coloring, shift
+from htsp.matching import decompose_matchings, provenance, seven_coloring
 from tests.conftest import ALL_FAMILIES, family_instance, trial_trees
 from tests.reference import (fraction_mi_mixture, fraction_piece_states, per_class_mi_states,
-                             tree_sets, validate_r0_tree)
+                             shift, tree_sets, validate_r0_tree)
 from tests.single_draws import degree_piece_draw, restrict, sample_k5_path
 
 

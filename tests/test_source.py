@@ -78,9 +78,12 @@ def test_one_join_construction():
 def test_test_only_helpers_live_in_tests():
     """The one-shot forms that only the tests call (the sorted min-cut list,
     every spanning tree of a graph, a single max-entropy fit, the minor of
-    ``Fraction`` values) live in ``tests/reference.py``."""
+    ``Fraction`` values, one shifted state or surgery branch, one state's
+    decomposition as ``Fraction``s, a state's sorted interior edge ids) live
+    in ``tests/``."""
     assert _defined({"enumerate_min_cuts", "enumerate_spanning_trees", "maxent_fit",
-                     "contract_forced"}) == []
+                     "contract_forced", "shift", "apply_surgery",
+                     "exact_convex_decomposition", "interior_edge_ids"}) == []
 
 
 def test_one_verdict_rule():
@@ -192,6 +195,62 @@ def _is_fraction_call(node: ast.AST) -> bool:
         or isinstance(node.func, ast.Attribute) and node.func.attr == "Fraction")
 
 
+#: the exact layer's readers of piece laws and their values, as (module,
+#: class or None, function); ``oracle.exact_expected_net_decrease`` brings
+#: the ``oracle.py`` functions it calls
+ONE_NUMBER_TYPE = (
+    ("join.py", None, "parity_law"),
+    ("join.py", None, "event_weight"),
+    ("join.py", None, "event_probability"),
+    ("join.py", None, "_value_key"),
+    ("join.py", None, "coin_rates"),
+    ("join.py", None, "check_eal_bounds"),
+    ("oracle.py", None, "exact_expected_net_decrease"),
+    ("pipeline.py", "EnumeratedPieceSampler", "probability"),
+    ("pipeline.py", "EnumeratedPieceSampler", "parity_law"),
+    ("pipeline.py", "EnumeratedPieceSampler", "exact_marginal"),
+    ("stats.py", None, "is_half"),
+    ("stats.py", None, "oracle_check"),
+)
+#: the names a piece law's denominator and numerators go by in the exact layer
+DENOMINATORS = {"d", "den", "piece_den", "exact_den", "exact_nums"}
+
+
+def _name_of(node: ast.AST):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def test_one_number_type_in_the_exact_layer():
+    """Every piece table carries exact numerators, so the exact layer runs
+    one arithmetic: none of its functions dispatches on ``isinstance(...,
+    float)`` or ``isinstance(..., Fraction)``, or tests a denominator or the
+    numerators against None."""
+    fns = []
+    for module, cls, name in ONE_NUMBER_TYPE:
+        fn = _function(module, cls, name)
+        fns.append((module, fn))
+        if name == "exact_expected_net_decrease":
+            own = {node.name: node for node in _parse(SRC / module).body
+                   if isinstance(node, ast.FunctionDef)}
+            called = {_name_of(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+            fns += [(module, own[helper]) for helper in sorted(called & set(own))]
+    found = []
+    for module, fn in fns:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and _name_of(node.func) == "isinstance":
+                types = node.args[1]
+                types = types.elts if isinstance(types, ast.Tuple) else [types]
+                if {"float", "Fraction"} & set(map(_name_of, types)):
+                    found.append(f"{module}:{fn.name}:{node.lineno}")
+            elif isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                operands = [node.left, *node.comparators]
+                if (any(isinstance(o, ast.Constant) and o.value is None for o in operands)
+                        and DENOMINATORS & set(map(_name_of, operands))):
+                    found.append(f"{module}:{fn.name}:{node.lineno}")
+    assert sorted(found) == []
+
+
 def test_no_fraction_per_state_in_the_exact_layer():
     """The exact layer carries integer numerators over one denominator: no
     function of it calls ``Fraction`` inside a loop or a comprehension, so
@@ -207,7 +266,6 @@ def test_no_fraction_per_state_in_the_exact_layer():
 STATE_LAYER = (
     ("pipeline.py", None, "_piece_states"),
     ("matching.py", None, "_shifted"),
-    ("matching.py", None, "apply_surgery"),
     ("trees.py", None, "constrained_tree_weights"),
     ("trees.py", None, "_tree_states"),
     ("trees.py", None, "_rejections"),

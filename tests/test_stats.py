@@ -1,16 +1,21 @@
 import csv
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import htsp.engine
-from htsp.engine import BatchEngine
+from htsp.engine import BatchEngine, CompiledInstance
 from htsp.errors import AssemblyError, ConfigError, ScaleOverflow
+from htsp.join import ReductionParams
+from htsp.oracle import exact_expected_net_decrease, exact_marginals
+from htsp.params import FIT_TOLERANCE, HALF
 from htsp.pipeline import CyclePieceSampler, SamplerParams, ShiftLedger
 from htsp.stats import (
     ExperimentConfig,
     StatReport,
+    is_half,
     load_instance,
     oracle_check,
     run_suite,
@@ -153,6 +158,45 @@ def test_oracle_check_passes():
     assert report.all_passed()
     rational = [r for r in report.rows if r.name == "marginal/rational"]
     assert rational and all(r.estimate == 0.5 for r in rational)
+
+
+@pytest.mark.parametrize("sampler", ["mi", "maxent", "mix"])
+def test_every_oracle_value_is_a_fraction(sampler):
+    """Every piece table carries its exact law, so the oracle's values are
+    ``Fraction``s on every sampler, and its marginal rows take one name."""
+    ci = CompiledInstance(family_instance("zoo"), SamplerParams(sampler=sampler))
+    values = [*exact_marginals(ci.h, ci.samplers, ci.classes).values(),
+              *ci.eal_probability.values(), *ci.rates.values(),
+              *exact_expected_net_decrease(ci).values()]
+    assert {type(v) for v in values} == {Fraction}
+    report = oracle_check(ci)
+    assert report.all_passed()
+    assert {r.name for r in report.rows if r.name.startswith("marginal")} == {"marginal/rational"}
+
+
+def test_a_marginal_is_half_exactly_or_within_the_fit_tolerance():
+    """On the matroid route a marginal must equal one half; where the fit
+    enters, it may sit within ``FIT_TOLERANCE`` of it, and no further."""
+    near = HALF + Fraction(FIT_TOLERANCE) / 2
+    far = HALF - 2 * Fraction(FIT_TOLERANCE)
+    assert is_half(HALF, Fraction(0)) and not is_half(near, Fraction(0))
+    for lam in (Fraction(1, 2), Fraction(1)):
+        assert is_half(HALF, lam) and is_half(near, lam) and not is_half(far, lam)
+
+
+def test_one_mix_per_compile():
+    """The coin rates flatten to the bounds of the tables' own mix: reduction
+    parameters at another mix are refused, directly and through the oracle."""
+    inst = family_instance("zoo")
+    sp, rp = SamplerParams("mi"), ReductionParams.default()
+    assert rp.mix_lambda == Fraction(4715, 10000) != sp.effective_lambda
+    with pytest.raises(ConfigError, match="lambda 943/2000, but the mi sampler at 0"):
+        CompiledInstance(inst, sp, rp)
+    with pytest.raises(ConfigError, match="lambda 943/2000, but the mi sampler at 0"):
+        oracle_check(inst, sp, rp)
+    with pytest.raises(ConfigError, match="lambda 1/2, but the maxent sampler at 1"):
+        BatchEngine(inst, SamplerParams("maxent"), ReductionParams.default(Fraction(1, 2)))
+    CompiledInstance(inst, sp, ReductionParams.default(Fraction(0)))
 
 
 def test_run_suite_dispatcher(tmp_path):

@@ -12,7 +12,7 @@ from htsp.errors import BoundaryTarget, InfeasibleShift, SizeLimitExceeded
 from htsp.generators import standalone_piece
 from htsp.graph import MultiGraph, bits
 from htsp.hierarchy import build_hierarchy
-from htsp.matching import ShiftedSolution, decompose_matchings, shift
+from htsp.matching import ShiftedSolution, decompose_matchings
 from htsp.pipeline import _piece_states
 from htsp.trees import constrained_tree_weights, k5_paths
 from tests.conftest import ALL_FAMILIES, family_instance
@@ -28,6 +28,7 @@ from tests.reference import (
     maxent_tree_distribution,
     per_class_mi_states,
     per_component_maxent_fit,
+    shift,
     spanning_tree_count,
     tree_marginals,
     tree_sets,
@@ -99,7 +100,7 @@ def test_mi_sample_monte_carlo_marginals():
     sh = shift(piece, mk, sub)
     ctd = constrained_tree_distribution(sh)
     n = 100_000
-    counts = {eid: 0 for eid in sh.interior_edge_ids}
+    counts = {eid: 0 for eid in sorted(sh.interior_graph.edge_ids)}
     cdf = ctd.cdf()
     draws = np.searchsorted(cdf, np.random.default_rng(8).random(n), side="right")
     for d in np.minimum(draws, len(ctd.trees) - 1):
@@ -195,7 +196,7 @@ def test_maxent_negative_correlation_spot_check():
     sh = shift(piece, dist.masks[0], 0)
     fit = maxent_fit(sh.interior_graph, sh.interior_values())
     trees, probs = maxent_tree_distribution(fit)
-    ids = sorted(sh.interior_edge_ids)
+    ids = sorted(sh.interior_graph.edge_ids)
     fractional = [e for e in ids if 0 < sh.values[e] < 1]
     for a, b in itertools.combinations(fractional[:6], 2):
         pa = sum(p for t, p in zip(trees, probs) if a in t)
