@@ -38,7 +38,7 @@ def main() -> int:
 
     res = optimize()
     sp = SamplerParams(sampler="mix", mix_lambda=res.lam)
-    rp = ReductionParams(res.tau, res.gamma, res.beta, res.lam)
+    rp = ReductionParams(res.tau, res.gamma, res.beta)
     lines = ["family,trials,lp_cost,frac_join_mean,frac_bound,frac_slack,"
              "total_mean,total_bound,total_slack,infeasible"]
     for family in FAMILIES:

@@ -56,7 +56,7 @@ def main() -> int:
     for label, inst in instances.items():
         for sampler in ("mi", "maxent", "mix"):
             sp = SamplerParams(sampler=sampler, mix_lambda=res.lam)
-            rp = ReductionParams(res.tau, res.gamma, res.beta, sp.effective_lambda)
+            rp = ReductionParams(res.tau, res.gamma, res.beta)
             eng = BatchEngine(inst, sp, rp)
             for r in suite_eal(eng, eng.run(args.trials, seed=args.seed, join=True)):
                 kind = r.name.split("/", 1)[1]

@@ -55,13 +55,13 @@ from .errors import (AssemblyError, ConfigError, FeasibilityViolation, HelperLos
 from .graph import HalfIntegralInstance, bits, in_units, lcm_denominator
 from .hierarchy import build_hierarchy, min_cuts_via_hierarchy
 from .join import (
+    Coin,
     ReductionParams,
     build_charge_sites,
     check_eal_bounds,
     classify,
     coin_groups,
-    coin_rates,
-    coin_thresholds,
+    coin_table,
     eal_conditions,
     exact_eal_probabilities,
     min_cost_perfect_matching,
@@ -155,9 +155,9 @@ class CompiledInstance:
     """One instance compiled once for every command: the hierarchy, the
     piece samplers, the edge classes, their coin groups and their
     even-at-last conditions, built eagerly; the even-at-last
-    probabilities, coin rates, charge sites, integer costs and integer
-    metric, each built on first use.  Its reduction parameters mix at the
-    sampler's own share λ, or it raises ``ConfigError``.
+    probabilities, the coin table, charge sites, integer costs and integer
+    metric, each built on first use.  The coins flatten to the bounds at
+    the sampler's own share λ.
     ``tree_chunks`` draws the trials of every sampled command.  It checks
     no even-at-last bound, and only a command that reads costs can meet
     their ``ScaleOverflow``."""
@@ -167,11 +167,7 @@ class CompiledInstance:
                  reduction_params: Optional[ReductionParams] = None):
         self.inst = inst
         self.sp = sampler_params or SamplerParams()
-        self.rp = reduction_params or ReductionParams.default(self.sp.effective_lambda)
-        if self.rp.mix_lambda != self.sp.effective_lambda:
-            # the coin rates flatten to the mixed bounds of the tables' own mix
-            raise ConfigError(f"reduction parameters mix at lambda {self.rp.mix_lambda}, but "
-                              f"the {self.sp.sampler} sampler at {self.sp.effective_lambda}")
+        self.rp = reduction_params or ReductionParams.default()
         self.h = build_hierarchy(inst)
         self.samplers = build_piece_samplers(self.h, self.sp)
         self.classes = classify(self.h)
@@ -197,8 +193,10 @@ class CompiledInstance:
         return exact_eal_probabilities(self.eal_conditions, self.classes, self.samplers)
 
     @cached_property
-    def rates(self) -> dict[tuple, Fraction]:
-        return coin_rates(self.classes, self.coin_groups, self.rp, self.eal_probability)
+    def coins(self) -> dict[tuple, Coin]:
+        """Each coin group's ``join.Coin``."""
+        return coin_table(self.classes, self.coin_groups, self.eal_probability,
+                          self.sp.effective_lambda)
 
     @cached_property
     def sites(self) -> tuple[list, list]:
@@ -409,7 +407,7 @@ class BatchEngine(CompiledInstance):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        check_eal_bounds(self.classes, self.coin_groups, self.rp, self.eal_probability)
+        check_eal_bounds(self.coins, self.coin_groups)
         self._build_eal_plan()
         self._build_join_plan()
         self._build_verify_plan()
@@ -469,8 +467,7 @@ class BatchEngine(CompiledInstance):
                                    dtype=np.int64)
         # a draw below the exact threshold is a draw below the rate; the
         # nearest double to a Fraction rate can sit one draw quantum off
-        thresholds = coin_thresholds(self.rates)
-        self.groups = [(np.array(members, dtype=np.int64), thresholds[grp])
+        self.groups = [(np.array(members, dtype=np.int64), self.coins[grp].threshold)
                        for grp, members in sorted(self.coin_groups.items())]
         # the sites read their cuts, each a sorted tuple, by index into
         # ``site_cut_cols``, so a chunk computes each distinct cut's parity once

@@ -62,7 +62,8 @@ class NonConvergence(HtspError):
 
 
 class NumericalBreakdown(HtspError):
-    """A conditional marginal left [0, 1] beyond tolerance during sampling."""
+    """The max-entropy fit met a singular weighted Laplacian minor or a
+    nonpositive fitted marginal."""
 
 
 # --- assembly / join ---

@@ -19,7 +19,6 @@ tree; ``engine.CompiledInstance.tours`` feeds them a block's odd sets.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,11 +34,8 @@ from .errors import (
 )
 from .graph import augment, flow_arcs, in_units, lcm_denominator
 from .hierarchy import CutHierarchy
-from .params import BETA_CAP, DEFAULT_GAMMA, DEFAULT_MIX_LAMBDA, DEFAULT_TAU, mixed_rates
+from .params import BETA_CAP, DEFAULT_GAMMA, DEFAULT_TAU, coin_bounds
 from .pipeline import PieceSampler
-
-#: reduction classes an edge can be settled in
-EDGE_KINDS = ("special", "half-special", "other-degree", "k5-degree", "cycle")
 
 
 def coin_kind(kind: str) -> str:
@@ -49,53 +45,21 @@ def coin_kind(kind: str) -> str:
 
 @dataclass(frozen=True)
 class ReductionParams:
-    """Reduction amounts, the sampler mix, and the flattened coin rates."""
+    """The reduction amounts of the edge classes, read by ``amount``."""
 
     tau: Fraction
     gamma: Fraction
     beta: Fraction
-    mix_lambda: Fraction
 
     def __post_init__(self):
         if not (0 <= self.tau <= self.gamma <= self.beta <= BETA_CAP):
             raise ConfigError(f"need 0 <= tau <= gamma <= beta <= {BETA_CAP}")
         if self.beta < 2 * self.tau or self.beta < 2 * self.gamma:
             raise ConfigError("need beta >= 2*tau and beta >= 2*gamma")
-        if not 0 <= self.mix_lambda <= 1:
-            raise ConfigError("mix_lambda must be in [0, 1]")
 
     @classmethod
-    def default(cls, mix_lambda: Fraction = DEFAULT_MIX_LAMBDA) -> "ReductionParams":
-        return cls(
-            tau=DEFAULT_TAU,
-            gamma=DEFAULT_GAMMA,
-            beta=BETA_CAP,  # the optimum sits at the cap
-            mix_lambda=Fraction(mix_lambda),
-        )
-
-    @functools.cached_property
-    def _rates(self) -> tuple[Fraction, Fraction, Fraction]:
-        # every coin group reads one of these: evaluate the mix once
-        return mixed_rates(self.mix_lambda)
-
-    @property
-    def p_other(self) -> Fraction:
-        return self._rates[0]
-
-    @property
-    def p_special(self) -> Fraction:
-        return self._rates[1]
-
-    @property
-    def p_half_special(self) -> Fraction:
-        return self._rates[2]
-
-    def coin_bound(self, kind: str) -> Fraction:
-        if kind == "special":
-            return self.p_special
-        if kind == "half-special":
-            return self.p_half_special
-        return self.p_other  # other-degree, k5-degree, cycle
+    def default(cls) -> "ReductionParams":
+        return cls(DEFAULT_TAU, DEFAULT_GAMMA, BETA_CAP)  # the optimum sits at the cap
 
     def amount(self, kind: str) -> Fraction:
         if kind == "cycle":
@@ -457,20 +421,38 @@ def coin_groups(classes: dict[int, EdgeClass]) -> dict[tuple, tuple[int, ...]]:
     return {k: tuple(v) for k, v in groups.items()}
 
 
-def _value_key(x: Fraction) -> tuple[int, int]:
-    """A memo key for an estimate or a rate: its integer pair, which
-    hashes far faster than the ``Fraction`` does."""
-    return x.as_integer_ratio()
+@dataclass(frozen=True)
+class Coin:
+    """A coin group's even-at-last estimate, its coin bound, the rate
+    ``min(1, bound / estimate)`` that flattens the one to the other, and
+    the rate's threshold: the double t with ``x < t`` exactly when x is
+    below the rate, for every x that ``Generator.random()`` returns.
+
+    Those x are multiples k / 2**53, and k < r * 2**53 holds exactly when
+    k < ceil(r * 2**53); a rate is at most one, so that ceiling over 2**53
+    is a double.  A coin then costs one float comparison, not a
+    ``Fraction`` one, and falls the same way.
+    """
+
+    estimate: Fraction
+    bound: Fraction
+    rate: Fraction
+    threshold: float
+
+    @classmethod
+    def flatten(cls, estimate: Fraction, bound: Fraction) -> "Coin":
+        rate = bound / estimate if estimate > bound else Fraction(1)
+        return cls(estimate, bound, rate, math.ceil(rate * 2 ** 53) / 2 ** 53)
 
 
-def coin_rates(classes: dict[int, EdgeClass], groups: dict[tuple, tuple[int, ...]],
-               params: ReductionParams, eal_probability: dict[int, Fraction]
-               ) -> dict[tuple, Fraction]:
-    """Bernoulli rate per coin group of ``coin_groups(classes)``:
-    ``min(1, bound / estimate)``.  Groups of one coin kind and estimate
-    share one rate, computed once."""
-    memo: dict[tuple, Fraction] = {}
-    rates: dict[tuple, Fraction] = {}
+def coin_table(classes: dict[int, EdgeClass], groups: dict[tuple, tuple[int, ...]],
+               eal_probability: dict[int, Fraction], lam: Fraction) -> dict[tuple, Coin]:
+    """The ``Coin`` of each coin group of ``coin_groups(classes)``, its
+    bound the coin kind's ``params.coin_bounds`` at mix lam.  Groups of
+    one coin kind and estimate share one record, made once."""
+    bounds = coin_bounds(lam)
+    memo: dict[tuple, Coin] = {}
+    out: dict[tuple, Coin] = {}
     for grp, members in groups.items():
         est = eal_probability[members[0]]
         if any(eal_probability[e] != est for e in members[1:]):
@@ -481,53 +463,25 @@ def coin_rates(classes: dict[int, EdgeClass], groups: dict[tuple, tuple[int, ...
                 f"even-at-last estimates, not one"
             )
         kind = classes[members[0]].coin_kind
-        key = (kind, _value_key(est))
+        # the integer pair hashes far faster than the ``Fraction`` does
+        key = (kind, est.numerator, est.denominator)
         if key not in memo:
-            bound = params.coin_bound(kind)
-            memo[key] = bound / est if est > bound else Fraction(1)
-        rates[grp] = memo[key]
-    return rates
-
-
-def check_eal_bounds(classes: dict[int, EdgeClass], groups: dict[tuple, tuple[int, ...]],
-                     params: ReductionParams, eal_probability: dict[int, Fraction]) -> None:
-    """Refuse an even-at-last estimate below its coin bound, over the coin
-    groups of ``coin_groups(classes)``; each distinct coin kind and
-    estimate is checked once."""
-    passed: set[tuple] = set()
-    for members in groups.values():
-        est = eal_probability[members[0]]
-        kind = classes[members[0]].coin_kind
-        key = (kind, _value_key(est))
-        if key in passed:
-            continue
-        bound = params.coin_bound(kind)
-        if est <= 0 or est < bound:
-            raise EstimateBelowBound(
-                f"even-at-last estimate {float(est):.6g} below bound "
-                f"{float(bound):.6g} for edges {members}"
-            )
-        passed.add(key)
-
-
-def coin_thresholds(rates: dict[tuple, Fraction]) -> dict[tuple, float]:
-    """Per coin group, the double t with ``x < t`` exactly when x is below
-    the group's rate, for every x that ``Generator.random()`` returns.
-
-    Those x are multiples k / 2**53, and k < r * 2**53 holds exactly when
-    k < ceil(r * 2**53); a rate is at most one, so that ceiling over 2**53
-    is a double.  A coin then costs one float comparison, not a
-    ``Fraction`` one, and falls the same way.  Each distinct rate is
-    converted once.
-    """
-    memo: dict[tuple, float] = {}
-    out = {}
-    for grp, r in rates.items():
-        key = _value_key(r)
-        if key not in memo:
-            memo[key] = math.ceil(r * 2 ** 53) / 2 ** 53
+            memo[key] = Coin.flatten(est, bounds[kind])
         out[grp] = memo[key]
     return out
+
+
+def check_eal_bounds(coins: dict[tuple, Coin], groups: dict[tuple, tuple[int, ...]]) -> None:
+    """Refuse an even-at-last estimate below its coin bound, over the
+    records of ``coin_table``; each distinct record is checked once."""
+    checked: set[int] = set()
+    for grp, coin in coins.items():
+        if id(coin) not in checked and coin.estimate < coin.bound:
+            raise EstimateBelowBound(
+                f"even-at-last estimate {float(coin.estimate):.6g} below bound "
+                f"{float(coin.bound):.6g} for edges {groups[grp]}"
+            )
+        checked.add(id(coin))
 
 
 # ---------------------------------------------------------------------------

@@ -193,9 +193,7 @@ class ShiftedSolution:
     values as integer thirds: ``thirds`` per edge of its sampling graph
     ``graph``, and ``interior_thirds`` per edge of ``interior_graph``, each
     in its graph's edge order.  ``parts`` are the partition-matroid classes
-    restricted to internal edges; each carries capacity one.  The values
-    as ``Fraction``s by edge id (``values``, ``interior_values``), the
-    forced edges and the provenance are views, built on first read.
+    restricted to internal edges; each carries capacity one.
     """
 
     graph: MultiGraph
@@ -209,27 +207,6 @@ class ShiftedSolution:
     surgery: Optional[tuple] = None
     #: an odd piece's split pairing
     pairing: Optional[tuple] = None
-
-    @functools.cached_property
-    def values(self) -> dict[int, Fraction]:
-        """Every edge of the sampling graph by id, with its value."""
-        return {eid: Fraction(k, 3) for eid, k in zip(self.graph.edge_ids, self.thirds)}
-
-    def interior_values(self) -> dict[int, Fraction]:
-        """The interior edges by ascending id, with their values."""
-        return dict(sorted((eid, Fraction(k, 3)) for eid, k in
-                           zip(self.interior_graph.edge_ids, self.interior_thirds)))
-
-    @functools.cached_property
-    def forced(self) -> frozenset[int]:
-        """The interior edges at value one."""
-        return frozenset(eid for eid, k in zip(self.interior_graph.edge_ids,
-                                                self.interior_thirds) if k == 3)
-
-    @functools.cached_property
-    def provenance(self) -> dict:
-        return provenance(self.graph, self.matching_mask, self.submatching_mask,
-                          self.surgery, self.pairing)
 
 
 def provenance(g: MultiGraph, matching_mask: int, submatching_mask: int,

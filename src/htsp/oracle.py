@@ -44,7 +44,7 @@ def exact_marginals(h: CutHierarchy, samplers: dict[int, PieceSampler],
 def exact_expected_net_decrease(ci) -> dict[int, Fraction]:
     """E[quarter - z_e] per edge of an ``engine.CompiledInstance``:
     reductions in, expected charges out, read off its exact even-at-last
-    probabilities, coin rates and charge sites.
+    probabilities, coin table and charge sites.
 
     A site charges when its source is even at last, its coin comes up, and
     one of its cuts is crossed oddly; a pair site's coin group repays once
@@ -54,7 +54,7 @@ def exact_expected_net_decrease(ci) -> dict[int, Fraction]:
     sum over their least common denominator into one ``Fraction``.
     """
     classes, samplers = ci.classes, ci.samplers
-    rates = {grp: r.as_integer_ratio() for grp, r in ci.rates.items()}
+    rates = {grp: coin.rate.as_integer_ratio() for grp, coin in ci.coins.items()}
     # an edge is reduced when it is even at last and its coin comes up
     reduction = {
         e: _product(rates[cl.coin_group], ci.eal_probability[e].as_integer_ratio(),

@@ -1,8 +1,9 @@
 """The guarantee constants (one half, one quarter, the join floor and the
-default reduction amounts) and the reduction-parameter optimization.
+default reduction amounts), the bounds at a sampler mix (``coin_bounds``,
+``eal_bounds``) and the reduction-parameter optimization.
 
-The constants live here only; this module imports no other htsp module
-but the errors, so every module can read them.
+The constants and bounds live here only; this module imports no other htsp
+module but the errors, so every module can read them.
 
 The expected net decrease of every edge class, after charging, is a linear
 form in the reduction amounts (tau, gamma, beta) with coefficients built
@@ -126,6 +127,18 @@ def mixed_rates(lam: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     p_sp = lam * me["special"] + (1 - lam) * mi["special"]
     p_hs = lam * me["other"] + (1 - lam) * mi["half-special"]
     return p, p_sp, p_hs
+
+
+def coin_bounds(lam: Fraction) -> dict[str, Fraction]:
+    """Each coin kind's flattened bound at mix lam: the rate a coin group's
+    reduction is flattened to."""
+    return dict(zip(("other", "special", "half-special"), mixed_rates(lam)))
+
+
+def eal_bounds(sampler: str, lam: Fraction) -> dict[str, Fraction]:
+    """Each coin kind's guaranteed even-at-last bound: the route's own
+    table on ``mi`` and ``maxent``, the coin bound at mix lam on ``mix``."""
+    return dict(EAL_BOUNDS[sampler]) if sampler in EAL_BOUNDS else coin_bounds(lam)
 
 
 def decrease_forms(lam: Fraction) -> list[tuple[str, tuple[Fraction, Fraction, Fraction]]]:

@@ -26,15 +26,15 @@ from .engine import BatchEngine, BatchStats, CompiledInstance, check_positive, c
 from .errors import ConfigError
 from .graph import HalfIntegralInstance, parse_instance
 from .hierarchy import build_hierarchy
-from .join import EDGE_KINDS, ReductionParams, coin_kind
+from .join import ReductionParams, coin_kind
 from .oracle import (
     correlation_event_probability,
     correlation_tuples,
     exact_expected_net_decrease,
     exact_marginals,
 )
-from .params import (CORRELATION_BOUNDS, DEFAULT_MIX_LAMBDA, EAL_BOUNDS, EPSILON,
-                     FIT_TOLERANCE, HALF, QUARTER, SIGMAS, TOUR_RATIO_BOUND, VARIANCE_FLOOR)
+from .params import (CORRELATION_BOUNDS, DEFAULT_MIX_LAMBDA, EPSILON, FIT_TOLERANCE, HALF,
+                     QUARTER, SIGMAS, TOUR_RATIO_BOUND, VARIANCE_FLOOR, eal_bounds)
 from .pipeline import DegreePieceSampler, SamplerParams, k5_sampler
 
 #: draws per block of the correlation suite's piece sampling
@@ -171,14 +171,6 @@ def suite_correlations(piece, sampler: str, trials: int, seed: int,
 # instance-level suites
 # ---------------------------------------------------------------------------
 
-def eal_bounds_for(sp: SamplerParams, rp: ReductionParams) -> dict[str, Fraction]:
-    """Guaranteed even-at-last bound per edge class: the route's own table
-    on a pure route, the flattened coin bound on the mix."""
-    table = EAL_BOUNDS.get(sp.sampler)
-    bound = table.__getitem__ if table else rp.coin_bound
-    return {kind: bound(coin_kind(kind)) for kind in EDGE_KINDS}
-
-
 def is_half(marginal: Fraction, lam: Fraction) -> bool:
     """An exact marginal of one half at max-entropy share ``lam``: equal on
     the matroid route, and within ``FIT_TOLERANCE`` where the max-entropy
@@ -214,7 +206,7 @@ def suite_marginals(engine: BatchEngine, st: BatchStats) -> list[StatRow]:
 
 def suite_eal(engine: BatchEngine, st: BatchStats) -> list[StatRow]:
     """Even-at-last frequencies per class against the guaranteed table."""
-    bounds = eal_bounds_for(engine.sp, engine.rp)
+    bounds = eal_bounds(engine.sp.sampler, engine.sp.effective_lambda)
     by_class: dict[str, list[int]] = {}
     for e, cl in engine.classes.items():
         by_class.setdefault(cl.kind, []).append(e)
@@ -223,7 +215,7 @@ def suite_eal(engine: BatchEngine, st: BatchStats) -> list[StatRow]:
         worst = min(edges, key=lambda e: st.eal[e])
         rows.append(binomial_row("eal", f"even-at-last/{kind}", engine.sp.sampler,
                                  f"worst-edge:{worst}(n={len(edges)})", "lower",
-                                 bounds[kind], int(st.eal[worst]), st.trials))
+                                 bounds[coin_kind(kind)], int(st.eal[worst]), st.trials))
     return rows
 
 
@@ -236,7 +228,7 @@ def suite_reduction(engine: BatchEngine, st: BatchStats,
     for e in range(engine.m):
         cl = engine.classes[e]
         rows.append(binomial_row("reduction", f"reduction-rate/{cl.kind}", sampler,
-                                 f"edge:{e}", "two-sided", engine.rp.coin_bound(cl.coin_kind),
+                                 f"edge:{e}", "two-sided", engine.coins[cl.coin_group].bound,
                                  int(st.reduced[e]), trials))
     if delta_floor is not None:
         for e in range(engine.m):
@@ -297,7 +289,8 @@ def oracle_check(inst: HalfIntegralInstance | CompiledInstance,
     """Exact rows: marginals, even-at-last bounds, flattened reduction
     rates, and per-edge expected net decrease, all without sampling.  The
     members of a coin group share one even-at-last probability and one
-    rate (``join.coin_rates``), so each group's values are read once.
+    coin record (``join.coin_table``), so each record's values are read
+    once.
 
     An already compiled instance (a ``BatchEngine`` is one) is read as it
     is, with its own sampler and reduction parameters, so it takes none."""
@@ -308,7 +301,7 @@ def oracle_check(inst: HalfIntegralInstance | CompiledInstance,
         ci = inst
     else:
         ci = CompiledInstance(inst, sampler_params, reduction_params)
-    sp, rp, classes = ci.sp, ci.rp, ci.classes
+    sp, classes = ci.sp, ci.classes
     report = StatReport(meta={"suite": "oracle", "sampler": sp.sampler})
     rows, sampler = report.rows, sp.sampler
     half, lam = float(HALF), sp.effective_lambda
@@ -318,26 +311,26 @@ def oracle_check(inst: HalfIntegralInstance | CompiledInstance,
             StatRow("oracle", "marginal/rational", sampler, f"edge:{e}", "exact", half,
                     float(exact[e]), 0.0, 0, is_half(exact[e], lam))
         )
-    # per coin group: its even-at-last probability against its bound (the
-    # group has one coin kind, so one bound), and its flattened reduction
-    # rate against the group's coin bound
-    bounds = eal_bounds_for(sp, rp)
-    groups = {}
-    for grp, members in ci.coin_groups.items():
-        est = ci.eal_probability[members[0]]
-        bound = bounds[classes[members[0]].kind]
-        target = rp.coin_bound(classes[members[0]].coin_kind)
-        val = ci.rates[grp] * est
-        groups[grp] = ((float(bound), float(est), est >= bound),
-                       (float(target), float(val), val == target))
+    # per coin record: its even-at-last probability against its coin
+    # kind's even-at-last bound, and its flattened reduction rate against
+    # its coin bound; the groups that share a record share its verdicts
+    bounds = eal_bounds(sp.sampler, lam)
+    verdicts: dict[int, tuple] = {}
+    for cl in classes.values():
+        coin = ci.coins[cl.coin_group]
+        if id(coin) not in verdicts:
+            bound, val = bounds[cl.coin_kind], coin.rate * coin.estimate
+            verdicts[id(coin)] = ((float(bound), float(coin.estimate), coin.estimate >= bound),
+                                  (float(coin.bound), float(val), val == coin.bound))
+    per_edge = [verdicts[id(ci.coins[classes[e].coin_group])] for e in range(ci.m)]
     for e in range(ci.m):
-        bound, est, ok = groups[classes[e].coin_group][0]
+        bound, est, ok = per_edge[e][0]
         rows.append(
             StatRow("oracle", f"even-at-last/{classes[e].kind}", sampler, f"edge:{e}",
                     "exact", bound, est, 0.0, 0, ok)
         )
     for e in range(ci.m):
-        target, val, ok = groups[classes[e].coin_group][1]
+        target, val, ok = per_edge[e][1]
         rows.append(
             StatRow("oracle", "reduction-rate-flattened", sampler,
                     f"edge:{e}", "exact", target, val, 0.0, 0, ok)

@@ -53,6 +53,7 @@ from htsp.matching import (
     _shifted,
     decompose_matchings,
     pairings_of,
+    provenance,
     seven_coloring,
     split_external,
     surgery_drops,
@@ -61,7 +62,7 @@ from htsp.matching import (
 )
 from htsp.oracle import exact_expected_net_decrease
 from htsp.params import (BETA_CAP, FIT_TOLERANCE, FLOOR, QUARTER, LpSolution, _bases, _constraints,
-                         decrease_forms)
+                         coin_bounds, decrease_forms)
 from htsp.pipeline import CyclePieceSampler, _check_interior, _class_submasks, _submask_of_class
 from htsp.trees import (
     FIT_MAX_ROUNDS,
@@ -240,9 +241,32 @@ def in_spanning_tree_polytope(g: MultiGraph, values: dict[int, Fraction]) -> boo
     return True
 
 
+def state_values(sh: ShiftedSolution) -> dict[int, Fraction]:
+    """Every edge of a shifted state's sampling graph by id, with its value."""
+    return {eid: Fraction(k, 3) for eid, k in zip(sh.graph.edge_ids, sh.thirds)}
+
+
+def interior_values(sh: ShiftedSolution) -> dict[int, Fraction]:
+    """A shifted state's interior edges by ascending id, with their values."""
+    return dict(sorted((eid, Fraction(k, 3)) for eid, k in
+                       zip(sh.interior_graph.edge_ids, sh.interior_thirds)))
+
+
+def forced_edges(sh: ShiftedSolution) -> frozenset[int]:
+    """A shifted state's interior edges at value one."""
+    return frozenset(eid for eid, k in zip(sh.interior_graph.edge_ids, sh.interior_thirds)
+                     if k == 3)
+
+
+def state_provenance(sh: ShiftedSolution) -> dict:
+    """A shifted state's walk-step ledger, by ``matching.provenance``."""
+    return provenance(sh.graph, sh.matching_mask, sh.submatching_mask, sh.surgery, sh.pairing)
+
+
 def part_sums(sh: ShiftedSolution) -> list[Fraction]:
     """The value each part of a shifted solution carries."""
-    return [sum((sh.values[e] for e in p), Fraction(0)) for p in sh.parts]
+    values = state_values(sh)
+    return [sum((values[e] for e in p), Fraction(0)) for p in sh.parts]
 
 
 def stoer_wagner_connectivity(g: MultiGraph) -> int:
@@ -912,7 +936,7 @@ def constrained_tree_distribution(shifted: ShiftedSolution) -> ConstrainedTreeDi
         tuple(tree_sets(w.trees, shifted.interior_graph.edge_ids)),
         tuple(Fraction(k, w.denominator) for k in w.numerators),
     )
-    if not _marginals_reproduce(dist, shifted.interior_values()):
+    if not _marginals_reproduce(dist, interior_values(shifted)):
         raise InfeasibleShift("tree marginals do not reproduce the shifted vector")
     return dist
 
@@ -937,7 +961,7 @@ def fraction_mi_mixture(piece) -> dict[frozenset[int], Fraction]:
     cache: dict = {}
     acc: dict[frozenset[int], Fraction] = {}
     for pr, shifted in per_class_mi_states(piece):
-        key = (tuple(sorted(shifted.values.items())), shifted.parts)
+        key = (tuple(sorted(state_values(shifted).items())), shifted.parts)
         if key not in cache:
             cache[key] = constrained_tree_distribution(shifted)
         dist = cache[key]
@@ -961,7 +985,7 @@ def fraction_marginal_check(shifted: ShiftedSolution,
                             dist: ConstrainedTreeDistribution) -> None:
     """Raise unless the tree marginals reproduce the shifted vector, on
     ``Fraction`` dicts."""
-    values = shifted.interior_values()
+    values = interior_values(shifted)
     minor = contract_forced(shifted.interior_graph, values)
     if tree_marginals(dist) | {e: Fraction(0) for e in minor.zeros} != {
         eid: v for eid, v in values.items() if v > 0 or eid in minor.zeros
@@ -1073,8 +1097,8 @@ def build_join(h: CutHierarchy, classes: dict[int, EdgeClass], params: Reduction
     """One trial of the reduction-and-charge scheme for a sampled tree, with
     the charge sites of ``build_charge_sites`` and the even-at-last
     conditions of ``eal_conditions``.  A group's coin falls heads when
-    ``rng.random() < rates[grp]``, the groups in sorted order; the
-    ``coin_thresholds`` of the rates give the same coins.  The oracle for
+    ``rng.random() < rates[grp]``, the groups in sorted order; the coin
+    table's thresholds (``join.Coin.threshold``) give the same coins.  The oracle for
     the joins of ``BatchEngine.checked_joins``, fed a chunk's coin draws."""
     degree_sites, pair_sites = sites
     eal = detect_eal(conditions, tree_edges)
@@ -1179,10 +1203,10 @@ def fraction_plan(engine) -> dict:
           for grp in site.groups])
         for site in pair_sites
     ]
-    rates = {}
+    rates, bounds = {}, coin_bounds(engine.sp.effective_lambda)
     for grp, members in coin_groups(classes).items():
         est = engine.eal_probability[members[0]]
-        bound = rp.coin_bound(classes[members[0]].coin_kind)
+        bound = bounds[classes[members[0]].coin_kind]
         one = Fraction(1) if isinstance(est, Fraction) else 1.0
         rates[grp] = bound / est if est > bound else one
     thresholds = {grp: math.ceil(Fraction(r) * 2 ** 53) / 2 ** 53 for grp, r in rates.items()}

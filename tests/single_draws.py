@@ -32,10 +32,12 @@ from htsp.trees import MaxEntComponent, MaxEntWeights, k5_paths
 from tests.reference import (
     apply_surgery,
     constrained_tree_distribution,
+    interior_values,
     matrix_tree_marginals,
     maxent_tree_distribution,
     per_component_maxent_fit,
     shift,
+    state_provenance,
 )
 
 MARGINAL_GUARD = 1e-9
@@ -136,10 +138,10 @@ def degree_piece_draw(piece: LocalMultigraph, maxent_share: float,
     mk = sample_matching(dist, rng)
     sub = 0 if use_maxent else select_submatching(split or piece, mk, rng)
     shifted = surgery_draw(split, mk, sub, rng) if odd else shift(piece, mk, sub)
-    key = (use_maxent, tuple(shifted.interior_values().items()), shifted.parts)
+    key = (use_maxent, tuple(interior_values(shifted).items()), shifted.parts)
     if use_maxent:
         if key not in memo:
-            fit = per_component_maxent_fit(shifted.interior_graph, shifted.interior_values())
+            fit = per_component_maxent_fit(shifted.interior_graph, interior_values(shifted))
             trees, probs = maxent_tree_distribution(fit)
             memo[key] = trees, np.cumsum(probs)
         trees, cdf = memo[key]
@@ -149,7 +151,7 @@ def degree_piece_draw(piece: LocalMultigraph, maxent_share: float,
         if key not in memo:
             memo[key] = constrained_tree_distribution(shifted)
         tree = memo[key].sample(rng)
-    return tree, dict(shifted.provenance, mode="maxent" if use_maxent else "mi")
+    return tree, dict(state_provenance(shifted), mode="maxent" if use_maxent else "mi")
 
 
 # ---------------------------------------------------------------------------

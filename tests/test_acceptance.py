@@ -21,19 +21,19 @@ from htsp.hierarchy import (
 )
 from htsp.join import ReductionParams
 from htsp.oracle import exact_marginals
-from htsp.params import EPSILON, HALF, QUARTER, TOUR_RATIO_BOUND, optimize
+from htsp.params import (EPSILON, HALF, QUARTER, TOUR_RATIO_BOUND, coin_bounds, eal_bounds,
+                         optimize)
 from htsp.pipeline import SamplerParams
 from htsp.engine import BatchEngine
 from htsp.stats import (
     binomial_row,
-    eal_bounds_for,
     mean_and_sigma,
     sampled_row,
     suite_correlations,
 )
 from tests.brute_min_cuts import brute_min_cuts
 from tests.conftest import ALL_FAMILIES, family_instance
-from tests.reference import cactus_min_cut_shores, in_spanning_tree_polytope
+from tests.reference import cactus_min_cut_shores, in_spanning_tree_polytope, interior_values
 from tests.single_draws import odd_surgery, sample_matching
 
 T_MARGINALS = 100_000
@@ -53,14 +53,14 @@ def optimal():
 @functools.cache
 def optimal_reduction_params() -> ReductionParams:
     res = optimal()
-    return ReductionParams(res.tau, res.gamma, res.beta, res.lam)
+    return ReductionParams(res.tau, res.gamma, res.beta)
 
 
 @functools.cache
 def engine(family: str, sampler: str) -> BatchEngine:
     res = optimal()
     sp = SamplerParams(sampler=sampler, mix_lambda=res.lam)
-    rp = ReductionParams(res.tau, res.gamma, res.beta, sp.effective_lambda)
+    rp = ReductionParams(res.tau, res.gamma, res.beta)
     return BatchEngine(family_instance(family), sp, rp)
 
 
@@ -171,7 +171,7 @@ def test_criterion_4_eal_table():
         for sampler in ("mi", "maxent", "mix"):
             eng = engine(family, sampler)
             st = eal_run(family, sampler)
-            bounds = eal_bounds_for(eng.sp, eng.rp)
+            bounds = eal_bounds(eng.sp.sampler, eng.sp.effective_lambda)
             by_class: dict[str, list[int]] = {}
             for e, cl in eng.classes.items():
                 by_class.setdefault(cl.kind, []).append(e)
@@ -179,7 +179,8 @@ def test_criterion_4_eal_table():
                 seen_kinds.add(kind)
                 for e in edges:
                     row = binomial_row("eal", kind, sampler, f"{family}:{e}", "lower",
-                                       bounds[kind], int(st.eal[e]), st.trials)
+                                       bounds[eng.classes[e].coin_kind], int(st.eal[e]),
+                                       st.trials)
                     if not row.passed:
                         failures.append((family, sampler, kind, e, row.estimate))
     needed = {"special", "half-special", "other-degree", "k5-degree", "cycle"}
@@ -199,12 +200,13 @@ def test_criterion_5_reduction_flattening():
     for family in ("zoo", "k5-gadget", "nested"):
         eng = engine(family, "mix")
         st = eal_run(family, "mix")
+        bounds = coin_bounds(eng.sp.effective_lambda)
         targets = {
-            "special": eng.rp.p_special,
-            "half-special": eng.rp.p_half_special,
-            "other-degree": eng.rp.p_other,
-            "k5-degree": eng.rp.p_other,
-            "cycle": eng.rp.p_other,
+            "special": bounds["special"],
+            "half-special": bounds["half-special"],
+            "other-degree": bounds["other"],
+            "k5-degree": bounds["other"],
+            "cycle": bounds["other"],
         }
         for e, cl in eng.classes.items():
             row = binomial_row("reduction", cl.kind, "mix", f"{family}:{e}", "two-sided",
@@ -327,7 +329,7 @@ def test_criterion_9_odd_surgery():
         sp, dist = dists[idx]
         mk = sample_matching(dist, rng)
         sh = odd_surgery(sp, mk, 0, rng)
-        for e, v in sh.interior_values().items():
+        for e, v in interior_values(sh).items():
             x = float(v)
             sums[e] = sums.get(e, 0.0) + x
             sumsq[e] = sumsq.get(e, 0.0) + x * x
@@ -345,7 +347,7 @@ def test_criterion_9_odd_surgery():
             for kind, e, f, _ in surgery_options(sp, mk):
                 sh = apply_surgery(sp, mk, 0, kind, e, f)
                 if not in_spanning_tree_polytope(sh.interior_graph,
-                                                 sh.interior_values()):
+                                                 interior_values(sh)):
                     member_ok = False
     report(
         "criterion 9 (odd-surgery properties)",

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from htsp.engine import CompiledInstance
 from htsp.generators import generate
-from htsp.join import coin_rates, parity_law
+from htsp.join import coin_table, parity_law
 from htsp.oracle import (correlation_event_probability, correlation_tuples,
                          exact_expected_net_decrease, exact_marginals)
 from htsp.pipeline import CyclePieceSampler, SamplerParams
@@ -66,8 +66,9 @@ def test_instance_values_match_the_fraction_layer(name, sampler):
     ci = compiled(name, sampler)
     eal = reference.eal_probabilities(ci.eal_conditions, ci.classes, ci.samplers)
     assert_same_values(ci.eal_probability, eal)
-    rates = coin_rates(ci.classes, ci.coin_groups, ci.rp, eal)
-    assert_same_values(ci.rates, rates)
+    coins = coin_table(ci.classes, ci.coin_groups, eal, ci.sp.effective_lambda)
+    rates = {grp: coin.rate for grp, coin in coins.items()}
+    assert_same_values({grp: coin.rate for grp, coin in ci.coins.items()}, rates)
     assert_same_values(
         exact_marginals(ci.h, ci.samplers, ci.classes),
         {e: reference.exact_marginal(ci.samplers[cl.settled], e) for e, cl in ci.classes.items()})

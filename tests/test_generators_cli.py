@@ -288,6 +288,19 @@ def test_cli_generate_refuses_a_size_the_family_does_not_read():
     assert r.stderr == "htsp generate: ConfigError: family 'zoo' reads no size setting, not k\n"
 
 
+@pytest.mark.parametrize("seed", ["1", "5"])
+def test_cli_oracle_refuses_a_piece_past_the_interior_limit(seed, tmp_path):
+    """The compile's size refusal reaches the command line as one stderr
+    line and exit status 2."""
+    path = tmp_path / "4reg-18.htsp"
+    r = run_cli("generate", "--family", "random-4reg", "--n", "18", "--seed", seed,
+                "--out", str(path))
+    assert r.returncode == 0, r.stderr
+    r = run_cli("oracle", str(path))
+    assert (r.returncode, r.stdout, r.stderr) == (
+        2, "", "htsp oracle: SizeLimitExceeded: piece interior 13 exceeds enumeration limit 12\n")
+
+
 def test_cli_a_size_the_family_reads_still_runs():
     r = run_cli("generate", "--family", "random-4reg", "--n", "10")
     assert r.returncode == 0, r.stderr

@@ -18,14 +18,14 @@ from htsp.errors import (
 )
 from htsp.hierarchy import build_hierarchy, min_cuts_via_hierarchy
 from htsp.join import (
+    Coin,
     ReductionParams,
     bipartization_flow,
     build_charge_sites,
     check_eal_bounds,
     classify,
     coin_groups,
-    coin_rates,
-    coin_thresholds,
+    coin_table,
     eal_conditions,
     exact_eal_probabilities,
     min_cost_perfect_matching,
@@ -35,7 +35,8 @@ import htsp.engine
 from htsp.cli import main
 from htsp.generators import generate_double_cycle, generate_random_4reg
 from htsp.graph import bits, parse_instance, serialize_instance
-from htsp.params import BETA_CAP, DEFAULT_TAU, optimize
+from htsp.params import (BETA_CAP, DEFAULT_MIX_LAMBDA, DEFAULT_TAU, coin_bounds, eal_bounds,
+                         optimize)
 from htsp.pipeline import SamplerParams, build_piece_samplers
 from htsp.engine import BatchEngine, CompiledInstance, _odd_rows
 from htsp.stats import ExperimentConfig, run_suite
@@ -47,16 +48,26 @@ from tests.reference import (build_join, detect_eal, fraction_max_flow, fraction
 QUARTER = Fraction(1, 4)
 
 
+def rates_of(coins) -> dict:
+    """Each coin group's rate, from a ``coin_table``."""
+    return {grp: coin.rate for grp, coin in coins.items()}
+
+
+def thresholds_of(coins) -> dict:
+    """Each coin group's threshold, from a ``coin_table``."""
+    return {grp: coin.threshold for grp, coin in coins.items()}
+
+
 def prepared(inst, sampler="mix"):
     h = build_hierarchy(inst)
     sp = SamplerParams(sampler=sampler)
-    rp = ReductionParams.default(sp.effective_lambda)
+    rp = ReductionParams.default()
     samplers = build_piece_samplers(h, sp)
     classes = classify(h)
     probs = exact_eal_probabilities(eal_conditions(h, classes), classes, samplers)
-    rates = coin_rates(classes, coin_groups(classes), rp, probs)
+    coins = coin_table(classes, coin_groups(classes), probs, sp.effective_lambda)
     sites = build_charge_sites(h, classes, rp)
-    return h, sp, rp, samplers, classes, rates, sites
+    return h, sp, rp, samplers, classes, coins, sites
 
 
 def test_classify_covers_every_edge_once(any_instance):
@@ -124,21 +135,18 @@ def test_exact_eal_probabilities_clear_bounds(any_instance):
     for sampler in ("mi", "maxent", "mix"):
         h = build_hierarchy(any_instance)
         sp = SamplerParams(sampler=sampler)
-        rp = ReductionParams.default(sp.effective_lambda)
         samplers = build_piece_samplers(h, sp)
         classes = classify(h)
         probs = exact_eal_probabilities(eal_conditions(h, classes), classes, samplers)
-        from htsp.stats import eal_bounds_for
-
-        bounds = eal_bounds_for(sp, rp)
+        bounds = eal_bounds(sp.sampler, sp.effective_lambda)
         for e, cl in classes.items():
-            assert float(probs[e]) >= float(bounds[cl.kind]) - 1e-12
+            assert float(probs[e]) >= float(bounds[cl.coin_kind]) - 1e-12
 
 
 def test_no_reduction_keeps_quarter(zoo_instance):
-    h, sp, rp, samplers, classes, rates, sites = prepared(zoo_instance)
+    h, sp, rp, samplers, classes, coins, sites = prepared(zoo_instance)
     (edges,) = trial_trees(CompiledInstance(zoo_instance, sp), 1, 7)
-    zero_rates = {g: 0.0 for g in rates}
+    zero_rates = {g: 0.0 for g in coins}
     rng = np.random.default_rng(0)
     js = build_join(h, classes, rp, edges, zero_rates, rng, sites,
                     eal_conditions(h, classes))
@@ -148,28 +156,25 @@ def test_no_reduction_keeps_quarter(zoo_instance):
 
 def test_reduction_params_refuse_unordered_amounts():
     with pytest.raises(ConfigError, match="tau <= gamma <= beta"):
-        ReductionParams(Fraction(1, 20), Fraction(1, 40), Fraction(1, 12), Fraction(1, 2))
+        ReductionParams(Fraction(1, 20), Fraction(1, 40), Fraction(1, 12))
 
 
 def test_reduction_params_refuse_beta_under_twice_an_amount():
     with pytest.raises(ConfigError, match="beta >= 2\\*tau"):
-        ReductionParams(Fraction(1, 20), Fraction(1, 20), Fraction(1, 20), Fraction(1, 2))
-
-
-def test_reduction_params_refuse_a_mix_outside_the_unit_interval():
-    with pytest.raises(ConfigError, match="mix_lambda must be in"):
-        ReductionParams.default(Fraction(2))
+        ReductionParams(Fraction(1, 20), Fraction(1, 20), Fraction(1, 20))
 
 
 @pytest.mark.parametrize("sampler", ["mi", "maxent", "mix"])
 def test_coin_thresholds_fall_as_the_rates_do(sampler):
     """At the quanta next to each threshold and on random draws, comparing
     with the double threshold gives the exact comparison with the rate."""
-    h, sp, rp, samplers, classes, rates, sites = prepared(family_instance("zoo"), sampler)
-    edge_cases = {("one",): Fraction(1), ("zero",): 0.0, ("tiny",): 1e-300,
+    h, sp, rp, samplers, classes, coins, sites = prepared(family_instance("zoo"), sampler)
+    edge_cases = {("one",): Fraction(1), ("zero",): Fraction(0), ("tiny",): Fraction(1e-300),
                   ("quantum",): Fraction(3, 2 ** 53), ("third",): Fraction(1, 3)}
-    rates = {**rates, **edge_cases}
-    thresholds = coin_thresholds(rates)
+    # an estimate of one flattens to its bound: the record's rate is the bound
+    coins = {**coins, **{grp: Coin.flatten(Fraction(1), r) for grp, r in edge_cases.items()}}
+    rates, thresholds = rates_of(coins), thresholds_of(coins)
+    assert all(rates[grp] == r for grp, r in edge_cases.items())
     draws = np.random.default_rng(1).random(2_000)
     for grp, r in rates.items():
         t = thresholds[grp]
@@ -188,7 +193,7 @@ def test_coin_thresholds_fall_as_the_rates_do(sampler):
         assert by_rate == by_threshold
     # the Monte Carlo chunk flips its coins against the same thresholds
     engine = BatchEngine(family_instance("zoo"), sp)
-    want = [coin_thresholds(engine.rates)[grp] for grp in sorted(coin_groups(engine.classes))]
+    want = [engine.coins[grp].threshold for grp in sorted(coin_groups(engine.classes))]
     assert [rate for _, rate in engine.groups] == want
 
 
@@ -196,15 +201,15 @@ def test_equal_estimates_share_one_rate(zoo_instance):
     """Rates are shared by value: coin groups of one coin kind whose
     estimates are equal ``Fraction``s, each made on its own, read one rate."""
     classes = classify(build_hierarchy(zoo_instance))
-    rp = ReductionParams.default()
     groups = coin_groups(classes)
     probs = {e: Fraction(3, 4) for e in classes}
-    rates = coin_rates(classes, groups, rp, probs)
+    rates = rates_of(coin_table(classes, groups, probs, DEFAULT_MIX_LAMBDA))
+    bounds = coin_bounds(DEFAULT_MIX_LAMBDA)
     first: dict[str, Fraction] = {}
     for grp, members in groups.items():
         kind = classes[members[0]].coin_kind
         assert type(rates[grp]) is Fraction
-        assert rates[grp] == rp.coin_bound(kind) / Fraction(3, 4), grp
+        assert rates[grp] == bounds[kind] / Fraction(3, 4), grp
         assert rates[grp] is first.setdefault(kind, rates[grp]), grp
     assert len(first) > 1
 
@@ -241,10 +246,10 @@ def plan_params(name: str) -> tuple:
     if name == "optimized":
         res = _optimized()
         sp = SamplerParams(sampler="mix", mix_lambda=res.lam)
-        return sp, ReductionParams(res.tau, res.gamma, res.beta, sp.effective_lambda)
+        return sp, ReductionParams(res.tau, res.gamma, res.beta)
     if name == "tau-is-gamma":
         sp = SamplerParams()
-        return sp, ReductionParams(DEFAULT_TAU, DEFAULT_TAU, BETA_CAP, sp.effective_lambda)
+        return sp, ReductionParams(DEFAULT_TAU, DEFAULT_TAU, BETA_CAP)
     return SamplerParams(sampler="mix" if name == "default" else name), None
 
 
@@ -263,7 +268,7 @@ def engine_plan(engine: BatchEngine) -> dict:
         "pair_plan": [(targets, [(int(half), [(s, cuts[k]) for s, k in members])
                                  for half, members in groups])
                       for targets, groups in engine.pair_site_plan],
-        "rates": {grp: (type(r), r) for grp, r in engine.rates.items()},
+        "rates": {grp: (type(coin.rate), coin.rate) for grp, coin in engine.coins.items()},
         "thresholds": [t for _, t in engine.groups],
         "lane": engine.lane,
         "sum_lane": engine.sum_lane,
@@ -287,7 +292,8 @@ def test_integer_plan_equals_the_fraction_formulas(name, params):
 
 
 def test_join_ledger_conservation(zoo_instance):
-    h, sp, rp, samplers, classes, rates, sites = prepared(zoo_instance)
+    h, sp, rp, samplers, classes, coins, sites = prepared(zoo_instance)
+    rates = rates_of(coins)
     degree_sites, pair_sites = sites
     cuts = min_cuts_via_hierarchy(h)
     for trial, edges in enumerate(trial_trees(CompiledInstance(zoo_instance, sp), 60, 13)):
@@ -315,7 +321,8 @@ def test_join_ledger_conservation(zoo_instance):
 
 
 def test_partner_coins_correlated(k5_instance):
-    h, sp, rp, samplers, classes, rates, sites = prepared(k5_instance)
+    h, sp, rp, samplers, classes, coins, sites = prepared(k5_instance)
+    rates = rates_of(coins)
     for trial, edges in enumerate(trial_trees(CompiledInstance(k5_instance, sp), 40, 3)):
         rng = np.random.default_rng((5, trial))
         js = build_join(h, classes, rp, edges, rates, rng, sites,
@@ -510,7 +517,7 @@ def test_exact_expected_join_cost_beats_bound():
     for family in ("double-cycle", "k5-gadget", "nested", "zoo", "random-4reg"):
         inst = family_instance(family)
         sp = SamplerParams(sampler="mix", mix_lambda=res.lam)
-        rp = ReductionParams(res.tau, res.gamma, res.beta, sp.effective_lambda)
+        rp = ReductionParams(res.tau, res.gamma, res.beta)
         expected = float(exact_expected_join_cost(CompiledInstance(inst, sp, rp)))
         bound = (0.5 - 0.001695) * float(inst.lp_cost())
         assert expected <= bound + 1e-9, (family, expected, bound)
@@ -521,10 +528,10 @@ def test_estimate_below_bound_raises(zoo_instance):
 
     h = build_hierarchy(zoo_instance)
     classes = classify(h)
-    rp = ReductionParams.default()
-    bogus = {e: 1e-6 for e in classes}
+    groups = coin_groups(classes)
+    bogus = {e: Fraction(1, 10 ** 6) for e in classes}
     with pytest.raises(EstimateBelowBound):
-        check_eal_bounds(classes, coin_groups(classes), rp, bogus)
+        check_eal_bounds(coin_table(classes, groups, bogus, DEFAULT_MIX_LAMBDA), groups)
 
 
 def test_bound_check_is_exact(zoo_instance):
@@ -534,16 +541,18 @@ def test_bound_check_is_exact(zoo_instance):
 
     classes = classify(build_hierarchy(zoo_instance))
     groups = coin_groups(classes)
-    rp = ReductionParams.default()
-    bound = {e: rp.coin_bound(cl.coin_kind) for e, cl in classes.items()}
-    check_eal_bounds(classes, groups, rp, bound)
-    rates = coin_rates(classes, groups, rp, bound)
+    lam = DEFAULT_MIX_LAMBDA
+    bounds = coin_bounds(lam)
+    bound = {e: bounds[cl.coin_kind] for e, cl in classes.items()}
+    coins = coin_table(classes, groups, bound, lam)
+    check_eal_bounds(coins, groups)
+    rates = rates_of(coins)
     assert all(r == 1 and isinstance(r, Fraction) for r in rates.values())
     below = {e: b * (1 - Fraction(1, 10 ** 12)) for e, b in bound.items()}
     with pytest.raises(EstimateBelowBound):
-        check_eal_bounds(classes, groups, rp, below)
+        check_eal_bounds(coin_table(classes, groups, below, lam), groups)
     above = {e: 2 * b for e, b in bound.items()}
-    assert set(coin_rates(classes, groups, rp, above).values()) == {Fraction(1, 2)}
+    assert set(rates_of(coin_table(classes, groups, above, lam)).values()) == {Fraction(1, 2)}
 
 
 @pytest.mark.parametrize("sampler", ["mi", "maxent", "mix"])
@@ -723,7 +732,7 @@ def test_charge_split_equals_the_fraction_edmonds_karp(params):
     gives it, ``bipartization_flow`` splits each demand as the ``Fraction``
     Edmonds-Karp does, in the same order, with the same loads."""
     sp, rp = plan_params(params)
-    rp = rp or ReductionParams.default(sp.effective_lambda)
+    rp = rp or ReductionParams.default()
     compared = 0
     for name in SPLIT_INSTANCES:
         h, classes = _hierarchy_and_classes(name)
@@ -790,12 +799,11 @@ def test_coin_group_with_two_estimates_raises(zoo_instance):
 
     h = build_hierarchy(zoo_instance)
     classes = classify(h)
-    rp = ReductionParams.default()
     members = next(m for m in coin_groups(classes).values() if len(m) > 1)
-    probs = {e: 0.9 for e in classes}
-    probs[members[0]] = 0.95
+    probs = {e: Fraction(9, 10) for e in classes}
+    probs[members[0]] = Fraction(19, 20)
     with pytest.raises(EstimateBelowBound, match="2 even-at-last estimates"):
-        coin_rates(classes, coin_groups(classes), rp, probs)
+        coin_table(classes, coin_groups(classes), probs, DEFAULT_MIX_LAMBDA)
 
 
 # -- certifying checks that are raises, not asserts ----------------------------
@@ -964,7 +972,7 @@ def test_engine_trial_check_agrees_with_verify_join(family):
     pick = np.random.default_rng(11)
     failed = 0
     for trial, edges in enumerate(trial_trees(engine, 200, 12)):
-        js = build_join(engine.h, engine.classes, engine.rp, edges, engine.rates,
+        js = build_join(engine.h, engine.classes, engine.rp, edges, rates_of(engine.coins),
                         np.random.default_rng(trial), engine.sites, engine.eal_conditions)
         lowered = dict(js.z)
         lowered[int(pick.integers(engine.m))] -= Fraction(1, 12)
@@ -1011,7 +1019,7 @@ def test_checked_joins_equal_the_reference_join(family, sampler, monkeypatch):
     a chunk that starts past trial 0 included."""
     monkeypatch.setattr(htsp.engine, "MAX_CHUNK", 150)
     engine = BatchEngine(family_instance(family), SamplerParams(sampler=sampler))
-    thresholds = coin_thresholds(engine.rates)
+    thresholds = thresholds_of(engine.coins)
     firsts = []
     for first, T, rng in engine.tree_chunks(200, 2):
         n = T.shape[1]

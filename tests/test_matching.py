@@ -19,7 +19,8 @@ from htsp.matching import (
     surgery_options,
 )
 from tests.reference import (apply_surgery, edge_ids_of, in_spanning_tree_polytope,
-                             odd_set_lower_constraints, part_sums, shift)
+                             interior_values, odd_set_lower_constraints, part_sums, shift,
+                             state_values)
 from tests.single_draws import odd_split, odd_surgery, sample_matching, select_submatching
 
 QUARTER = Fraction(1, 4)
@@ -150,7 +151,7 @@ def test_shift_values_and_parts():
     sh = shift(piece, mk, sub)
     # every vertex carries total shifted value two
     for v in range(g.n):
-        assert sum(sh.values[e] for e in g.incident_ids(v)) == 2
+        assert sum(state_values(sh)[e] for e in g.incident_ids(v)) == 2
     # every proper cut keeps shifted value at least two
     import itertools
 
@@ -158,14 +159,14 @@ def test_shift_values_and_parts():
         for sub_v in itertools.combinations(range(g.n), size):
             s = set(sub_v)
             tot = sum(
-                sh.values[eid]
+                state_values(sh)[eid]
                 for eid, (u, v) in zip(g.edge_ids, g.endpoints)
                 if (u in s) != (v in s)
             )
             assert tot >= 2
     for part, total in zip(sh.parts, part_sums(sh)):
         assert len(part) <= 3 and total <= 1
-    assert in_spanning_tree_polytope(sh.interior_graph, sh.interior_values())
+    assert in_spanning_tree_polytope(sh.interior_graph, interior_values(sh))
 
 
 def test_shift_expectation_is_half():
@@ -174,7 +175,7 @@ def test_shift_expectation_is_half():
     acc = {eid: Fraction(0) for eid in piece.graph.edge_ids}
     for mk, w in zip(dist.masks, dist.weights):
         sh = shift(piece, mk, 0)
-        for eid, val in sh.values.items():
+        for eid, val in state_values(sh).items():
             acc[eid] += w * val
     assert all(v == Fraction(1, 2) for v in acc.values())
 
@@ -207,9 +208,9 @@ def test_odd_surgery_interior_sums():
         for mk in dist.masks:
             for kind, e, f, _ in surgery_options(sp, mk):
                 sh = apply_surgery(sp, mk, 0, kind, e, f)
-                assert sum(sh.interior_values().values()) == k - 1
+                assert sum(interior_values(sh).values()) == k - 1
                 assert in_spanning_tree_polytope(
-                    sh.interior_graph, sh.interior_values()
+                    sh.interior_graph, interior_values(sh)
                 )
 
 
@@ -225,7 +226,7 @@ def test_odd_surgery_marginal_preserving_exact():
             for kind, e, f, pb in surgery_options(sp, mk):
                 sh = apply_surgery(sp, mk, 0, kind, e, f)
                 pr = Fraction(1, 3) * w * pb
-                for eid, val in sh.interior_values().items():
+                for eid, val in interior_values(sh).items():
                     acc[eid] = acc.get(eid, Fraction(0)) + pr * val
     assert all(v == Fraction(1, 2) for v in acc.values())
 
@@ -242,7 +243,7 @@ def test_odd_surgery_part_invariant():
         for part, total in zip(sh.parts, part_sums(sh)):
             assert len(part) <= 3
             assert total <= 1
-        surgery = sh.provenance["surgery"]
+        surgery = sh.surgery
         assert surgery[0] in ("decrease", "increase")
 
 

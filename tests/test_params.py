@@ -98,6 +98,20 @@ def test_mixed_rates_interpolate():
     assert pm == (Fraction(1, 12) + Fraction(1, 18)) / 2
 
 
+def test_bounds_are_read_by_coin_kind_at_a_mix():
+    """The coin bounds are the mixed rates by coin kind; the even-at-last
+    bounds are the route's table on a pure route and the coin bounds on
+    the mix.  The matroid route's table is the mix at 0, and the
+    max-entropy one differs from the mix at 1 only on half-special coins."""
+    lam = Fraction(4715, 10000)
+    assert params.coin_bounds(lam) == dict(zip(("other", "special", "half-special"),
+                                              mixed_rates(lam)))
+    assert params.eal_bounds("mix", lam) == params.coin_bounds(lam)
+    assert params.eal_bounds("mi", Fraction(0)) == params.coin_bounds(Fraction(0))
+    maxent, at_one = params.eal_bounds("maxent", Fraction(1)), params.coin_bounds(Fraction(1))
+    assert {k for k in maxent if maxent[k] != at_one[k]} == {"half-special"}
+
+
 def test_solve_amounts_respects_constraints():
     for lam in (Fraction(0), Fraction(4715, 10000), Fraction(1)):
         sol = solve_amounts(lam)

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -15,7 +16,7 @@ import htsp.pipeline as pipeline
 import htsp.trees as trees
 from htsp.decomp import Decomposition
 from htsp.engine import BatchEngine, CompiledInstance
-from htsp.errors import AssemblyError, InfeasibleShift
+from htsp.errors import AssemblyError, InfeasibleShift, SizeLimitExceeded
 from htsp.hierarchy import build_hierarchy
 from htsp.pipeline import (
     DegreePieceSampler,
@@ -26,11 +27,12 @@ from htsp.pipeline import (
     build_piece_samplers,
 )
 from htsp.generators import generate_random_4reg
-from htsp.params import SIGMAS
+from htsp.params import FIT_TOLERANCE, HALF, SIGMAS
 from htsp.matching import decompose_matchings, provenance, seven_coloring
 from tests.conftest import ALL_FAMILIES, family_instance, trial_trees
-from tests.reference import (fraction_mi_mixture, fraction_piece_states, per_class_mi_states,
-                             shift, tree_sets, validate_r0_tree)
+from tests.reference import (forced_edges, fraction_mi_mixture, fraction_piece_states,
+                             interior_values, per_class_mi_states, shift, state_provenance,
+                             state_values, tree_sets, validate_r0_tree)
 from tests.single_draws import degree_piece_draw, restrict, sample_k5_path
 
 
@@ -83,15 +85,31 @@ def test_compiled_exact_marginals_are_half(any_instance):
         assert marg[e] == Fraction(1, 2)
 
 
-def test_compiled_mix_marginals_near_half(zoo_instance):
-    h = build_hierarchy(zoo_instance)
-    samplers = build_piece_samplers(h, SamplerParams(sampler="mix"))
-    from htsp.join import classify
+@pytest.mark.parametrize("sampler", ["maxent", "mix"])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_fitted_marginals_within_the_fit_bound(family, sampler):
+    """Where the max-entropy fit enters, every exact marginal lies within
+    (2/3) * lam * ``FIT_TOLERANCE`` of one half, the bound that
+    ``stats.is_half`` states, compared as ``Fraction``s."""
     from htsp.oracle import exact_marginals
 
-    marg = exact_marginals(h, samplers, classify(h))
-    for e in range(zoo_instance.graph.m):
-        assert abs(float(marg[e]) - 0.5) <= 2e-6
+    ci = CompiledInstance(family_instance(family), SamplerParams(sampler=sampler))
+    bound = Fraction(2, 3) * ci.sp.effective_lambda * Fraction(FIT_TOLERANCE)
+    marg = exact_marginals(ci.h, ci.samplers, ci.classes)
+    assert sorted(marg) == list(range(ci.m))
+    assert all(abs(m - HALF) <= bound for m in marg.values())
+
+
+@pytest.mark.parametrize("gen_seed", [1, 5])
+def test_a_piece_past_the_interior_limit_is_refused(gen_seed):
+    """``random-4reg`` at n = 18 holds a degree piece of interior 13, one
+    past the compile's limit: the compile refuses it at once, naming both."""
+    inst = generate_random_4reg(18, np.random.default_rng(gen_seed))
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded,
+                       match="^piece interior 13 exceeds enumeration limit 12$"):
+        CompiledInstance(inst)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_generative_matches_compiled_distribution(k5_instance):
@@ -244,14 +262,14 @@ def test_the_walks_equal_the_fraction_walks(name):
             assert [(Fraction(k, den), i) for k, i in visits] == want_visits
             assert len(states) == len(want)
             for sh, ref in zip(states, want):
-                assert list(sh.values.items()) == list(ref.values.items())
-                assert list(sh.interior_values().items()) == list(ref.interior_values().items())
-                assert (sh.parts, sh.forced, sh.provenance) == (ref.parts, ref.forced,
-                                                                 ref.provenance)
+                assert list(state_values(sh).items()) == list(ref.values.items())
+                assert list(interior_values(sh).items()) == list(ref.interior_values().items())
+                assert (sh.parts, forced_edges(sh), state_provenance(sh)) == (
+                    ref.parts, ref.forced, ref.provenance)
 
 
 def _state_key(shifted):
-    return tuple(sorted(shifted.values.items())), shifted.parts
+    return tuple(sorted(state_values(shifted).items())), shifted.parts
 
 
 @pytest.mark.parametrize("n", [6, 7])

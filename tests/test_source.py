@@ -79,11 +79,11 @@ def test_test_only_helpers_live_in_tests():
     """The one-shot forms that only the tests call (the sorted min-cut list,
     every spanning tree of a graph, a single max-entropy fit, the minor of
     ``Fraction`` values, one shifted state or surgery branch, one state's
-    decomposition as ``Fraction``s, a state's sorted interior edge ids) live
-    in ``tests/``."""
+    decomposition as ``Fraction``s, a state's sorted interior edge ids, a
+    state's interior values as ``Fraction``s) live in ``tests/``."""
     assert _defined({"enumerate_min_cuts", "enumerate_spanning_trees", "maxent_fit",
                      "contract_forced", "shift", "apply_surgery",
-                     "exact_convex_decomposition", "interior_edge_ids"}) == []
+                     "exact_convex_decomposition", "interior_edge_ids", "interior_values"}) == []
 
 
 def test_one_verdict_rule():
@@ -202,8 +202,8 @@ ONE_NUMBER_TYPE = (
     ("join.py", None, "parity_law"),
     ("join.py", None, "event_weight"),
     ("join.py", None, "event_probability"),
-    ("join.py", None, "_value_key"),
-    ("join.py", None, "coin_rates"),
+    ("join.py", "Coin", "flatten"),
+    ("join.py", None, "coin_table"),
     ("join.py", None, "check_eal_bounds"),
     ("oracle.py", None, "exact_expected_net_decrease"),
     ("pipeline.py", "EnumeratedPieceSampler", "probability"),
@@ -556,6 +556,8 @@ TOLERANCE_SITES = (
     ("stats.py", None, "suite_correlations"),
     ("stats.py", None, "binom_sigma"),
     ("stats.py", None, "suite_symmetry"),
+    ("join.py", "Coin", "flatten"),
+    ("join.py", None, "coin_table"),
     ("join.py", None, "check_eal_bounds"),
 )
 
@@ -572,3 +574,26 @@ def test_verdict_tolerances_are_named_in_params():
         and node.value not in (0.0, 1.0)
     ]
     assert found == []
+
+
+def test_one_home_for_the_mix():
+    """The sampler's share λ is a compile's one mix, and ``params.py`` the
+    one home of the bounds read at it: ``ReductionParams`` holds the three
+    reduction amounts alone, no other module reads ``EAL_BOUNDS`` or
+    ``mixed_rates``, and ``join.py``'s coin table is its one walk over the
+    coin groups, with no rate, threshold or value-key function beside it."""
+    join = _parse(SRC / "join.py")
+    rp = next(node for node in join.body
+              if isinstance(node, ast.ClassDef) and node.name == "ReductionParams")
+    assert [node.target.id for node in rp.body if isinstance(node, ast.AnnAssign)] == \
+        ["tau", "gamma", "beta"]
+    tables = {"EAL_BOUNDS", "mixed_rates"}
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "params.py"
+        for node in ast.walk(_parse(path))
+        if _name_of(node) in tables
+        or isinstance(node, ast.ImportFrom) and tables & {a.name for a in node.names}
+    ]
+    assert readers == []
+    assert {"coin_rates", "coin_thresholds", "_value_key", "EDGE_KINDS"} & set(_names(join)) == set()

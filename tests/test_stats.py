@@ -8,7 +8,6 @@ import pytest
 import htsp.engine
 from htsp.engine import BatchEngine, CompiledInstance
 from htsp.errors import AssemblyError, ConfigError, ScaleOverflow
-from htsp.join import ReductionParams
 from htsp.oracle import exact_expected_net_decrease, exact_marginals
 from htsp.params import FIT_TOLERANCE, HALF
 from htsp.pipeline import CyclePieceSampler, SamplerParams, ShiftLedger
@@ -166,7 +165,7 @@ def test_every_oracle_value_is_a_fraction(sampler):
     ``Fraction``s on every sampler, and its marginal rows take one name."""
     ci = CompiledInstance(family_instance("zoo"), SamplerParams(sampler=sampler))
     values = [*exact_marginals(ci.h, ci.samplers, ci.classes).values(),
-              *ci.eal_probability.values(), *ci.rates.values(),
+              *ci.eal_probability.values(), *(coin.rate for coin in ci.coins.values()),
               *exact_expected_net_decrease(ci).values()]
     assert {type(v) for v in values} == {Fraction}
     report = oracle_check(ci)
@@ -182,21 +181,6 @@ def test_a_marginal_is_half_exactly_or_within_the_fit_tolerance():
     assert is_half(HALF, Fraction(0)) and not is_half(near, Fraction(0))
     for lam in (Fraction(1, 2), Fraction(1)):
         assert is_half(HALF, lam) and is_half(near, lam) and not is_half(far, lam)
-
-
-def test_one_mix_per_compile():
-    """The coin rates flatten to the bounds of the tables' own mix: reduction
-    parameters at another mix are refused, directly and through the oracle."""
-    inst = family_instance("zoo")
-    sp, rp = SamplerParams("mi"), ReductionParams.default()
-    assert rp.mix_lambda == Fraction(4715, 10000) != sp.effective_lambda
-    with pytest.raises(ConfigError, match="lambda 943/2000, but the mi sampler at 0"):
-        CompiledInstance(inst, sp, rp)
-    with pytest.raises(ConfigError, match="lambda 943/2000, but the mi sampler at 0"):
-        oracle_check(inst, sp, rp)
-    with pytest.raises(ConfigError, match="lambda 1/2, but the maxent sampler at 1"):
-        BatchEngine(inst, SamplerParams("maxent"), ReductionParams.default(Fraction(1, 2)))
-    CompiledInstance(inst, sp, ReductionParams.default(Fraction(0)))
 
 
 def test_run_suite_dispatcher(tmp_path):
@@ -433,13 +417,13 @@ for corrupt in ("lost-edge", "root-edge"):
 
 def test_oracle_check_computes_eal_probabilities_once(monkeypatch):
     """The oracle compiles the instance once and hands its even-at-last
-    probabilities, coin rates and charge sites to every row instead of
+    probabilities, coin table and charge sites to every row instead of
     computing them again."""
     import htsp.join
     import htsp.oracle
     import htsp.stats
 
-    names = ("exact_eal_probabilities", "coin_rates", "build_charge_sites")
+    names = ("exact_eal_probabilities", "coin_table", "build_charge_sites")
     calls = {name: 0 for name in names}
     for name in names:
         original = getattr(htsp.join, name)

@@ -21,7 +21,9 @@ from tests.reference import (
     _marginals_reproduce,
     constrained_tree_distribution,
     enumerate_spanning_trees,
+    forced_edges,
     fraction_marginal_check,
+    interior_values,
     is_connected,
     maxent_fit,
     maxent_marginals,
@@ -30,6 +32,7 @@ from tests.reference import (
     per_component_maxent_fit,
     shift,
     spanning_tree_count,
+    state_values,
     tree_marginals,
     tree_sets,
 )
@@ -66,7 +69,7 @@ def test_tight_part_forces_exactly_one():
     c4 = MultiGraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0)])
     values = {0: Fraction(2, 3), 1: Fraction(1, 3), 2: Fraction(1), 3: Fraction(1)}
     sh = shifted_on(c4, values, parts=((0, 1),))
-    assert sh.forced == {2, 3}
+    assert forced_edges(sh) == {2, 3}
     dist = constrained_tree_distribution(sh)
     for t in dist.trees:
         assert len({0, 1} & t) == 1
@@ -84,7 +87,7 @@ def test_mi_distribution_matches_shift_exactly():
     sh = shift(piece, mk, sub)
     ctd = constrained_tree_distribution(sh)
     marg = tree_marginals(ctd)
-    for eid, val in sh.interior_values().items():
+    for eid, val in interior_values(sh).items():
         assert marg.get(eid, Fraction(0)) == val
     for part in sh.parts:
         for t in ctd.trees:
@@ -106,7 +109,7 @@ def test_mi_sample_monte_carlo_marginals():
     for d in np.minimum(draws, len(ctd.trees) - 1):
         for eid in ctd.trees[d]:
             counts[eid] += 1
-    for eid, val in sh.interior_values().items():
+    for eid, val in interior_values(sh).items():
         p = float(val)
         sd = max((p * (1 - p) / n) ** 0.5, 1e-9)
         assert abs(counts[eid] / n - p) <= 4 * sd
@@ -128,10 +131,10 @@ def test_maxent_k44_shifted_fit():
     piece = standalone_piece("k44")
     dist = decompose_matchings(piece)
     sh = shift(piece, dist.masks[0], 0)
-    fit = maxent_fit(sh.interior_graph, sh.interior_values())
+    fit = maxent_fit(sh.interior_graph, interior_values(sh))
     assert fit.fit_error <= 1e-6
     marg = maxent_marginals(fit)
-    for eid, val in sh.interior_values().items():
+    for eid, val in interior_values(sh).items():
         assert abs(marg[eid] - float(val)) <= 1e-6
 
 
@@ -164,11 +167,11 @@ def test_maxent_sample_contains_forced():
     piece = standalone_piece("octahedron")
     dist = decompose_matchings(piece)
     sh = shift(piece, dist.masks[0], 0)
-    fit = maxent_fit(sh.interior_graph, sh.interior_values())
+    fit = maxent_fit(sh.interior_graph, interior_values(sh))
     rng = np.random.default_rng(1)
     for _ in range(100):
         t = maxent_sample(fit, rng)
-        assert sh.forced <= t
+        assert forced_edges(sh) <= t
         assert len(t) == sh.interior_graph.n - 1
 
 
@@ -177,7 +180,7 @@ def test_maxent_sequential_matches_enumerated_distribution():
     piece = standalone_piece("octahedron")
     dist = decompose_matchings(piece)
     sh = shift(piece, dist.masks[2], 0)
-    fit = maxent_fit(sh.interior_graph, sh.interior_values())
+    fit = maxent_fit(sh.interior_graph, interior_values(sh))
     trees, probs = maxent_tree_distribution(fit)
     idx = {t: i for i, t in enumerate(trees)}
     n = 60_000
@@ -194,10 +197,10 @@ def test_maxent_negative_correlation_spot_check():
     piece = standalone_piece("k44")
     dist = decompose_matchings(piece)
     sh = shift(piece, dist.masks[0], 0)
-    fit = maxent_fit(sh.interior_graph, sh.interior_values())
+    fit = maxent_fit(sh.interior_graph, interior_values(sh))
     trees, probs = maxent_tree_distribution(fit)
     ids = sorted(sh.interior_graph.edge_ids)
-    fractional = [e for e in ids if 0 < sh.values[e] < 1]
+    fractional = [e for e in ids if 0 < state_values(sh)[e] < 1]
     for a, b in itertools.combinations(fractional[:6], 2):
         pa = sum(p for t, p in zip(trees, probs) if a in t)
         pb = sum(p for t, p in zip(trees, probs) if b in t)
@@ -357,7 +360,7 @@ def test_mi_sample_draws_constrained_trees():
     sh = shift(piece, mk, sub)
     for _ in range(50):
         t = mi_sample(sh, rng)
-        assert sh.forced <= t
+        assert forced_edges(sh) <= t
         assert len(t) == sh.interior_graph.n - 1
         for part in sh.parts:
             assert len(set(part) & t) <= 1
@@ -431,7 +434,7 @@ def test_every_tree_weights_reproduces_its_state(family):
             dist = ConstrainedTreeDistribution(
                 tuple(tree_sets(w.trees, sh.interior_graph.edge_ids)),
                 tuple(Fraction(k, w.denominator) for k in w.numerators))
-            assert _marginals_reproduce(dist, sh.interior_values())
+            assert _marginals_reproduce(dist, interior_values(sh))
             fraction_marginal_check(sh, dist)
 
 
