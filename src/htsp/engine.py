@@ -28,12 +28,17 @@ A run folds, in index order, the ``BatchStats`` records its chunks of
 ``MAX_CHUNK`` trials return; chunk ``idx`` of ``tree_chunks`` draws its
 trees, then its coins, from its own stream ``SeedSequence(seed,
 spawn_key=(idx,))``, so a run, and ``htsp join`` and ``tour`` at its seed,
-depend only on instance, seed and flags.  A run of two or more full chunks
-uses the CPUs this process may run on: chunk ``idx`` goes to process
+depend only on instance, seed and flags.  A run of two or more chunks may
+use the CPUs this process may run on: chunk ``idx`` goes to process
 ``idx % P``, where process 0 is the caller and the others are the engine's
-helpers, forked by ``os.fork`` at its first such run and kept while it
-lives; the caller folds every record, so the output is the same at any CPU
-count.
+helpers, forked by ``os.fork`` at its first run that needs them and kept
+while it lives; the caller folds every record, so the output is the same at
+any CPU count.  An engine's first run spreads only over processes that each
+get a full chunk: a helper costs its fork, its first chunk's copy-on-write
+faults and its reap, which a one-shot run's ragged chunk does not repay.
+From its second run on the engine is warm, and a run spreads over as many
+CPUs as it has chunks, the ragged one included; a helper forked then
+inherits the pairing memo the first run filled (``processes``).
 """
 
 from __future__ import annotations
@@ -413,13 +418,19 @@ class BatchEngine(CompiledInstance):
         self._build_verify_plan()
         self._choose_lanes(self._most_charges())
         self._helpers = _Helpers(self)
+        #: whether ``run`` has run once: a warm engine's runs spread their
+        #: ragged chunk too (``processes``)
+        self._warm = False
 
     def __copy__(self) -> BatchEngine:
         """A twin on the same plans and caches, with helper processes of its
-        own, so it may change its plans before its first parallel run."""
+        own, so it may change its plans before its first parallel run.  The
+        twin of a warm engine is fresh: it has run nothing and forked no
+        helper, so its first run keeps the rule of a fresh engine."""
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
         twin._helpers = _Helpers(twin)
+        twin._warm = False
         return twin
 
     # -- plans ------------------------------------------------------------
@@ -597,12 +608,15 @@ class BatchEngine(CompiledInstance):
         """The records of the chunks of ``tree_chunks``, folded in index order.
 
         Chunk ``idx`` is computed by process ``idx % P`` of ``P =
-        processes(trials)``: process 0 is this one and the others are the
-        engine's helpers, so the fold, and the result, is the same at any P.
-        A run whose chunks fail raises the error of the lowest failing
-        chunk, as one process does."""
+        processes(trials, warm)``: process 0 is this one and the others are
+        the engine's helpers, so the fold, and the result, is the same at
+        any P.  The engine is warm from its second run on, so a repeated run
+        of one full chunk and a ragged one puts the ragged chunk on a
+        helper.  A run whose chunks fail raises the error of the lowest
+        failing chunk, as one process does."""
         flags = (join, verify, integral, symmetry_pairs)
-        P = processes(trials)
+        P = processes(trials, self._warm)
+        self._warm = True
         shares = [range(k, -(-trials // MAX_CHUNK), P) for k in range(P)]
         if P == 1:
             # catching nothing, one process raises a chunk's error at once
@@ -817,15 +831,19 @@ def cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def processes(trials: int) -> int:
-    """How many processes a run of ``trials`` trials spreads its chunks
-    over: one per CPU, but each with at least one full chunk of
-    ``MAX_CHUNK`` trials.  One where there is no ``os.fork``, or while a
-    second thread runs: a forked child holds only the forking thread, and
-    a lock another thread held stays held in it."""
+def processes(trials: int, warm: bool) -> int:
+    """How many processes a run of ``trials`` trials spreads its chunks of
+    ``MAX_CHUNK`` trials over: one per CPU, but no more than the chunks.  A
+    fresh engine's first run (``warm`` false) counts only full chunks, so a
+    one-shot run forks no helper for a ragged chunk, which does not repay a
+    helper's fork, first copy-on-write faults and reap; a warm engine's run
+    counts the ragged chunk too.  One where there is no ``os.fork``, or while
+    a second thread runs: a forked child holds only the forking thread, and a
+    lock another thread held stays held in it."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return max(1, min(cpu_count(), trials // MAX_CHUNK))
+    chunks = -(-trials // MAX_CHUNK) if warm else trials // MAX_CHUNK
+    return max(1, min(cpu_count(), chunks))
 
 
 def _send(fd: int, obj) -> None:
@@ -835,9 +853,12 @@ def _send(fd: int, obj) -> None:
 
 
 class _Helpers:
-    """The helper processes of one engine: forked at its first run of two or
-    more full chunks, with the engine as it is then, and kept while the
-    engine lives, each with its own copy of the engine's pairing memo.
+    """The helper processes of one engine: each forked at the engine's
+    first run that needs it (``processes``), with the engine as it is then,
+    and kept while the engine lives, with its own copy of the engine's
+    pairing memo.  A fresh engine forks only for full chunks, so a helper
+    forked for a ragged chunk, at a warm engine's run, inherits the memo
+    the engine's earlier runs filled.
 
     A helper keeps no descriptor but its own two pipe ends, so it reads EOF
     on its task pipe, and leaves by ``os._exit``, when its engine is

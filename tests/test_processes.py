@@ -20,10 +20,11 @@ import pytest
 
 import htsp.engine
 from htsp.cli import main
-from htsp.engine import BatchEngine
+from htsp.engine import BatchEngine, processes
 from htsp.errors import AssemblyError, HelperLost
-from htsp.stats import symmetry_pairs
-from tests.conftest import ALL_FAMILIES
+from htsp.pipeline import SamplerParams
+from htsp.stats import ExperimentConfig, oracle_check, run_suite, symmetry_pairs
+from tests.conftest import ALL_FAMILIES, family_instance
 from tests.test_chunk_layout import assert_same_stats, double_cycle_engine, engine_for
 
 CHUNK = 500
@@ -279,3 +280,120 @@ def test_a_helper_that_dies_mid_task_is_named(zoo, monkeypatch, capsys):
                      "--suite", "marginals"])
     assert code == 2
     assert re.match(r"htsp stats: HelperLost: helper process \d+ ended", capsys.readouterr().err)
+
+
+# a warm engine's runs spread their ragged chunk too
+
+
+@pytest.mark.parametrize("trials, warm, cpus, P", [
+    (1, False, 2, 1), (1, True, 2, 1),
+    (CHUNK, False, 2, 1), (CHUNK, True, 2, 1),
+    (CHUNK + 1, False, 2, 1), (CHUNK + 1, True, 2, 2),
+    (750, False, 2, 1), (750, True, 2, 2), (750, True, 1, 1),
+    (2 * CHUNK, False, 2, 2), (2 * CHUNK, True, 2, 2),
+    (1_250, False, 3, 2), (1_250, True, 3, 3), (1_250, True, 2, 2),
+    (TRIALS, False, 8, 5), (TRIALS, True, 8, 6), (TRIALS, True, 3, 3),
+])
+def test_processes_counts_the_ragged_chunk_only_when_warm(trials, warm, cpus, P,
+                                                          monkeypatch):
+    monkeypatch.setattr(htsp.engine, "MAX_CHUNK", CHUNK)
+    at(cpus, monkeypatch)
+    assert processes(trials, warm) == P
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_processes_is_one_without_fork_or_beside_a_second_thread(warm, monkeypatch):
+    monkeypatch.setattr(htsp.engine, "MAX_CHUNK", CHUNK)
+    at(3, monkeypatch)
+    assert processes(TRIALS, warm) == 3
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(120,))
+    thread.start()
+    try:
+        assert processes(TRIALS, warm) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=120)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert processes(TRIALS, warm) == 1
+
+
+def test_a_warm_engine_s_ragged_chunk_goes_to_a_helper(zoo, monkeypatch):
+    """One full chunk and a ragged one: a fresh engine's first run stays in
+    this process, and its second puts the ragged chunk on a helper, with
+    the serial run's result."""
+    at(2, monkeypatch)
+    with deadline():
+        zoo.run(750, 37)
+    assert helper_pids(zoo) == []
+    with deadline():
+        parallel = zoo.run(750, 38, integral=True)
+    assert len(helper_pids(zoo)) == 1
+    at(1, monkeypatch)
+    assert_same_stats(parallel, zoo.run(750, 38, integral=True))
+
+
+def test_a_warm_engine_forks_a_helper_for_its_ragged_chunk(zoo, monkeypatch):
+    """Two full chunks and a ragged one at P = 3: the first run forks one
+    helper, for the full chunks, and the second a second, for the ragged
+    chunk."""
+    at(3, monkeypatch)
+    with deadline():
+        first = zoo.run(1_250, 37)
+    pids = helper_pids(zoo)
+    assert len(pids) == 1
+    with deadline():
+        second = zoo.run(1_250, 37)
+    assert len(helper_pids(zoo)) == 2 and helper_pids(zoo)[0] == pids[0]
+    assert_same_stats(first, second)
+    at(1, monkeypatch)
+    assert_same_stats(second, zoo.run(1_250, 37))
+
+
+def test_a_twin_of_a_warm_engine_starts_fresh(zoo, own_copy, monkeypatch):
+    at(2, monkeypatch)
+    with deadline():
+        zoo.run(750, 37)
+        zoo.run(750, 37)
+    twin = own_copy(zoo)
+    with deadline():
+        twin.run(750, 37)
+    assert len(helper_pids(zoo)) == 1 and helper_pids(twin) == []
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``_Helpers._fork`` forks, at the lowered chunk size and
+    P = 2; a test's helpers are collected and reaped within a deadline when
+    it ends."""
+    monkeypatch.setattr(htsp.engine, "MAX_CHUNK", CHUNK)
+    at(2, monkeypatch)
+    fork, pids = htsp.engine._Helpers._fork, []
+
+    def counted(self, engine):
+        fork(self, engine)
+        pids.append(self.procs[-1][0])
+
+    monkeypatch.setattr(htsp.engine._Helpers, "_fork", counted)
+    yield pids
+    with deadline():
+        gc.collect()
+    assert_reaped(pids)
+
+
+def test_one_shot_runs_fork_nothing_for_a_ragged_chunk(forks, capsys):
+    """``run_suite``, ``htsp stats`` and ``oracle_check`` build a fresh
+    engine and run it at most once, so one full chunk and a ragged one fork
+    nothing."""
+    with deadline():
+        run_suite(ExperimentConfig(family="zoo", trials=750, suite="all"))
+        assert main(["stats", "--family", "zoo", "--trials", "750"]) == 0
+        oracle_check(family_instance("zoo"), SamplerParams(sampler="mix"))
+    assert forks == []
+
+
+def test_a_one_shot_run_of_two_full_chunks_forks_once(forks, capsys):
+    with deadline():
+        assert main(["stats", "--family", "zoo", "--trials", str(2 * CHUNK)]) == 0
+    assert len(forks) == 1

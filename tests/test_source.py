@@ -597,3 +597,26 @@ def test_one_home_for_the_mix():
     ]
     assert readers == []
     assert {"coin_rates", "coin_thresholds", "_value_key", "EDGE_KINDS"} & set(_names(join)) == set()
+
+
+def test_every_import_is_used():
+    """Every name an import binds in a module of the package is read in that
+    module; ``__init__.py``, whose imports are its re-exports, and
+    ``from __future__`` are left out."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name.split(".")[0]) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}:{name}" for name in bound
+                       if name not in read]
+    assert unused == []
